@@ -790,6 +790,40 @@ func BenchmarkPreprocessing(b *testing.B) {
 	}
 }
 
+// BenchmarkPreprocessingUCQ is BenchmarkPreprocessing for the three paper
+// unions through Open: one op = plan + every disjunct and intersection
+// preparation (13 CQ builds over the three unions) + the mc-UCQ assembly.
+func BenchmarkPreprocessingUCQ(b *testing.B) {
+	d := db(b)
+	for _, u := range tpchq.UCQs() {
+		u := u
+		b.Run(u.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Open(d, u); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInstantiate isolates the first preprocessing step: one op =
+// instantiating every atom of the query (a columnar select-and-copy per
+// atom — allocations are a handful of column slices, never per tuple).
+func BenchmarkInstantiate(b *testing.B) {
+	d := db(b)
+	for _, q := range []*query.CQ{tpchq.Q3(), tpchq.QS7()} {
+		q := q
+		b.Run(q.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := reduce.InstantiateAll(d, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Dynamic-index extension benchmarks --------------------------------------
 
 // q3Full is Q3 with every variable in the head (the dynamic index requires a

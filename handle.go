@@ -288,7 +288,9 @@ func planQuery(db *Database, q Query, cfg *config) (Query, *plan.Plan) {
 // Open builds the probe structure for q over db and wraps it in a Handle:
 // the single entry point of the library. q is a *CQ or a *UCQ; options pick
 // the backend variant. Open fails with ErrCyclic / ErrNotFreeConnex /
-// ErrIncompatible / ErrNotFull exactly as the underlying preparation does.
+// ErrIncompatible / ErrNotFull exactly as the underlying preparation does,
+// and with ErrCountOverflow when a static index would have more answers
+// than an int64 position can address.
 func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 	if db == nil {
 		return nil, errors.New("renum: Open: nil database")

@@ -700,3 +700,37 @@ func TestHandleUpdaterRoundTrip(t *testing.T) {
 		t.Fatalf("count after delete = %d, want %d", h.Count(), n)
 	}
 }
+
+// TestOpenCountOverflow: a join with more answers than an int64 position can
+// address fails Open with ErrCountOverflow on every static path — the plain
+// index, a union containing it, and a sharded build whose shards each fit
+// (1024 root rows × 2^52) while their sum (2^65) does not — instead of
+// handing out a negative Count.
+func TestOpenCountOverflow(t *testing.T) {
+	db := NewDatabase()
+	head := []string{"k"}
+	var body []Atom
+	for i := 0; i < 5; i++ {
+		name, v := fmt.Sprintf("R%d", i), fmt.Sprintf("v%d", i)
+		r := db.MustCreate(name, "k", v)
+		for j := 0; j < 8192; j++ {
+			r.MustInsert(0, Value(j))
+		}
+		head = append(head, v)
+		body = append(body, NewAtom(name, V("k"), V(v)))
+	}
+	q := MustCQ("star", head, body...)
+	u, err := NewUCQ("U", q, MustCQ("star2", head, body...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() (*Handle, error){
+		"cq":      func() (*Handle, error) { return Open(db, q) },
+		"ucq":     func() (*Handle, error) { return Open(db, u) },
+		"sharded": func() (*Handle, error) { return Open(db, q, WithShards(8)) },
+	} {
+		if h, err := open(); !errors.Is(err, ErrCountOverflow) {
+			t.Fatalf("%s: handle %v, err %v; want ErrCountOverflow", name, h, err)
+		}
+	}
+}

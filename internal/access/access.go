@@ -43,6 +43,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/parallel"
@@ -52,6 +54,12 @@ import (
 
 // ErrOutOfBounds is returned by Access for j outside [0, Count()).
 var ErrOutOfBounds = errors.New("access: index out of bounds")
+
+// ErrCountOverflow is returned by New and NewWithOptions when the number of
+// answers — or of partial answers below some join-tree bucket — does not fit
+// an int64. Positions are int64 throughout, so such a join cannot be indexed;
+// the build refuses instead of handing out a wrapped count.
+var ErrCountOverflow = errors.New("access: answer count overflows int64")
 
 // Index is the preprocessed structure of Theorem 4.3.
 type Index struct {
@@ -198,19 +206,22 @@ func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 		buildStart = time.Now()
 	}
 	if workers <= 1 || len(idx.nodes) < 2 || total < threshold {
-		var build func(n *node)
-		build = func(n *node) {
+		var build func(n *node) error
+		build = func(n *node) error {
 			for _, c := range n.children {
-				build(c)
+				if err := build(c); err != nil {
+					return err
+				}
 			}
-			n.build()
+			return n.build()
 		}
-		build(idx.root)
+		if err := build(idx.root); err != nil {
+			return nil, err
+		}
 	} else {
 		for _, wave := range buildWaves(idx.root) {
 			if err := parallel.ForEach(len(wave), workers, func(i int) error {
-				wave[i].build()
-				return nil
+				return wave[i].build()
 			}); err != nil {
 				return nil, err
 			}
@@ -289,7 +300,9 @@ func (idx *Index) wireOutputs() error {
 // sums (the Algorithm 2 loop body). Every child must be built already. It
 // writes only this node's fields and reads only the children's groupings and
 // totals, which is what makes same-height nodes safe to build concurrently.
-func (n *node) build() {
+// It fails with ErrCountOverflow when a weight or a bucket total leaves
+// int64; the probe paths then never see a wrapped value and need no checks.
+func (n *node) build() error {
 	nrows := n.rel.Len()
 	n.grouping = n.rel.GroupBy(n.pAttPos)
 	groupOf := n.grouping.GroupOf
@@ -329,14 +342,23 @@ func (n *node) build() {
 	fill := make([]int32, ng)
 	for pos := 0; pos < nrows; pos++ {
 		g := groupOf[pos]
-		w := int64(1)
+		// w(t) = product of the matching child buckets' totals, zero as soon
+		// as one child has no match (or only dangling tuples): a zero factor
+		// wins over an overflow of the factors before it.
+		uw, over := uint64(1), false
 		for ci, c := range n.children {
 			cg := n.childGroup[ci][pos]
-			if cg < 0 {
-				w = 0
+			if cg < 0 || c.total[cg] == 0 {
+				uw, over = 0, false
 				break
 			}
-			w *= c.total[cg]
+			hi, lo := bits.Mul64(uw, uint64(c.total[cg]))
+			over = over || hi != 0 || lo > math.MaxInt64
+			uw = lo
+		}
+		w := int64(uw)
+		if over || w > math.MaxInt64-n.total[g] {
+			return fmt.Errorf("%w (node %s)", ErrCountOverflow, n.rel.Name())
 		}
 		slot := n.bucketOff[g] + fill[g]
 		n.tupleIdx[slot] = int32(pos)
@@ -359,6 +381,7 @@ func (n *node) build() {
 	for k, p := range n.outPos {
 		n.outVals[k] = n.rel.Col(p)
 	}
+	return nil
 }
 
 // buildWaves groups the tree's nodes by height (leaves first): wave k holds

@@ -401,3 +401,67 @@ func TestHeadExposed(t *testing.T) {
 		t.Fatalf("Access respects head order: %v", a)
 	}
 }
+
+// sharedKeyStar builds m binary relations Ri(k, vi) of n tuples each, all on
+// the single key k = 0, and the full star query over them: n^m answers.
+func sharedKeyStar(m, n int) (*relation.Database, *query.CQ) {
+	db := relation.NewDatabase()
+	head := []string{"k"}
+	var body []query.Atom
+	for i := 0; i < m; i++ {
+		name, v := "R"+string(rune('0'+i)), "v"+string(rune('0'+i))
+		r := db.MustCreate(name, "k", v)
+		for j := 0; j < n; j++ {
+			r.MustInsert(0, relation.Value(j))
+		}
+		head = append(head, v)
+		body = append(body, query.NewAtom(name, query.V("k"), query.V(v)))
+	}
+	return db, query.MustCQ("star", head, body...)
+}
+
+// TestCountOverflowIsAnError: a join with more than 2^63-1 answers must fail
+// the build with ErrCountOverflow instead of reporting a wrapped (negative)
+// count. Five relations of 8192 tuples on one key have 8192^5 = 2^65
+// answers: every root weight (2^52) fits and their sum does not. Six push
+// the weight product itself (2^65) over. Four (2^52 answers) still build.
+func TestCountOverflowIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		m        int
+		overflow bool
+	}{{4, false}, {5, true}, {6, true}} {
+		db, q := sharedKeyStar(tc.m, 8192)
+		for _, workers := range []int{1, 4} {
+			fj, err := reduce.BuildFullJoin(db, q, reduce.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := NewWithOptions(fj, BuildOptions{Workers: workers, SerialThreshold: 1})
+			if !tc.overflow {
+				if err != nil || idx.Count() != 1<<52 {
+					t.Fatalf("m=%d workers=%d: count %v, err %v; want 2^52", tc.m, workers, idx, err)
+				}
+				continue
+			}
+			if !errors.Is(err, ErrCountOverflow) {
+				t.Fatalf("m=%d workers=%d: err = %v, want ErrCountOverflow", tc.m, workers, err)
+			}
+		}
+	}
+}
+
+// TestZeroWeightBeatsOverflow: with the full reduction skipped, a tuple
+// whose last child has no match weighs zero even when the product of the
+// children before it would overflow — that is no overflow.
+func TestZeroWeightBeatsOverflow(t *testing.T) {
+	db, q := sharedKeyStar(6, 8192)
+	db.MustCreate("R5", "k", "v5") // R5 := ∅
+	fj, err := reduce.BuildFullJoin(db, q, reduce.Options{SkipFullReduce: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := New(fj)
+	if err != nil || idx.Count() != 0 {
+		t.Fatalf("count %v, err %v; want an empty index", idx, err)
+	}
+}

@@ -1,6 +1,7 @@
 package access
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/query"
@@ -117,5 +118,35 @@ func TestAccessSingleAllocation(t *testing.T) {
 				t.Errorf("Access allocates %v per op, want ≤ 1 (the answer tuple)", got)
 			}
 		})
+	}
+}
+
+// TestFirstProbeBuildsNothing: no work is deferred from the build to the
+// first probe — every node relation reaches the index with its membership
+// index already built (reduce.BuildFullJoin does it), so the very first
+// InvertedAccess on a fresh index allocates nothing. AllocsPerRun would hide
+// a lazy build behind its warm-up call; one counted call does not.
+func TestFirstProbeBuildsNothing(t *testing.T) {
+	for name, idx := range allocIndexes(t) {
+		for _, n := range idx.nodes {
+			if !n.rel.Indexed() {
+				t.Fatalf("%s: node %s reached the index without its membership index", name, n.rel)
+			}
+		}
+		answer, err := idx.Access(idx.Count() - 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		j, ok := idx.InvertedAccess(answer)
+		runtime.ReadMemStats(&after)
+		if !ok || j != idx.Count()-1 {
+			t.Fatalf("%s: InvertedAccess = %d, %v", name, j, ok)
+		}
+		if m := after.Mallocs - before.Mallocs; m != 0 {
+			t.Fatalf("%s: first InvertedAccess allocated %d objects", name, m)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/access"
@@ -429,5 +430,29 @@ func TestMCUCQRejectsNonFreeConnexIntersection(t *testing.T) {
 	u := query.MustUCQ("u", q1, q2)
 	if _, err := New(db, u, Options{}); err == nil {
 		t.Fatal("Example 5.1 union accepted by mc-UCQ construction")
+	}
+}
+
+// TestFirstTestBuildsNothing: every disjunct and intersection index comes out
+// of New with its node relations' membership indexes built, so the first
+// Test on a fresh structure allocates nothing (no warm-up call: a lazily
+// built index would show up here).
+func TestFirstTestBuildsNothing(t *testing.T) {
+	db := alignedDB(5, 60)
+	m, err := New(db, alignedUCQ3(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, err := m.Access(m.Count() - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ok := m.Test(answer)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; !ok || n != 0 {
+		t.Fatalf("first Test = %v with %d allocations, want true with 0", ok, n)
 	}
 }

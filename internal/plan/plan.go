@@ -140,7 +140,7 @@ func ChooseCQ(db *relation.Database, q *query.CQ, mode Mode) (*query.CQ, *Plan, 
 	p := &Plan{Kind: "cq", Mode: mode}
 	head := q.HeadSet()
 
-	est, err := atomEstimates(db, q)
+	est, err := atomEstimates(db, q, make(map[string]*stats.Stats))
 	if err != nil {
 		return q, nil, err
 	}
@@ -361,10 +361,10 @@ func (e atomEst) setDistinct(s []string) float64 {
 	return est
 }
 
-// atomEstimates collects base-relation statistics (once per distinct
-// relation) and derives per-atom estimates.
-func atomEstimates(db *relation.Database, q *query.CQ) ([]atomEst, error) {
-	cache := make(map[string]*stats.Stats)
+// atomEstimates derives per-atom estimates from base-relation statistics,
+// collected once per distinct relation into cache — the caller's, so one
+// planning call shares it across every query it estimates.
+func atomEstimates(db *relation.Database, q *query.CQ, cache map[string]*stats.Stats) ([]atomEst, error) {
 	out := make([]atomEst, len(q.Body))
 	for i, a := range q.Body {
 		base, err := db.Relation(a.Relation)
@@ -433,9 +433,12 @@ func ChooseUCQ(db *relation.Database, u *query.UCQ, mode Mode) (*query.UCQ, *Pla
 
 	// Estimated mass of each disjunct: the sum of its atoms' estimated
 	// instantiated sizes (a proxy for both its answer count and probe work).
+	// One statistics cache for the whole union: disjuncts mostly range over
+	// the same base relations.
 	mass := make([]float64, n)
+	cache := make(map[string]*stats.Stats)
 	for i, d := range u.Disjuncts {
-		est, err := atomEstimates(db, d)
+		est, err := atomEstimates(db, d, cache)
 		if err != nil {
 			return u, nil, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/stats"
 )
 
 // chainDB builds R1(a,b) ⋈ R2(b,c) with deliberately lopsided sizes: R1 has
@@ -193,7 +194,7 @@ func TestBodyOrdersHeuristicBeyondExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := atomEstimates(db, q)
+	est, err := atomEstimates(db, q, make(map[string]*stats.Stats))
 	if err != nil {
 		t.Fatal(err)
 	}

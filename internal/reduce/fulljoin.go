@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/hypergraph"
+	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -52,7 +53,18 @@ type Options struct {
 	// compatibility between aligned queries (Section 5.2) is preserved:
 	// sorted order-preserving subsets stay order-preserving.
 	CanonicalOrder bool
+
+	// Workers caps the goroutines building the surviving node relations'
+	// membership indexes (one task per node). 0 means parallel.Workers();
+	// 1 forces the serial build. Callers that also build the access index
+	// pass the same budget to both.
+	Workers int
 }
+
+// indexSerialThreshold is the total tuple count below which the membership
+// indexes are built serially (it mirrors access.DefaultSerialThreshold:
+// under it goroutine hand-off costs more than the hashing).
+const indexSerialThreshold = 1 << 15
 
 // BuildFullJoin implements Proposition 4.2. It returns ErrCyclic or
 // ErrNotFreeConnex (wrapped with context) for queries outside the supported
@@ -89,6 +101,23 @@ func BuildFullJoin(db *relation.Database, q *query.CQ, opts Options) (*FullJoin,
 		for _, r := range items {
 			r.SortTuples()
 		}
+	}
+
+	// The survivors are final. Each gets its membership index — what
+	// inverted access probes — built exactly once, here: the sweeps above ran
+	// on unindexed relations, and no probe is left to build it lazily.
+	workers, total := opts.Workers, 0
+	for _, r := range items {
+		total += r.Len()
+	}
+	if total < indexSerialThreshold {
+		workers = 1
+	}
+	if err := parallel.ForEach(len(items), workers, func(i int) error {
+		items[i].BuildIndex()
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// The remainder is a full join over head variables; build its join tree.

@@ -26,8 +26,15 @@ import (
 // Instantiate converts atom a of q into a relation whose schema is the atom's
 // distinct variables (in first-occurrence order). Tuples violating the atom's
 // constants or repeated-variable equalities are dropped; the remaining tuples
-// are projected onto the variable positions with set semantics, preserving
-// the base relation's tuple order.
+// are projected onto the variable positions, preserving the base relation's
+// tuple order.
+//
+// No tuple is hashed. The projection drops only columns the selection has
+// pinned — to a constant, or to the column of the same variable's first
+// occurrence — so it is injective on the selected rows, and the base
+// relation is a set (relation.Relation's invariant): the output cannot hold
+// a duplicate, and its membership index stays deferred until the reduction
+// has decided which relations survive.
 func Instantiate(db *relation.Database, q *query.CQ, atomIdx int) (*relation.Relation, error) {
 	a := q.Body[atomIdx]
 	base, err := db.Relation(a.Relation)
@@ -38,58 +45,68 @@ func Instantiate(db *relation.Database, q *query.CQ, atomIdx int) (*relation.Rel
 		return nil, fmt.Errorf("reduce: query %s: atom %s has %d terms, relation %s has arity %d",
 			q.Name, a, len(a.Terms), a.Relation, base.Arity())
 	}
-	vars := a.Vars()
-	schema, err := relation.NewSchema(vars...)
+	schema, err := relation.NewSchema(a.Vars()...)
 	if err != nil {
 		return nil, fmt.Errorf("reduce: query %s atom %d: %w", q.Name, atomIdx, err)
 	}
-	// Position of the first occurrence of each variable.
-	firstPos := make(map[string]int)
-	for pos, t := range a.Terms {
-		if t.IsVar() {
-			if _, ok := firstPos[t.Var]; !ok {
-				firstPos[t.Var] = pos
-			}
-		}
+
+	// Resolve the terms once, outside the row loop: the output columns are
+	// the first occurrences of the variables (schema order), and every other
+	// term is one of two kinds of check on a base column.
+	type constCheck struct {
+		col []relation.Value
+		val relation.Value
 	}
-	varPos := make([]int, len(vars))
-	for i, v := range vars {
-		varPos[i] = firstPos[v]
+	type eqCheck struct{ col, first []relation.Value }
+	var consts []constCheck
+	var eqs []eqCheck
+	src := make([][]relation.Value, 0, len(schema))
+	for pos, t := range a.Terms {
+		switch {
+		case !t.IsVar():
+			consts = append(consts, constCheck{base.Col(pos), t.Const})
+		case schema.Position(t.Var) == len(src):
+			src = append(src, base.Col(pos))
+		default:
+			eqs = append(eqs, eqCheck{base.Col(pos), src[schema.Position(t.Var)]})
+		}
 	}
 
-	name := fmt.Sprintf("%s#%d[%s]", q.Name, atomIdx, a.Relation)
-	out := relation.NewRelation(name, schema)
-	// Columnar scan: selection conditions read the base columns in place and
-	// the projection gathers into a reused scratch row (Insert copies it) —
-	// no per-tuple materialization.
-	scratch := make(relation.Tuple, len(varPos))
 	n := base.Len()
-	for i := 0; i < n; i++ {
-		ok := true
-		for pos, t := range a.Terms {
-			if !t.IsVar() {
-				if base.At(i, pos) != t.Const {
-					ok = false
-					break
-				}
-				continue
-			}
-			if base.At(i, pos) != base.At(i, firstPos[t.Var]) {
-				ok = false
-				break
-			}
+	cols := make([][]relation.Value, len(src))
+	name := fmt.Sprintf("%s#%d[%s]", q.Name, atomIdx, a.Relation)
+	if len(consts) == 0 && len(eqs) == 0 {
+		for k, col := range src {
+			cols[k] = append(make([]relation.Value, 0, n), col...)
 		}
-		if !ok {
-			continue
-		}
-		for k, p := range varPos {
-			scratch[k] = base.At(i, p)
-		}
-		if _, err := out.Insert(scratch); err != nil {
-			return nil, err
-		}
+		return relation.AdoptColumns(name, schema, n, cols)
 	}
-	return out, nil
+	// A selection keeps a fraction of the rows that is unknown up front, so
+	// the kept row numbers are collected first and each output column is
+	// then allocated at its exact size and gathered in one pass.
+	keep := make([]int32, 0, n)
+rows:
+	for i := 0; i < n; i++ {
+		for _, c := range consts {
+			if c.col[i] != c.val {
+				continue rows
+			}
+		}
+		for _, e := range eqs {
+			if e.col[i] != e.first[i] {
+				continue rows
+			}
+		}
+		keep = append(keep, int32(i))
+	}
+	for k, col := range src {
+		out := make([]relation.Value, len(keep))
+		for j, i := range keep {
+			out[j] = col[i]
+		}
+		cols[k] = out
+	}
+	return relation.AdoptColumns(name, schema, len(keep), cols)
 }
 
 // InstantiateAll instantiates every atom of q.

@@ -1,18 +1,5 @@
 package relation
 
-// Bitset is a dense bit vector, used for group-ID membership during semijoin
-// reduction: one bit per group instead of one hash entry per tuple.
-type Bitset []uint64
-
-// NewBitset returns a bitset able to hold n bits, all clear.
-func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
-
-// Set sets bit i.
-func (b Bitset) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// Get reports whether bit i is set.
-func (b Bitset) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-
 // Grouping is the result of Relation.GroupBy: a dense uint32 group ID per
 // tuple, where tuples share a group iff they agree on the key positions.
 // Group IDs are assigned in order of first appearance, so they inherit the
@@ -48,6 +35,10 @@ func (g *Grouping) Width() int { return g.width }
 // or a key containing a value outside [0, 2^32) at width 2 — fall back to the
 // canonical string encoding (the whole grouping migrates on first overflow,
 // so lookups stay consistent). Zero positions puts every tuple in group 0.
+// The key map is left to grow: the group count is unknown up front and
+// usually far below the row count, where pre-sizing to Len costs more than
+// the rehashing it saves and — groupings are retained by the access index —
+// keeps the slack for the index's lifetime.
 func (r *Relation) GroupBy(positions []int) *Grouping {
 	g := &Grouping{width: len(positions), GroupOf: make([]uint32, r.n)}
 	if len(positions) == 0 {
@@ -139,4 +130,18 @@ func (g *Grouping) LookupAt(r *Relation, i int, proj []int) (uint32, bool) {
 	}
 	id, ok := g.wide[string(b)]
 	return id, ok
+}
+
+// DistinctCount returns the number of distinct values in column a — what
+// GroupBy([]int{a}).NumGroups() reports, without the per-tuple group IDs.
+// Runs of equal values (a clustered key column) cost one map operation.
+func (r *Relation) DistinctCount(a int) int {
+	seen := make(map[Value]struct{})
+	for i, v := range r.cols[a] {
+		if i > 0 && v == r.cols[a][i-1] {
+			continue
+		}
+		seen[v] = struct{}{}
+	}
+	return len(seen)
 }

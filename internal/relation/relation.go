@@ -4,41 +4,68 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Relation is a finite set of tuples over a schema, stored column-major: one
-// contiguous []Value per attribute. Insertion order is preserved and
-// duplicates are rejected; this determinism is what later lets two access
-// structures built from filtered versions of the same relation have
-// *compatible* enumeration orders (Section 5.2 of the paper).
+// contiguous []Value per attribute. Insertion order is preserved and a
+// relation never holds the same tuple twice; this determinism is what later
+// lets two access structures built from filtered versions of the same
+// relation have *compatible* enumeration orders (Section 5.2 of the paper).
 //
-// Duplicate detection is backed by a packed 64-bit key index for relations of
-// arity ≤ 2 (no per-tuple string allocation on load) and by the canonical
-// string-key index otherwise.
+// # The set invariant and the membership index
+//
+// Every constructor and operator keeps the rows distinct, but only the ones
+// that can be handed a duplicate pay for a check. Insert (and with it every
+// NewRelation + Insert load, and Filter) enforces the invariant against the
+// membership index; Project finds its duplicates by grouping; FromColumns
+// and AdoptColumns trust their caller; SemijoinWith and SortTuples only
+// drop or permute rows of a set. reduce.Instantiate relies on exactly this:
+// a base relation is a set, so selecting rows and dropping constant or
+// repeated-variable columns cannot produce a duplicate, and no hashing is
+// needed to copy it.
+//
+// The membership index maps a full tuple to its position (packed 64-bit
+// keys for arity ≤ 2, the canonical string key otherwise). It exists in one
+// of two states:
+//
+//   - maintained (lazyOnce == nil): NewRelation creates it empty and Insert
+//     keeps it current;
+//   - deferred (lazyOnce != nil): FromColumns, AdoptColumns, SemijoinWith and
+//     SortTuples leave the relation without one — positions changed or were
+//     never hashed — and it is built, pre-sized to Len, by the first of
+//     BuildIndex or a call that needs it (Position, Contains,
+//     PositionProjected, Insert, Rename, Clone).
+//
+// Preprocessing never leaves that build to a probe: the semijoin sweeps run
+// on deferred relations, and reduce.BuildFullJoin calls BuildIndex once on
+// every node relation that survives the reduction. Only snapshot-restored
+// relations (FromColumns) keep the build lazy on purpose, so a cold start
+// that never tests membership never hashes a tuple.
 //
 // # Concurrency
 //
 // A Relation is not synchronized. The contract used across the library is
-// build-then-share: mutations (Insert, SemijoinWith, SortTuples) happen
-// during preprocessing on one goroutine; after an index is built over the
-// relation, the column arrays are immutable and may be read — including via
-// Col, which exposes them directly — from any number of goroutines.
+// build-then-share: mutations (Insert, SemijoinWith, SortTuples, BuildIndex)
+// happen during preprocessing on one goroutine; after an index is built over
+// the relation, the column arrays are immutable and may be read — including
+// via Col, which exposes them directly — from any number of goroutines. A
+// deferred membership index is materialized under a sync.Once, so
+// concurrent first probes are safe too.
 type Relation struct {
 	name   string
 	schema Schema
 	cols   [][]Value
 	n      int
 
-	// Full-tuple duplicate index: exactly one of pindex/windex is non-nil
-	// once the index exists. Snapshot-restored relations defer it (see
-	// lazyOnce): probes that never test membership never pay for it.
+	// Full-tuple membership index: exactly one of pindex/windex is non-nil
+	// once the index exists.
 	pindex map[uint64]int32
 	windex map[string]int32
 
-	// lazyOnce is non-nil for relations whose duplicate index is built on
-	// first use (FromColumns): cold-start restores stay O(open) instead of
-	// rehashing every tuple. ensureIndex routes through it; nil means the
-	// index is maintained eagerly as the relation mutates.
+	// lazyOnce is non-nil while the membership index is deferred (see the
+	// type comment); ensureIndex routes through it. nil means the index
+	// exists and Insert maintains it.
 	lazyOnce *sync.Once
 
 	// frozen marks a relation whose columns alias a read-only snapshot
@@ -65,64 +92,100 @@ func NewRelation(name string, schema Schema) *Relation {
 // FromColumns constructs a relation directly over existing column storage —
 // the restore half of the snapshot seam. The columns are adopted, not
 // copied (they typically alias a read-only file mapping), the relation is
-// marked immutable, and the duplicate index is deferred to first use
+// marked immutable, and the membership index is deferred to first use
 // (Position / Contains / inverted access), so opening a snapshot costs no
 // per-tuple hashing. Rows are trusted to be duplicate-free: they were
 // written by a relation that enforced set semantics.
 func FromColumns(name string, schema Schema, cols [][]Value) (*Relation, error) {
-	if len(cols) != len(schema) {
-		return nil, fmt.Errorf("relation %s: %d columns for schema arity %d", name, len(cols), len(schema))
-	}
 	n := 0
 	if len(cols) > 0 {
 		n = len(cols[0])
-		for a, col := range cols {
-			if len(col) != n {
-				return nil, fmt.Errorf("relation %s: column %d has %d rows, column 0 has %d", name, a, len(col), n)
-			}
-		}
-		if n > MaxTuples {
-			return nil, fmt.Errorf("relation %s: %d tuples exceeds the %d-tuple limit", name, n, MaxTuples)
-		}
 	}
-	return &Relation{name: name, schema: schema, cols: cols, n: n, lazyOnce: new(sync.Once), frozen: true}, nil
+	r, err := AdoptColumns(name, schema, n, cols)
+	if err != nil {
+		return nil, err
+	}
+	r.frozen = true
+	return r, nil
 }
 
-// ensureIndex materializes a deferred duplicate index. Safe under concurrent
-// probes (sync.Once); a no-op for eagerly indexed relations.
+// AdoptColumns is the mutable counterpart of FromColumns: it wraps n rows of
+// freshly built heap columns (adopted, not copied) in a relation that the
+// in-place operators may go on to shrink, with the membership index
+// deferred. The caller guarantees the rows are distinct — this is how a
+// selection or projection of a set enters the reduction without being
+// hashed a second time. n is explicit because a relation of arity 0 has no
+// column to carry it (it holds the empty tuple or nothing: n ≤ 1).
+func AdoptColumns(name string, schema Schema, n int, cols [][]Value) (*Relation, error) {
+	if len(cols) != len(schema) {
+		return nil, fmt.Errorf("relation %s: %d columns for schema arity %d", name, len(cols), len(schema))
+	}
+	for a, col := range cols {
+		if len(col) != n {
+			return nil, fmt.Errorf("relation %s: column %d has %d rows, want %d", name, a, len(col), n)
+		}
+	}
+	if n > MaxTuples {
+		return nil, fmt.Errorf("relation %s: %d tuples exceeds the %d-tuple limit", name, n, MaxTuples)
+	}
+	if len(cols) == 0 && n > 1 {
+		return nil, fmt.Errorf("relation %s: %d rows of arity 0 cannot be distinct", name, n)
+	}
+	return &Relation{name: name, schema: schema, cols: cols, n: n, lazyOnce: new(sync.Once)}, nil
+}
+
+// ensureIndex materializes a deferred membership index. Safe under
+// concurrent probes (sync.Once); a no-op while the index is maintained.
 func (r *Relation) ensureIndex() {
 	if o := r.lazyOnce; o != nil {
 		o.Do(r.buildIndex)
 	}
 }
 
-// buildIndex (re)builds the duplicate index from the columns: packed keys
-// for arities ≤ 2 (falling back to string keys at the first unpackable
-// tuple), string keys otherwise.
+// BuildIndex materializes a deferred membership index now, on the calling
+// goroutine, so that no later probe pays for it; a no-op when the index
+// exists. Like every mutator it must not run concurrently with other use of
+// the relation.
+func (r *Relation) BuildIndex() {
+	r.ensureIndex()
+	// A frozen relation may already be shared with concurrent probes, so
+	// its Once stays in place for them; anything else goes back to the
+	// maintained state and probes skip the Once altogether.
+	if !r.frozen {
+		r.lazyOnce = nil
+	}
+}
+
+// Indexed reports whether the membership index exists right now (false
+// while it is deferred and unbuilt). Diagnostic: it must not race with the
+// first probe of a deferred relation.
+func (r *Relation) Indexed() bool { return r.pindex != nil || r.windex != nil }
+
+// dropIndex discards the membership index after row positions changed and
+// defers its rebuild.
+func (r *Relation) dropIndex() {
+	r.pindex, r.windex = nil, nil
+	r.lazyOnce = new(sync.Once)
+}
+
+// buildIndex builds the membership index from the columns, pre-sized to the
+// row count: packed keys for arities ≤ 2 (falling back to string keys at
+// the first unpackable tuple), string keys otherwise.
 func (r *Relation) buildIndex() {
-	if len(r.schema) <= 2 {
-		all := r.allPositions()
-		r.windex = nil
-		r.pindex = make(map[uint64]int32, r.n)
-		for i := 0; i < r.n; i++ {
-			k, ok := r.packAt(i, all)
-			if !ok {
-				r.migrateWideIndex()
-				return
-			}
-			r.pindex[k] = int32(i)
-		}
+	if len(r.schema) > 2 {
+		r.buildWideIndex()
 		return
 	}
-	r.pindex = nil
-	r.windex = make(map[string]int32, r.n)
-	var buf [KeyBufCap]byte
+	all := r.allPositions()
+	r.windex = nil
+	r.pindex = make(map[uint64]int32, r.n)
 	for i := 0; i < r.n; i++ {
-		b := KeyScratch(&buf, len(r.cols))
-		for a := range r.cols {
-			b = appendValue(b, r.cols[a][i])
+		k, ok := r.packAt(i, all)
+		if !ok {
+			r.buildWideIndex()
+			return
 		}
-		r.windex[string(b)] = int32(i)
+		r.pindex[k] = int32(i)
 	}
 }
 
@@ -189,19 +252,22 @@ func (r *Relation) packAt(i int, positions []int) (uint64, bool) {
 	return 0, false
 }
 
-// migrateWideIndex rebuilds the duplicate index with string keys (first
-// unpackable tuple on an arity-≤2 relation).
-func (r *Relation) migrateWideIndex() {
-	r.windex = make(map[string]int32, r.n)
-	var buf [KeyBufCap]byte
-	for i := 0; i < r.n; i++ {
-		b := KeyScratch(&buf, len(r.cols))
-		for a := range r.cols {
-			b = appendValue(b, r.cols[a][i])
-		}
-		r.windex[string(b)] = int32(i)
-	}
+// buildWideIndex builds the membership index with string keys (arity > 2, or
+// the first unpackable tuple on an arity-≤2 relation). The n keys are
+// encoded into one arena that the map's string keys alias — one allocation
+// instead of one string per tuple. The arena is never written again; keys
+// Insert adds later are ordinary strings.
+func (r *Relation) buildWideIndex() {
 	r.pindex = nil
+	r.windex = make(map[string]int32, r.n)
+	width := 8 * len(r.cols)
+	arena := make([]byte, 0, r.n*width)
+	for i := 0; i < r.n; i++ {
+		for a := range r.cols {
+			arena = appendValue(arena, r.cols[a][i])
+		}
+		r.windex[unsafe.String(&arena[i*width], width)] = int32(i)
+	}
 }
 
 // MaxTuples is the hard per-relation size limit: tuple positions are stored
@@ -234,7 +300,7 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 			r.appendRow(t)
 			return true, nil
 		}
-		r.migrateWideIndex()
+		r.buildWideIndex()
 	}
 	var buf [KeyBufCap]byte
 	b := t.AppendKey(KeyScratch(&buf, len(t)))
@@ -397,33 +463,37 @@ func (r *Relation) Filter(name string, keep func(Tuple) bool) *Relation {
 }
 
 // Project returns the projection of r onto attrs (set semantics, first
-// occurrence wins, order preserved).
+// occurrence wins, order preserved). Duplicates are found by grouping r on
+// the projected positions — one packed-key lookup per row, no string key
+// per tuple for ≤ 2 attributes — and the output keeps one row per group;
+// its membership index is deferred like every intermediate's.
 func (r *Relation) Project(name string, attrs []string) (*Relation, error) {
 	pos, err := r.schema.Positions(attrs)
 	if err != nil {
 		return nil, err
 	}
-	out := NewRelation(name, Schema(attrs))
-	scratch := make(Tuple, len(pos))
-	for i := 0; i < r.n; i++ {
-		for k, p := range pos {
-			scratch[k] = r.cols[p][i]
+	first := r.GroupBy(pos).First
+	cols := make([][]Value, len(pos))
+	for k, p := range pos {
+		src, col := r.cols[p], make([]Value, len(first))
+		for g, i := range first {
+			col[g] = src[i]
 		}
-		if _, err := out.Insert(scratch); err != nil {
-			return nil, err
-		}
+		cols[k] = col
 	}
-	return out, nil
+	return AdoptColumns(name, Schema(attrs), len(first), cols)
 }
 
 // SemijoinWith removes from r (in place) every tuple that has no matching
 // tuple in s on their shared attributes: r ← r ⋉ s. If the relations share no
 // attributes, r is unchanged when s is non-empty and emptied when s is empty
 // (the join with an empty relation is empty). It returns the number of tuples
-// removed. Linear time in |r| + |s|: both sides are grouped on the shared
-// attributes once, a group-ID membership bitmap is computed with one lookup
-// per distinct r-side key (not per tuple), and surviving rows are compacted
-// column by column.
+// removed. Linear time in |r| + |s|: only s is grouped on the shared
+// attributes — its key set is all the semijoin probes — every row of r costs
+// one lookup in it, and surviving rows are compacted column by column. When
+// rows were removed the membership index is dropped, not rebuilt: positions
+// shift again with every sweep of a reduction, and whoever keeps the result
+// builds the index once (BuildIndex).
 func (r *Relation) SemijoinWith(s *Relation) int {
 	r.mustBeMutable("SemijoinWith")
 	shared := r.schema.Intersect(s.schema)
@@ -437,19 +507,10 @@ func (r *Relation) SemijoinWith(s *Relation) int {
 	}
 	rPos, _ := r.schema.Positions(shared)
 	sPos, _ := s.schema.Positions(shared)
-	rg := r.GroupBy(rPos)
 	sg := s.GroupBy(sPos)
-	keep := NewBitset(rg.NumGroups())
-	removed := 0
-	for g := 0; g < rg.NumGroups(); g++ {
-		if _, ok := sg.LookupAt(r, int(rg.First[g]), rPos); ok {
-			keep.Set(g)
-		}
-	}
 	w := 0
 	for i := 0; i < r.n; i++ {
-		if !keep.Get(int(rg.GroupOf[i])) {
-			removed++
+		if _, ok := sg.LookupAt(r, i, rPos); !ok {
 			continue
 		}
 		if w != i {
@@ -459,12 +520,13 @@ func (r *Relation) SemijoinWith(s *Relation) int {
 		}
 		w++
 	}
+	removed := r.n - w
 	if removed > 0 {
 		for a := range r.cols {
 			r.cols[a] = r.cols[a][:w]
 		}
 		r.n = w
-		r.reindex()
+		r.dropIndex()
 	}
 	return removed
 }
@@ -475,15 +537,8 @@ func (r *Relation) clear() {
 		r.cols[a] = nil
 	}
 	r.n = 0
-	if r.pindex != nil {
-		r.pindex = make(map[uint64]int32)
-	} else {
-		r.windex = make(map[string]int32)
-	}
+	r.dropIndex()
 }
-
-// reindex rebuilds the duplicate index from the columns (positions changed).
-func (r *Relation) reindex() { r.buildIndex() }
 
 // allPositions returns [0, 1, ..., arity-1].
 func (r *Relation) allPositions() []int {
@@ -518,9 +573,10 @@ func (r *Relation) Clone() *Relation {
 	return out
 }
 
-// SortTuples sorts the tuples lexicographically and rebuilds the index. Used
-// by the canonical-order mode and by tests that need content-determined
-// order; the enumeration algorithms never require sorted input.
+// SortTuples sorts the tuples lexicographically; the membership index is
+// dropped (positions changed) and deferred. Used by the canonical-order mode
+// and by tests that need content-determined order; the enumeration
+// algorithms never require sorted input.
 func (r *Relation) SortTuples() {
 	r.mustBeMutable("SortTuples")
 	perm := make([]int, r.n)
@@ -543,7 +599,7 @@ func (r *Relation) SortTuples() {
 		}
 		r.cols[a] = nc
 	}
-	r.reindex()
+	r.dropIndex()
 }
 
 func (r *Relation) String() string {

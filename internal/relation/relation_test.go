@@ -381,3 +381,105 @@ func TestDatabaseBasics(t *testing.T) {
 		t.Fatal("database dict broken")
 	}
 }
+
+// TestMembershipIndexLifecycle pins when the membership index exists: Insert
+// maintains it; AdoptColumns, SemijoinWith and SortTuples defer it until
+// BuildIndex or the first call that needs it; FromColumns (snapshot restore)
+// keeps it lazy on purpose, so opening a snapshot hashes nothing.
+func TestMembershipIndexLifecycle(t *testing.T) {
+	r := NewRelation("R", MustSchema("a", "b"))
+	r.MustInsert(1, 10)
+	r.MustInsert(2, 20)
+	r.MustInsert(3, 30)
+	if !r.Indexed() {
+		t.Fatal("NewRelation + Insert must maintain the index")
+	}
+	s := NewRelation("S", MustSchema("b"))
+	s.MustInsert(10)
+	s.MustInsert(30)
+	if r.SemijoinWith(s); r.Indexed() {
+		t.Fatal("SemijoinWith rebuilt the index of an intermediate")
+	}
+	r.BuildIndex()
+	if !r.Indexed() || r.Position(Tuple{3, 30}) != 1 || r.Contains(Tuple{2, 20}) {
+		t.Fatal("BuildIndex after a semijoin produced a wrong index")
+	}
+	if added, err := r.Insert(Tuple{3, 30}); err != nil || added {
+		t.Fatalf("Insert after BuildIndex lost set semantics: added=%v err=%v", added, err)
+	}
+	if r.SortTuples(); r.Indexed() {
+		t.Fatal("SortTuples rebuilt the index")
+	}
+	if r.Position(Tuple{1, 10}) != 0 || !r.Indexed() {
+		t.Fatal("first Position after SortTuples must build the deferred index")
+	}
+
+	cols := [][]Value{{7, 8, 9}, {1, 1 << 40, -1}, {0, 0, 0}}
+	for _, frozen := range []bool{false, true} {
+		var c *Relation
+		var err error
+		if frozen {
+			c, err = FromColumns("C", MustSchema("x", "y", "z"), cols)
+		} else {
+			c, err = AdoptColumns("C", MustSchema("x", "y", "z"), 3, cols)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Indexed() {
+			t.Fatalf("frozen=%v: index built at construction", frozen)
+		}
+		if c.Position(Tuple{8, 1 << 40, 0}) != 1 || !c.Indexed() {
+			t.Fatalf("frozen=%v: first Position must build the deferred index", frozen)
+		}
+		c.BuildIndex() // a no-op now, and legal on a frozen relation
+		if _, err := c.Insert(Tuple{1, 2, 3}); (err != nil) != frozen {
+			t.Fatalf("frozen=%v: Insert error = %v", frozen, err)
+		}
+	}
+}
+
+func TestAdoptColumnsValidation(t *testing.T) {
+	if _, err := AdoptColumns("C", MustSchema("x", "y"), 2, [][]Value{{1, 2}}); err == nil {
+		t.Fatal("column count != arity accepted")
+	}
+	if _, err := AdoptColumns("C", MustSchema("x", "y"), 2, [][]Value{{1, 2}, {1}}); err == nil {
+		t.Fatal("ragged columns accepted")
+	}
+	if _, err := AdoptColumns("C", Schema{}, 2, nil); err == nil {
+		t.Fatal("two rows of arity 0 accepted")
+	}
+	unit, err := AdoptColumns("C", Schema{}, 1, nil)
+	if err != nil || unit.Len() != 1 || !unit.Contains(Tuple{}) {
+		t.Fatalf("arity-0 relation holding the empty tuple: %v, %v", unit, err)
+	}
+}
+
+// TestProjectOntoNothing: a projection onto no attributes keeps the empty
+// tuple exactly when r is non-empty.
+func TestProjectOntoNothing(t *testing.T) {
+	r := NewRelation("R", MustSchema("a"))
+	for want := 0; want <= 1; want++ {
+		p, err := r.Project("P", nil)
+		if err != nil || p.Len() != want || p.Contains(Tuple{}) != (want == 1) {
+			t.Fatalf("projection of %d rows onto nothing: %v, %v", r.Len(), p, err)
+		}
+		r.MustInsert(1)
+		r.MustInsert(2)
+	}
+}
+
+func TestDistinctCount(t *testing.T) {
+	r := NewRelation("R", MustSchema("a", "b"))
+	for i := 0; i < 100; i++ {
+		r.MustInsert(Value(i/10), Value(i%7)) // a clustered, b scattered
+	}
+	for col, want := range []int{10, 7} {
+		if got := r.DistinctCount(col); got != want || got != r.GroupBy([]int{col}).NumGroups() {
+			t.Fatalf("DistinctCount(%d) = %d, want %d", col, got, want)
+		}
+	}
+	if NewRelation("E", MustSchema("a")).DistinctCount(0) != 0 {
+		t.Fatal("empty column has distinct values")
+	}
+}

@@ -9,6 +9,15 @@
 // or non-packable tuples, and every string key in the codebase is produced by
 // the single canonical encoder in this file.
 //
+// Every relation is a set. Insert enforces that against the full-tuple
+// membership index; FromColumns and AdoptColumns trust their caller; and
+// the operators that only drop or permute rows of a set (SemijoinWith,
+// SortTuples, the select-and-copy of reduce.Instantiate) neither check nor
+// maintain the index — it is deferred, and whoever keeps the result builds
+// it once (BuildIndex; reduce.BuildFullJoin does so for every surviving node
+// relation, so no probe ever builds one). The Relation type comment has the
+// details.
+//
 // The paper's computation model is the DRAM variant of the RAM model with
 // uniform cost measure, which permits constant-time lookup tables of
 // polynomial size. Go hash maps (and, after preprocessing, plain arrays

@@ -32,6 +32,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/access"
 	"repro/internal/fenwick"
@@ -77,6 +78,9 @@ func BuildSlice(db *relation.Database, q *query.CQ, slice, k int, reduceOpts red
 func build(db *relation.Database, q *query.CQ, slice, k int, all bool, reduceOpts reduce.Options, buildOpts access.BuildOptions) (*Set, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("shard: K must be >= 1, got %d", k)
+	}
+	if reduceOpts.Workers == 0 {
+		reduceOpts.Workers = buildOpts.Workers
 	}
 	// One reduction for every shard: the full reduce applies set semantics
 	// exactly once, so the contiguous root windows below partition the
@@ -135,6 +139,10 @@ func build(db *relation.Database, q *query.CQ, slice, k int, all bool, reduceOpt
 	s.starts = make([]int64, len(indexes)+1)
 	for i, idx := range indexes {
 		counts[i] = idx.Count()
+		if counts[i] > math.MaxInt64-s.starts[i] {
+			// Every shard fits, their sum — the unsharded count — does not.
+			return nil, fmt.Errorf("shard: %w", access.ErrCountOverflow)
+		}
 		s.starts[i+1] = s.starts[i] + counts[i]
 	}
 	s.tree = fenwick.New(counts)

@@ -3,10 +3,10 @@ package stats
 import "repro/internal/relation"
 
 // Stats summarizes one relation for the cost-based join-tree planner: the
-// tuple count plus per-column distinct counts, read off the same dense
-// group-ID machinery (relation.GroupBy) the access index builds on. One
-// GroupBy per column makes collection O(columns · n); the planner collects
-// each base relation at most once per planning call.
+// tuple count plus per-column distinct counts (relation.DistinctCount: one
+// value set per column, no per-tuple group IDs). Collection is
+// O(columns · n); the planner collects each base relation at most once per
+// planning call.
 type Stats struct {
 	// Name is the relation's name (diagnostic only).
 	Name string
@@ -24,7 +24,7 @@ func CollectRelation(r *relation.Relation) *Stats {
 		Distinct: make([]int64, r.Arity()),
 	}
 	for i := range s.Distinct {
-		s.Distinct[i] = int64(r.GroupBy([]int{i}).NumGroups())
+		s.Distinct[i] = int64(r.DistinctCount(i))
 	}
 	return s
 }

@@ -195,6 +195,9 @@ var (
 	ErrNotFreeConnex = reduce.ErrNotFreeConnex
 	// ErrIncompatible: the UCQ is not mutually compatible (mc-UCQ access).
 	ErrIncompatible = mcucq.ErrIncompatible
+	// ErrCountOverflow: the query has more answers than an int64 position
+	// can address, so no index is built.
+	ErrCountOverflow = access.ErrCountOverflow
 )
 
 // RandomAccess is the Theorem 4.3 structure for one free-connex CQ.
