@@ -21,9 +21,9 @@
 // -cursor-ttl of inactivity. -workers is each entry's worker budget — index
 // build parallelism and batch/page/sample probe fan-out (0 = all cores).
 //
-// The serving port runs a pooled per-connection HTTP/1.1 loop by default
-// (-http fast) that answers the hot GET probe endpoints without allocating;
-// -http std swaps in net/http. Responses are byte-identical either way.
+// The serving port runs a pooled per-connection HTTP/1.1 loop
+// (internal/server/fastloop.go) that answers the hot GET probe endpoints
+// without allocating and hands every other request to the net/http mux.
 // -debug-addr exposes net/http/pprof on a separate listener (off unless
 // set), so production profiling never rides the serving address.
 //
@@ -134,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		walDir       = fs.String("wal-dir", "", "write-ahead log directory: replay on boot, append every acked update")
 		walFsync     = fs.String("wal-fsync", "always", "WAL durability policy: always (fsync per record) or none")
 		compactEvery = fs.Duration("compact-every", 0, "fold the WAL into a new snapshot generation on this period (0 disables; requires -wal-dir and -snapshot-dir)")
-		httpMode     = fs.String("http", "fast", "connection loop: fast (pooled per-connection loop, hot GETs allocation-free) or std (net/http)")
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this address (off unless set)")
 		slowLog      = fs.Duration("slow-log", 500*time.Millisecond, "log requests slower than this as structured slog lines (0 disables)")
 		traceBuffer  = fs.Int("trace-buffer", 256, "traced requests kept in memory for /debug/traces")
@@ -173,10 +172,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "renumd: -shard-slice is static: it cannot combine with -dynamic or -wal-dir (positions shift under updates)")
 			return 2
 		}
-	}
-	if *httpMode != "fast" && *httpMode != "std" {
-		fmt.Fprintf(stderr, "renumd: -http must be fast or std (got %q)\n", *httpMode)
-		return 2
 	}
 	planner, err := renum.ParsePlannerMode(*plannerMode)
 	if err != nil {
@@ -313,9 +308,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	defer srv.Close()
 
-	// Profiling endpoints live on their own listener so they are reachable
-	// even when the serving port runs the fast loop, and are never exposed on
-	// the serving address.
+	// Profiling endpoints live on their own listener: the serving port's
+	// loop does not mount them, and they are never exposed on the serving
+	// address.
 	if *debugAddr != "" {
 		dmux := http.NewServeMux()
 		dmux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -334,26 +329,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "renumd: pprof on %s\n", dbgLn.Addr())
 	}
 
-	// Both loops share the shutdown contract: Serve returns
+	// The loop keeps net/http's shutdown contract: ListenAndServe returns
 	// http.ErrServerClosed after Shutdown, and Shutdown drains in-flight
 	// requests until its context expires.
-	var (
-		serve    func() error
-		shutdown func(context.Context) error
-	)
-	if *httpMode == "fast" {
-		fastSrv := server.NewFastServer(srv)
-		serve = func() error { return fastSrv.ListenAndServe(*addr) }
-		shutdown = fastSrv.Shutdown
-	} else {
-		httpSrv := &http.Server{
-			Addr:              *addr,
-			Handler:           srv.Handler(),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		serve = httpSrv.ListenAndServe
-		shutdown = httpSrv.Shutdown
-	}
+	fastSrv := server.NewFastServer(srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -385,9 +364,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	fmt.Fprintf(stdout, "renumd: listening on %s (%s loop)\n", *addr, *httpMode)
+	fmt.Fprintf(stdout, "renumd: listening on %s (fast loop)\n", *addr)
 	errCh := make(chan error, 1)
-	go func() { errCh <- serve() }()
+	go func() { errCh <- fastSrv.ListenAndServe(*addr) }()
 
 	select {
 	case err := <-errCh:
@@ -408,7 +387,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, "renumd: shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := shutdown(shutdownCtx); err != nil {
+	if err := fastSrv.Shutdown(shutdownCtx); err != nil {
 		fmt.Fprintf(stderr, "renumd: drain: %v\n", err)
 		return 1
 	}

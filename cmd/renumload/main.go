@@ -1,8 +1,7 @@
 // Command renumload is the serving-tier load harness behind
 // BENCH_serving.json: it builds a synthetic star-join dataset, serves it
-// in-process exactly as cmd/renumd does (fast connection loop by default,
-// net/http with -http=std for comparison), and drives open-loop probe
-// traffic over real loopback sockets.
+// in-process exactly as cmd/renumd does (the fast connection loop), and
+// drives open-loop probe traffic over real loopback sockets.
 //
 // Open loop means request i has a fixed scheduled start time t0 + i/rate
 // and latency is measured from that schedule, not from when a worker got
@@ -24,7 +23,6 @@
 //	renumload                          # all phases, human-readable summary
 //	renumload -bench-json BENCH_serving.json
 //	renumload -phases access,batch16 -rate 8000 -n 5000
-//	renumload -http std                # serve through net/http instead
 package main
 
 import (
@@ -66,7 +64,6 @@ type options struct {
 	n          int
 	conns      int
 	phases     string
-	httpMode   string
 	benchJSON  string
 	metricsURL string
 	seed       int64
@@ -82,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.n, "n", 3_000, "measured requests per phase")
 	fs.IntVar(&o.conns, "conns", 4, "persistent client connections")
 	fs.StringVar(&o.phases, "phases", "", "comma-separated phase subset (default all)")
-	fs.StringVar(&o.httpMode, "http", "fast", "serving loop: fast (pooled connection loop) or std (net/http)")
 	fs.StringVar(&o.benchJSON, "bench-json", "", "write results as a benchfmt JSON doc to this file")
 	fs.StringVar(&o.metricsURL, "metrics-url", "", "scrape this base URL's /metrics?format=json around each phase and print a server-vs-client latency table ('self' = the in-process server)")
 	fs.Int64Var(&o.seed, "seed", 7, "dataset and workload seed")
@@ -124,23 +120,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "renumload:", err)
 		return 1
 	}
-	switch o.httpMode {
-	case "fast":
-		fastSrv := server.NewFastServer(srv)
-		go fastSrv.Serve(ln)
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			fastSrv.Shutdown(ctx)
-		}()
-	case "std":
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-	default:
-		fmt.Fprintf(stderr, "renumload: -http must be fast or std, got %q\n", o.httpMode)
-		return 2
-	}
+	fastSrv := server.NewFastServer(srv)
+	go fastSrv.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		fastSrv.Shutdown(ctx)
+	}()
 	addr := ln.Addr().String()
 	// Traffic only opens once the daemon reports ready — poll /readyz, never
 	// sleep-and-fire. In-process this is one round trip; against a router it
@@ -149,8 +135,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "renumload:", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "index built in %v: %d answers over %d tuples; serving (%s) on %s\n",
-		time.Since(t0).Round(time.Millisecond), count, db.Size(), o.httpMode, addr)
+	fmt.Fprintf(stdout, "index built in %v: %d answers over %d tuples; serving on %s\n",
+		time.Since(t0).Round(time.Millisecond), count, db.Size(), addr)
 
 	// --- Phases -----------------------------------------------------------
 	all := phases(count)

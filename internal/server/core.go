@@ -1,0 +1,475 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/url"
+	"time"
+
+	"repro"
+	"repro/internal/obs"
+	"repro/internal/wire"
+)
+
+// This file is the endpoint core: the HTTP response contract of the probe
+// API — parameter names and defaults, limits, validation order and error
+// strings, Accept negotiation, key order and wire framing, cursor TTL and
+// busy semantics — written once. Transports only parse and write: the
+// net/http mux (Core.Serve, also the router's transport) and the fast
+// connection loop each turn a request into a request struct, run Core.do
+// against a Source, and send the bytes it returns. What differs between the
+// daemon and the router is only where rows come from, and that is the
+// Source: the daemon's *local probes an index in this process, the router's
+// source scatters to shard daemons.
+
+// Op names one operation of the probe API.
+type Op uint8
+
+const (
+	opNone Op = iota
+	opHealthz
+	opReadyz
+	OpCount
+	OpAccess
+	OpBatch
+	OpPage
+	OpSample
+	OpEnumNext
+	OpEnumStart
+	OpEnumClose
+	OpContains
+	OpInverted
+	numOps
+)
+
+// opNames are the endpoint label values of the per-endpoint instruments;
+// the mux routes and the fast loop index the same table, so /metrics
+// aggregates both transports under one series per endpoint.
+var opNames = [numOps]string{"", "healthz", "readyz", "count", "access", "batch", "page", "sample",
+	"enum_next", "enum_start", "enum_close", "contains", "inverted"}
+
+// request is one parsed request: every parameter any op reads, defaults
+// already applied by parseRequest.
+type request struct {
+	op       Op
+	j        int64    // access
+	js       []int64  // batch (the GET form aliases enc.js)
+	offset   int64    // page
+	limit    int64    // page
+	k        int64    // sample
+	seed     int64    // sample, enum/start?order=random
+	cursor   []byte   // enum/next, enum close
+	n        int64    // enum/next
+	order    []byte   // enum/start
+	tuple    []string // contains, inverted
+	wantWire bool
+}
+
+// params is a transport's typed view of one query string. The mux decodes
+// through net/url; the fast loop scans raw bytes and hands any query that
+// would need decoding to the mux, so the two can only agree.
+type params interface {
+	intParam(name string, def int64) (int64, error)
+	// rawParam returns the value's bytes; the fast loop's alias its request
+	// buffer, so a request that keeps them converts to string where it uses
+	// them (which, for a cursor id, stays off the heap).
+	rawParam(name string) []byte
+	jsParam(dst []int64) ([]int64, error)
+}
+
+// parseRequest fills req for req.op from the query string. Parameter names,
+// defaults and the order parse errors surface in are decided here and
+// nowhere else.
+func parseRequest(req *request, p params, enc *enc) (err error) {
+	switch req.op {
+	case OpAccess:
+		req.j, err = p.intParam("j", -1)
+	case OpBatch:
+		req.js, err = p.jsParam(enc.jsFor())
+		enc.js = req.js[:0] // keep grown scratch pooled
+	case OpPage:
+		if req.offset, err = p.intParam("offset", 0); err == nil {
+			req.limit, err = p.intParam("limit", 10)
+		}
+	case OpSample:
+		if req.k, err = p.intParam("k", 1); err == nil {
+			req.seed, err = seedParam(p)
+		}
+	case OpEnumNext:
+		req.cursor = p.rawParam("cursor")
+		req.n, err = p.intParam("n", 1)
+	case OpEnumStart:
+		if req.order = p.rawParam("order"); string(req.order) == "random" {
+			req.seed, err = seedParam(p)
+		}
+	case OpEnumClose:
+		req.cursor = p.rawParam("cursor")
+	}
+	return err
+}
+
+// seedParam reads ?seed=: deterministic when the client passes one,
+// time-seeded otherwise.
+func seedParam(p params) (int64, error) {
+	return p.intParam("seed", time.Now().UnixNano())
+}
+
+func rngFor(req *request) *rand.Rand { return rand.New(rand.NewSource(req.seed)) }
+
+// ProbeClock times one probe section for the per-query histograms and the
+// active trace. A value type with no-op semantics when neither consumer is
+// present (the zero value): the common untraced, unobserved case costs two
+// nil checks.
+type ProbeClock struct {
+	qh   *obs.Histogram
+	tr   *traceRec
+	name string
+	t0   time.Time
+}
+
+func startProbe(qh *obs.Histogram, tr *traceRec, name string) ProbeClock {
+	pc := ProbeClock{qh: qh, tr: tr, name: name}
+	if qh != nil || tr != nil {
+		pc.t0 = time.Now()
+	}
+	return pc
+}
+
+// Done records the section.
+func (pc ProbeClock) Done() {
+	if pc.qh == nil && pc.tr == nil {
+		return
+	}
+	d := time.Since(pc.t0)
+	if pc.qh != nil {
+		pc.qh.Record(d)
+	}
+	pc.tr.span(pc.name, pc.t0, d)
+}
+
+// Source is one served query as the core sees it: where an op's rows come
+// from. A Source is resolved per request and not retained; the draw
+// functions Pager and Permute return are what a cursor keeps, and they must
+// stay valid — and keep answering from the same snapshot — after the
+// request that started the cursor is gone.
+type Source[R Row] interface {
+	Name() string
+	Kind() string
+	Has(c renum.Capability) bool
+	Count() int64
+	Arity() int
+	// Dict renders R's cells; nil when rows are already strings.
+	Dict() *renum.Dict
+	// CacheGen is the snapshot generation /access bodies may be cached
+	// under; ok is false when they must not be cached at all.
+	CacheGen() (gen uint64, ok bool)
+	// Probe starts the clock for op's probe section.
+	Probe(op Op) ProbeClock
+
+	// Access returns answer j; the core has checked 0 <= j < Count().
+	Access(ctx context.Context, j int64) (R, error)
+	// Batch returns the answers at js in request order. One bad position
+	// fails the whole batch with renum.ErrOutOfBounds.
+	Batch(ctx context.Context, js []int64) ([]R, error)
+	// Page returns the k answers from offset on; the core has clamped the
+	// window to [0, Count()).
+	Page(ctx context.Context, offset, k int64) ([]R, error)
+	Sample(ctx context.Context, k int64, rng *rand.Rand) (rows []R, withReplacement bool, err error)
+	Contains(ctx context.Context, cells []string) (bool, error)
+	Inverted(ctx context.Context, cells []string) (j int64, found bool, err error)
+
+	// Pager is Page as a function a cursor can keep.
+	Pager() func(ctx context.Context, offset, k int64) ([]R, error)
+	// Permute starts one seeded random-order enumeration and returns its
+	// draw function: up to k further answers, fewer only at the end.
+	Permute(rng *rand.Rand) (func(ctx context.Context, k int64) ([]R, error), error)
+}
+
+// Limits bounds what one request may ask of a Core.
+type Limits struct {
+	// MaxBatch bounds the positions of one /batch, /page or /sample (0 = 1<<16).
+	MaxBatch int64
+	// MaxCursorDraw bounds n of one /enum/next call (0 = 1<<16).
+	MaxCursorDraw int64
+	// CursorTTL evicts idle enumeration sessions (0 = 5 minutes).
+	CursorTTL time.Duration
+	// CursorSweep is the janitor period (0 = TTL/4, min 1s).
+	CursorSweep time.Duration
+}
+
+// Core serves the probe ops over rows of type R and owns the cursor
+// sessions started through it.
+type Core[R Row] struct {
+	maxBatch int64
+	maxDraw  int64
+	cursors  *cursorStore[R]
+	cache    *answerCache // nil = no /access answer cache
+}
+
+// NewCore returns a core with its cursor janitor running; Close stops it.
+func NewCore[R Row](l Limits) *Core[R] {
+	if l.MaxBatch <= 0 {
+		l.MaxBatch = 1 << 16
+	}
+	if l.MaxCursorDraw <= 0 {
+		l.MaxCursorDraw = 1 << 16
+	}
+	return &Core[R]{maxBatch: l.MaxBatch, maxDraw: l.MaxCursorDraw, cursors: newCursorStore[R](l.CursorTTL, l.CursorSweep)}
+}
+
+// Close stops the cursor janitor.
+func (c *Core[R]) Close() { c.cursors.Shutdown() }
+
+// LiveCursors reports the number of open enumeration sessions.
+func (c *Core[R]) LiveCursors() int { return c.cursors.Len() }
+
+// admit rejects an op the source has no capability for before anything of
+// the request is parsed: a capability miss is 501 whatever the parameters or
+// the body say.
+func admit[R Row](op Op, src Source[R]) error {
+	switch {
+	case op == OpEnumStart && !src.Has(renum.CapEnumerate):
+		// Cursors need an enumeration order that is stable across requests;
+		// updates shift positions, so dynamic entries have none.
+		return fmt.Errorf("enumeration cursors: %w (kind %s has no stable order)", renum.ErrUnsupported, src.Kind())
+	case op == OpContains && !src.Has(renum.CapContains):
+		return fmt.Errorf("contains: %w (kind %s)", renum.ErrUnsupported, src.Kind())
+	case op == OpInverted && !src.Has(renum.CapInvert):
+		return fmt.Errorf("inverted access: %w (kind %s)", renum.ErrUnsupported, src.Kind())
+	}
+	return nil
+}
+
+// do runs one admitted, parsed op against src and returns the response body
+// built in enc's buffer (or a shared immutable body), framed as the binary
+// wire message when isWire. A returned error becomes the JSON error response
+// through errorStatus.
+func (c *Core[R]) do(ctx context.Context, src Source[R], req *request, enc *enc) (body []byte, isWire bool, err error) {
+	dict := src.Dict()
+	switch req.op {
+	case OpCount:
+		pc := src.Probe(OpCount)
+		n := src.Count()
+		pc.Done()
+		return appendCountBody(enc.buf, n), false, nil
+
+	case OpAccess:
+		// Validate before probing: the daemon may merge this probe with
+		// concurrent ones, AccessBatch fails a whole batch on one bad
+		// position, and a bad j must not poison the requests it is merged
+		// with.
+		if n := src.Count(); req.j < 0 || req.j >= n {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "j=%d out of range [0, %d)", req.j, n)
+		}
+		// A cache hit skips probe and encoding both. Name, generation and
+		// dictionary all come from the one Source, so they belong to one
+		// snapshot.
+		cache := c.cache
+		gen, cacheable := src.CacheGen()
+		if cache != nil && cacheable {
+			if body := cache.get(src.Name(), gen, req.j); body != nil {
+				return body, false, nil
+			}
+		} else {
+			cache = nil
+		}
+		pc := src.Probe(OpAccess)
+		row, err := src.Access(ctx, req.j)
+		pc.Done()
+		if err != nil {
+			return nil, false, err
+		}
+		body = appendAccessBody(enc.buf, dict, req.j, row)
+		if cache != nil {
+			// A miss is the admission signal: the second miss of a position
+			// admits these exact bytes (offer copies; body stays pooled).
+			cache.offer(src.Name(), gen, req.j, body)
+		}
+		return body, false, nil
+
+	case OpBatch:
+		if int64(len(req.js)) > c.maxBatch {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.js), c.maxBatch)
+		}
+		pc := src.Probe(OpBatch)
+		defer pc.Done() // the span covers probe + encode
+		rows, err := src.Batch(ctx, req.js)
+		if err != nil {
+			return nil, false, err
+		}
+		if req.wantWire {
+			return appendWireRows(enc.buf, dict, rows, src.Arity(), 0, 0), true, nil
+		}
+		return appendAnswersBody(enc.buf, dict, rows), false, nil
+
+	case OpPage:
+		if req.limit > c.maxBatch {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "limit %d exceeds %d", req.limit, c.maxBatch)
+		}
+		if req.offset < 0 || req.limit < 0 {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "offset and limit must be non-negative")
+		}
+		// Tail clamping mirrors Handle.Page: offset past the end is an empty
+		// page, an overshooting limit is shortened, never an error.
+		k := max(0, min(req.limit, src.Count()-req.offset))
+		pc := src.Probe(OpPage)
+		defer pc.Done()
+		rows, err := src.Page(ctx, req.offset, k)
+		if err != nil {
+			return nil, false, err
+		}
+		if req.wantWire {
+			return appendWireRows(enc.buf, dict, rows, src.Arity(), 0, uint64(req.offset)), true, nil
+		}
+		return closeAnswersOffsetBody(appendAnswersRows(enc.buf, dict, rows), req.offset), false, nil
+
+	case OpSample:
+		if req.k < 0 || req.k > c.maxBatch {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "k=%d out of range [0, %d]", req.k, c.maxBatch)
+		}
+		pc := src.Probe(OpSample)
+		rows, withReplacement, err := src.Sample(ctx, req.k, rngFor(req))
+		pc.Done()
+		if err != nil {
+			return nil, false, err
+		}
+		return closeAnswersWithReplacementBody(appendAnswersRows(enc.buf, dict, rows), withReplacement), false, nil
+
+	case OpEnumStart:
+		nextN, err := c.cursorDraw(src, req)
+		if err != nil {
+			return nil, false, err
+		}
+		id := c.cursors.Start(src.Name(), nextN)
+		return appendCursorBody(enc.buf, id, c.cursors.ttl.Milliseconds()), false, nil
+
+	case OpEnumNext:
+		if req.n <= 0 || req.n > c.maxDraw {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "n=%d out of range [1, %d]", req.n, c.maxDraw)
+		}
+		pc := src.Probe(OpEnumNext)
+		rows, done, err := c.cursors.Next(ctx, string(req.cursor), src.Name(), req.n)
+		pc.Done()
+		if err != nil {
+			return nil, false, err
+		}
+		if req.wantWire {
+			var flags uint32
+			if done {
+				flags = wire.FlagDone
+			}
+			return appendWireRows(enc.buf, dict, rows, src.Arity(), flags, 0), true, nil
+		}
+		return closeAnswersDoneBody(appendAnswersRows(enc.buf, dict, rows), done), false, nil
+
+	case OpEnumClose:
+		if !c.cursors.Close(string(req.cursor), src.Name()) {
+			return nil, false, ErrNoCursor
+		}
+		return closedBody, false, nil
+
+	case OpContains, OpInverted:
+		if len(req.tuple) != src.Arity() {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "tuple has %d values, query arity is %d", len(req.tuple), src.Arity())
+		}
+		if req.op == OpContains {
+			contains, err := src.Contains(ctx, req.tuple)
+			return appendContainsBody(enc.buf, contains), false, err
+		}
+		j, found, err := src.Inverted(ctx, req.tuple)
+		return appendInvertedBody(enc.buf, j, found), false, err
+	}
+	return nil, false, HTTPErrorf(http.StatusInternalServerError, "unreachable op %d", req.op)
+}
+
+// cursorDraw builds the draw function of a new enumeration session.
+func (c *Core[R]) cursorDraw(src Source[R], req *request) (func(context.Context, int64) ([]R, error), error) {
+	switch string(req.order) {
+	case "", "enum":
+		// Deterministic order = access order: each draw is the next window of
+		// sequential positions. Probe errors — including a cancelled draw —
+		// surface to the client and leave the cursor alive rather than
+		// masquerading as exhaustion: the position only advances on success,
+		// so the client retries the same window.
+		page, n, pos := src.Pager(), src.Count(), int64(0)
+		return func(ctx context.Context, k int64) ([]R, error) {
+			if pos >= n {
+				return nil, nil
+			}
+			rows, err := page(ctx, pos, min(k, n-pos))
+			if err != nil {
+				return nil, err
+			}
+			pos += int64(len(rows))
+			return rows, nil
+		}, nil
+	case "random":
+		return src.Permute(rngFor(req))
+	}
+	return nil, HTTPErrorf(http.StatusBadRequest, "order must be enum or random, got %q", req.order)
+}
+
+// ------------------------------------------------------ net/http transport
+
+// urlParams is the mux's params: canonical net/url decoding.
+type urlParams url.Values
+
+func (p urlParams) rawParam(name string) []byte { return []byte(url.Values(p).Get(name)) }
+
+func (p urlParams) intParam(name string, def int64) (int64, error) {
+	return queryInt64(url.Values(p), name, def)
+}
+
+func (p urlParams) jsParam(dst []int64) ([]int64, error) {
+	return appendJSList(dst, url.Values(p).Get("js"))
+}
+
+type tupleBody struct {
+	Tuple []string `json:"tuple"`
+}
+
+// parseHTTP fills req from an *http.Request: the query string, or the JSON
+// body for the POST forms.
+func parseHTTP(req *request, r *http.Request, enc *enc) error {
+	req.wantWire = wantsWire(r)
+	switch {
+	case req.op == OpBatch && r.Method == http.MethodPost:
+		var body struct {
+			Js []int64 `json:"js"`
+		}
+		err := decodeBody(r, &body)
+		req.js = body.Js
+		return err
+	case req.op == OpContains || req.op == OpInverted:
+		var body tupleBody
+		err := decodeBody(r, &body)
+		req.tuple = body.Tuple
+		return err
+	}
+	return parseRequest(req, urlParams(r.URL.Query()), enc)
+}
+
+// Serve is the net/http transport of one op: admit, parse, run the
+// core, write. A returned error is the caller's to render (WriteError).
+func (c *Core[R]) Serve(w http.ResponseWriter, r *http.Request, op Op, src Source[R]) error {
+	enc := getEnc()
+	defer enc.release()
+	return c.serve(w, r, op, src, enc)
+}
+
+func (c *Core[R]) serve(w http.ResponseWriter, r *http.Request, op Op, src Source[R], enc *enc) error {
+	if err := admit(op, src); err != nil {
+		return err
+	}
+	req := request{op: op}
+	if err := parseHTTP(&req, r, enc); err != nil {
+		return err
+	}
+	body, isWire, err := c.do(r.Context(), src, &req, enc)
+	if err != nil {
+		return err
+	}
+	return writeNegotiated(w, body, isWire)
+}

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"sync"
 	"time"
-
-	"repro"
 )
 
 // Cursor-session errors, mapped to HTTP statuses by the handlers.
@@ -19,18 +17,21 @@ var (
 	ErrCursorBusy = errors.New("server: cursor is in use by another request")
 )
 
-// cursor is one stateful enumeration session. Cursors are single-consumer
-// (the library contract for Enumerator/Permutation): instead of queueing a
+// cursor is one stateful enumeration session drawing rows of type R: the
+// daemon's dictionary tuples, or the router's rendered strings (there the
+// position counter or shuffle state lives at the router and each draw
+// scatter-gathers across the shards). Cursors are single-consumer (the
+// library contract for Enumerator/Permutation): instead of queueing a
 // second reader behind the first, Next fails fast with ErrCursorBusy so a
 // misbehaving client cannot pin a server goroutine.
 //
 // A cursor captures the entry it was started on: a registry rebuild does not
 // disturb it — it keeps draining the snapshot it began with, which is the
 // only coherent reading of "enumerate without repetitions" across a swap.
-type cursor struct {
+type cursor[R any] struct {
 	id      string
 	query   string // owning query: a cursor is only valid under its own path
-	nextN   func(ctx context.Context, n int64) ([]renum.Tuple, error)
+	nextN   func(ctx context.Context, n int64) ([]R, error)
 	busy    sync.Mutex
 	expires time.Time // guarded by store.mu
 }
@@ -38,15 +39,15 @@ type cursor struct {
 // cursorStore owns the live cursors and their TTL accounting. Expiry is
 // enforced both lazily (Get rejects an expired cursor) and by a janitor
 // goroutine that frees abandoned sessions' memory.
-type cursorStore struct {
+type cursorStore[R any] struct {
 	mu   sync.Mutex
-	m    map[string]*cursor
+	m    map[string]*cursor[R]
 	ttl  time.Duration
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
-func newCursorStore(ttl time.Duration, sweep time.Duration) *cursorStore {
+func newCursorStore[R any](ttl time.Duration, sweep time.Duration) *cursorStore[R] {
 	if ttl <= 0 {
 		ttl = 5 * time.Minute
 	}
@@ -56,7 +57,7 @@ func newCursorStore(ttl time.Duration, sweep time.Duration) *cursorStore {
 			sweep = time.Second
 		}
 	}
-	s := &cursorStore{m: make(map[string]*cursor), ttl: ttl, stop: make(chan struct{})}
+	s := &cursorStore[R]{m: make(map[string]*cursor[R]), ttl: ttl, stop: make(chan struct{})}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -76,13 +77,13 @@ func newCursorStore(ttl time.Duration, sweep time.Duration) *cursorStore {
 
 // Start registers a new session owned by the named query and returns its
 // id.
-func (s *cursorStore) Start(query string, nextN func(context.Context, int64) ([]renum.Tuple, error)) string {
+func (s *cursorStore[R]) Start(query string, nextN func(context.Context, int64) ([]R, error)) string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic(err) // crypto/rand never fails on supported platforms
 	}
 	id := hex.EncodeToString(b[:])
-	c := &cursor{id: id, query: query, nextN: nextN}
+	c := &cursor[R]{id: id, query: query, nextN: nextN}
 	s.mu.Lock()
 	c.expires = time.Now().Add(s.ttl)
 	s.m[id] = c
@@ -104,7 +105,7 @@ func (s *cursorStore) Start(query string, nextN func(context.Context, int64) ([]
 // when it completes. The second refresh is the one that matters for slow
 // draws — a draw that itself outlives the TTL must not leave the cursor
 // already expired (or evicted mid-draw) the moment it returns.
-func (s *cursorStore) Next(ctx context.Context, id, query string, n int64) (ts []renum.Tuple, done bool, err error) {
+func (s *cursorStore[R]) Next(ctx context.Context, id, query string, n int64) (ts []R, done bool, err error) {
 	now := time.Now()
 	s.mu.Lock()
 	c, ok := s.m[id]
@@ -144,7 +145,7 @@ func (s *cursorStore) Next(ctx context.Context, id, query string, n int64) (ts [
 
 // Close drops a session explicitly (DELETE /enum). Like Next, it only acts
 // on cursors owned by query.
-func (s *cursorStore) Close(id, query string) bool {
+func (s *cursorStore[R]) Close(id, query string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.m[id]
@@ -156,13 +157,13 @@ func (s *cursorStore) Close(id, query string) bool {
 }
 
 // Len reports the number of live sessions.
-func (s *cursorStore) Len() int {
+func (s *cursorStore[R]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.m)
 }
 
-func (s *cursorStore) evict(now time.Time) {
+func (s *cursorStore[R]) evict(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for id, c := range s.m {
@@ -184,7 +185,7 @@ func (s *cursorStore) evict(now time.Time) {
 }
 
 // Shutdown stops the janitor.
-func (s *cursorStore) Shutdown() {
+func (s *cursorStore[R]) Shutdown() {
 	close(s.stop)
 	s.wg.Wait()
 }

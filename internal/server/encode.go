@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"net/http"
 	"repro"
 	"repro/internal/jsonx"
@@ -17,17 +16,20 @@ import (
 // same alphabetical key order, same escaping table (HTML-escaped by default,
 // like the Encoder), same trailing newline — which the equivalence tests in
 // encode_test.go pin against encoding/json itself. Cold, reflection-shaped
-// endpoints (meta, list, metrics, admin) stay on writeJSON: their cost is
+// endpoints (meta, list, metrics, admin) stay on WriteJSON: their cost is
 // irrelevant and their payloads change shape with the registry.
 
 // enc is one request's encoder state: the response buffer plus probe scratch
-// (a tuple row for AccessInto, a position slice for batch parsing), pooled so
-// a steady-state request allocates nothing. The fast HTTP loop owns one per
-// connection; mux handlers borrow from the pool per request.
+// (a tuple row for AccessInto, a position slice for batch parsing, a block of
+// rows for small batches and pages), pooled so a steady-state request
+// allocates nothing. The fast HTTP loop owns one per connection; the mux
+// transport borrows from the pool per request.
 type enc struct {
-	buf []byte
-	row renum.Tuple
-	js  []int64
+	buf  []byte
+	row  renum.Tuple
+	js   []int64
+	rows []renum.Tuple // rowsFor's row headers, slicing flat
+	flat []renum.Value
 }
 
 // Retention caps: a pathological response (a 64k-position batch) must not pin
@@ -67,6 +69,23 @@ func (e *enc) rowFor(arity int) renum.Tuple {
 // jsFor returns the scratch position slice, emptied.
 func (e *enc) jsFor() []int64 { return e.js[:0] }
 
+// rowsFor returns n scratch rows of the given arity over one flat backing
+// array. n is at most streamBatchThreshold, so the block stays small enough
+// to keep pooled.
+func (e *enc) rowsFor(n, arity int) []renum.Tuple {
+	if cap(e.flat) < n*arity {
+		e.flat = make([]renum.Value, n*arity)
+	}
+	if cap(e.rows) < n {
+		e.rows = make([]renum.Tuple, n)
+	}
+	e.rows = e.rows[:n]
+	for i := range e.rows {
+		e.rows[i] = e.flat[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return e.rows
+}
+
 // ---------------------------------------------------------- JSON primitives
 
 // appendJSONString appends s as a quoted JSON string using exactly
@@ -83,6 +102,11 @@ func appendBool(dst []byte, v bool) []byte {
 	return append(dst, "false"...)
 }
 
+// Row is one answer as the body builders see it: a dictionary tuple on the
+// daemon, whose cells render through the snapshot's dictionary, or a row of
+// already-rendered strings on the router, where dict is nil.
+type Row interface{ renum.Tuple | []string }
+
 // appendCellString renders one value as a JSON string: the interned
 // dictionary string when there is one, otherwise Dict.String's stable "#N"
 // form rendered in place — '#' and decimal digits need no JSON escaping, so
@@ -96,26 +120,25 @@ func appendCellString(dst []byte, dict *renum.Dict, v renum.Value) []byte {
 	return append(dst, '"')
 }
 
-// appendTupleStrings renders one tuple as a JSON array of its dictionary
-// strings, straight from the value-typed row — no []string materialization.
-func appendTupleStrings(dst []byte, dict *renum.Dict, t renum.Tuple) []byte {
+// appendRow renders one answer as a JSON array of strings, straight from the
+// row — a value-typed tuple is never materialized as []string.
+func appendRow[R Row](dst []byte, dict *renum.Dict, row R) []byte {
 	dst = append(dst, '[')
-	for i, v := range t {
-		if i > 0 {
-			dst = append(dst, ',')
+	switch r := any(row).(type) {
+	case renum.Tuple:
+		for i, v := range r {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendCellString(dst, dict, v)
 		}
-		dst = appendCellString(dst, dict, v)
-	}
-	return append(dst, ']')
-}
-
-func appendTuplesArray(dst []byte, dict *renum.Dict, ts []renum.Tuple) []byte {
-	dst = append(dst, '[')
-	for i, t := range ts {
-		if i > 0 {
-			dst = append(dst, ',')
+	case []string:
+		for i, c := range r {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, c)
 		}
-		dst = appendTupleStrings(dst, dict, t)
 	}
 	return append(dst, ']')
 }
@@ -144,22 +167,33 @@ func appendCountBody(dst []byte, n int64) []byte {
 	return append(dst, '}', '\n')
 }
 
-func appendAccessBody(dst []byte, dict *renum.Dict, j int64, t renum.Tuple) []byte {
+func appendAccessBody[R Row](dst []byte, dict *renum.Dict, j int64, t R) []byte {
 	dst = append(dst, `{"answer":`...)
-	dst = appendTupleStrings(dst, dict, t)
+	dst = appendRow(dst, dict, t)
 	dst = append(dst, `,"j":`...)
 	dst = strconv.AppendInt(dst, j, 10)
 	return append(dst, '}', '\n')
 }
 
-// Batch bodies stream row by row: openAnswers / appendAnswersRow / a closer.
+// Answers bodies are assembled in three steps — openAnswersBody, one
+// appendAnswersRow per row, then the closer carrying the op's trailing key.
 func openAnswersBody(dst []byte) []byte { return append(dst, `{"answers":[`...) }
 
-func appendAnswersRow(dst []byte, dict *renum.Dict, first bool, t renum.Tuple) []byte {
+func appendAnswersRow[R Row](dst []byte, dict *renum.Dict, first bool, t R) []byte {
 	if !first {
 		dst = append(dst, ',')
 	}
-	return appendTupleStrings(dst, dict, t)
+	return appendRow(dst, dict, t)
+}
+
+// appendAnswersRows opens an answers body and appends every row; the caller
+// picks the closer.
+func appendAnswersRows[R Row](dst []byte, dict *renum.Dict, rows []R) []byte {
+	dst = openAnswersBody(dst)
+	for i, t := range rows {
+		dst = appendAnswersRow(dst, dict, i == 0, t)
+	}
+	return dst
 }
 
 func closeAnswersBody(dst []byte) []byte { return append(dst, ']', '}', '\n') }
@@ -182,12 +216,8 @@ func closeAnswersWithReplacementBody(dst []byte, withReplacement bool) []byte {
 	return append(dst, '}', '\n')
 }
 
-func appendAnswersBody(dst []byte, dict *renum.Dict, ts []renum.Tuple) []byte {
-	dst = openAnswersBody(dst)
-	for i, t := range ts {
-		dst = appendAnswersRow(dst, dict, i == 0, t)
-	}
-	return closeAnswersBody(dst)
+func appendAnswersBody[R Row](dst []byte, dict *renum.Dict, rows []R) []byte {
+	return closeAnswersBody(appendAnswersRows(dst, dict, rows))
 }
 
 func appendContainsBody(dst []byte, contains bool) []byte {
@@ -234,146 +264,16 @@ var (
 	cursorBusyBody = appendErrorBody(nil, ErrCursorBusy.Error())
 )
 
-// staticErrorBody returns the preformatted body for sentinel messages, nil
-// otherwise.
-func staticErrorBody(msg string) []byte {
+// errorBody returns the {"error": msg} body: the preformatted bytes for
+// sentinel messages, appended to dst otherwise.
+func errorBody(dst []byte, msg string) []byte {
 	switch msg {
 	case ErrNoCursor.Error():
 		return noCursorBody
 	case ErrCursorBusy.Error():
 		return cursorBusyBody
 	}
-	return nil
-}
-
-// --------------------------------------------------- shared body assembly
-//
-// The mux handlers and the fast HTTP loop build identical bodies through
-// these; divergence between the two serving paths would otherwise be an
-// easy bug to grow.
-
-// buildBatchBody probes js and renders the /batch response (JSON, or wire
-// when asWire) into enc's buffer. A small, fully in-range batch streams
-// sequentially through AccessInto into the pooled scratch row — the
-// library's own AccessBatch is serial below its chunk threshold anyway, so
-// no parallelism is lost and no []Tuple is materialized; larger batches
-// keep AccessBatchContext's parallel fan-out. An out-of-range position
-// takes the batch-probe path so the error is the probe's own.
-func buildBatchBody(ctx context.Context, e *Entry, dict *renum.Dict, enc *enc, js []int64, asWire bool) ([]byte, error) {
-	if len(js) <= streamBatchThreshold && jsInRange(js, e.Count()) {
-		// One streamed batch is one chunk: honor cancellation at its
-		// boundary, exactly like AccessBatchContext does between chunks.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row := enc.rowFor(len(e.Head()))
-		if asWire {
-			buf := wire.AppendHeader(enc.buf, wire.Header{Arity: uint32(len(row)), Rows: uint64(len(js))})
-			for _, j := range js {
-				if err := e.H.AccessInto(j, row); err != nil {
-					return nil, err
-				}
-				for _, val := range row {
-					buf = appendWireCell(buf, dict, val)
-				}
-			}
-			return wire.Finish(buf, 0), nil
-		}
-		buf := openAnswersBody(enc.buf)
-		for i, j := range js {
-			if err := e.H.AccessInto(j, row); err != nil {
-				return nil, err
-			}
-			buf = appendAnswersRow(buf, dict, i == 0, row)
-		}
-		return closeAnswersBody(buf), nil
-	}
-	ts, err := e.accessBatch(ctx, js)
-	if err != nil {
-		return nil, err
-	}
-	if asWire {
-		return appendWireTuples(enc.buf, dict, ts, len(e.Head()), 0, 0), nil
-	}
-	return appendAnswersBody(enc.buf, dict, ts), nil
-}
-
-// buildPageBody renders the /page response. Tail clamping mirrors
-// Handle.Page: offset past the end is an empty page, an overshooting limit
-// is shortened, never an error.
-func buildPageBody(ctx context.Context, e *Entry, dict *renum.Dict, enc *enc, offset, limit int64, asWire bool) ([]byte, error) {
-	n := e.Count()
-	k := limit
-	if offset >= n {
-		k = 0
-	} else if k > n-offset {
-		k = n - offset
-	}
-	if k <= streamBatchThreshold {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row := enc.rowFor(len(e.Head()))
-		if asWire {
-			buf := wire.AppendHeader(enc.buf, wire.Header{Arity: uint32(len(row)), Rows: uint64(k), Aux: uint64(offset)})
-			for i := int64(0); i < k; i++ {
-				if err := e.H.AccessInto(offset+i, row); err != nil {
-					return nil, err
-				}
-				for _, val := range row {
-					buf = appendWireCell(buf, dict, val)
-				}
-			}
-			return wire.Finish(buf, 0), nil
-		}
-		buf := openAnswersBody(enc.buf)
-		for i := int64(0); i < k; i++ {
-			if err := e.H.AccessInto(offset+i, row); err != nil {
-				return nil, err
-			}
-			buf = appendAnswersRow(buf, dict, i == 0, row)
-		}
-		return closeAnswersOffsetBody(buf, offset), nil
-	}
-	// Large pages keep Handle.Page's parallel fan-out (and its context
-	// propagation between probe chunks).
-	ts, err := e.H.PageContext(ctx, offset, limit)
-	if err != nil {
-		return nil, err
-	}
-	if asWire {
-		return appendWireTuples(enc.buf, dict, ts, len(e.Head()), 0, uint64(offset)), nil
-	}
-	buf := openAnswersBody(enc.buf)
-	for i, t := range ts {
-		buf = appendAnswersRow(buf, dict, i == 0, t)
-	}
-	return closeAnswersOffsetBody(buf, offset), nil
-}
-
-// buildEnumNextBody renders a cursor draw.
-func buildEnumNextBody(dict *renum.Dict, enc *enc, ts []renum.Tuple, arity int, done, asWire bool) []byte {
-	if asWire {
-		var flags uint32
-		if done {
-			flags = wire.FlagDone
-		}
-		return appendWireTuples(enc.buf, dict, ts, arity, flags, 0)
-	}
-	buf := openAnswersBody(enc.buf)
-	for i, t := range ts {
-		buf = appendAnswersRow(buf, dict, i == 0, t)
-	}
-	return closeAnswersDoneBody(buf, done)
-}
-
-// buildSampleBody renders a /sample draw.
-func buildSampleBody(dict *renum.Dict, enc *enc, ts []renum.Tuple, withReplacement bool) []byte {
-	buf := openAnswersBody(enc.buf)
-	for i, t := range ts {
-		buf = appendAnswersRow(buf, dict, i == 0, t)
-	}
-	return closeAnswersWithReplacementBody(buf, withReplacement)
+	return appendErrorBody(dst, msg)
 }
 
 // ------------------------------------------------------------- wire bodies
@@ -390,19 +290,27 @@ func appendWireCell(dst []byte, dict *renum.Dict, v renum.Value) []byte {
 	return wire.AppendCellBytes(dst, cell)
 }
 
-// appendWireTuples frames ts as one binary wire message (header + cells +
-// CRC) appended to dst.
-func appendWireTuples(dst []byte, dict *renum.Dict, ts []renum.Tuple, arity int, flags uint32, aux uint64) []byte {
+// appendWireRows frames rows as one binary wire message (header + cells +
+// CRC) appended to dst — the same format on the client edge and on the
+// router-to-shard hop.
+func appendWireRows[R Row](dst []byte, dict *renum.Dict, rows []R, arity int, flags uint32, aux uint64) []byte {
 	start := len(dst)
 	dst = wire.AppendHeader(dst, wire.Header{
 		Flags: flags,
 		Arity: uint32(arity),
-		Rows:  uint64(len(ts)),
+		Rows:  uint64(len(rows)),
 		Aux:   aux,
 	})
-	for _, t := range ts {
-		for _, v := range t {
-			dst = appendWireCell(dst, dict, v)
+	for _, row := range rows {
+		switch r := any(row).(type) {
+		case renum.Tuple:
+			for _, v := range r {
+				dst = appendWireCell(dst, dict, v)
+			}
+		case []string:
+			for _, c := range r {
+				dst = wire.AppendCell(dst, c)
+			}
 		}
 	}
 	return wire.Finish(dst, start)
@@ -415,26 +323,28 @@ func wantsWire(r *http.Request) bool {
 	return acceptIsWire(r.Header.Get("Accept"))
 }
 
-func acceptIsWire(accept string) bool {
+// acceptIsWire scans an Accept header value — a string from net/http, raw
+// bytes in the fast loop — for the wire media type. Tokens are trimmed of
+// optional whitespace (SP/HTAB) only, parameters after ';' ignored.
+func acceptIsWire[T string | []byte](accept T) bool {
 	for len(accept) > 0 {
-		var part string
+		part := accept
 		if i := indexByte(accept, ','); i >= 0 {
 			part, accept = accept[:i], accept[i+1:]
 		} else {
-			part, accept = accept, ""
+			accept = accept[:0]
 		}
-		part = trimSpaces(part)
 		if i := indexByte(part, ';'); i >= 0 {
-			part = trimSpaces(part[:i])
+			part = part[:i]
 		}
-		if part == wire.ContentType {
+		if string(trimOWS(part)) == wire.ContentType {
 			return true
 		}
 	}
 	return false
 }
 
-func indexByte(s string, c byte) int {
+func indexByte[T string | []byte](s T, c byte) int {
 	for i := 0; i < len(s); i++ {
 		if s[i] == c {
 			return i
@@ -443,7 +353,8 @@ func indexByte(s string, c byte) int {
 	return -1
 }
 
-func trimSpaces(s string) string {
+// trimOWS strips optional whitespace (space/tab) from both ends.
+func trimOWS[T string | []byte](s T) T {
 	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
 		s = s[1:]
 	}
@@ -453,16 +364,14 @@ func trimSpaces(s string) string {
 	return s
 }
 
-// writeBody sends a fully built JSON body.
-func writeBody(w http.ResponseWriter, body []byte) error {
-	w.Header().Set("Content-Type", "application/json")
-	_, err := w.Write(body)
-	return err
-}
-
-// writeWireBody sends a fully built binary wire body.
-func writeWireBody(w http.ResponseWriter, body []byte) error {
-	w.Header().Set("Content-Type", wire.ContentType)
+// writeNegotiated sends a fully built body under the content type the core
+// framed it for.
+func writeNegotiated(w http.ResponseWriter, body []byte, isWire bool) error {
+	ct := "application/json"
+	if isWire {
+		ct = wire.ContentType
+	}
+	w.Header().Set("Content-Type", ct)
 	_, err := w.Write(body)
 	return err
 }

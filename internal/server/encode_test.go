@@ -98,7 +98,7 @@ func TestBodyBuildersMatchEncodingJSON(t *testing.T) {
 		{"count", appendCountBody(nil, 42), map[string]any{"count": int64(42)}},
 		{"access", appendAccessBody(nil, dict, 7, t1), map[string]any{"j": int64(7), "answer": strs(t1)}},
 		{"answers", appendAnswersBody(nil, dict, ts), map[string]any{"answers": tss}},
-		{"answers empty", appendAnswersBody(nil, dict, nil), map[string]any{"answers": [][]string{}}},
+		{"answers empty", appendAnswersBody(nil, dict, []renum.Tuple(nil)), map[string]any{"answers": [][]string{}}},
 		{"answers offset", closeAnswersOffsetBody(appendAnswersRow(openAnswersBody(nil), dict, true, t1), 3),
 			map[string]any{"offset": int64(3), "answers": [][]string{strs(t1)}}},
 		{"answers done", closeAnswersDoneBody(openAnswersBody(nil), true),

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/textproto"
@@ -17,29 +16,31 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/internal/wire"
 )
 
-// This file is the serving tier's probe micro-architecture: a hand-rolled
-// HTTP/1.1 connection loop that serves the hot GET probe surface
-// (/healthz, count, access, batch, page, sample, enum/next) from
-// per-connection pooled state — request parsing, routing, parameter
-// decoding, body building and response framing all run without a single
-// steady-state heap allocation. net/http's generic path costs ~18
-// allocations per request before a handler runs (request struct, header
-// map, URL parse, per-request context, mux pattern match); at the paper's
-// "millions of users" scale that floor, not the O(log n) probe, dominates.
+// This file is the daemon's transport: a hand-rolled HTTP/1.1 connection
+// loop that serves the hot GET probe surface (/healthz, /readyz, count,
+// access, batch, page, sample, enum/next) from per-connection pooled state —
+// request parsing, routing, parameter scanning and response framing all run
+// without a single steady-state heap allocation. net/http's generic path
+// costs ~18 allocations per request before a handler runs (request struct,
+// header map, URL parse, per-request context, mux pattern match); at the
+// paper's "millions of users" scale that floor, not the O(log n) probe,
+// dominates.
 //
-// Everything else — POST/DELETE endpoints, admin, metadata, unknown paths —
-// falls back to the Server's ordinary mux: the fast loop builds a real
-// http.Request from the parsed bytes and delegates, so cold endpoints keep
-// exactly one implementation and one behavior (including error bodies and
-// the route metrics instrumentation).
+// The loop is a transport only: it scans the query string into the core's
+// request struct and writes the bytes Core.do returns (core.go), so what a
+// hot op validates and how it frames its body is decided in one place for
+// this loop, the mux and the router alike.
 //
-// Responses are byte-identical to the mux path: both build bodies through
-// the shared builders in encode.go, and TestFastLoopMatchesMux pins every
-// endpoint's bytes against the mux output.
+// Everything else — POST/DELETE endpoints, admin, metadata, unknown paths,
+// and any GET whose path or query string carries a percent-escape, '+' or
+// ';' (which only net/url decodes canonically) — falls back to the Server's
+// ordinary mux: the loop builds a real http.Request from the parsed bytes
+// and delegates, so those requests keep exactly one behavior (including
+// error bodies and the route instrumentation). TestFastLoopMatchesMux and
+// FuzzFastLoopVsMux pin the loop's bytes against the mux's.
 
 const (
 	// fastIdleTimeout closes a keep-alive connection with no next request.
@@ -59,7 +60,7 @@ const (
 // FastServer serves a Server's API with the pooled connection loop.
 type FastServer struct {
 	s        *Server
-	eps      [len(opNames)]*endpointMetrics // per-op instruments, resolved once
+	eps      [numOps]*endpointMetrics // per-op instruments, resolved once
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[*fastConn]struct{}
@@ -77,7 +78,7 @@ func NewFastServer(s *Server) *FastServer {
 	// Resolving the instruments here (not per request) is what keeps the hot
 	// loop free of map lookups and label rendering; the names match the mux
 	// routes, so both serving paths share one set of series.
-	for op := opHealthz; op < len(opNames); op++ {
+	for op := opHealthz; op <= OpEnumNext; op++ {
 		f.eps[op] = s.metrics.endpoint(opNames[op])
 	}
 	return f
@@ -192,11 +193,13 @@ type fastConn struct {
 	c       net.Conn
 	br      *bufio.Reader
 	bw      *bufio.Writer
-	enc     enc    // body builder + probe scratch, connection-owned
-	head    []byte // response head scratch
-	target  []byte // stable copy of the request target
-	val     []byte // percent-decoding scratch
-	reqID   []byte // X-Request-Id copy (tracing); empty when untraced
+	enc     enc     // body builder + probe scratch, connection-owned
+	req     request // the current fast-path request, parsed
+	src     local   // ... and the entry it resolved to
+	head    []byte  // response head scratch
+	target  []byte  // stable copy of the request target
+	query   []byte  // target's raw query string (the params methods scan it)
+	reqID   []byte  // X-Request-Id copy (tracing); empty when untraced
 	busy    atomic.Bool
 	closing bool
 	wrote   int64 // body bytes of the current request (metrics)
@@ -206,6 +209,7 @@ type fastConn struct {
 type headerMeta struct {
 	contentLength int64
 	close         bool
+	sawAccept     bool
 	wantWire      bool
 	chunked       bool
 	expect100     bool
@@ -216,23 +220,6 @@ var (
 	bHTTP11 = []byte("HTTP/1.1")
 	bHTTP10 = []byte("HTTP/1.0")
 )
-
-// Fast-path ops.
-const (
-	opNone = iota
-	opHealthz
-	opReadyz
-	opCount
-	opAccess
-	opBatch
-	opPage
-	opSample
-	opEnumNext
-)
-
-// opNames index by op; the strings match the mux route names so /metrics
-// aggregates both serving paths under one endpoint.
-var opNames = [...]string{"", "healthz", "readyz", "count", "access", "batch", "page", "sample", "enum_next"}
 
 func (fc *fastConn) serve() {
 	defer fc.c.Close()
@@ -277,13 +264,14 @@ func (fc *fastConn) readLine() ([]byte, error) {
 // handleRequest parses one request line and dispatches. It reports whether
 // the connection can carry another request.
 func (fc *fastConn) handleRequest(line []byte) bool {
-	sp1 := bytes.IndexByte(line, ' ')
-	sp2 := bytes.LastIndexByte(line, ' ')
-	if sp1 <= 0 || sp2 <= sp1+1 {
+	// method SP target SP version, split at the first two spaces the way
+	// net/http does: a target with a space in it leaves a malformed version.
+	method, rest, ok1 := bytes.Cut(line, []byte(" "))
+	rawTarget, proto, ok2 := bytes.Cut(rest, []byte(" "))
+	if !ok1 || !ok2 || len(method) == 0 || len(rawTarget) == 0 {
 		fc.abort(http.StatusBadRequest, "malformed request line")
 		return false
 	}
-	method, rawTarget, proto := line[:sp1], line[sp1+1:sp2], line[sp2+1:]
 	switch {
 	case bytes.Equal(proto, bHTTP11):
 	case bytes.Equal(proto, bHTTP10):
@@ -294,31 +282,17 @@ func (fc *fastConn) handleRequest(line []byte) bool {
 	}
 	// Copy the target out of the bufio window: header reads may slide it.
 	fc.target = append(fc.target[:0], rawTarget...)
-	target := fc.target
-	path, query := target, []byte(nil)
-	if i := bytes.IndexByte(target, '?'); i >= 0 {
-		path, query = target[:i], target[i+1:]
-	}
+	path, query, _ := bytes.Cut(fc.target, []byte("?"))
 	op, qname := opNone, []byte(nil)
-	// Percent-escaped paths go to the mux for canonical decoding.
-	if bytes.Equal(method, bGET) && bytes.IndexByte(path, '%') < 0 {
+	if bytes.Equal(method, bGET) && plainTarget(path, query) {
 		op, qname = fastRoute(path)
 	}
 	if op == opNone {
-		return fc.serveFallback(method, target)
+		return fc.serveFallback(method, fc.target)
 	}
-	fc.c.SetReadDeadline(time.Now().Add(fastHeaderTimeout))
+	fc.query = query
 	var hm headerMeta
-	hm.contentLength = -1
-	fc.reqID = fc.reqID[:0] // a request without the header must not inherit one
-	if !fc.scanHeaders(&hm) {
-		return false
-	}
-	if hm.close {
-		fc.closing = true
-	}
-	if hm.chunked {
-		fc.abort(http.StatusNotImplemented, "chunked request bodies are not supported")
+	if !fc.readHeaders(&hm, nil) {
 		return false
 	}
 	// A GET with a body is legal if pointless; keep framing by draining it.
@@ -332,54 +306,53 @@ func (fc *fastConn) handleRequest(line []byte) bool {
 		}
 	}
 
-	t0 := time.Now()
+	// The benchmark harness never sends X-Request-Id, so the untraced loop
+	// stays 0-alloc.
 	s := fc.f.s
-	ep := fc.f.eps[op]
-	// A client-supplied X-Request-Id turns tracing on for this request; the
-	// benchmark harness never sends one, so the untraced loop stays 0-alloc.
-	var tr *traceRec
-	if len(fc.reqID) > 0 {
-		tr = s.traces.begin(fc.reqID, opNames[op], t0)
-	}
-	var allocs0 uint64
-	sampled := s.metrics.sampleTick()
-	if sampled {
-		allocs0 = heapAllocObjects()
-	}
+	b := beginRequest(s, fc.f.eps[op], fc.reqID)
 	fc.wrote = 0
-	err := fc.serveFast(op, qname, query, hm, tr)
-	clientGone := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	err := fc.serveFast(op, qname, hm.wantWire, b.tr)
 	if err != nil {
-		status, msg := errorStatus(err, clientGone), err.Error()
-		body := staticErrorBody(msg)
-		if body == nil {
-			body = appendErrorBody(fc.enc.buf[:0], msg)
-		}
-		if werr := fc.writeResponse(status, "application/json", body); werr != nil {
+		if werr := fc.writeResponse(errorStatus(err), "application/json", errorBody(fc.enc.buf[:0], err.Error())); werr != nil {
 			return false
 		}
 	}
-	if sampled {
-		ep.observeAllocs(float64(heapAllocObjects() - allocs0))
+	if d, status, slow := s.end(b, err, fc.wrote); slow {
+		s.logSlow(opNames[op], string(fc.target), string(qname), string(fc.reqID), d, status)
 	}
-	d := time.Since(t0)
-	ep.observe(d, err != nil && !clientGone, fc.wrote)
-	status := http.StatusOK
-	if err != nil {
-		status = errorStatus(err, clientGone)
+	return true
+}
+
+// muxQueryByte marks the bytes that send a query string to the mux: control
+// bytes, which net/url rejects, and '%', '+' and ';', which only it decodes
+// canonically. A table keeps the scan at one load per byte — a /batch query
+// runs to hundreds of bytes.
+var muxQueryByte = func() (t [256]bool) {
+	for c := 0; c <= ' '; c++ {
+		t[c] = true
 	}
-	if tr != nil {
-		tr.finish(status, d)
-		s.traces.push(tr)
+	t[0x7f], t['%'], t['+'], t[';'] = true, true, true, true
+	return t
+}()
+
+// plainTarget reports that a request target can be routed and scanned as the
+// raw bytes it is. In a path only the control bytes and '%' matter.
+func plainTarget(path, query []byte) bool {
+	for _, c := range path {
+		if c <= ' ' || c == 0x7f || c == '%' {
+			return false
+		}
 	}
-	if s.cfg.SlowLog > 0 && d >= s.cfg.SlowLog {
-		s.logSlowFast(opNames[op], string(fc.target), string(qname), string(fc.reqID), d, status)
+	for _, c := range query {
+		if muxQueryByte[c] {
+			return false
+		}
 	}
 	return true
 }
 
 // fastRoute maps a path to a fast op. qname is a sub-slice of path.
-func fastRoute(path []byte) (int, []byte) {
+func fastRoute(path []byte) (Op, []byte) {
 	if string(path) == "/healthz" {
 		return opHealthz, nil
 	}
@@ -396,26 +369,35 @@ func fastRoute(path []byte) (int, []byte) {
 		return opNone, nil // /v1 or /v1/{query} metadata: mux
 	}
 	qname, op := rest[:slash], rest[slash+1:]
+	if string(qname) == "." || string(qname) == ".." {
+		return opNone, nil // the mux cleans dot segments (with a redirect)
+	}
 	switch string(op) {
 	case "count":
-		return opCount, qname
+		return OpCount, qname
 	case "access":
-		return opAccess, qname
+		return OpAccess, qname
 	case "batch":
-		return opBatch, qname
+		return OpBatch, qname
 	case "page":
-		return opPage, qname
+		return OpPage, qname
 	case "sample":
-		return opSample, qname
+		return OpSample, qname
 	case "enum/next":
-		return opEnumNext, qname
+		return OpEnumNext, qname
 	}
 	return opNone, nil
 }
 
-// scanHeaders walks the header block extracting only the scalars the fast
-// path needs; everything else is skipped without retention.
-func (fc *fastConn) scanHeaders(hm *headerMeta) bool {
+// readHeaders walks one request's header block. The fast path keeps only
+// the scalars in hm and skips everything else without retention; the
+// fallback passes hdr to also collect every field for the http.Request it
+// builds. It reports false when the connection must close (the error
+// response, if one is due, has been written).
+func (fc *fastConn) readHeaders(hm *headerMeta, hdr http.Header) bool {
+	fc.c.SetReadDeadline(time.Now().Add(fastHeaderTimeout))
+	hm.contentLength = -1
+	fc.reqID = fc.reqID[:0] // a request without the header must not inherit one
 	for n := 0; ; n++ {
 		if n > fastMaxHeaders {
 			fc.abort(http.StatusRequestHeaderFieldsTooLarge, "too many headers")
@@ -429,7 +411,7 @@ func (fc *fastConn) scanHeaders(hm *headerMeta) bool {
 			return false
 		}
 		if len(line) == 0 {
-			return true
+			break
 		}
 		colon := bytes.IndexByte(line, ':')
 		if colon <= 0 {
@@ -437,6 +419,14 @@ func (fc *fastConn) scanHeaders(hm *headerMeta) bool {
 			return false
 		}
 		name, val := line[:colon], trimOWS(line[colon+1:])
+		if hasCTL(val) {
+			fc.abort(http.StatusBadRequest, "invalid header value")
+			return false
+		}
+		if hdr != nil {
+			key := textproto.CanonicalMIMEHeaderKey(string(name))
+			hdr[key] = append(hdr[key], string(val))
+		}
 		switch {
 		case asciiEqualFold(name, "content-length"):
 			v, ok := parseInt64Bytes(val)
@@ -450,8 +440,9 @@ func (fc *fastConn) scanHeaders(hm *headerMeta) bool {
 				hm.close = true
 			}
 		case asciiEqualFold(name, "accept"):
-			if acceptBytesWire(val) {
-				hm.wantWire = true
+			// Only the first Accept line counts, as with http.Header.Get.
+			if !hm.sawAccept {
+				hm.sawAccept, hm.wantWire = true, acceptIsWire(val)
 			}
 		case asciiEqualFold(name, "transfer-encoding"):
 			hm.chunked = true
@@ -462,164 +453,48 @@ func (fc *fastConn) scanHeaders(hm *headerMeta) bool {
 			fc.reqID = append(fc.reqID[:0], val...)
 		}
 	}
+	if hm.close {
+		fc.closing = true
+	}
+	if hm.chunked {
+		fc.abort(http.StatusNotImplemented, "chunked request bodies are not supported")
+		return false
+	}
+	return true
 }
 
-// serveFast runs one fast-path op. A returned error becomes the JSON error
-// response (same mapping as the mux route wrapper).
-func (fc *fastConn) serveFast(op int, qname, query []byte, hm headerMeta, tr *traceRec) error {
+// serveFast runs one fast-path op: resolve the entry, scan the query string
+// into the request struct, hand both to the core, write what it returns. A
+// returned error becomes the JSON error response (same mapping as the mux
+// route wrapper).
+func (fc *fastConn) serveFast(op Op, qname []byte, wantWire bool, tr *traceRec) error {
 	s := fc.f.s
-	if op == opHealthz {
+	switch op {
+	case opHealthz:
 		return fc.writeResponse(http.StatusOK, "application/json", healthzBody)
-	}
-	if op == opReadyz {
+	case opReadyz:
 		_, gen := s.reg.Snapshot()
-		if !s.Ready() {
-			return fc.writeResponse(http.StatusServiceUnavailable, "application/json",
-				appendReadyzBody(fc.enc.buf[:0], false, gen))
-		}
-		return fc.writeResponse(http.StatusOK, "application/json", appendReadyzBody(fc.enc.buf[:0], true, gen))
+		status, body := readyzResponse(fc.enc.buf[:0], s.Ready(), gen)
+		return fc.writeResponse(status, "application/json", body)
 	}
 	e, db, gen, ok := s.reg.lookupViewBytes(qname)
 	if !ok {
-		return httpErrorf(http.StatusNotFound, "no query %q (serving: %s)", string(qname), joinNames(s.reg.Names()))
+		return NoQuery(string(qname), s.reg.Names())
 	}
 	if tr != nil {
 		tr.query = e.Name
 	}
-	dict := db.Dict()
-	switch op {
-	case opCount:
-		pc := startProbe(e.histCount(), tr, "probe")
-		n := e.Count()
-		pc.done()
-		return fc.writeResponse(http.StatusOK, "application/json", appendCountBody(fc.enc.buf[:0], n))
-
-	case opAccess:
-		j, err := fc.paramInt64(query, "j", -1)
-		if err != nil {
-			return err
-		}
-		if j < 0 || j >= e.Count() {
-			return httpErrorf(http.StatusBadRequest, "j=%d out of range [0, %d)", j, e.Count())
-		}
-		// Generation-keyed answer cache: a hit is one lock-free lookup on
-		// e.Name (no byte→string conversion, so the hit path allocates
-		// nothing) and serves the exact bytes the miss path would build.
-		cache := s.anscache
-		if cache != nil && e.cacheable {
-			if body := cache.get(e.Name, gen, j); body != nil {
-				return fc.writeResponse(http.StatusOK, "application/json", body)
-			}
-		} else {
-			cache = nil
-		}
-		var t renum.Tuple
-		if e.coal != nil {
-			pc := startProbe(e.histAccess(), tr, "coalesce")
-			t, err = e.coal.Do(j)
-			pc.done()
-		} else {
-			pc := startProbe(e.histAccess(), tr, "probe")
-			t = fc.enc.rowFor(len(e.Head()))
-			err = e.H.AccessInto(j, t)
-			pc.done()
-		}
-		if err != nil {
-			return err
-		}
-		body := appendAccessBody(fc.enc.buf[:0], dict, j, t)
-		if cache != nil {
-			cache.offer(e.Name, gen, j, body)
-		}
-		return fc.writeResponse(http.StatusOK, "application/json", body)
-
-	case opBatch:
-		raw, _ := fc.param(query, "js")
-		js, err := appendJSListBytes(fc.enc.jsFor(), raw)
-		fc.enc.js = js[:0]
-		if err != nil {
-			return err
-		}
-		if int64(len(js)) > s.cfg.MaxBatch {
-			return httpErrorf(http.StatusBadRequest, "batch of %d exceeds limit %d", len(js), s.cfg.MaxBatch)
-		}
-		fc.enc.buf = fc.enc.buf[:0]
-		pc := startProbe(e.histBatch(), tr, "build")
-		body, err := buildBatchBody(fc.f.baseCtx, e, dict, &fc.enc, js, hm.wantWire)
-		pc.done()
-		if err != nil {
-			return err
-		}
-		return fc.writeNegotiated(body, hm.wantWire)
-
-	case opPage:
-		offset, err := fc.paramInt64(query, "offset", 0)
-		if err != nil {
-			return err
-		}
-		limit, err := fc.paramInt64(query, "limit", 10)
-		if err != nil {
-			return err
-		}
-		if limit > s.cfg.MaxBatch {
-			return httpErrorf(http.StatusBadRequest, "limit %d exceeds %d", limit, s.cfg.MaxBatch)
-		}
-		if offset < 0 || limit < 0 {
-			return httpErrorf(http.StatusBadRequest, "offset and limit must be non-negative")
-		}
-		fc.enc.buf = fc.enc.buf[:0]
-		pc := startProbe(e.histPage(), tr, "build")
-		body, err := buildPageBody(fc.f.baseCtx, e, dict, &fc.enc, offset, limit, hm.wantWire)
-		pc.done()
-		if err != nil {
-			return err
-		}
-		return fc.writeNegotiated(body, hm.wantWire)
-
-	case opSample:
-		k, err := fc.paramInt64(query, "k", 1)
-		if err != nil {
-			return err
-		}
-		if k < 0 || k > s.cfg.MaxBatch {
-			return httpErrorf(http.StatusBadRequest, "k=%d out of range [0, %d]", k, s.cfg.MaxBatch)
-		}
-		seed, err := fc.paramInt64(query, "seed", time.Now().UnixNano())
-		if err != nil {
-			return err
-		}
-		smp, err := e.H.Sampler()
-		if err != nil {
-			return err
-		}
-		pc := startProbe(e.histSample(), tr, "probe")
-		ts, err := smp.SampleN(k, rand.New(rand.NewSource(seed)))
-		pc.done()
-		if err != nil {
-			return err
-		}
-		fc.enc.buf = fc.enc.buf[:0]
-		return fc.writeResponse(http.StatusOK, "application/json", buildSampleBody(dict, &fc.enc, ts, !smp.Distinct()))
-
-	case opEnumNext:
-		rawCur, _ := fc.param(query, "cursor")
-		n, err := fc.paramInt64(query, "n", 1)
-		if err != nil {
-			return err
-		}
-		if n <= 0 || n > s.cfg.MaxCursorDraw {
-			return httpErrorf(http.StatusBadRequest, "n=%d out of range [1, %d]", n, s.cfg.MaxCursorDraw)
-		}
-		pc := startProbe(e.histCursor(), tr, "probe")
-		ts, done, err := s.cursors.Next(fc.f.baseCtx, string(rawCur), e.Name, n)
-		pc.done()
-		if err != nil {
-			return err
-		}
-		fc.enc.buf = fc.enc.buf[:0]
-		return fc.writeNegotiated(buildEnumNextBody(dict, &fc.enc, ts, len(e.Head()), done, hm.wantWire), hm.wantWire)
+	fc.src = local{view: view{e: e, db: db, gen: gen}, enc: &fc.enc, tr: tr}
+	fc.req = request{op: op, wantWire: wantWire}
+	fc.enc.buf = fc.enc.buf[:0]
+	if err := parseRequest(&fc.req, fc, &fc.enc); err != nil {
+		return err
 	}
-	return httpErrorf(http.StatusInternalServerError, "unreachable fast op %d", op)
+	body, isWire, err := s.core.do(fc.f.baseCtx, &fc.src, &fc.req, &fc.enc)
+	if err != nil {
+		return err
+	}
+	return fc.writeNegotiated(body, isWire)
 }
 
 func (fc *fastConn) writeNegotiated(body []byte, asWire bool) error {
@@ -724,56 +599,9 @@ func (fc *fastConn) abort(status int, msg string) {
 // with a Content-Length on this keep-alive connection. Cold by design: the
 // allocations here buy exact behavioral parity for every non-hot endpoint.
 func (fc *fastConn) serveFallback(method, target []byte) bool {
-	fc.c.SetReadDeadline(time.Now().Add(fastHeaderTimeout))
 	hdr := make(http.Header, 8)
 	var hm headerMeta
-	hm.contentLength = -1
-	for n := 0; ; n++ {
-		if n > fastMaxHeaders {
-			fc.abort(http.StatusRequestHeaderFieldsTooLarge, "too many headers")
-			return false
-		}
-		line, err := fc.readLine()
-		if err != nil {
-			if errors.Is(err, bufio.ErrBufferFull) {
-				fc.abort(http.StatusRequestHeaderFieldsTooLarge, "header line too long")
-			}
-			return false
-		}
-		if len(line) == 0 {
-			break
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 {
-			fc.abort(http.StatusBadRequest, "malformed header")
-			return false
-		}
-		name, val := line[:colon], trimOWS(line[colon+1:])
-		key := textproto.CanonicalMIMEHeaderKey(string(name))
-		hdr[key] = append(hdr[key], string(val))
-		switch {
-		case asciiEqualFold(name, "content-length"):
-			v, ok := parseInt64Bytes(val)
-			if !ok || v < 0 {
-				fc.abort(http.StatusBadRequest, "bad content-length")
-				return false
-			}
-			hm.contentLength = v
-		case asciiEqualFold(name, "connection"):
-			if tokenListHasFold(val, "close") {
-				hm.close = true
-			}
-		case asciiEqualFold(name, "transfer-encoding"):
-			hm.chunked = true
-		case asciiEqualFold(name, "expect"):
-			hm.expect100 = asciiEqualFold(val, "100-continue")
-		}
-	}
-	if hm.close {
-		fc.closing = true
-	}
-	if hm.chunked {
-		fc.abort(http.StatusNotImplemented, "chunked request bodies are not supported")
+	if !fc.readHeaders(&hm, hdr) {
 		return false
 	}
 	u, err := url.ParseRequestURI(string(target))
@@ -814,6 +642,12 @@ func (fc *fastConn) serveFallback(method, target []byte) bool {
 	req = req.WithContext(fc.f.baseCtx)
 	rw := &bufferedResponse{}
 	fc.f.s.mux.ServeHTTP(rw, req)
+	if req.Method == http.MethodHead {
+		// Like net/http: a HEAD response carries the headers of the GET —
+		// Content-Length included — and no body. Writing one would be read
+		// by a keep-alive client as the start of the next response.
+		rw.noBody = true
+	}
 	// Drain what the handler left so the next request starts on a boundary.
 	if lr != nil && lr.N > 0 {
 		if _, err := io.Copy(io.Discard, lr); err != nil {
@@ -833,6 +667,7 @@ type bufferedResponse struct {
 	hdr    http.Header
 	status int
 	body   bytes.Buffer
+	noBody bool // HEAD: frame the body's length, send none of it
 }
 
 func (b *bufferedResponse) Header() http.Header {
@@ -879,24 +714,26 @@ func (fc *fastConn) writeBuffered(rw *bufferedResponse) bool {
 	if _, err := fc.bw.Write(h); err != nil {
 		return false
 	}
-	if _, err := fc.bw.Write(rw.body.Bytes()); err != nil {
-		return false
+	if !rw.noBody {
+		if _, err := fc.bw.Write(rw.body.Bytes()); err != nil {
+			return false
+		}
+		fc.wrote += int64(rw.body.Len())
 	}
-	fc.wrote += int64(rw.body.Len())
 	return fc.bw.Flush() == nil
 }
 
 // -------------------------------------------------------- byte-level bits
 
-// trimOWS strips optional whitespace (space/tab) from both ends.
-func trimOWS(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t') {
-		b = b[1:]
+// hasCTL reports a control byte other than HTAB in a header field value;
+// net/http answers those 400 as well.
+func hasCTL(b []byte) bool {
+	for _, c := range b {
+		if c < ' ' && c != '\t' || c == 0x7f {
+			return true
+		}
 	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t') {
-		b = b[:len(b)-1]
-	}
-	return b
+	return false
 }
 
 // asciiEqualFold compares b to the lowercase ASCII string s, case-folding b.
@@ -927,26 +764,6 @@ func tokenListHasFold(b []byte, tok string) bool {
 			part, b = b, nil
 		}
 		if asciiEqualFold(trimOWS(part), tok) {
-			return true
-		}
-	}
-	return false
-}
-
-// acceptBytesWire is acceptIsWire over raw header bytes.
-func acceptBytesWire(b []byte) bool {
-	for len(b) > 0 {
-		var part []byte
-		if i := bytes.IndexByte(b, ','); i >= 0 {
-			part, b = b[:i], b[i+1:]
-		} else {
-			part, b = b, nil
-		}
-		part = trimOWS(part)
-		if i := bytes.IndexByte(part, ';'); i >= 0 {
-			part = trimOWS(part[:i])
-		}
-		if string(part) == wire.ContentType {
 			return true
 		}
 	}
@@ -991,88 +808,40 @@ func parseInt64Bytes(b []byte) (int64, bool) {
 	return int64(n), true
 }
 
-// param returns key's percent-decoded value from the raw query bytes
-// (first occurrence, like url.Values.Get).
-func (fc *fastConn) param(query []byte, key string) ([]byte, bool) {
-	for len(query) > 0 {
+// rawParam returns key's value from the raw query bytes (first occurrence,
+// like url.Values.Get). No decoding: a query that needs any took the mux.
+func (fc *fastConn) rawParam(key string) []byte {
+	for query := fc.query; len(query) > 0; {
 		var pair []byte
-		if i := bytes.IndexByte(query, '&'); i >= 0 {
-			pair, query = query[:i], query[i+1:]
-		} else {
-			pair, query = query, nil
-		}
-		k, v := pair, []byte(nil)
-		if i := bytes.IndexByte(pair, '='); i >= 0 {
-			k, v = pair[:i], pair[i+1:]
-		}
-		if string(k) == key {
-			return fc.unescape(v), true
+		pair, query, _ = bytes.Cut(query, []byte("&"))
+		if k, v, _ := bytes.Cut(pair, []byte("=")); string(k) == key {
+			return v
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// unescape percent-decodes v into the connection scratch when needed.
-// Malformed escapes pass through literally (hostile input; the probe then
-// rejects the value).
-func (fc *fastConn) unescape(v []byte) []byte {
-	if bytes.IndexByte(v, '%') < 0 && bytes.IndexByte(v, '+') < 0 {
-		return v
-	}
-	dst := fc.val[:0]
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; {
-		case c == '+':
-			dst = append(dst, ' ')
-		case c == '%' && i+2 < len(v) && isHex(v[i+1]) && isHex(v[i+2]):
-			dst = append(dst, unhex(v[i+1])<<4|unhex(v[i+2]))
-			i += 2
-		default:
-			dst = append(dst, c)
-		}
-	}
-	fc.val = dst
-	return dst
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-func unhex(c byte) byte {
-	switch {
-	case c >= 'a':
-		return c - 'a' + 10
-	case c >= 'A':
-		return c - 'A' + 10
-	}
-	return c - '0'
-}
-
-// paramInt64 mirrors queryInt64: absent or empty values take the default,
-// and the error text matches strconv's exactly.
-func (fc *fastConn) paramInt64(query []byte, key string, def int64) (int64, error) {
-	v, ok := fc.param(query, key)
-	if !ok || len(v) == 0 {
+// intParam mirrors queryInt64: absent or empty values take the default,
+// and the error text is strconv's own.
+func (fc *fastConn) intParam(name string, def int64) (int64, error) {
+	v := fc.rawParam(name)
+	if len(v) == 0 {
 		return def, nil
 	}
 	n, ok := parseInt64Bytes(v)
 	if !ok {
 		_, err := strconv.ParseInt(string(v), 10, 64)
-		return 0, httpErrorf(http.StatusBadRequest, "%s: %v", key, err)
+		return 0, HTTPErrorf(http.StatusBadRequest, "%s: %v", name, err)
 	}
 	return n, nil
 }
 
-// appendJSListBytes is appendJSList over raw query bytes.
-func appendJSListBytes(dst []int64, s []byte) ([]int64, error) {
+// jsParam is appendJSList over the raw query bytes.
+func (fc *fastConn) jsParam(dst []int64) ([]int64, error) {
+	s := fc.rawParam("js")
 	for len(s) > 0 {
 		var part []byte
-		if i := bytes.IndexByte(s, ','); i >= 0 {
-			part, s = s[:i], s[i+1:]
-		} else {
-			part, s = s, nil
-		}
+		part, s, _ = bytes.Cut(s, []byte(","))
 		part = bytes.TrimSpace(part)
 		if len(part) == 0 {
 			continue
@@ -1080,21 +849,9 @@ func appendJSListBytes(dst []int64, s []byte) ([]int64, error) {
 		j, ok := parseInt64Bytes(part)
 		if !ok {
 			_, err := strconv.ParseInt(string(part), 10, 64)
-			return dst, httpErrorf(http.StatusBadRequest, "js: %v", err)
+			return dst, HTTPErrorf(http.StatusBadRequest, "js: %v", err)
 		}
 		dst = append(dst, j)
 	}
 	return dst, nil
-}
-
-// joinNames mirrors strings.Join(names, ", ") (cold: 404 bodies only).
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }

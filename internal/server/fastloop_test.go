@@ -147,14 +147,21 @@ func TestFastLoopMatchesMux(t *testing.T) {
 		{"access first", "GET", "/v1/Q/access?j=0", "", ""},
 		{"access last", "GET", fmt.Sprintf("/v1/Q/access?j=%d", n-1), "", ""},
 		{"access missing j", "GET", "/v1/Q/access", "", ""},
-		{"access out of range", "GET", fmt.Sprintf("/v1/Q/access?j=%d", n), "", ""},
 		{"access bad j", "GET", "/v1/Q/access?j=zap", "", ""},
 		{"access escaped j", "GET", "/v1/Q/access?j=%30", "", ""},
+		// Anything net/url would decode takes the mux, so the two transports
+		// cannot disagree on escaped keys, malformed escapes or separators.
+		{"access escaped key", "GET", "/v1/Q/access?%6a=0", "", ""},
+		{"access bad escape", "GET", "/v1/Q/access?j=%zz", "", ""},
+		{"access truncated escape", "GET", "/v1/Q/access?j=%", "", ""},
+		{"access semicolon", "GET", "/v1/Q/access?j=0;x=1", "", ""},
+		{"access duplicate j", "GET", "/v1/Q/access?j=0&j=1", "", ""},
+		{"batch escaped comma", "GET", "/v1/Q/batch?js=0%2C1", "", ""},
+		{"page escaped and plus", "GET", "/v1/Q/page?limit=%32&offset=+1", "", ""},
 		{"batch", "GET", "/v1/Q/batch?js=0,1,2", "", ""},
 		{"batch spaced", "GET", "/v1/Q/batch?js=0,+1,,2", "", ""},
 		{"batch empty", "GET", "/v1/Q/batch?js=", "", ""},
 		{"batch bad", "GET", "/v1/Q/batch?js=1,x", "", ""},
-		{"batch out of range", "GET", fmt.Sprintf("/v1/Q/batch?js=0,%d", n), "", ""},
 		{"batch wire", "GET", "/v1/Q/batch?js=0,1,2", "", wire.ContentType},
 		{"page", "GET", "/v1/Q/page?offset=1&limit=2", "", ""},
 		{"page defaults", "GET", "/v1/Q/page", "", ""},
@@ -163,10 +170,8 @@ func TestFastLoopMatchesMux(t *testing.T) {
 		{"page wire", "GET", "/v1/Q/page?offset=0&limit=4", "", wire.ContentType},
 		{"sample seeded", "GET", "/v1/Q/sample?k=3&seed=42", "", ""},
 		{"sample ucq seeded", "GET", "/v1/U/sample?k=2&seed=7", "", ""},
-		{"sample bad k", "GET", "/v1/Q/sample?k=-1", "", ""},
 		{"unknown query", "GET", "/v1/nope/count", "", ""},
 		{"enum next no cursor", "GET", "/v1/Q/enum/next?cursor=bogus&n=1", "", ""},
-		{"enum next bad n", "GET", "/v1/Q/enum/next?cursor=bogus&n=0", "", ""},
 		// Fallback (mux-served) endpoints over the same socket.
 		{"list", "GET", "/v1", "", ""},
 		{"meta", "GET", "/v1/Q", "", ""},
@@ -221,7 +226,8 @@ func TestFastLoopKeepAlive(t *testing.T) {
 }
 
 // TestFastLoopCursorEquivalence drains one cursor through the fast loop and
-// a twin cursor through the mux, in both orders, asserting identical draws.
+// a twin cursor through the mux, in both orders, asserting identical draws
+// (one of them spelled with percent-escaped cursor and n).
 func TestFastLoopCursorEquivalence(t *testing.T) {
 	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
 	_, addr := startFast(t, s)
@@ -240,7 +246,13 @@ func TestFastLoopCursorEquivalence(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				target := "/v1/Q/enum/next?n=2&cursor="
 				wantBody, wantStatus, _ := doRawAccept(s, "GET", target+muxCur, "", "")
-				got := fastDo(t, addr, "GET", target+fastCur, "", "")
+				fastTarget := target + fastCur
+				if i == 1 {
+					// Both values percent-escaped: the draw must find the live
+					// cursor and honor n, like the plain spelling.
+					fastTarget = fmt.Sprintf("/v1/Q/enum/next?cursor=%%%02x%s&n=%%32", fastCur[0], fastCur[1:])
+				}
+				got := fastDo(t, addr, "GET", fastTarget, "", "")
 				if got.status != wantStatus {
 					t.Fatalf("draw %d: status %d, want %d", i, got.status, wantStatus)
 				}
@@ -251,6 +263,46 @@ func TestFastLoopCursorEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFastLoopHeadKeepsFraming: a HEAD response carries Content-Length and
+// no body, so the next response on the connection starts right after the
+// header block.
+func TestFastLoopHeadKeepsFraming(t *testing.T) {
+	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	_, addr := startFast(t, s)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	fmt.Fprintf(c, "HEAD /healthz HTTP/1.1\r\nHost: test\r\n\r\nGET /v1/Q/count HTTP/1.1\r\nHost: test\r\n\r\n")
+	br := bufio.NewReader(c)
+	var clen string
+	for first := true; ; first = false {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("read HEAD response: %v", err)
+		}
+		if first && !strings.HasPrefix(line, "HTTP/1.1 200") {
+			t.Fatalf("HEAD status line %q", line)
+		}
+		if v, ok := strings.CutPrefix(line, "Content-Length: "); ok {
+			clen = strings.TrimSpace(v)
+		}
+		if line == "\r\n" {
+			break
+		}
+	}
+	if clen != strconv.Itoa(len(healthzBody)) {
+		t.Fatalf("HEAD Content-Length = %q, want %d (the GET body's length)", clen, len(healthzBody))
+	}
+	got := readFastResponse(t, br) // fails on a bad status line if a HEAD body was sent
+	want, _, _ := doRawAccept(s, "GET", "/v1/Q/count", "", "")
+	if got.status != 200 || !bytes.Equal(got.body, want) {
+		t.Fatalf("pipelined GET after HEAD = %d %q, want 200 %q", got.status, got.body, want)
 	}
 }
 

@@ -113,7 +113,7 @@ func (s *Server) registerCollectors() {
 		})
 	s.obs.CollectorFunc("renum_cursors", "Live enumeration cursors.",
 		obs.KindGauge, func(emit func(string, float64)) {
-			emit("", float64(s.cursors.Len()))
+			emit("", float64(s.core.LiveCursors()))
 		})
 	s.obs.CollectorFunc("renum_uptime_seconds", "Seconds since the server started.",
 		obs.KindGauge, func(emit func(string, float64)) {

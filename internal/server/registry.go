@@ -47,46 +47,8 @@ type Entry struct {
 
 	// qm holds the per-operation probe histograms resolved from the
 	// registry's observer at build time. Nil when no observer is set;
-	// handlers record through these pointers with no lookup per request.
+	// local.Probe records through these pointers with no lookup per request.
 	qm *obs.ProbeOps
-}
-
-// Per-op histogram accessors, nil-safe for observer-less registries.
-func (e *Entry) histAccess() *obs.Histogram {
-	if e.qm == nil {
-		return nil
-	}
-	return e.qm.Access
-}
-func (e *Entry) histCount() *obs.Histogram {
-	if e.qm == nil {
-		return nil
-	}
-	return e.qm.Count
-}
-func (e *Entry) histBatch() *obs.Histogram {
-	if e.qm == nil {
-		return nil
-	}
-	return e.qm.Batch
-}
-func (e *Entry) histPage() *obs.Histogram {
-	if e.qm == nil {
-		return nil
-	}
-	return e.qm.Page
-}
-func (e *Entry) histSample() *obs.Histogram {
-	if e.qm == nil {
-		return nil
-	}
-	return e.qm.Sample
-}
-func (e *Entry) histCursor() *obs.Histogram {
-	if e.qm == nil {
-		return nil
-	}
-	return e.qm.Cursor
 }
 
 // Kind names the handle's backend family (diagnostics/metadata only).

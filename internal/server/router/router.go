@@ -8,13 +8,15 @@
 // # Byte-identity
 //
 // The router's probe responses are byte-identical to a single unsharded
-// daemon's: bodies are rebuilt with the same alphabetical-key builders and
-// escaping table (internal/jsonx), enumeration cursors draw sequential
-// global positions exactly like the daemon's, and random-order cursors and
-// /sample consume a seeded rng exactly like the library backends (one
-// lazy Fisher–Yates over the global count). Shard-to-router hops negotiate
-// the binary wire format (internal/wire) so fan-out bandwidth does not pay
-// JSON costs twice.
+// daemon's because they are the daemon's own code: every probe op runs
+// through internal/server's endpoint core — the same validation, error
+// strings, body builders, Accept negotiation and cursor store — over a
+// Source that fetches rows from the shards instead of a local index
+// (remote, below). What the router adds is only the row source: random-order
+// cursors and /sample consume a seeded rng exactly like the library
+// backends (one lazy Fisher–Yates over the global count), and shard-to-router
+// hops negotiate the binary wire format (internal/wire) so fan-out bandwidth
+// does not pay JSON costs twice.
 //
 // # Degradation
 //
@@ -34,6 +36,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,6 +45,7 @@ import (
 
 	"repro"
 	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/shuffle"
 	"repro/internal/wire"
 )
@@ -87,9 +91,9 @@ type Router struct {
 	client *http.Client
 	logger *slog.Logger
 
-	table   atomic.Pointer[table]
-	cursors *cursorStore
-	mux     *http.ServeMux
+	table atomic.Pointer[table]
+	core  *server.Core[[]string]
+	mux   *http.ServeMux
 
 	obs       *obs.Registry
 	fanouts   *obs.Counter // number of scatter-gather rounds
@@ -111,12 +115,6 @@ func New(cfg Config) *Router {
 	if cfg.Refresh <= 0 {
 		cfg.Refresh = 2 * time.Second
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 1 << 16
-	}
-	if cfg.MaxCursorDraw <= 0 {
-		cfg.MaxCursorDraw = 1 << 16
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
@@ -127,10 +125,13 @@ func New(cfg Config) *Router {
 	}
 	reg := obs.NewRegistry()
 	r := &Router{
-		cfg:       cfg,
-		client:    client,
-		logger:    logger,
-		cursors:   newCursorStore(cfg.CursorTTL, cfg.CursorSweep),
+		cfg:    cfg,
+		client: client,
+		logger: logger,
+		core: server.NewCore[[]string](server.Limits{
+			MaxBatch: cfg.MaxBatch, MaxCursorDraw: cfg.MaxCursorDraw,
+			CursorTTL: cfg.CursorTTL, CursorSweep: cfg.CursorSweep,
+		}),
 		mux:       http.NewServeMux(),
 		obs:       reg,
 		fanouts:   reg.Counter("renum_shard_fanout_total", "Scatter-gather rounds issued by the router.", ""),
@@ -147,25 +148,25 @@ func New(cfg Config) *Router {
 		return 0
 	})
 	reg.GaugeFunc("renum_router_cursors_live", "Live router-held enumeration cursors.", "", func() float64 {
-		return float64(r.cursors.Len())
+		return float64(r.core.LiveCursors())
 	})
 	r.route("GET /healthz", r.handleHealthz)
 	r.route("GET /readyz", r.handleReadyz)
 	r.route("GET /metrics", r.handleMetrics)
 	r.route("GET /v1", r.handleList)
 	r.route("GET /v1/{query}", r.query(r.handleMeta))
-	r.route("GET /v1/{query}/count", r.query(r.handleCount))
-	r.route("GET /v1/{query}/access", r.query(r.handleAccess))
-	r.route("GET /v1/{query}/batch", r.query(r.handleBatch))
-	r.route("POST /v1/{query}/batch", r.query(r.handleBatch))
-	r.route("GET /v1/{query}/page", r.query(r.handlePage))
-	r.route("GET /v1/{query}/sample", r.query(r.handleSample))
-	r.route("POST /v1/{query}/contains", r.query(r.handleContains))
-	r.route("POST /v1/{query}/inverted", r.query(r.handleInverted))
+	r.op("GET /v1/{query}/count", server.OpCount)
+	r.op("GET /v1/{query}/access", server.OpAccess)
+	r.op("GET /v1/{query}/batch", server.OpBatch)
+	r.op("POST /v1/{query}/batch", server.OpBatch)
+	r.op("GET /v1/{query}/page", server.OpPage)
+	r.op("GET /v1/{query}/sample", server.OpSample)
+	r.op("POST /v1/{query}/contains", server.OpContains)
+	r.op("POST /v1/{query}/inverted", server.OpInverted)
 	r.route("POST /v1/{query}/update", r.query(r.handleUpdate))
-	r.route("POST /v1/{query}/enum/start", r.query(r.handleEnumStart))
-	r.route("GET /v1/{query}/enum/next", r.query(r.handleEnumNext))
-	r.route("DELETE /v1/{query}/enum", r.query(r.handleEnumClose))
+	r.op("POST /v1/{query}/enum/start", server.OpEnumStart)
+	r.op("GET /v1/{query}/enum/next", server.OpEnumNext)
+	r.op("DELETE /v1/{query}/enum", server.OpEnumClose)
 	return r
 }
 
@@ -250,7 +251,7 @@ func (r *Router) Close() {
 	r.draining.Store(true)
 	close(r.stop)
 	r.wg.Wait()
-	r.cursors.Shutdown()
+	r.core.Close()
 }
 
 // shardMetrics resolves (lazily creating) the instrument set for one shard.
@@ -279,69 +280,10 @@ func (r *Router) markUnhealthy(base string) {
 	m.healthy.Set(0)
 }
 
-// ------------------------------------------------------------------ errors
-
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func httpErrorf(status int, format string, args ...any) error {
-	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-const statusClientClosedRequest = 499
-
-func errorStatus(err error) int {
-	var he *httpError
-	var se *shardError
-	switch {
-	case errors.As(err, &he):
-		return he.status
-	case errors.As(err, &se):
-		// The shard hop failed: the router is fine, the upstream is not —
-		// 502, with the failing daemon named in the body.
-		return http.StatusBadGateway
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return statusClientClosedRequest
-	case renum.IsUnsupported(err):
-		return http.StatusNotImplemented
-	case errors.Is(err, renum.ErrOutOfBounds):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrNoCursor):
-		return http.StatusNotFound
-	case errors.Is(err, ErrCursorBusy):
-		return http.StatusConflict
-	}
-	return http.StatusInternalServerError
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	e := getEnc()
-	w.Write(appendErrorBody(e.buf, msg))
-	e.release()
-}
-
-func writeBody(w http.ResponseWriter, body []byte) error {
-	w.Header().Set("Content-Type", "application/json")
-	_, err := w.Write(body)
-	return err
-}
-
-func writeWireBody(w http.ResponseWriter, body []byte) error {
-	w.Header().Set("Content-Type", wire.ContentType)
-	_, err := w.Write(body)
-	return err
-}
-
 func (r *Router) route(pattern string, h func(w http.ResponseWriter, req *http.Request) error) {
 	r.mux.HandleFunc(pattern, func(w http.ResponseWriter, req *http.Request) {
 		if err := h(w, req); err != nil {
-			writeError(w, errorStatus(err), err.Error())
+			server.WriteError(w, err)
 		}
 	})
 }
@@ -353,21 +295,31 @@ func (r *Router) query(h func(w http.ResponseWriter, req *http.Request, t *table
 	return func(w http.ResponseWriter, req *http.Request) error {
 		t := r.table.Load()
 		if t == nil {
-			return httpErrorf(http.StatusServiceUnavailable, "no routing table yet (shards not scraped ready)")
+			return errNoTable
 		}
 		name := req.PathValue("query")
 		rt, ok := t.queries[name]
 		if !ok {
-			return httpErrorf(http.StatusNotFound, "no query %q (serving: %s)", name, strings.Join(t.names, ", "))
+			return server.NoQuery(name, t.names)
 		}
 		return h(w, req, t, rt)
 	}
 }
 
+var errNoTable = server.HTTPErrorf(http.StatusServiceUnavailable, "no routing table yet (shards not scraped ready)")
+
+// op mounts one core op: the daemon's own net/http transport and endpoint
+// core, over this fleet's rows.
+func (r *Router) op(pattern string, op server.Op) {
+	r.route(pattern, r.query(func(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
+		return r.core.Serve(w, req, op, &remote{r: r, t: t, rt: rt})
+	}))
+}
+
 // ---------------------------------------------------------------- handlers
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) error {
-	return writeBody(w, healthzBody)
+	return server.WriteHealthz(w)
 }
 
 func (r *Router) handleReadyz(w http.ResponseWriter, req *http.Request) error {
@@ -375,15 +327,7 @@ func (r *Router) handleReadyz(w http.ResponseWriter, req *http.Request) error {
 	if t := r.table.Load(); t != nil {
 		gen = t.gen
 	}
-	enc := getEnc()
-	defer enc.release()
-	if !r.Ready() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write(appendReadyzBody(enc.buf, false, gen))
-		return nil
-	}
-	return writeBody(w, appendReadyzBody(enc.buf, true, gen))
+	return server.WriteReadyz(w, r.Ready(), gen)
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) error {
@@ -391,21 +335,16 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) error {
 	return r.obs.WritePrometheus(w)
 }
 
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	return json.NewEncoder(w).Encode(v)
-}
-
 func (r *Router) handleList(w http.ResponseWriter, req *http.Request) error {
 	t := r.table.Load()
 	if t == nil {
-		return httpErrorf(http.StatusServiceUnavailable, "no routing table yet (shards not scraped ready)")
+		return errNoTable
 	}
-	return writeJSON(w, map[string]any{"queries": t.names, "generation": t.gen})
+	return server.WriteJSON(w, map[string]any{"queries": t.names, "generation": t.gen})
 }
 
 func (r *Router) handleMeta(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	return writeJSON(w, map[string]any{
+	return server.WriteJSON(w, map[string]any{
 		"name":         rt.name,
 		"kind":         rt.kind,
 		"count":        rt.total,
@@ -415,132 +354,59 @@ func (r *Router) handleMeta(w http.ResponseWriter, req *http.Request, t *table, 
 	})
 }
 
-func (r *Router) handleCount(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	enc := getEnc()
-	defer enc.release()
-	return writeBody(w, appendCountBody(enc.buf, rt.total))
+func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
+	// A sharded fleet is static by construction (shard slices reject
+	// updatable entries); the router mirrors the daemon's vocabulary: 501.
+	return fmt.Errorf("updates through the router: %w (shard slices are static)", renum.ErrUnsupported)
 }
 
-func (r *Router) handleAccess(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	j, err := queryInt64(req, "j", -1)
-	if err != nil {
-		return err
-	}
-	if j < 0 || j >= rt.total {
-		return httpErrorf(http.StatusBadRequest, "j=%d out of range [0, %d)", j, rt.total)
-	}
-	sh, local := rt.locate(j)
+// ------------------------------------------------------------ remote source
+
+// remote is the router's server.Source: one query of one routing table,
+// its rows fetched from the shard daemons as already-rendered strings.
+// Everything the client sees of them — validation, framing, cursors — is the
+// endpoint core's; remote only locates positions and moves rows. The table
+// is immutable, so the draw functions a cursor keeps stay coherent across
+// scrapes.
+type remote struct {
+	r  *Router
+	t  *table
+	rt *route
+}
+
+func (s *remote) Name() string      { return s.rt.name }
+func (s *remote) Kind() string      { return s.rt.kind }
+func (s *remote) Count() int64      { return s.rt.total }
+func (s *remote) Arity() int        { return len(s.rt.head) }
+func (s *remote) Dict() *renum.Dict { return nil }
+
+func (s *remote) Has(c renum.Capability) bool { return slices.Contains(s.rt.caps, string(c)) }
+
+// CacheGen: the router holds no answer cache.
+func (s *remote) CacheGen() (uint64, bool) { return 0, false }
+
+// Probe: shard hops are timed per shard (renum_shard_request_duration_seconds),
+// not per op.
+func (s *remote) Probe(server.Op) server.ProbeClock { return server.ProbeClock{} }
+
+func (s *remote) Access(ctx context.Context, j int64) ([]string, error) {
+	sh, local := s.rt.locate(j)
+	// The shard answers with its local position; the core frames the body
+	// with the global j the client asked for.
 	var body struct {
 		Answer []string `json:"answer"`
 		J      int64    `json:"j"`
 	}
-	if err := r.getJSON(req.Context(), t.shards[sh], "/v1/"+rt.name+"/access?j="+strconv.FormatInt(local, 10), &body); err != nil {
-		return err
-	}
-	enc := getEnc()
-	defer enc.release()
-	// The shard answered with its local position; the client asked in global
-	// coordinates, so the response carries the global j back.
-	return writeBody(w, appendAccessBody(enc.buf, j, body.Answer))
+	err := s.r.getJSON(ctx, s.t.shards[sh], "/v1/"+s.rt.name+"/access?j="+strconv.FormatInt(local, 10), &body)
+	return body.Answer, err
 }
 
-func decodeBody(req *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, req.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return httpErrorf(http.StatusBadRequest, "body: %v", err)
-	}
-	return nil
-}
-
-func queryInt64(req *http.Request, name string, def int64) (int64, error) {
-	s := req.URL.Query().Get(name)
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, httpErrorf(http.StatusBadRequest, "%s: %v", name, err)
-	}
-	return v, nil
-}
-
-// appendJSList mirrors the daemon's comma-list parsing exactly: segments
-// space-trimmed, empty segments skipped.
-func appendJSList(dst []int64, s string) ([]int64, error) {
-	for s != "" {
-		var part string
-		if i := strings.IndexByte(s, ','); i >= 0 {
-			part, s = s[:i], s[i+1:]
-		} else {
-			part, s = s, ""
-		}
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		j, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return dst, httpErrorf(http.StatusBadRequest, "js: %v", err)
-		}
-		dst = append(dst, j)
-	}
-	return dst, nil
-}
-
-func wantsWire(req *http.Request) bool {
-	for _, part := range strings.Split(req.Header.Get("Accept"), ",") {
-		part = strings.TrimSpace(part)
-		if i := strings.IndexByte(part, ';'); i >= 0 {
-			part = strings.TrimSpace(part[:i])
-		}
-		if part == wire.ContentType {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	enc := getEnc()
-	defer enc.release()
-	var js []int64
-	if req.Method == http.MethodPost {
-		var body struct {
-			Js []int64 `json:"js"`
-		}
-		if err := decodeBody(req, &body); err != nil {
-			return err
-		}
-		js = body.Js
-	} else {
-		var err error
-		js, err = appendJSList(enc.jsFor(), req.URL.Query().Get("js"))
-		enc.js = js[:0]
-		if err != nil {
-			return err
-		}
-	}
-	if int64(len(js)) > r.cfg.MaxBatch {
-		return httpErrorf(http.StatusBadRequest, "batch of %d exceeds limit %d", len(js), r.cfg.MaxBatch)
-	}
-	rows, err := r.scatterBatch(req.Context(), t, rt, js)
-	if err != nil {
-		return err
-	}
-	if wantsWire(req) {
-		return writeWireBody(w, appendWireRows(enc.buf, rows, len(rt.head), 0, 0))
-	}
-	buf := openAnswersBody(enc.buf)
-	buf = appendAnswersRows(buf, rows)
-	return writeBody(w, closeAnswersBody(buf))
-}
-
-// scatterBatch resolves arbitrary global positions: validated up front (one
-// bad position fails the whole batch, exactly like the library), split per
+// Batch resolves arbitrary global positions: validated up front (one bad
+// position fails the whole batch, exactly like the library), split per
 // shard through the prefix-sum table, fanned out concurrently, scattered
 // back into request order.
-func (r *Router) scatterBatch(ctx context.Context, t *table, rt *route, js []int64) ([][]string, error) {
+func (s *remote) Batch(ctx context.Context, js []int64) ([][]string, error) {
+	r, t, rt := s.r, s.t, s.rt
 	for _, j := range js {
 		if j < 0 || j >= rt.total {
 			return nil, renum.ErrOutOfBounds
@@ -563,7 +429,7 @@ func (r *Router) scatterBatch(ctx context.Context, t *table, rt *route, js []int
 			reqs = append(reqs, shardDraw{shard: sh, js: local, at: perAt[sh]})
 		}
 	}
-	return out, r.fanOut(ctx, t, reqs, func(ctx context.Context, _ int, d shardDraw) error {
+	return out, r.fanOut(ctx, reqs, func(ctx context.Context, _ int, d shardDraw) error {
 		rows, err := r.shardBatch(ctx, t.shards[d.shard], rt.name, d.js)
 		if err != nil {
 			return err
@@ -588,7 +454,7 @@ type shardDraw struct {
 
 // fanOut runs one sub-request per shard portion concurrently and collects
 // the first error. Fan-out width lands in the router metrics.
-func (r *Router) fanOut(ctx context.Context, t *table, reqs []shardDraw, do func(context.Context, int, shardDraw) error) error {
+func (r *Router) fanOut(ctx context.Context, reqs []shardDraw, do func(context.Context, int, shardDraw) error) error {
 	r.fanouts.Inc()
 	r.fanoutSum.Add(uint64(len(reqs)))
 	if len(reqs) == 1 {
@@ -648,61 +514,26 @@ func (r *Router) shardPage(ctx context.Context, base, query string, lo, n int64)
 	return rows, nil
 }
 
-func (r *Router) handlePage(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	offset, err := queryInt64(req, "offset", 0)
-	if err != nil {
-		return err
-	}
-	limit, err := queryInt64(req, "limit", 10)
-	if err != nil {
-		return err
-	}
-	if limit > r.cfg.MaxBatch {
-		return httpErrorf(http.StatusBadRequest, "limit %d exceeds %d", limit, r.cfg.MaxBatch)
-	}
-	if offset < 0 || limit < 0 {
-		return httpErrorf(http.StatusBadRequest, "offset and limit must be non-negative")
-	}
-	rows, err := r.gatherPage(req.Context(), t, rt, offset, limit)
-	if err != nil {
-		return err
-	}
-	enc := getEnc()
-	defer enc.release()
-	if wantsWire(req) {
-		return writeWireBody(w, appendWireRows(enc.buf, rows, len(rt.head), 0, uint64(offset)))
-	}
-	buf := openAnswersBody(enc.buf)
-	buf = appendAnswersRows(buf, rows)
-	return writeBody(w, closeAnswersOffsetBody(buf, offset))
-}
-
-// gatherPage resolves the contiguous global window [offset, offset+limit):
-// each shard's intersection with the window is one local page request, and
-// the shard results concatenate in shard order — which IS global order, by
-// the partition contract. Tail clamping mirrors the daemon: offset past the
-// end is an empty page, an overshooting limit is shortened.
-func (r *Router) gatherPage(ctx context.Context, t *table, rt *route, offset, limit int64) ([][]string, error) {
-	k := limit
-	if offset >= rt.total {
-		k = 0
-	} else if k > rt.total-offset {
-		k = rt.total - offset
-	}
+// Page resolves the contiguous global window [offset, offset+k): each
+// shard's intersection with the window is one local page request, and the
+// shard results concatenate in shard order — which IS global order, by the
+// partition contract.
+func (s *remote) Page(ctx context.Context, offset, k int64) ([][]string, error) {
+	r, t, rt := s.r, s.t, s.rt
 	if k == 0 {
 		return [][]string{}, nil
 	}
 	var reqs []shardDraw
 	for sh := range t.shards {
 		shLo, shHi := rt.starts[sh], rt.starts[sh+1]
-		lo, hi := max64(offset, shLo), min64(offset+k, shHi)
+		lo, hi := max(offset, shLo), min(offset+k, shHi)
 		if lo >= hi {
 			continue
 		}
 		reqs = append(reqs, shardDraw{shard: sh, lo: lo - shLo, n: hi - lo})
 	}
 	parts := make([][][]string, len(reqs))
-	err := r.fanOut(ctx, t, reqs, func(ctx context.Context, i int, d shardDraw) error {
+	err := r.fanOut(ctx, reqs, func(ctx context.Context, i int, d shardDraw) error {
 		rows, err := r.shardPage(ctx, t.shards[d.shard], rt.name, d.lo, d.n)
 		if err != nil {
 			return err
@@ -720,65 +551,21 @@ func (r *Router) gatherPage(ctx context.Context, t *table, rt *route, offset, li
 	return out, nil
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+func (s *remote) Pager() func(context.Context, int64, int64) ([][]string, error) { return s.Page }
+
+// Sample: the shards are static slices, so the global sample is distinct —
+// and drawing a lazy Fisher–Yates prefix over the global count consumes the
+// seeded rng exactly like the library's sampler: same seed, same positions,
+// same bytes as the unsharded daemon.
+func (s *remote) Sample(ctx context.Context, k int64, rng *rand.Rand) ([][]string, bool, error) {
+	rows, err := s.Batch(ctx, drawPositions(shuffle.New(s.rt.total, rng), k))
+	return rows, false, err
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// rngFor mirrors the daemon: deterministic under ?seed=, time-seeded
-// otherwise.
-func rngFor(req *http.Request) (*rand.Rand, error) {
-	seed, err := queryInt64(req, "seed", time.Now().UnixNano())
-	if err != nil {
-		return nil, err
-	}
-	return rand.New(rand.NewSource(seed)), nil
-}
-
-func (r *Router) handleSample(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	k, err := queryInt64(req, "k", 1)
-	if err != nil {
-		return err
-	}
-	if k < 0 || k > r.cfg.MaxBatch {
-		return httpErrorf(http.StatusBadRequest, "k=%d out of range [0, %d]", k, r.cfg.MaxBatch)
-	}
-	rng, err := rngFor(req)
-	if err != nil {
-		return err
-	}
-	// The shards are static slices, so the global sample is distinct — and
-	// drawing a lazy Fisher–Yates prefix over the global count consumes the
-	// seeded rng exactly like the library's sampler: same seed, same
-	// positions, same bytes as the unsharded daemon.
-	js := drawPositions(rt.total, k, rng)
-	rows, err := r.scatterBatch(req.Context(), t, rt, js)
-	if err != nil {
-		return err
-	}
-	enc := getEnc()
-	defer enc.release()
-	buf := openAnswersBody(enc.buf)
-	buf = appendAnswersRows(buf, rows)
-	return writeBody(w, closeAnswersWithReplacementBody(buf, false))
-}
-
-// drawPositions draws min(k, n) distinct positions via the canonical lazy
-// Fisher–Yates prefix.
-func drawPositions(n, k int64, rng *rand.Rand) []int64 {
-	if k > n {
-		k = n
-	}
-	shuf := shuffle.New(n, rng)
+// drawPositions draws up to k further positions of a lazy Fisher–Yates
+// shuffle.
+func drawPositions(shuf *shuffle.Shuffler, k int64) []int64 {
+	k = min(k, shuf.Remaining())
 	js := make([]int64, 0, k)
 	for int64(len(js)) < k {
 		j, ok := shuf.Next()
@@ -790,19 +577,32 @@ func drawPositions(n, k int64, rng *rand.Rand) []int64 {
 	return js
 }
 
-type tupleBody struct {
-	Tuple []string `json:"tuple"`
+// Permute: one lazy Fisher–Yates over the global count, positions drawn
+// serially per request — the same rng consumption as the library's
+// Permutation, so same-seed draws are byte-identical to a single daemon's.
+// Draws are atomic (positions are consumed up front); a failed scatter
+// re-draws nothing and the cursor stays alive, so the positions of a failed
+// draw ARE lost to that cursor — exactly the each-answer-at-most-once
+// reading a fleet can honor.
+func (s *remote) Permute(rng *rand.Rand) (func(context.Context, int64) ([][]string, error), error) {
+	shuf := shuffle.New(s.rt.total, rng)
+	return func(ctx context.Context, k int64) ([][]string, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return s.Batch(ctx, drawPositions(shuf, k))
+	}, nil
 }
 
 // forwardTuple re-posts a tuple probe to shard daemons in shard order until
 // hit (the shards partition the answer space, so at most one can claim it).
-func (r *Router) forwardTuple(ctx context.Context, t *table, rt *route, path string, tuple []string, hit func(shard int, data []byte) (bool, error)) error {
-	body, err := json.Marshal(tupleBody{Tuple: tuple})
+func (s *remote) forwardTuple(ctx context.Context, path string, tuple []string, hit func(shard int, data []byte) (bool, error)) error {
+	body, err := json.Marshal(map[string][]string{"tuple": tuple})
 	if err != nil {
 		return err
 	}
-	for sh, base := range t.shards {
-		data, err := r.fetch(ctx, http.MethodPost, base, "/v1/"+rt.name+path, "", strings.NewReader(string(body)))
+	for sh, base := range s.t.shards {
+		data, err := s.r.fetch(ctx, http.MethodPost, base, "/v1/"+s.rt.name+path, "", strings.NewReader(string(body)))
 		if err != nil {
 			return err
 		}
@@ -814,186 +614,35 @@ func (r *Router) forwardTuple(ctx context.Context, t *table, rt *route, path str
 	return nil
 }
 
-func (r *Router) handleContains(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	if !hasCap(rt, string(renum.CapContains)) {
-		return fmt.Errorf("contains: %w (kind %s)", renum.ErrUnsupported, rt.kind)
-	}
-	var body tupleBody
-	if err := decodeBody(req, &body); err != nil {
-		return err
-	}
-	if len(body.Tuple) != len(rt.head) {
-		return httpErrorf(http.StatusBadRequest, "tuple has %d values, query arity is %d", len(body.Tuple), len(rt.head))
-	}
-	contains := false
-	err := r.forwardTuple(req.Context(), t, rt, "/contains", body.Tuple, func(sh int, data []byte) (bool, error) {
+func (s *remote) Contains(ctx context.Context, cells []string) (contains bool, err error) {
+	err = s.forwardTuple(ctx, "/contains", cells, func(sh int, data []byte) (bool, error) {
 		var cb struct {
 			Contains bool `json:"contains"`
 		}
 		if err := json.Unmarshal(data, &cb); err != nil {
-			return false, &shardError{shard: t.shards[sh], err: err}
+			return false, &shardError{shard: s.t.shards[sh], err: err}
 		}
 		contains = cb.Contains
 		return cb.Contains, nil
 	})
-	if err != nil {
-		return err
-	}
-	enc := getEnc()
-	defer enc.release()
-	return writeBody(w, appendContainsBody(enc.buf, contains))
+	return contains, err
 }
 
-func (r *Router) handleInverted(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	if !hasCap(rt, string(renum.CapInvert)) {
-		return fmt.Errorf("inverted access: %w (kind %s)", renum.ErrUnsupported, rt.kind)
-	}
-	var body tupleBody
-	if err := decodeBody(req, &body); err != nil {
-		return err
-	}
-	if len(body.Tuple) != len(rt.head) {
-		return httpErrorf(http.StatusBadRequest, "tuple has %d values, query arity is %d", len(body.Tuple), len(rt.head))
-	}
-	foundJ, found := int64(0), false
-	err := r.forwardTuple(req.Context(), t, rt, "/inverted", body.Tuple, func(sh int, data []byte) (bool, error) {
+func (s *remote) Inverted(ctx context.Context, cells []string) (j int64, found bool, err error) {
+	err = s.forwardTuple(ctx, "/inverted", cells, func(sh int, data []byte) (bool, error) {
 		var ib struct {
 			Found bool  `json:"found"`
 			J     int64 `json:"j"`
 		}
 		if err := json.Unmarshal(data, &ib); err != nil {
-			return false, &shardError{shard: t.shards[sh], err: err}
+			return false, &shardError{shard: s.t.shards[sh], err: err}
 		}
 		if ib.Found {
 			// The shard found it at a local position; the global position
 			// re-bases through the shard's window start.
-			foundJ, found = rt.starts[sh]+ib.J, true
+			j, found = s.rt.starts[sh]+ib.J, true
 		}
 		return ib.Found, nil
 	})
-	if err != nil {
-		return err
-	}
-	enc := getEnc()
-	defer enc.release()
-	return writeBody(w, appendInvertedBody(enc.buf, foundJ, found))
-}
-
-func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	// A sharded fleet is static by construction (shard slices reject
-	// updatable entries); the router mirrors the daemon's vocabulary: 501.
-	return fmt.Errorf("updates through the router: %w (shard slices are static)", renum.ErrUnsupported)
-}
-
-func hasCap(rt *route, c string) bool {
-	for _, have := range rt.caps {
-		if have == c {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *Router) handleEnumStart(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	if !hasCap(rt, string(renum.CapEnumerate)) {
-		return fmt.Errorf("enumeration cursors: %w (kind %s has no stable order)", renum.ErrUnsupported, rt.kind)
-	}
-	order := req.URL.Query().Get("order")
-	if order == "" {
-		order = "enum"
-	}
-	var nextN func(context.Context, int64) ([][]string, error)
-	switch order {
-	case "enum":
-		// Sequential global positions: each draw is one contiguous window,
-		// gathered with the page fan-out. The position only advances on
-		// success, so a shard fault mid-draw loses nothing — the client
-		// retries the same window once the shard returns.
-		var pos int64
-		n := rt.total
-		nextN = func(ctx context.Context, k int64) ([][]string, error) {
-			if pos >= n {
-				return nil, nil
-			}
-			if k > n-pos {
-				k = n - pos
-			}
-			rows, err := r.gatherPage(ctx, t, rt, pos, k)
-			if err != nil {
-				return nil, err
-			}
-			pos += int64(len(rows))
-			return rows, nil
-		}
-	case "random":
-		rng, err := rngFor(req)
-		if err != nil {
-			return err
-		}
-		// One lazy Fisher–Yates over the global count, positions drawn
-		// serially per request — the same rng consumption as the library's
-		// Permutation, so same-seed draws are byte-identical to a single
-		// daemon's. Draws are atomic (positions are consumed up front);
-		// a failed scatter re-draws nothing and the cursor stays alive, so
-		// the positions of a failed draw ARE lost to that cursor — exactly
-		// the each-answer-at-most-once reading a fleet can honor.
-		shuf := shuffle.New(rt.total, rng)
-		nextN = func(ctx context.Context, k int64) ([][]string, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if rem := shuf.Remaining(); k > rem {
-				k = rem
-			}
-			js := make([]int64, 0, k)
-			for int64(len(js)) < k {
-				j, ok := shuf.Next()
-				if !ok {
-					break
-				}
-				js = append(js, j)
-			}
-			return r.scatterBatch(ctx, t, rt, js)
-		}
-	default:
-		return httpErrorf(http.StatusBadRequest, "order must be enum or random, got %q", order)
-	}
-	id := r.cursors.Start(rt.name, nextN)
-	enc := getEnc()
-	defer enc.release()
-	return writeBody(w, appendCursorBody(enc.buf, id, r.cursors.ttl.Milliseconds()))
-}
-
-func (r *Router) handleEnumNext(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	id := req.URL.Query().Get("cursor")
-	n, err := queryInt64(req, "n", 1)
-	if err != nil {
-		return err
-	}
-	if n <= 0 || n > r.cfg.MaxCursorDraw {
-		return httpErrorf(http.StatusBadRequest, "n=%d out of range [1, %d]", n, r.cfg.MaxCursorDraw)
-	}
-	rows, done, err := r.cursors.Next(req.Context(), id, rt.name, n)
-	if err != nil {
-		return err
-	}
-	enc := getEnc()
-	defer enc.release()
-	if wantsWire(req) {
-		var flags uint32
-		if done {
-			flags = wire.FlagDone
-		}
-		return writeWireBody(w, appendWireRows(enc.buf, rows, len(rt.head), flags, 0))
-	}
-	buf := openAnswersBody(enc.buf)
-	buf = appendAnswersRows(buf, rows)
-	return writeBody(w, closeAnswersDoneBody(buf, done))
-}
-
-func (r *Router) handleEnumClose(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	if !r.cursors.Close(req.URL.Query().Get("cursor"), rt.name) {
-		return ErrNoCursor
-	}
-	return writeBody(w, closedBody)
+	return j, found, err
 }

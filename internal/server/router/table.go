@@ -174,6 +174,10 @@ func (e *shardError) Error() string { return fmt.Sprintf("shard %s: %v", e.shard
 
 func (e *shardError) Unwrap() error { return e.err }
 
+// HTTPStatus: the shard hop failed — the router is fine, the upstream is
+// not.
+func (e *shardError) HTTPStatus() int { return http.StatusBadGateway }
+
 // ------------------------------------------------------------- shard client
 
 // do performs one HTTP exchange with a shard, instrumented: the per-shard

@@ -53,12 +53,23 @@
 // (load/register/rebuild) are NOT logged; they are durable only through an
 // explicit /admin/save or /admin/compact.
 //
+// # Layout
+//
+// Every probe op — count, access, batch, page, sample, contains, inverted
+// and the cursor ops — is implemented once, in the endpoint core (core.go):
+// a parsed request and a row Source in, response bytes out. The fast
+// connection loop (fastloop.go) and the net/http mux (this file) are
+// transports that parse and write; the daemon's Source is an Entry probed in
+// this process (local, below), the router's (internal/server/router) fetches
+// rows from shard daemons and runs the same core. Metadata, updates and the
+// admin surface are plain mux handlers.
+//
 // # Dispatch
 //
-// Every entry is served through one *renum.Handle: handlers use the shared
-// probe surface and discover optional facilities via capabilities (Inverter,
-// Updater, Sampler, CapEnumerate). A probe the backend cannot serve fails
-// with renum.ErrUnsupported, which maps uniformly to 501 — there is no
+// Every entry is served through one *renum.Handle: the local Source uses the
+// shared probe surface and discovers optional facilities via capabilities
+// (Inverter, Updater, Sampler, CapEnumerate). A probe the backend cannot
+// serve fails with renum.ErrUnsupported, which maps uniformly to 501 — there is no
 // backend type switch anywhere in this package, so new backend kinds are
 // served without handler changes. Request contexts propagate into batched
 // probes (/batch, /page, enum-order cursor draws): a disconnected client
@@ -90,6 +101,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -138,7 +150,7 @@ type Config struct {
 type Server struct {
 	reg      *Registry
 	cfg      Config
-	cursors  *cursorStore
+	core     *Core[renum.Tuple]
 	metrics  *metricsRecorder
 	obs      *obs.Registry
 	traces   *traceStore
@@ -157,21 +169,18 @@ type Server struct {
 // starts ready; operators sequence readiness explicitly with SetReady
 // around WAL replay and drain.
 func New(reg *Registry, cfg Config) *Server {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 1 << 16
-	}
-	if cfg.MaxCursorDraw <= 0 {
-		cfg.MaxCursorDraw = 1 << 16
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
 	}
 	obsReg := obs.NewRegistry()
 	s := &Server{
-		reg:     reg,
-		cfg:     cfg,
-		cursors: newCursorStore(cfg.CursorTTL, cfg.CursorSweep),
+		reg: reg,
+		cfg: cfg,
+		core: NewCore[renum.Tuple](Limits{
+			MaxBatch: cfg.MaxBatch, MaxCursorDraw: cfg.MaxCursorDraw,
+			CursorTTL: cfg.CursorTTL, CursorSweep: cfg.CursorSweep,
+		}),
 		metrics: newMetricsRecorder(obsReg),
 		obs:     obsReg,
 		traces:  newTraceStore(cfg.TraceBuffer),
@@ -180,6 +189,7 @@ func New(reg *Registry, cfg Config) *Server {
 	}
 	if cfg.AnswerCacheBytes > 0 {
 		s.anscache = newAnswerCache(cfg.AnswerCacheBytes)
+		s.core.cache = s.anscache
 	}
 	s.ready.Store(true)
 	s.registerCollectors()
@@ -190,18 +200,18 @@ func New(reg *Registry, cfg Config) *Server {
 	s.route("GET /debug/traces", "debug_traces", s.handleDebugTraces)
 	s.route("GET /v1", "list", s.handleList)
 	s.route("GET /v1/{query}", "meta", s.entry(s.handleMeta))
-	s.route("GET /v1/{query}/count", "count", s.entry(s.handleCount))
-	s.route("GET /v1/{query}/access", "access", s.entry(s.handleAccess))
-	s.route("GET /v1/{query}/batch", "batch", s.entry(s.handleBatch))
-	s.route("POST /v1/{query}/batch", "batch", s.entry(s.handleBatch))
-	s.route("GET /v1/{query}/page", "page", s.entry(s.handlePage))
-	s.route("GET /v1/{query}/sample", "sample", s.entry(s.handleSample))
-	s.route("POST /v1/{query}/contains", "contains", s.entry(s.handleContains))
-	s.route("POST /v1/{query}/inverted", "inverted", s.entry(s.handleInverted))
+	s.op("GET /v1/{query}/count", OpCount)
+	s.op("GET /v1/{query}/access", OpAccess)
+	s.op("GET /v1/{query}/batch", OpBatch)
+	s.op("POST /v1/{query}/batch", OpBatch)
+	s.op("GET /v1/{query}/page", OpPage)
+	s.op("GET /v1/{query}/sample", OpSample)
+	s.op("POST /v1/{query}/contains", OpContains)
+	s.op("POST /v1/{query}/inverted", OpInverted)
 	s.route("POST /v1/{query}/update", "update", s.entry(s.handleUpdate))
-	s.route("POST /v1/{query}/enum/start", "enum_start", s.entry(s.handleEnumStart))
-	s.route("GET /v1/{query}/enum/next", "enum_next", s.entry(s.handleEnumNext))
-	s.route("DELETE /v1/{query}/enum", "enum_close", s.entry(s.handleEnumClose))
+	s.op("POST /v1/{query}/enum/start", OpEnumStart)
+	s.op("GET /v1/{query}/enum/next", OpEnumNext)
+	s.op("DELETE /v1/{query}/enum", OpEnumClose)
 	if !cfg.AdminDisabled {
 		s.route("POST /admin/load", "admin_load", s.handleAdminLoad)
 		s.route("POST /admin/register", "admin_register", s.handleAdminRegister)
@@ -232,8 +242,10 @@ func (s *Server) Ready() bool {
 // unready. In-flight requests are the http.Server's business.
 func (s *Server) Close() {
 	s.ready.Store(false)
-	s.cursors.Shutdown()
+	s.core.Close()
 }
+
+// ------------------------------------------------------------------ errors
 
 // httpError carries a status code through the handler plumbing.
 type httpError struct {
@@ -243,21 +255,39 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-func httpErrorf(status int, format string, args ...any) error {
+func (e *httpError) HTTPStatus() int { return e.status }
+
+// HTTPErrorf returns an error that WriteError renders with the given status.
+func HTTPErrorf(status int, format string, args ...any) error {
 	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+// NoQuery is the 404 for a {query} nobody serves.
+func NoQuery(name string, serving []string) error {
+	return HTTPErrorf(http.StatusNotFound, "no query %q (serving: %s)", name, strings.Join(serving, ", "))
 }
 
 // statusClientClosedRequest is nginx's non-standard 499: the client went
 // away before the response. There is no stdlib constant for it.
 const statusClientClosedRequest = 499
 
-// errorStatus maps a handler error to its HTTP status.
-func errorStatus(err error, clientGone bool) int {
-	var he *httpError
+// clientGone reports that err is the request context ending: the *client*
+// abandoned the probe mid-flight. Such a request answers 499 (best effort —
+// the client is gone) and stays out of the server-error metric, or
+// dashboards would read ordinary disconnects as faults.
+func clientGone(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// errorStatus maps a handler error to its HTTP status. An error anywhere in
+// the chain that knows its own status (an httpError; the router's typed
+// shard fault, a 502) decides.
+func errorStatus(err error) int {
+	var se interface{ HTTPStatus() int }
 	switch {
-	case errors.As(err, &he):
-		return he.status
-	case clientGone:
+	case errors.As(err, &se):
+		return se.HTTPStatus()
+	case clientGone(err):
 		return statusClientClosedRequest
 	case renum.IsUnsupported(err):
 		// Capability discovery is uniform: any probe the backend
@@ -274,6 +304,17 @@ func errorStatus(err error, clientGone bool) int {
 	return http.StatusInternalServerError
 }
 
+// WriteError renders err as the {"error": msg} response under its status.
+func WriteError(w http.ResponseWriter, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(errorStatus(err))
+	e := getEnc()
+	w.Write(errorBody(e.buf, err.Error()))
+	e.release()
+}
+
+// ------------------------------------------------------- request bracket
+
 // countingWriter counts response bytes for the per-endpoint bytes_out
 // metric; pooled so the wrapper itself costs no allocation per request.
 type countingWriter struct {
@@ -289,82 +330,55 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 var cwPool = sync.Pool{New: func() any { return &countingWriter{} }}
 
-// route installs a handler with metrics instrumentation. The endpoint's
-// instruments are resolved here, once, at registration — the per-request
-// closure records through pre-registered pointers.
-func (s *Server) route(pattern, name string, h func(w http.ResponseWriter, r *http.Request) error) {
-	ep := s.metrics.endpoint(name)
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		cw := cwPool.Get().(*countingWriter)
-		cw.ResponseWriter, cw.n = w, 0
-		// A client-supplied X-Request-Id turns tracing on for this request
-		// (and only then — untraced requests never touch the trace pool).
-		var tr *traceRec
-		if id := r.Header.Get("X-Request-Id"); id != "" {
-			tr = s.traces.beginString(id, name, t0)
-			r = r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, tr))
-		}
-		// Sampled requests bracket the handler with heap-allocation reads
-		// for the /metrics allocs_per_req_est column.
-		var allocs0 uint64
-		sampled := s.metrics.sampleTick()
-		if sampled {
-			allocs0 = heapAllocObjects()
-		}
-		err := h(cw, r)
-		// A cancelled request context means the *client* abandoned the
-		// probe mid-flight: report 499 (best effort — the client is gone)
-		// and keep it out of the server-error metric, or dashboards would
-		// read ordinary disconnects as faults.
-		clientGone := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-		if err != nil {
-			writeError(cw, errorStatus(err, clientGone), err.Error())
-		}
-		if sampled {
-			ep.observeAllocs(float64(heapAllocObjects() - allocs0))
-		}
-		d := time.Since(t0)
-		ep.observe(d, err != nil && !clientGone, cw.n)
-		status := http.StatusOK
-		if err != nil {
-			status = errorStatus(err, clientGone)
-		}
-		if tr != nil {
-			tr.finish(status, d)
-			s.traces.push(tr)
-		}
-		if s.cfg.SlowLog > 0 && d >= s.cfg.SlowLog {
-			s.logSlow(name, r, d, status)
-		}
-		cw.ResponseWriter = nil
-		cwPool.Put(cw)
-	})
+// bracket is the instrumentation around one request, identical on both
+// transports: the endpoint's counters and latency histogram, the sampled
+// heap-allocation delta behind allocs_per_req_est, the trace record a
+// client-supplied X-Request-Id turns on (and only then — untraced requests
+// never touch the trace pool), and the slow-request verdict.
+type bracket struct {
+	ep      *endpointMetrics
+	t0      time.Time
+	tr      *traceRec
+	sampled bool
+	allocs0 uint64
+}
+
+func beginRequest[T string | []byte](s *Server, ep *endpointMetrics, reqID T) bracket {
+	b := bracket{ep: ep, t0: time.Now()}
+	if len(reqID) > 0 {
+		b.tr = beginTrace(s.traces, reqID, ep.name, b.t0)
+	}
+	if b.sampled = s.metrics.sampleTick(); b.sampled {
+		b.allocs0 = heapAllocObjects()
+	}
+	return b
+}
+
+// end closes the bracket once the response (err's error body included) has
+// been written. slow tells the transport to emit its logSlow line.
+func (s *Server) end(b bracket, err error, wrote int64) (d time.Duration, status int, slow bool) {
+	if b.sampled {
+		b.ep.observeAllocs(float64(heapAllocObjects() - b.allocs0))
+	}
+	d = time.Since(b.t0)
+	b.ep.observe(d, err != nil && !clientGone(err), wrote)
+	status = http.StatusOK
+	if err != nil {
+		status = errorStatus(err)
+	}
+	if b.tr != nil {
+		b.tr.finish(status, d)
+		s.traces.push(b.tr)
+	}
+	return d, status, s.cfg.SlowLog > 0 && d >= s.cfg.SlowLog
 }
 
 // logSlow emits one structured line for a request over the SlowLog
 // threshold. Cold by definition — the request already blew its budget.
-func (s *Server) logSlow(endpoint string, r *http.Request, d time.Duration, status int) {
+func (s *Server) logSlow(endpoint, path, query, reqID string, d time.Duration, status int) {
 	attrs := []slog.Attr{
 		slog.String("endpoint", endpoint),
-		slog.String("path", r.URL.Path),
-		slog.Int64("duration_us", d.Microseconds()),
-		slog.Int("status", status),
-	}
-	if q := r.PathValue("query"); q != "" {
-		attrs = append(attrs, slog.String("query", q))
-	}
-	if id := r.Header.Get("X-Request-Id"); id != "" {
-		attrs = append(attrs, slog.String("request_id", id))
-	}
-	s.logger.LogAttrs(r.Context(), slog.LevelWarn, "slow request", attrs...)
-}
-
-// logSlowFast is logSlow for the fast loop, which has no *http.Request.
-func (s *Server) logSlowFast(endpoint, target, query, reqID string, d time.Duration, status int) {
-	attrs := []slog.Attr{
-		slog.String("endpoint", endpoint),
-		slog.String("path", target),
+		slog.String("path", path),
 		slog.Int64("duration_us", d.Microseconds()),
 		slog.Int("status", status),
 	}
@@ -377,266 +391,54 @@ func (s *Server) logSlowFast(endpoint, target, query, reqID string, d time.Durat
 	s.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow request", attrs...)
 }
 
-// writeError emits the {"error": msg} body: preformatted bytes for the
-// sentinel messages that recur verbatim, a pooled buffer otherwise — the old
-// per-error map[string]string + json.Encoder pair is gone.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if body := staticErrorBody(msg); body != nil {
-		w.Write(body)
-		return
-	}
-	e := getEnc()
-	w.Write(appendErrorBody(e.buf, msg))
-	e.release()
-}
-
-// view is everything a handler needs from ONE atomic snapshot load: the
-// entry's generation-mates. Resolving the entry and the dictionary with
-// separate loads is a race — a concurrent /admin rebuild can publish a new
-// generation between them, pairing an old entry with a new database —
-// so the entry middleware builds the view once and handlers never go back
-// to the registry.
-type view struct {
-	e   *Entry
-	db  *renum.Database
-	gen uint64
-}
-
-// entry resolves {query} against the current snapshot before the handler.
-// The handler receives the entry and its same-snapshot view.
-func (s *Server) entry(h func(w http.ResponseWriter, r *http.Request, e *Entry, v view) error) func(http.ResponseWriter, *http.Request) error {
-	return func(w http.ResponseWriter, r *http.Request) error {
-		name := r.PathValue("query")
-		e, db, gen, ok := s.reg.LookupView(name)
-		if !ok {
-			return httpErrorf(http.StatusNotFound, "no query %q (serving: %s)", name, strings.Join(s.reg.Names(), ", "))
+// route installs a mux handler inside the request bracket. The endpoint's
+// instruments are resolved here, once, at registration — the per-request
+// closure records through pre-registered pointers.
+func (s *Server) route(pattern, name string, h func(w http.ResponseWriter, r *http.Request) error) {
+	ep := s.metrics.endpoint(name)
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		cw := cwPool.Get().(*countingWriter)
+		cw.ResponseWriter, cw.n = w, 0
+		reqID := r.Header.Get("X-Request-Id")
+		b := beginRequest(s, ep, reqID)
+		if b.tr != nil {
+			r = r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, b.tr))
 		}
-		if tr := traceFrom(r.Context()); tr != nil {
-			tr.query = e.Name
+		err := h(cw, r)
+		if err != nil {
+			WriteError(cw, err)
 		}
-		return h(w, r, e, view{e: e, db: db, gen: gen})
-	}
+		if d, status, slow := s.end(b, err, cw.n); slow {
+			s.logSlow(name, r.URL.Path, r.PathValue("query"), reqID, d, status)
+		}
+		cw.ResponseWriter = nil
+		cwPool.Put(cw)
+	})
 }
 
-// probeClock times one probe section for the per-query histograms and the
-// active trace. A value type with no-op semantics when neither consumer is
-// present: the common untraced, unobserved case costs two nil checks.
-type probeClock struct {
-	qh   *obs.Histogram
-	tr   *traceRec
-	name string
-	t0   time.Time
-}
-
-func startProbe(qh *obs.Histogram, tr *traceRec, name string) probeClock {
-	pc := probeClock{qh: qh, tr: tr, name: name}
-	if qh != nil || tr != nil {
-		pc.t0 = time.Now()
-	}
-	return pc
-}
-
-func (pc probeClock) done() {
-	if pc.qh == nil && pc.tr == nil {
-		return
-	}
-	d := time.Since(pc.t0)
-	if pc.qh != nil {
-		pc.qh.Record(d)
-	}
-	pc.tr.span(pc.name, pc.t0, d)
-}
-
-// writeJSON is the reflection-based fallback for cold, registry-shaped
+// WriteJSON is the reflection-based fallback for cold, registry-shaped
 // endpoints (meta, list, metrics, admin). Hot probe responses go through the
 // pooled builders in encode.go instead.
-func writeJSON(w http.ResponseWriter, v any) error {
+func WriteJSON(w http.ResponseWriter, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	return json.NewEncoder(w).Encode(v)
 }
 
-// renderTuple maps a tuple to its strings through the view's dictionary.
-func (v view) renderTuple(t renum.Tuple) []string {
-	return renderWith(v.db.Dict(), t)
-}
-
-func renderWith(dict *renum.Dict, t renum.Tuple) []string {
-	out := make([]string, len(t))
-	for i, val := range t {
-		out[i] = dict.String(val)
-	}
-	return out
-}
-
-// renderTuples fetches the dictionary once per response, not per tuple —
-// this sits on the hot path of large /batch and /page responses.
-func (v view) renderTuples(ts []renum.Tuple) [][]string {
-	dict := v.db.Dict()
-	out := make([][]string, len(ts))
-	for i, t := range ts {
-		out[i] = renderWith(dict, t)
-	}
-	return out
-}
-
-// parseTuple interns nothing: a value absent from the dictionary cannot be
-// part of any answer, so ok=false short-circuits contains/inverted to
-// "not an answer" without growing the dictionary on attacker-chosen input.
-func (v view) parseTuple(cells []string, arity int) (renum.Tuple, bool, error) {
-	if len(cells) != arity {
-		return nil, false, httpErrorf(http.StatusBadRequest, "tuple has %d values, query arity is %d", len(cells), arity)
-	}
-	t, known := lookupCells(v.db.Dict(), cells)
-	if !known {
-		return nil, false, nil
-	}
-	return t, true, nil
-}
-
-func queryInt64(r *http.Request, name string, def int64) (int64, error) {
-	s := r.URL.Query().Get(name)
+func queryInt64(q url.Values, name string, def int64) (int64, error) {
+	s := q.Get(name)
 	if s == "" {
 		return def, nil
 	}
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
-		return 0, httpErrorf(http.StatusBadRequest, "%s: %v", name, err)
+		return 0, HTTPErrorf(http.StatusBadRequest, "%s: %v", name, err)
 	}
 	return v, nil
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return httpErrorf(http.StatusBadRequest, "body: %v", err)
-	}
-	return nil
-}
-
-// rngFor builds the request's random source: deterministic when the client
-// passes ?seed=, time-seeded otherwise.
-func rngFor(r *http.Request) (*rand.Rand, error) {
-	seed, err := queryInt64(r, "seed", time.Now().UnixNano())
-	if err != nil {
-		return nil, err
-	}
-	return rand.New(rand.NewSource(seed)), nil
-}
-
-// ---------------------------------------------------------------- handlers
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
-	return writeBody(w, healthzBody)
-}
-
-// handleReadyz reports whether the daemon should receive traffic: liveness
-// (healthz) says the process runs; readiness says it serves — a published
-// generation with entries, WAL replay finished (the daemon sequences that
-// before listening), and no drain in progress. Unready is 503 so load
-// balancers and kubelet-style probes fail it without parsing the body.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
-	_, gen := s.reg.Snapshot()
-	enc := getEnc()
-	defer enc.release()
-	ready := s.Ready()
-	if !ready {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write(appendReadyzBody(enc.buf, false, gen))
-		return nil
-	}
-	return writeBody(w, appendReadyzBody(enc.buf, true, gen))
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) error {
-	_, gen := s.reg.Snapshot()
-	return writeJSON(w, map[string]any{"queries": s.reg.Names(), "generation": gen})
-}
-
-func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	return writeJSON(w, map[string]any{
-		"name":         e.Name,
-		"kind":         e.Kind(),
-		"count":        e.Count(),
-		"head":         e.Head(),
-		"query":        e.Text,
-		"capabilities": e.H.Capabilities(),
-	})
-}
-
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	pc := startProbe(e.histCount(), traceFrom(r.Context()), "probe")
-	n := e.Count()
-	pc.done()
-	enc := getEnc()
-	defer enc.release()
-	return writeBody(w, appendCountBody(enc.buf, n))
-}
-
-func (s *Server) handleAccess(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	j, err := queryInt64(r, "j", -1)
-	if err != nil {
-		return err
-	}
-	// Validate before coalescing: AccessBatch fails a whole batch on one bad
-	// position, and a bad j must not poison the requests it is merged with.
-	if j < 0 || j >= e.Count() {
-		return httpErrorf(http.StatusBadRequest, "j=%d out of range [0, %d)", j, e.Count())
-	}
-	// Cache check before the coalescer: a hit skips probe and encoding both.
-	// The generation comes from the handler's view, so entry, dictionary and
-	// cache key all belong to one snapshot.
-	cache := s.anscache
-	if cache != nil && e.cacheable {
-		if body := cache.get(e.Name, v.gen, j); body != nil {
-			return writeBody(w, body)
-		}
-	} else {
-		cache = nil
-	}
-	enc := getEnc()
-	defer enc.release()
-	var t renum.Tuple
-	if e.coal != nil {
-		// The span covers the whole coalescer round: the window wait plus
-		// the shared batch probe — that wait is exactly what a latency
-		// investigation needs to see.
-		pc := startProbe(e.histAccess(), traceFrom(r.Context()), "coalesce")
-		t, err = e.coal.Do(j)
-		pc.done()
-	} else {
-		// Direct path: probe into the pooled scratch row — no []Tuple, no
-		// per-request answer allocation.
-		pc := startProbe(e.histAccess(), traceFrom(r.Context()), "probe")
-		t = enc.rowFor(len(e.Head()))
-		err = e.H.AccessInto(j, t)
-		pc.done()
-	}
-	if err != nil {
-		return err
-	}
-	body := appendAccessBody(enc.buf, v.db.Dict(), j, t)
-	if cache != nil {
-		// A miss is the admission signal: the second miss of a position
-		// admits these exact bytes (offer copies; body stays pooled).
-		cache.offer(e.Name, v.gen, j, body)
-	}
-	return writeBody(w, body)
-}
-
-// streamBatchThreshold: a batch at or below this many positions streams
-// sequentially through AccessInto into the pooled scratch row — the library's
-// own AccessBatch is serial below its chunk threshold anyway, so no
-// parallelism is lost, and the per-request []Tuple materialization is gone.
-// Larger batches keep AccessBatchContext's parallel fan-out.
-const streamBatchThreshold = 256
-
 // appendJSList parses a comma-separated position list into dst (the pooled
-// scratch), with exactly the old strings.Split semantics: segments are
-// space-trimmed, empty segments skipped.
+// scratch), with strings.Split semantics: segments are space-trimmed, empty
+// segments skipped.
 func appendJSList(dst []int64, s string) ([]int64, error) {
 	for s != "" {
 		var part string
@@ -651,11 +453,163 @@ func appendJSList(dst []int64, s string) ([]int64, error) {
 		}
 		j, err := strconv.ParseInt(part, 10, 64)
 		if err != nil {
-			return dst, httpErrorf(http.StatusBadRequest, "js: %v", err)
+			return dst, HTTPErrorf(http.StatusBadRequest, "js: %v", err)
 		}
 		dst = append(dst, j)
 	}
 	return dst, nil
+}
+
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 8<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return HTTPErrorf(http.StatusBadRequest, "body: %v", err)
+	}
+	return nil
+}
+
+// ------------------------------------------------------------ local source
+
+// view is everything a handler needs from ONE atomic snapshot load: the
+// entry's generation-mates. Resolving the entry and the dictionary with
+// separate loads is a race — a concurrent /admin rebuild can publish a new
+// generation between them, pairing an old entry with a new database —
+// so a request builds the view once and never goes back to the registry.
+type view struct {
+	e   *Entry
+	db  *renum.Database
+	gen uint64
+}
+
+// lookup resolves {query} against the current snapshot.
+func (s *Server) lookup(r *http.Request) (view, error) {
+	name := r.PathValue("query")
+	e, db, gen, ok := s.reg.LookupView(name)
+	if !ok {
+		return view{}, NoQuery(name, s.reg.Names())
+	}
+	if tr := traceFrom(r.Context()); tr != nil {
+		tr.query = e.Name
+	}
+	return view{e: e, db: db, gen: gen}, nil
+}
+
+// entry resolves {query} before a cold handler, which receives the entry
+// and its same-snapshot view.
+func (s *Server) entry(h func(w http.ResponseWriter, r *http.Request, e *Entry, v view) error) func(http.ResponseWriter, *http.Request) error {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		v, err := s.lookup(r)
+		if err != nil {
+			return err
+		}
+		return h(w, r, v.e, v)
+	}
+}
+
+// op mounts one core op on the mux: resolve the entry, then the core's
+// net/http transport over the local source.
+func (s *Server) op(pattern string, op Op) {
+	s.route(pattern, opNames[op], func(w http.ResponseWriter, r *http.Request) error {
+		v, err := s.lookup(r)
+		if err != nil {
+			return err
+		}
+		enc := getEnc()
+		defer enc.release()
+		return s.core.serve(w, r, op, &local{view: v, enc: enc, tr: traceFrom(r.Context())}, enc)
+	})
+}
+
+// local is the daemon's Source: one entry probed in this process. Every
+// probe dispatches through the entry's renum.Handle and discovers optional
+// facilities via capabilities, so a probe the backend cannot serve fails
+// with renum.ErrUnsupported — there is no backend type switch here. enc is
+// the request's pooled scratch and tr its trace (nil when untraced); the
+// cursor draw functions capture neither.
+type local struct {
+	view
+	enc *enc
+	tr  *traceRec
+}
+
+func (l *local) Name() string                { return l.e.Name }
+func (l *local) Kind() string                { return l.e.Kind() }
+func (l *local) Has(c renum.Capability) bool { return l.e.H.Has(c) }
+func (l *local) Count() int64                { return l.e.Count() }
+func (l *local) Arity() int                  { return len(l.e.Head()) }
+func (l *local) Dict() *renum.Dict           { return l.db.Dict() }
+
+// CacheGen: static backends only. Updatable handles mutate in place without
+// a generation bump, so a generation-keyed cache entry could outlive the
+// answer it encodes.
+func (l *local) CacheGen() (uint64, bool) { return l.gen, l.e.cacheable }
+
+// Probe picks the op's per-query histogram (all nil for observer-less
+// registries) and names the span: batch and page interleave probe and encode,
+// so theirs is "build"; a coalesced access spans the whole coalescer round —
+// the window wait plus the shared batch probe, exactly what a latency
+// investigation needs to see.
+func (l *local) Probe(op Op) ProbeClock {
+	qm := l.e.qm
+	if qm == nil {
+		qm = &obs.ProbeOps{}
+	}
+	switch op {
+	case OpCount:
+		return startProbe(qm.Count, l.tr, "probe")
+	case OpAccess:
+		if l.e.coal != nil {
+			return startProbe(qm.Access, l.tr, "coalesce")
+		}
+		return startProbe(qm.Access, l.tr, "probe")
+	case OpBatch:
+		return startProbe(qm.Batch, l.tr, "build")
+	case OpPage:
+		return startProbe(qm.Page, l.tr, "build")
+	case OpSample:
+		return startProbe(qm.Sample, l.tr, "probe")
+	case OpEnumNext:
+		return startProbe(qm.Cursor, l.tr, "probe")
+	}
+	return ProbeClock{}
+}
+
+func (l *local) Access(_ context.Context, j int64) (renum.Tuple, error) {
+	if l.e.coal != nil {
+		return l.e.coal.Do(j)
+	}
+	// Direct path: probe into the pooled scratch row — no []Tuple, no
+	// per-request answer allocation.
+	t := l.enc.rowFor(l.Arity())
+	return t, l.e.H.AccessInto(j, t)
+}
+
+// streamBatchThreshold: a batch or page at or below this many positions
+// probes sequentially through AccessInto into the pooled scratch rows — the
+// library's own AccessBatch is serial below its chunk threshold anyway, so
+// no parallelism is lost, and the per-request []Tuple materialization is
+// gone. Larger ones keep AccessBatchContext's parallel fan-out.
+const streamBatchThreshold = 256
+
+func (l *local) Batch(ctx context.Context, js []int64) ([]renum.Tuple, error) {
+	// An out-of-range position takes the batch-probe path so the error is
+	// the probe's own.
+	if len(js) > streamBatchThreshold || !jsInRange(js, l.e.Count()) {
+		return l.e.accessBatch(ctx, js)
+	}
+	// One streamed batch is one chunk: honor cancellation at its boundary,
+	// exactly like AccessBatchContext does between chunks.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rows := l.enc.rowsFor(len(js), l.Arity())
+	for i, j := range js {
+		if err := l.e.H.AccessInto(j, rows[i]); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
 }
 
 // jsInRange reports whether every position can be probed right now.
@@ -668,149 +622,137 @@ func jsInRange(js []int64, n int64) bool {
 	return true
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	enc := getEnc()
-	defer enc.release()
-	var js []int64
-	if r.Method == http.MethodPost {
-		var body struct {
-			Js []int64 `json:"js"`
-		}
-		if err := decodeBody(r, &body); err != nil {
-			return err
-		}
-		js = body.Js
-	} else {
-		var err error
-		js, err = appendJSList(enc.jsFor(), r.URL.Query().Get("js"))
-		enc.js = js[:0] // keep grown scratch pooled
-		if err != nil {
-			return err
+func (l *local) Page(ctx context.Context, offset, k int64) ([]renum.Tuple, error) {
+	if k > streamBatchThreshold {
+		// Large pages keep Handle.Page's parallel fan-out (and its context
+		// propagation between probe chunks).
+		return l.e.H.PageContext(ctx, offset, k)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rows := l.enc.rowsFor(int(k), l.Arity())
+	for i, row := range rows {
+		if err := l.e.H.AccessInto(offset+int64(i), row); err != nil {
+			return nil, err
 		}
 	}
-	if int64(len(js)) > s.cfg.MaxBatch {
-		return httpErrorf(http.StatusBadRequest, "batch of %d exceeds limit %d", len(js), s.cfg.MaxBatch)
-	}
-	asWire := wantsWire(r)
-	// The span covers probe + encode: buildBatchBody interleaves them.
-	pc := startProbe(e.histBatch(), traceFrom(r.Context()), "build")
-	body, err := buildBatchBody(r.Context(), e, v.db.Dict(), enc, js, asWire)
-	pc.done()
-	if err != nil {
-		return err
-	}
-	if asWire {
-		return writeWireBody(w, body)
-	}
-	return writeBody(w, body)
+	return rows, nil
 }
 
-func (s *Server) handlePage(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	offset, err := queryInt64(r, "offset", 0)
-	if err != nil {
-		return err
-	}
-	limit, err := queryInt64(r, "limit", 10)
-	if err != nil {
-		return err
-	}
-	if limit > s.cfg.MaxBatch {
-		return httpErrorf(http.StatusBadRequest, "limit %d exceeds %d", limit, s.cfg.MaxBatch)
-	}
-	if offset < 0 || limit < 0 {
-		return httpErrorf(http.StatusBadRequest, "offset and limit must be non-negative")
-	}
-	enc := getEnc()
-	defer enc.release()
-	asWire := wantsWire(r)
-	pc := startProbe(e.histPage(), traceFrom(r.Context()), "build")
-	body, err := buildPageBody(r.Context(), e, v.db.Dict(), enc, offset, limit, asWire)
-	pc.done()
-	if err != nil {
-		return err
-	}
-	if asWire {
-		return writeWireBody(w, body)
-	}
-	return writeBody(w, body)
+func (l *local) Pager() func(context.Context, int64, int64) ([]renum.Tuple, error) {
+	return l.e.H.PageContext
 }
 
-func (s *Server) handleSample(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	k, err := queryInt64(r, "k", 1)
+// Sample draws k answers: distinct for cq/ucq, with replacement for dynamic.
+func (l *local) Sample(_ context.Context, k int64, rng *rand.Rand) ([]renum.Tuple, bool, error) {
+	smp, err := l.e.H.Sampler()
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	if k < 0 || k > s.cfg.MaxBatch {
-		return httpErrorf(http.StatusBadRequest, "k=%d out of range [0, %d]", k, s.cfg.MaxBatch)
-	}
-	rng, err := rngFor(r)
-	if err != nil {
-		return err
-	}
-	smp, err := e.H.Sampler()
-	if err != nil {
-		return err
-	}
-	pc := startProbe(e.histSample(), traceFrom(r.Context()), "probe")
 	ts, err := smp.SampleN(k, rng)
-	pc.done()
-	if err != nil {
-		return err
-	}
-	enc := getEnc()
-	defer enc.release()
-	return writeBody(w, buildSampleBody(v.db.Dict(), enc, ts, !smp.Distinct()))
+	return ts, !smp.Distinct(), err
 }
 
-type tupleBody struct {
-	Tuple []string `json:"tuple"`
-}
-
-func (s *Server) handleContains(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	var body tupleBody
-	if err := decodeBody(r, &body); err != nil {
-		return err
-	}
-	t, ok, err := v.parseTuple(body.Tuple, len(e.Head()))
+// Permute's draws are atomic: the permutation consumes its shuffle positions
+// up front, so aborting mid-batch would silently lose those answers for
+// every later request — violating each-answer-exactly-once. Cancellation is
+// honored *between* draws (bounded by MaxCursorDraw per draw), never inside
+// one.
+func (l *local) Permute(rng *rand.Rand) (func(context.Context, int64) ([]renum.Tuple, error), error) {
+	p, err := l.e.H.Permute(rng)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	contains := false
-	if ok {
-		c, err := e.H.Container()
-		if err != nil {
-			return err
+	return func(ctx context.Context, k int64) ([]renum.Tuple, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		contains = c.Contains(t)
-	}
-	enc := getEnc()
-	defer enc.release()
-	return writeBody(w, appendContainsBody(enc.buf, contains))
+		return p.NextN(k), nil
+	}, nil
 }
 
-func (s *Server) handleInverted(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	// Capability check before reading the body: a union (no inverted
-	// primitive in the mc-UCQ structure) is 501 via ErrUnsupported.
-	inv, err := e.H.Inverter()
+// Contains and Inverted intern nothing: a value absent from the dictionary
+// cannot be part of any answer, so it short-circuits to "not an answer"
+// without growing the dictionary on attacker-chosen input.
+func (l *local) Contains(_ context.Context, cells []string) (bool, error) {
+	t, known := lookupCells(l.db.Dict(), cells)
+	if !known {
+		return false, nil
+	}
+	c, err := l.e.H.Container()
 	if err != nil {
-		return err
+		return false, err
 	}
-	var body tupleBody
-	if err := decodeBody(r, &body); err != nil {
-		return err
+	return c.Contains(t), nil
+}
+
+func (l *local) Inverted(_ context.Context, cells []string) (int64, bool, error) {
+	t, known := lookupCells(l.db.Dict(), cells)
+	if !known {
+		return 0, false, nil
 	}
-	t, ok, err := v.parseTuple(body.Tuple, len(e.Head()))
+	inv, err := l.e.H.Inverter()
 	if err != nil {
-		return err
+		return 0, false, err
 	}
+	j, found := inv.InvertedAccess(t)
+	return j, found, nil
+}
+
+// ---------------------------------------------------------------- handlers
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
+	return WriteHealthz(w)
+}
+
+// WriteHealthz answers a liveness probe.
+func WriteHealthz(w http.ResponseWriter) error { return writeNegotiated(w, healthzBody, false) }
+
+// handleReadyz reports whether the daemon should receive traffic: liveness
+// (healthz) says the process runs; readiness says it serves — a published
+// generation with entries, WAL replay finished (the daemon sequences that
+// before listening), and no drain in progress.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
+	_, gen := s.reg.Snapshot()
+	return WriteReadyz(w, s.Ready(), gen)
+}
+
+// readyzResponse renders a readiness verdict. Unready is 503 so load
+// balancers and kubelet-style probes fail it without parsing the body.
+func readyzResponse(dst []byte, ready bool, gen uint64) (status int, body []byte) {
+	status = http.StatusOK
+	if !ready {
+		status = http.StatusServiceUnavailable
+	}
+	return status, appendReadyzBody(dst, ready, gen)
+}
+
+// WriteReadyz answers a readiness probe.
+func WriteReadyz(w http.ResponseWriter, ready bool, gen uint64) error {
 	enc := getEnc()
 	defer enc.release()
-	if ok {
-		if j, found := inv.InvertedAccess(t); found {
-			return writeBody(w, appendInvertedBody(enc.buf, j, true))
-		}
-	}
-	return writeBody(w, appendInvertedBody(enc.buf, 0, false))
+	status, body := readyzResponse(enc.buf, ready, gen)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, err := w.Write(body)
+	return err
+}
+
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) error {
+	_, gen := s.reg.Snapshot()
+	return WriteJSON(w, map[string]any{"queries": s.reg.Names(), "generation": gen})
+}
+
+func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
+	return WriteJSON(w, map[string]any{
+		"name":         e.Name,
+		"kind":         e.Kind(),
+		"count":        e.Count(),
+		"head":         e.Head(),
+		"query":        e.Text,
+		"capabilities": e.H.Capabilities(),
+	})
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
@@ -832,7 +774,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, e *Entry, 
 	case "delete":
 		op = wal.OpDelete
 	default:
-		return httpErrorf(http.StatusBadRequest, "op must be insert or delete, got %q", body.Op)
+		return HTTPErrorf(http.StatusBadRequest, "op must be insert or delete, got %q", body.Op)
 	}
 	// ApplyUpdate validates the target relation and arity before interning,
 	// logging, or applying anything — an insert aimed at a relation the
@@ -849,111 +791,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, e *Entry, 
 		if errors.Is(err, errWALAppend) || renum.IsUnsupported(err) {
 			return err // 500 / 501 via the route error mapper
 		}
-		return httpErrorf(http.StatusBadRequest, "%v", err)
+		return HTTPErrorf(http.StatusBadRequest, "%v", err)
 	}
 	enc := getEnc()
 	defer enc.release()
-	return writeBody(w, appendChangedBody(enc.buf, changed, e.Count()))
-}
-
-func (s *Server) handleEnumStart(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	// Cursors need a stable enumeration order across requests — exactly the
-	// enumerate capability (dynamic entries lack it: updates shift
-	// positions): 501 via ErrUnsupported.
-	if !e.H.Has(renum.CapEnumerate) {
-		return fmt.Errorf("enumeration cursors: %w (kind %s has no stable order)", renum.ErrUnsupported, e.Kind())
-	}
-	order := r.URL.Query().Get("order")
-	if order == "" {
-		order = "enum"
-	}
-	var nextN func(context.Context, int64) ([]renum.Tuple, error)
-	switch order {
-	case "enum":
-		// Deterministic order = access order: drain sequential positions via
-		// the batched probe. Probe errors — including a cancelled draw: the
-		// position cursor only advances on success — surface to the client
-		// (and leave the cursor alive) rather than masquerading as
-		// exhaustion.
-		var pos int64
-		n := e.Count()
-		nextN = func(ctx context.Context, k int64) ([]renum.Tuple, error) {
-			if pos >= n {
-				return nil, nil
-			}
-			if k > n-pos {
-				k = n - pos
-			}
-			js := make([]int64, k)
-			for i := range js {
-				js[i] = pos + int64(i)
-			}
-			ts, err := e.accessBatch(ctx, js)
-			if err != nil {
-				return nil, err
-			}
-			pos += int64(len(ts))
-			return ts, nil
-		}
-	case "random":
-		rng, err := rngFor(r)
-		if err != nil {
-			return err
-		}
-		p, err := e.H.Permute(rng)
-		if err != nil {
-			return err
-		}
-		// Random-order draws are atomic: the permutation consumes its
-		// shuffle positions up front, so aborting mid-batch would silently
-		// lose those answers for every later request — violating
-		// each-answer-exactly-once. Cancellation is honored *between*
-		// draws (bounded by MaxCursorDraw per draw), never inside one.
-		nextN = func(ctx context.Context, k int64) ([]renum.Tuple, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return p.NextN(k), nil
-		}
-	default:
-		return httpErrorf(http.StatusBadRequest, "order must be enum or random, got %q", order)
-	}
-	id := s.cursors.Start(e.Name, nextN)
-	enc := getEnc()
-	defer enc.release()
-	return writeBody(w, appendCursorBody(enc.buf, id, s.cursors.ttl.Milliseconds()))
-}
-
-func (s *Server) handleEnumNext(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	id := r.URL.Query().Get("cursor")
-	n, err := queryInt64(r, "n", 1)
-	if err != nil {
-		return err
-	}
-	if n <= 0 || n > s.cfg.MaxCursorDraw {
-		return httpErrorf(http.StatusBadRequest, "n=%d out of range [1, %d]", n, s.cfg.MaxCursorDraw)
-	}
-	pc := startProbe(e.histCursor(), traceFrom(r.Context()), "probe")
-	ts, done, err := s.cursors.Next(r.Context(), id, e.Name, n)
-	pc.done()
-	if err != nil {
-		return err
-	}
-	enc := getEnc()
-	defer enc.release()
-	asWire := wantsWire(r)
-	body := buildEnumNextBody(v.db.Dict(), enc, ts, len(e.Head()), done, asWire)
-	if asWire {
-		return writeWireBody(w, body)
-	}
-	return writeBody(w, body)
-}
-
-func (s *Server) handleEnumClose(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	if !s.cursors.Close(r.URL.Query().Get("cursor"), e.Name) {
-		return ErrNoCursor
-	}
-	return writeBody(w, closedBody)
+	return writeNegotiated(w, appendChangedBody(enc.buf, changed, e.Count()), false)
 }
 
 // handleMetrics negotiates the exposition format: Prometheus text by
@@ -977,10 +819,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 			coal = append(coal, coalStats{Query: name, Rounds: rounds, Served: served})
 		}
 	}
-	return writeJSON(w, map[string]any{
+	return WriteJSON(w, map[string]any{
 		"uptime_ms":  uptime.Milliseconds(),
 		"generation": gen,
-		"cursors":    s.cursors.Len(),
+		"cursors":    s.core.LiveCursors(),
 		"endpoints":  eps,
 		"coalescer":  coal,
 		"wal":        s.reg.WALStats(),
@@ -996,12 +838,12 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	if body.Name == "" {
-		return httpErrorf(http.StatusBadRequest, "name is required")
+		return HTTPErrorf(http.StatusBadRequest, "name is required")
 	}
 	if err := s.reg.LoadTable(body.Name, strings.NewReader(body.CSV)); err != nil {
-		return httpErrorf(http.StatusBadRequest, "%v", err)
+		return HTTPErrorf(http.StatusBadRequest, "%v", err)
 	}
-	return writeJSON(w, map[string]any{"loaded": body.Name})
+	return WriteJSON(w, map[string]any{"loaded": body.Name})
 }
 
 func (s *Server) handleAdminRegister(w http.ResponseWriter, r *http.Request) error {
@@ -1014,14 +856,14 @@ func (s *Server) handleAdminRegister(w http.ResponseWriter, r *http.Request) err
 	}
 	names, err := s.reg.Register(body.Program, body.Dynamic)
 	if err != nil {
-		return httpErrorf(http.StatusBadRequest, "%v", err)
+		return HTTPErrorf(http.StatusBadRequest, "%v", err)
 	}
-	return writeJSON(w, map[string]any{"registered": names})
+	return WriteJSON(w, map[string]any{"registered": names})
 }
 
 func (s *Server) handleAdminSave(w http.ResponseWriter, r *http.Request) error {
 	if s.cfg.SnapshotDir == "" {
-		return httpErrorf(http.StatusBadRequest, "snapshot saving is not configured (start the daemon with -snapshot-dir)")
+		return HTTPErrorf(http.StatusBadRequest, "snapshot saving is not configured (start the daemon with -snapshot-dir)")
 	}
 	path, gen, skipped, err := s.reg.SaveSnapshot(s.cfg.SnapshotDir)
 	if err != nil {
@@ -1030,31 +872,31 @@ func (s *Server) handleAdminSave(w http.ResponseWriter, r *http.Request) error {
 	if skipped == nil {
 		skipped = []string{}
 	}
-	return writeJSON(w, map[string]any{"saved": path, "generation": gen, "skipped": skipped})
+	return WriteJSON(w, map[string]any{"saved": path, "generation": gen, "skipped": skipped})
 }
 
 // handleAdminCompact folds the WAL into a fresh snapshot generation (see
 // Registry.Compact). It needs both a WAL (-wal-dir) and a snapshot dir.
 func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) error {
 	if s.cfg.SnapshotDir == "" {
-		return httpErrorf(http.StatusBadRequest, "snapshot saving is not configured (start the daemon with -snapshot-dir)")
+		return HTTPErrorf(http.StatusBadRequest, "snapshot saving is not configured (start the daemon with -snapshot-dir)")
 	}
 	gen, folded, err := s.reg.Compact(s.cfg.SnapshotDir)
 	if err != nil {
 		if errors.Is(err, errNoWAL) {
-			return httpErrorf(http.StatusBadRequest, "%v", err)
+			return HTTPErrorf(http.StatusBadRequest, "%v", err)
 		}
 		// Snapshot-write, rotation, or rebuild-aside failures are server
 		// faults, not client mistakes: 500 via the route error mapper.
 		return err
 	}
-	return writeJSON(w, map[string]any{"generation": gen, "folded": folded})
+	return WriteJSON(w, map[string]any{"generation": gen, "folded": folded})
 }
 
 func (s *Server) handleAdminRebuild(w http.ResponseWriter, r *http.Request) error {
 	if err := s.reg.Rebuild(); err != nil {
-		return httpErrorf(http.StatusBadRequest, "%v", err)
+		return HTTPErrorf(http.StatusBadRequest, "%v", err)
 	}
 	_, gen := s.reg.Snapshot()
-	return writeJSON(w, map[string]any{"rebuilt": true, "generation": gen})
+	return WriteJSON(w, map[string]any{"rebuilt": true, "generation": gen})
 }

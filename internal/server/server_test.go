@@ -319,7 +319,7 @@ func TestCursorLifecycle(t *testing.T) {
 }
 
 func TestCursorTTLEviction(t *testing.T) {
-	store := newCursorStore(10*time.Millisecond, time.Hour)
+	store := newCursorStore[renum.Tuple](10*time.Millisecond, time.Hour)
 	id := store.Start("Q", func(context.Context, int64) ([]renum.Tuple, error) { return nil, nil })
 	if store.Len() != 1 {
 		t.Fatal("cursor not registered")

@@ -83,25 +83,10 @@ func newTraceStore(capacity int) *traceStore {
 	}
 }
 
-// begin starts a trace for a request carrying id. id may alias a network
-// read buffer: it is copied into the record's fixed buffer immediately.
-func (t *traceStore) begin(id []byte, endpoint string, start time.Time) *traceRec {
-	tr := t.pool.Get().(*traceRec)
-	if len(id) > traceIDMax {
-		id = id[:traceIDMax]
-	}
-	tr.idLen = copy(tr.id[:], id)
-	tr.endpoint = endpoint
-	tr.query = ""
-	tr.start = start
-	tr.durNs = 0
-	tr.status = 0
-	tr.nspans = 0
-	return tr
-}
-
-// beginString is begin for the mux path (http.Header values are strings).
-func (t *traceStore) beginString(id, endpoint string, start time.Time) *traceRec {
+// beginTrace starts a trace for a request carrying id — a header string on
+// the mux, raw bytes in the fast loop, where id may alias the network read
+// buffer: it is copied into the record's fixed buffer immediately.
+func beginTrace[T string | []byte](t *traceStore, id T, endpoint string, start time.Time) *traceRec {
 	tr := t.pool.Get().(*traceRec)
 	if len(id) > traceIDMax {
 		id = id[:traceIDMax]
@@ -202,12 +187,13 @@ func traceFrom(ctx context.Context) *traceRec {
 // handleDebugTraces serves the ring: ?id= filters by request id, ?n=
 // bounds the result (default all buffered, newest first).
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) error {
-	n, err := queryInt64(r, "n", 0)
+	q := r.URL.Query()
+	n, err := queryInt64(q, "n", 0)
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, map[string]any{
-		"traces":  s.traces.snapshot(r.URL.Query().Get("id"), int(n)),
+	return WriteJSON(w, map[string]any{
+		"traces":  s.traces.snapshot(q.Get("id"), int(n)),
 		"dropped": s.traces.dropped(),
 	})
 }

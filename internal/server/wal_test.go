@@ -353,7 +353,7 @@ func TestCompactUnderLiveTraffic(t *testing.T) {
 // positions would be silently lost) nor come back already expired — the
 // TTL refreshes on completion, not just on admission.
 func TestCursorSurvivesSlowDraw(t *testing.T) {
-	store := newCursorStore(20*time.Millisecond, time.Hour)
+	store := newCursorStore[renum.Tuple](20*time.Millisecond, time.Hour)
 	defer store.Shutdown()
 	started := make(chan struct{})
 	release := make(chan struct{})
