@@ -14,6 +14,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reduce"
+	"repro/internal/shuffle"
 )
 
 // Query is the sealed interface over the two query forms Open accepts:
@@ -428,6 +429,43 @@ func (h *Handle) AccessBatchContext(ctx context.Context, js []int64) ([]Tuple, e
 	return h.b.accessBatchContext(orBackground(ctx), js, h.workers)
 }
 
+// AccessBatchInto is AccessBatch on the calling goroutine into rows the
+// caller owns: rows[i], of length len(Head()), receives the answer at
+// js[i]. Nothing is allocated on the CQ backend, which resolves the batch
+// with its grouped probe; the others probe position by position. An
+// out-of-range position fails the call with ErrOutOfBounds, leaving the
+// rows' contents unspecified.
+func (h *Handle) AccessBatchInto(js []int64, rows []Tuple) error {
+	if len(rows) != len(js) {
+		return fmt.Errorf("renum: AccessBatchInto: %d rows for %d positions", len(rows), len(js))
+	}
+	arity := len(h.b.Head())
+	for _, row := range rows {
+		if err := checkBufArity(row, arity); err != nil {
+			return err
+		}
+	}
+	return accessBatchInto(h.b, js, rows)
+}
+
+// batchFiller marks backends that resolve a batch into caller-owned rows
+// better than one AccessInto per position.
+type batchFiller interface {
+	accessBatchInto(js []int64, rows []Tuple) error
+}
+
+func accessBatchInto(b backend, js []int64, rows []Tuple) error {
+	if f, ok := b.(batchFiller); ok {
+		return f.accessBatchInto(js, rows)
+	}
+	for i, j := range js {
+		if err := b.AccessInto(j, rows[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Page returns answers offset..offset+limit-1 of the enumeration order with
 // O(log |D|) cost per row regardless of offset. Short pages at the end are
 // returned without error; an offset at or past Count() yields an empty page;
@@ -606,7 +644,8 @@ func (h *Handle) Container() (Container, error) {
 // CapEnumerate; on a dynamic handle the iterator yields a single
 // (nil, ErrUnsupported) pair, because updates shift positions and "each
 // answer exactly once" cannot be promised across probes. The iterator is a
-// single-consumer cursor; the handle itself may be shared.
+// single-consumer cursor; the handle itself may be shared. Like Shuffled it
+// resolves its positions in ramping chunks.
 func (h *Handle) All() iter.Seq2[Tuple, error] {
 	return h.AllContext(context.Background())
 }
@@ -614,30 +653,18 @@ func (h *Handle) All() iter.Seq2[Tuple, error] {
 // AllContext is All honoring cancellation: after ctx is cancelled the
 // iterator yields one (nil, ctx.Err()) pair and stops.
 func (h *Handle) AllContext(ctx context.Context) iter.Seq2[Tuple, error] {
-	ctx = orBackground(ctx)
 	return func(yield func(Tuple, error) bool) {
 		if !h.Has(CapEnumerate) {
 			yield(nil, fmt.Errorf("enumerate: %w (kind %s)", ErrUnsupported, h.Kind()))
 			return
 		}
-		done := ctx.Done()
-		n := h.Count()
-		for j := int64(0); j < n; j++ {
-			// One channel poll per answer: cheaper than ctx.Err()'s lock and
-			// exact enough — cancellation is observed before the next probe.
-			if done != nil {
-				select {
-				case <-done:
-					yield(nil, ctx.Err())
-					return
-				default:
-				}
+		next, n := int64(0), h.Count()
+		h.drain(orBackground(ctx), func(js []int64, k int64) []int64 {
+			for end := min(next+k, n); next < end; next++ {
+				js = append(js, next)
 			}
-			t, err := h.b.Access(j)
-			if !yield(t, err) || err != nil {
-				return
-			}
-		}
+			return js
+		}, yield)
 	}
 }
 
@@ -646,6 +673,12 @@ func (h *Handle) AllContext(ctx context.Context) iter.Seq2[Tuple, error] {
 // each answer exactly once). The sequence is byte-identical to draining
 // Permute(rng) with the same rng. Like All it requires CapEnumerate and the
 // iterator is single-consumer.
+//
+// Positions are drawn, and their answers resolved by one batched probe, in
+// chunks of 1, 1, 2, 4, … up to 64: the first answer costs one draw and one
+// probe, and a consumer that stops after m answers has taken fewer than
+// 2m + 1 draws from rng — the draw-ahead is never more than the answers
+// already consumed, and never more than 64.
 func (h *Handle) Shuffled(rng *rand.Rand) iter.Seq2[Tuple, error] {
 	return h.ShuffledContext(context.Background(), rng)
 }
@@ -653,16 +686,49 @@ func (h *Handle) Shuffled(rng *rand.Rand) iter.Seq2[Tuple, error] {
 // ShuffledContext is Shuffled honoring cancellation: after ctx is cancelled
 // the iterator yields one (nil, ctx.Err()) pair and stops.
 func (h *Handle) ShuffledContext(ctx context.Context, rng *rand.Rand) iter.Seq2[Tuple, error] {
-	ctx = orBackground(ctx)
 	return func(yield func(Tuple, error) bool) {
-		pm, ok := h.b.(permuter)
-		if !ok {
+		if !h.Has(CapEnumerate) {
 			yield(nil, fmt.Errorf("shuffled enumeration: %w (kind %s)", ErrUnsupported, h.Kind()))
 			return
 		}
-		p := pm.Permute(rng)
-		done := ctx.Done()
-		for {
+		// Every enumerable backend's Permute is this shuffle over its count,
+		// one draw per answer; drawing here is what lets a chunk be batched.
+		h.drain(orBackground(ctx), shuffle.New(h.Count(), rng).Draw, yield)
+	}
+}
+
+// drainChunk caps the chunks of drain: enough probes for a batch to overlap
+// their cache misses, few enough that the draw-ahead stays small.
+const drainChunk = 64
+
+// drain yields the answers at the positions draw hands out — draw(js, k)
+// appends up to k further positions to js, none at the end — until draw or
+// the consumer stops. Chunks ramp 1, 1, 2, 4, … drainChunk: each is as large
+// as everything yielded before it. A chunk is one serial batched probe on
+// this goroutine into one freshly allocated backing array (the consumer may
+// keep its answers); ctx is polled before every yield, which is cheaper
+// than ctx.Err()'s lock and exact — no answer is handed out after a
+// cancellation.
+func (h *Handle) drain(ctx context.Context, draw func(js []int64, k int64) []int64, yield func(Tuple, error) bool) {
+	done := ctx.Done()
+	arity := len(h.b.Head())
+	js := make([]int64, 0, drainChunk)
+	rows := make([]Tuple, drainChunk)
+	for yielded := int64(0); ; yielded += int64(len(js)) {
+		js = draw(js[:0], min(max(yielded, 1), drainChunk))
+		if len(js) == 0 {
+			return
+		}
+		backing := make([]Value, len(js)*arity)
+		rows = rows[:len(js)]
+		for i := range rows {
+			rows[i] = backing[i*arity : (i+1)*arity : (i+1)*arity]
+		}
+		if err := accessBatchInto(h.b, js, rows); err != nil {
+			yield(nil, err)
+			return
+		}
+		for _, t := range rows {
 			if done != nil {
 				select {
 				case <-done:
@@ -670,10 +736,6 @@ func (h *Handle) ShuffledContext(ctx context.Context, rng *rand.Rand) iter.Seq2[
 					return
 				default:
 				}
-			}
-			t, ok := p.Next()
-			if !ok {
-				return
 			}
 			if !yield(t, nil) {
 				return
@@ -721,6 +783,10 @@ func (raBackend) kind() Kind { return KindCQ }
 
 func (b raBackend) accessBatchContext(ctx context.Context, js []int64, workers int) ([]Tuple, error) {
 	return b.c.Index.AccessBatchContext(ctx, js, workers)
+}
+
+func (b raBackend) accessBatchInto(js []int64, rows []Tuple) error {
+	return b.c.Index.AccessBatchInto(js, rows)
 }
 
 // Distinct completes the Sampler capability: SampleN draws a lazy

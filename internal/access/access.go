@@ -24,11 +24,23 @@
 // and inverted access replaces the per-node tuple reconstruction with a
 // single packed-key (or stack-buffered string-key) position lookup.
 //
+// # Batched probes
+//
+// A single probe is a chain of dependent loads — bucket bounds, binary
+// search, tuple, columns, each child's bucket — so on an index larger than
+// the cache it runs at memory latency. The batched forms (AccessBatch,
+// AccessBatchContext, AccessBatchInto) therefore do not loop over Access:
+// they send groups of probes down the tree in lockstep, prefetching a pass
+// ahead, so that the cache misses of a group overlap (group.go). The single
+// probe stays what Access and AccessInto run, and what a batch falls back
+// to for a node too wide for the grouped split and for a run of consecutive
+// positions, whose probes share their path anyway.
+//
 // # Concurrency contract
 //
 // An Index is immutable once New (or NewWithOptions) returns: every probe —
-// Access, AccessInto, AccessBatch, InvertedAccess, Contains, Count, the
-// baseline samplers — only reads the structure, never memoizes, and is safe
+// Access, AccessInto, the AccessBatch forms, InvertedAccess, Contains, Count,
+// the baseline samplers — only reads the structure, never memoizes, and is safe
 // to call from any number of goroutines concurrently with no external
 // locking. The column arrays of the underlying relations are likewise
 // immutable after build. Construction itself may run the per-node bucket
@@ -46,6 +58,7 @@ import (
 	"math"
 	"math/bits"
 	"time"
+	"unsafe"
 
 	"repro/internal/parallel"
 	"repro/internal/reduce"
@@ -435,9 +448,11 @@ func (idx *Index) AccessInto(j int64, answer relation.Tuple) error {
 	return nil
 }
 
-// batchSerialThreshold: below this many probes, the goroutine fan-out of
-// AccessBatch costs more than it saves.
-const batchSerialThreshold = 256
+// BatchSerialThreshold: below this many probes, the goroutine fan-out of a
+// batch costs more than it saves. Every batched probe in the module — this
+// index's, the union's, the shard set's — stays on the calling goroutine
+// below it.
+const BatchSerialThreshold = 256
 
 // AccessBatch returns Access(j) for every j in js, in order, fanning the
 // probes out over up to `workers` goroutines (workers <= 0 means
@@ -446,7 +461,9 @@ const batchSerialThreshold = 256
 // ErrOutOfBounds before any tuple is assembled. Duplicate positions are
 // allowed and yield equal answers. Answers of one chunk share a single
 // contiguous backing array, so a batch of k probes costs O(1) allocations
-// per chunk instead of k.
+// per chunk instead of k. A batch is not a loop of single probes: within a
+// chunk, groups of probes descend the join tree in lockstep so that their
+// cache misses overlap (see groupSize).
 func (idx *Index) AccessBatch(js []int64, workers int) ([]relation.Tuple, error) {
 	return idx.AccessBatchContext(context.Background(), js, workers)
 }
@@ -458,10 +475,8 @@ func (idx *Index) AccessBatch(js []int64, workers int) ([]relation.Tuple, error)
 // batch are never corrupted. A background (never-cancellable) context takes
 // the exact AccessBatch fast path.
 func (idx *Index) AccessBatchContext(ctx context.Context, js []int64, workers int) ([]relation.Tuple, error) {
-	for _, j := range js {
-		if j < 0 || j >= idx.count {
-			return nil, ErrOutOfBounds
-		}
+	if !idx.inBounds(js) {
+		return nil, ErrOutOfBounds
 	}
 	out := make([]relation.Tuple, len(js))
 	if len(js) == 0 {
@@ -470,24 +485,13 @@ func (idx *Index) AccessBatchContext(ctx context.Context, js []int64, workers in
 	arity := len(idx.head)
 	fill := func(lo, hi int) error {
 		backing := make([]relation.Value, (hi-lo)*arity)
-		// Warm the root bucket's first binary-search lines before the chunk
-		// loop: each parallel chunk starts on a cold worker stack, and the
-		// first midpoint of the root search is the same address for every
-		// probe, so one prefetch overlaps that miss with the backing-array
-		// zeroing above.
-		root := idx.root
-		if mid := int(uint32(root.bucketOff[0]+root.bucketOff[1]) >> 1); mid < len(root.start) {
-			prefetcht0(&root.start[mid])
-			prefetcht0(&root.weight[mid])
-		}
 		for i := lo; i < hi; i++ {
-			answer := relation.Tuple(backing[(i-lo)*arity : (i-lo+1)*arity : (i-lo+1)*arity])
-			idx.subtreeAccess(idx.root, 0, js[i], answer)
-			out[i] = answer
+			out[i] = backing[(i-lo)*arity : (i-lo+1)*arity : (i-lo+1)*arity]
 		}
+		idx.accessGroups(js[lo:hi], out[lo:hi])
 		return nil
 	}
-	serial := workers == 1 || len(js) < batchSerialThreshold
+	serial := workers == 1 || len(js) < BatchSerialThreshold
 	cancellable := ctx != nil && ctx.Done() != nil
 	if !cancellable && serial {
 		_ = fill(0, len(js))
@@ -500,6 +504,62 @@ func (idx *Index) AccessBatchContext(ctx context.Context, js []int64, workers in
 		return nil, err
 	}
 	return out, nil
+}
+
+// AccessBatchInto is AccessBatch on the calling goroutine into rows the
+// caller owns: rows[i] receives the answer at js[i] and must have the
+// index's arity. It allocates nothing, which is what a server filling
+// pooled scratch rows or an iterator filling one array per chunk wants.
+// Like AccessBatch it validates first — an out-of-range position, or rows
+// of another length than js, fails the call before any row is written.
+func (idx *Index) AccessBatchInto(js []int64, rows []relation.Tuple) error {
+	if len(rows) != len(js) {
+		return fmt.Errorf("access: AccessBatchInto: %d rows for %d positions", len(rows), len(js))
+	}
+	if !idx.inBounds(js) {
+		return ErrOutOfBounds
+	}
+	idx.accessGroups(js, rows)
+	return nil
+}
+
+func (idx *Index) inBounds(js []int64) bool {
+	for _, j := range js {
+		if j < 0 || j >= idx.count {
+			return false
+		}
+	}
+	return true
+}
+
+// accessGroups resolves the validated positions js into rows, groupSize
+// probes at a time. A group of consecutive positions — a page, a stretch of
+// a sequential drain, a single position — is left to the single probe:
+// neighbours in the order walk the same tuples, so each probe after the
+// first finds its lines in cache and lockstep would only add work.
+func (idx *Index) accessGroups(js []int64, rows []relation.Tuple) {
+	var gs [groupSize]uint32 // every probe starts in the root's one bucket
+	var sub [groupSize]int64 // the descent rewrites its positions
+	for len(js) > 0 {
+		k := copy(sub[:], js)
+		if consecutive(sub[:k]) {
+			for p, j := range sub[:k] {
+				idx.subtreeAccess(idx.root, 0, j, rows[p])
+			}
+		} else {
+			idx.subtreeAccessGroup(idx.root, gs[:], sub[:], k, rows)
+		}
+		js, rows = js[k:], rows[k:]
+	}
+}
+
+func consecutive(js []int64) bool {
+	for i := 1; i < len(js); i++ {
+		if js[i] != js[i-1]+1 {
+			return false
+		}
+	}
+	return true
 }
 
 // subtreeAccess resolves index j within bucket g of node n, writing the
@@ -546,8 +606,8 @@ func (idx *Index) subtreeAccess(n *node, g uint32, j int64, answer relation.Tupl
 			rem /= ct
 			cgs[ci] = cg
 			if mid := int(uint32(c.bucketOff[cg]+c.bucketOff[cg+1]) >> 1); mid < len(c.start) {
-				prefetcht0(&c.start[mid])
-				prefetcht0(&c.weight[mid])
+				prefetcht0(unsafe.Pointer(&c.start[mid]))
+				prefetcht0(unsafe.Pointer(&c.weight[mid]))
 			}
 		}
 		for ci := len(n.children) - 1; ci >= 0; ci-- {

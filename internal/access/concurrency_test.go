@@ -130,7 +130,7 @@ func TestConcurrentMixedProbes(t *testing.T) {
 						return
 					}
 				case 2:
-					js := make([]int64, 300) // above batchSerialThreshold: inner fan-out
+					js := make([]int64, 300) // above BatchSerialThreshold: inner fan-out
 					for k := range js {
 						js[k] = local.Int63n(n)
 					}

@@ -171,7 +171,7 @@ func TestAccessBatchSemantics(t *testing.T) {
 	}
 	// A batch large enough to cross the fan-out threshold.
 	rng := rand.New(rand.NewSource(10))
-	big := make([]int64, 4*batchSerialThreshold)
+	big := make([]int64, 4*BatchSerialThreshold)
 	for i := range big {
 		big[i] = rng.Int63n(n)
 	}

@@ -2,7 +2,9 @@
 
 package access
 
+import "unsafe"
+
 // prefetcht0 is a no-op on architectures without an explicit prefetch
-// helper; the two-pass probe restructure still overlaps misses through the
-// early loads themselves.
-func prefetcht0(p *int64) { _ = p }
+// helper; the pass structure of the probes still overlaps misses through
+// the early loads themselves.
+func prefetcht0(p unsafe.Pointer) { _ = p }

@@ -150,20 +150,8 @@ func (p *RandomPermutation) NextNContext(ctx context.Context, k int64, workers i
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Callers may pass "drain everything" values of k; size by what is
-	// actually left so the allocation cannot explode.
-	if r := p.shuf.Remaining(); k > r {
-		k = r
-	}
-	js := make([]int64, 0, k)
-	for int64(len(js)) < k {
-		j, ok := p.shuf.Next()
-		if !ok {
-			break
-		}
-		js = append(js, j)
-	}
-	return p.idx.AccessBatchContext(ctx, js, workers)
+	// k may be a "drain everything" value: Draw sizes by what is left.
+	return p.idx.AccessBatchContext(ctx, p.shuf.Draw(nil, k), workers)
 }
 
 // DeletableSet implements Lemma 5.3: given counting, random access and

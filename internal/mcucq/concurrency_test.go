@@ -1,11 +1,17 @@
 package mcucq
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -174,5 +180,72 @@ func TestPermutationNextNMatchesNext(t *testing.T) {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("position %d: %v vs %v", i, got[i], want[i])
 		}
+	}
+}
+
+// callerSpy wraps a disjunct and counts the probes that run without the
+// named test function on their stack: on some goroutine other than the one
+// the test made the batched call from.
+type callerSpy struct {
+	RankedSet
+	caller  string
+	strayed *atomic.Int64
+}
+
+func (s callerSpy) Access(j int64) (relation.Tuple, error) {
+	if !bytes.Contains(debug.Stack(), []byte(s.caller)) {
+		s.strayed.Add(1)
+	}
+	return s.RankedSet.Access(j)
+}
+
+// TestSmallUnionBatchStaysOnCaller: a union batch below the serial
+// threshold — a 64-answer page or cursor draw — is probed on the calling
+// goroutine whatever the worker budget; it used to fork GOMAXPROCS
+// goroutines per request.
+func TestSmallUnionBatchStaysOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // workers <= 0 means GOMAXPROCS
+	db, u := unionFixture(t)
+	m, err := New(db, u, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var strayed atomic.Int64
+	spy := func(s RankedSet) RankedSet {
+		return callerSpy{s, "TestSmallUnionBatchStaysOnCaller", &strayed}
+	}
+	for _, lv := range m.levels {
+		lv.first = spy(lv.first)
+	}
+	m.firsts[len(m.firsts)-1] = spy(m.firsts[len(m.firsts)-1])
+
+	rng := rand.New(rand.NewSource(5))
+	positions := func(k int) []int64 {
+		js := make([]int64, k)
+		for i := range js {
+			js[i] = rng.Int63n(m.Count())
+		}
+		return js
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []context.Context{context.Background(), ctx} {
+		if _, err := m.AccessBatchContext(c, positions(64), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Permute(rng).NextN(64, 0); len(got) != 64 {
+		t.Fatalf("NextN(64) returned %d answers", len(got))
+	}
+	if n := strayed.Load(); n != 0 {
+		t.Fatalf("%d probes of 64-position batches ran off the calling goroutine", n)
+	}
+
+	// The spy does see a fan-out: a batch above the threshold strays.
+	if _, err := m.AccessBatchContext(context.Background(), positions(4*access.BatchSerialThreshold), 0); err != nil {
+		t.Fatal(err)
+	}
+	if strayed.Load() == 0 {
+		t.Fatal("a 1024-position batch on 4 workers ran entirely on the calling goroutine: the spy sees nothing")
 	}
 }

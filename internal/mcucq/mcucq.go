@@ -468,6 +468,38 @@ func (m *MCUCQ) Access(j int64) (relation.Tuple, error) {
 	}
 }
 
+// AccessBatchContext returns Access(j) for every j in js, in order, on up to
+// `workers` goroutines (workers <= 0 means parallel.Workers()), honoring
+// cancellation between probe chunks. The batch is validated first: an
+// out-of-range position fails the call with access.ErrOutOfBounds before
+// any probe. Like the index's own AccessBatch, a batch below
+// access.BatchSerialThreshold runs on the calling goroutine whatever the
+// worker count — a 64-answer page must not pay for a fork and a join.
+func (m *MCUCQ) AccessBatchContext(ctx context.Context, js []int64, workers int) ([]relation.Tuple, error) {
+	for _, j := range js {
+		if j < 0 || j >= m.count {
+			return nil, access.ErrOutOfBounds
+		}
+	}
+	if len(js) < access.BatchSerialThreshold {
+		workers = 1
+	}
+	out := make([]relation.Tuple, len(js))
+	if err := parallel.ForEachChunkCtx(ctx, len(js), workers, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			t, err := m.Access(js[i])
+			if err != nil {
+				return err
+			}
+			out[i] = t
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // Test reports whether t is an answer of the union: a flat OR-scan over the
 // disjunct indexes (the recursive chain's Test unrolls to exactly this).
 func (m *MCUCQ) Test(t relation.Tuple) bool { return m.testFrom(0, t) }
@@ -561,32 +593,8 @@ func (p *Permutation) NextNContext(ctx context.Context, k int64, workers int) ([
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Size by what is actually left: k may be a "drain everything" value.
-	if r := p.shuf.Remaining(); k > r {
-		k = r
-	}
-	js := make([]int64, 0, k)
-	for int64(len(js)) < k {
-		j, ok := p.shuf.Next()
-		if !ok {
-			break
-		}
-		js = append(js, j)
-	}
-	out := make([]relation.Tuple, len(js))
-	if err := parallel.ForEachChunkCtx(ctx, len(js), workers, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			t, err := p.m.Access(js[i])
-			if err != nil {
-				return err
-			}
-			out[i] = t
-		}
-		return nil
-	}); err != nil {
-		// Only reachable through cancellation: the shuffler never emits an
-		// index at or above Count().
-		return nil, err
-	}
-	return out, nil
+	// k may be a "drain everything" value: Draw sizes by what is left. The
+	// shuffler never emits an index at or above Count(), so the batch fails
+	// only through cancellation.
+	return p.m.AccessBatchContext(ctx, p.shuf.Draw(nil, k), workers)
 }

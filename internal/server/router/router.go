@@ -558,23 +558,8 @@ func (s *remote) Pager() func(context.Context, int64, int64) ([][]string, error)
 // seeded rng exactly like the library's sampler: same seed, same positions,
 // same bytes as the unsharded daemon.
 func (s *remote) Sample(ctx context.Context, k int64, rng *rand.Rand) ([][]string, bool, error) {
-	rows, err := s.Batch(ctx, drawPositions(shuffle.New(s.rt.total, rng), k))
+	rows, err := s.Batch(ctx, shuffle.New(s.rt.total, rng).Draw(nil, k))
 	return rows, false, err
-}
-
-// drawPositions draws up to k further positions of a lazy Fisher–Yates
-// shuffle.
-func drawPositions(shuf *shuffle.Shuffler, k int64) []int64 {
-	k = min(k, shuf.Remaining())
-	js := make([]int64, 0, k)
-	for int64(len(js)) < k {
-		j, ok := shuf.Next()
-		if !ok {
-			break
-		}
-		js = append(js, j)
-	}
-	return js
 }
 
 // Permute: one lazy Fisher–Yates over the global count, positions drawn
@@ -590,7 +575,7 @@ func (s *remote) Permute(rng *rand.Rand) (func(context.Context, int64) ([][]stri
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return s.Batch(ctx, drawPositions(shuf, k))
+		return s.Batch(ctx, shuf.Draw(nil, k))
 	}, nil
 }
 

@@ -585,11 +585,12 @@ func (l *local) Access(_ context.Context, j int64) (renum.Tuple, error) {
 	return t, l.e.H.AccessInto(j, t)
 }
 
-// streamBatchThreshold: a batch or page at or below this many positions
-// probes sequentially through AccessInto into the pooled scratch rows — the
-// library's own AccessBatch is serial below its chunk threshold anyway, so
-// no parallelism is lost, and the per-request []Tuple materialization is
-// gone. Larger ones keep AccessBatchContext's parallel fan-out.
+// streamBatchThreshold: a batch or page at or below this many positions is
+// one AccessBatchInto into the pooled scratch rows — the library's own
+// AccessBatch is serial below its chunk threshold anyway, so no parallelism
+// is lost, the probes still descend the index as a group, and the
+// per-request []Tuple materialization is gone. Larger ones keep
+// AccessBatchContext's parallel fan-out.
 const streamBatchThreshold = 256
 
 func (l *local) Batch(ctx context.Context, js []int64) ([]renum.Tuple, error) {
@@ -604,12 +605,7 @@ func (l *local) Batch(ctx context.Context, js []int64) ([]renum.Tuple, error) {
 		return nil, err
 	}
 	rows := l.enc.rowsFor(len(js), l.Arity())
-	for i, j := range js {
-		if err := l.e.H.AccessInto(j, rows[i]); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
+	return rows, l.e.H.AccessBatchInto(js, rows)
 }
 
 // jsInRange reports whether every position can be probed right now.
@@ -631,13 +627,13 @@ func (l *local) Page(ctx context.Context, offset, k int64) ([]renum.Tuple, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rows := l.enc.rowsFor(int(k), l.Arity())
-	for i, row := range rows {
-		if err := l.e.H.AccessInto(offset+int64(i), row); err != nil {
-			return nil, err
-		}
+	js := l.enc.jsFor()
+	for j := offset; j < offset+k; j++ {
+		js = append(js, j)
 	}
-	return rows, nil
+	l.enc.js = js // keep what append grew
+	rows := l.enc.rowsFor(len(js), l.Arity())
+	return rows, l.e.H.AccessBatchInto(js, rows)
 }
 
 func (l *local) Pager() func(context.Context, int64, int64) ([]renum.Tuple, error) {

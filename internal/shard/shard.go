@@ -235,11 +235,6 @@ func (s *Set) AccessInto(j int64, buf relation.Tuple) error {
 	return s.shards[sh].AccessInto(local, buf)
 }
 
-// batchSerialThreshold mirrors access.Index's batching: below it the
-// per-shard split would cost more than it saves, so positions are probed
-// serially through the same Fenwick routing.
-const batchSerialThreshold = 256
-
 // AccessBatch is AccessBatchContext with a background context.
 func (s *Set) AccessBatch(js []int64, workers int) ([]relation.Tuple, error) {
 	return s.AccessBatchContext(context.Background(), js, workers)
@@ -260,7 +255,7 @@ func (s *Set) AccessBatchContext(ctx context.Context, js []int64, workers int) (
 	if len(js) == 0 {
 		return out, nil
 	}
-	if len(js) <= batchSerialThreshold || len(s.shards) == 1 {
+	if len(js) < access.BatchSerialThreshold || len(s.shards) == 1 {
 		if len(s.shards) == 1 {
 			return s.shards[0].AccessBatchContext(ctx, js, workers)
 		}

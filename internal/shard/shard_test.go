@@ -102,7 +102,7 @@ func TestSetAccessBatch(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	// Large enough to cross batchSerialThreshold, with duplicates.
+	// Large enough to cross access.BatchSerialThreshold, with duplicates.
 	js := make([]int64, 1500)
 	for i := range js {
 		js[i] = rng.Int63n(n)

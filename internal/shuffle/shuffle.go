@@ -7,23 +7,31 @@
 //   - DeletionSet: the Section 5.1 structure — the same lazy array plus a
 //     reverse index b, supporting Sample / Delete / Count over the index set
 //     {0..n-1}, as required by Algorithm 5 (REnum(UCQ)) via Lemma 5.3.
+//
+// Both keep their lazy arrays in the flat open-addressed table of table.go,
+// which grows and shrinks a bounded number of slots per operation: no call
+// stops to rehash, and a structure holds memory for the positions still
+// live in it, not for every position it ever touched.
 package shuffle
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // Shuffler emits a uniformly random permutation of 0..n-1, one element per
 // Next call (Algorithm 1). The zero value is not usable; call New.
 type Shuffler struct {
 	n   int64
 	i   int64
-	a   map[int64]int64 // lazy array: absent key k means a[k] = k
+	a   table // lazy array: absent key k means a[k] = k; keys < i are dead
 	rng *rand.Rand
 }
 
 // New returns a Shuffler over 0..n-1 using the given source of randomness.
 // Preprocessing is O(1): the array is simulated lazily.
 func New(n int64, rng *rand.Rand) *Shuffler {
-	return &Shuffler{n: n, a: make(map[int64]int64), rng: rng}
+	return &Shuffler{n: n, a: newTable(), rng: rng}
 }
 
 // Remaining returns how many elements have not been emitted yet.
@@ -37,19 +45,30 @@ func (s *Shuffler) Next() (int64, bool) {
 	}
 	i := s.i
 	j := i + s.rng.Int63n(s.n-i)
-	ai, ok := s.a[i]
-	if !ok {
-		ai = i
-	}
-	aj, ok := s.a[j]
-	if !ok {
-		aj = j
-	}
-	// Swap a[i] and a[j]; output the value now at a[i].
-	s.a[i] = aj
-	s.a[j] = ai
 	s.i++
-	return aj, true
+	// Swap a[i] and a[j] and output the value now at a[i]. Slot i is never
+	// read again, so it is taken out of the table instead of written.
+	ai := s.a.take(i)
+	if j == i {
+		return ai, true
+	}
+	return s.a.swap(j, ai), true
+}
+
+// Draw appends the next k elements of the permutation to dst — fewer once
+// the permutation ends, none for k <= 0 — and returns the extended slice.
+// The elements, and the rng draws behind them, are those of k Next calls.
+func (s *Shuffler) Draw(dst []int64, k int64) []int64 {
+	k = min(k, s.Remaining())
+	if k <= 0 {
+		return dst
+	}
+	dst = slices.Grow(dst, int(k))
+	for ; k > 0; k-- {
+		j, _ := s.Next()
+		dst = append(dst, j)
+	}
+	return dst
 }
 
 // DeletionSet maintains the set {0..n-1} minus deletions, supporting uniform
@@ -59,27 +78,13 @@ func (s *Shuffler) Next() (int64, bool) {
 type DeletionSet struct {
 	n int64
 	i int64 // number of deleted elements
-	a map[int64]int64
-	b map[int64]int64
+	a table // keys < i are dead: the deleted prefix is never read
+	b table
 }
 
 // NewDeletionSet returns a DeletionSet over 0..n-1.
 func NewDeletionSet(n int64) *DeletionSet {
-	return &DeletionSet{n: n, a: make(map[int64]int64), b: make(map[int64]int64)}
-}
-
-func (d *DeletionSet) av(k int64) int64 {
-	if v, ok := d.a[k]; ok {
-		return v
-	}
-	return k
-}
-
-func (d *DeletionSet) bv(m int64) int64 {
-	if v, ok := d.b[m]; ok {
-		return v
-	}
-	return m
+	return &DeletionSet{n: n, a: newTable(), b: newTable()}
 }
 
 // Count returns the number of remaining (non-deleted) elements.
@@ -92,7 +97,7 @@ func (d *DeletionSet) Sample(rng *rand.Rand) (int64, bool) {
 		return 0, false
 	}
 	k := d.i + rng.Int63n(d.n-d.i)
-	return d.av(k), true
+	return d.a.get(k), true
 }
 
 // Deleted reports whether value m has been deleted.
@@ -100,7 +105,7 @@ func (d *DeletionSet) Deleted(m int64) bool {
 	if m < 0 || m >= d.n {
 		return true
 	}
-	return d.bv(m) < d.i
+	return d.b.get(m) < d.i
 }
 
 // Delete removes value m from the set. It reports whether m was present
@@ -109,16 +114,18 @@ func (d *DeletionSet) Delete(m int64) bool {
 	if m < 0 || m >= d.n {
 		return false
 	}
-	k := d.bv(m) // slot currently holding m
+	k := d.b.get(m) // slot currently holding m
 	if k < d.i {
 		return false // already deleted
 	}
-	// Swap slots k and i; advance i.
-	vi := d.av(d.i)
-	d.a[k] = vi
-	d.b[vi] = k
-	d.a[d.i] = m
-	d.b[m] = d.i
+	// Swap slots k and i; advance i. Slot i joins the deleted prefix, which
+	// only b describes from now on, so a gives it up instead of storing m.
+	vi := d.a.take(d.i)
+	if k != d.i {
+		d.a.swap(k, vi)
+		d.b.swap(vi, k)
+	}
+	d.b.swap(m, d.i)
 	d.i++
 	return true
 }

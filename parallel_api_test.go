@@ -327,9 +327,19 @@ var (
 	fuzzRA   *RandomAccess
 )
 
+// The query hangs two children, S and T, off R, so a batch's grouped probe
+// splits positions over siblings as well as descending a chain.
 func fuzzFixture(t testing.TB) *RandomAccess {
 	fuzzOnce.Do(func() {
-		db, q := fixtureDB(t)
+		db, _ := fixtureDB(t)
+		tr := db.MustCreate("T", "b", "d")
+		for i := 0; i < 40; i++ {
+			tr.MustInsert(Value(i%5), Value(i%7)) // 35 distinct tuples, 7 per b
+		}
+		q := MustCQ("q", []string{"a", "b", "c", "d"},
+			NewAtom("R", V("a"), V("b")),
+			NewAtom("S", V("b"), V("c")),
+			NewAtom("T", V("b"), V("d")))
 		ra, err := NewRandomAccess(db, q)
 		if err != nil {
 			t.Fatal(err)

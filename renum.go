@@ -109,7 +109,6 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/mcucq"
 	"repro/internal/naive"
-	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reduce"
@@ -558,26 +557,7 @@ func (ua *UnionAccess) AccessBatch(js []int64, workers int) ([]Tuple, error) {
 }
 
 func (ua *UnionAccess) accessBatchContext(ctx context.Context, js []int64, workers int) ([]Tuple, error) {
-	n := ua.Count()
-	for _, j := range js {
-		if j < 0 || j >= n {
-			return nil, ErrOutOfBounds
-		}
-	}
-	out := make([]Tuple, len(js))
-	if err := parallel.ForEachChunkCtx(ctx, len(js), workers, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			t, err := ua.m.Access(js[i])
-			if err != nil {
-				return err
-			}
-			out[i] = t
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return ua.m.AccessBatchContext(ctx, js, workers)
 }
 
 // Page returns answers offset..offset+limit-1 of the union's enumeration

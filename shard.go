@@ -198,6 +198,24 @@ func (b sliceBackend) AccessInto(j int64, buf Tuple) error {
 }
 
 func (b sliceBackend) accessBatchContext(ctx context.Context, js []int64, workers int) ([]Tuple, error) {
+	shifted, err := b.shift(js)
+	if err != nil {
+		return nil, err
+	}
+	return b.of.accessBatchContext(ctx, shifted, workers)
+}
+
+func (b sliceBackend) accessBatchInto(js []int64, rows []Tuple) error {
+	shifted, err := b.shift(js)
+	if err != nil {
+		return err
+	}
+	return accessBatchInto(b.of, shifted, rows)
+}
+
+// shift maps window positions onto the wrapped backend's, or fails with
+// ErrOutOfBounds when one lies outside the window.
+func (b sliceBackend) shift(js []int64) ([]int64, error) {
 	shifted := make([]int64, len(js))
 	for i, j := range js {
 		if j < 0 || j >= b.n {
@@ -205,7 +223,7 @@ func (b sliceBackend) accessBatchContext(ctx context.Context, js []int64, worker
 		}
 		shifted[i] = b.lo + j
 	}
-	return b.of.accessBatchContext(ctx, shifted, workers)
+	return shifted, nil
 }
 
 func (b sliceBackend) Permute(rng *rand.Rand) *Permutation {
@@ -266,18 +284,7 @@ func positionPermutation(n int64, rng *rand.Rand, accessFn func(int64) (Tuple, e
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if r := shuf.Remaining(); k > r {
-			k = r
-		}
-		js := make([]int64, 0, k)
-		for int64(len(js)) < k {
-			j, ok := shuf.Next()
-			if !ok {
-				break
-			}
-			js = append(js, j)
-		}
-		return batchFn(ctx, js, 0)
+		return batchFn(ctx, shuf.Draw(nil, k), 0)
 	}
 	return &Permutation{
 		next: func() (Tuple, bool) {
@@ -305,17 +312,5 @@ func samplePositions(n, k int64, rng *rand.Rand, batch func([]int64) ([]Tuple, e
 	if k < 0 {
 		return nil, ErrOutOfBounds
 	}
-	if k > n {
-		k = n
-	}
-	shuf := shuffle.New(n, rng)
-	js := make([]int64, 0, k)
-	for int64(len(js)) < k {
-		j, ok := shuf.Next()
-		if !ok {
-			break
-		}
-		js = append(js, j)
-	}
-	return batch(js)
+	return batch(shuffle.New(n, rng).Draw(nil, k))
 }
