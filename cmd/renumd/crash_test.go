@@ -122,7 +122,6 @@ var crashBootArgs = []string{
 	"-table", filepath.Join("..", "..", "internal", "load", "testdata", "r.csv"),
 	"-query", "D(x, y) :- r(x, y).",
 	"-dynamic",
-	"-coalesce-window", "0",
 }
 
 // applyStream sends k acknowledged updates — a mix of inserts, deletes and
@@ -206,7 +205,7 @@ func TestSIGKILLAfterCompaction(t *testing.T) {
 
 	// Snapshot-only reboot: no -table/-query — the compacted generation
 	// plus its segment is the whole state.
-	reborn := startProc(t, bin, "-wal-dir", walDir, "-snapshot-dir", snapDir, "-coalesce-window", "0")
+	reborn := startProc(t, bin, "-wal-dir", walDir, "-snapshot-dir", snapDir)
 	if got := reborn.sweep(t); got != want {
 		t.Fatalf("state after compaction+SIGKILL diverges:\n%s\nvs\n%s", got, want)
 	}

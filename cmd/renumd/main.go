@@ -15,8 +15,7 @@
 // becoming a union query. With -dynamic, single-rule full CQs build dynamic
 // indexes that accept POST /v1/{query}/update.
 //
-// Concurrent GET /v1/{query}/access requests landing within
-// -coalesce-window are merged into one AccessBatch probe (0 disables).
+// GET /v1/{query}/access is one direct index probe; /batch amortises many.
 // Cursor sessions started via /v1/{query}/enum/start are evicted after
 // -cursor-ttl of inactivity. -workers is each entry's worker budget — index
 // build parallelism and batch/page/sample probe fan-out (0 = all cores).
@@ -116,6 +115,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("renumd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	return runFlags(fs, args, stdout, stderr)
+}
+
+// runFlags declares the daemon's flags on fs, parses args and serves. The
+// FlagSet is the caller's so TestFlagSurface can read back what was declared
+// and diff it against api/renumd-flags.txt.
+func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	var tables, queries, shards stringList
 	fs.Var(&tables, "table", "CSV file to load as a relation (repeatable)")
 	fs.Var(&queries, "query", "datalog program to serve (repeatable)")
@@ -124,8 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr         = fs.String("addr", ":8080", "listen address")
 		dynamic      = fs.Bool("dynamic", false, "build dynamic (updatable) indexes for single-rule full CQs")
 		workers      = fs.Int("workers", 0, "worker budget per entry: index build and batch/page/sample fan-out (0 = all cores)")
-		coalesceWin  = fs.Duration("coalesce-window", 500*time.Microsecond, "window for merging concurrent /access probes (0 disables)")
-		coalesceMax  = fs.Int("coalesce-max", 64, "flush a coalescing round early at this many pending probes")
 		cursorTTL    = fs.Duration("cursor-ttl", 5*time.Minute, "idle eviction of enumeration cursors")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 		noAdmin      = fs.Bool("no-admin", false, "disable the /admin endpoints")
@@ -142,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shardRefresh = fs.Duration("shard-refresh", 2*time.Second, "router mode: period for scraping shard counts and health")
 		shardSlice   = fs.String("shard-slice", "", "serve only slice i of a K-way answer partition, as \"i/K\" (shard daemon mode)")
 		plannerMode  = fs.String("planner", "cost", "join-tree planning for entry builds: cost (search candidate trees, keep the cheapest) or off (serve the as-parsed tree byte-for-byte)")
-		ansCacheB    = fs.Int64("answer-cache-bytes", 0, "byte budget for the generation-keyed /access answer cache (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -178,10 +181,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "renumd: %v\n", err)
 		return 2
 	}
-	if *ansCacheB < 0 {
-		fmt.Fprintf(stderr, "renumd: -answer-cache-bytes must be non-negative (got %d)\n", *ansCacheB)
-		return 2
-	}
 	if *persistExit && *snapshotDir == "" {
 		fmt.Fprintln(stderr, "renumd: -persist-on-exit requires -snapshot-dir")
 		return 2
@@ -194,11 +193,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *compactEvery > 0 && (*walDir == "" || *snapshotDir == "") {
 		fmt.Fprintln(stderr, "renumd: -compact-every requires -wal-dir and -snapshot-dir")
 		return 2
-	}
-
-	coalesce := server.CoalesceConfig{
-		Window:   *coalesceWin,
-		MaxBatch: *coalesceMax,
 	}
 
 	// Boot from the newest snapshot when one exists; otherwise from CSVs.
@@ -218,7 +212,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// The catalog backs the served handles with its file mapping:
 			// hold it for the process lifetime.
 			defer cat.Close()
-			reg, err = server.NewRegistryFromCatalog(cat, coalesce, *workers)
+			reg, err = server.NewRegistryFromCatalog(cat, server.CoalesceConfig{}, *workers)
 			if err != nil {
 				fmt.Fprintf(stderr, "renumd: %v\n", err)
 				return 1
@@ -237,7 +231,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "renumd: %v\n", err)
 			return 1
 		}
-		reg = server.NewRegistry(db, coalesce, *workers)
+		reg = server.NewRegistry(db, server.CoalesceConfig{}, *workers)
 	} else {
 		// Snapshot boot: -table/-query apply on top of the restored state.
 		for _, path := range tables {
@@ -298,13 +292,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// without parsing the human-oriented stdout chatter.
 	logger := slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
 	srv := server.New(reg, server.Config{
-		CursorTTL:        *cursorTTL,
-		AdminDisabled:    *noAdmin,
-		SnapshotDir:      *snapshotDir,
-		SlowLog:          *slowLog,
-		TraceBuffer:      *traceBuffer,
-		Logger:           logger,
-		AnswerCacheBytes: *ansCacheB,
+		CursorTTL:     *cursorTTL,
+		AdminDisabled: *noAdmin,
+		SnapshotDir:   *snapshotDir,
+		SlowLog:       *slowLog,
+		TraceBuffer:   *traceBuffer,
+		Logger:        logger,
 	})
 	defer srv.Close()
 

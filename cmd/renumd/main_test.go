@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -27,10 +28,29 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
+// lockedBuffer is the daemon's stdout/stderr: run writes it from its own
+// goroutine while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // daemon drives run() in a goroutine against a real socket.
 type daemon struct {
 	addr string
-	out  bytes.Buffer
+	out  lockedBuffer
 	done chan int
 }
 

@@ -86,8 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// --- Dataset and serving stack (coalescing off: the alloc figures must
-	// measure the encoder and probe path, not the coalescer's channels) -----
+	// --- Dataset and serving stack (the registry and server renumd ships: the
+	// alloc figures describe the deployed /access path) ---------------------
 	db, q, err := synth.Star(synth.Config{
 		Relations: o.relations, TuplesPerRelation: o.tuples, KeyDomain: 2_000, SkewS: 1.2, Seed: o.seed,
 	})

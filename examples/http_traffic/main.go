@@ -3,10 +3,9 @@
 // The scenario is the serving tier under load: a star-join index is built
 // once, put behind the HTTP API (the same internal/server handler that
 // cmd/renumd serves), and then N client goroutines fire a mixed workload —
-// point accesses (which the server coalesces into batches), explicit
-// batches, pages, counts and samples — over real sockets. At the end the
-// example fetches /metrics and prints the per-endpoint latency summary and
-// the coalescer's merge ratio.
+// point accesses, explicit batches, pages, counts and samples — over real
+// sockets. At the end the example fetches /metrics and prints the
+// per-endpoint latency summary.
 //
 // Run with: go run ./examples/http_traffic [-clients 8] [-ops 400]
 package main
@@ -32,10 +31,9 @@ import (
 
 func main() {
 	var (
-		clients  = flag.Int("clients", 8, "concurrent client goroutines")
-		ops      = flag.Int("ops", 400, "requests per client")
-		tuples   = flag.Int("tuples", 20_000, "tuples per relation")
-		coalesce = flag.Duration("coalesce-window", 300*time.Microsecond, "server access-coalescing window")
+		clients = flag.Int("clients", 8, "concurrent client goroutines")
+		ops     = flag.Int("ops", 400, "requests per client")
+		tuples  = flag.Int("tuples", 20_000, "tuples per relation")
 	)
 	flag.Parse()
 
@@ -57,7 +55,7 @@ func main() {
 	}
 	program := fmt.Sprintf("Q(%s) :- %s.", strings.Join(q.Head, ", "), strings.Join(atoms, ", "))
 
-	reg := server.NewRegistry(db, server.CoalesceConfig{Window: *coalesce, MaxBatch: 64}, 0)
+	reg := server.NewRegistry(db, server.CoalesceConfig{}, 0)
 	t0 := time.Now()
 	if _, err := reg.Register(program, false); err != nil {
 		fail(err)
@@ -141,7 +139,7 @@ func main() {
 			rng := rand.New(rand.NewSource(int64(id)))
 			for i := 0; i < *ops; i++ {
 				switch rng.Intn(10) {
-				case 0, 1, 2, 3: // point lookups dominate: the coalescer's diet
+				case 0, 1, 2, 3: // point lookups dominate
 					get(fmt.Sprintf("%s/v1/Q/access?j=%d", base, rng.Int63n(n)))
 				case 4, 5:
 					js := make([]string, 16)
@@ -187,11 +185,6 @@ func main() {
 	defer resp.Body.Close()
 	var m struct {
 		Endpoints []server.EndpointSummary `json:"endpoints"`
-		Coalescer []struct {
-			Query  string `json:"query"`
-			Rounds int64  `json:"rounds"`
-			Served int64  `json:"served"`
-		} `json:"coalescer"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		fail(err)
@@ -200,12 +193,6 @@ func main() {
 	for _, ep := range m.Endpoints {
 		fmt.Printf("%-10s %8d %8d %9.3f %9.3f %9.3f %9.3f\n",
 			ep.Endpoint, ep.Count, ep.Errors, ep.MedianMs, ep.P90Ms, ep.P99Ms, ep.MaxMs)
-	}
-	for _, c := range m.Coalescer {
-		if c.Served > 0 {
-			fmt.Printf("\ncoalescer[%s]: %d accesses served by %d batch probes (%.2f per probe)\n",
-				c.Query, c.Served, c.Rounds, float64(c.Served)/float64(c.Rounds))
-		}
 	}
 }
 

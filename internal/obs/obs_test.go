@@ -60,7 +60,7 @@ func TestHistogramRecordZeroAllocs(t *testing.T) {
 }
 
 // recordedWorkload synthesizes a latency trace shaped like the
-// serving tier's: a tight fast-path mode, a slower coalesced mode,
+// serving tier's: a tight fast-path mode, a slower batched mode,
 // and a heavy tail — then shifts regime midway, which is exactly
 // where a sampling ring loses the early distribution.
 func recordedWorkload(n int) []time.Duration {
@@ -73,7 +73,7 @@ func recordedWorkload(n int) []time.Duration {
 			d = time.Duration(200_000 + rng.Intn(400_000))
 		case rng.Float64() < 0.02: // tail
 			d = time.Duration(1_000_000 + rng.Intn(9_000_000))
-		case rng.Float64() < 0.3: // coalesced mode
+		case rng.Float64() < 0.3: // batched mode
 			d = time.Duration(30_000 + rng.Intn(50_000))
 		default: // fast path
 			d = time.Duration(2_000 + rng.Intn(6_000))

@@ -178,7 +178,7 @@ func (r *Registry) Histogram(name, help, labels string) *Histogram {
 
 // CollectorFunc registers a family whose series are produced at
 // scrape time by fn — for values owned elsewhere (generation number,
-// live cursor count, coalescer stats) that would otherwise need a
+// live cursor count, WAL depth) that would otherwise need a
 // write-through gauge on every change. Counter and gauge kinds only.
 func (r *Registry) CollectorFunc(name, help string, kind Kind, fn func(emit func(labels string, value float64))) {
 	if kind == KindHistogram {

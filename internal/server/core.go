@@ -162,9 +162,6 @@ type Source[R Row] interface {
 	Arity() int
 	// Dict renders R's cells; nil when rows are already strings.
 	Dict() *renum.Dict
-	// CacheGen is the snapshot generation /access bodies may be cached
-	// under; ok is false when they must not be cached at all.
-	CacheGen() (gen uint64, ok bool)
 	// Probe starts the clock for op's probe section.
 	Probe(op Op) ProbeClock
 
@@ -205,7 +202,6 @@ type Core[R Row] struct {
 	maxBatch int64
 	maxDraw  int64
 	cursors  *cursorStore[R]
-	cache    *answerCache // nil = no /access answer cache
 }
 
 // NewCore returns a core with its cursor janitor running; Close stops it.
@@ -256,24 +252,10 @@ func (c *Core[R]) do(ctx context.Context, src Source[R], req *request, enc *enc)
 		return appendCountBody(enc.buf, n), false, nil
 
 	case OpAccess:
-		// Validate before probing: the daemon may merge this probe with
-		// concurrent ones, AccessBatch fails a whole batch on one bad
-		// position, and a bad j must not poison the requests it is merged
-		// with.
+		// Input validation is the core's: the 400 body is the same whichever
+		// Source answers, local index or router scatter.
 		if n := src.Count(); req.j < 0 || req.j >= n {
 			return nil, false, HTTPErrorf(http.StatusBadRequest, "j=%d out of range [0, %d)", req.j, n)
-		}
-		// A cache hit skips probe and encoding both. Name, generation and
-		// dictionary all come from the one Source, so they belong to one
-		// snapshot.
-		cache := c.cache
-		gen, cacheable := src.CacheGen()
-		if cache != nil && cacheable {
-			if body := cache.get(src.Name(), gen, req.j); body != nil {
-				return body, false, nil
-			}
-		} else {
-			cache = nil
 		}
 		pc := src.Probe(OpAccess)
 		row, err := src.Access(ctx, req.j)
@@ -281,13 +263,7 @@ func (c *Core[R]) do(ctx context.Context, src Source[R], req *request, enc *enc)
 		if err != nil {
 			return nil, false, err
 		}
-		body = appendAccessBody(enc.buf, dict, req.j, row)
-		if cache != nil {
-			// A miss is the admission signal: the second miss of a position
-			// admits these exact bytes (offer copies; body stays pooled).
-			cache.offer(src.Name(), gen, req.j, body)
-		}
-		return body, false, nil
+		return appendAccessBody(enc.buf, dict, req.j, row), false, nil
 
 	case OpBatch:
 		if int64(len(req.js)) > c.maxBatch {

@@ -165,7 +165,7 @@ func sameRows(a, b [][]string) bool {
 // /page and both cursor orders, the wire response must decode to exactly the
 // tuples the JSON path reports.
 func TestWireGoldenEquivalence(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("Q")
 	n := e.Count()
 	if n < 3 {
@@ -253,7 +253,7 @@ func TestWireGoldenEquivalence(t *testing.T) {
 // bytes, pinning the "byte-identical to pre-PR responses" contract
 // end-to-end (success and error paths).
 func TestResponsesByteIdenticalToOldEncoder(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("Q")
 	n := e.Count()
 	render := func(tu renum.Tuple) []string { return s.renderTuple(tu) }

@@ -477,14 +477,14 @@ func (fc *fastConn) serveFast(op Op, qname []byte, wantWire bool, tr *traceRec) 
 		status, body := readyzResponse(fc.enc.buf[:0], s.Ready(), gen)
 		return fc.writeResponse(status, "application/json", body)
 	}
-	e, db, gen, ok := s.reg.lookupViewBytes(qname)
+	e, db, ok := s.reg.lookupViewBytes(qname)
 	if !ok {
 		return NoQuery(string(qname), s.reg.Names())
 	}
 	if tr != nil {
 		tr.query = e.Name
 	}
-	fc.src = local{view: view{e: e, db: db, gen: gen}, enc: &fc.enc, tr: tr}
+	fc.src = local{view: view{e: e, db: db}, enc: &fc.enc, tr: tr}
 	fc.req = request{op: op, wantWire: wantWire}
 	fc.enc.buf = fc.enc.buf[:0]
 	if err := parseRequest(&fc.req, fc, &fc.enc); err != nil {

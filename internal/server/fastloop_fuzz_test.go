@@ -49,7 +49,7 @@ func rawGET(t *testing.T, addr, target, accept string) (status int, contentType 
 // on status and content type only (TestFastLoopMatchesMux pins seeded
 // samples).
 func FuzzFastLoopVsMux(f *testing.F) {
-	s, _ := newTestServer(f, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(f, Config{})
 	_, fastAddr := startFast(f, s)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

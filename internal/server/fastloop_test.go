@@ -132,7 +132,7 @@ func fastDo(t testing.TB, addr, method, target, body, accept string) fastRespons
 // against the mux path for the same requests — success, error, fast-path
 // and fallback endpoints alike.
 func TestFastLoopMatchesMux(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	_, addr := startFast(t, s)
 	e, _ := reg.Lookup("Q")
 	n := e.Count()
@@ -200,7 +200,7 @@ func TestFastLoopMatchesMux(t *testing.T) {
 
 // TestFastLoopKeepAlive drives several requests down one connection.
 func TestFastLoopKeepAlive(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	_, addr := startFast(t, s)
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestFastLoopKeepAlive(t *testing.T) {
 // a twin cursor through the mux, in both orders, asserting identical draws
 // (one of them spelled with percent-escaped cursor and n).
 func TestFastLoopCursorEquivalence(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	_, addr := startFast(t, s)
 	for _, order := range []string{"enum", "random"} {
 		t.Run(order, func(t *testing.T) {
@@ -270,7 +270,7 @@ func TestFastLoopCursorEquivalence(t *testing.T) {
 // no body, so the next response on the connection starts right after the
 // header block.
 func TestFastLoopHeadKeepsFraming(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	_, addr := startFast(t, s)
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -308,7 +308,7 @@ func TestFastLoopHeadKeepsFraming(t *testing.T) {
 
 // TestFastLoopWireDraws checks binary-framed cursor draws over the socket.
 func TestFastLoopWireDraws(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	_, addr := startFast(t, s)
 	resp := fastDo(t, addr, "POST", "/v1/Q/enum/start?order=enum", "", "")
 	var cur string
@@ -331,7 +331,7 @@ func TestFastLoopWireDraws(t *testing.T) {
 // TestFastLoopHTTP10Closes verifies an HTTP/1.0 request is served and the
 // connection closed after the response.
 func TestFastLoopHTTP10Closes(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	_, addr := startFast(t, s)
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -353,7 +353,7 @@ func TestFastLoopHTTP10Closes(t *testing.T) {
 // TestFastLoopShutdownDrains: Shutdown returns promptly with an idle
 // keep-alive connection open, and new connections are refused after.
 func TestFastLoopShutdown(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +389,7 @@ func TestFastLoopShutdown(t *testing.T) {
 // TestFastLoopOversizedRequestLine: a request line beyond the connection
 // buffer is rejected with 431, not an unbounded read.
 func TestFastLoopOversizedRequestLine(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	_, addr := startFast(t, s)
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -470,7 +470,7 @@ func TestFastLoopSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is timing sensitive")
 	}
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	_, addr := startFast(t, s)
 	for _, tc := range []struct {
 		name, target string

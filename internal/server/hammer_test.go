@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -15,9 +18,7 @@ import (
 // goroutine mutates the dynamic entry. It asserts no data races (the test's
 // reason to exist), no unexpected statuses, and valid JSON throughout.
 func TestServerHammer(t *testing.T) {
-	s, reg := newTestServer(t,
-		CoalesceConfig{Window: 200 * time.Microsecond, MaxBatch: 8},
-		Config{CursorTTL: time.Minute})
+	s, reg := newTestServer(t, Config{CursorTTL: time.Minute})
 
 	const (
 		clients = 6
@@ -143,7 +144,7 @@ func TestServerHammer(t *testing.T) {
 // TestRebuildKeepsOldSnapshotCoherent pins the swap semantics directly: an
 // entry captured before a rebuild keeps answering from its own generation.
 func TestRebuildKeepsOldSnapshotCoherent(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	old, _ := reg.Lookup("Q")
 	oldCount := old.Count()
 	oldFirst, err := old.access(0)
@@ -175,4 +176,76 @@ func TestRebuildKeepsOldSnapshotCoherent(t *testing.T) {
 			t.Fatalf("old snapshot answer changed: %v vs %v", gotFirst, oldFirst)
 		}
 	}
+}
+
+// TestConcurrentAccessMatchesSerial: concurrent /access requests each get
+// exactly their own tuple, byte-identical to the serial response — on the
+// static CQ, the union and the dynamic entry, through the mux and a fast-loop
+// socket at once. Every /access renders from the request's pooled scratch row
+// (enc.rowFor); a row shared between two in-flight requests would show up
+// here as a foreign tuple (and under -race as the write it is).
+func TestConcurrentAccessMatchesSerial(t *testing.T) {
+	s, reg := newTestServer(t, Config{})
+	_, addr := startFast(t, s)
+
+	// The serial reference: every position of every entry, one at a time.
+	type probe struct {
+		target string
+		want   []byte
+	}
+	var probes []probe
+	for _, q := range []string{"Q", "U", "D"} {
+		e, _ := reg.Lookup(q)
+		for j := int64(0); j < e.Count(); j++ {
+			target := fmt.Sprintf("/v1/%s/access?j=%d", q, j)
+			body, status := doRaw(s, "GET", target, "")
+			if status != 200 {
+				t.Fatalf("serial %s = %d (%s)", target, status, body)
+			}
+			probes = append(probes, probe{target, body})
+		}
+	}
+
+	tr := &http.Transport{MaxIdleConnsPerHost: 8}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	transports := map[string]func(target string) ([]byte, int, error){
+		"mux": func(target string) ([]byte, int, error) {
+			body, status := doRaw(s, "GET", target, "")
+			return body, status, nil
+		},
+		"fastloop": func(target string) ([]byte, int, error) {
+			resp, err := client.Get("http://" + addr + target)
+			if err != nil {
+				return nil, 0, err
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			return body, resp.StatusCode, err
+		},
+	}
+
+	const workers, rounds = 8, 25
+	var wg sync.WaitGroup
+	for name, get := range transports {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for r := 0; r < rounds; r++ {
+					for _, i := range rng.Perm(len(probes)) {
+						p := probes[i]
+						got, status, err := get(p.target)
+						if err != nil || status != 200 || !bytes.Equal(got, p.want) {
+							t.Errorf("%s worker %d: %s = %d %q (err %v), serial response was %q",
+								name, w, p.target, status, got, err, p.want)
+							return
+						}
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

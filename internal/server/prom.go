@@ -4,7 +4,7 @@
 // time for per-query series); the request path only touches pre-resolved
 // instrument pointers, which is what keeps the fast loop at 0 allocs/request
 // with observability fully enabled. Values owned elsewhere — generation,
-// live cursors, coalescer counters, WAL state — are exported through
+// live cursors, WAL state — are exported through
 // scrape-time collectors instead of write-through gauges.
 package server
 
@@ -18,12 +18,8 @@ import (
 
 // newServerObserver builds the obs.Observer the registry emits into: build,
 // plan-search, WAL, snapshot, compaction and publish timings, plus per-query
-// probe histograms resolved once per entry. It takes the Server (not just
-// the Registry) because a publish also drops the answer cache: the
-// generation key already fences stale entries, but dropping them returns
-// their bytes to the budget immediately.
-func newServerObserver(reg *obs.Registry, s *Server) *obs.Observer {
-	r := s.reg
+// probe histograms resolved once per entry.
+func newServerObserver(reg *obs.Registry, r *Registry) *obs.Observer {
 	walAppend := reg.Histogram("renum_wal_append_duration_seconds",
 		"WAL record write latency (encode+write, fsync excluded).", "")
 	walAppendBytes := reg.Counter("renum_wal_append_bytes_total",
@@ -67,12 +63,7 @@ func newServerObserver(reg *obs.Registry, s *Server) *obs.Observer {
 				compactFolded.Add(uint64(folded))
 			}
 		},
-		Publish: func(gen uint64) {
-			published.Inc()
-			if s.anscache != nil {
-				s.anscache.invalidate()
-			}
-		},
+		Publish: func(gen uint64) { published.Inc() },
 		Plan: func(query string, candidates int, identity bool, chosenCost, identityCost float64, d time.Duration) {
 			// Plan searches are build-time events (admin register/rebuild),
 			// so resolving the per-query series here is off every request
@@ -89,7 +80,7 @@ func newServerObserver(reg *obs.Registry, s *Server) *obs.Observer {
 		QueryOps: func(query string) *obs.ProbeOps {
 			h := func(op string) *obs.Histogram {
 				return reg.Histogram("renum_probe_duration_seconds",
-					"Probe-section latency, by query and operation (excludes parse/encode; access includes coalescer wait).",
+					"Probe-section latency, by query and operation (excludes parse/encode).",
 					obs.Labels("query", query, "op", op))
 			}
 			return &obs.ProbeOps{
@@ -127,24 +118,6 @@ func (s *Server) registerCollectors() {
 			}
 			emit("", v)
 		})
-	s.obs.CollectorFunc("renum_coalescer_rounds_total", "Batch probes issued by the access coalescer, by query.",
-		obs.KindCounter, func(emit func(string, float64)) {
-			for _, name := range s.reg.Names() {
-				if e, ok := s.reg.Lookup(name); ok && e.coal != nil {
-					rounds, _ := e.coal.Stats()
-					emit(obs.Labels("query", name), float64(rounds))
-				}
-			}
-		})
-	s.obs.CollectorFunc("renum_coalescer_served_total", "Access requests served through coalesced batches, by query.",
-		obs.KindCounter, func(emit func(string, float64)) {
-			for _, name := range s.reg.Names() {
-				if e, ok := s.reg.Lookup(name); ok && e.coal != nil {
-					_, served := e.coal.Stats()
-					emit(obs.Labels("query", name), float64(served))
-				}
-			}
-		})
 	s.obs.CollectorFunc("renum_wal_depth", "Records in the current WAL segment (replayed + appended).",
 		obs.KindGauge, func(emit func(string, float64)) {
 			if st := s.reg.WALStats(); st.Attached {
@@ -166,50 +139,6 @@ func (s *Server) registerCollectors() {
 	s.obs.CollectorFunc("renum_traces_dropped_total", "Trace records evicted from the /debug/traces ring.",
 		obs.KindCounter, func(emit func(string, float64)) {
 			emit("", float64(s.traces.dropped()))
-		})
-	// Answer-cache families emit only when the cache is configured, the same
-	// way the WAL families emit only when a log is attached.
-	s.obs.CollectorFunc("renum_cache_hits_total", "Access requests served from the answer cache.",
-		obs.KindCounter, func(emit func(string, float64)) {
-			if c := s.anscache; c != nil {
-				emit("", float64(c.stats().Hits))
-			}
-		})
-	s.obs.CollectorFunc("renum_cache_misses_total", "Access requests that missed the answer cache (cacheable entries only).",
-		obs.KindCounter, func(emit func(string, float64)) {
-			if c := s.anscache; c != nil {
-				emit("", float64(c.stats().Misses))
-			}
-		})
-	s.obs.CollectorFunc("renum_cache_admitted_total", "Answer bodies admitted to the cache (second miss of a position).",
-		obs.KindCounter, func(emit func(string, float64)) {
-			if c := s.anscache; c != nil {
-				emit("", float64(c.stats().Admitted))
-			}
-		})
-	s.obs.CollectorFunc("renum_cache_evicted_total", "Answer bodies evicted to stay inside the byte budget.",
-		obs.KindCounter, func(emit func(string, float64)) {
-			if c := s.anscache; c != nil {
-				emit("", float64(c.stats().Evicted))
-			}
-		})
-	s.obs.CollectorFunc("renum_cache_invalidations_total", "Whole-cache drops triggered by registry generation publishes.",
-		obs.KindCounter, func(emit func(string, float64)) {
-			if c := s.anscache; c != nil {
-				emit("", float64(c.stats().Invalidations))
-			}
-		})
-	s.obs.CollectorFunc("renum_cache_entries", "Answer bodies currently cached.",
-		obs.KindGauge, func(emit func(string, float64)) {
-			if c := s.anscache; c != nil {
-				emit("", float64(c.stats().Entries))
-			}
-		})
-	s.obs.CollectorFunc("renum_cache_bytes", "Bytes held by the answer cache (payload + per-entry overhead).",
-		obs.KindGauge, func(emit func(string, float64)) {
-			if c := s.anscache; c != nil {
-				emit("", float64(c.stats().Bytes))
-			}
 		})
 }
 

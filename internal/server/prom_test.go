@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -32,7 +31,7 @@ func promText(t testing.TB, s *Server) string {
 // exposition is lint-clean and carries the families the dashboards rely on:
 // per-endpoint HTTP series and per-query, per-op probe histograms.
 func TestPrometheusExposition(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{Window: time.Millisecond}, Config{})
+	s, _ := newTestServer(t, Config{})
 	do(t, s, "GET", "/v1/Q/count", "", 200)
 	do(t, s, "GET", "/v1/Q/access?j=0", "", 200)
 	do(t, s, "GET", "/v1/Q/batch?js=0,1", "", 200)
@@ -87,7 +86,7 @@ func TestPrometheusExposition(t *testing.T) {
 // the WAL append/fsync histograms, and a compaction in the compaction ones.
 func TestPrometheusWALAndCompactionFamilies(t *testing.T) {
 	snapDir, walDir := t.TempDir(), t.TempDir()
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{SnapshotDir: snapDir})
+	s, reg := newTestServer(t, Config{SnapshotDir: snapDir})
 	if _, _, err := reg.AttachWAL(walDir, wal.SyncAlways); err != nil {
 		t.Fatal(err)
 	}
@@ -127,17 +126,14 @@ func TestPrometheusWALAndCompactionFamilies(t *testing.T) {
 }
 
 // TestPrometheusPlanAndCacheFamilies: planner searches observed at rebuild
-// time land in the per-query plan families, and a configured answer cache
-// exports its hit/miss/byte families — all lint-clean.
+// time land in the per-query plan families, lint-clean. (The test floor pins
+// the name; the cache families it also covered are gone with the cache.)
 func TestPrometheusPlanAndCacheFamilies(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{AnswerCacheBytes: 1 << 20})
+	s, _ := newTestServer(t, Config{})
 	// The initial Register predates the observer; the rebuild is the first
 	// observed build and runs one planner search per static entry (Q and U —
 	// the dynamic D skips planning).
 	do(t, s, "POST", "/admin/rebuild", "", 200)
-	for i := 0; i < 3; i++ { // miss, admit, hit
-		do(t, s, "GET", "/v1/Q/access?j=0", "", 200)
-	}
 
 	text := promText(t, s)
 	if errs := obs.Lint(strings.NewReader(text)); len(errs) > 0 {
@@ -149,27 +145,9 @@ func TestPrometheusPlanAndCacheFamilies(t *testing.T) {
 		"renum_plan_candidates_total ",
 		"renum_plan_improved_total ",
 		"renum_plan_search_duration_seconds_count 2",
-		"renum_cache_hits_total 1",
-		"renum_cache_misses_total 2",
-		"renum_cache_admitted_total 1",
-		"renum_cache_evicted_total 0",
-		// The rebuild published a generation while the cache was attached.
-		"renum_cache_invalidations_total 1",
-		"renum_cache_entries 1",
-		"renum_cache_bytes ",
 	} {
 		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q\n%s", want, grepLines(text, "renum_plan")+grepLines(text, "renum_cache"))
-		}
-	}
-
-	// With no cache configured, the cache families emit no samples (headers
-	// remain) — the same contract the WAL families follow with no log
-	// attached, so dashboards see absence, not zeros.
-	s2, _ := newTestServer(t, CoalesceConfig{}, Config{})
-	for _, line := range strings.Split(promText(t, s2), "\n") {
-		if strings.HasPrefix(line, "renum_cache_") {
-			t.Errorf("cache sample exported without a configured cache: %q", line)
+			t.Errorf("exposition missing %q\n%s", want, grepLines(text, "renum_plan"))
 		}
 	}
 }
@@ -178,17 +156,17 @@ func TestPrometheusPlanAndCacheFamilies(t *testing.T) {
 // top-level keys and every EndpointSummary field name are a compatibility
 // surface (examples/http_traffic and renumload -metrics-url decode them).
 func TestMetricsJSONShapeStable(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	do(t, s, "GET", "/v1/Q/count", "", 200)
 
 	m := do(t, s, "GET", "/metrics?format=json", "", 200)
-	for _, key := range []string{"uptime_ms", "generation", "cursors", "endpoints", "coalescer", "wal"} {
+	for _, key := range []string{"uptime_ms", "generation", "cursors", "endpoints", "wal"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics JSON missing top-level key %q", key)
 		}
 	}
-	if len(m) != 6 {
-		t.Errorf("metrics JSON has %d top-level keys, want 6: %v", len(m), m)
+	if len(m) != 5 {
+		t.Errorf("metrics JSON has %d top-level keys, want 5: %v", len(m), m)
 	}
 
 	eps := m["endpoints"].([]any)
@@ -237,7 +215,7 @@ func TestMetricsJSONShapeStable(t *testing.T) {
 // TestMetricsScrapeHammer runs concurrent probe recording, both scrape
 // formats, and generation swaps together; meaningful mainly under -race.
 func TestMetricsScrapeHammer(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{Window: 100 * time.Microsecond}, Config{})
+	s, reg := newTestServer(t, Config{})
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
@@ -294,7 +272,7 @@ func grepLines(text, substr string) string {
 
 // TestReadyz: ready by default, 503 while drained, parity on the fast loop.
 func TestReadyz(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	_, addr := startFast(t, s)
 
 	m := do(t, s, "GET", "/readyz", "", 200)

@@ -35,16 +35,6 @@ type Entry struct {
 	// against the current database without reparsing.
 	src load.Query
 
-	// coal merges concurrent single-position access requests into batches.
-	// Nil when coalescing is disabled or unsafe for the backend.
-	coal *coalescer
-
-	// cacheable marks entries the answer cache may serve: static backends
-	// only. Updatable handles mutate in place without a generation bump, so
-	// a generation-keyed cache entry could outlive the answer it encodes —
-	// the same reason updatable entries stay uncoalesced.
-	cacheable bool
-
 	// qm holds the per-operation probe histograms resolved from the
 	// registry's observer at build time. Nil when no observer is set;
 	// local.Probe records through these pointers with no lookup per request.
@@ -60,7 +50,7 @@ func (e *Entry) Count() int64 { return e.H.Count() }
 // Head returns the entry's output variable order.
 func (e *Entry) Head() []string { return e.H.Head() }
 
-// access returns the j-th answer directly, bypassing the coalescer.
+// access returns the j-th answer as a fresh tuple.
 func (e *Entry) access(j int64) (renum.Tuple, error) { return e.H.Access(j) }
 
 // accessBatch probes every position in js through the handle, honoring the
@@ -88,10 +78,7 @@ type Registry struct {
 	mu   sync.Mutex // serializes writers
 	snap atomic.Pointer[snapshot]
 
-	// coalesce configures the per-entry request coalescer applied to newly
-	// built entries; the zero config disables coalescing.
-	coalesce CoalesceConfig
-	workers  int
+	workers int
 
 	// wal is the registry's write-ahead log state (see wal.go). Its zero
 	// value means no WAL is attached and updates are applied unlogged.
@@ -113,18 +100,14 @@ type Registry struct {
 	planner renum.PlannerMode
 }
 
-// CoalesceConfig tunes the per-entry access coalescer. The zero value
-// disables coalescing (every /access probes the index directly).
-type CoalesceConfig struct {
-	// Window is how long the first request of a batch waits for companions.
-	Window time.Duration
-	// MaxBatch flushes early once this many requests are pending (0 = 64).
-	MaxBatch int
-}
+// CoalesceConfig is empty and ignored: bench/ (frozen outside benchmark PRs)
+// passes this literal to the registry constructors and must keep compiling;
+// the next benchmark PR removes the type together with the parameter.
+type CoalesceConfig struct{}
 
 // NewRegistry returns a registry serving db with no queries yet.
-func NewRegistry(db *renum.Database, coalesce CoalesceConfig, workers int) *Registry {
-	r := &Registry{coalesce: coalesce, workers: workers}
+func NewRegistry(db *renum.Database, _ CoalesceConfig, workers int) *Registry {
+	r := &Registry{workers: workers}
 	r.snap.Store(&snapshot{db: db, entries: map[string]*Entry{}})
 	return r
 }
@@ -139,19 +122,15 @@ func NewRegistry(db *renum.Database, coalesce CoalesceConfig, workers int) *Regi
 // Restored entries keep their parsed queries, so later LoadTable+Rebuild
 // cycles recompile them against fresh data exactly like entries registered
 // over HTTP.
-func NewRegistryFromCatalog(cat *renum.Catalog, coalesce CoalesceConfig, workers int) (*Registry, error) {
-	r := &Registry{coalesce: coalesce, workers: workers}
+func NewRegistryFromCatalog(cat *renum.Catalog, _ CoalesceConfig, workers int) (*Registry, error) {
+	r := &Registry{workers: workers}
 	entries := map[string]*Entry{}
 	for _, ce := range cat.Entries() {
 		src := load.QueryFromSrc(ce.Name, ce.Q)
 		if src.Src() == nil {
 			return nil, fmt.Errorf("catalog entry %s: unsupported query form", ce.Name)
 		}
-		e := &Entry{Name: ce.Name, Text: ce.Q.String(), H: ce.H, src: src, cacheable: !ce.H.Has(renum.CapUpdate)}
-		if r.coalesce.Window > 0 && !ce.H.Has(renum.CapUpdate) {
-			e.coal = newCoalescer(r.coalesce, ce.H.AccessBatch)
-		}
-		entries[ce.Name] = e
+		entries[ce.Name] = &Entry{Name: ce.Name, Text: ce.Q.String(), H: ce.H, src: src}
 	}
 	r.snap.Store(&snapshot{db: cat.DB(), entries: entries, gen: cat.Generation()})
 	return r, nil
@@ -266,10 +245,6 @@ func (r *Registry) SetShardSlice(i, k int) error {
 		}
 		ne := *e
 		ne.H = sl
-		ne.coal = nil
-		if r.coalesce.Window > 0 {
-			ne.coal = newCoalescer(r.coalesce, sl.AccessBatch)
-		}
 		entries[name] = &ne
 	}
 	r.sliceIdx, r.sliceOf = i, k
@@ -329,10 +304,10 @@ func (r *Registry) LookupView(name string) (e *Entry, db *renum.Database, gen ui
 // lookupViewBytes is LookupView keyed by raw request bytes: the map access
 // compiles to the no-copy string lookup, so the fast HTTP loop resolves a
 // query name without allocating.
-func (r *Registry) lookupViewBytes(name []byte) (e *Entry, db *renum.Database, gen uint64, ok bool) {
+func (r *Registry) lookupViewBytes(name []byte) (e *Entry, db *renum.Database, ok bool) {
 	s := r.snap.Load()
 	e, ok = s.entries[string(name)]
-	return e, s.db, s.gen, ok
+	return e, s.db, ok
 }
 
 // Names returns the served query names, sorted.
@@ -458,15 +433,7 @@ func (r *Registry) build(db *renum.Database, q load.Query, dynamic bool) (*Entry
 		return nil, err
 	}
 	r.obs.ObserveBuild(q.Name, "total", time.Since(t0))
-	e := &Entry{Name: q.Name, Text: src.String(), H: h, src: q, qm: r.obs.Ops(q.Name), cacheable: !h.Has(renum.CapUpdate)}
-	// Updatable entries stay uncoalesced: a concurrent delete can invalidate
-	// a position after the handler validated it, and one stale position
-	// would fail the whole merged batch for its round-mates. Static counts
-	// cannot change, so the up-front validation there is airtight.
-	if r.coalesce.Window > 0 && !h.Has(renum.CapUpdate) {
-		e.coal = newCoalescer(r.coalesce, h.AccessBatch)
-	}
-	return e, nil
+	return &Entry{Name: q.Name, Text: src.String(), H: h, src: q, qm: r.obs.Ops(q.Name)}, nil
 }
 
 func (r *Registry) publish(db *renum.Database, entries map[string]*Entry) {

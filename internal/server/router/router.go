@@ -382,9 +382,6 @@ func (s *remote) Dict() *renum.Dict { return nil }
 
 func (s *remote) Has(c renum.Capability) bool { return slices.Contains(s.rt.caps, string(c)) }
 
-// CacheGen: the router holds no answer cache.
-func (s *remote) CacheGen() (uint64, bool) { return 0, false }
-
 // Probe: shard hops are timed per shard (renum_shard_request_duration_seconds),
 // not per op.
 func (s *remote) Probe(server.Op) server.ProbeClock { return server.ProbeClock{} }

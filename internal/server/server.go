@@ -31,7 +31,7 @@
 //
 //	GET  /healthz                      → {"ok": true}
 //	GET  /metrics                      → per-endpoint counts + latency quantiles,
-//	                                     coalescer rounds, live cursors, generation
+//	                                     live cursors, generation
 //	POST /admin/load     {"name": r, "csv": "a,b\n1,2\n"}  → load/replace a table
 //	POST /admin/register {"program": "...", "dynamic": bool} → compile + publish queries
 //	POST /admin/rebuild                → recompile every entry, swap the snapshot
@@ -87,10 +87,8 @@
 // they started on and are single-consumer (a concurrent read of the same
 // cursor fails fast with 409 rather than queueing).
 //
-// Concurrent /access requests for the same query arriving within the
-// coalescing window are merged into one AccessBatch probe; responses are
-// byte-identical to the uncoalesced path (AccessBatch ≡ Access is a pinned
-// library property).
+// Every /access is one direct probe into the request's pooled scratch row;
+// a client that wants probes amortised asks for them explicitly with /batch.
 package server
 
 import (
@@ -113,9 +111,9 @@ import (
 	"repro/internal/wal"
 )
 
-// Config tunes a Server. The access coalescer and the probe fan-out are
-// configured on the Registry (NewRegistry), which owns entry construction —
-// each entry's Handle carries its worker budget.
+// Config tunes a Server. The probe fan-out is configured on the Registry
+// (NewRegistry), which owns entry construction — each entry's Handle carries
+// its worker budget.
 type Config struct {
 	// CursorTTL evicts idle enumeration sessions (0 = 5 minutes).
 	CursorTTL time.Duration
@@ -138,26 +136,19 @@ type Config struct {
 	// TraceBuffer caps the in-memory ring behind /debug/traces
 	// (0 = 256 traced requests).
 	TraceBuffer int
-	// AnswerCacheBytes budgets the generation-keyed /access answer cache
-	// (see anscache.go): encoded response bodies for hot positions of
-	// static entries, invalidated by the registry's generation swap.
-	// 0 disables the cache entirely (the default — cache-off is the
-	// configuration the zero-allocation probe benchmarks pin).
-	AnswerCacheBytes int64
 }
 
 // Server is the HTTP face of a Registry.
 type Server struct {
-	reg      *Registry
-	cfg      Config
-	core     *Core[renum.Tuple]
-	metrics  *metricsRecorder
-	obs      *obs.Registry
-	traces   *traceStore
-	anscache *answerCache // nil when AnswerCacheBytes == 0
-	logger   *slog.Logger
-	ready    atomic.Bool
-	mux      *http.ServeMux
+	reg     *Registry
+	cfg     Config
+	core    *Core[renum.Tuple]
+	metrics *metricsRecorder
+	obs     *obs.Registry
+	traces  *traceStore
+	logger  *slog.Logger
+	ready   atomic.Bool
+	mux     *http.ServeMux
 }
 
 // New wires a server around reg. Call Close when done to stop the cursor
@@ -187,13 +178,9 @@ func New(reg *Registry, cfg Config) *Server {
 		logger:  logger,
 		mux:     http.NewServeMux(),
 	}
-	if cfg.AnswerCacheBytes > 0 {
-		s.anscache = newAnswerCache(cfg.AnswerCacheBytes)
-		s.core.cache = s.anscache
-	}
 	s.ready.Store(true)
 	s.registerCollectors()
-	reg.SetObserver(newServerObserver(obsReg, s))
+	reg.SetObserver(newServerObserver(obsReg, reg))
 	s.route("GET /healthz", "healthz", s.handleHealthz)
 	s.route("GET /readyz", "readyz", s.handleReadyz)
 	s.route("GET /metrics", "metrics", s.handleMetrics)
@@ -477,22 +464,21 @@ func decodeBody(r *http.Request, v any) error {
 // generation between them, pairing an old entry with a new database —
 // so a request builds the view once and never goes back to the registry.
 type view struct {
-	e   *Entry
-	db  *renum.Database
-	gen uint64
+	e  *Entry
+	db *renum.Database
 }
 
 // lookup resolves {query} against the current snapshot.
 func (s *Server) lookup(r *http.Request) (view, error) {
 	name := r.PathValue("query")
-	e, db, gen, ok := s.reg.LookupView(name)
+	e, db, _, ok := s.reg.LookupView(name)
 	if !ok {
 		return view{}, NoQuery(name, s.reg.Names())
 	}
 	if tr := traceFrom(r.Context()); tr != nil {
 		tr.query = e.Name
 	}
-	return view{e: e, db: db, gen: gen}, nil
+	return view{e: e, db: db}, nil
 }
 
 // entry resolves {query} before a cold handler, which receives the entry
@@ -540,16 +526,9 @@ func (l *local) Count() int64                { return l.e.Count() }
 func (l *local) Arity() int                  { return len(l.e.Head()) }
 func (l *local) Dict() *renum.Dict           { return l.db.Dict() }
 
-// CacheGen: static backends only. Updatable handles mutate in place without
-// a generation bump, so a generation-keyed cache entry could outlive the
-// answer it encodes.
-func (l *local) CacheGen() (uint64, bool) { return l.gen, l.e.cacheable }
-
 // Probe picks the op's per-query histogram (all nil for observer-less
 // registries) and names the span: batch and page interleave probe and encode,
-// so theirs is "build"; a coalesced access spans the whole coalescer round —
-// the window wait plus the shared batch probe, exactly what a latency
-// investigation needs to see.
+// so theirs is "build".
 func (l *local) Probe(op Op) ProbeClock {
 	qm := l.e.qm
 	if qm == nil {
@@ -559,9 +538,6 @@ func (l *local) Probe(op Op) ProbeClock {
 	case OpCount:
 		return startProbe(qm.Count, l.tr, "probe")
 	case OpAccess:
-		if l.e.coal != nil {
-			return startProbe(qm.Access, l.tr, "coalesce")
-		}
 		return startProbe(qm.Access, l.tr, "probe")
 	case OpBatch:
 		return startProbe(qm.Batch, l.tr, "build")
@@ -576,11 +552,8 @@ func (l *local) Probe(op Op) ProbeClock {
 }
 
 func (l *local) Access(_ context.Context, j int64) (renum.Tuple, error) {
-	if l.e.coal != nil {
-		return l.e.coal.Do(j)
-	}
-	// Direct path: probe into the pooled scratch row — no []Tuple, no
-	// per-request answer allocation.
+	// Probe into the pooled scratch row — no []Tuple, no per-request answer
+	// allocation.
 	t := l.enc.rowFor(l.Arity())
 	return t, l.e.H.AccessInto(j, t)
 }
@@ -803,24 +776,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	}
 	uptime, eps := s.metrics.snapshot()
 	_, gen := s.reg.Snapshot()
-	type coalStats struct {
-		Query  string `json:"query"`
-		Rounds int64  `json:"rounds"`
-		Served int64  `json:"served"`
-	}
-	var coal []coalStats
-	for _, name := range s.reg.Names() {
-		if e, ok := s.reg.Lookup(name); ok && e.coal != nil {
-			rounds, served := e.coal.Stats()
-			coal = append(coal, coalStats{Query: name, Rounds: rounds, Served: served})
-		}
-	}
 	return WriteJSON(w, map[string]any{
 		"uptime_ms":  uptime.Milliseconds(),
 		"generation": gen,
 		"cursors":    s.core.LiveCursors(),
 		"endpoints":  eps,
-		"coalescer":  coal,
 		"wal":        s.reg.WALStats(),
 	})
 }

@@ -29,9 +29,8 @@ const (
 )
 
 // newTestServer builds a server over the fixture with a CQ, a UCQ and a
-// dynamic entry registered. coal configures the registry's coalescer (the
-// zero value disables it).
-func newTestServer(t testing.TB, coal CoalesceConfig, cfg Config) (*Server, *Registry) {
+// dynamic entry registered.
+func newTestServer(t testing.TB, cfg Config) (*Server, *Registry) {
 	t.Helper()
 	db := renum.NewDatabase()
 	if err := load.CSV(db, "r", strings.NewReader(rCSV)); err != nil {
@@ -40,7 +39,7 @@ func newTestServer(t testing.TB, coal CoalesceConfig, cfg Config) (*Server, *Reg
 	if err := load.CSV(db, "s", strings.NewReader(sCSV)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(db, coal, 0)
+	reg := NewRegistry(db, CoalesceConfig{}, 0)
 	if _, err := reg.Register(joinQ+" "+unionQ, false); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func doRaw(s *Server, method, url, body string) ([]byte, int) {
 }
 
 func TestMetaAndCount(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("Q")
 	n := e.Count()
 	if n == 0 {
@@ -125,7 +124,7 @@ func TestMetaAndCount(t *testing.T) {
 }
 
 func TestAccessMatchesLibrary(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	for _, name := range []string{"Q", "U", "D"} {
 		e, _ := reg.Lookup(name)
 		for j := int64(0); j < e.Count(); j++ {
@@ -148,7 +147,7 @@ func TestAccessMatchesLibrary(t *testing.T) {
 }
 
 func TestBatchAndPage(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("Q")
 	n := e.Count()
 
@@ -188,7 +187,7 @@ func TestBatchAndPage(t *testing.T) {
 }
 
 func TestSampleDeterministicWithSeed(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	for _, name := range []string{"Q", "U", "D"} {
 		a, _ := doRaw(s, "GET", "/v1/"+name+"/sample?k=3&seed=7", "")
 		b, _ := doRaw(s, "GET", "/v1/"+name+"/sample?k=3&seed=7", "")
@@ -204,7 +203,7 @@ func TestSampleDeterministicWithSeed(t *testing.T) {
 }
 
 func TestContainsAndInverted(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("Q")
 	want, err := e.access(0)
 	if err != nil {
@@ -245,7 +244,7 @@ func TestContainsAndInverted(t *testing.T) {
 }
 
 func TestCursorLifecycle(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("Q")
 	n := e.Count()
 
@@ -338,7 +337,7 @@ func TestCursorTTLEviction(t *testing.T) {
 }
 
 func TestDynamicUpdate(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("D")
 	n := e.Count()
 
@@ -379,7 +378,7 @@ func TestDynamicUpdate(t *testing.T) {
 }
 
 func TestAdminFlow(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 
 	// Load a fresh table and register a query over it.
 	do(t, s, "POST", "/admin/load", `{"name":"t","csv":"u,v\na,b\nc,d\n"}`, 200)
@@ -419,7 +418,7 @@ func TestAdminFlow(t *testing.T) {
 }
 
 func TestAdminDisabled(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{AdminDisabled: true})
+	s, _ := newTestServer(t, Config{AdminDisabled: true})
 	_, status := doRaw(s, "POST", "/admin/rebuild", "")
 	if status != 404 {
 		t.Fatalf("admin on disabled server = %d, want 404", status)
@@ -427,7 +426,7 @@ func TestAdminDisabled(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{Window: time.Millisecond}, Config{})
+	s, _ := newTestServer(t, Config{})
 	do(t, s, "GET", "/v1/Q/count", "", 200)
 	do(t, s, "GET", "/v1/Q/access?j=0", "", 200)
 	do(t, s, "GET", "/v1/Q/access?j=999999", "", 400)
@@ -449,17 +448,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if acc["p50_ms"] == nil || acc["p99_ms"] == nil {
 		t.Fatalf("missing latency quantiles: %v", acc)
 	}
-	// The coalescer section lists the static entries.
-	if fmt.Sprint(m["coalescer"]) == "[]" {
-		t.Fatal("no coalescer stats reported")
-	}
 	if _, ok := m["generation"]; !ok {
 		t.Fatal("no generation in metrics")
 	}
 }
 
 func TestHealthz(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	m := do(t, s, "GET", "/healthz", "", 200)
 	if m["ok"] != true {
 		t.Fatalf("healthz = %v", m)
@@ -470,7 +465,7 @@ func TestHealthz(t *testing.T) {
 // entry's capability set, so clients discover what an entry supports
 // instead of inferring it from the kind string.
 func TestMetaReportsCapabilities(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	caps := func(name string) string {
 		m := do(t, s, "GET", "/v1/"+name, "", 200)
 		return fmt.Sprint(m["capabilities"])
@@ -490,7 +485,7 @@ func TestMetaReportsCapabilities(t *testing.T) {
 // renum.ErrUnsupported and maps to 501 uniformly — /inverted on a union,
 // /update on a static entry, cursors on a dynamic one.
 func TestUnsupportedProbesAre501(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	for _, tc := range []struct{ method, url, body string }{
 		{"POST", "/v1/U/inverted", `{"tuple":["1","2"]}`},
 		{"POST", "/v1/Q/update", `{"op":"insert","relation":"r","tuple":["9","9"]}`},
@@ -509,7 +504,7 @@ func TestUnsupportedProbesAre501(t *testing.T) {
 // cancelled must not be served — the handler propagates ctx into the
 // batched probe and reports the cancellation instead of answers.
 func TestBatchHonorsRequestContext(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest("GET", "/v1/Q/batch?js=0,1,2", strings.NewReader("")).WithContext(ctx)
@@ -530,7 +525,7 @@ func TestBatchHonorsRequestContext(t *testing.T) {
 // cursor stays alive, and a later full drain still delivers every answer
 // exactly once.
 func TestRandomCursorSurvivesCancelledDraw(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("Q")
 	n := e.Count()
 
@@ -567,7 +562,7 @@ func TestRandomCursorSurvivesCancelledDraw(t *testing.T) {
 // the same semantics as the CQ path (distinct samples, page ≡ batch) — the
 // API-parity satellite surfaced over HTTP.
 func TestUnionSampleAndPageParity(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("U")
 	n := e.Count()
 

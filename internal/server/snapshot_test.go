@@ -45,7 +45,7 @@ func saveAndReboot(t *testing.T, s *Server, dir string, cfg Config) *Server {
 func TestAdminSaveAndBootFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{SnapshotDir: dir}
-	s1, _ := newTestServer(t, CoalesceConfig{}, cfg)
+	s1, _ := newTestServer(t, cfg)
 
 	m := do(t, s1, "POST", "/admin/save", "", 200)
 	if got := fmt.Sprint(m["skipped"]); got != "[]" {
@@ -124,7 +124,7 @@ func TestAdminSaveAndBootFromSnapshot(t *testing.T) {
 func TestSnapshotGenerationsPersistMonotonically(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{SnapshotDir: dir}
-	s1, _ := newTestServer(t, CoalesceConfig{}, cfg)
+	s1, _ := newTestServer(t, cfg)
 
 	g1 := uint64(do(t, s1, "GET", "/v1", "", 200)["generation"].(float64))
 	s2 := saveAndReboot(t, s1, dir, cfg)
@@ -154,7 +154,7 @@ func TestSnapshotGenerationsPersistMonotonically(t *testing.T) {
 func TestRebootedServerRebuildsAndUpdates(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{SnapshotDir: dir}
-	s1, _ := newTestServer(t, CoalesceConfig{}, cfg)
+	s1, _ := newTestServer(t, cfg)
 	s2 := saveAndReboot(t, s1, dir, cfg)
 
 	before := do(t, s2, "GET", "/v1/Q/count", "", 200)["count"]
@@ -178,7 +178,7 @@ func TestRebootedServerRebuildsAndUpdates(t *testing.T) {
 // TestAdminSaveWithoutDirIs400 pins the diagnostic when saving is not
 // configured.
 func TestAdminSaveWithoutDirIs400(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	raw, status := doRaw(s, "POST", "/admin/save", "")
 	if status != 400 || !strings.Contains(string(raw), "snapshot-dir") {
 		t.Fatalf("save without dir = %d %s", status, raw)

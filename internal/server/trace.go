@@ -26,7 +26,7 @@ const (
 
 // traceSpan is one timed section inside a request, relative to its start.
 type traceSpan struct {
-	name  string // static string: "probe", "coalesce", "build", ...
+	name  string // static string: "probe", "build", ...
 	offNs int64
 	durNs int64
 }

@@ -61,7 +61,7 @@ func doTraced(t testing.TB, s *Server, id, method, url string) int {
 // TestTraceMux: a request with X-Request-Id is findable in /debug/traces
 // with its endpoint, query attribution, status, and probe span.
 func TestTraceMux(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{Window: time.Millisecond}, Config{})
+	s, _ := newTestServer(t, Config{})
 	if code := doTraced(t, s, "req-abc", "GET", "/v1/Q/access?j=0"); code != 200 {
 		t.Fatalf("traced access = %d", code)
 	}
@@ -77,9 +77,8 @@ func TestTraceMux(t *testing.T) {
 	if tr.Endpoint != "access" || tr.Query != "Q" || tr.Status != 200 {
 		t.Fatalf("trace = %+v", tr)
 	}
-	// The coalescer is on, so the access span is the coalescer round.
-	if len(tr.Spans) == 0 || tr.Spans[0].Name != "coalesce" {
-		t.Fatalf("spans = %+v, want a coalesce span", tr.Spans)
+	if len(tr.Spans) == 0 || tr.Spans[0].Name != "probe" {
+		t.Fatalf("spans = %+v, want a probe span", tr.Spans)
 	}
 
 	errDoc := getTraces(t, s, "?id=req-err")
@@ -101,21 +100,23 @@ func TestTraceMux(t *testing.T) {
 	}
 }
 
-// TestTraceDirectProbeSpan: without a coalescer the access span is the raw
-// probe.
+// TestTraceDirectProbeSpan: /access is the one direct probe on every entry
+// kind — static CQ, union and dynamic all record a single "probe" span.
 func TestTraceDirectProbeSpan(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
-	doTraced(t, s, "direct-1", "GET", "/v1/Q/access?j=0")
-	doc := getTraces(t, s, "?id=direct-1")
-	if len(doc.Traces) != 1 || len(doc.Traces[0].Spans) == 0 || doc.Traces[0].Spans[0].Name != "probe" {
-		t.Fatalf("trace = %+v, want a probe span", doc.Traces)
+	s, _ := newTestServer(t, Config{})
+	for _, q := range []string{"Q", "U", "D"} {
+		doTraced(t, s, "direct-"+q, "GET", "/v1/"+q+"/access?j=0")
+		doc := getTraces(t, s, "?id=direct-"+q)
+		if len(doc.Traces) != 1 || len(doc.Traces[0].Spans) != 1 || doc.Traces[0].Spans[0].Name != "probe" {
+			t.Fatalf("%s: trace = %+v, want one probe span", q, doc.Traces)
+		}
 	}
 }
 
 // TestTraceFastLoop: the fast loop records the same trace shape, reachable
 // through the mux's /debug/traces on the same server.
 func TestTraceFastLoop(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	_, addr := startFast(t, s)
 
 	fr := fastDoHeader(t, addr, "GET", "/v1/Q/access?j=0", "X-Request-Id: fast-42")
@@ -148,7 +149,7 @@ func TestTraceFastLoop(t *testing.T) {
 // TestTraceRingBounded: the ring evicts oldest-first at capacity and counts
 // the drops.
 func TestTraceRingBounded(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{TraceBuffer: 4})
+	s, _ := newTestServer(t, Config{TraceBuffer: 4})
 	for i := 0; i < 10; i++ {
 		doTraced(t, s, "ring-"+string(rune('a'+i)), "GET", "/v1/Q/count")
 	}
@@ -214,7 +215,7 @@ func (b *lockedBuf) waitLine(t testing.TB) string {
 func TestSlowLog(t *testing.T) {
 	var buf lockedBuf
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{SlowLog: time.Nanosecond, Logger: logger})
+	s, _ := newTestServer(t, Config{SlowLog: time.Nanosecond, Logger: logger})
 
 	doTraced(t, s, "slow-1", "GET", "/v1/Q/access?j=0")
 	line := buf.String()
@@ -245,7 +246,7 @@ func TestSlowLog(t *testing.T) {
 
 	// Threshold off: nothing is logged.
 	var quiet bytes.Buffer
-	s2, _ := newTestServer(t, CoalesceConfig{}, Config{Logger: slog.New(slog.NewJSONHandler(&quiet, nil))})
+	s2, _ := newTestServer(t, Config{Logger: slog.New(slog.NewJSONHandler(&quiet, nil))})
 	do(t, s2, "GET", "/v1/Q/count", "", 200)
 	if quiet.Len() != 0 {
 		t.Fatalf("SlowLog=0 logged: %q", quiet.String())

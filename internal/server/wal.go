@@ -322,8 +322,8 @@ func (r *Registry) Compact(snapshotDir string) (gen uint64, folded int64, err er
 		if err != nil {
 			return 0, 0, fmt.Errorf("compact %s: %w", name, err)
 		}
-		// Updatable entries stay uncoalesced, same as build(); they keep
-		// recording into the query's existing probe histograms.
+		// The rebuilt entry keeps recording into the query's existing probe
+		// histograms.
 		entries[name] = &Entry{Name: e.Name, Text: e.Text, H: h, src: e.src, qm: e.qm}
 	}
 	if err := os.MkdirAll(snapshotDir, 0o755); err != nil {

@@ -37,7 +37,7 @@ func sweepD(t *testing.T, s *Server) string {
 // dictionary. The old handler interned first and let Insert fail after —
 // an attacker looping bad inserts grew server memory without bound.
 func TestUpdateRejectsBeforeInterning(t *testing.T) {
-	s, reg := newTestServer(t, CoalesceConfig{}, Config{})
+	s, reg := newTestServer(t, Config{})
 	dictLen := reg.snap.Load().db.Dict().Len()
 	for i := 0; i < 100; i++ {
 		// Fresh never-seen strings each round: any interning is visible.
@@ -66,7 +66,7 @@ func TestUpdateRejectsBeforeInterning(t *testing.T) {
 // generation's state, and concurrent rebuilds must never corrupt either
 // the retiring or the incoming index.
 func TestUpdateDuringRebuildRace(t *testing.T) {
-	s, _ := newTestServer(t, CoalesceConfig{}, Config{})
+	s, _ := newTestServer(t, Config{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -109,7 +109,7 @@ func TestUpdateDuringRebuildRace(t *testing.T) {
 // identically-built registry attaching the same WAL directory.
 func TestWALReplayRestoresUpdates(t *testing.T) {
 	dir := t.TempDir()
-	s1, reg1 := newTestServer(t, CoalesceConfig{}, Config{})
+	s1, reg1 := newTestServer(t, Config{})
 	if _, _, err := reg1.AttachWAL(dir, wal.SyncNone); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestWALReplayRestoresUpdates(t *testing.T) {
 	}
 
 	// Same boot sequence → same generation → the attach finds the segment.
-	s2, reg2 := newTestServer(t, CoalesceConfig{}, Config{})
+	s2, reg2 := newTestServer(t, Config{})
 	replayed, skipped, err := reg2.AttachWAL(dir, wal.SyncNone)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestWALReplayRestoresUpdates(t *testing.T) {
 func TestSaveSnapshotRotatesWAL(t *testing.T) {
 	snapDir, walDir := t.TempDir(), t.TempDir()
 	cfg := Config{SnapshotDir: snapDir}
-	s1, reg1 := newTestServer(t, CoalesceConfig{}, cfg)
+	s1, reg1 := newTestServer(t, cfg)
 	if _, _, err := reg1.AttachWAL(walDir, wal.SyncNone); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSaveSnapshotRotatesWAL(t *testing.T) {
 func TestCompactFoldsWALIntoNewGeneration(t *testing.T) {
 	snapDir, walDir := t.TempDir(), t.TempDir()
 	cfg := Config{SnapshotDir: snapDir}
-	s, reg := newTestServer(t, CoalesceConfig{}, cfg)
+	s, reg := newTestServer(t, cfg)
 	if _, _, err := reg.AttachWAL(walDir, wal.SyncNone); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCompactFoldsWALIntoNewGeneration(t *testing.T) {
 func TestUpdateWithStaleViewAfterCompact(t *testing.T) {
 	snapDir, walDir := t.TempDir(), t.TempDir()
 	cfg := Config{SnapshotDir: snapDir}
-	s, reg := newTestServer(t, CoalesceConfig{}, cfg)
+	s, reg := newTestServer(t, cfg)
 	if _, _, err := reg.AttachWAL(walDir, wal.SyncNone); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestUpdateWithStaleViewAfterCompact(t *testing.T) {
 func TestCompactUnderLiveTraffic(t *testing.T) {
 	snapDir, walDir := t.TempDir(), t.TempDir()
 	cfg := Config{SnapshotDir: snapDir}
-	s, reg := newTestServer(t, CoalesceConfig{}, cfg)
+	s, reg := newTestServer(t, cfg)
 	if _, _, err := reg.AttachWAL(walDir, wal.SyncNone); err != nil {
 		t.Fatal(err)
 	}
