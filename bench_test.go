@@ -480,8 +480,13 @@ func BenchmarkAblationKarpLuby(b *testing.B) {
 	})
 }
 
-// Ablation 4: the appendix Largest formulation vs the direct binary search
-// in mc-UCQ Compute-k. One op = one union Access.
+// Ablation 4: the appendix Largest formulation vs the production Compute-k
+// of the mc-UCQ. The "DirectRank" arm is the rank-fence search — at TPC-H's
+// stride 1 an array search and no probe — and "ViaLargest" the paper's
+// literal probe-driven binary search, which consults no fence; so the gap
+// is the fences' saving plus the appendix's extra inverted access, not the
+// one-search-vs-two comparison it was before the fences. One op = one union
+// Access.
 func BenchmarkAblationLargest(b *testing.B) {
 	d := db(b)
 	u := tpchq.UnionQ7()
@@ -1189,27 +1194,88 @@ func BenchmarkShuffledDrain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchDrains(b, h.Count(), func(i int, answer func()) {
+		for _, err := range h.Shuffled(rand.New(rand.NewSource(int64(i)))) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			answer()
+		}
+	})
+}
+
+// benchDrains times b.N full drains — drain(i, answer) calls answer once per
+// answer it emits, and must emit n — and reports ns/answer and allocs/answer
+// beside the per-op figures, failing above 0.1 allocations per answer.
+func benchDrains(b *testing.B, n int64, drain func(i int, answer func())) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var drained int64
-		for _, err := range h.Shuffled(rand.New(rand.NewSource(int64(i)))) {
-			if err != nil {
-				b.Fatal(err)
-			}
-			drained++
-		}
-		if drained != h.Count() {
-			b.Fatalf("drained %d of %d", drained, h.Count())
+		drain(i, func() { drained++ })
+		if drained != n {
+			b.Fatalf("drained %d of %d", drained, n)
 		}
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	perAnswer := float64(after.Mallocs-before.Mallocs) / float64(int64(b.N)*h.Count())
+	answers := float64(int64(b.N) * n)
+	perAnswer := float64(after.Mallocs-before.Mallocs) / answers
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/answers, "ns/answer")
 	b.ReportMetric(perAnswer, "allocs/answer")
 	if perAnswer > 0.1 {
 		b.Fatalf("%.3f allocs/answer, want at most 0.1", perAnswer)
 	}
+}
+
+// BenchmarkUnionDrain is the second half of the paper end to end: one op is
+// a full random-order drain of the three TPC-H unions, by the mc-UCQ
+// structure (Handle.Shuffled: Algorithm 7 over rank fences) and by
+// Algorithm 5 over the disjuncts' deletable sets — what the benchmark's
+// ucq_answers_per_s times, at the scale factor of these benchmarks.
+func BenchmarkUnionDrain(b *testing.B) {
+	d := db(b)
+	var handles []*Handle
+	var parts [][]*cqenum.CQ
+	var n int64
+	for _, u := range tpchq.UCQs() {
+		h, err := Open(d, u)
+		if err != nil {
+			b.Fatal(err)
+		}
+		handles, n = append(handles, h), n+h.Count()
+		var cs []*cqenum.CQ
+		for _, q := range u.Disjuncts {
+			cs = append(cs, prepare(b, q))
+		}
+		parts = append(parts, cs)
+	}
+	b.Run("mcUCQ", func(b *testing.B) {
+		benchDrains(b, n, func(i int, answer func()) {
+			for _, h := range handles {
+				for _, err := range h.Shuffled(rand.New(rand.NewSource(int64(i)))) {
+					if err != nil {
+						b.Fatal(err)
+					}
+					answer()
+				}
+			}
+		})
+	})
+	b.Run("Algorithm5", func(b *testing.B) {
+		benchDrains(b, n, func(i int, answer func()) {
+			for _, cs := range parts {
+				sets := make([]unionenum.Set, len(cs))
+				for si, c := range cs {
+					sets[si] = c.NewDeletableSet()
+				}
+				e := unionenum.New(sets, rand.New(rand.NewSource(int64(i))))
+				for _, ok := e.Next(); ok; _, ok = e.Next() {
+					answer()
+				}
+			}
+		})
+	})
 }

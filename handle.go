@@ -400,8 +400,8 @@ func (h *Handle) Access(j int64) (Tuple, error) { return h.b.Access(j) }
 
 // AccessInto is Access writing into a caller-provided buffer, which must
 // have length len(Head()) — a mismatched buffer is rejected with a
-// descriptive error on every backend. On the CQ backend the probe itself is
-// allocation-free.
+// descriptive error on every backend. On the static backends — CQ and UCQ —
+// the probe itself is allocation-free.
 func (h *Handle) AccessInto(j int64, buf Tuple) error {
 	if err := checkBufArity(buf, len(h.b.Head())); err != nil {
 		return err
@@ -431,8 +431,8 @@ func (h *Handle) AccessBatchContext(ctx context.Context, js []int64) ([]Tuple, e
 
 // AccessBatchInto is AccessBatch on the calling goroutine into rows the
 // caller owns: rows[i], of length len(Head()), receives the answer at
-// js[i]. Nothing is allocated on the CQ backend, which resolves the batch
-// with its grouped probe; the others probe position by position. An
+// js[i]. The CQ backend resolves the batch with its grouped probe, the
+// others probe position by position; the static backends allocate nothing. An
 // out-of-range position fails the call with ErrOutOfBounds, leaving the
 // rows' contents unspecified.
 func (h *Handle) AccessBatchInto(js []int64, rows []Tuple) error {

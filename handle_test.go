@@ -734,3 +734,114 @@ func TestOpenCountOverflow(t *testing.T) {
 		}
 	}
 }
+
+// incompatibleDisjuncts returns two CQs with the same six answers whose
+// union is mutually compatible in one order only. qAB joins A and B and
+// enumerates in A's order, x ascending; qC is the single atom C holding the
+// answers with x descending. Their intersection is rooted at C — the one
+// atom covering every variable — so it is in its first disjunct's order
+// after qC and against it after qAB.
+func incompatibleDisjuncts(db *Database) (qAB, qC *CQ) {
+	a, b, c := db.MustCreate("A", "x", "y"), db.MustCreate("B", "y", "z"), db.MustCreate("C", "x", "y", "z")
+	b.MustInsert(0, 7)
+	b.MustInsert(1, 8)
+	for i := 0; i < 6; i++ {
+		a.MustInsert(Value(i), Value(i%2))
+		c.MustInsert(Value(5-i), Value((5-i)%2), Value(7+(5-i)%2))
+	}
+	head := []string{"x", "y", "z"}
+	return MustCQ("qAB", head, NewAtom("A", V("x"), V("y")), NewAtom("B", V("y"), V("z"))),
+		MustCQ("qC", head, NewAtom("C", V("x"), V("y"), V("z")))
+}
+
+// TestOpenRefusesIncompatibleUnion: a union whose enumeration orders are
+// not compatible fails Open with ErrIncompatible whether or not WithVerify
+// is set. Without it Open used to build the structure and serve answers
+// that are not a bijection onto the union.
+func TestOpenRefusesIncompatibleUnion(t *testing.T) {
+	db := NewDatabase()
+	qAB, qC := incompatibleDisjuncts(db)
+	for name, opts := range map[string][]Option{
+		"default": nil,
+		"verify":  {WithVerify()},
+		"serial":  {WithWorkers(1), WithPlanner(PlannerOff)},
+	} {
+		if h, err := Open(db, MustUCQ("u", qAB, qC), opts...); !errors.Is(err, ErrIncompatible) {
+			t.Fatalf("%s: handle %v, err %v; want ErrIncompatible", name, h, err)
+		}
+	}
+	h := mustOpen(t, db, MustUCQ("u", qC, qAB))
+	if h.Count() != 6 {
+		t.Fatalf("the compatible order counts %d answers, want 6", h.Count())
+	}
+}
+
+// TestOpenFallsBackFromIncompatiblePlan: the planner moves heavy disjuncts
+// forward without knowing about order compatibility. When the order it
+// picks is refused, Open builds the as-parsed one — a fallback that could
+// only fire under WithVerify before the build checked every union.
+func TestOpenFallsBackFromIncompatiblePlan(t *testing.T) {
+	db := NewDatabase()
+	qAB, qC := incompatibleDisjuncts(db)
+	d := db.MustCreate("D", "x", "y", "z")
+	d.MustInsert(4, 0, 7)
+	d.MustInsert(40, 41, 42)
+	qD := MustCQ("qD", []string{"x", "y", "z"}, NewAtom("D", V("x"), V("y"), V("z")))
+	// qAB reads more tuples than qC, so the planner wants it second.
+	parsed := MustUCQ("u", qD, qC, qAB)
+	if _, err := Open(db, MustUCQ("u", qD, qAB, qC), WithPlanner(PlannerOff)); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("the order the planner is expected to pick is not refused: %v", err)
+	}
+
+	var planned PlanStats
+	h := mustOpen(t, db, parsed, WithPlanObserver(func(ps PlanStats) { planned = ps }))
+	if planned.Identity {
+		t.Fatalf("the planner kept the as-parsed order (%+v): nothing to fall back from", planned)
+	}
+	want := mustOpen(t, db, parsed, WithPlanner(PlannerOff))
+	if h.Count() != 7 || want.Count() != 7 {
+		t.Fatalf("counts %d and %d, want 7", h.Count(), want.Count())
+	}
+	for j := int64(0); j < h.Count(); j++ {
+		got, err := h.Access(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := want.Access(j); !got.Equal(w) {
+			t.Fatalf("Access(%d) = %v, the as-parsed order has %v", j, got, w)
+		}
+	}
+	evaluated, err := EvaluateUCQ(db, parsed)
+	if err != nil || len(evaluated) != 7 {
+		t.Fatalf("EvaluateUCQ: %d answers, %v", len(evaluated), err)
+	}
+	in, err := h.Container()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range evaluated {
+		if !in.Contains(a) {
+			t.Fatalf("answer %v is not in the fallback handle", a)
+		}
+	}
+}
+
+// TestUnionAccessIntoDoesNotAllocate: the union's single probe writes into
+// the caller's row — including the positions Algorithm 7 resolves through an
+// intersection, which used to cost a tuple per level and a scratch row per
+// search, and here (a fence of stride 2) still finish their search by
+// probing inside a window.
+func TestUnionAccessIntoDoesNotAllocate(t *testing.T) {
+	_, _, h := multiplyingUnion(t)
+	row := make(Tuple, len(h.Head()))
+	// One run probes every position: AllocsPerRun rounds its average down.
+	if allocs := testing.AllocsPerRun(10, func() {
+		for j := int64(0); j < h.Count(); j++ {
+			if err := h.AccessInto(j, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("Handle.AccessInto on a UCQ handle: %.0f allocations over %d probes, want 0", allocs, h.Count())
+	}
+}

@@ -426,6 +426,18 @@ func (idx *Index) Head() []string { return idx.head }
 // Count returns |Q(D)| in constant time.
 func (idx *Index) Count() int64 { return idx.count }
 
+// Tuples returns the number of tuples the index stores: the sum of its node
+// relations' lengths. Count can be far larger (a join multiplies) or smaller;
+// Tuples is what the index costs, and so the budget for anything derived
+// from it that must stay linear in the preprocessing.
+func (idx *Index) Tuples() int64 {
+	var n int64
+	for _, nd := range idx.nodes {
+		n += int64(nd.rel.Len())
+	}
+	return n
+}
+
 // Access returns the j-th answer (0-based) in the index's enumeration order
 // (Algorithm 3). It returns ErrOutOfBounds if j is not in [0, Count()).
 // The only allocation is the returned tuple; AccessInto avoids even that.

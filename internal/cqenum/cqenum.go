@@ -5,8 +5,8 @@
 //   - Enumerator: deterministic enumeration in index order (Fact 3.5);
 //   - RandomPermutation: REnum(CQ) — Theorem 3.7's Fisher–Yates shuffle over
 //     random access, giving a uniformly random order with O(log) delay;
-//   - DeletableSet: the Lemma 5.3 wrapper exposing Count / Sample / Test /
-//     Delete over a CQ's answer set, consumed by Algorithm 5 (REnum(UCQ)).
+//   - DeletableSet: the Lemma 5.3 wrapper exposing Count / Sample / Locate /
+//     DeleteAt over a CQ's answer set, consumed by Algorithm 5 (REnum(UCQ)).
 //
 // # Concurrency contract
 //
@@ -157,7 +157,8 @@ func (p *RandomPermutation) NextNContext(ctx context.Context, k int64, workers i
 // DeletableSet implements Lemma 5.3: given counting, random access and
 // inverted access, the answer set supports sampling, membership testing,
 // deletion and counting, each in the same time bound. It is the per-CQ set
-// handed to Algorithm 5.
+// handed to Algorithm 5, and speaks positions as unionenum.Set asks: an
+// answer is inverted to its position once, by Locate, and deleted by it.
 type DeletableSet struct {
 	idx *access.Index
 	del *shuffle.DeletionSet
@@ -171,34 +172,30 @@ func (c *CQ) NewDeletableSet() *DeletableSet {
 // Count returns the number of remaining (non-deleted) answers.
 func (s *DeletableSet) Count() int64 { return s.del.Count() }
 
-// Sample returns a uniformly random remaining answer without removing it;
-// ok is false when the set is empty.
-func (s *DeletableSet) Sample(rng *rand.Rand) (relation.Tuple, bool) {
-	j, ok := s.del.Sample(rng)
-	if !ok {
-		return nil, false
+// Arity returns the length of the set's answers.
+func (s *DeletableSet) Arity() int { return len(s.idx.Head()) }
+
+// Sample writes a uniformly random remaining answer into buf, which must
+// have the set's arity, and returns its position without removing it; ok is
+// false when the set is empty.
+func (s *DeletableSet) Sample(rng *rand.Rand, buf relation.Tuple) (pos int64, ok bool) {
+	pos, ok = s.del.Sample(rng)
+	if !ok || s.idx.AccessInto(pos, buf) != nil {
+		return 0, false
 	}
-	t, err := s.idx.Access(j)
-	if err != nil {
-		return nil, false
-	}
-	return t, true
+	return pos, true
 }
 
-// Test reports whether t is a remaining answer of this CQ.
-func (s *DeletableSet) Test(t relation.Tuple) bool {
-	j, ok := s.idx.InvertedAccess(t)
-	if !ok {
-		return false
+// Locate returns the position of t if t is a remaining answer of this CQ:
+// one inverted access and one lookup in the deletion table.
+func (s *DeletableSet) Locate(t relation.Tuple) (pos int64, ok bool) {
+	pos, ok = s.idx.InvertedAccess(t)
+	if !ok || s.del.Deleted(pos) {
+		return 0, false
 	}
-	return !s.del.Deleted(j)
+	return pos, true
 }
 
-// Delete removes answer t from the set, reporting whether it was present.
-func (s *DeletableSet) Delete(t relation.Tuple) bool {
-	j, ok := s.idx.InvertedAccess(t)
-	if !ok {
-		return false
-	}
-	return s.del.Delete(j)
-}
+// DeleteAt removes the answer at pos from the set, reporting whether it was
+// remaining.
+func (s *DeletableSet) DeleteAt(pos int64) bool { return s.del.Delete(pos) }

@@ -192,24 +192,28 @@ func TestDeletableSet(t *testing.T) {
 	if total != c.Count() {
 		t.Fatal("initial count mismatch")
 	}
-	// Drain by sample+delete; every sampled answer must test true before
-	// deletion and false after.
+	// Drain by sample+delete; every sampled answer must be located where it
+	// was sampled before deletion and nowhere after.
+	buf := make(relation.Tuple, set.Arity())
 	drained := int64(0)
 	for set.Count() > 0 {
-		tup, ok := set.Sample(rng)
+		pos, ok := set.Sample(rng, buf)
 		if !ok {
 			t.Fatal("sample failed")
 		}
-		if !set.Test(tup) {
-			t.Fatalf("sampled tuple fails Test: %v", tup)
+		if want, err := c.Index.Access(pos); err != nil || !buf.Equal(want) {
+			t.Fatalf("sampled %v at position %d, which holds %v (%v)", buf, pos, want, err)
 		}
-		if !set.Delete(tup) {
+		if at, ok := set.Locate(buf); !ok || at != pos {
+			t.Fatalf("sampled tuple %v located at (%d, %v), sampled at %d", buf, at, ok, pos)
+		}
+		if !set.DeleteAt(pos) {
 			t.Fatal("delete failed")
 		}
-		if set.Test(tup) {
-			t.Fatal("deleted tuple still tests true")
+		if _, ok := set.Locate(buf); ok {
+			t.Fatal("deleted tuple is still located")
 		}
-		if set.Delete(tup) {
+		if set.DeleteAt(pos) {
 			t.Fatal("double delete succeeded")
 		}
 		drained++
@@ -218,13 +222,13 @@ func TestDeletableSet(t *testing.T) {
 		t.Fatalf("drained %d, want %d", drained, total)
 	}
 	// Non-answers.
-	if set.Test(relation.Tuple{99, 99, 99}) {
-		t.Fatal("non-answer tests true")
+	if _, ok := set.Locate(relation.Tuple{99, 99, 99}); ok {
+		t.Fatal("non-answer is located")
 	}
-	if set.Delete(relation.Tuple{99, 99, 99}) {
-		t.Fatal("non-answer deleted")
+	if set.DeleteAt(-1) || set.DeleteAt(total) {
+		t.Fatal("a position outside the set was deleted")
 	}
-	if _, ok := set.Sample(rng); ok {
+	if _, ok := set.Sample(rng, buf); ok {
 		t.Fatal("sample from empty set")
 	}
 }

@@ -187,16 +187,16 @@ func TestPermutationNextNMatchesNext(t *testing.T) {
 // named test function on their stack: on some goroutine other than the one
 // the test made the batched call from.
 type callerSpy struct {
-	RankedSet
+	disjunct
 	caller  string
 	strayed *atomic.Int64
 }
 
-func (s callerSpy) Access(j int64) (relation.Tuple, error) {
+func (s callerSpy) AccessInto(j int64, answer relation.Tuple) error {
 	if !bytes.Contains(debug.Stack(), []byte(s.caller)) {
 		s.strayed.Add(1)
 	}
-	return s.RankedSet.Access(j)
+	return s.disjunct.AccessInto(j, answer)
 }
 
 // TestSmallUnionBatchStaysOnCaller: a union batch below the serial
@@ -211,13 +211,9 @@ func TestSmallUnionBatchStaysOnCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	var strayed atomic.Int64
-	spy := func(s RankedSet) RankedSet {
-		return callerSpy{s, "TestSmallUnionBatchStaysOnCaller", &strayed}
+	for i, d := range m.firsts {
+		m.firsts[i] = callerSpy{d, "TestSmallUnionBatchStaysOnCaller", &strayed}
 	}
-	for _, lv := range m.levels {
-		lv.first = spy(lv.first)
-	}
-	m.firsts[len(m.firsts)-1] = spy(m.firsts[len(m.firsts)-1])
 
 	rng := rand.New(rand.NewSource(5))
 	positions := func(k int) []int64 {

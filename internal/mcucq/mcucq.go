@@ -4,24 +4,46 @@
 // enumeration orders are compatible, it provides
 //
 //   - Count in O(2^m) time after linear preprocessing (inclusion–exclusion),
-//   - Access(j) in O(2^m log² |D|) (Durand–Strozecki union trick,
-//     Algorithms 6–8, Lemma A.2), and
-//   - a uniformly random permutation with O(log²) delay via Theorem 3.7.
+//   - Access(j) by the Durand–Strozecki union trick (Algorithms 6–8,
+//     Lemma A.2) in O(2^m log |D|) whenever no intersection has more answers
+//     than its index has tuples, and never worse than the paper's
+//     O(2^m log² |D|), and
+//   - a uniformly random permutation with that delay via Theorem 3.7.
+//
+// # Rank fences
+//
+// Algorithm 8 needs |{c ∈ T : rank_A(c) ≤ j}| for an intersection T of a
+// level whose first disjunct is A. Compatibility makes rank_A(T[r]) strictly
+// increasing in r, and the paper finds the count by a binary search whose
+// every step is a random access into T and an inverted access into A — the
+// log² of Theorem 5.5. That sequence is fixed, so preprocessing writes it
+// down: fence[i] = rank_A(T[i·s]) for the stride s = ⌈|T| / tuples(T)⌉,
+// where tuples(T) is the number of tuples T's own index stores. The array is
+// never longer than the index it summarises, so preprocessing stays linear.
+// A probe binary-searches the fences — a plain []int64 — and then runs the
+// paper's search inside one stride window only: ⌈log₂ s⌉ probe steps, none
+// at all when s = 1, which is every intersection with |T| ≤ tuples(T).
+// Fences are derived data: a snapshot does not store them and Restore
+// recomputes them, probing each fenced element once.
 //
 // Compatibility is not an extra input: the construction inherits it from the
 // deterministic, order-preserving pipeline (relation filters, instantiation,
 // reduction and GYO are all order-preserving and structural), exactly as in
-// the authors' implementation. Use Options.Verify to check it explicitly.
+// the authors' implementation. It is checked all the same: the fence build
+// sees the rank of every element it samples and refuses the union with
+// ErrIncompatible when one is missing from A or out of order — every element
+// at stride 1. Options.Verify adds the full walk for larger strides.
 //
 // # Concurrency contract
 //
 // New prepares the m disjunct indexes and the up-to-2^m intersection indexes
 // on a worker pool (Options.Workers) — they are mutually independent — and
-// assembles the recursive union serially, so the structure is identical to a
-// serial build. A prepared MCUCQ is immutable: Count, Access, Test and
-// VerifyCompatibility are safe from any number of goroutines. Permutation
-// cursors are single-consumer; use Permutation.NextN to fan one consumer's
-// probes across cores.
+// assembles the levels serially, each fence filled on the same worker
+// budget, so the structure is identical to a serial build. A prepared MCUCQ
+// is immutable: Count, Access, AccessInto, Test and VerifyCompatibility are
+// safe from any number of goroutines. Permutation cursors are
+// single-consumer; use Permutation.NextN to fan one consumer's probes across
+// cores.
 package mcucq
 
 import (
@@ -30,7 +52,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/cqenum"
@@ -41,158 +63,155 @@ import (
 	"repro/internal/shuffle"
 )
 
-// ErrIncompatible is returned by VerifyCompatibility (and by New when
-// Options.Verify is set) if some intersection's enumeration order is not a
-// subsequence of its first disjunct's order.
+// ErrIncompatible is returned by New, Restore and VerifyCompatibility when
+// some intersection's enumeration order is not a subsequence of its first
+// disjunct's order.
 var ErrIncompatible = errors.New("mcucq: enumeration orders are not compatible")
 
-// SetAccess is the read-only access interface of a set in the union.
-type SetAccess interface {
-	Count() int64
-	Access(j int64) (relation.Tuple, error)
-	Test(t relation.Tuple) bool
+// disjunct is what the level walk asks of a disjunct's index. Production
+// stores *access.Index; it is an interface so that a test can put a spy
+// between the walk and the index (TestSmallUnionBatchStaysOnCaller).
+type disjunct interface {
+	AccessInto(j int64, answer relation.Tuple) error
+	Contains(answer relation.Tuple) bool
 }
 
-// RankedSet additionally exposes the inverted access (rank) of an element.
-type RankedSet interface {
-	SetAccess
-	InvAcc(t relation.Tuple) (int64, bool)
-}
-
-// indexSet adapts access.Index to RankedSet.
-type indexSet struct{ idx *access.Index }
-
-func (s indexSet) Count() int64                           { return s.idx.Count() }
-func (s indexSet) Access(j int64) (relation.Tuple, error) { return s.idx.Access(j) }
-func (s indexSet) Test(t relation.Tuple) bool             { return s.idx.Contains(t) }
-func (s indexSet) InvAcc(t relation.Tuple) (int64, bool)  { return s.idx.InvertedAccess(t) }
-
-// union provides random access to A ∪ B where A = first and B = rest
-// (Algorithm 7), with Algorithm 8 replacing the (A∩B).InvAcc call by
-// inclusion–exclusion over the intersection sets ts.
-type union struct {
-	first RankedSet // A = S_ℓ
-	rest  SetAccess // B = S_{ℓ+1} ∪ ... ∪ S_m (nil at the innermost level)
-
-	// ts[i] is T_{ℓ,I} for the i-th non-empty I ⊆ [ℓ+1, m], with its
-	// inclusion–exclusion sign (+1 for odd |I|, -1 for even).
-	ts    []signedSet
-	inter int64 // |A ∩ B| via inclusion–exclusion
-	count int64 // |A ∪ B|
+// level is one step of Algorithm 7: random access to A ∪ B where A = S_ℓ is
+// the level's first disjunct and B = S_{ℓ+1} ∪ ... ∪ S_{m-1} the level below,
+// with Algorithm 8 replacing the (A∩B).InvAcc call by inclusion–exclusion
+// over the intersection sets ts.
+type level struct {
+	nA    int64      // |A|
+	ts    []interSet // T_{ℓ,I} for every non-empty I ⊆ [ℓ+1, m), mask order
+	inter int64      // |A ∩ B| via inclusion–exclusion
+	count int64      // |A ∪ B|
 
 	// useLargest switches Compute-k to the two-step Largest-then-InvAcc
 	// formulation of the paper's appendix (for the ablation benchmark); the
-	// default computes the rank directly with one binary search.
+	// default searches the rank fences.
 	useLargest bool
 }
 
-type signedSet struct {
-	set  RankedSet
+// interSet is one intersection set T = T_{ℓ,I} with its inclusion–exclusion
+// sign (+1 for odd |I|, -1 for even) and its rank fence in a = S_ℓ.
+type interSet struct {
+	t, a *access.Index
 	sign int64
-}
 
-func (u *union) Count() int64 { return u.count }
-
-func (u *union) Test(t relation.Tuple) bool {
-	if u.first.Test(t) {
-		return true
-	}
-	if u.rest != nil {
-		return u.rest.Test(t)
-	}
-	return false
-}
-
-// Access implements Algorithm 7 (0-based).
-func (u *union) Access(j int64) (relation.Tuple, error) {
-	if j < 0 || j >= u.count {
-		return nil, access.ErrOutOfBounds
-	}
-	nA := u.first.Count()
-	if j < nA {
-		a, err := u.first.Access(j)
-		if err != nil {
-			return nil, err
-		}
-		if u.rest == nil || !u.rest.Test(a) {
-			return a, nil
-		}
-		// a is in A ∩ B: the j-th output of the union trick is the k-th
-		// element of B (1-based k = |{a_0..a_j} ∩ B|, Algorithm 8).
-		k := u.computeK(j)
-		return u.rest.Access(k - 1)
-	}
-	// Phase 2: remaining elements of B after |A ∩ B| were consumed.
-	return u.rest.Access(j - nA + u.inter)
+	// fence[i] = rank_a(t[i·stride]) for every i·stride < |t|: strictly
+	// increasing. Empty exactly when t is.
+	fence  []int64
+	stride int64
 }
 
 // computeK returns |{a_0..a_j} ∩ B| via inclusion–exclusion over the
 // intersection sets (Algorithm 8): for each T = T_{ℓ,I}, the number of
-// elements of T whose rank in A is ≤ j. Compatibility makes rank(T.Access(r))
-// strictly increasing in r, so one binary search per T suffices (O(log²)).
-func (u *union) computeK(j int64) int64 {
+// elements of T whose rank in A is ≤ j.
+func (lv *level) computeK(j int64) int64 {
 	var k int64
-	for _, t := range u.ts {
-		k += t.sign * u.countUpTo(t.set, j)
+	for i := range lv.ts {
+		t := &lv.ts[i]
+		if lv.useLargest {
+			k += t.sign * t.countUpToViaLargest(j)
+		} else {
+			k += t.sign * t.countUpTo(j)
+		}
 	}
 	return k
 }
 
-// countUpTo returns |{c ∈ T : rankA(c) ≤ j}|.
-func (u *union) countUpTo(t RankedSet, j int64) int64 {
-	n := t.Count()
-	if n == 0 {
-		return 0
+// countUpTo returns |{c ∈ T : rank_A(c) ≤ j}|: the fences pin it to one
+// stride window, the probe search of firstAbove finishes inside it.
+func (t *interSet) countUpTo(j int64) int64 {
+	lo, hi := t.window(j)
+	return t.firstAbove(j, lo, hi)
+}
+
+// window returns the positions [lo, hi) of T the fences leave undecided for
+// j: everything below lo ranks ≤ j in A, everything from hi on ranks above
+// it. It holds at most stride - 1 positions — none at stride 1.
+func (t *interSet) window(j int64) (lo, hi int64) {
+	// f fences rank ≤ j (callers keep j below |A|, so j+1 cannot wrap).
+	f, _ := slices.BinarySearch(t.fence, j+1)
+	if f == 0 {
+		return 0, 0
 	}
-	if u.useLargest {
-		return u.countUpToViaLargest(t, j, n)
+	// T[(f-1)·s] ranks ≤ j and T[f·s], if there is one, above it.
+	lo = int64(f-1) * t.stride
+	return lo + 1, lo + min(t.stride, t.t.Count()-lo)
+}
+
+// firstAbove returns the first r in [lo, hi) with rank_A(T[r]) > j, or hi if
+// there is none — the direct form of Compute-k (the implementation shortcut
+// noted in Section 6.1): ranks increase strictly with r, so when everything
+// below lo ranks ≤ j that r is the count. Each step is a random access into
+// T and an inverted access into A; firstAbove(j, 0, |T|) is the paper's whole
+// search, and what a fence leaves of it is one stride window.
+func (t *interSet) firstAbove(j, lo, hi int64) int64 {
+	if lo >= hi {
+		return lo
 	}
-	// Direct form (the implementation shortcut noted in Section 6.1): find
-	// the first r with rankA(T[r]) > j; that r is the count. When T is a
-	// plain index, the log n probe tuples of the search share one scratch
-	// buffer instead of allocating each.
-	if is, ok := t.(indexSet); ok {
-		scratch := make(relation.Tuple, len(is.idx.Head()))
-		r := sort.Search(int(n), func(r int) bool {
-			if err := is.idx.AccessInto(int64(r), scratch); err != nil {
-				return true
-			}
-			rank, ok := u.first.InvAcc(scratch)
-			if !ok {
-				return true
-			}
-			return rank > j
-		})
-		return int64(r)
+	var stack [8]relation.Value
+	scratch := relation.Tuple(stack[:])
+	if arity := len(t.t.Head()); arity <= len(stack) {
+		scratch = scratch[:arity]
+	} else {
+		scratch = make(relation.Tuple, arity)
 	}
-	r := sort.Search(int(n), func(r int) bool {
-		c, err := t.Access(int64(r))
-		if err != nil {
-			return true
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		// T ⊆ A by construction; an element A does not hold counts as
+		// "greater", as an element out of order would.
+		if rank := t.rankOf(mid, scratch); rank < 0 || rank > j {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		rank, ok := u.first.InvAcc(c)
-		if !ok {
-			// T ⊆ A by construction; treat violations as "greater".
-			return true
-		}
-		return rank > j
-	})
-	return int64(r)
+	}
+	return lo
+}
+
+// rankOf returns rank_A(T[r]) using scratch, a row of T's arity — one random
+// access into T and one inverted access into A — or -1 when A does not hold
+// the element (or r is not a position of T).
+func (t *interSet) rankOf(r int64, scratch relation.Tuple) int64 {
+	if t.t.AccessInto(r, scratch) != nil {
+		return -1
+	}
+	rank, ok := t.a.InvertedAccess(scratch)
+	if !ok {
+		return -1
+	}
+	return rank
+}
+
+// checkRank is the compatibility condition on one element: T[r], of rank
+// `rank` in A, must be in A and rank strictly above `prev`, the rank of the
+// element checked before it.
+func (t *interSet) checkRank(r, rank, prev int64) error {
+	if rank < 0 {
+		c, _ := t.t.Access(r) // for the message only
+		return fmt.Errorf("%w: element %d %v not in its first disjunct", ErrIncompatible, r, c)
+	}
+	if rank <= prev {
+		return fmt.Errorf("%w: rank regression at element %d (%d ≤ %d)", ErrIncompatible, r, rank, prev)
+	}
+	return nil
 }
 
 // countUpToViaLargest is the literal Theorem 5.5 formulation: binary-search
 // the largest element c of T that precedes position j in A's order, then
-// return T.InvAcc(c) + 1.
-func (u *union) countUpToViaLargest(t RankedSet, j, n int64) int64 {
+// return T.InvAcc(c) + 1. It consults no fence.
+func (t *interSet) countUpToViaLargest(j int64) int64 {
 	var largest relation.Tuple
-	lo, hi := int64(0), n-1
+	lo, hi := int64(0), t.t.Count()-1
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		c, err := t.Access(mid)
+		c, err := t.t.Access(mid)
 		if err != nil {
 			break
 		}
-		rank, ok := u.first.InvAcc(c)
+		rank, ok := t.a.InvertedAccess(c)
 		if !ok || rank > j {
 			hi = mid - 1
 		} else {
@@ -203,37 +222,84 @@ func (u *union) countUpToViaLargest(t RankedSet, j, n int64) int64 {
 	if largest == nil {
 		return 0
 	}
-	r, ok := t.InvAcc(largest)
+	r, ok := t.t.InvertedAccess(largest)
 	if !ok {
 		return 0
 	}
 	return r + 1
 }
 
+// fenceStride returns the smallest stride at which a fence over n > 0
+// elements has at most max(budget, 1) entries.
+func fenceStride(n, budget int64) int64 {
+	budget = max(budget, 1)
+	if n%budget != 0 {
+		return n/budget + 1
+	}
+	return n / budget
+}
+
+// buildFence fills t's rank fence at the given stride, probing on up to
+// `workers` goroutines, and checks every fenced element with checkRank.
+// Production passes fenceStride(|T|, tuples(T)), which keeps the fence no
+// longer than the index it summarises.
+func (t *interSet) buildFence(stride int64, workers int) error {
+	n := t.t.Count()
+	if n == 0 {
+		return nil
+	}
+	t.stride = stride
+	t.fence = make([]int64, (n-1)/stride+1)
+	if len(t.fence) < access.BatchSerialThreshold {
+		workers = 1
+	}
+	arity := len(t.t.Head())
+	if err := parallel.ForEachChunk(len(t.fence), workers, func(lo, hi int) error {
+		scratch := make(relation.Tuple, arity)
+		for i := lo; i < hi; i++ {
+			t.fence[i] = t.rankOf(int64(i)*stride, scratch)
+		}
+		return nil
+	}); err != nil {
+		return err // a worker panicked
+	}
+	// The check runs serially over the finished fence so that the element
+	// an error names does not depend on the worker count.
+	prev := int64(-1)
+	for i, rank := range t.fence {
+		if err := t.checkRank(int64(i)*stride, rank, prev); err != nil {
+			return err
+		}
+		prev = rank
+	}
+	return nil
+}
+
 // Options tunes New.
 type Options struct {
 	// Reduce is passed through to every CQ preparation.
 	Reduce reduce.Options
-	// Verify runs VerifyCompatibility after construction (costs an extra
-	// enumeration of every intersection).
+	// Verify runs VerifyCompatibility after construction: the full walk of
+	// every intersection whose fence has a stride above 1 (a stride-1 fence
+	// already checked every element).
 	Verify bool
 	// UseLargest selects the appendix formulation of Compute-k (ablation).
 	UseLargest bool
 	// Workers caps the goroutines preparing disjunct and intersection
-	// indexes. 0 means parallel.Workers(); 1 forces serial preparation.
+	// indexes and filling the fences. 0 means parallel.Workers(); 1 forces
+	// a serial build.
 	Workers int
 }
 
 // MCUCQ is the prepared random-access structure of Theorem 5.5.
 type MCUCQ struct {
 	u     *query.UCQ
-	top   SetAccess
 	count int64
 
-	// firsts[ℓ] is S_ℓ's index; inters[ℓ] the T_{ℓ,I} structures (for
-	// verification and diagnostics).
-	firsts []RankedSet
-	levels []*union
+	// firsts[ℓ] is S_ℓ's index and levels[ℓ] the union S_ℓ ∪ ... ∪ S_{m-1}
+	// it heads; the last disjunct heads no level.
+	firsts []disjunct
+	levels []level
 
 	// indexes holds every prepared index in deterministic job order (the m
 	// disjuncts, then each level's intersections in mask order) — the
@@ -252,89 +318,53 @@ func (m *MCUCQ) NumDisjuncts() int { return len(m.firsts) }
 
 // New prepares every disjunct and every required intersection CQ (all in
 // linear time each, mutually independent and hence run on a worker pool) and
-// assembles the recursive union access. It fails if any disjunct or
-// intersection is not free-connex.
+// assembles the levels with their rank fences. It fails if any disjunct or
+// intersection is not free-connex, and with ErrIncompatible if a fence finds
+// an intersection out of its first disjunct's order.
 func New(db *relation.Database, u *query.UCQ, opts Options) (*MCUCQ, error) {
 	m := len(u.Disjuncts)
 
 	// Phase 1 (serial, cheap): lay out every preparation job — the m
-	// disjuncts plus, per level ℓ, one intersection CQ for each non-empty
-	// I ⊆ [ℓ+1, m), in mask order.
-	type prepJob struct {
-		q        *query.CQ
-		kind     string // "disjunct" | "intersection"
-		sign     int64  // intersections only
-		prepared *cqenum.CQ
-	}
-	disjuncts := make([]*prepJob, m)
-	for i, q := range u.Disjuncts {
-		disjuncts[i] = &prepJob{q: q, kind: "disjunct"}
-	}
-	levelJobs := make([][]*prepJob, m) // levelJobs[l], mask order
-	for l := m - 2; l >= 0; l-- {
-		others := make([]int, 0, m-l-1)
-		for i := l + 1; i < m; i++ {
-			others = append(others, i)
-		}
-		for mask := 1; mask < (1 << len(others)); mask++ {
-			idx := []int{l}
-			for b, i := range others {
-				if mask&(1<<b) != 0 {
-					idx = append(idx, i)
-				}
-			}
+	// disjuncts, then per level ℓ one intersection CQ for each non-empty
+	// I ⊆ [ℓ+1, m), in mask order: the order of Indexes().
+	jobs := make([]*query.CQ, 0, RestoredIndexCount(m))
+	jobs = append(jobs, u.Disjuncts...)
+	for l := 0; l <= m-2; l++ {
+		for mask := 1; mask < 1<<(m-1-l); mask++ {
+			idx := members(l, mask)
 			qi, err := u.Intersection(intersectionName(u, idx), idx)
 			if err != nil {
 				return nil, err
 			}
-			// |I| = len(idx)-1 members beyond ℓ; the inclusion–exclusion
-			// sign is (-1)^{|I|+1}: positive for odd |I|.
-			sign := int64(-1)
-			if (len(idx)-1)%2 == 1 {
-				sign = 1
-			}
-			levelJobs[l] = append(levelJobs[l], &prepJob{q: qi, kind: "intersection", sign: sign})
+			jobs = append(jobs, qi)
 		}
-	}
-	jobs := append([]*prepJob{}, disjuncts...)
-	for _, lj := range levelJobs {
-		jobs = append(jobs, lj...)
 	}
 
 	// Phase 2 (parallel): prepare all indexes. Each job writes only its own
 	// slot; cqenum.Prepare only reads the shared database. Workers also caps
 	// each index's internal build fan-out, so Workers=1 is fully serial.
+	indexes := make([]*access.Index, len(jobs))
 	build := access.BuildOptions{Workers: opts.Workers}
 	if err := parallel.ForEach(len(jobs), opts.Workers, func(i int) error {
-		c, err := cqenum.PrepareWithOptions(db, jobs[i].q, opts.Reduce, build)
+		c, err := cqenum.PrepareWithOptions(db, jobs[i], opts.Reduce, build)
 		if err != nil {
-			return fmt.Errorf("mcucq: %s %s: %w", jobs[i].kind, jobs[i].q.Name, err)
+			kind := "intersection"
+			if i < m {
+				kind = "disjunct"
+			}
+			return fmt.Errorf("mcucq: %s %s: %w", kind, jobs[i].Name, err)
 		}
-		jobs[i].prepared = c
+		indexes[i] = c.Index
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	firsts := make([]RankedSet, m)
-	for i, j := range disjuncts {
-		firsts[i] = indexSet{j.prepared.Index}
+	// Phase 3: the levels and their fences.
+	out, err := assemble(u, indexes, opts.UseLargest, opts.Workers)
+	if err != nil {
+		return nil, err
 	}
-	out := &MCUCQ{u: u, firsts: firsts}
-	for _, j := range jobs {
-		out.indexes = append(out.indexes, j.prepared.Index)
-	}
-
-	// Phase 3 (serial): build bottom-up exactly as the serial construction —
-	// U_{m-1} = S_{m-1}; U_ℓ = union(S_ℓ, U_{ℓ+1}).
-	levelSets := make([][]signedSet, m)
-	for l, lj := range levelJobs {
-		for _, j := range lj {
-			levelSets[l] = append(levelSets[l], signedSet{set: indexSet{j.prepared.Index}, sign: j.sign})
-		}
-	}
-	out.assemble(levelSets, opts.UseLargest)
-
 	if opts.Verify {
 		if err := out.VerifyCompatibility(); err != nil {
 			return nil, err
@@ -343,27 +373,78 @@ func New(db *relation.Database, u *query.UCQ, opts Options) (*MCUCQ, error) {
 	return out, nil
 }
 
-func restCount(s SetAccess) int64 { return s.Count() }
-
-// assemble builds the recursive union bottom-up — U_{m-1} = S_{m-1};
-// U_ℓ = union(S_ℓ, U_{ℓ+1}) — from the per-level intersection sets. Shared
-// by New and Restore so the assembled structure cannot drift between the
-// build and the snapshot-restore path.
-func (m *MCUCQ) assemble(levelSets [][]signedSet, useLargest bool) {
-	n := len(m.firsts)
-	var rest SetAccess = m.firsts[n-1]
-	for l := n - 2; l >= 0; l-- {
-		un := &union{first: m.firsts[l], rest: rest, useLargest: useLargest}
-		for _, ss := range levelSets[l] {
-			un.ts = append(un.ts, ss)
-			un.inter += ss.sign * ss.set.Count()
+// members returns the disjuncts of T_{ℓ,I}: ℓ itself, then the members of
+// I ⊆ [ℓ+1, m) that mask selects (bit b stands for disjunct ℓ+1+b).
+func members(l, mask int) []int {
+	idx := []int{l}
+	for b := 0; mask>>b != 0; b++ {
+		if mask&(1<<b) != 0 {
+			idx = append(idx, l+1+b)
 		}
-		un.count = un.first.Count() + restCount(rest) - un.inter
-		m.levels = append(m.levels, un)
-		rest = un
 	}
-	m.top = rest
-	m.count = restCount(rest)
+	return idx
+}
+
+func intersectionName(u *query.UCQ, idx []int) string {
+	name := u.Name + "∩["
+	for i, d := range idx {
+		if i > 0 {
+			name += ","
+		}
+		name += u.Disjuncts[d].Name
+	}
+	return name + "]"
+}
+
+// assemble builds the levels — U_{m-1} = S_{m-1}; U_ℓ = S_ℓ ∪ U_{ℓ+1} — over
+// indexes in the job order of Indexes(), and fills every intersection's rank
+// fence on up to `workers` goroutines. The level layout and the
+// inclusion–exclusion signs are a pure function of the disjunct count, the
+// counts re-derive from the indexes' counts and the fences from probing
+// them, so a snapshot needs to hold nothing but the indexes. Shared by New
+// and Restore so the assembled structure cannot drift between the build and
+// the snapshot-restore path.
+func assemble(u *query.UCQ, indexes []*access.Index, useLargest bool, workers int) (*MCUCQ, error) {
+	n := len(u.Disjuncts)
+	if n == 0 {
+		return nil, errors.New("mcucq: empty union")
+	}
+	m := &MCUCQ{u: u, firsts: make([]disjunct, n), levels: make([]level, n-1), indexes: indexes}
+	for i := range m.firsts {
+		m.firsts[i] = indexes[i]
+	}
+	pos := n
+	for l := range m.levels {
+		lv := &m.levels[l]
+		lv.nA, lv.useLargest = indexes[l].Count(), useLargest
+		for mask := 1; mask < 1<<(n-1-l); mask++ {
+			// |I| = popcount(mask) members beyond ℓ; sign (-1)^{|I|+1}.
+			sign := int64(-1)
+			if bits.OnesCount(uint(mask))%2 == 1 {
+				sign = 1
+			}
+			t := interSet{t: indexes[pos], a: indexes[l], sign: sign}
+			if err := t.buildFence(fenceStride(t.t.Count(), t.t.Tuples()), workers); err != nil {
+				return nil, m.at(err, l, mask-1)
+			}
+			lv.ts = append(lv.ts, t)
+			lv.inter += sign * t.t.Count()
+			pos++
+		}
+	}
+	m.count = indexes[n-1].Count()
+	for l := n - 2; l >= 0; l-- {
+		lv := &m.levels[l]
+		lv.count = lv.nA + m.count - lv.inter
+		m.count = lv.count
+	}
+	return m, nil
+}
+
+// at adds to err the intersection set it is about: its level, its place in
+// the level's mask order and the disjuncts it intersects.
+func (m *MCUCQ) at(err error, l, ti int) error {
+	return fmt.Errorf("%w (level %d T#%d, %s)", err, l, ti, intersectionName(m.u, members(l, ti+1)))
 }
 
 // RestoredIndexCount returns how many indexes a snapshot of an m-disjunct
@@ -378,101 +459,71 @@ func RestoredIndexCount(m int) int {
 }
 
 // Restore reassembles the Theorem 5.5 structure from indexes restored out
-// of a snapshot, in the job order Indexes() reported at save time. The
-// level layout and inclusion–exclusion signs are recomputed from m alone —
-// they are a pure function of the disjunct count — and the per-level counts
-// re-derive from the restored indexes' counts, so nothing else needs to be
-// persisted.
-func Restore(u *query.UCQ, indexes []*access.Index) (*MCUCQ, error) {
+// of a snapshot, in the job order Indexes() reported at save time. Nothing
+// else is persisted: assemble re-derives the layout, the counts and the rank
+// fences — the last by probing every fenced element once, on up to `workers`
+// goroutines (0 means parallel.Workers()), which is the part of a union
+// entry's restore that is not O(open + validate). Indexes that do not belong
+// together fail it with ErrIncompatible.
+func Restore(u *query.UCQ, indexes []*access.Index, workers int) (*MCUCQ, error) {
 	m := len(u.Disjuncts)
-	if m == 0 {
-		return nil, errors.New("mcucq: restore of an empty union")
-	}
 	if want := RestoredIndexCount(m); len(indexes) != want {
 		return nil, fmt.Errorf("mcucq: restore of %d-disjunct union needs %d indexes, got %d", m, want, len(indexes))
 	}
-	firsts := make([]RankedSet, m)
-	for i := 0; i < m; i++ {
-		firsts[i] = indexSet{indexes[i]}
-	}
-	out := &MCUCQ{u: u, firsts: firsts, indexes: indexes}
-	levelSets := make([][]signedSet, m)
-	pos := m
-	for l := 0; l <= m-2; l++ {
-		count := (1 << (m - 1 - l)) - 1
-		for mask := 1; mask <= count; mask++ {
-			// |I| = popcount(mask) members beyond ℓ; sign (-1)^{|I|+1}.
-			sign := int64(-1)
-			if bits.OnesCount(uint(mask))%2 == 1 {
-				sign = 1
-			}
-			levelSets[l] = append(levelSets[l], signedSet{set: indexSet{indexes[pos]}, sign: sign})
-			pos++
-		}
-	}
-	out.assemble(levelSets, false)
-	return out, nil
-}
-
-func intersectionName(u *query.UCQ, idx []int) string {
-	name := u.Name + "∩["
-	for i, d := range idx {
-		if i > 0 {
-			name += ","
-		}
-		name += u.Disjuncts[d].Name
-	}
-	return name + "]"
+	return assemble(u, indexes, false, workers)
 }
 
 // Count returns |Q(D)| for the union, available right after preprocessing.
 func (m *MCUCQ) Count() int64 { return m.count }
 
-// Access returns the j-th answer of the union's enumeration order.
-//
-// The dispatch is flattened: instead of recursing down the union chain
-// through two interface calls per level (rest.Access, rest.Test), the loop
-// walks the level array directly — Algorithm 7's tail recursion is just a
-// rewrite of j — and the membership probe against the rest of the union is
-// a linear OR-scan over the remaining disjunct indexes. The recursive form
-// survives on the union type itself; TestFlattenedDispatchMatchesRecursive
-// pins the two against each other.
+// Access returns the j-th answer of the union's enumeration order: AccessInto
+// into a fresh tuple.
 func (m *MCUCQ) Access(j int64) (relation.Tuple, error) {
-	n := len(m.firsts)
-	for l := 0; ; l++ {
-		if l == n-1 {
-			// Innermost level: the last disjunct serves the probe directly.
-			return m.firsts[l].Access(j)
+	answer := make(relation.Tuple, len(m.indexes[0].Head()))
+	if err := m.AccessInto(j, answer); err != nil {
+		return nil, err
+	}
+	return answer, nil
+}
+
+// AccessInto is Algorithm 7 (0-based) writing the j-th answer into a
+// caller-provided buffer of the union's arity, without allocating.
+//
+// The walk is flat: Algorithm 7's tail recursion is just a rewrite of j, so
+// the loop steps down the level array, each first disjunct's probe lands in
+// answer directly, and the membership test against the rest of the union is
+// a linear OR-scan over the remaining disjunct indexes. The recursive form
+// is the oracle of TestFlattenedDispatchMatchesRecursive.
+func (m *MCUCQ) AccessInto(j int64, answer relation.Tuple) error {
+	for l := range m.levels {
+		lv := &m.levels[l]
+		if j < 0 || j >= lv.count {
+			return access.ErrOutOfBounds
 		}
-		// levels is built bottom-up, so the union whose first disjunct is
-		// S_l sits at levels[n-2-l].
-		u := m.levels[n-2-l]
-		if j < 0 || j >= u.count {
-			return nil, access.ErrOutOfBounds
-		}
-		nA := u.first.Count()
-		if j < nA {
-			a, err := u.first.Access(j)
-			if err != nil {
-				return nil, err
-			}
-			if !m.testFrom(l+1, a) {
-				return a, nil
-			}
-			// a ∈ A ∩ B: the j-th output is B's (k-1)-th element.
-			j = u.computeK(j) - 1
+		if j >= lv.nA {
+			// Phase 2: what is left of B after |A ∩ B| were consumed.
+			j = j - lv.nA + lv.inter
 			continue
 		}
-		// Phase 2: remaining elements of B after |A ∩ B| were consumed.
-		j = j - nA + u.inter
+		if err := m.firsts[l].AccessInto(j, answer); err != nil {
+			return err
+		}
+		if !m.testFrom(l+1, answer) {
+			return nil
+		}
+		// a_j ∈ A ∩ B: the j-th output is B's (k-1)-th element.
+		j = lv.computeK(j) - 1
 	}
+	// Innermost level: the last disjunct serves the probe directly.
+	return m.firsts[len(m.levels)].AccessInto(j, answer)
 }
 
 // AccessBatchContext returns Access(j) for every j in js, in order, on up to
 // `workers` goroutines (workers <= 0 means parallel.Workers()), honoring
 // cancellation between probe chunks. The batch is validated first: an
 // out-of-range position fails the call with access.ErrOutOfBounds before
-// any probe. Like the index's own AccessBatch, a batch below
+// any probe. Like the index's own AccessBatch, the answers of one chunk
+// share a single backing array, and a batch below
 // access.BatchSerialThreshold runs on the calling goroutine whatever the
 // worker count — a 64-answer page must not pay for a fork and a join.
 func (m *MCUCQ) AccessBatchContext(ctx context.Context, js []int64, workers int) ([]relation.Tuple, error) {
@@ -485,13 +536,14 @@ func (m *MCUCQ) AccessBatchContext(ctx context.Context, js []int64, workers int)
 		workers = 1
 	}
 	out := make([]relation.Tuple, len(js))
+	arity := len(m.indexes[0].Head())
 	if err := parallel.ForEachChunkCtx(ctx, len(js), workers, func(lo, hi int) error {
+		backing := make([]relation.Value, (hi-lo)*arity)
 		for i := lo; i < hi; i++ {
-			t, err := m.Access(js[i])
-			if err != nil {
+			out[i] = backing[(i-lo)*arity : (i-lo+1)*arity : (i-lo+1)*arity]
+			if err := m.AccessInto(js[i], out[i]); err != nil {
 				return err
 			}
-			out[i] = t
 		}
 		return nil
 	}); err != nil {
@@ -501,13 +553,13 @@ func (m *MCUCQ) AccessBatchContext(ctx context.Context, js []int64, workers int)
 }
 
 // Test reports whether t is an answer of the union: a flat OR-scan over the
-// disjunct indexes (the recursive chain's Test unrolls to exactly this).
+// disjunct indexes.
 func (m *MCUCQ) Test(t relation.Tuple) bool { return m.testFrom(0, t) }
 
 // testFrom reports whether t is an answer of S_l ∪ ... ∪ S_{m-1}.
 func (m *MCUCQ) testFrom(l int, t relation.Tuple) bool {
 	for ; l < len(m.firsts); l++ {
-		if m.firsts[l].Test(t) {
+		if m.firsts[l].Contains(t) {
 			return true
 		}
 	}
@@ -516,25 +568,22 @@ func (m *MCUCQ) testFrom(l int, t relation.Tuple) bool {
 
 // VerifyCompatibility checks, for every level ℓ and every intersection set
 // T_{ℓ,I}, that T's enumeration order is a subsequence of S_ℓ's order (every
-// element of T is in S_ℓ with strictly increasing ranks). It costs a full
-// enumeration of every intersection.
+// element of T is in S_ℓ with strictly increasing ranks). A set whose fence
+// has stride 1 passed exactly this check when it was built; every other set
+// costs a full enumeration here.
 func (m *MCUCQ) VerifyCompatibility() error {
-	for li, un := range m.levels {
-		for ti, t := range un.ts {
+	for l := range m.levels {
+		for ti := range m.levels[l].ts {
+			t := &m.levels[l].ts[ti]
+			if t.stride == 1 {
+				continue
+			}
+			scratch := make(relation.Tuple, len(t.t.Head()))
 			prev := int64(-1)
-			for r := int64(0); r < t.set.Count(); r++ {
-				c, err := t.set.Access(r)
-				if err != nil {
-					return err
-				}
-				rank, ok := un.first.InvAcc(c)
-				if !ok {
-					return fmt.Errorf("%w: level %d T#%d element %v not in its first disjunct",
-						ErrIncompatible, li, ti, c)
-				}
-				if rank <= prev {
-					return fmt.Errorf("%w: level %d T#%d rank regression at %d (%d ≤ %d)",
-						ErrIncompatible, li, ti, r, rank, prev)
+			for r := int64(0); r < t.t.Count(); r++ {
+				rank := t.rankOf(r, scratch)
+				if err := t.checkRank(r, rank, prev); err != nil {
+					return m.at(err, l, ti)
 				}
 				prev = rank
 			}
@@ -543,8 +592,8 @@ func (m *MCUCQ) VerifyCompatibility() error {
 	return nil
 }
 
-// Permutation enumerates the union's answers in uniformly random order with
-// O(2^m log²) delay (REnum(mcUCQ)).
+// Permutation enumerates the union's answers in uniformly random order, one
+// Access per answer (REnum(mcUCQ)).
 type Permutation struct {
 	m    *MCUCQ
 	shuf *shuffle.Shuffler
@@ -575,7 +624,7 @@ func (p *Permutation) Remaining() int64 { return p.shuf.Remaining() }
 // Random positions are drawn serially from the shuffler — the same draws as
 // k calls to Next — and the union Access probes fan out over up to `workers`
 // goroutines (workers <= 0 means parallel.Workers()), which amortizes the
-// O(2^m log²) per-probe cost across cores.
+// per-probe cost across cores.
 func (p *Permutation) NextN(k int64, workers int) []relation.Tuple {
 	out, _ := p.NextNContext(context.Background(), k, workers)
 	return out

@@ -311,10 +311,9 @@ func TestMCUCQPermutationComplete(t *testing.T) {
 	}
 }
 
-// TestMCUCQFourWayUnion exercises the deepest recursion so far: four
-// disjuncts, so level 0 alone prepares 7 intersection CQs (2³−1) and the
-// inclusion–exclusion signs must all line up.
-func TestMCUCQFourWayUnion(t *testing.T) {
+// fourWayFixture is a union of four nested selections: every one of its
+// 7 + 3 + 1 intersections is non-empty.
+func fourWayFixture() (*relation.Database, *query.UCQ) {
 	db := relation.NewDatabase()
 	l := db.MustCreate("L", "o", "s")
 	nat := db.MustCreate("N", "s", "m")
@@ -336,7 +335,14 @@ func TestMCUCQFourWayUnion(t *testing.T) {
 			query.NewAtom("L", query.V("o"), query.V("s")),
 			query.NewAtom(fmt.Sprintf("NF%d", i), query.V("s"), query.V("m")))
 	}
-	u := query.MustUCQ("u4", mk(0), mk(1), mk(2), mk(3))
+	return db, query.MustUCQ("u4", mk(0), mk(1), mk(2), mk(3))
+}
+
+// TestMCUCQFourWayUnion exercises the deepest recursion so far: four
+// disjuncts, so level 0 alone prepares 7 intersection CQs (2³−1) and the
+// inclusion–exclusion signs must all line up.
+func TestMCUCQFourWayUnion(t *testing.T) {
+	db, u := fourWayFixture()
 	m, err := New(db, u, Options{Verify: true})
 	if err != nil {
 		t.Fatal(err)

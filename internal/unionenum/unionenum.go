@@ -4,6 +4,16 @@
 // unions of free-connex CQs via the Lemma 5.3 sets, this is REnum(UCQ):
 // linear preprocessing and expected logarithmic delay (Theorem 5.4).
 //
+// The sets are spoken to in positions, not tuples. For a CQ's answer set
+// both membership and deletion begin with the same inverted access, so an
+// iteration that tested an element against a set and then deleted it there
+// by value inverted it twice, and deleting the sampled element inverted a
+// tuple whose position the sampler had just drawn. Here Sample hands back
+// the position with the element, Locate is the one inverted access per
+// other set, and DeleteAt takes the position already in hand: an iteration
+// over k sets costs one random access, exactly k − 1 inverted accesses and
+// O(k) deletion-table operations, however many sets hold the element.
+//
 // # Concurrency contract
 //
 // NewFromUCQ prepares the disjunct indexes on a worker pool (they are
@@ -26,19 +36,28 @@ import (
 	"repro/internal/relation"
 )
 
-// Set is the abstract interface required by Algorithm 5. All four operations
-// must run in (poly)logarithmic time for the delay guarantee to hold.
+// Set is the abstract interface required by Algorithm 5. An element has a
+// position in its set, fixed for the set's lifetime; all operations must run
+// in (poly)logarithmic time for the delay guarantee to hold.
 type Set interface {
 	// Count returns the number of remaining elements.
 	Count() int64
-	// Sample returns a uniformly random remaining element without removing
-	// it; ok is false iff the set is empty.
-	Sample(rng *rand.Rand) (relation.Tuple, bool)
-	// Test reports whether t is a remaining element.
-	Test(t relation.Tuple) bool
-	// Delete removes t, reporting whether it was present.
-	Delete(t relation.Tuple) bool
+	// Arity returns the length of the set's elements; every set of one
+	// union has the same.
+	Arity() int
+	// Sample writes a uniformly random remaining element into buf (of
+	// length Arity) and returns its position, without removing it; ok is
+	// false iff the set is empty.
+	Sample(rng *rand.Rand, buf relation.Tuple) (pos int64, ok bool)
+	// Locate returns the position of t iff t is a remaining element.
+	Locate(t relation.Tuple) (pos int64, ok bool)
+	// DeleteAt removes the element at pos, reporting whether it was
+	// remaining.
+	DeleteAt(pos int64) bool
 }
+
+// emitChunk is how many emitted tuples share one backing array.
+const emitChunk = 64
 
 // Enumerator emits the elements of the union exactly once each, in uniformly
 // random order. Each emission costs an expected O(k) set operations, where k
@@ -48,6 +67,11 @@ type Set interface {
 type Enumerator struct {
 	sets []Set
 	rng  *rand.Rand
+
+	// Emitted tuples are carved from slab, one array per emitChunk answers;
+	// the consumer may keep them. A rejected iteration's slot is reused.
+	arity int
+	slab  []relation.Value
 
 	// Instrument enables wall-clock accounting of time spent on rejected
 	// iterations versus emitting iterations (Figure 5 of the paper).
@@ -64,7 +88,11 @@ type Enumerator struct {
 // New builds an enumerator over the given sets. The sets are consumed:
 // enumeration deletes their elements.
 func New(sets []Set, rng *rand.Rand) *Enumerator {
-	return &Enumerator{sets: sets, rng: rng}
+	e := &Enumerator{sets: sets, rng: rng}
+	if len(sets) > 0 {
+		e.arity = sets[0].Arity()
+	}
+	return e
 }
 
 // NewFromUCQ prepares every disjunct of the UCQ (linear preprocessing per
@@ -132,35 +160,40 @@ func (e *Enumerator) Next() (relation.Tuple, bool) {
 			r -= c
 		}
 
-		// Line 3: uniform sample from the chosen set.
-		element, ok := e.sets[chosen].Sample(e.rng)
+		// Line 3: uniform sample from the chosen set, into the next slot.
+		if len(e.slab) < e.arity {
+			e.slab = make([]relation.Value, emitChunk*e.arity)
+		}
+		element := relation.Tuple(e.slab[:e.arity:e.arity])
+		pos, ok := e.sets[chosen].Sample(e.rng, element)
 		if !ok {
 			// Unreachable: chosen has positive count.
 			continue
 		}
 
-		// Line 4-5: providers and owner.
-		owner := -1
-		var providers []int
+		// Lines 4-7: the owner is the first set holding the element; every
+		// other provider loses it, at the position it was located at — the
+		// sampled set at the position it was sampled at.
+		owner := chosen
 		for i, s := range e.sets {
-			if i == chosen || s.Test(element) {
-				providers = append(providers, i)
-				if owner < 0 {
+			if i == chosen {
+				continue
+			}
+			if at, ok := s.Locate(element); ok {
+				if i < owner {
 					owner = i
+				} else {
+					s.DeleteAt(at)
 				}
 			}
 		}
+		e.sets[chosen].DeleteAt(pos)
 
-		// Line 6-7: delete from non-owner providers.
-		for _, i := range providers {
-			if i != owner {
-				e.sets[i].Delete(element)
-			}
-		}
-
-		// Line 8-9: emit only when the owner was the sampled set.
+		// Lines 8-9: emit only when the owner was the sampled set (which has
+		// just given the element up for good); otherwise the owner keeps it
+		// for a later draw and this iteration's slot is reused.
 		if owner == chosen {
-			e.sets[owner].Delete(element)
+			e.slab = e.slab[e.arity:]
 			if e.Instrument {
 				e.AnswerTime += time.Since(start)
 			}

@@ -19,8 +19,9 @@
 //   - RandomOrderUnion (REnum(UCQ), Algorithm 5): works for every union of
 //     free-connex CQs, delay logarithmic in expectation (Theorem 5.4);
 //   - UnionAccess (REnum(mcUCQ), Theorem 5.5): for mutually-compatible UCQs,
-//     true random access in O(log² |D|) and a worst-case O(log²)-delay random
-//     permutation.
+//     true random access in O(log² |D|) — O(log |D|) whenever no intersection
+//     has more answers than its index has tuples — and a random permutation
+//     with that worst-case delay.
 //
 // The paper's experimental workload (TPC-H generator, query suite, baseline
 // samplers and figure-by-figure harness) lives under internal/ and is driven
@@ -520,25 +521,21 @@ func newUnionAccess(db *Database, u *UCQ, opts mcucq.Options) (*UnionAccess, err
 // Count returns the number of answers of the union.
 func (ua *UnionAccess) Count() int64 { return ua.m.Count() }
 
-// Access returns the j-th answer of the union's enumeration order in
-// O(2^m log² |D|).
+// Access returns the j-th answer of the union's enumeration order: O(2^m log |D|)
+// whenever no intersection has more answers than its index has tuples (the
+// rank fences of internal/mcucq then leave nothing to probe for), and never
+// worse than Theorem 5.5's O(2^m log² |D|).
 func (ua *UnionAccess) Access(j int64) (Tuple, error) { return ua.m.Access(j) }
 
 // AccessInto is Access writing into a caller-provided buffer of length
-// Head() arity. Unlike RandomAccess.AccessInto it is not allocation-free —
-// the mc-UCQ access primitive materializes the answer while resolving which
-// disjunct serves position j — but the API contract (buffer reuse, identical
-// answers) is the same, so capability-generic callers need no special case.
+// Head() arity. Like RandomAccess.AccessInto it allocates nothing: Algorithm
+// 7's walk writes each candidate first-disjunct answer straight into buf and
+// the last one written is the answer.
 func (ua *UnionAccess) AccessInto(j int64, buf Tuple) error {
 	if err := checkBufArity(buf, len(ua.head)); err != nil {
 		return err
 	}
-	t, err := ua.m.Access(j)
-	if err != nil {
-		return err
-	}
-	copy(buf, t)
-	return nil
+	return ua.m.AccessInto(j, buf)
 }
 
 // Contains reports whether t is an answer of the union.
@@ -587,7 +584,7 @@ func (ua *UnionAccess) SampleN(k int64, rng *rand.Rand) ([]Tuple, error) {
 	return uaBackend{ua}.sampleN(k, rng, 0)
 }
 
-// Permute returns a uniformly random permutation with O(log²) delay.
+// Permute returns a uniformly random permutation, one Access per answer.
 func (ua *UnionAccess) Permute(rng *rand.Rand) *Permutation {
 	p := ua.m.Permute(rng)
 	return &Permutation{

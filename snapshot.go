@@ -332,7 +332,7 @@ func restoreEntry(r *snapshot.Reader, cfg config) (CatalogEntry, error) {
 			}
 			indexes[i] = idx
 		}
-		m, err := mcucq.Restore(u, indexes)
+		m, err := mcucq.Restore(u, indexes, cfg.workers)
 		if err != nil {
 			return CatalogEntry{}, snapshot.Corruptf("entry %s: %v", name, err)
 		}
