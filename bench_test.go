@@ -1,6 +1,7 @@
 // Benchmarks regenerating the measurements behind every table and figure of
-// the paper (one benchmark family per artifact; see DESIGN.md §3), plus the
-// ablation benchmarks of DESIGN.md §5.
+// the paper (one benchmark family per artifact; internal/exp's package doc
+// is the index, the README's "Testing" section says how CI runs them), plus
+// the ablation benchmarks.
 //
 // Scale: REPRO_BENCH_SF overrides the TPC-H scale factor (default 0.01).
 // Run with: go test -bench=. -benchmem
@@ -334,28 +335,10 @@ func BenchmarkFig6SampleEO(b *testing.B) { benchSamplerDraws(b, sample.EO) }
 func BenchmarkFig8SampleOE(b *testing.B) { benchSamplerDraws(b, sample.OE) }
 func BenchmarkRSSampleRS(b *testing.B)   { benchSamplerDraws(b, sample.RS) }
 
-// --- Ablations (DESIGN.md §5) ------------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
-// Ablation 1: binary search vs linear scan inside buckets during Access.
-func BenchmarkAblationBucketSearch(b *testing.B) {
-	c := prepare(b, tpchq.Q3())
-	n := c.Count()
-	rng := rand.New(rand.NewSource(2))
-	b.Run("BinarySearch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Index.Access(rng.Int63n(n)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("LinearScan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Index.AccessLinear(rng.Int63n(n)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
+// Ablation 1 (binary search vs linear scan inside buckets) is
+// BenchmarkAblationBucketSearch in internal/access, beside the linear scan.
 
 // Ablation 2: Fisher–Yates over random access (Theorem 3.7) vs running
 // Algorithm 5 on the singleton union — why the direct approach is right for
@@ -676,7 +659,8 @@ func BenchmarkAccessBatch(b *testing.B) {
 }
 
 // BenchmarkSampleN measures batched distinct sampling (k=256) against the
-// serial SampleK it must be distribution-identical to.
+// serial k × Next loop (the SampleK arm) it must be distribution-identical
+// to.
 func BenchmarkSampleN(b *testing.B) {
 	c := prepare(b, tpchq.Q3())
 	const k = 256
@@ -1100,40 +1084,19 @@ func drainFixture(b *testing.B) (*Database, *CQ) {
 	return db, q
 }
 
-// BenchmarkIterAll measures the iterator-native enumeration surface against
-// the legacy cursor: one op drains the full enumeration (≈493k answers) of
-// a skewed star join. The Enumerator makes one allocating Access per answer;
-// Handle.All resolves the same positions in chunks of up to 64 with one
-// batched probe and one backing array each, so it allocates 1/64 as often
-// (the CI bench-smoke artifact tracks both numbers).
+// BenchmarkIterAll measures the iterator-native enumeration surface: one op
+// drains the full enumeration (≈493k answers) of a skewed star join.
+// Handle.All resolves its positions in chunks of up to 64 with one batched
+// probe and one backing array each, so it allocates once per 64 answers
+// (the CI bench-smoke artifact tracks the number).
 func BenchmarkIterAll(b *testing.B) {
 	db2, q := drainFixture(b)
-	ra, err := NewRandomAccess(db2, q)
-	if err != nil {
-		b.Fatal(err)
-	}
 	h, err := Open(db2, q)
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := ra.Count()
+	n := h.Count()
 
-	b.Run("LegacyEnumeratorNext", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e := ra.Enumerate()
-			var drained int64
-			for {
-				if _, ok := e.Next(); !ok {
-					break
-				}
-				drained++
-			}
-			if drained != n {
-				b.Fatalf("drained %d of %d", drained, n)
-			}
-		}
-	})
 	b.Run("HandleAll", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

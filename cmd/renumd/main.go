@@ -1,6 +1,6 @@
 // Command renumd serves enumeration indexes over HTTP: it loads CSV tables,
-// compiles the -query programs into RandomAccess/UnionAccess/DynamicAccess
-// indexes, and exposes the whole probe surface as a JSON API — so consumers
+// compiles the -query programs into static CQ, mc-UCQ or dynamic handles
+// (renum.Open), and exposes the whole probe surface as a JSON API — so consumers
 // that do not link the Go library can still count, page, sample and
 // enumerate query answers. See internal/server for the endpoint reference.
 //

@@ -1,29 +1,11 @@
 package renum
 
 import (
+	"context"
 	"math/rand"
 
 	"repro/internal/dynaccess"
 )
-
-// DynamicAccess is a dynamic variant of RandomAccess (library extension in
-// the direction of "answering queries under updates", the paper's citation
-// [6]): for *full* free-connex CQs it maintains count, random access,
-// inverted access and uniform sampling under tuple insertions and deletions
-// on the base relations.
-//
-// Access costs O(log n) per join-tree node (Fenwick prefix search). An
-// update costs O(a log n) where a is the number of ancestor tuples whose
-// weights change — small on hierarchical data, linear in adversarial cases
-// (which is unavoidable in general, by the known update-time lower bounds).
-//
-// A DynamicAccess is safe for concurrent use: reads (Count, Access,
-// InvertedAccess, Contains, Sample, SampleN) run under a shared lock and
-// interleave freely; Insert and Delete take the exclusive lock. A single
-// index can therefore serve mixed read/update traffic from many goroutines.
-type DynamicAccess struct {
-	idx *dynaccess.Index
-}
 
 // Errors of the dynamic index.
 var (
@@ -31,91 +13,80 @@ var (
 	ErrNotFull = dynaccess.ErrNotFull
 )
 
-// NewDynamicAccess builds the dynamic index over the current contents of db
-// in linear time. The index takes a snapshot: subsequent changes must go
-// through Insert/Delete on the index itself.
-func NewDynamicAccess(db *Database, q *CQ) (*DynamicAccess, error) {
-	idx, err := dynaccess.New(db, q)
-	if err != nil {
-		return nil, err
+// daBackend serves a WithDynamic handle (library extension in the direction
+// of "answering queries under updates", the paper's citation [6]): for
+// *full* free-connex CQs the index maintains count, random access, inverted
+// access and uniform sampling under tuple insertions and deletions on the
+// base relations. Access costs O(log n) per join-tree node (Fenwick prefix
+// search); an update costs O(a log n) where a is the number of ancestor
+// tuples whose weights change — small on hierarchical data, linear in
+// adversarial cases (unavoidable in general, by the known update-time lower
+// bounds).
+//
+// The index is safe for concurrent use — reads run under a shared lock and
+// interleave freely, Insert and Delete take the exclusive lock — and it
+// brings Updater, UpdateValidator, Inverter, Container and the probes by
+// promotion. There is no stable order (positions shift under updates), and
+// batches are probed serially under the shared read lock.
+type daBackend struct {
+	*dynaccess.Index
+}
+
+func (daBackend) kind() Kind { return KindDynamic }
+
+func (b daBackend) accessBatchContext(ctx context.Context, js []int64, _ int) ([]Tuple, error) {
+	ctx = orBackground(ctx)
+	// Fast-fail like the static backends: validate every position against
+	// the current count before probing. A concurrent delete can still
+	// shrink the count mid-batch, in which case the stale position
+	// surfaces as ErrOutOfBounds from the probe itself.
+	n := b.Count()
+	for _, j := range js {
+		if j < 0 || j >= n {
+			return nil, ErrOutOfBounds
+		}
 	}
-	return &DynamicAccess{idx: idx}, nil
-}
-
-// Insert adds a tuple of the named base relation, updating all affected
-// weights. Duplicates are no-ops. It reports whether the index changed.
-func (d *DynamicAccess) Insert(baseRelation string, t Tuple) (bool, error) {
-	return d.idx.Insert(baseRelation, t)
-}
-
-// Delete removes a tuple of the named base relation (no-op if absent).
-func (d *DynamicAccess) Delete(baseRelation string, t Tuple) (bool, error) {
-	return d.idx.Delete(baseRelation, t)
-}
-
-// ValidateUpdate checks that an update targeting baseRelation with the
-// given tuple arity would be accepted — the relation is referenced by the
-// query and the arity matches — without touching any state. Callers that
-// stage side effects around an update (dictionary interning, WAL appends)
-// use this to reject garbage before paying them.
-func (d *DynamicAccess) ValidateUpdate(baseRelation string, arity int) error {
-	return d.idx.ValidateUpdate(baseRelation, arity)
-}
-
-// Rebuild constructs a fresh DynamicAccess over the same logical contents
-// — the compactor's rebuild-aside seam. The copy is assembled under the
-// source's shared read lock only, so probes continue while it builds, and
-// it enumerates byte-identically to the source (tombstone positions are
-// preserved, so even future re-inserts revive in the same places).
-func (d *DynamicAccess) Rebuild() (*DynamicAccess, error) {
-	idx, err := d.idx.Rebuild()
-	if err != nil {
-		return nil, err
+	done := ctx.Done()
+	out := make([]Tuple, len(js))
+	for i, j := range js {
+		if done != nil && i%64 == 0 {
+			select {
+			case <-done:
+				return nil, ctx.Err()
+			default:
+			}
+		}
+		t, err := b.Access(j)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = t
 	}
-	return &DynamicAccess{idx: idx}, nil
-}
-
-// Count returns the current |Q(D)| in constant time.
-func (d *DynamicAccess) Count() int64 { return d.idx.Count() }
-
-// Access returns the j-th answer of the current enumeration order.
-func (d *DynamicAccess) Access(j int64) (Tuple, error) { return d.idx.Access(j) }
-
-// AccessInto is Access writing into a caller-provided buffer (len == arity):
-// the dynamic counterpart of RandomAccess.AccessInto. The probe still takes
-// the shared read lock; only the answer allocation is avoided.
-func (d *DynamicAccess) AccessInto(j int64, buf Tuple) error { return d.idx.AccessInto(j, buf) }
-
-// InvertedAccess returns the current position of an answer, or ok=false.
-func (d *DynamicAccess) InvertedAccess(t Tuple) (int64, bool) {
-	return d.idx.InvertedAccess(t)
-}
-
-// Contains reports whether t is currently an answer.
-func (d *DynamicAccess) Contains(t Tuple) bool { return d.idx.Contains(t) }
-
-// Sample returns a uniformly random current answer (ok=false when empty —
-// an empty index is a result, not an error).
-func (d *DynamicAccess) Sample(rng *rand.Rand) (Tuple, bool) {
-	return d.idx.Sample(rng)
+	return out, nil
 }
 
 // SampleN returns k independent uniform samples (with replacement — the
 // dynamic index has no cheap distinct-sampling primitive) drawn against one
-// consistent snapshot: no update interleaves inside the batch.
-//
-// The signature matches the Sampler capability shared with
-// RandomAccess.SampleN and UnionAccess.SampleN: a negative k is
-// ErrOutOfBounds, and an *empty index* yields an empty sample with a nil
-// error — emptiness is a result, not a failure. (Before the capability
-// unification this method returned a bare []Tuple, leaving callers to guess
-// whether nil meant "empty" or "invalid k".)
-func (d *DynamicAccess) SampleN(k int64, rng *rand.Rand) ([]Tuple, error) {
+// consistent snapshot: no update interleaves inside the batch. It has the
+// Sampler's error shape: a negative k is ErrOutOfBounds, and an empty index
+// yields an empty sample with a nil error.
+func (b daBackend) SampleN(k int64, rng *rand.Rand) ([]Tuple, error) {
 	if k < 0 {
 		return nil, ErrOutOfBounds
 	}
-	return d.idx.SampleN(k, rng), nil
+	return b.Index.SampleN(k, rng), nil
 }
 
-// Head returns the output variable order.
-func (d *DynamicAccess) Head() []string { return d.idx.Head() }
+// compactAside rebuilds the dynamic index from its base contents — the
+// registry compactor's seam for folding the WAL into a fresh generation.
+// The copy is assembled under the source's shared read lock only, so probes
+// continue while it builds, and it enumerates byte-identically to the source
+// (tombstone positions are preserved, so even future re-inserts revive in
+// the same places).
+func (b daBackend) compactAside() (backend, error) {
+	idx, err := b.Rebuild()
+	if err != nil {
+		return nil, err
+	}
+	return daBackend{idx}, nil
+}

@@ -13,17 +13,19 @@ func TestPublicDynamicAccess(t *testing.T) {
 	q := MustCQ("q", []string{"a", "b", "c"},
 		NewAtom("R", V("a"), V("b")),
 		NewAtom("S", V("b"), V("c")))
-	dyn, err := NewDynamicAccess(db, q)
+	dyn := mustOpen(t, db, q, WithDynamic())
+	upd, err := dyn.Updater()
 	if err != nil {
 		t.Fatal(err)
 	}
+	inv, in, smp := mustInverter(t, dyn), mustContainer(t, dyn), mustSampler(t, dyn)
 	if dyn.Count() != 0 {
 		t.Fatal("fresh count")
 	}
-	if _, err := dyn.Insert("R", Tuple{1, 2}); err != nil {
+	if _, err := upd.Insert("R", Tuple{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dyn.Insert("S", Tuple{2, 3}); err != nil {
+	if _, err := upd.Insert("S", Tuple{2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if dyn.Count() != 1 {
@@ -33,19 +35,19 @@ func TestPublicDynamicAccess(t *testing.T) {
 	if err != nil || !a.Equal(Tuple{1, 2, 3}) {
 		t.Fatalf("Access = %v, %v", a, err)
 	}
-	if j, ok := dyn.InvertedAccess(a); !ok || j != 0 {
+	if j, ok := inv.InvertedAccess(a); !ok || j != 0 {
 		t.Fatal("inverted access")
 	}
-	if !dyn.Contains(a) {
+	if !in.Contains(a) {
 		t.Fatal("Contains")
 	}
-	if s, ok := dyn.Sample(rand.New(rand.NewSource(1))); !ok || !s.Equal(a) {
+	if s, err := smp.SampleN(1, rand.New(rand.NewSource(1))); err != nil || len(s) != 1 || !s[0].Equal(a) {
 		t.Fatal("Sample")
 	}
-	if changed, _ := dyn.Delete("R", Tuple{1, 2}); !changed {
+	if changed, _ := upd.Delete("R", Tuple{1, 2}); !changed {
 		t.Fatal("delete")
 	}
-	if dyn.Count() != 0 || dyn.Contains(a) {
+	if dyn.Count() != 0 || in.Contains(a) {
 		t.Fatal("state after delete")
 	}
 	if h := dyn.Head(); len(h) != 3 || h[2] != "c" {
@@ -53,7 +55,7 @@ func TestPublicDynamicAccess(t *testing.T) {
 	}
 	// Non-full queries are rejected with the sentinel error.
 	proj := MustCQ("p", []string{"a"}, NewAtom("R", V("a"), V("b")))
-	if _, err := NewDynamicAccess(db, proj); !errors.Is(err, ErrNotFull) {
+	if _, err := Open(db, proj, WithDynamic()); !errors.Is(err, ErrNotFull) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -70,7 +72,8 @@ func TestDynamicMatchesStaticAfterUpdates(t *testing.T) {
 	db := NewDatabase()
 	db.MustCreate("R", "r1", "r2")
 	db.MustCreate("S", "s1", "s2")
-	dyn, err := NewDynamicAccess(db, q)
+	dyn := mustOpen(t, db, q, WithDynamic())
+	upd, err := dyn.Updater()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +90,10 @@ func TestDynamicMatchesStaticAfterUpdates(t *testing.T) {
 		rel := []string{"R", "S"}[rng.Intn(2)]
 		tu := Tuple{Value(rng.Intn(6)), Value(rng.Intn(6))}
 		if rng.Intn(4) > 0 {
-			dyn.Insert(rel, tu)
+			upd.Insert(rel, tu)
 			facts[key(rel, tu)] = &fact{rel, tu, true}
 		} else {
-			dyn.Delete(rel, tu)
+			upd.Delete(rel, tu)
 			if f, ok := facts[key(rel, tu)]; ok {
 				f.live = false
 			}
@@ -114,10 +117,8 @@ func TestDynamicMatchesStaticAfterUpdates(t *testing.T) {
 			}
 		}
 	}
-	static, err := NewRandomAccess(mirror, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	static := asParsed(t, mirror, q)
+	in := mustContainer(t, static)
 	if static.Count() != dyn.Count() {
 		t.Fatalf("static %d vs dynamic %d", static.Count(), dyn.Count())
 	}
@@ -126,7 +127,7 @@ func TestDynamicMatchesStaticAfterUpdates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !static.Contains(a) {
+		if !in.Contains(a) {
 			t.Fatalf("dynamic answer %v not in static index", a)
 		}
 	}

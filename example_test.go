@@ -8,10 +8,10 @@ import (
 	"repro"
 )
 
-// ExampleNewRandomAccess shows the core Theorem 4.3 facilities on a tiny
+// ExampleHandle_Inverter shows the core Theorem 4.3 facilities on a tiny
 // database: constant-time counting, logarithmic random access and the
 // constant-time inverted access.
-func ExampleNewRandomAccess() {
+func ExampleHandle_Inverter() {
 	db := renum.NewDatabase()
 	r := db.MustCreate("R", "a", "b")
 	s := db.MustCreate("S", "b", "c")
@@ -23,14 +23,18 @@ func ExampleNewRandomAccess() {
 	q := renum.MustCQ("Q", []string{"a", "b", "c"},
 		renum.NewAtom("R", renum.V("a"), renum.V("b")),
 		renum.NewAtom("S", renum.V("b"), renum.V("c")))
-	ra, err := renum.NewRandomAccess(db, q)
+	h, err := renum.Open(db, q)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("count:", ra.Count())
-	t, _ := ra.Access(2)
+	fmt.Println("count:", h.Count())
+	t, _ := h.Access(2)
 	fmt.Println("third answer:", t)
-	j, _ := ra.InvertedAccess(t)
+	inv, err := h.Inverter()
+	if err != nil {
+		panic(err)
+	}
+	j, _ := inv.InvertedAccess(t)
 	fmt.Println("its position:", j)
 	// Output:
 	// count: 4
@@ -38,17 +42,17 @@ func ExampleNewRandomAccess() {
 	// its position: 2
 }
 
-// ExampleRandomAccess_Permute demonstrates REnum(CQ): a uniformly random
+// ExampleHandle_Permute demonstrates REnum(CQ): a uniformly random
 // permutation of the answers without repetitions.
-func ExampleRandomAccess_Permute() {
+func ExampleHandle_Permute() {
 	db := renum.NewDatabase()
 	r := db.MustCreate("R", "a")
 	for i := 1; i <= 4; i++ {
 		r.MustInsert(renum.Value(i))
 	}
 	q := renum.MustCQ("Q", []string{"a"}, renum.NewAtom("R", renum.V("a")))
-	ra, _ := renum.NewRandomAccess(db, q)
-	perm := ra.Permute(rand.New(rand.NewSource(7)))
+	h, _ := renum.Open(db, q)
+	perm, _ := h.Permute(rand.New(rand.NewSource(7)))
 	seen := 0
 	for {
 		if _, ok := perm.Next(); !ok {

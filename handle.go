@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/cqenum"
+	"repro/internal/dynaccess"
 	"repro/internal/mcucq"
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -26,7 +27,7 @@ type Query = query.Query
 // requested capability — inverted access on a union, updates on a static
 // index, enumeration cursors on a dynamic one. It is a sentinel (alongside
 // ErrOutOfBounds): test with errors.Is and branch on the capability, instead
-// of type-switching on concrete index types.
+// of asking which structure serves the handle.
 var ErrUnsupported = errors.New("renum: operation unsupported by this handle")
 
 // IsUnsupported reports whether err indicates a missing capability.
@@ -53,7 +54,7 @@ type Capability string
 // Access, AccessInto, AccessBatch, Page, Head); the rest is discoverable.
 const (
 	// CapEnumerate: the enumeration order is stable, so All, Shuffled,
-	// Enumerate, Permute and server-side cursors are meaningful. Static
+	// Permute and server-side cursors are meaningful. Static
 	// backends have it; dynamic ones do not (updates shift positions, so
 	// "each answer exactly once" cannot be promised across a sequence of
 	// probes).
@@ -95,7 +96,7 @@ type Updater interface {
 // without applying anything. Callers that stage irreversible side effects
 // around an update — interning values into the append-only dictionary,
 // appending to a write-ahead log — probe for it to reject garbage before
-// paying those costs. DynamicAccess implements it.
+// paying those costs. The dynamic backend implements it.
 type UpdateValidator interface {
 	ValidateUpdate(baseRelation string, arity int) error
 }
@@ -124,19 +125,31 @@ type backend interface {
 	kind() Kind
 	Count() int64
 	Head() []string
-	Access(j int64) (Tuple, error)
 	AccessInto(j int64, buf Tuple) error
 	accessBatchContext(ctx context.Context, js []int64, workers int) ([]Tuple, error)
 }
 
-// permuter marks backends with a stable enumeration order (CapEnumerate).
-type permuter interface {
-	Permute(rng *rand.Rand) *Permutation
+// probe is Access on any backend: AccessInto into a fresh tuple.
+func probe(b backend, j int64) (Tuple, error) {
+	t := make(Tuple, len(b.Head()))
+	if err := b.AccessInto(j, t); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
-// explainer marks backends that can render their compiled plan.
+// explainer marks backends that may hold a compiled plan to render; ok is
+// false when this one does not (a snapshot-restored CQ: the reduction is
+// not persisted).
 type explainer interface {
-	Explain() string
+	explain() (plan string, ok bool)
+}
+
+func explain(b backend) (string, bool) {
+	if ex, ok := b.(explainer); ok {
+		return ex.explain()
+	}
+	return "", false
 }
 
 // config collects the functional options of Open.
@@ -153,8 +166,8 @@ type config struct {
 	buildObserve func(stage string, d time.Duration)
 }
 
-// Option configures Open. Options replace the boolean and variant
-// constructors of the pre-Handle API (see the README migration table).
+// Option configures Open: one constructor and options instead of a
+// constructor per variant.
 type Option func(*config)
 
 // WithCanonical sorts node relations before indexing so the enumeration
@@ -310,14 +323,14 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 				return nil, fmt.Errorf("renum: WithCanonical with WithDynamic: %w", ErrUnsupported)
 			}
 			t0 := time.Now()
-			da, err := NewDynamicAccess(db, q)
+			idx, err := dynaccess.New(db, q)
 			if err != nil {
 				return nil, err
 			}
 			if cfg.buildObserve != nil {
 				cfg.buildObserve("dynamic_build", time.Since(t0))
 			}
-			return &Handle{b: daBackend{da}, workers: cfg.workers}, nil
+			return &Handle{b: daBackend{idx}, workers: cfg.workers}, nil
 		}
 		pq, pl := planQuery(db, q, &cfg)
 		q = pq.(*CQ)
@@ -330,7 +343,7 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Handle{b: raBackend{&RandomAccess{c: c, plan: pl}}, workers: cfg.workers}, nil
+		return &Handle{b: cqBackend{c: c, plan: pl}, workers: cfg.workers}, nil
 	case *UCQ:
 		if cfg.shards > 0 || cfg.sliceOf > 0 {
 			return nil, fmt.Errorf("renum: WithShards requires a single CQ, got a union: %w", ErrUnsupported)
@@ -338,7 +351,7 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 		if cfg.dynamic {
 			return nil, fmt.Errorf("renum: WithDynamic requires a single full CQ, got a union: %w", ErrUnsupported)
 		}
-		pq, pl := planQuery(db, q, &cfg)
+		pq, _ := planQuery(db, q, &cfg)
 		planned := pq.(*UCQ)
 		mcOpts := mcucq.Options{
 			Reduce:  reduce.Options{CanonicalOrder: cfg.canonical},
@@ -346,23 +359,22 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 			Workers: cfg.workers,
 		}
 		t0 := time.Now()
-		ua, err := newUnionAccess(db, planned, mcOpts)
+		m, err := mcucq.New(db, planned, mcOpts)
 		if err != nil && planned != q {
 			// The reordered union can fail mc-compatibility (order alignment
 			// is checked structurally by the real build); fall back to the
 			// as-parsed disjunct order rather than failing a query that
 			// worked before planning existed.
-			ua, err = newUnionAccess(db, q, mcOpts)
-			pl = nil
+			planned = q
+			m, err = mcucq.New(db, q, mcOpts)
 		}
 		if err != nil {
 			return nil, err
 		}
-		ua.plan = pl
 		if cfg.buildObserve != nil {
 			cfg.buildObserve("union_build", time.Since(t0))
 		}
-		return &Handle{b: uaBackend{ua}, workers: cfg.workers}, nil
+		return &Handle{b: newUABackend(m, planned), workers: cfg.workers}, nil
 	default:
 		// Unreachable while Query stays sealed (q == nil aside).
 		return nil, fmt.Errorf("renum: Open: unsupported query type %T", q)
@@ -395,8 +407,9 @@ func (h *Handle) Count() int64 { return h.b.Count() }
 func (h *Handle) Head() []string { return h.b.Head() }
 
 // Access returns the j-th answer (0-based) of the enumeration order, or
-// ErrOutOfBounds outside [0, Count()).
-func (h *Handle) Access(j int64) (Tuple, error) { return h.b.Access(j) }
+// ErrOutOfBounds outside [0, Count()). Its only allocation is the returned
+// tuple; use AccessInto to avoid it.
+func (h *Handle) Access(j int64) (Tuple, error) { return probe(h.b, j) }
 
 // AccessInto is Access writing into a caller-provided buffer, which must
 // have length len(Head()) — a mismatched buffer is rejected with a
@@ -497,8 +510,8 @@ func orBackground(ctx context.Context) context.Context {
 
 // Explain renders the compiled plan (CapExplain), or ErrUnsupported.
 func (h *Handle) Explain() (string, error) {
-	if ex, ok := h.b.(explainer); ok {
-		return ex.Explain(), nil
+	if s, ok := explain(h.b); ok {
+		return s, nil
 	}
 	return "", fmt.Errorf("explain: %w (kind %s)", ErrUnsupported, h.Kind())
 }
@@ -512,8 +525,9 @@ var capabilityOrder = []Capability{
 func (h *Handle) Has(c Capability) bool {
 	switch c {
 	case CapEnumerate:
-		_, ok := h.b.(permuter)
-		return ok
+		// The order is stable exactly when nothing can update the index.
+		_, mutable := h.b.(Updater)
+		return !mutable
 	case CapInvert:
 		_, ok := h.b.(Inverter)
 		return ok
@@ -521,13 +535,12 @@ func (h *Handle) Has(c Capability) bool {
 		_, ok := h.b.(Updater)
 		return ok
 	case CapSample:
-		_, ok := h.b.(samplerBackend)
-		return ok
+		return true // every backend has random access, which is all sampling needs
 	case CapContains:
 		_, ok := h.b.(Container)
 		return ok
 	case CapExplain:
-		_, ok := h.b.(explainer)
+		_, ok := explain(h.b)
 		return ok
 	case CapSnapshot:
 		_, ok := h.b.(snapshotter)
@@ -595,34 +608,39 @@ func (h *Handle) CompactAside() (*Handle, error) {
 }
 
 // Sampler returns the uniform-sampling capability bound to the handle's
-// worker budget (WithWorkers), or ErrUnsupported.
-func (h *Handle) Sampler() (Sampler, error) {
-	if v, ok := h.b.(samplerBackend); ok {
-		return boundSampler{b: v, workers: h.workers}, nil
+// worker budget (WithWorkers). Every backend samples, so the error is always
+// nil; the signature matches the other typed accessors.
+func (h *Handle) Sampler() (Sampler, error) { return handleSampler{h}, nil }
+
+// replacementSampler marks the one backend that does not sample by the
+// shuffle's prefix: the dynamic index draws with replacement under its own
+// lock, so that no update lands inside a batch.
+type replacementSampler interface {
+	SampleN(k int64, rng *rand.Rand) ([]Tuple, error)
+}
+
+// handleSampler is the Sampler of a Handle.
+type handleSampler struct{ h *Handle }
+
+// SampleN on a static backend is the first k draws of Theorem 3.7's shuffle
+// — distinct positions, no rejection — resolved as one batch under the
+// handle's worker budget (the draws are identical for any worker count).
+func (s handleSampler) SampleN(k int64, rng *rand.Rand) ([]Tuple, error) {
+	if own, ok := s.h.b.(replacementSampler); ok {
+		return own.SampleN(k, rng)
 	}
-	return nil, fmt.Errorf("sample: %w (kind %s)", ErrUnsupported, h.Kind())
+	if k < 0 {
+		return nil, ErrOutOfBounds
+	}
+	// k may be a "drain everything" value: Draw sizes by what is left.
+	js := shuffle.New(s.h.Count(), rng).Draw(nil, k)
+	return s.h.b.accessBatchContext(context.Background(), js, s.h.workers)
 }
 
-// samplerBackend is the internal sampling surface: like Sampler but with an
-// explicit worker budget for the probe fan-out.
-type samplerBackend interface {
-	sampleN(k int64, rng *rand.Rand, workers int) ([]Tuple, error)
-	Distinct() bool
+func (s handleSampler) Distinct() bool {
+	_, own := s.h.b.(replacementSampler)
+	return !own
 }
-
-// boundSampler adapts a samplerBackend to the public Sampler, pinning the
-// handle's worker budget so WithWorkers(1) really serializes /sample-style
-// fan-out (the draws themselves are identical for any worker count).
-type boundSampler struct {
-	b       samplerBackend
-	workers int
-}
-
-func (s boundSampler) SampleN(k int64, rng *rand.Rand) ([]Tuple, error) {
-	return s.b.sampleN(k, rng, s.workers)
-}
-
-func (s boundSampler) Distinct() bool { return s.b.Distinct() }
 
 // Container returns the membership-testing capability, or ErrUnsupported.
 func (h *Handle) Container() (Container, error) {
@@ -639,8 +657,8 @@ func (h *Handle) Container() (Container, error) {
 //	    ...
 //	}
 //
-// The sequence is byte-identical to Access(0..Count()-1) — and therefore to
-// the legacy Enumerator — with logarithmic delay per answer. It requires
+// The sequence is byte-identical to Access(0..Count()-1), with logarithmic
+// delay per answer. It requires
 // CapEnumerate; on a dynamic handle the iterator yields a single
 // (nil, ErrUnsupported) pair, because updates shift positions and "each
 // answer exactly once" cannot be promised across probes. The iterator is a
@@ -691,8 +709,8 @@ func (h *Handle) ShuffledContext(ctx context.Context, rng *rand.Rand) iter.Seq2[
 			yield(nil, fmt.Errorf("shuffled enumeration: %w (kind %s)", ErrUnsupported, h.Kind()))
 			return
 		}
-		// Every enumerable backend's Permute is this shuffle over its count,
-		// one draw per answer; drawing here is what lets a chunk be batched.
+		// Permute is this shuffle over the count, one draw per answer;
+		// drawing here is what lets a chunk be batched.
 		h.drain(orBackground(ctx), shuffle.New(h.Count(), rng).Draw, yield)
 	}
 }
@@ -744,149 +762,94 @@ func (h *Handle) drain(ctx context.Context, draw func(js []int64, k int64) []int
 	}
 }
 
-// Enumerate adapts All to the legacy cursor shape, or ErrUnsupported
-// without CapEnumerate.
-func (h *Handle) Enumerate() (*Enumerator, error) {
-	if !h.Has(CapEnumerate) {
-		return nil, fmt.Errorf("enumerate: %w (kind %s)", ErrUnsupported, h.Kind())
-	}
-	var j int64
-	return &Enumerator{next: func() (Tuple, bool) {
-		t, err := h.b.Access(j)
-		if err != nil {
-			return nil, false
-		}
-		j++
-		return t, true
-	}}, nil
-}
-
-// Permute returns the legacy random-permutation cursor (with NextN /
-// NextNContext batch draining), or ErrUnsupported without CapEnumerate.
+// Permute returns the random permutation of Shuffled as a cursor with
+// Next / NextN / NextNContext, whose batches fan out over the handle's
+// worker budget, or ErrUnsupported without CapEnumerate. This is Theorem 3.7
+// and the one place it is assembled: any backend with a count and random
+// access gets a uniformly random order from a lazy Fisher–Yates shuffle of
+// its positions.
 func (h *Handle) Permute(rng *rand.Rand) (*Permutation, error) {
-	if pm, ok := h.b.(permuter); ok {
-		return pm.Permute(rng), nil
+	if !h.Has(CapEnumerate) {
+		return nil, fmt.Errorf("permute: %w (kind %s)", ErrUnsupported, h.Kind())
 	}
-	return nil, fmt.Errorf("permute: %w (kind %s)", ErrUnsupported, h.Kind())
+	return &Permutation{b: h.b, shuf: shuffle.New(h.Count(), rng), workers: h.workers}, nil
 }
 
 // ---------------------------------------------------------------- backends
 
-// raBackend serves a Handle from a RandomAccess. The embedded value
-// contributes the shared surface plus the Inverter, Container, Sampler and
-// explainer capabilities by promotion.
-type raBackend struct {
-	*RandomAccess
+// cqBackend serves a Handle from one prepared CQ: the Theorem 4.3 index. A
+// snapshot-restored entry is the same backend with no reduction to show
+// (c.FullJoin == nil), which is all that separates it from a built one.
+type cqBackend struct {
+	c *cqenum.CQ
+	// plan records the cost-based planner's candidate set when Open compiled
+	// this index in PlannerCost mode (nil for PlannerOff and for restores).
+	plan *plan.Plan
 }
 
-func (raBackend) kind() Kind { return KindCQ }
+func (cqBackend) kind() Kind { return KindCQ }
 
-func (b raBackend) accessBatchContext(ctx context.Context, js []int64, workers int) ([]Tuple, error) {
+func (b cqBackend) Count() int64   { return b.c.Index.Count() }
+func (b cqBackend) Head() []string { return b.c.Index.Head() }
+
+func (b cqBackend) AccessInto(j int64, buf Tuple) error { return b.c.Index.AccessInto(j, buf) }
+
+func (b cqBackend) accessBatchContext(ctx context.Context, js []int64, workers int) ([]Tuple, error) {
 	return b.c.Index.AccessBatchContext(ctx, js, workers)
 }
 
-func (b raBackend) accessBatchInto(js []int64, rows []Tuple) error {
+func (b cqBackend) accessBatchInto(js []int64, rows []Tuple) error {
 	return b.c.Index.AccessBatchInto(js, rows)
 }
 
-// Distinct completes the Sampler capability: SampleN draws a lazy
-// Fisher–Yates prefix — without replacement.
-func (raBackend) Distinct() bool { return true }
+func (b cqBackend) InvertedAccess(t Tuple) (int64, bool) { return b.c.Index.InvertedAccess(t) }
 
-// sampleN is the single implementation of distinct sampling for the CQ
-// backend; RandomAccess.SampleN delegates here with the default budget.
-func (b raBackend) sampleN(k int64, rng *rand.Rand, workers int) ([]Tuple, error) {
-	if k < 0 {
-		return nil, ErrOutOfBounds
+func (b cqBackend) Contains(t Tuple) bool { return b.c.Index.Contains(t) }
+
+// explain renders the planner's candidate set with costs and the winner
+// (when cost-based planning ran), followed by the reduced full-join tree
+// with node schemas, cardinalities and join attributes.
+func (b cqBackend) explain() (string, bool) {
+	if b.c.FullJoin == nil {
+		return "", false
 	}
-	if n := b.Count(); k > n {
-		k = n
+	if b.plan != nil {
+		return b.plan.Explain() + b.c.FullJoin.Explain(), true
 	}
-	return b.c.Permute(rng).NextN(k, workers), nil
+	return b.c.FullJoin.Explain(), true
 }
 
-// uaBackend serves a Handle from a UnionAccess (no Inverter: mc-UCQ has no
-// inverted-access primitive, which is exactly what ErrUnsupported surfaces).
+// uaBackend serves a Handle from the Theorem 5.5 structure of a
+// mutually-compatible union. It has no Inverter — mc-UCQ has no
+// inverted-access primitive, which is exactly what ErrUnsupported surfaces —
+// and no plan to explain.
 type uaBackend struct {
-	*UnionAccess
+	m    *mcucq.MCUCQ
+	head []string
+	// u is the union as compiled (after disjunct-order planning); snapshots
+	// record it so restore pairs the saved indexes with the right disjuncts.
+	u *query.UCQ
+}
+
+// newUABackend wraps a built or restored structure. Every disjunct shares
+// the first's output arity and position i of each disjunct head is output
+// column i, so the first disjunct's names are the union's output order.
+func newUABackend(m *mcucq.MCUCQ, u *query.UCQ) uaBackend {
+	return uaBackend{m: m, head: append([]string(nil), u.Disjuncts[0].Head...), u: u}
 }
 
 func (uaBackend) kind() Kind { return KindUCQ }
 
+func (b uaBackend) Count() int64   { return b.m.Count() }
+func (b uaBackend) Head() []string { return b.head }
+
+// AccessInto is O(2^m log |D|) whenever no intersection has more answers
+// than its index has tuples (the rank fences of internal/mcucq then leave
+// nothing to probe for), and never worse than Theorem 5.5's O(2^m log² |D|).
+func (b uaBackend) AccessInto(j int64, buf Tuple) error { return b.m.AccessInto(j, buf) }
+
 func (b uaBackend) accessBatchContext(ctx context.Context, js []int64, workers int) ([]Tuple, error) {
-	return b.UnionAccess.accessBatchContext(ctx, js, workers)
+	return b.m.AccessBatchContext(ctx, js, workers)
 }
 
-func (uaBackend) Distinct() bool { return true }
-
-// sampleN is the single implementation of distinct sampling for the UCQ
-// backend; UnionAccess.SampleN delegates here with the default budget.
-func (b uaBackend) sampleN(k int64, rng *rand.Rand, workers int) ([]Tuple, error) {
-	if k < 0 {
-		return nil, ErrOutOfBounds
-	}
-	if n := b.Count(); k > n {
-		k = n
-	}
-	return b.m.Permute(rng).NextN(k, workers), nil
-}
-
-// daBackend serves a Handle from a DynamicAccess: Updater by promotion, no
-// permuter (positions shift under updates), batches probed serially under
-// the index's shared read lock.
-type daBackend struct {
-	*DynamicAccess
-}
-
-func (daBackend) kind() Kind { return KindDynamic }
-
-func (b daBackend) accessBatchContext(ctx context.Context, js []int64, _ int) ([]Tuple, error) {
-	ctx = orBackground(ctx)
-	// Fast-fail like the static backends: validate every position against
-	// the current count before probing. A concurrent delete can still
-	// shrink the count mid-batch, in which case the stale position
-	// surfaces as ErrOutOfBounds from the probe itself.
-	n := b.DynamicAccess.Count()
-	for _, j := range js {
-		if j < 0 || j >= n {
-			return nil, ErrOutOfBounds
-		}
-	}
-	done := ctx.Done()
-	out := make([]Tuple, len(js))
-	for i, j := range js {
-		if done != nil && i%64 == 0 {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		t, err := b.DynamicAccess.Access(j)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
-// Distinct completes the Sampler capability: dynamic draws are independent —
-// with replacement.
-func (daBackend) Distinct() bool { return false }
-
-// sampleN ignores the worker budget: dynamic draws probe serially under the
-// index's shared read lock.
-func (b daBackend) sampleN(k int64, rng *rand.Rand, _ int) ([]Tuple, error) {
-	return b.DynamicAccess.SampleN(k, rng)
-}
-
-// compactAside rebuilds the dynamic index from its base contents — the
-// registry compactor's seam for folding the WAL into a fresh generation.
-func (b daBackend) compactAside() (backend, error) {
-	da, err := b.DynamicAccess.Rebuild()
-	if err != nil {
-		return nil, err
-	}
-	return daBackend{da}, nil
-}
+func (b uaBackend) Contains(t Tuple) bool { return b.m.Test(t) }

@@ -9,6 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cqenum"
+	"repro/internal/mcucq"
+	"repro/internal/reduce"
+	"repro/internal/shuffle"
 	"repro/internal/synth"
 )
 
@@ -33,6 +37,41 @@ func mustOpen(t testing.TB, db *Database, q Query, opts ...Option) *Handle {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// asParsed opens q on the as-parsed join tree (or disjunct order), which is
+// what the bare internal structures compile: tests that pin positions or
+// compare a handle with one of them use it.
+func asParsed(t testing.TB, db *Database, q Query, opts ...Option) *Handle {
+	t.Helper()
+	return mustOpen(t, db, q, append(opts, WithPlanner(PlannerOff))...)
+}
+
+func mustInverter(t testing.TB, h *Handle) Inverter {
+	t.Helper()
+	inv, err := h.Inverter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inv
+}
+
+func mustContainer(t testing.TB, h *Handle) Container {
+	t.Helper()
+	in, err := h.Container()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+func mustSampler(t testing.TB, h *Handle) Sampler {
+	t.Helper()
+	smp, err := h.Sampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return smp
 }
 
 func TestOpenKindsAndCapabilities(t *testing.T) {
@@ -85,9 +124,6 @@ func TestOpenKindsAndCapabilities(t *testing.T) {
 	if _, err := dyn.Permute(rand.New(rand.NewSource(1))); !IsUnsupported(err) {
 		t.Fatalf("dynamic Permute err = %v, want ErrUnsupported", err)
 	}
-	if _, err := dyn.Enumerate(); !IsUnsupported(err) {
-		t.Fatalf("dynamic Enumerate err = %v, want ErrUnsupported", err)
-	}
 	if _, err := ucq.Explain(); !IsUnsupported(err) {
 		t.Fatalf("union Explain err = %v, want ErrUnsupported", err)
 	}
@@ -108,48 +144,99 @@ func TestOpenKindsAndCapabilities(t *testing.T) {
 	}
 }
 
-// TestHandleCompatOldVsNew is the old-API-vs-new-API golden suite: every
-// probe of the legacy constructors must be byte-identical through the
-// Handle, including the iterator-native enumerations.
+// TestHandleCompatOldVsNew is the cross-layer golden suite: every probe of
+// the bare internal structures — the index cqenum.Prepare builds, the
+// structure mcucq.New builds, each with its own Permute — must be
+// byte-identical through the Handle, including the iterator-native
+// enumerations and, for seeds 1–5, the random orders of Shuffled and of
+// Permute's batched cursor. A WithShards handle and a SliceView answer to
+// the same bare index. (It used to compare the handle with the exported
+// pre-Open types, which were the handle's own backends.)
 func TestHandleCompatOldVsNew(t *testing.T) {
 	db, q := fixtureDB(t)
 	_, u := fixtureUCQ(t)
 
-	ra, err := NewRandomAccess(db, q)
+	c, err := cqenum.Prepare(db, q, reduce.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ua, err := NewUnionAccess(db, u, true)
+	m, err := mcucq.New(db, u, mcucq.Options{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cqBatch := func(js []int64) ([]Tuple, error) { return c.Index.AccessBatch(js, 0) }
+	cqPerm := func(rng *rand.Rand) func() (Tuple, bool) { return c.Permute(rng).Next }
+
+	// The window SliceView(·, 1, 3) serves, read straight off the index; no
+	// bare structure permutes a window, so its reference is Theorem 3.7
+	// spelled out: the shuffle over the window's count, one probe per draw.
+	n := c.Count()
+	lo, hi := n/3, 2*n/3
+	sliceAcc := func(j int64) (Tuple, error) {
+		if j < 0 || j >= hi-lo {
+			return nil, ErrOutOfBounds
+		}
+		return c.Index.Access(lo + j)
+	}
+	whole := asParsed(t, db, q)
+	slice, err := SliceView(whole, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	type legacy struct {
+	type bare struct {
 		name  string
 		count int64
 		head  []string
 		acc   func(j int64) (Tuple, error)
 		batch func(js []int64) ([]Tuple, error)
-		page  func(off, lim int64) ([]Tuple, error)
-		perm  func(rng *rand.Rand) *Permutation
+		perm  func(rng *rand.Rand) func() (Tuple, bool)
 		h     *Handle
 	}
-	cases := []legacy{
+	cases := []bare{
 		{
-			name: "cq", count: ra.Count(), head: ra.Head(),
-			acc:   ra.Access,
-			batch: func(js []int64) ([]Tuple, error) { return ra.AccessBatch(js, 0) },
-			page:  ra.Page,
-			perm:  ra.Permute,
-			h:     mustOpen(t, db, q),
+			name: "cq", count: n, head: c.Index.Head(),
+			acc: c.Index.Access, batch: cqBatch, perm: cqPerm,
+			h: whole,
 		},
 		{
-			name: "ucq", count: ua.Count(), head: ua.Head(),
-			acc:   ua.Access,
-			batch: func(js []int64) ([]Tuple, error) { return ua.AccessBatch(js, 0) },
-			page:  ua.Page,
-			perm:  ua.Permute,
-			h:     mustOpen(t, db, u),
+			name: "ucq", count: m.Count(), head: u.Disjuncts[0].Head,
+			acc:   m.Access,
+			batch: func(js []int64) ([]Tuple, error) { return m.AccessBatchContext(context.Background(), js, 0) },
+			perm:  func(rng *rand.Rand) func() (Tuple, bool) { return m.Permute(rng).Next },
+			h:     asParsed(t, db, u),
+		},
+		{
+			name: "sharded", count: n, head: c.Index.Head(),
+			acc: c.Index.Access, batch: cqBatch, perm: cqPerm,
+			h: asParsed(t, db, q, WithShards(3)),
+		},
+		{
+			name: "slice", count: hi - lo, head: c.Index.Head(),
+			acc: sliceAcc,
+			batch: func(js []int64) ([]Tuple, error) {
+				out := make([]Tuple, len(js))
+				for i, j := range js {
+					tu, err := sliceAcc(j)
+					if err != nil {
+						return nil, err
+					}
+					out[i] = tu
+				}
+				return out, nil
+			},
+			perm: func(rng *rand.Rand) func() (Tuple, bool) {
+				shuf := shuffle.New(hi-lo, rng)
+				return func() (Tuple, bool) {
+					j, ok := shuf.Next()
+					if !ok {
+						return nil, false
+					}
+					tu, err := sliceAcc(j)
+					return tu, err == nil
+				}
+			},
+			h: slice,
 		},
 	}
 
@@ -168,7 +255,8 @@ func TestHandleCompatOldVsNew(t *testing.T) {
 				}
 			}
 
-			// All() replays the legacy enumeration order exactly.
+			// All() replays the structure's enumeration order exactly, and
+			// Access allocates the answer AccessInto writes.
 			var j int64
 			for tu, err := range h.All() {
 				if err != nil {
@@ -179,12 +267,18 @@ func TestHandleCompatOldVsNew(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !tu.Equal(want) {
-					t.Fatalf("All[%d] = %v, legacy Access = %v", j, tu, want)
+					t.Fatalf("All[%d] = %v, bare Access = %v", j, tu, want)
+				}
+				if got, err := h.Access(j); err != nil || !got.Equal(want) {
+					t.Fatalf("Access(%d) = %v, %v; bare Access = %v", j, got, err, want)
 				}
 				j++
 			}
 			if j != tc.count {
 				t.Fatalf("All yielded %d answers, want %d", j, tc.count)
+			}
+			if _, err := h.Access(tc.count); !IsOutOfBounds(err) {
+				t.Fatalf("Access(Count) err = %v, want ErrOutOfBounds", err)
 			}
 
 			// AccessInto matches Access through the handle.
@@ -199,29 +293,59 @@ func TestHandleCompatOldVsNew(t *testing.T) {
 				}
 			}
 
-			// Shuffled replays the legacy permutation draw for draw.
-			old := tc.perm(rand.New(rand.NewSource(99)))
-			var got []Tuple
-			for tu, err := range h.Shuffled(rand.New(rand.NewSource(99))) {
+			// Shuffled, Permute's Next and Permute's batched NextN replay
+			// the structure's own permutation draw for draw.
+			for seed := int64(1); seed <= 5; seed++ {
+				var want []Tuple
+				for next := tc.perm(rand.New(rand.NewSource(seed))); ; {
+					tu, ok := next()
+					if !ok {
+						break
+					}
+					want = append(want, tu)
+				}
+				if int64(len(want)) != tc.count {
+					t.Fatalf("seed %d: bare permutation emitted %d of %d", seed, len(want), tc.count)
+				}
+				var shuffled []Tuple
+				for tu, err := range h.Shuffled(rand.New(rand.NewSource(seed))) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					shuffled = append(shuffled, tu)
+				}
+				single, err := h.Permute(rand.New(rand.NewSource(seed)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = append(got, tu)
-			}
-			for i := range got {
-				want, ok := old.Next()
-				if !ok {
-					t.Fatalf("legacy permutation ended at %d, Shuffled yielded %d", i, len(got))
+				batched, err := h.Permute(rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !got[i].Equal(want) {
-					t.Fatalf("Shuffled[%d] = %v, legacy Permutation = %v", i, got[i], want)
+				var chunks []Tuple
+				for chunk := batched.NextN(7); len(chunk) > 0; chunk = batched.NextN(7) {
+					chunks = append(chunks, chunk...)
 				}
-			}
-			if _, ok := old.Next(); ok {
-				t.Fatal("legacy permutation outlived Shuffled")
+				if len(shuffled) != len(want) || len(chunks) != len(want) {
+					t.Fatalf("seed %d: Shuffled yielded %d, NextN %d, bare permutation %d", seed, len(shuffled), len(chunks), len(want))
+				}
+				for i := range want {
+					if !shuffled[i].Equal(want[i]) {
+						t.Fatalf("seed %d: Shuffled[%d] = %v, bare permutation = %v", seed, i, shuffled[i], want[i])
+					}
+					if tu, ok := single.Next(); !ok || !tu.Equal(want[i]) {
+						t.Fatalf("seed %d: Next #%d = %v, %v; bare permutation = %v", seed, i, tu, ok, want[i])
+					}
+					if !chunks[i].Equal(want[i]) {
+						t.Fatalf("seed %d: NextN[%d] = %v, bare permutation = %v", seed, i, chunks[i], want[i])
+					}
+				}
+				if _, ok := single.Next(); ok {
+					t.Fatalf("seed %d: Permutation outlived the bare permutation", seed)
+				}
 			}
 
-			// Batch and page agree with the legacy entry points.
+			// Batch and page agree with the structure's batched probe.
 			js := []int64{0, tc.count - 1, 1, 1, tc.count / 2}
 			hb, err := h.AccessBatch(js)
 			if err != nil {
@@ -233,14 +357,18 @@ func TestHandleCompatOldVsNew(t *testing.T) {
 			}
 			for i := range hb {
 				if !hb[i].Equal(lb[i]) {
-					t.Fatalf("AccessBatch[%d] = %v, legacy %v", i, hb[i], lb[i])
+					t.Fatalf("AccessBatch[%d] = %v, bare %v", i, hb[i], lb[i])
 				}
 			}
 			hp, err := h.Page(1, tc.count)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lp, err := tc.page(1, tc.count)
+			var tail []int64
+			for j := int64(1); j < tc.count; j++ {
+				tail = append(tail, j)
+			}
+			lp, err := tc.batch(tail)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,26 +377,7 @@ func TestHandleCompatOldVsNew(t *testing.T) {
 			}
 			for i := range hp {
 				if !hp[i].Equal(lp[i]) {
-					t.Fatalf("Page[%d] = %v, legacy %v", i, hp[i], lp[i])
-				}
-			}
-
-			// Enumerate is the thin adapter over the same order.
-			e, err := h.Enumerate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := int64(0); ; j++ {
-				tu, ok := e.Next()
-				if !ok {
-					if j != tc.count {
-						t.Fatalf("Enumerate ended at %d, want %d", j, tc.count)
-					}
-					break
-				}
-				want, _ := tc.acc(j)
-				if !tu.Equal(want) {
-					t.Fatalf("Enumerate[%d] = %v, want %v", j, tu, want)
+					t.Fatalf("Page[%d] = %v, bare %v", i, hp[i], lp[i])
 				}
 			}
 		})
@@ -276,24 +385,22 @@ func TestHandleCompatOldVsNew(t *testing.T) {
 }
 
 // TestUnionAccessParityWithCQPath: a union whose disjuncts are the same CQ
-// twice is semantically that CQ, and the mc-UCQ backend must reproduce the
-// CQ path byte for byte across the parity surface added to UnionAccess —
-// AccessInto, Page, SampleN.
+// twice is semantically that CQ, and the mc-UCQ handle must reproduce the
+// bare CQ index byte for byte across the shared surface — AccessInto, Page,
+// SampleN.
 func TestUnionAccessParityWithCQPath(t *testing.T) {
 	db, q := fixtureDB(t)
-	ra, err := NewRandomAccess(db, q)
+	c, err := cqenum.Prepare(db, q, reduce.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ra := c.Index
 	q2 := MustCQ("q2", q.Head, q.Body...)
 	u, err := NewUCQ("uu", q, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ua, err := NewUnionAccess(db, u, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ua := asParsed(t, db, u, WithVerify())
 	n := ra.Count()
 	if ua.Count() != n {
 		t.Fatalf("union of Q with itself counts %d, CQ counts %d", ua.Count(), n)
@@ -320,7 +427,11 @@ func TestUnionAccessParityWithCQPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := ra.Page(3, 1000)
+	var tail []int64
+	for j := int64(3); j < n; j++ {
+		tail = append(tail, j)
+	}
+	rp, err := ra.AccessBatch(tail, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,10 +452,11 @@ func TestUnionAccessParityWithCQPath(t *testing.T) {
 
 	// SampleN: distinct, complete at k ≥ n, ErrOutOfBounds on k < 0 —
 	// identical contract to the CQ sampler.
-	if _, err := ua.SampleN(-1, rand.New(rand.NewSource(1))); !IsOutOfBounds(err) {
+	smp := mustSampler(t, ua)
+	if _, err := smp.SampleN(-1, rand.New(rand.NewSource(1))); !IsOutOfBounds(err) {
 		t.Fatalf("union SampleN(-1) err = %v", err)
 	}
-	got, err := ua.SampleN(n+100, rand.New(rand.NewSource(17)))
+	got, err := smp.SampleN(n+100, rand.New(rand.NewSource(17)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,24 +520,24 @@ func TestSamplerCapabilityUnified(t *testing.T) {
 		})
 	}
 
-	// The CQ sampler replays the legacy SampleK draws for the same rng.
-	ra, err := NewRandomAccess(db, q)
+	// The CQ sampler replays the bare index's permutation for the same rng:
+	// a k-sample is its first k answers.
+	c, err := cqenum.Prepare(db, q, reduce.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	smp, _ := mustOpen(t, db, q).Sampler()
-	got, err := smp.SampleN(7, rand.New(rand.NewSource(31)))
+	got, err := mustSampler(t, asParsed(t, db, q)).SampleN(7, rand.New(rand.NewSource(31)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ra.SampleK(7, rand.New(rand.NewSource(31)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("Sampler[%d] = %v, legacy SampleK %v", i, got[i], want[i])
+	p := c.Permute(rand.New(rand.NewSource(31)))
+	for i := range got {
+		if want, ok := p.Next(); !ok || !got[i].Equal(want) {
+			t.Fatalf("Sampler[%d] = %v, the bare permutation has %v", i, got[i], want)
 		}
+	}
+	if len(got) != 7 {
+		t.Fatalf("SampleN(7) = %d answers", len(got))
 	}
 
 	// Empty answer set: empty sample, nil error — on every backend.
@@ -668,8 +780,8 @@ func TestIteratorContextCancellation(t *testing.T) {
 	}
 }
 
-// TestHandleUpdaterRoundTrip: updates through the capability are the
-// legacy DynamicAccess semantics (change reporting, count maintenance).
+// TestHandleUpdaterRoundTrip: updates through the capability report changes
+// and maintain the count.
 func TestHandleUpdaterRoundTrip(t *testing.T) {
 	db, _ := fixtureDB(t)
 	dq := MustCQ("dq", []string{"a", "b"}, NewAtom("R", V("a"), V("b")))

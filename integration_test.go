@@ -42,7 +42,11 @@ func TestQuickAccessBijection(t *testing.T) {
 			s.MustInsert(Value(rng.Int63n(dom)), Value(rng.Int63n(dom)))
 		}
 		for _, q := range queries {
-			ra, err := NewRandomAccess(db, q)
+			ra, err := Open(db, q, WithPlanner(PlannerOff))
+			if err != nil {
+				return false
+			}
+			inv, err := ra.Inverter()
 			if err != nil {
 				return false
 			}
@@ -57,7 +61,7 @@ func TestQuickAccessBijection(t *testing.T) {
 					return false
 				}
 				seen[a.Key()] = true
-				if jj, ok := ra.InvertedAccess(a); !ok || jj != j {
+				if jj, ok := inv.InvertedAccess(a); !ok || jj != j {
 					return false
 				}
 			}
@@ -118,7 +122,7 @@ func TestQuickUnionEnumeration(t *testing.T) {
 			return false
 		}
 		// mc-UCQ must agree on the count when it applies (R and S aligned).
-		ua, err := NewUnionAccess(db, u, true)
+		ua, err := Open(db, u, WithVerify(), WithPlanner(PlannerOff))
 		if err != nil {
 			return false
 		}
@@ -140,10 +144,11 @@ func TestTPCHEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range tpchq.CQs() {
-		ra, err := NewRandomAccess(db, q)
+		ra, err := Open(db, q, WithPlanner(PlannerOff))
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
+		in := mustContainer(t, ra)
 		want, err := naive.Evaluate(db, q)
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +157,10 @@ func TestTPCHEndToEnd(t *testing.T) {
 			t.Fatalf("%s: count %d, oracle %d", q.Name, ra.Count(), len(want))
 		}
 		// Random permutation prefix must contain distinct answers only.
-		p := ra.Permute(rand.New(rand.NewSource(2)))
+		p, err := ra.Permute(rand.New(rand.NewSource(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		seen := make(map[string]bool)
 		for i := 0; i < 100; i++ {
 			a, ok := p.Next()
@@ -163,13 +171,13 @@ func TestTPCHEndToEnd(t *testing.T) {
 				t.Fatalf("%s: duplicate in permutation", q.Name)
 			}
 			seen[a.Key()] = true
-			if !ra.Contains(a) {
+			if !in.Contains(a) {
 				t.Fatalf("%s: emitted non-answer", q.Name)
 			}
 		}
 	}
 	for _, u := range tpchq.UCQs() {
-		ua, err := NewUnionAccess(db, u, false)
+		ua, err := Open(db, u, WithPlanner(PlannerOff))
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)
 		}
@@ -199,15 +207,15 @@ func TestQuickPermutationPrefixUniform(t *testing.T) {
 		r.MustInsert(Value(i))
 	}
 	q := MustCQ("q", []string{"a"}, NewAtom("R", V("a")))
-	ra, err := NewRandomAccess(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := asParsed(t, db, q)
 	counts := make([]int, 8)
 	rng := rand.New(rand.NewSource(77))
 	const trials = 16000
 	for i := 0; i < trials; i++ {
-		p := ra.Permute(rng)
+		p, err := ra.Permute(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		a, _ := p.Next()
 		counts[a[0]]++
 	}

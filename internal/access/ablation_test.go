@@ -6,8 +6,47 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/reduce"
 	"repro/internal/relation"
+	"repro/internal/tpch"
+	"repro/internal/tpchq"
 )
+
+// AccessLinear is Access with the in-bucket binary search replaced by a
+// linear scan. It exists solely for the ablation benchmark below, which
+// quantifies the log-factor of Theorem 4.3: on large buckets the scan makes
+// the per-access cost linear in the bucket size.
+func (idx *Index) AccessLinear(j int64) (relation.Tuple, error) {
+	if j < 0 || j >= idx.count {
+		return nil, ErrOutOfBounds
+	}
+	answer := make(relation.Tuple, len(idx.head))
+	idx.subtreeAccessLinear(idx.root, 0, j, answer)
+	return answer, nil
+}
+
+func (idx *Index) subtreeAccessLinear(n *node, g uint32, j int64, answer relation.Tuple) {
+	i := int(n.bucketOff[g])
+	for n.start[i]+n.weight[i] <= j {
+		i++
+	}
+	pos := n.tupleIdx[i]
+	for k, col := range n.outCols {
+		answer[col] = n.outVals[k][pos]
+	}
+	if len(n.children) == 0 {
+		return
+	}
+	rem := j - n.start[i]
+	for ci := len(n.children) - 1; ci >= 0; ci-- {
+		c := n.children[ci]
+		cg := uint32(n.childGroup[ci][pos])
+		ct := c.total[cg]
+		ji := rem % ct
+		rem /= ct
+		idx.subtreeAccessLinear(c, cg, ji, answer)
+	}
+}
 
 // TestAccessLinearAgreesWithAccess: the ablation variant must return exactly
 // the same answers as the binary-search Access for every index.
@@ -43,4 +82,38 @@ func TestAccessLinearAgreesWithAccess(t *testing.T) {
 	if _, err := idx.AccessLinear(idx.Count()); !errors.Is(err, ErrOutOfBounds) {
 		t.Fatal("count accepted")
 	}
+}
+
+// BenchmarkAblationBucketSearch: binary search vs linear scan inside buckets
+// during Access, on TPC-H Q3 at scale factor 0.01 — its root bucket holds
+// every customer, which is where the scan pays.
+func BenchmarkAblationBucketSearch(b *testing.B) {
+	db, err := tpch.Generate(tpch.Config{ScaleFactor: 0.01, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fj, err := reduce.BuildFullJoin(db, tpchq.Q3(), reduce.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := New(fj)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := idx.Count()
+	rng := rand.New(rand.NewSource(2))
+	b.Run("BinarySearch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := idx.Access(rng.Int63n(n)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("LinearScan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := idx.AccessLinear(rng.Int63n(n)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,8 +1,8 @@
 // Package cqenum assembles the per-CQ machinery of Section 4:
 //
 //   - Prepare: linear preprocessing — Proposition 4.2 reduction followed by
-//     the Algorithm 2 index build;
-//   - Enumerator: deterministic enumeration in index order (Fact 3.5);
+//     the Algorithm 2 index build (deterministic enumeration, Fact 3.5, is
+//     Index.Access(0), Access(1), … on the result);
 //   - RandomPermutation: REnum(CQ) — Theorem 3.7's Fisher–Yates shuffle over
 //     random access, giving a uniformly random order with O(log) delay;
 //   - DeletableSet: the Lemma 5.3 wrapper exposing Count / Sample / Locate /
@@ -12,7 +12,7 @@
 //
 // A prepared CQ is immutable: Count, Index probes and FullJoin inspection
 // are safe from any number of goroutines. The stateful cursors handed out by
-// Enumerate, Permute and NewDeletableSet are each single-consumer — share
+// Permute and NewDeletableSet are each single-consumer — share
 // the CQ, not the cursor. RandomPermutation.NextN amortizes cursor state
 // serially and fans the index probes out across goroutines, so one consumer
 // still saturates multiple cores.
@@ -71,28 +71,6 @@ func Restore(q *query.CQ, idx *access.Index) *CQ {
 
 // Count returns |Q(D)|.
 func (c *CQ) Count() int64 { return c.Index.Count() }
-
-// Enumerator yields the answers in the index's (deterministic) enumeration
-// order with logarithmic delay.
-type Enumerator struct {
-	idx  *access.Index
-	next int64
-}
-
-// Enumerate returns a deterministic enumerator over the prepared query.
-func (c *CQ) Enumerate() *Enumerator {
-	return &Enumerator{idx: c.Index}
-}
-
-// Next returns the next answer; ok is false at end of enumeration.
-func (e *Enumerator) Next() (relation.Tuple, bool) {
-	t, err := e.idx.Access(e.next)
-	if err != nil {
-		return nil, false
-	}
-	e.next++
-	return t, true
-}
 
 // RandomPermutation enumerates the answers exactly once each, in a uniformly
 // random order (REnum(CQ)): a lazy Fisher–Yates shuffle of the answer indexes

@@ -39,39 +39,6 @@ func TestPrepareRejectsNonFreeConnex(t *testing.T) {
 	}
 }
 
-func TestEnumeratorCompleteAndOrdered(t *testing.T) {
-	db := testDB(2, 40)
-	q := chainQ()
-	c, err := Prepare(db, q, reduce.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := naive.Evaluate(db, q)
-	if c.Count() != int64(len(want)) {
-		t.Fatalf("Count = %d, want %d", c.Count(), len(want))
-	}
-	e := c.Enumerate()
-	var got []relation.Tuple
-	for {
-		t, ok := e.Next()
-		if !ok {
-			break
-		}
-		got = append(got, t)
-	}
-	if !naive.SameAnswerSet(got, want) {
-		t.Fatal("enumerator missed answers")
-	}
-	// Deterministic: a second enumerator yields the same order.
-	e2 := c.Enumerate()
-	for i := range got {
-		u, ok := e2.Next()
-		if !ok || !u.Equal(got[i]) {
-			t.Fatal("enumeration order not deterministic")
-		}
-	}
-}
-
 func TestRandomPermutationIsPermutation(t *testing.T) {
 	db := testDB(3, 50)
 	q := chainQ()
@@ -245,8 +212,7 @@ func TestPermutationEmptyResult(t *testing.T) {
 	if _, ok := p.Next(); ok {
 		t.Fatal("empty permutation emitted")
 	}
-	e := c.Enumerate()
-	if _, ok := e.Next(); ok {
+	if _, err := c.Index.Access(0); err == nil {
 		t.Fatal("empty enumeration emitted")
 	}
 }

@@ -1,5 +1,6 @@
 // Package exp is the experiment harness reproducing every figure and table of
-// the paper's Section 6 and Appendix B (see DESIGN.md §3 for the index):
+// the paper's Section 6 and Appendix B (this list is the index; the README's
+// "Testing" section says how the benchmarks behind it are run):
 //
 //	Fig1  — total enumeration time, REnum(CQ) vs Sample(EW), six CQs
 //	Fig2  — delay box plots, full enumeration

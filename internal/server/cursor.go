@@ -21,7 +21,7 @@ var (
 // daemon's dictionary tuples, or the router's rendered strings (there the
 // position counter or shuffle state lives at the router and each draw
 // scatter-gathers across the shards). Cursors are single-consumer (the
-// library contract for Enumerator/Permutation): instead of queueing a
+// library contract for iterators and Permutation): instead of queueing a
 // second reader behind the first, Next fails fast with ErrCursorBusy so a
 // misbehaving client cannot pin a server goroutine.
 //

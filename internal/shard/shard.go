@@ -331,7 +331,3 @@ func (s *Set) Contains(t relation.Tuple) bool {
 	_, ok := s.InvertedAccess(t)
 	return ok
 }
-
-// OrderSpec returns the head variables in decreasing significance of the
-// enumeration order (identical across shards by construction).
-func (s *Set) OrderSpec() []string { return s.shards[0].OrderSpec() }

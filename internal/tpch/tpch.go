@@ -5,7 +5,8 @@
 // algorithms interact with — key spaces, join fan-outs (exactly four
 // suppliers per part, 1–7 lineitems per order, 25 nations over 5 regions,
 // one third of customers without orders) — at a configurable scale factor,
-// substituting for the original C dbgen tool (see DESIGN.md §4).
+// substituting for the original C dbgen tool (the README's "Layout" section
+// lists the rest of the experimental workload).
 //
 // Nation and region keys follow the official TPC-H mapping, so the paper's
 // selection constants carry over: nationkey 24 = UNITED STATES and

@@ -32,11 +32,12 @@ func fixtureDB(t testing.TB) (*Database, *CQ) {
 // per-position Access answers, in order.
 func TestAccessBatchEquivalentToAccess(t *testing.T) {
 	db, q := fixtureDB(t)
-	ra, err := NewRandomAccess(db, q)
-	if err != nil {
-		t.Fatal(err)
+	// One handle per fan-out: the default budget and explicit ones.
+	var ras [4]*Handle
+	for w := range ras {
+		ras[w] = asParsed(t, db, q, WithWorkers(w))
 	}
-	n := ra.Count()
+	n := ras[0].Count()
 	if n == 0 {
 		t.Fatal("fixture produced no answers")
 	}
@@ -52,7 +53,8 @@ func TestAccessBatchEquivalentToAccess(t *testing.T) {
 				js = append(js, rng.Int63n(n))
 			}
 		}
-		got, err := ra.AccessBatch(js, trial%4) // exercise auto and explicit fan-out
+		ra := ras[trial%4] // exercise auto and explicit fan-out
+		got, err := ra.AccessBatch(js)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,13 +70,15 @@ func TestAccessBatchEquivalentToAccess(t *testing.T) {
 	}
 }
 
-// TestPageParallelEquivalentToPage: same rows, same order, for page shapes
+// TestPageParallelEquivalentToPage: a page assembled under any worker budget
+// has the rows of the serial page, in the same order, for page shapes
 // crossing the result boundaries.
 func TestPageParallelEquivalentToPage(t *testing.T) {
 	db, q := fixtureDB(t)
-	ra, err := NewRandomAccess(db, q)
-	if err != nil {
-		t.Fatal(err)
+	ra := asParsed(t, db, q, WithWorkers(1))
+	fanned := map[int]*Handle{}
+	for _, workers := range []int{0, 3, 4} {
+		fanned[workers] = asParsed(t, db, q, WithWorkers(workers))
 	}
 	n := ra.Count()
 	cases := []struct{ offset, limit int64 }{
@@ -87,8 +91,8 @@ func TestPageParallelEquivalentToPage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 3} {
-			got, err := ra.PageParallel(tc.offset, tc.limit, workers)
+		for workers, h := range fanned {
+			got, err := h.Page(tc.offset, tc.limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,28 +106,34 @@ func TestPageParallelEquivalentToPage(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ra.PageParallel(-1, 2, 0); err != ErrOutOfBounds {
+	if _, err := fanned[4].Page(-1, 2); err != ErrOutOfBounds {
 		t.Fatalf("negative offset: %v", err)
 	}
 }
 
 // TestSampleNMatchesSampleK: SampleN draws its positions from the same lazy
-// Fisher–Yates shuffle as SampleK, so for equal seeds the outputs must be
-// identical — which transfers SampleK's uniform-without-replacement
-// distribution to SampleN exactly.
+// Fisher–Yates shuffle as the permutation cursor, so for equal seeds a
+// k-sample must be k calls of Permutation.Next — which transfers the serial
+// loop's uniform-without-replacement distribution to SampleN exactly.
 func TestSampleNMatchesSampleK(t *testing.T) {
 	db, q := fixtureDB(t)
-	ra, err := NewRandomAccess(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := asParsed(t, db, q)
+	smp := mustSampler(t, ra)
 	n := ra.Count()
 	for _, k := range []int64{0, 1, 7, n, n + 50} {
-		want, err := ra.SampleK(k, rand.New(rand.NewSource(63)))
+		p, err := ra.Permute(rand.New(rand.NewSource(63)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ra.SampleN(k, rand.New(rand.NewSource(63)))
+		var want []Tuple
+		for int64(len(want)) < k {
+			a, ok := p.Next()
+			if !ok {
+				break
+			}
+			want = append(want, a)
+		}
+		got, err := smp.SampleN(k, rand.New(rand.NewSource(63)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,10 +165,8 @@ func chiSquareLimit(df int) float64 { return float64(df) + 6*math.Sqrt(2*float64
 // parallel path.
 func TestSampleNFirstAnswerUniform(t *testing.T) {
 	db, q := fixtureDB(t)
-	ra, err := NewRandomAccess(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := asParsed(t, db, q)
+	smp, inv := mustSampler(t, ra), mustInverter(t, ra)
 	n := ra.Count()
 	trials := int(40 * n)
 	if trials < 2000 {
@@ -167,11 +175,11 @@ func TestSampleNFirstAnswerUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	counts := make([]int, n)
 	for i := 0; i < trials; i++ {
-		ts, err := ra.SampleN(3, rng)
+		ts, err := smp.SampleN(3, rng)
 		if err != nil || len(ts) == 0 {
 			t.Fatal("sample failed")
 		}
-		j, ok := ra.InvertedAccess(ts[0])
+		j, ok := inv.InvertedAccess(ts[0])
 		if !ok {
 			t.Fatalf("sampled a non-answer: %v", ts[0])
 		}
@@ -189,15 +197,16 @@ func TestSampleNFirstAnswerUniform(t *testing.T) {
 // serial enumerator's distribution.
 func TestPermutationNextNUniformAndComplete(t *testing.T) {
 	db, q := fixtureDB(t)
-	ra, err := NewRandomAccess(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := asParsed(t, db, q)
+	inv := mustInverter(t, ra)
 	n := ra.Count()
 	rng := rand.New(rand.NewSource(65))
 
 	// Completeness: batched drain covers each answer exactly once.
-	p := ra.Permute(rng)
+	p, err := ra.Permute(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make([]int, n)
 	for {
 		chunk := p.NextN(13)
@@ -205,7 +214,7 @@ func TestPermutationNextNUniformAndComplete(t *testing.T) {
 			break
 		}
 		for _, a := range chunk {
-			j, ok := ra.InvertedAccess(a)
+			j, ok := inv.InvertedAccess(a)
 			if !ok {
 				t.Fatalf("emitted a non-answer: %v", a)
 			}
@@ -225,11 +234,15 @@ func TestPermutationNextNUniformAndComplete(t *testing.T) {
 	}
 	counts := make([]int, n)
 	for i := 0; i < trials; i++ {
-		chunk := ra.Permute(rng).NextN(1)
+		p, err := ra.Permute(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk := p.NextN(1)
 		if len(chunk) != 1 {
 			t.Fatal("empty first batch")
 		}
-		j, _ := ra.InvertedAccess(chunk[0])
+		j, _ := inv.InvertedAccess(chunk[0])
 		counts[j]++
 	}
 	stat, df := stats.ChiSquareUniform(counts)
@@ -242,23 +255,21 @@ func TestPermutationNextNUniformAndComplete(t *testing.T) {
 // what exists instead of attempting a k-sized allocation.
 func TestDrainEverythingRequests(t *testing.T) {
 	db, q := fixtureDB(t)
-	ra, err := NewRandomAccess(db, q)
+	ra := asParsed(t, db, q)
+	n := ra.Count()
+	p, err := ra.Permute(rand.New(rand.NewSource(66)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ra.Count()
-	if got := ra.Permute(rand.New(rand.NewSource(66))).NextN(math.MaxInt64); int64(len(got)) != n {
+	if got := p.NextN(math.MaxInt64); int64(len(got)) != n {
 		t.Fatalf("NextN(MaxInt64) drained %d of %d", len(got), n)
 	}
-	if got, err := ra.SampleN(math.MaxInt64, rand.New(rand.NewSource(66))); err != nil || int64(len(got)) != n {
+	if got, err := mustSampler(t, ra).SampleN(math.MaxInt64, rand.New(rand.NewSource(66))); err != nil || int64(len(got)) != n {
 		t.Fatalf("SampleN(MaxInt64) = %d answers, err %v", len(got), err)
 	}
 
 	dq := MustCQ("dq", []string{"a", "b"}, NewAtom("R", V("a"), V("b")))
-	dyn, err := NewDynamicAccess(db, dq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dyn := mustSampler(t, mustOpen(t, db, dq, WithDynamic()))
 	// With-replacement sampling: a huge k must not pre-allocate k slots.
 	// 100k draws is enough to prove the capacity clamp without minutes of
 	// sampling.
@@ -268,14 +279,12 @@ func TestDrainEverythingRequests(t *testing.T) {
 }
 
 // TestSharedRandomAccessHammer drives the public API from many goroutines
-// sharing one RandomAccess (run with -race): the top-level mirror of the
+// sharing one static handle (run with -race): the top-level mirror of the
 // internal hammers.
 func TestSharedRandomAccessHammer(t *testing.T) {
 	db, q := fixtureDB(t)
-	ra, err := NewRandomAccess(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := asParsed(t, db, q, WithWorkers(2))
+	smp := mustSampler(t, ra)
 	n := ra.Count()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -296,17 +305,17 @@ func TestSharedRandomAccessHammer(t *testing.T) {
 					for k := range js {
 						js[k] = rng.Int63n(n)
 					}
-					if _, err := ra.AccessBatch(js, 0); err != nil {
+					if _, err := ra.AccessBatch(js); err != nil {
 						errs <- err
 						return
 					}
 				case 2:
-					if _, err := ra.SampleN(8, rng); err != nil {
+					if _, err := smp.SampleN(8, rng); err != nil {
 						errs <- err
 						return
 					}
 				case 3:
-					if _, err := ra.PageParallel(rng.Int63n(n), 16, 2); err != nil {
+					if _, err := ra.Page(rng.Int63n(n), 16); err != nil {
 						errs <- err
 						return
 					}
@@ -324,12 +333,12 @@ func TestSharedRandomAccessHammer(t *testing.T) {
 // fuzzFixture is built once: fuzzing re-enters the function per input.
 var (
 	fuzzOnce sync.Once
-	fuzzRA   *RandomAccess
+	fuzzRA   *Handle
 )
 
 // The query hangs two children, S and T, off R, so a batch's grouped probe
 // splits positions over siblings as well as descending a chain.
-func fuzzFixture(t testing.TB) *RandomAccess {
+func fuzzFixture(t testing.TB) *Handle {
 	fuzzOnce.Do(func() {
 		db, _ := fixtureDB(t)
 		tr := db.MustCreate("T", "b", "d")
@@ -340,11 +349,7 @@ func fuzzFixture(t testing.TB) *RandomAccess {
 			NewAtom("R", V("a"), V("b")),
 			NewAtom("S", V("b"), V("c")),
 			NewAtom("T", V("b"), V("d")))
-		ra, err := NewRandomAccess(db, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fuzzRA = ra
+		fuzzRA = asParsed(t, db, q)
 	})
 	return fuzzRA
 }
@@ -382,7 +387,7 @@ func FuzzAccessBatch(f *testing.F) {
 				break
 			}
 		}
-		got, err := ra.AccessBatch(js, 0)
+		got, err := ra.AccessBatch(js)
 		if wantErr {
 			if err != ErrOutOfBounds {
 				t.Fatalf("js=%v: err=%v, want ErrOutOfBounds", js, err)

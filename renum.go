@@ -18,33 +18,38 @@
 //
 //   - RandomOrderUnion (REnum(UCQ), Algorithm 5): works for every union of
 //     free-connex CQs, delay logarithmic in expectation (Theorem 5.4);
-//   - UnionAccess (REnum(mcUCQ), Theorem 5.5): for mutually-compatible UCQs,
+//   - a UCQ handle (REnum(mcUCQ), Theorem 5.5): for mutually-compatible UCQs,
 //     true random access in O(log² |D|) — O(log |D|) whenever no intersection
 //     has more answers than its index has tuples — and a random permutation
 //     with that worst-case delay.
 //
 // The paper's experimental workload (TPC-H generator, query suite, baseline
 // samplers and figure-by-figure harness) lives under internal/ and is driven
-// by cmd/replicate; see DESIGN.md and EXPERIMENTS.md.
+// by cmd/replicate; the README's "Architecture" section holds the design
+// notes and its "Layout" section says where each piece of the workload is.
 //
 // # One constructor, capability discovery
 //
-// Open is the entry point: it takes a CQ or a UCQ plus functional options
-// (WithCanonical, WithDynamic, WithVerify, WithWorkers) and returns a
-// *Handle exposing the shared probe surface — Count, Access, AccessInto,
-// AccessBatch, Page, Head, Explain — uniformly over every backend. Optional
-// facilities are discovered through Handle.Capabilities or the typed
-// accessors (Inverter, Updater, Sampler, Container), which fail with the
-// ErrUnsupported sentinel instead of making callers type-switch on concrete
-// index types. Enumeration is iterator-native: Handle.All and
-// Handle.Shuffled return iter.Seq2[Tuple, error] cursors, with Enumerator
-// and Permutation kept as thin adapters. The batch, page and enumeration
-// entry points have context.Context variants that honor cancellation
-// between probe chunks.
+// Open is the only way to build an index: it takes a CQ or a UCQ plus
+// functional options (WithCanonical, WithDynamic, WithVerify, WithWorkers,
+// WithShards, …) and returns a *Handle exposing the shared probe surface —
+// Count, Access, AccessInto, AccessBatch, Page, Head — uniformly over every
+// backend. OpenSnapshot and SliceView hand out the same Handle over a
+// restored index and over a window of another handle. Optional facilities
+// are discovered through Handle.Capabilities or the typed accessors
+// (Inverter, Updater, Sampler, Container, Explain), which fail with the
+// ErrUnsupported sentinel instead of making callers know which structure
+// serves them. Enumeration is iterator-native: Handle.All and
+// Handle.Shuffled return iter.Seq2[Tuple, error] cursors, and
+// Handle.Permute returns the same random order as a Next/NextN cursor. The
+// batch, page and enumeration entry points have context.Context variants
+// that honor cancellation between probe chunks.
 //
-// The concrete types below (RandomAccess, UnionAccess, DynamicAccess,
-// RandomOrderUnion) remain as the underlying machinery and for
-// code written against the pre-Handle API.
+// NewRandomOrderUnion is the one constructor beside Open, and it is separate
+// on purpose. Algorithm 5 is a single-use cursor, not an index: the paper
+// proves that a union of free-connex CQs may admit no random access at all,
+// so the cursor cannot offer a Handle's shared surface (no Count, no
+// Access) — it only enumerates, once, consuming its rng.
 //
 // # Persistent snapshots
 //
@@ -60,20 +65,21 @@
 //
 // The library is built to serve heavy concurrent read traffic:
 //
-//   - RandomAccess and UnionAccess are immutable after construction. Every
-//     probe (Count, Access, AccessBatch, InvertedAccess, Contains, Page,
-//     PageParallel, SampleN, SampleK) only reads the index — there is no
-//     lazy memoization on the probe path — so one index may be shared by any
-//     number of goroutines with no locking. This is enforced by `-race`
-//     hammer tests in internal/access, internal/mcucq and at the package
-//     root.
-//   - DynamicAccess mutates under Insert/Delete and is internally
+//   - Static handles (KindCQ, KindUCQ, KindSharded, and every SliceView or
+//     snapshot-restored handle over them) are immutable after construction.
+//     Every probe (Count, Access, AccessBatch, Page, InvertedAccess,
+//     Contains, SampleN) only reads the index — there is no lazy memoization
+//     on the probe path — so one handle may be shared by any number of
+//     goroutines with no locking. This is enforced by `-race` hammer tests
+//     in internal/access, internal/mcucq and at the package root.
+//   - A KindDynamic handle mutates under Insert/Delete and is internally
 //     synchronized with a readers–writer lock: concurrent readers
 //     interleave freely and writers are exclusive, so a shared dynamic
-//     index is safe under mixed traffic.
-//   - The stateful cursors (Enumerator, Permutation, RandomOrderUnion) are
-//     single-consumer: share the index, not the cursor. Permutation.NextN
-//     lets a single consumer fan its probes across cores.
+//     handle is safe under mixed traffic.
+//   - The stateful cursors (the All and Shuffled iterators, Permutation,
+//     RandomOrderUnion) are single-consumer: share the handle, not the
+//     cursor. Permutation.NextN lets a single consumer fan its probes across
+//     cores.
 //
 // Index construction parallelizes automatically: independent join-tree
 // subtrees build on a worker pool once the input exceeds
@@ -83,9 +89,10 @@
 // builds produce identical structures, so the enumeration order never
 // depends on the worker count.
 //
-// The batched APIs (AccessBatch, SampleN, PageParallel, Permutation.NextN)
-// amortize per-probe overhead and fan out across goroutines internally —
-// they are the preferred way to drain many positions from one caller.
+// The batched APIs (AccessBatch, Page, Sampler.SampleN, Permutation.NextN)
+// amortize per-probe overhead and fan out across the handle's worker budget
+// (WithWorkers) — they are the preferred way to drain many positions from
+// one caller.
 //
 // # Quick start
 //
@@ -106,14 +113,13 @@ import (
 	"math/rand"
 
 	"repro/internal/access"
-	"repro/internal/cqenum"
 	"repro/internal/hypergraph"
 	"repro/internal/mcucq"
 	"repro/internal/naive"
-	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/reduce"
 	"repro/internal/relation"
+	"repro/internal/shuffle"
 	"repro/internal/unionenum"
 )
 
@@ -200,113 +206,6 @@ var (
 	ErrCountOverflow = access.ErrCountOverflow
 )
 
-// RandomAccess is the Theorem 4.3 structure for one free-connex CQ.
-type RandomAccess struct {
-	c *cqenum.CQ
-	// plan records the cost-based planner's candidate set when Open compiled
-	// this index in PlannerCost mode (nil for the pre-Handle constructors,
-	// PlannerOff, and snapshot restores).
-	plan *plan.Plan
-}
-
-// NewRandomAccess builds the index in linear time. It returns ErrCyclic or
-// ErrNotFreeConnex for unsupported queries.
-func NewRandomAccess(db *Database, q *CQ) (*RandomAccess, error) {
-	c, err := cqenum.Prepare(db, q, reduce.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &RandomAccess{c: c}, nil
-}
-
-// NewRandomAccessCanonical is NewRandomAccess with a canonical enumeration
-// order: node relations are sorted before indexing, so Access(j) depends
-// only on the database *content* — two databases holding the same facts in
-// different insertion orders produce identical enumerations. Preprocessing
-// becomes O(n log n) instead of linear.
-func NewRandomAccessCanonical(db *Database, q *CQ) (*RandomAccess, error) {
-	c, err := cqenum.Prepare(db, q, reduce.Options{CanonicalOrder: true})
-	if err != nil {
-		return nil, err
-	}
-	return &RandomAccess{c: c}, nil
-}
-
-// Count returns |Q(D)| in constant time.
-func (r *RandomAccess) Count() int64 { return r.c.Count() }
-
-// Access returns the j-th answer (0-based) of the fixed enumeration order.
-// Its only allocation is the returned tuple; use AccessInto to avoid it.
-func (r *RandomAccess) Access(j int64) (Tuple, error) { return r.c.Index.Access(j) }
-
-// AccessInto is Access writing into a caller-provided buffer of length
-// Count's arity (len(Head())). It is allocation-free — the probe walks the
-// index's group-ID bucket tables with pure array arithmetic — and safe to
-// call concurrently with any other probes (each goroutine needs its own
-// buffer).
-func (r *RandomAccess) AccessInto(j int64, buf Tuple) error {
-	return r.c.Index.AccessInto(j, buf)
-}
-
-// AccessBatch returns Access(j) for every j in js, in order, fanning the
-// O(log |D|) probes out over up to `workers` goroutines (workers <= 0 picks
-// a default sized to the machine; small batches run serially either way).
-// The batch is validated up front: any out-of-range position fails the
-// whole call with ErrOutOfBounds before any answer is assembled. Duplicates
-// are allowed and yield equal answers.
-func (r *RandomAccess) AccessBatch(js []int64, workers int) ([]Tuple, error) {
-	return r.c.Index.AccessBatch(js, workers)
-}
-
-// InvertedAccess returns the position of an answer, or ok=false if it is not
-// an answer.
-func (r *RandomAccess) InvertedAccess(t Tuple) (int64, bool) {
-	return r.c.Index.InvertedAccess(t)
-}
-
-// Contains reports whether t ∈ Q(D).
-func (r *RandomAccess) Contains(t Tuple) bool { return r.c.Index.Contains(t) }
-
-// Head returns the output variable order.
-func (r *RandomAccess) Head() []string { return r.c.Index.Head() }
-
-// Explain renders the compiled plan: the planner's candidate set with costs
-// and the winner (when cost-based planning ran), followed by the reduced
-// full-join tree with node schemas, cardinalities and join attributes.
-func (r *RandomAccess) Explain() string {
-	if r.plan != nil {
-		return r.plan.Explain() + r.c.FullJoin.Explain()
-	}
-	return r.c.FullJoin.Explain()
-}
-
-// OrderSpec returns the head variables in decreasing significance of the
-// enumeration order. For an index built with NewRandomAccessCanonical, the
-// enumeration order is exactly the lexicographic order of the answers under
-// this variable sequence.
-func (r *RandomAccess) OrderSpec() []string { return r.c.Index.OrderSpec() }
-
-// Page returns answers offset..offset+limit-1 of the fixed enumeration order
-// (the "first pages of search results" use case of the paper's introduction,
-// with O(log |D|) cost per row regardless of offset — no need to skip over
-// earlier rows). Short pages at the end of the result are returned without
-// error; an offset at or past Count() yields an empty page.
-func (r *RandomAccess) Page(offset, limit int64) ([]Tuple, error) {
-	return r.PageParallel(offset, limit, 1)
-}
-
-// PageParallel is Page with the per-row Access probes fanned out over up to
-// `workers` goroutines (workers <= 0 picks a default sized to the machine).
-// Row order and content are identical to Page; only the wall-clock cost of
-// assembling a large page changes.
-func (r *RandomAccess) PageParallel(offset, limit int64, workers int) ([]Tuple, error) {
-	js, err := pagePositions(offset, limit, r.Count())
-	if err != nil || js == nil {
-		return nil, err
-	}
-	return r.c.Index.AccessBatch(js, workers)
-}
-
 // checkBufArity is the single definition of the AccessInto buffer contract:
 // the caller's buffer must match the output arity exactly.
 func checkBufArity(buf Tuple, arity int) error {
@@ -338,102 +237,36 @@ func pagePositions(offset, limit, n int64) ([]int64, error) {
 	return js, nil
 }
 
-// Enumerate returns a deterministic logarithmic-delay enumerator.
-func (r *RandomAccess) Enumerate() *Enumerator {
-	e := r.c.Enumerate()
-	return &Enumerator{next: e.Next}
-}
-
-// Permute returns a uniformly random permutation of the answers with
-// logarithmic delay (REnum(CQ)).
-func (r *RandomAccess) Permute(rng *rand.Rand) *Permutation {
-	p := r.c.Permute(rng)
-	return &Permutation{
-		next:     p.Next,
-		nextN:    func(k int64) []Tuple { return p.NextN(k, 0) },
-		nextNCtx: func(ctx context.Context, k int64) ([]Tuple, error) { return p.NextNContext(ctx, k, 0) },
-	}
-}
-
-// SampleK returns k uniformly random *distinct* answers (all of Q(D) if
-// k ≥ Count()) in O(k log |D|): the first k steps of a lazy Fisher–Yates
-// permutation — sampling without replacement needs no rejection at all,
-// unlike the with-replacement baseline.
-func (r *RandomAccess) SampleK(k int64, rng *rand.Rand) ([]Tuple, error) {
-	if k < 0 {
-		return nil, ErrOutOfBounds
-	}
-	if n := r.Count(); k > n {
-		k = n
-	}
-	out := make([]Tuple, 0, k)
-	p := r.c.Permute(rng)
-	for int64(len(out)) < k {
-		t, ok := p.Next()
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// SampleN is SampleK with the index probes fanned out across the default
-// worker pool: the k distinct positions are drawn serially from the lazy
-// Fisher–Yates shuffle (identical draws to SampleK for the same rng, hence
-// the identical uniform-without-replacement distribution), and the k
-// O(log |D|) accesses then run concurrently. Use it when k is large enough
-// that random access dominates the draw.
-func (r *RandomAccess) SampleN(k int64, rng *rand.Rand) ([]Tuple, error) {
-	return raBackend{r}.sampleN(k, rng, 0)
-}
-
-// Enumerator yields answers in the index's fixed order. It is a thin
-// single-consumer adapter over the iterator-native Handle.All / the index's
-// sequential Access order; existing Next-loop call sites keep working
-// unchanged.
-type Enumerator struct {
-	next func() (relation.Tuple, bool)
-}
-
-// Next returns the next answer; ok is false at the end.
-func (e *Enumerator) Next() (Tuple, bool) { return e.next() }
-
-// Permutation yields each answer exactly once, in uniformly random order.
-// It is a single-consumer cursor: drive it from one goroutine (the
-// underlying index may be shared freely).
+// Permutation yields each answer exactly once, in uniformly random order:
+// Theorem 3.7's lazy Fisher–Yates shuffle over a handle's Count and Access.
+// Handle.Permute is the only place one is built. It is a single-consumer
+// cursor: drive it from one goroutine (the handle may be shared freely).
 type Permutation struct {
-	next     func() (relation.Tuple, bool)
-	nextN    func(k int64) []relation.Tuple
-	nextNCtx func(ctx context.Context, k int64) ([]relation.Tuple, error)
+	b       backend
+	shuf    *shuffle.Shuffler
+	workers int
 }
 
 // Next returns the next answer of the permutation; ok is false at the end.
-func (p *Permutation) Next() (Tuple, bool) { return p.next() }
+// This is the paper's loop as written: one draw, one probe, one answer.
+func (p *Permutation) Next() (Tuple, bool) {
+	j, ok := p.shuf.Next()
+	if !ok {
+		return nil, false
+	}
+	// The shuffler only emits positions below Count(): the probe cannot fail.
+	t, err := probe(p.b, j)
+	return t, err == nil
+}
 
 // NextN returns the next k answers of the permutation (fewer at the end,
 // empty once exhausted). The emitted sequence is identical to k calls of
-// Next, but the underlying random-access probes are fanned out across the
-// worker pool — the batched form of random-order enumeration.
+// Next, but the underlying random-access probes are one batch, fanned out
+// across the handle's worker budget — the batched form of random-order
+// enumeration.
 func (p *Permutation) NextN(k int64) []Tuple {
-	if p.nextN != nil {
-		return p.nextN(k)
-	}
-	c := k // initial capacity only: k may be "drain everything" (MaxInt64)
-	if c > 1024 {
-		c = 1024
-	} else if c < 0 {
-		c = 0
-	}
-	out := make([]Tuple, 0, c)
-	for int64(len(out)) < k {
-		t, ok := p.next()
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	return out
+	ts, _ := p.NextNContext(context.Background(), k)
+	return ts
 }
 
 // NextNContext is NextN honoring cancellation between probe chunks: when ctx
@@ -443,18 +276,18 @@ func (p *Permutation) NextN(k int64) []Tuple {
 // stays valid and simply skips them, which is the right behavior for an
 // abandoned network request draining a shared permutation.
 func (p *Permutation) NextNContext(ctx context.Context, k int64) ([]Tuple, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if k < 0 {
+		return nil, nil
 	}
-	// Every constructor wires the batched context path; the guard only
-	// protects a zero-value Permutation, whose draw is empty anyway.
-	if p.nextNCtx == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return p.NextN(k), nil
+	ctx = orBackground(ctx)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return p.nextNCtx(ctx, k)
+	if p.shuf == nil {
+		return nil, nil // a zero Permutation drains empty
+	}
+	// k may be a "drain everything" value: Draw sizes by what is left.
+	return p.b.accessBatchContext(ctx, p.shuf.Draw(nil, k), p.workers)
 }
 
 // RandomOrderUnion is REnum(UCQ) (Algorithm 5): a single-use random-order
@@ -481,118 +314,6 @@ func (r *RandomOrderUnion) Next() (Tuple, bool) { return r.e.Next() }
 // Rejections reports how many internal iterations were rejected so far (at
 // most one per answer, which is what bounds the amortized delay).
 func (r *RandomOrderUnion) Rejections() int64 { return r.e.Rejections }
-
-// UnionAccess is REnum(mcUCQ) (Theorem 5.5): random access and random-order
-// enumeration for mutually-compatible UCQs. Its probe surface is at parity
-// with RandomAccess — Count, Access, AccessInto, AccessBatch, Page,
-// PageParallel, SampleN, Contains, Head — so UCQ and CQ backends are
-// interchangeable behind a Handle.
-type UnionAccess struct {
-	m    *mcucq.MCUCQ
-	head []string
-	// u is the union as compiled (after disjunct-order planning); snapshots
-	// record it so restore pairs the saved indexes with the right disjuncts.
-	u *query.UCQ
-	// plan records the disjunct-order planning decision when Open compiled
-	// this union in PlannerCost mode (nil otherwise).
-	plan *plan.Plan
-}
-
-// NewUnionAccess prepares the disjuncts and all intersection CQs and
-// assembles the union-trick access structure. It fails if some disjunct or
-// intersection is not free-connex. When verify is true, order compatibility
-// is checked explicitly (costs an enumeration of every intersection).
-func NewUnionAccess(db *Database, u *UCQ, verify bool) (*UnionAccess, error) {
-	return newUnionAccess(db, u, mcucq.Options{Verify: verify})
-}
-
-func newUnionAccess(db *Database, u *UCQ, opts mcucq.Options) (*UnionAccess, error) {
-	m, err := mcucq.New(db, u, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Every disjunct shares the first's output arity; position i of each
-	// disjunct head is output column i, so the first disjunct's names are
-	// the union's output order.
-	head := append([]string(nil), u.Disjuncts[0].Head...)
-	return &UnionAccess{m: m, head: head, u: u}, nil
-}
-
-// Count returns the number of answers of the union.
-func (ua *UnionAccess) Count() int64 { return ua.m.Count() }
-
-// Access returns the j-th answer of the union's enumeration order: O(2^m log |D|)
-// whenever no intersection has more answers than its index has tuples (the
-// rank fences of internal/mcucq then leave nothing to probe for), and never
-// worse than Theorem 5.5's O(2^m log² |D|).
-func (ua *UnionAccess) Access(j int64) (Tuple, error) { return ua.m.Access(j) }
-
-// AccessInto is Access writing into a caller-provided buffer of length
-// Head() arity. Like RandomAccess.AccessInto it allocates nothing: Algorithm
-// 7's walk writes each candidate first-disjunct answer straight into buf and
-// the last one written is the answer.
-func (ua *UnionAccess) AccessInto(j int64, buf Tuple) error {
-	if err := checkBufArity(buf, len(ua.head)); err != nil {
-		return err
-	}
-	return ua.m.AccessInto(j, buf)
-}
-
-// Contains reports whether t is an answer of the union.
-func (ua *UnionAccess) Contains(t Tuple) bool { return ua.m.Test(t) }
-
-// Head returns the output variable order (the first disjunct's head names;
-// position i of every disjunct is output column i).
-func (ua *UnionAccess) Head() []string { return ua.head }
-
-// AccessBatch returns Access(j) for every j in js, in order, with the union
-// probes fanned out over up to `workers` goroutines (workers <= 0 picks a
-// default sized to the machine). Validation and duplicate semantics match
-// RandomAccess.AccessBatch.
-func (ua *UnionAccess) AccessBatch(js []int64, workers int) ([]Tuple, error) {
-	return ua.accessBatchContext(context.Background(), js, workers)
-}
-
-func (ua *UnionAccess) accessBatchContext(ctx context.Context, js []int64, workers int) ([]Tuple, error) {
-	return ua.m.AccessBatchContext(ctx, js, workers)
-}
-
-// Page returns answers offset..offset+limit-1 of the union's enumeration
-// order, with the same clamping semantics as RandomAccess.Page: short pages
-// at the end are returned without error, and an offset at or past Count()
-// yields an empty page.
-func (ua *UnionAccess) Page(offset, limit int64) ([]Tuple, error) {
-	return ua.PageParallel(offset, limit, 1)
-}
-
-// PageParallel is Page with the per-row union probes fanned out over up to
-// `workers` goroutines. Row order and content are identical to Page.
-func (ua *UnionAccess) PageParallel(offset, limit int64, workers int) ([]Tuple, error) {
-	js, err := pagePositions(offset, limit, ua.Count())
-	if err != nil || js == nil {
-		return nil, err
-	}
-	return ua.AccessBatch(js, workers)
-}
-
-// SampleN returns k uniformly random *distinct* answers of the union (all of
-// them if k ≥ Count()): the first k steps of a lazy Fisher–Yates permutation
-// over mc-UCQ random access, mirroring RandomAccess.SampleN — including the
-// error shape (k < 0 is ErrOutOfBounds; an empty union yields an empty
-// sample, not an error).
-func (ua *UnionAccess) SampleN(k int64, rng *rand.Rand) ([]Tuple, error) {
-	return uaBackend{ua}.sampleN(k, rng, 0)
-}
-
-// Permute returns a uniformly random permutation, one Access per answer.
-func (ua *UnionAccess) Permute(rng *rand.Rand) *Permutation {
-	p := ua.m.Permute(rng)
-	return &Permutation{
-		next:     p.Next,
-		nextN:    func(k int64) []Tuple { return p.NextN(k, 0) },
-		nextNCtx: func(ctx context.Context, k int64) ([]Tuple, error) { return p.NextNContext(ctx, k, 0) },
-	}
-}
 
 // Evaluate materializes Q(D) with a straightforward join — no complexity
 // guarantees; works for every CQ, including cyclic ones. Intended for small

@@ -26,10 +26,8 @@ func chain() *CQ {
 
 func TestPublicRandomAccess(t *testing.T) {
 	db := exampleDB()
-	ra, err := NewRandomAccess(db, chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := asParsed(t, db, chain())
+	inv, in := mustInverter(t, ra), mustContainer(t, ra)
 	if ra.Count() != 5 {
 		t.Fatalf("Count = %d, want 5", ra.Count())
 	}
@@ -43,11 +41,11 @@ func TestPublicRandomAccess(t *testing.T) {
 			t.Fatal("duplicate")
 		}
 		seen[a.Key()] = true
-		jj, ok := ra.InvertedAccess(a)
+		jj, ok := inv.InvertedAccess(a)
 		if !ok || jj != j {
 			t.Fatal("inverted access mismatch")
 		}
-		if !ra.Contains(a) {
+		if !in.Contains(a) {
 			t.Fatal("Contains false for answer")
 		}
 	}
@@ -62,22 +60,21 @@ func TestPublicRandomAccess(t *testing.T) {
 
 func TestPublicEnumeratorAndPermutation(t *testing.T) {
 	db := exampleDB()
-	ra, err := NewRandomAccess(db, chain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := ra.Enumerate()
+	ra := asParsed(t, db, chain())
 	n := 0
-	for {
-		if _, ok := e.Next(); !ok {
-			break
+	for _, err := range ra.All() {
+		if err != nil {
+			t.Fatal(err)
 		}
 		n++
 	}
 	if n != 5 {
 		t.Fatalf("enumerated %d", n)
 	}
-	p := ra.Permute(rand.New(rand.NewSource(1)))
+	p, err := ra.Permute(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	n = 0
 	seen := map[string]bool{}
 	for {
@@ -107,7 +104,7 @@ func TestPublicClassifiers(t *testing.T) {
 	if !IsAcyclic(proj) || IsFreeConnex(proj) {
 		t.Fatal("projected chain misclassified")
 	}
-	if _, err := NewRandomAccess(exampleDB(), proj); err == nil {
+	if _, err := Open(exampleDB(), proj); err == nil {
 		t.Fatal("non-free-connex accepted")
 	}
 }
@@ -145,23 +142,24 @@ func TestPublicUnion(t *testing.T) {
 	}
 	_ = ro.Rejections()
 
-	ua, err := NewUnionAccess(db, u, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ua := asParsed(t, db, u, WithVerify())
+	in := mustContainer(t, ua)
 	if ua.Count() != int64(len(want)) {
-		t.Fatalf("UnionAccess Count = %d, want %d", ua.Count(), len(want))
+		t.Fatalf("union handle Count = %d, want %d", ua.Count(), len(want))
 	}
 	for j := int64(0); j < ua.Count(); j++ {
 		a, err := ua.Access(j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ua.Contains(a) {
+		if !in.Contains(a) {
 			t.Fatal("Contains false")
 		}
 	}
-	p := ua.Permute(rand.New(rand.NewSource(3)))
+	p, err := ua.Permute(rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := 0
 	for {
 		if _, ok := p.Next(); !ok {
@@ -186,7 +184,7 @@ func TestPublicEvaluateCyclicFallback(t *testing.T) {
 		NewAtom("R", V("x"), V("y")),
 		NewAtom("S", V("y"), V("z")),
 		NewAtom("T", V("x"), V("z")))
-	if _, err := NewRandomAccess(db, tri); err == nil {
+	if _, err := Open(db, tri); err == nil {
 		t.Fatal("cyclic accepted by index")
 	}
 	ans, err := Evaluate(db, tri)
@@ -200,10 +198,7 @@ func TestPublicEvaluateCyclicFallback(t *testing.T) {
 
 func TestPublicPage(t *testing.T) {
 	db := exampleDB()
-	ra, err := NewRandomAccess(db, chain())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := asParsed(t, db, chain())
 	// Count is 5; pages of 2: [0,1], [2,3], [4].
 	var all []Tuple
 	for off := int64(0); ; off += 2 {
@@ -235,42 +230,55 @@ func TestPublicPage(t *testing.T) {
 	if page, err := ra.Page(99, 5); err != nil || page != nil {
 		t.Fatal("past-the-end page must be empty")
 	}
-	if s := ra.Explain(); s == "" {
-		t.Fatal("Explain empty")
+	if s, err := ra.Explain(); err != nil || s == "" {
+		t.Fatalf("Explain = %q, %v", s, err)
 	}
 }
 
+// TestPublicSampleK: distinct sampling of k answers is the first k steps of
+// the random permutation, through the Sampler capability.
 func TestPublicSampleK(t *testing.T) {
 	db := exampleDB()
-	ra, err := NewRandomAccess(db, chain())
-	if err != nil {
-		t.Fatal(err)
+	ra := asParsed(t, db, chain())
+	smp, in := mustSampler(t, ra), mustContainer(t, ra)
+	if !smp.Distinct() {
+		t.Fatal("a static CQ handle must sample without replacement")
 	}
 	rng := rand.New(rand.NewSource(6))
-	got, err := ra.SampleK(3, rng)
+	got, err := smp.SampleN(3, rng)
 	if err != nil || len(got) != 3 {
-		t.Fatalf("SampleK(3) = %d answers, %v", len(got), err)
+		t.Fatalf("SampleN(3) = %d answers, %v", len(got), err)
 	}
 	seen := map[string]bool{}
 	for _, tup := range got {
 		if seen[tup.Key()] {
-			t.Fatal("SampleK repeated an answer")
+			t.Fatal("SampleN repeated an answer")
 		}
 		seen[tup.Key()] = true
-		if !ra.Contains(tup) {
-			t.Fatal("SampleK returned a non-answer")
+		if !in.Contains(tup) {
+			t.Fatal("SampleN returned a non-answer")
+		}
+	}
+	// The same seed through the cursor: k × Next is the k-sample.
+	p, err := ra.Permute(rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range got {
+		if a, ok := p.Next(); !ok || !a.Equal(want) {
+			t.Fatalf("Permutation.Next #%d = %v, %v; SampleN drew %v", i, a, ok, want)
 		}
 	}
 	// k beyond Count returns everything.
-	all, err := ra.SampleK(100, rng)
+	all, err := smp.SampleN(100, rng)
 	if err != nil || int64(len(all)) != ra.Count() {
-		t.Fatalf("SampleK(100) = %d answers", len(all))
+		t.Fatalf("SampleN(100) = %d answers", len(all))
 	}
-	if _, err := ra.SampleK(-1, rng); !IsOutOfBounds(err) {
+	if _, err := smp.SampleN(-1, rng); !IsOutOfBounds(err) {
 		t.Fatal("negative k accepted")
 	}
-	if zero, err := ra.SampleK(0, rng); err != nil || len(zero) != 0 {
-		t.Fatal("SampleK(0) wrong")
+	if zero, err := smp.SampleN(0, rng); err != nil || len(zero) != 0 {
+		t.Fatal("SampleN(0) wrong")
 	}
 }
 
@@ -295,14 +303,8 @@ func TestPublicCanonicalOrder(t *testing.T) {
 	db2 := build([]int{4, 2, 0, 3, 1})
 	q := chain()
 
-	ra1, err := NewRandomAccessCanonical(db1, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra2, err := NewRandomAccessCanonical(db2, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra1 := asParsed(t, db1, q, WithCanonical())
+	ra2 := asParsed(t, db2, q, WithCanonical())
 	if ra1.Count() != ra2.Count() {
 		t.Fatal("counts differ")
 	}
@@ -315,8 +317,8 @@ func TestPublicCanonicalOrder(t *testing.T) {
 	}
 	// The plain index over db1 vs db2 differs somewhere (sanity that the
 	// canonical option actually changes behaviour).
-	p1, _ := NewRandomAccess(db1, q)
-	p2, _ := NewRandomAccess(db2, q)
+	p1 := asParsed(t, db1, q)
+	p2 := asParsed(t, db2, q)
 	same := true
 	for j := int64(0); j < p1.Count(); j++ {
 		a1, _ := p1.Access(j)
@@ -333,7 +335,8 @@ func TestPublicCanonicalOrder(t *testing.T) {
 
 // TestPublicOrderSpecLexicographic: under the canonical option, the
 // enumeration order must be exactly the lexicographic order of the answers
-// projected onto OrderSpec.
+// projected onto the index's OrderSpec (read white-box: the handle does not
+// export it).
 func TestPublicOrderSpecLexicographic(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	db := NewDatabase()
@@ -349,11 +352,8 @@ func TestPublicOrderSpecLexicographic(t *testing.T) {
 		NewAtom("R", V("a"), V("b")),
 		NewAtom("S", V("b"), V("c")),
 		NewAtom("U", V("b"), V("d")))
-	ra, err := NewRandomAccessCanonical(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := ra.OrderSpec()
+	ra := asParsed(t, db, q, WithCanonical())
+	spec := ra.b.(cqBackend).c.Index.OrderSpec()
 	if len(spec) != 4 {
 		t.Fatalf("OrderSpec = %v", spec)
 	}
@@ -392,10 +392,7 @@ func TestPublicOrderSpecLexicographic(t *testing.T) {
 func TestPublicConstants(t *testing.T) {
 	db := exampleDB()
 	q := MustCQ("q", []string{"b"}, NewAtom("R", C(1), V("b")))
-	ra, err := NewRandomAccess(db, q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := asParsed(t, db, q)
 	if ra.Count() != 1 {
 		t.Fatalf("Count = %d", ra.Count())
 	}

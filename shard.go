@@ -3,7 +3,6 @@ package renum
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/reduce"
 	"repro/internal/shard"
-	"repro/internal/shuffle"
 )
 
 // KindSharded: K partition indexes composed behind one global position
@@ -72,8 +70,9 @@ func openSharded(db *Database, q *CQ, cfg config, pl *plan.Plan) (*Handle, error
 
 // shBackend serves a Handle from a shard.Set. It carries the full optional
 // surface of the static CQ backend except snapshotting: enumeration order
-// is stable (global j-order), inverted access re-bases shard positions,
-// sampling draws the same lazy Fisher–Yates prefix as the unsharded index.
+// is stable (global j-order) and inverted access re-bases shard positions.
+// Permute, Shuffled and the sampler shuffle the global positions, so a
+// WithShards handle emits the unsharded index's answers for the same seed.
 type shBackend struct {
 	set      *shard.Set
 	sliceIdx int
@@ -91,8 +90,6 @@ func (b shBackend) kind() Kind {
 func (b shBackend) Count() int64   { return b.set.Count() }
 func (b shBackend) Head() []string { return b.set.Head() }
 
-func (b shBackend) Access(j int64) (Tuple, error) { return b.set.Access(j) }
-
 func (b shBackend) AccessInto(j int64, buf Tuple) error { return b.set.AccessInto(j, buf) }
 
 func (b shBackend) accessBatchContext(ctx context.Context, js []int64, workers int) ([]Tuple, error) {
@@ -103,23 +100,7 @@ func (b shBackend) InvertedAccess(t Tuple) (int64, bool) { return b.set.Inverted
 
 func (b shBackend) Contains(t Tuple) bool { return b.set.Contains(t) }
 
-// Permute consumes the rng exactly like the unsharded backend (one
-// shuffle.New over the global count, one draw per answer), so Shuffled and
-// random-order cursors are byte-identical to the unsharded path for the
-// same seed.
-func (b shBackend) Permute(rng *rand.Rand) *Permutation {
-	return positionPermutation(b.set.Count(), rng, b.set.Access, b.set.AccessBatchContext)
-}
-
-func (shBackend) Distinct() bool { return true }
-
-func (b shBackend) sampleN(k int64, rng *rand.Rand, workers int) ([]Tuple, error) {
-	return samplePositions(b.set.Count(), k, rng, func(js []int64) ([]Tuple, error) {
-		return b.set.AccessBatchContext(context.Background(), js, workers)
-	})
-}
-
-func (b shBackend) Explain() string {
+func (b shBackend) explain() (string, bool) {
 	var sb strings.Builder
 	if b.plan != nil {
 		sb.WriteString(b.plan.Explain())
@@ -139,7 +120,7 @@ func (b shBackend) Explain() string {
 		sb.WriteString("], global Access routed by prefix sums\n")
 	}
 	sb.WriteString(b.set.FullJoin().Explain())
-	return sb.String()
+	return sb.String(), true
 }
 
 // ---------------------------------------------------------------- SliceView
@@ -183,13 +164,6 @@ func (b sliceBackend) kind() Kind { return b.of.kind() }
 func (b sliceBackend) Count() int64   { return b.n }
 func (b sliceBackend) Head() []string { return b.of.Head() }
 
-func (b sliceBackend) Access(j int64) (Tuple, error) {
-	if j < 0 || j >= b.n {
-		return nil, ErrOutOfBounds
-	}
-	return b.of.Access(b.lo + j)
-}
-
 func (b sliceBackend) AccessInto(j int64, buf Tuple) error {
 	if j < 0 || j >= b.n {
 		return ErrOutOfBounds
@@ -226,26 +200,11 @@ func (b sliceBackend) shift(js []int64) ([]int64, error) {
 	return shifted, nil
 }
 
-func (b sliceBackend) Permute(rng *rand.Rand) *Permutation {
-	return positionPermutation(b.n, rng, b.Access, func(ctx context.Context, js []int64, workers int) ([]Tuple, error) {
-		return b.accessBatchContext(ctx, js, workers)
-	})
-}
-
-func (sliceBackend) Distinct() bool { return true }
-
-func (b sliceBackend) sampleN(k int64, rng *rand.Rand, workers int) ([]Tuple, error) {
-	return samplePositions(b.n, k, rng, func(js []int64) ([]Tuple, error) {
-		return b.accessBatchContext(context.Background(), js, workers)
-	})
-}
-
-func (b sliceBackend) Explain() string {
-	prefix := fmt.Sprintf("slice %d/%d: positions [%d, %d) of the global order\n", b.idx, b.k, b.lo, b.lo+b.n)
-	if ex, ok := b.of.(explainer); ok {
-		return prefix + ex.Explain()
-	}
-	return prefix
+// explain always has the window to report, with the wrapped backend's plan
+// after it when there is one.
+func (b sliceBackend) explain() (string, bool) {
+	inner, _ := explain(b.of)
+	return fmt.Sprintf("slice %d/%d: positions [%d, %d) of the global order\n", b.idx, b.k, b.lo, b.lo+b.n) + inner, true
 }
 
 // sliceInvBackend adds inverted access and membership when the wrapped
@@ -267,50 +226,4 @@ func (b sliceInvBackend) InvertedAccess(t Tuple) (int64, bool) {
 func (b sliceInvBackend) Contains(t Tuple) bool {
 	_, ok := b.InvertedAccess(t)
 	return ok
-}
-
-// ------------------------------------------------------------------ shared
-
-// positionPermutation assembles a Permutation over positions 0..n-1 with
-// the canonical rng consumption: shuffle.New(n, rng) up front, one draw per
-// emitted answer, batched draws pulled serially before the probes fan out —
-// byte-compatible with the unsharded cqenum permutation for the same rng.
-func positionPermutation(n int64, rng *rand.Rand, accessFn func(int64) (Tuple, error), batchFn func(context.Context, []int64, int) ([]Tuple, error)) *Permutation {
-	shuf := shuffle.New(n, rng)
-	nextNCtx := func(ctx context.Context, k int64) ([]Tuple, error) {
-		if k < 0 {
-			return nil, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return batchFn(ctx, shuf.Draw(nil, k), 0)
-	}
-	return &Permutation{
-		next: func() (Tuple, bool) {
-			j, ok := shuf.Next()
-			if !ok {
-				return nil, false
-			}
-			t, err := accessFn(j)
-			if err != nil {
-				return nil, false
-			}
-			return t, true
-		},
-		nextN: func(k int64) []Tuple {
-			ts, _ := nextNCtx(context.Background(), k)
-			return ts
-		},
-		nextNCtx: nextNCtx,
-	}
-}
-
-// samplePositions draws k distinct positions with the canonical lazy
-// Fisher–Yates prefix and resolves them through batch.
-func samplePositions(n, k int64, rng *rand.Rand, batch func([]int64) ([]Tuple, error)) ([]Tuple, error) {
-	if k < 0 {
-		return nil, ErrOutOfBounds
-	}
-	return batch(shuffle.New(n, rng).Draw(nil, k))
 }

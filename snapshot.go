@@ -1,11 +1,9 @@
 package renum
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"repro/internal/access"
 	"repro/internal/cqenum"
@@ -63,9 +61,8 @@ type queryCarrier interface {
 	compiledQuery() Query
 }
 
-func (b raBackend) compiledQuery() Query     { return b.c.Query }
-func (b cqSnapBackend) compiledQuery() Query { return b.ra.c.Query }
-func (b uaBackend) compiledQuery() Query     { return b.u }
+func (b cqBackend) compiledQuery() Query { return b.c.Query }
+func (b uaBackend) compiledQuery() Query { return b.u }
 
 // snapshotter is the save capability of a Handle backend: static CQ and
 // UCQ backends persist their compiled indexes; the dynamic backend
@@ -303,8 +300,7 @@ func restoreEntry(r *snapshot.Reader, cfg config) (CatalogEntry, error) {
 		if err != nil {
 			return CatalogEntry{}, err
 		}
-		ra := &RandomAccess{c: cqenum.Restore(cq, idx)}
-		h = &Handle{b: cqSnapBackend{ra}, workers: cfg.workers}
+		h = &Handle{b: cqBackend{c: cqenum.Restore(cq, idx)}, workers: cfg.workers}
 	case entryKindUCQ:
 		u, ok := q.(*query.UCQ)
 		if !ok {
@@ -336,8 +332,7 @@ func restoreEntry(r *snapshot.Reader, cfg config) (CatalogEntry, error) {
 		if err != nil {
 			return CatalogEntry{}, snapshot.Corruptf("entry %s: %v", name, err)
 		}
-		ua := &UnionAccess{m: m, head: append([]string(nil), u.Disjuncts[0].Head...), u: u}
-		h = &Handle{b: uaBackend{ua}, workers: cfg.workers}
+		h = &Handle{b: newUABackend(m, u), workers: cfg.workers}
 	case entryKindDynamic:
 		cq, ok := q.(*query.CQ)
 		if !ok {
@@ -351,7 +346,7 @@ func restoreEntry(r *snapshot.Reader, cfg config) (CatalogEntry, error) {
 		if err != nil {
 			return CatalogEntry{}, snapshot.Corruptf("entry %s: %v", name, err)
 		}
-		h = &Handle{b: daBackend{&DynamicAccess{idx: idx}}, workers: cfg.workers}
+		h = &Handle{b: daBackend{idx}, workers: cfg.workers}
 	default:
 		return CatalogEntry{}, snapshot.Corruptf("entry %s: unknown backend kind %d", name, kind)
 	}
@@ -366,8 +361,10 @@ func restoreEntry(r *snapshot.Reader, cfg config) (CatalogEntry, error) {
 
 // ------------------------------------------------- backend save hooks
 
-// marshalSnapshotEntry writes the CQ backend: kind tag + one index.
-func (b raBackend) marshalSnapshotEntry(s *snapshot.SectionWriter) {
+// marshalSnapshotEntry writes the CQ backend: kind tag + one index. The
+// reduction and the plan record are not persisted, which is why a restored
+// entry has nothing to Explain.
+func (b cqBackend) marshalSnapshotEntry(s *snapshot.SectionWriter) {
 	s.U64(entryKindCQ)
 	b.c.Index.Marshal(s)
 }
@@ -378,7 +375,7 @@ func (b raBackend) marshalSnapshotEntry(s *snapshot.SectionWriter) {
 // tombstones guarantee even future revive positions match the live index.
 func (b daBackend) marshalSnapshotEntry(s *snapshot.SectionWriter) {
 	s.U64(entryKindDynamic)
-	dynaccess.MarshalBase(s, b.DynamicAccess.idx)
+	dynaccess.MarshalBase(s, b.Index)
 }
 
 // marshalSnapshotEntry writes the UCQ backend: kind tag + every disjunct and
@@ -390,41 +387,6 @@ func (b uaBackend) marshalSnapshotEntry(s *snapshot.SectionWriter) {
 	for _, idx := range indexes {
 		idx.Marshal(s)
 	}
-}
-
-// cqSnapBackend serves a Handle from a snapshot-restored RandomAccess. It
-// is raBackend minus the explainer: the compiled plan (FullJoin) is not
-// persisted, so Explain honestly reports ErrUnsupported via the capability
-// surface instead of rendering from a nil plan. Everything else — probes,
-// inversion, membership, sampling, enumeration, re-saving — delegates to
-// the same machinery as the built form.
-type cqSnapBackend struct {
-	ra *RandomAccess
-}
-
-func (cqSnapBackend) kind() Kind { return KindCQ }
-
-func (b cqSnapBackend) Count() int64                        { return b.ra.Count() }
-func (b cqSnapBackend) Head() []string                      { return b.ra.Head() }
-func (b cqSnapBackend) Access(j int64) (Tuple, error)       { return b.ra.Access(j) }
-func (b cqSnapBackend) AccessInto(j int64, buf Tuple) error { return b.ra.AccessInto(j, buf) }
-
-func (b cqSnapBackend) accessBatchContext(ctx context.Context, js []int64, workers int) ([]Tuple, error) {
-	return b.ra.c.Index.AccessBatchContext(ctx, js, workers)
-}
-
-func (b cqSnapBackend) InvertedAccess(t Tuple) (int64, bool) { return b.ra.InvertedAccess(t) }
-func (b cqSnapBackend) Contains(t Tuple) bool                { return b.ra.Contains(t) }
-func (b cqSnapBackend) Permute(rng *rand.Rand) *Permutation  { return b.ra.Permute(rng) }
-
-func (cqSnapBackend) Distinct() bool { return true }
-
-func (b cqSnapBackend) sampleN(k int64, rng *rand.Rand, workers int) ([]Tuple, error) {
-	return raBackend{b.ra}.sampleN(k, rng, workers)
-}
-
-func (b cqSnapBackend) marshalSnapshotEntry(s *snapshot.SectionWriter) {
-	raBackend{b.ra}.marshalSnapshotEntry(s)
 }
 
 // IsSnapshotInvalid reports whether err belongs to the snapshot decode

@@ -199,6 +199,29 @@ func TestSnapshotRoundTripCQ(t *testing.T) {
 	}
 	assertProbeEqual(t, built, restored)
 
+	// The caller-owned-rows batch, which the daemon serves /batch from: 64
+	// positions in random order (the fixture has fewer answers, so some
+	// repeat) fill equal rows on both sides.
+	js := make([]int64, 64)
+	for i, rng := 0, rand.New(rand.NewSource(5)); i < len(js); i++ {
+		js[i] = rng.Int63n(built.Count())
+	}
+	var rows [2][]Tuple
+	for side, h := range []*Handle{built, restored} {
+		rows[side] = make([]Tuple, len(js))
+		for i := range js {
+			rows[side][i] = make(Tuple, len(h.Head()))
+		}
+		if err := h.AccessBatchInto(js, rows[side]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range js {
+		if !rows[0][i].Equal(rows[1][i]) {
+			t.Fatalf("AccessBatchInto row %d (j=%d): built %v, restored %v", i, js[i], rows[0][i], rows[1][i])
+		}
+	}
+
 	// Inverted access + membership survive the restore (and exercise the
 	// lazy duplicate-index path of snapshot-backed relations).
 	inv, err := restored.Inverter()
@@ -244,6 +267,60 @@ func TestSnapshotRoundTripCQ(t *testing.T) {
 	// And supports lookups (lazy reverse-map hydration).
 	if _, ok := cat.DB().Dict().Lookup("red"); !ok {
 		t.Fatal("restored dict cannot look up an interned string")
+	}
+}
+
+// TestRestoredHandleIsBuiltBackend: a snapshot-restored CQ entry is served by
+// the very backend type Open builds — there is no second type to forget a
+// fast path on — so the handle from Open, the handle from a snapshot and the
+// backend a SliceView of the restored handle wraps all resolve
+// AccessBatchInto through batchFiller, the grouped probe. (The restored
+// entry used to be a cqSnapBackend, which forwarded everything except that.)
+// What a restore cannot do is unchanged: no CapExplain, same error.
+func TestRestoredHandleIsBuiltBackend(t *testing.T) {
+	db, q, _ := snapFixture(t)
+	built := mustOpen(t, db, q)
+	var img bytes.Buffer
+	if err := WriteSnapshot(&img, db, 1, []CatalogEntry{{Name: "q", Q: q, H: built}}); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := OpenSnapshotBytes(img.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	restored := cat.Entries()[0].H
+	slice, err := SliceView(restored, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window, ok := slice.b.(sliceInvBackend)
+	if !ok {
+		t.Fatalf("SliceView of a restored CQ is a %T, want the inverting slice", slice.b)
+	}
+	for name, b := range map[string]backend{"built": built.b, "restored": restored.b, "slice.of": window.of} {
+		if _, ok := b.(cqBackend); !ok {
+			t.Errorf("%s backend is a %T, want cqBackend", name, b)
+		}
+		if _, ok := b.(batchFiller); !ok {
+			t.Errorf("%s backend (%T) does not fill batches itself: AccessBatchInto falls back to single probes", name, b)
+		}
+	}
+	if _, ok := slice.b.(batchFiller); !ok {
+		t.Errorf("the slice (%T) does not hand its batches to the backend it wraps", slice.b)
+	}
+
+	for _, c := range restored.Capabilities() {
+		if c == CapExplain {
+			t.Fatalf("restored capabilities %v include explain", restored.Capabilities())
+		}
+	}
+	const want = "explain: renum: operation unsupported by this handle (kind cq)"
+	if _, err := restored.Explain(); err == nil || err.Error() != want || !IsUnsupported(err) {
+		t.Fatalf("restored Explain err = %v, want %q", err, want)
+	}
+	if !built.Has(CapExplain) {
+		t.Fatal("the built handle lost CapExplain")
 	}
 }
 
