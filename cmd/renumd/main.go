@@ -107,6 +107,12 @@ type stringList []string
 func (l *stringList) String() string     { return strings.Join(*l, ",") }
 func (l *stringList) Set(s string) error { *l = append(*l, s); return nil }
 
+// bootTime is the time a boot step took, as its log line prints it: after a
+// crash the restore and the WAL replay lines show which half took the time.
+func bootTime(t0 time.Time) time.Duration {
+	return time.Since(t0).Round(100 * time.Microsecond)
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -204,6 +210,7 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if ok {
+			t0 := time.Now()
 			cat, err := renum.OpenSnapshot(path, renum.WithWorkers(*workers))
 			if err != nil {
 				fmt.Fprintf(stderr, "renumd: open snapshot %s: %v\n", path, err)
@@ -217,7 +224,7 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "renumd: %v\n", err)
 				return 1
 			}
-			fmt.Fprintf(stdout, "renumd: restored snapshot %s (generation %d)\n", path, gen)
+			fmt.Fprintf(stdout, "renumd: restored snapshot %s (generation %d) in %v\n", path, gen, bootTime(t0))
 		}
 	}
 	if reg == nil {
@@ -279,12 +286,13 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	// entries it targets, and the segment pairs with the generation the
 	// boot sequence lands on (deterministic for a fixed flag set).
 	if *walDir != "" {
+		t0 := time.Now()
 		replayed, skipped, err := reg.AttachWAL(*walDir, walPolicy)
 		if err != nil {
 			fmt.Fprintf(stderr, "renumd: attach WAL: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "renumd: WAL attached (%d records replayed, %d skipped)\n", replayed, skipped)
+		fmt.Fprintf(stdout, "renumd: WAL attached (%d records replayed, %d skipped) in %v\n", replayed, skipped, bootTime(t0))
 		defer reg.CloseWAL()
 	}
 

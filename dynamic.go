@@ -26,8 +26,9 @@ var (
 // The index is safe for concurrent use — reads run under a shared lock and
 // interleave freely, Insert and Delete take the exclusive lock — and it
 // brings Updater, UpdateValidator, Inverter, Container and the probes by
-// promotion. There is no stable order (positions shift under updates), and
-// batches are probed serially under the shared read lock.
+// promotion. There is no stable order (positions shift under updates); a
+// batch or a sample takes the shared lock once, so it is answered from one
+// state of the index.
 type daBackend struct {
 	*dynaccess.Index
 }
@@ -35,34 +36,7 @@ type daBackend struct {
 func (daBackend) kind() Kind { return KindDynamic }
 
 func (b daBackend) accessBatchContext(ctx context.Context, js []int64, _ int) ([]Tuple, error) {
-	ctx = orBackground(ctx)
-	// Fast-fail like the static backends: validate every position against
-	// the current count before probing. A concurrent delete can still
-	// shrink the count mid-batch, in which case the stale position
-	// surfaces as ErrOutOfBounds from the probe itself.
-	n := b.Count()
-	for _, j := range js {
-		if j < 0 || j >= n {
-			return nil, ErrOutOfBounds
-		}
-	}
-	done := ctx.Done()
-	out := make([]Tuple, len(js))
-	for i, j := range js {
-		if done != nil && i%64 == 0 {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		t, err := b.Access(j)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
+	return b.AccessBatch(orBackground(ctx), js)
 }
 
 // SampleN returns k independent uniform samples (with replacement — the

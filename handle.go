@@ -425,10 +425,9 @@ func (h *Handle) AccessInto(j int64, buf Tuple) error {
 // AccessBatch returns Access(j) for every j in js, in order, fanning the
 // probes out over the handle's worker budget (WithWorkers). The batch is
 // validated up front: one out-of-range position fails the whole call with
-// ErrOutOfBounds before any answer is assembled. (On a dynamic handle the
-// validation reads the count at entry; a concurrent delete can still
-// invalidate a position mid-batch, surfacing as ErrOutOfBounds.) Duplicates
-// are allowed and yield equal answers.
+// ErrOutOfBounds before any answer is assembled. (A dynamic handle validates
+// and answers the batch under one acquisition of its read lock, so no update
+// lands inside it.) Duplicates are allowed and yield equal answers.
 func (h *Handle) AccessBatch(js []int64) ([]Tuple, error) {
 	return h.b.accessBatchContext(context.Background(), js, h.workers)
 }

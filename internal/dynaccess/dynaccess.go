@@ -20,16 +20,25 @@
 //
 // # Representation
 //
-// Because tuples arrive dynamically, buckets cannot be addressed by the
-// dense prebuilt group IDs the static index uses. Instead, every tuple
-// caches direct *bucket pointers* to its matching child buckets (buckets are
-// created once and never removed — deletions are tombstones — so the
-// pointers are stable): the probe paths never re-encode a join key. Keys are
-// encoded only on the mutation path, and exclusively through the canonical
-// relation encoders (Tuple.Key / Tuple.ProjectKey / AppendProjectedKey).
+// Everything is a flat array addressed by a dense int32. A base relation
+// keeps its rows once, row-major in an append-only value array, with one
+// identity table (relation.KeyTable: packed 64-bit keys for ≤ 2 packable
+// attributes, canonical strings otherwise) from raw tuple to row position;
+// deletions are tombstones, so positions are stable and a re-insert revives
+// in place. A join-tree node holds no values of its own — an atom's
+// instantiation is injective on the rows it accepts, so a node row *is* its
+// base position — only, per row, the id of its bucket, its ordinal inside
+// it, and the id of the matching bucket of every child. Buckets live in a
+// per-node slice; the id is allotted by the edge's key table the first time
+// either side of the edge mentions the key, so a parent row always has a
+// child bucket to point at (an empty one until the child's first row
+// arrives) and probes never encode a key. Each bucket carries its member
+// rows, their weights in a Fenwick tree, and the parent rows joining it (the
+// reverse list that drives update cascades).
 package dynaccess
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -58,58 +67,52 @@ var ErrCyclic = errors.New("dynaccess: query is cyclic")
 // Delete, so all public methods are internally synchronized with a
 // readers–writer lock: any number of concurrent Count / Access /
 // InvertedAccess / Contains / Sample / SampleN readers interleave freely,
-// while Insert and Delete exclude everything else. Each probe observes an
-// atomic snapshot of the index (no torn reads mid-cascade).
+// while Insert and Delete exclude everything else. Each probe — and each
+// SampleN or AccessBatch as a whole — observes an atomic snapshot of the
+// index (no torn reads mid-cascade).
 type Index struct {
-	mu     sync.RWMutex
-	q      *query.CQ
-	head   []string
-	nodes  []*node
-	root   *node
-	byBase map[string][]*node  // base relation name → nodes fed by it
-	bases  map[string]*baseSet // base relation name → its logical contents
+	mu    sync.RWMutex
+	q     *query.CQ
+	head  []string
+	root  *node
+	bases map[string]*baseSet // base relation name → its logical contents
+
+	// cascade's scratch, reused across updates (the write lock is held):
+	// the bucket ids whose totals changed at the current and the next level,
+	// and the stamp that keeps a bucket from entering a level twice.
+	frontier [2][]int32
+	stamp    uint64
 }
 
-// baseSet mirrors the logical contents of one base relation feeding the
-// index: raw tuples in arrival order, with tombstones that revive in place
-// exactly like node buckets do. Tombstones are kept (and persisted — see
-// Tables) deliberately: a restored or rebuilt index must reproduce the
-// live one's bucket layouts so that a later re-insert revives in the same
-// position and enumeration order stays byte-identical to a process that
-// never restarted.
+// baseSet is the logical contents of one base relation feeding the index:
+// raw rows in arrival order, with tombstones that revive in place.
+// Tombstones are kept (and persisted — see Tables) deliberately: a restored
+// or rebuilt index must reproduce the live one's bucket layouts so that a
+// later re-insert revives in the same position and enumeration order stays
+// byte-identical to a process that never restarted.
 type baseSet struct {
 	arity  int
-	tuples []relation.Tuple
+	allPos []int            // 0..arity-1: the identity key is the whole row
+	vals   []relation.Value // row-major, append-only
 	alive  []bool
-	byKey  map[string]int
+	ids    *relation.KeyTable // raw tuple → row position; made by load
+	nodes  []*node            // the atoms over this relation
 }
 
-func (b *baseSet) insert(raw relation.Tuple) {
-	key := raw.Key()
-	if pos, ok := b.byKey[key]; ok {
-		b.alive[pos] = true
-		return
-	}
-	b.byKey[key] = len(b.tuples)
-	b.tuples = append(b.tuples, raw.Clone()) // raw may be a caller-owned buffer
-	b.alive = append(b.alive, true)
-}
-
-func (b *baseSet) delete(raw relation.Tuple) {
-	if pos, ok := b.byKey[raw.Key()]; ok {
-		b.alive[pos] = false
-	}
+func (b *baseSet) row(pos int32) []relation.Value {
+	return b.vals[int(pos)*b.arity : (int(pos)+1)*b.arity]
 }
 
 // BaseTable is the exported logical contents of one base relation: every
-// tuple ever inserted in arrival order, with Dead listing the positions
-// currently tombstoned. This is the index's persistable form — see
-// NewFromTables for the round trip.
+// tuple ever inserted in arrival order, row-major in Values, with Dead
+// listing the positions currently tombstoned. This is the index's
+// persistable form — see NewFromTables for the round trip.
 type BaseTable struct {
 	Name   string
 	Arity  int
-	Tuples []relation.Tuple
-	Dead   []int64 // sorted, strictly increasing tombstone positions
+	Rows   int
+	Values []relation.Value // Rows × Arity
+	Dead   []int64          // sorted, strictly increasing tombstone positions
 }
 
 // constCheck is a precompiled constant-selection condition of an atom.
@@ -118,53 +121,37 @@ type constCheck struct {
 	val relation.Value
 }
 
+// node is one atom of the join tree. Every position below is a position in
+// the base relation's row; the per-row arrays are indexed by base position.
 type node struct {
-	atom     query.Atom
-	baseName string
-	schema   relation.Schema
-	varPos   []int // positions in the base tuple providing each schema var
+	base *baseSet
 
-	// Precompiled instantiation conditions (replacing the per-tuple
-	// first-occurrence map the load path used to rebuild for every row).
+	// Precompiled instantiation conditions: a row is the node's iff it
+	// passes them.
 	constChecks []constCheck
 	eqChecks    [][2]int // raw[a] must equal raw[b] (repeated variables)
 
 	parent      *node
 	children    []*node
-	childIdx    int   // index of this node in parent.children
-	pAttPos     []int // positions in schema shared with parent (schema order)
-	childKeyPos [][]int
+	keys        *relation.KeyTable // this edge's key → bucket id; both sides intern
+	keyPos      []int              // the bucket key: attributes shared with the parent
+	childKeyPos [][]int            // the same key read off this node's rows, per child
 
-	schemaHeadPos []int
-	outCols       []int
-	outPos        []int
+	outCols []int // head positions this node writes ...
+	outSrc  []int // ... and the row position each comes from
+	rawSrc  []int // row position → head position it equals, -1 for a constant
 
-	tuples []relation.Tuple
-	alive  []bool
-	byKey  map[string]int
-
-	buckets     map[string]*bucket
-	tupleBucket []*bucket
-	tupleOrd    []int
-
-	// childBkt[ci][pos]: cached pointer to the bucket of child ci matching
-	// this node's tuple pos, nil while the child has no such bucket yet.
-	// Buckets are never removed, so a non-nil pointer stays valid forever;
-	// the nil → bucket transition happens during the cascade that the
-	// child-bucket creation triggers (see cascade). This is the dynamic
-	// counterpart of the static index's precomputed child group IDs: probes
-	// follow pointers instead of hashing keys.
-	childBkt [][]*bucket
-
-	// childRev[i]: child-bucket key → positions of this node's tuples whose
-	// projection equals the key (the reverse index driving update cascades).
-	childRev []map[string][]int
+	buckets   []bucket  // one per key of keys; never removed, so ids are stable
+	rowBucket []int32   // -1 for a row the atom's conditions reject
+	rowOrd    []int32   // the row's ordinal in its bucket
+	childBkt  [][]int32 // [child][row] → bucket id in that child
 }
 
 type bucket struct {
-	key    string
-	tuples []int
-	w      fenwick.Tree
+	rows    []int32 // member rows in arrival order
+	w       fenwick.Tree
+	parents []int32 // parent rows whose key is this bucket's
+	stamp   uint64
 }
 
 // build assembles the index's static structure — nodes, join tree wiring,
@@ -181,18 +168,16 @@ func build(q *query.CQ, arityOf func(name string) (int, error)) (*Index, error) 
 		return nil, fmt.Errorf("%w: %s", ErrCyclic, q.Name)
 	}
 
-	idx := &Index{
-		q:      q,
-		head:   append([]string(nil), q.Head...),
-		byBase: make(map[string][]*node),
-		bases:  make(map[string]*baseSet),
-	}
+	idx := &Index{q: q, head: append([]string(nil), q.Head...), bases: make(map[string]*baseSet)}
 	headPos := make(map[string]int, len(q.Head))
 	for i, h := range q.Head {
 		headPos[h] = i
 	}
 
 	nodes := make([]*node, len(q.Body))
+	schemas := make([]relation.Schema, len(q.Body))
+	varPos := make([][]int, len(q.Body)) // schema variable → row position
+	assigned := make([]bool, len(q.Head))
 	for i, a := range q.Body {
 		arity, err := arityOf(a.Relation)
 		if err != nil {
@@ -202,83 +187,79 @@ func build(q *query.CQ, arityOf func(name string) (int, error)) (*Index, error) 
 			return nil, fmt.Errorf("dynaccess: atom %s arity mismatch with relation (%d vs %d)",
 				a, len(a.Terms), arity)
 		}
-		if idx.bases[a.Relation] == nil {
-			idx.bases[a.Relation] = &baseSet{arity: arity, byKey: make(map[string]int)}
+		bs := idx.bases[a.Relation]
+		if bs == nil {
+			bs = &baseSet{arity: arity, allPos: make([]int, arity)}
+			for p := range bs.allPos {
+				bs.allPos[p] = p
+			}
+			idx.bases[a.Relation] = bs
 		}
-		vars := a.Vars()
-		schema, err := relation.NewSchema(vars...)
-		if err != nil {
+		if schemas[i], err = relation.NewSchema(a.Vars()...); err != nil {
 			return nil, err
 		}
-		n := &node{
-			atom:     a,
-			baseName: a.Relation,
-			schema:   schema,
-			byKey:    make(map[string]int),
-			buckets:  make(map[string]*bucket),
-		}
+		n := &node{base: bs, rawSrc: make([]int, arity)}
 		// Compile the atom's selection conditions once.
 		firstPos := make(map[string]int)
 		for pos, t := range a.Terms {
 			if !t.IsVar() {
 				n.constChecks = append(n.constChecks, constCheck{pos: pos, val: t.Const})
+				n.rawSrc[pos] = -1
 				continue
 			}
-			if fp, ok := firstPos[t.Var]; ok {
-				n.eqChecks = append(n.eqChecks, [2]int{pos, fp})
-			} else {
-				firstPos[t.Var] = pos
-			}
-		}
-		n.varPos = make([]int, len(vars))
-		n.schemaHeadPos = make([]int, len(vars))
-		for vi, v := range vars {
-			n.varPos[vi] = firstPos[v]
-			hp, ok := headPos[v]
+			hp, ok := headPos[t.Var]
 			if !ok {
-				return nil, fmt.Errorf("%w: variable %s", ErrNotFull, v)
+				return nil, fmt.Errorf("%w: variable %s", ErrNotFull, t.Var)
 			}
-			n.schemaHeadPos[vi] = hp
-		}
-		nodes[i] = n
-		idx.byBase[a.Relation] = append(idx.byBase[a.Relation], n)
-	}
-
-	// Wire the tree (tree.Nodes is in atom order; EdgeID = atom index).
-	for i, tn := range tree.Nodes {
-		n := nodes[i]
-		if tn.Parent == nil {
-			idx.root = n
-			continue
-		}
-		p := nodes[tn.Parent.EdgeID]
-		shared := n.schema.Intersect(p.schema)
-		n.pAttPos, _ = n.schema.Positions(shared)
-		keyPos, _ := p.schema.Positions(shared)
-		n.parent = p
-		n.childIdx = len(p.children)
-		p.children = append(p.children, n)
-		p.childKeyPos = append(p.childKeyPos, keyPos)
-		p.childRev = append(p.childRev, make(map[string][]int))
-		p.childBkt = append(p.childBkt, nil)
-	}
-	idx.nodes = nodes
-
-	// Output assignment: first node containing each head var.
-	assigned := make([]bool, len(q.Head))
-	for _, n := range nodes {
-		for i, hp := range n.schemaHeadPos {
+			n.rawSrc[pos] = hp
+			if fp, seen := firstPos[t.Var]; seen {
+				n.eqChecks = append(n.eqChecks, [2]int{pos, fp})
+				continue
+			}
+			firstPos[t.Var] = pos
+			varPos[i] = append(varPos[i], pos)
+			// Output assignment: the first node containing each head var.
 			if !assigned[hp] {
 				assigned[hp] = true
 				n.outCols = append(n.outCols, hp)
-				n.outPos = append(n.outPos, i)
+				n.outSrc = append(n.outSrc, pos)
 			}
 		}
+		nodes[i] = n
+		bs.nodes = append(bs.nodes, n)
 	}
 	for i, ok := range assigned {
 		if !ok {
 			return nil, fmt.Errorf("dynaccess: head variable %q not covered", q.Head[i])
 		}
+	}
+
+	// Wire the tree (tree.Nodes is in atom order; EdgeID = atom index).
+	rowPositions := func(i int, attrs []string) []int {
+		ps, _ := schemas[i].Positions(attrs)
+		for k, p := range ps {
+			ps[k] = varPos[i][p]
+		}
+		return ps
+	}
+	for i, tn := range tree.Nodes {
+		n := nodes[i]
+		if tn.Parent == nil {
+			// The root's one bucket (the empty key) exists from the start.
+			idx.root = n
+			n.keys = relation.NewKeyTable(0, 0)
+			n.bucketFor(nil, nil)
+			continue
+		}
+		pi := tn.Parent.EdgeID
+		p := nodes[pi]
+		shared := schemas[i].Intersect(schemas[pi])
+		n.keys = relation.NewKeyTable(len(shared), 0)
+		n.keyPos = rowPositions(i, shared)
+		n.parent = p
+		p.children = append(p.children, n)
+		p.childKeyPos = append(p.childKeyPos, rowPositions(pi, shared))
+		p.childBkt = append(p.childBkt, nil)
 	}
 	return idx, nil
 }
@@ -296,61 +277,32 @@ func New(db *relation.Database, q *query.CQ) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Bulk load leaf-to-root so weights are available bottom-up. The base
-	// relations are read column-wise through a reused scratch row — no
-	// per-tuple materialization.
-	var load func(n *node) error
-	load = func(n *node) error {
-		for _, c := range n.children {
-			if err := load(c); err != nil {
-				return err
-			}
-		}
-		base, err := db.Relation(n.baseName)
-		if err != nil {
-			return err
-		}
-		scratch := make(relation.Tuple, base.Arity())
-		for i := 0; i < base.Len(); i++ {
-			base.ReadTuple(i, scratch)
-			if t, ok := n.instantiate(scratch); ok {
-				n.insertLocal(t) // bulk load: no cascade needed bottom-up
-			}
-		}
-		return nil
-	}
-	if err := load(idx.root); err != nil {
-		return nil, err
-	}
-	// Record the base contents (same scan order as the bulk load, so a
-	// rebuild from these tables replays tuples into nodes in the same
-	// per-node order and reproduces identical bucket layouts).
+	tables := make([]BaseTable, 0, len(idx.bases))
 	for name, bs := range idx.bases {
-		base, err := db.Relation(name)
-		if err != nil {
-			return nil, err
+		base, _ := db.Relation(name) // build resolved it
+		tb := BaseTable{Name: name, Arity: bs.arity, Rows: base.Len(), Values: make([]relation.Value, base.Len()*bs.arity)}
+		for a := 0; a < bs.arity; a++ {
+			for i, v := range base.Col(a) {
+				tb.Values[i*bs.arity+a] = v
+			}
 		}
-		scratch := make(relation.Tuple, base.Arity())
-		for i := 0; i < base.Len(); i++ {
-			base.ReadTuple(i, scratch)
-			bs.insert(scratch)
-		}
+		tables = append(tables, tb)
 	}
-	return idx, nil
+	return idx, idx.load(tables)
 }
 
 // NewFromTables rebuilds the index for q from previously exported base
-// contents (Tables, or a snapshot's dynamic base section): each table's
-// tuples are replayed in their original arrival order and the tombstones
-// re-applied. The result is structurally identical to the index that
-// exported the tables — same bucket layouts, same enumeration order, and
-// the same revive positions for future re-inserts — because per-node
-// layout depends only on its own relation's arrival order, which the
-// tables preserve, and instantiate is injective on matching raw tuples.
+// contents (Tables, or a snapshot's dynamic base section). The result is
+// structurally identical to the index that exported the tables — same
+// bucket layouts, same enumeration order, and the same revive positions for
+// future re-inserts — because a node's layout depends only on its own
+// relation's arrival order, which the tables preserve, tombstones included.
 func NewFromTables(q *query.CQ, tables []BaseTable) (*Index, error) {
 	arities := make(map[string]int, len(tables))
 	for _, tb := range tables {
+		if _, dup := arities[tb.Name]; dup {
+			return nil, fmt.Errorf("dynaccess: two tables for relation %q", tb.Name)
+		}
 		arities[tb.Name] = tb.Arity
 	}
 	idx, err := build(q, func(name string) (int, error) {
@@ -363,41 +315,126 @@ func NewFromTables(q *query.CQ, tables []BaseTable) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	return idx, idx.load(tables)
+}
+
+// load populates a freshly built index from base contents, bottom-up and in
+// linear time. It is the only way existing rows enter an index; tables come
+// from outside the process (a snapshot), so everything about them is checked.
+func (idx *Index) load(tables []BaseTable) error {
 	for _, tb := range tables {
-		if _, ok := idx.byBase[tb.Name]; !ok {
-			return nil, fmt.Errorf("dynaccess: table %q is not referenced by query %s", tb.Name, q.Name)
+		bs, ok := idx.bases[tb.Name]
+		if !ok {
+			return fmt.Errorf("dynaccess: table %q is not referenced by query %s", tb.Name, idx.q.Name)
 		}
-		for _, t := range tb.Tuples {
-			if len(t) != tb.Arity {
-				return nil, fmt.Errorf("dynaccess: table %q tuple arity %d, want %d", tb.Name, len(t), tb.Arity)
-			}
-			if _, err := idx.insertLocked(tb.Name, t); err != nil {
-				return nil, err
+		if tb.Rows < 0 || tb.Rows > relation.MaxTuples || len(tb.Values) != tb.Rows*bs.arity {
+			return fmt.Errorf("dynaccess: table %q holds %d values for %d tuples of arity %d", tb.Name, len(tb.Values), tb.Rows, bs.arity)
+		}
+		// Copied: the live array grows by append, the table may view a
+		// snapshot mapping or another index's storage.
+		bs.vals = append([]relation.Value(nil), tb.Values...)
+		bs.alive = make([]bool, tb.Rows)
+		bs.ids = relation.NewKeyTable(bs.arity, tb.Rows)
+		for pos := range bs.alive {
+			bs.alive[pos] = true
+			if _, added := bs.ids.Intern(bs.row(int32(pos)), bs.allPos); !added {
+				return fmt.Errorf("dynaccess: table %q holds tuple %v twice (second at position %d)", tb.Name, bs.row(int32(pos)), pos)
 			}
 		}
 		for _, d := range tb.Dead {
-			if d < 0 || d >= int64(len(tb.Tuples)) {
-				return nil, fmt.Errorf("dynaccess: table %q dead position %d of %d", tb.Name, d, len(tb.Tuples))
+			if d < 0 || d >= int64(tb.Rows) {
+				return fmt.Errorf("dynaccess: table %q dead position %d of %d", tb.Name, d, tb.Rows)
 			}
-			if _, err := idx.deleteLocked(tb.Name, tb.Tuples[d]); err != nil {
-				return nil, err
-			}
+			bs.alive[d] = false
 		}
 	}
-	return idx, nil
+	idx.root.load()
+	return nil
+}
+
+// load fills the node's per-row arrays and buckets from its base set, after
+// its children's: member lists, weights and Fenwick arrays are carved from
+// one arena each, in bucket order. A tombstoned row keeps its position and
+// its ordinal, at weight 0.
+func (n *node) load() {
+	for _, c := range n.children {
+		c.load()
+	}
+	rows := len(n.base.alive)
+	n.rowBucket = make([]int32, rows)
+	n.rowOrd = make([]int32, rows)
+	sizes := make([]int32, len(n.buckets)) // members per bucket
+	for r := range n.rowBucket {
+		raw := n.base.row(int32(r))
+		if !n.matches(raw) {
+			n.rowBucket[r] = -1
+			continue
+		}
+		b := n.bucketFor(raw, n.keyPos)
+		if int(b) == len(sizes) {
+			sizes = append(sizes, 0)
+		}
+		n.rowBucket[r], n.rowOrd[r] = b, sizes[b]
+		sizes[b]++
+	}
+	start := make([]int, len(sizes)+1) // bucket → its first slot in the arenas
+	for b, size := range sizes {
+		start[b+1] = start[b] + int(size)
+	}
+	members := start[len(sizes)]
+
+	// The parent side of each edge: resolve every row to the child's bucket
+	// (allotting empty ones for keys the child never had), then carve the
+	// reverse lists.
+	for ci, c := range n.children {
+		ids := make([]int32, rows)
+		joins := make([]int32, len(c.buckets))
+		for r := range ids {
+			if n.rowBucket[r] < 0 {
+				ids[r] = -1
+				continue
+			}
+			b := c.bucketFor(n.base.row(int32(r)), n.childKeyPos[ci])
+			if int(b) == len(joins) {
+				joins = append(joins, 0)
+			}
+			ids[r] = b
+			joins[b]++
+		}
+		arena, off := make([]int32, members), 0
+		for b, k := range joins {
+			c.buckets[b].parents = arena[off : off : off+int(k)]
+			off += int(k)
+		}
+		for r, b := range ids {
+			if b >= 0 {
+				c.buckets[b].parents = append(c.buckets[b].parents, int32(r))
+			}
+		}
+		n.childBkt[ci] = ids
+	}
+
+	rowArena, wArena, treeArena := make([]int32, members), make([]int64, members), make([]int64, members)
+	for r, b := range n.rowBucket {
+		if b >= 0 {
+			slot := start[b] + int(n.rowOrd[r])
+			rowArena[slot], wArena[slot] = int32(r), n.weightOf(int32(r))
+		}
+	}
+	for b := range sizes {
+		lo, hi := start[b], start[b+1]
+		n.buckets[b].rows = rowArena[lo:hi:hi]
+		n.buckets[b].w = fenwick.Over(wArena[lo:hi:hi], treeArena[lo:hi:hi])
+	}
 }
 
 // Tables exports the index's base contents, sorted by relation name, for
-// persistence or rebuild. Tuples are shared with the index, not copied —
-// they are never mutated in place, so the export stays valid, but treat it
+// persistence or rebuild. Values are shared with the index, not copied —
+// rows are never mutated in place, so the export stays valid, but treat it
 // as read-only.
 func (idx *Index) Tables() []BaseTable {
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
-	return idx.tablesLocked()
-}
-
-func (idx *Index) tablesLocked() []BaseTable {
 	names := make([]string, 0, len(idx.bases))
 	for name := range idx.bases {
 		names = append(names, name)
@@ -406,11 +443,7 @@ func (idx *Index) tablesLocked() []BaseTable {
 	out := make([]BaseTable, 0, len(names))
 	for _, name := range names {
 		bs := idx.bases[name]
-		tb := BaseTable{
-			Name:   name,
-			Arity:  bs.arity,
-			Tuples: append([]relation.Tuple(nil), bs.tuples...),
-		}
+		tb := BaseTable{Name: name, Arity: bs.arity, Rows: len(bs.alive), Values: bs.vals[:len(bs.vals):len(bs.vals)]}
 		for pos, ok := range bs.alive {
 			if !ok {
 				tb.Dead = append(tb.Dead, int64(pos))
@@ -433,123 +466,118 @@ func (idx *Index) Rebuild() (*Index, error) {
 // state. Callers that stage side effects around an update (dictionary
 // interning, WAL appends) use this to reject garbage before paying them.
 func (idx *Index) ValidateUpdate(baseRelation string, arity int) error {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	return idx.validateLocked(baseRelation, arity)
+	_, err := idx.baseFor(baseRelation, arity) // bases and arities are fixed at build: no lock
+	return err
 }
 
-func (idx *Index) validateLocked(baseRelation string, arity int) error {
+func (idx *Index) baseFor(baseRelation string, arity int) (*baseSet, error) {
 	bs, ok := idx.bases[baseRelation]
 	if !ok {
-		return fmt.Errorf("dynaccess: no atom over relation %q", baseRelation)
+		return nil, fmt.Errorf("dynaccess: no atom over relation %q", baseRelation)
 	}
 	if arity != bs.arity {
-		return fmt.Errorf("dynaccess: tuple arity %d, relation %q needs %d", arity, baseRelation, bs.arity)
+		return nil, fmt.Errorf("dynaccess: tuple arity %d, relation %q needs %d", arity, baseRelation, bs.arity)
 	}
-	return nil
+	return bs, nil
 }
 
-// instantiate maps a base tuple through the atom's precompiled conditions
-// (constants and repeated variables filter; variable positions project). The
-// returned tuple is freshly allocated — raw may be a reused scratch row.
-func (n *node) instantiate(raw relation.Tuple) (relation.Tuple, bool) {
+// matches reports whether a base row passes the atom's precompiled
+// conditions (constants and repeated variables).
+func (n *node) matches(raw []relation.Value) bool {
 	for _, c := range n.constChecks {
 		if raw[c.pos] != c.val {
-			return nil, false
+			return false
 		}
 	}
 	for _, e := range n.eqChecks {
 		if raw[e[0]] != raw[e[1]] {
-			return nil, false
+			return false
 		}
 	}
-	out := make(relation.Tuple, len(n.varPos))
-	for i, p := range n.varPos {
-		out[i] = raw[p]
-	}
-	return out, true
+	return true
 }
 
-// weightOf computes the current weight of the tuple at pos from the cached
-// child bucket totals.
-func (n *node) weightOf(pos int) int64 {
-	if !n.alive[pos] {
+// bucketFor returns the id of the bucket whose key is raw's values at proj
+// — n.keyPos for n's own rows, the parent's childKeyPos for a parent's —
+// allotting an empty bucket the first time either side mentions the key.
+func (n *node) bucketFor(raw []relation.Value, proj []int) int32 {
+	b, added := n.keys.Intern(raw, proj)
+	if added {
+		n.buckets = append(n.buckets, bucket{})
+	}
+	return b
+}
+
+// weightOf computes the current weight of a row from its child buckets'
+// totals.
+func (n *node) weightOf(row int32) int64 {
+	if !n.base.alive[row] {
 		return 0
 	}
 	w := int64(1)
-	for ci := range n.children {
-		cb := n.childBkt[ci][pos]
-		if cb == nil || cb.w.Total() == 0 {
+	for ci, c := range n.children {
+		if w *= c.buckets[n.childBkt[ci][row]].w.Total(); w == 0 {
 			return 0
 		}
-		w *= cb.w.Total()
 	}
 	return w
 }
 
-// insertLocal registers a (new or revived) tuple in this node and returns
-// the bucket whose total changed, or nil for a duplicate no-op.
-func (n *node) insertLocal(t relation.Tuple) *bucket {
-	key := t.Key()
-	if pos, ok := n.byKey[key]; ok {
-		if n.alive[pos] {
-			return nil
+// appendRow registers the base relation's newest row in this node and
+// reports whether the atom accepts it.
+func (idx *Index) appendRow(n *node, raw []relation.Value, row int32) bool {
+	if !n.matches(raw) {
+		// Rejected rows still take a slot: the arrays are indexed by base
+		// position.
+		n.rowBucket = append(n.rowBucket, -1)
+		n.rowOrd = append(n.rowOrd, 0)
+		for ci := range n.childBkt {
+			n.childBkt[ci] = append(n.childBkt[ci], -1)
 		}
-		// Revive a tombstone.
-		n.alive[pos] = true
-		b := n.tupleBucket[pos]
-		b.w.Set(n.tupleOrd[pos], n.weightOf(pos))
-		return b
+		return false
 	}
-	pos := len(n.tuples)
-	n.tuples = append(n.tuples, t)
-	n.alive = append(n.alive, true)
-	n.byKey[key] = pos
-	bkey := t.ProjectKey(n.pAttPos)
-	b := n.buckets[bkey]
-	if b == nil {
-		b = &bucket{key: bkey}
-		n.buckets[bkey] = b
-	}
-	n.tupleBucket = append(n.tupleBucket, b)
-	n.tupleOrd = append(n.tupleOrd, len(b.tuples))
-	b.tuples = append(b.tuples, pos)
+	b := n.bucketFor(raw, n.keyPos)
+	bk := &n.buckets[b]
+	n.rowBucket = append(n.rowBucket, b)
+	n.rowOrd = append(n.rowOrd, int32(len(bk.rows)))
+	bk.rows = append(bk.rows, row)
 	for ci, c := range n.children {
-		ck := t.ProjectKey(n.childKeyPos[ci])
-		n.childRev[ci][ck] = append(n.childRev[ci][ck], pos)
-		// Cache the child bucket pointer now if the bucket already exists;
-		// otherwise the cascade fired by its creation will fill it in.
-		n.childBkt[ci] = append(n.childBkt[ci], c.buckets[ck])
+		cb := c.bucketFor(raw, n.childKeyPos[ci])
+		n.childBkt[ci] = append(n.childBkt[ci], cb)
+		c.buckets[cb].parents = append(c.buckets[cb].parents, row)
 	}
-	b.w.Append(n.weightOf(pos))
-	return b
+	w := n.weightOf(row)
+	bk.w.Append(w)
+	if w != 0 {
+		idx.cascade(n, b)
+	}
+	return true
 }
 
-// cascade propagates a child-bucket total change to ancestors: every parent
-// tuple matching the changed bucket's key gets its weight recomputed. It
-// also completes the parents' bucket-pointer caches: a parent tuple that
-// predates the child bucket's creation still holds a nil pointer, and this
-// is exactly the moment (first total change = creation or revival) it gets
-// resolved.
-func (idx *Index) cascade(n *node, changed map[*bucket]bool) {
-	for len(changed) > 0 && n.parent != nil {
+// cascade propagates the changed total of n's bucket b to the ancestors:
+// every parent row joining a changed bucket gets its weight recomputed, and
+// the buckets whose totals moved form the next level's frontier.
+func (idx *Index) cascade(n *node, b int32) {
+	cur, next := append(idx.frontier[0][:0], b), idx.frontier[1][:0]
+	for ; len(cur) > 0 && n.parent != nil; n = n.parent {
 		p := n.parent
-		parentChanged := make(map[*bucket]bool)
-		for b := range changed {
-			cache := p.childBkt[n.childIdx]
-			for _, pos := range p.childRev[n.childIdx][b.key] {
-				cache[pos] = b
-				pb := p.tupleBucket[pos]
-				old := pb.w.Value(p.tupleOrd[pos])
-				neww := p.weightOf(pos)
-				if old != neww {
-					pb.w.Set(p.tupleOrd[pos], neww)
-					parentChanged[pb] = true
+		idx.stamp++
+		for _, b := range cur {
+			for _, row := range n.buckets[b].parents {
+				pb := p.rowBucket[row]
+				bk, ord := &p.buckets[pb], int(p.rowOrd[row])
+				if w := p.weightOf(row); w != bk.w.Value(ord) {
+					bk.w.Set(ord, w)
+					if bk.stamp != idx.stamp {
+						bk.stamp = idx.stamp
+						next = append(next, pb)
+					}
 				}
 			}
 		}
-		n, changed = p, parentChanged
+		cur, next = next, cur[:0]
 	}
+	idx.frontier[0], idx.frontier[1] = cur, next // keep what they grew to
 }
 
 // Insert adds a base-relation tuple to the index (set semantics: duplicates
@@ -557,29 +585,32 @@ func (idx *Index) cascade(n *node, changed map[*bucket]bool) {
 // reports whether any node changed. NOTE: Insert updates the index, not the
 // relation.Database it was built from.
 func (idx *Index) Insert(baseRelation string, raw relation.Tuple) (bool, error) {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	return idx.insertLocked(baseRelation, raw)
-}
-
-func (idx *Index) insertLocked(baseRelation string, raw relation.Tuple) (bool, error) {
-	if err := idx.validateLocked(baseRelation, len(raw)); err != nil {
+	bs, err := idx.baseFor(baseRelation, len(raw))
+	if err != nil {
 		return false, err
 	}
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	if len(bs.alive) == relation.MaxTuples {
+		return false, fmt.Errorf("dynaccess: relation %q is full (%d tuples)", baseRelation, relation.MaxTuples)
+	}
 	// The base set records the tuple even when no atom's conditions match
-	// it: logically it is in the relation, and a rebuild must replay it
+	// it: logically it is in the relation, and a rebuild must run it
 	// through the same filters.
-	idx.bases[baseRelation].insert(raw)
+	row, added := bs.ids.Intern(raw, bs.allPos)
 	any := false
-	for _, n := range idx.byBase[baseRelation] {
-		t, match := n.instantiate(raw)
-		if !match {
-			continue
+	switch {
+	case added:
+		bs.vals = append(bs.vals, raw...) // raw may be a caller-owned buffer
+		bs.alive = append(bs.alive, true)
+		for _, n := range bs.nodes {
+			if idx.appendRow(n, raw, row) {
+				any = true
+			}
 		}
-		if b := n.insertLocal(t); b != nil {
-			idx.cascade(n, map[*bucket]bool{b: true})
-			any = true
-		}
+	case !bs.alive[row]: // revive the tombstone in place
+		bs.alive[row] = true
+		any = idx.reweigh(bs, row)
 	}
 	return any, nil
 }
@@ -587,33 +618,36 @@ func (idx *Index) insertLocked(baseRelation string, raw relation.Tuple) (bool, e
 // Delete removes a base-relation tuple (a no-op if absent). It reports
 // whether anything changed.
 func (idx *Index) Delete(baseRelation string, raw relation.Tuple) (bool, error) {
-	idx.mu.Lock()
-	defer idx.mu.Unlock()
-	return idx.deleteLocked(baseRelation, raw)
-}
-
-func (idx *Index) deleteLocked(baseRelation string, raw relation.Tuple) (bool, error) {
-	if err := idx.validateLocked(baseRelation, len(raw)); err != nil {
+	bs, err := idx.baseFor(baseRelation, len(raw))
+	if err != nil {
 		return false, err
 	}
-	idx.bases[baseRelation].delete(raw)
-	any := false
-	for _, n := range idx.byBase[baseRelation] {
-		t, match := n.instantiate(raw)
-		if !match {
-			continue
-		}
-		pos, exists := n.byKey[t.Key()]
-		if !exists || !n.alive[pos] {
-			continue
-		}
-		n.alive[pos] = false
-		b := n.tupleBucket[pos]
-		b.w.Set(n.tupleOrd[pos], 0)
-		idx.cascade(n, map[*bucket]bool{b: true})
-		any = true
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	row, ok := bs.ids.Lookup(raw, bs.allPos)
+	if !ok || !bs.alive[row] {
+		return false, nil
 	}
-	return any, nil
+	bs.alive[row] = false
+	return idx.reweigh(bs, row), nil
+}
+
+// reweigh refreshes a row whose liveness just flipped in every atom that
+// accepts it, and reports whether one does.
+func (idx *Index) reweigh(bs *baseSet, row int32) (any bool) {
+	for _, n := range bs.nodes {
+		b := n.rowBucket[row]
+		if b < 0 {
+			continue
+		}
+		any = true
+		bk, ord := &n.buckets[b], int(n.rowOrd[row])
+		if w := n.weightOf(row); w != bk.w.Value(ord) {
+			bk.w.Set(ord, w)
+			idx.cascade(n, b)
+		}
+	}
+	return any
 }
 
 // Count returns the current |Q(D)| in constant time.
@@ -626,13 +660,7 @@ func (idx *Index) Count() int64 {
 // countLocked is Count with the lock already held (RWMutex read locks are
 // not re-entrant when a writer is queued, so internal callers must not call
 // the public method).
-func (idx *Index) countLocked() int64 {
-	b := idx.root.buckets[""]
-	if b == nil {
-		return 0
-	}
-	return b.w.Total()
-}
+func (idx *Index) countLocked() int64 { return idx.root.buckets[0].w.Total() }
 
 // Head returns the output variable order.
 func (idx *Index) Head() []string { return idx.head }
@@ -641,9 +669,11 @@ func (idx *Index) Head() []string { return idx.head }
 // is deterministic between updates but may change across them (deleted
 // ranges close up; insertions append within buckets).
 func (idx *Index) Access(j int64) (relation.Tuple, error) {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	return idx.accessLocked(j)
+	answer := make(relation.Tuple, len(idx.head))
+	if err := idx.AccessInto(j, answer); err != nil {
+		return nil, err
+	}
+	return answer, nil
 }
 
 // AccessInto is Access writing into a caller-provided buffer (len == arity),
@@ -651,76 +681,98 @@ func (idx *Index) Access(j int64) (relation.Tuple, error) {
 func (idx *Index) AccessInto(j int64, answer relation.Tuple) error {
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
-	return idx.accessIntoLocked(j, answer)
-}
-
-func (idx *Index) accessLocked(j int64) (relation.Tuple, error) {
-	answer := make(relation.Tuple, len(idx.head))
-	if err := idx.accessIntoLocked(j, answer); err != nil {
-		return nil, err
-	}
-	return answer, nil
-}
-
-// accessIntoLocked is the single bounds-checked probe both entry points
-// share; the caller holds at least the read lock.
-func (idx *Index) accessIntoLocked(j int64, answer relation.Tuple) error {
 	if j < 0 || j >= idx.countLocked() {
 		return access.ErrOutOfBounds
 	}
-	idx.subtreeAccess(idx.root, idx.root.buckets[""], j, answer)
+	idx.subtreeAccess(idx.root, 0, j, answer)
 	return nil
 }
 
-func (idx *Index) subtreeAccess(n *node, b *bucket, j int64, answer relation.Tuple) {
-	ord := b.w.FindPrefix(j)
-	pos := b.tuples[ord]
-	t := n.tuples[pos]
+// subtreeAccess writes the j-th answer of n's bucket b; the caller holds at
+// least the read lock and has checked j against the bucket's total.
+func (idx *Index) subtreeAccess(n *node, b int32, j int64, answer relation.Tuple) {
+	bk := &n.buckets[b]
+	ord, rem := bk.w.Find(j)
+	row := bk.rows[ord]
+	raw := n.base.row(row)
 	for k, col := range n.outCols {
-		answer[col] = t[n.outPos[k]]
+		answer[col] = raw[n.outSrc[k]]
 	}
-	if len(n.children) == 0 {
-		return
-	}
-	// Child buckets come from the per-tuple pointer cache: a tuple with
-	// positive weight has all child buckets resolved (weightOf returned > 0
-	// through the same pointers).
-	rem := j - b.w.Prefix(ord)
 	for ci := len(n.children) - 1; ci >= 0; ci-- {
-		cb := n.childBkt[ci][pos]
-		total := cb.w.Total()
-		ji := rem % total
+		c, cb := n.children[ci], n.childBkt[ci][row]
+		total := c.buckets[cb].w.Total()
+		idx.subtreeAccess(c, cb, rem%total, answer)
 		rem /= total
-		idx.subtreeAccess(n.children[ci], cb, ji, answer)
 	}
+}
+
+// rows allocates k answer tuples over one flat k × arity buffer.
+func (idx *Index) rows(k int) []relation.Tuple {
+	ar := len(idx.head)
+	flat := make([]relation.Value, k*ar)
+	out := make([]relation.Tuple, k)
+	for i := range out {
+		out[i] = flat[i*ar : (i+1)*ar : (i+1)*ar]
+	}
+	return out
+}
+
+// AccessBatch returns Access(j) for every j in js, in order, all against one
+// consistent state: the read lock is taken once for the batch. One
+// out-of-range position fails the whole call with access.ErrOutOfBounds
+// before any answer is assembled.
+func (idx *Index) AccessBatch(ctx context.Context, js []int64) ([]relation.Tuple, error) {
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
+	n := idx.countLocked()
+	for _, j := range js {
+		if j < 0 || j >= n {
+			return nil, access.ErrOutOfBounds
+		}
+	}
+	out := idx.rows(len(js))
+	for i, j := range js {
+		if i%64 == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		idx.subtreeAccess(idx.root, 0, j, out[i])
+	}
+	return out, nil
 }
 
 // InvertedAccess returns the current position of an answer, or ok=false.
 func (idx *Index) InvertedAccess(answer relation.Tuple) (int64, bool) {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	return idx.invertedLocked(answer)
-}
-
-func (idx *Index) invertedLocked(answer relation.Tuple) (int64, bool) {
 	if len(answer) != len(idx.head) {
 		return 0, false
 	}
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
 	return idx.invertedSubtree(idx.root, answer)
 }
 
 func (idx *Index) invertedSubtree(n *node, answer relation.Tuple) (int64, bool) {
-	// Locate this node's tuple: encode the projected key into a stack buffer
-	// (the canonical encoder) — no intermediate tuple, no heap key.
-	var kb [relation.KeyBufCap]byte
-	key := answer.AppendProjectedKey(relation.KeyScratch(&kb, len(n.schemaHeadPos)), n.schemaHeadPos)
-	pos, ok := n.byKey[string(key)]
-	if !ok || !n.alive[pos] {
+	// Locate this node's row: read the base tuple it would have come from
+	// off the answer (into a stack buffer) and ask the identity table.
+	var buf [relation.KeyBufCap / 8]relation.Value
+	raw := buf[:]
+	if len(n.rawSrc) > len(buf) {
+		raw = make([]relation.Value, len(n.rawSrc))
+	}
+	raw = raw[:len(n.rawSrc)]
+	for pos, src := range n.rawSrc {
+		if src >= 0 {
+			raw[pos] = answer[src]
+		}
+	}
+	for _, c := range n.constChecks {
+		raw[c.pos] = c.val
+	}
+	row, ok := n.base.ids.Lookup(raw, n.base.allPos)
+	if !ok {
 		return 0, false
 	}
-	b := n.tupleBucket[pos]
-	ord := n.tupleOrd[pos]
-	if b.w.Value(ord) == 0 {
+	bk, ord := &n.buckets[n.rowBucket[row]], int(n.rowOrd[row])
+	if bk.w.Value(ord) == 0 {
 		return 0, false
 	}
 	var offset int64
@@ -729,43 +781,29 @@ func (idx *Index) invertedSubtree(n *node, answer relation.Tuple) (int64, bool) 
 		if !ok {
 			return 0, false
 		}
-		cb := n.childBkt[ci][pos]
-		if cb == nil {
-			return 0, false
-		}
-		offset = offset*cb.w.Total() + ji
+		offset = offset*c.buckets[n.childBkt[ci][row]].w.Total() + ji
 	}
-	return b.w.Prefix(ord) + offset, true
+	return bk.w.Prefix(ord) + offset, true
 }
 
 // Contains reports whether answer is currently in Q(D).
 func (idx *Index) Contains(answer relation.Tuple) bool {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	_, ok := idx.invertedLocked(answer)
+	_, ok := idx.InvertedAccess(answer)
 	return ok
 }
 
 // Sample returns a uniformly random current answer, or ok=false when empty.
 func (idx *Index) Sample(rng *rand.Rand) (relation.Tuple, bool) {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	n := idx.countLocked()
-	if n == 0 {
-		return nil, false
+	if out := idx.SampleN(1, rng); len(out) == 1 {
+		return out[0], true
 	}
-	t, err := idx.accessLocked(rng.Int63n(n))
-	if err != nil {
-		return nil, false
-	}
-	return t, true
+	return nil, false
 }
 
 // SampleN returns k uniformly random current answers drawn independently
 // (with replacement), all against one consistent snapshot of the index: the
 // read lock is held across the batch, so no update interleaves mid-batch.
-// It returns fewer than k (possibly zero) answers only when the index is
-// empty.
+// It returns no answers exactly when the index is empty or k ≤ 0.
 func (idx *Index) SampleN(k int64, rng *rand.Rand) []relation.Tuple {
 	if k <= 0 {
 		return nil
@@ -776,17 +814,9 @@ func (idx *Index) SampleN(k int64, rng *rand.Rand) []relation.Tuple {
 	if n == 0 {
 		return nil
 	}
-	c := k // initial capacity only: sampling is with replacement, so k is unbounded
-	if c > 1024 {
-		c = 1024
-	}
-	out := make([]relation.Tuple, 0, c)
-	for int64(len(out)) < k {
-		t, err := idx.accessLocked(rng.Int63n(n))
-		if err != nil {
-			break
-		}
-		out = append(out, t)
+	out := idx.rows(int(k))
+	for _, row := range out {
+		idx.subtreeAccess(idx.root, 0, rng.Int63n(n), row)
 	}
 	return out
 }

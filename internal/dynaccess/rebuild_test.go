@@ -3,6 +3,7 @@ package dynaccess
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -189,11 +190,20 @@ func TestValidateUpdate(t *testing.T) {
 	}
 }
 
+// table flattens tuples into the exported form, without checking them.
+func table(name string, arity int, dead []int64, tuples ...relation.Tuple) BaseTable {
+	tb := BaseTable{Name: name, Arity: arity, Rows: len(tuples), Dead: dead}
+	for _, t := range tuples {
+		tb.Values = append(tb.Values, t...)
+	}
+	return tb
+}
+
 func TestNewFromTablesRejectsGarbage(t *testing.T) {
 	q := chainQ()
 	good := []BaseTable{
-		{Name: "R", Arity: 2, Tuples: []relation.Tuple{{1, 2}}},
-		{Name: "S", Arity: 2, Tuples: []relation.Tuple{{2, 3}}},
+		table("R", 2, nil, relation.Tuple{1, 2}),
+		table("S", 2, nil, relation.Tuple{2, 3}),
 	}
 	if _, err := NewFromTables(q, good); err != nil {
 		t.Fatalf("good tables rejected: %v", err)
@@ -205,19 +215,23 @@ func TestNewFromTablesRejectsGarbage(t *testing.T) {
 	if _, err := NewFromTables(q, extra); err == nil {
 		t.Fatal("unreferenced table accepted")
 	}
-	badArity := []BaseTable{
-		{Name: "R", Arity: 2, Tuples: []relation.Tuple{{1, 2, 3}}},
-		good[1],
+	if _, err := NewFromTables(q, append(good[:2:2], good[0])); err == nil {
+		t.Fatal("the same table twice accepted")
 	}
+	badArity := []BaseTable{table("R", 2, nil, relation.Tuple{1, 2, 3}), good[1]}
 	if _, err := NewFromTables(q, badArity); err == nil {
 		t.Fatal("tuple/arity mismatch accepted")
 	}
-	badDead := []BaseTable{
-		{Name: "R", Arity: 2, Tuples: []relation.Tuple{{1, 2}}, Dead: []int64{5}},
-		good[1],
-	}
+	badDead := []BaseTable{table("R", 2, []int64{5}, relation.Tuple{1, 2}), good[1]}
 	if _, err := NewFromTables(q, badDead); err == nil {
 		t.Fatal("out-of-range dead position accepted")
+	}
+	// The same tuple twice — even with one copy tombstoned — would make Dead
+	// positions and the next export disagree with the file; Tables never
+	// writes one.
+	twice := []BaseTable{table("R", 2, []int64{0}, relation.Tuple{1, 2}, relation.Tuple{3, 4}, relation.Tuple{1, 2}), good[1]}
+	if _, err := NewFromTables(q, twice); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("duplicate tuple: err = %v", err)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Snapshot encoding of a dynamic index's persistable form: its base
 // tables. Unlike the static index — whose prefix sums and groupings are
 // themselves serialized — the dynamic structure is *rebuilt* from the base
-// contents on restore (NewFromTables): Fenwick trees and bucket caches are
-// cheap relative to I/O, and replaying the original arrival order (with
-// tombstones) reproduces the live index's layouts exactly, so enumeration
-// order survives the round trip byte-for-byte.
+// contents on restore (NewFromTables): the bulk loader costs about what
+// reading the rows does, and the original arrival order (with tombstones)
+// reproduces the live index's layouts exactly, so enumeration order survives
+// the round trip byte-for-byte.
 package dynaccess
 
 import (
@@ -24,20 +24,14 @@ func MarshalBase(s *snapshot.SectionWriter, idx *Index) {
 	for _, tb := range tables {
 		s.Str(tb.Name)
 		s.U64(uint64(tb.Arity))
-		s.U64(uint64(len(tb.Tuples)))
-		flat := make([]int64, 0, len(tb.Tuples)*tb.Arity)
-		for _, t := range tb.Tuples {
-			for _, v := range t {
-				flat = append(flat, int64(v))
-			}
-		}
-		s.I64s(flat)
+		s.U64(uint64(tb.Rows))
+		s.I64s(valuesAsInt64s(tb.Values))
 		s.I64s(tb.Dead)
 	}
 }
 
-// UnmarshalBase reads base tables written by MarshalBase. Tuples view the
-// snapshot payload in place (no copy); NewFromTables clones what it keeps,
+// UnmarshalBase reads base tables written by MarshalBase. Values view the
+// snapshot payload in place (no copy); NewFromTables copies what it keeps,
 // but the returned tables themselves stay valid only while the snapshot
 // mapping does.
 func UnmarshalBase(r *snapshot.Reader) ([]BaseTable, error) {
@@ -66,12 +60,7 @@ func UnmarshalBase(r *snapshot.Reader) ([]BaseTable, error) {
 			return nil, snapshot.Corruptf("dynamic base %q: %d values for %d tuples of arity %d",
 				tb.Name, len(flat), numTuples, arity)
 		}
-		tb.Arity = int(arity)
-		vals := int64sAsValues(flat)
-		tb.Tuples = make([]relation.Tuple, numTuples)
-		for j := range tb.Tuples {
-			tb.Tuples[j] = vals[uint64(j)*arity : uint64(j+1)*arity]
-		}
+		tb.Arity, tb.Rows, tb.Values = int(arity), int(numTuples), int64sAsValues(flat)
 		prev := int64(-1)
 		for _, d := range dead {
 			if d <= prev || d >= int64(numTuples) {
@@ -86,11 +75,13 @@ func UnmarshalBase(r *snapshot.Reader) ([]BaseTable, error) {
 	return tables, nil
 }
 
-// int64sAsValues reinterprets a restored column (Value is a defined int64,
-// so the layouts are identical) — the same view relation's decoder uses.
+// int64sAsValues and valuesAsInt64s reinterpret a column between the file's
+// type and the index's (Value is a defined int64, so the layouts are
+// identical) — the same views relation's codec uses.
 func int64sAsValues(v []int64) []relation.Value {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*relation.Value)(unsafe.Pointer(&v[0])), len(v))
+	return unsafe.Slice((*relation.Value)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
+}
+
+func valuesAsInt64s(v []relation.Value) []int64 {
+	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
 }

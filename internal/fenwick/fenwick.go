@@ -15,13 +15,29 @@ type Tree struct {
 	sum  int64
 }
 
-// New returns a tree initialized with the given values.
+// New returns a tree initialized with a copy of the given values.
 func New(values []int64) *Tree {
-	t := &Tree{}
-	for _, v := range values {
-		t.Append(v)
+	t := Over(append([]int64(nil), values...), make([]int64, len(values)))
+	return &t
+}
+
+// Over returns the tree over vals, built in linear time. The tree adopts
+// both slices: vals as its value array and tree, of the same length and
+// overwritten, as its internal array — so a bulk loader can carve many small
+// trees out of two arenas. Pieces must be capacity-capped (s[i:j:j]): Append
+// then reallocates instead of growing into the neighbour.
+func Over(vals, tree []int64) Tree {
+	copy(tree, vals)
+	var sum int64
+	for i, v := range vals {
+		sum += v
+		// Node i (0-based) is complete once its children, all below it,
+		// have been folded in; pass it on to its own parent.
+		if p := i | (i + 1); p < len(tree) {
+			tree[p] += tree[i]
+		}
 	}
-	return t
+	return Tree{tree: tree, vals: vals, sum: sum}
 }
 
 // Len returns the number of positions.
@@ -79,8 +95,15 @@ func (t *Tree) Range(lo, hi int) int64 { return t.Prefix(hi) - t.Prefix(lo) }
 // target offset, assuming all values are non-negative. It returns -1 when
 // target ≥ Total(). O(log n).
 func (t *Tree) FindPrefix(target int64) int {
+	p, _ := t.Find(target)
+	return p
+}
+
+// Find is FindPrefix also returning the offset inside the found position's
+// range, target − Prefix(p) — the one descent computes both.
+func (t *Tree) Find(target int64) (p int, rem int64) {
 	if target < 0 || target >= t.sum {
-		return -1
+		return -1, 0
 	}
 	pos := 0 // 1-based position walked so far
 	// Highest power of two ≤ len.
@@ -95,5 +118,5 @@ func (t *Tree) FindPrefix(target int64) int {
 			pos = next
 		}
 	}
-	return pos // 0-based position = pos (the walk stops before the answer)
+	return pos, target // 0-based position = pos (the walk stops before the answer)
 }

@@ -159,3 +159,41 @@ func TestLargeAppendSequence(t *testing.T) {
 		t.Fatal("prefix wrong")
 	}
 }
+
+// TestOverMatchesAppend: the linear-time construction is the tree Append
+// builds one value at a time — same prefixes, same searches — and a tree
+// over a capacity-capped piece of an arena grows away from its neighbour.
+func TestOverMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 70; n++ {
+		vals := make([]int64, n)
+		var ref Tree
+		for i := range vals {
+			vals[i] = int64(rng.Intn(5)) // zeros included
+			ref.Append(vals[i])
+		}
+		arena, scratch := make([]int64, n+4), make([]int64, n+4)
+		copy(arena, vals)
+		arena[n] = -99
+		tr := Over(arena[:n:n], scratch[:n:n])
+		if tr.Len() != n || tr.Total() != ref.Total() {
+			t.Fatalf("n=%d: Len %d Total %d, want %d %d", n, tr.Len(), tr.Total(), n, ref.Total())
+		}
+		for i := 0; i <= n; i++ {
+			if tr.Prefix(i) != ref.Prefix(i) {
+				t.Fatalf("n=%d: Prefix(%d) = %d, want %d", n, i, tr.Prefix(i), ref.Prefix(i))
+			}
+		}
+		for target := int64(0); target < ref.Total(); target++ {
+			p, rem := tr.Find(target)
+			if p != ref.FindPrefix(target) || rem != target-ref.Prefix(p) {
+				t.Fatalf("n=%d: Find(%d) = %d,%d, want %d,%d", n, target, p, rem, ref.FindPrefix(target), target-ref.Prefix(p))
+			}
+		}
+		tr.Append(3)
+		tr.Set(n, 4)
+		if arena[n] != -99 || tr.Total() != ref.Total()+4 || tr.Prefix(n+1) != ref.Total()+4 {
+			t.Fatalf("n=%d: Append after Over wrote into the arena or lost the sum", n)
+		}
+	}
+}

@@ -130,6 +130,12 @@ func (s *Server) registerCollectors() {
 				emit("", float64(st.Replayed))
 			}
 		})
+	s.obs.CollectorFunc("renum_wal_replay_seconds", "Time the boot spent opening the WAL segment and replaying its records.",
+		obs.KindGauge, func(emit func(string, float64)) {
+			if st := s.reg.WALStats(); st.Attached {
+				emit("", st.ReplaySeconds)
+			}
+		})
 	s.obs.CollectorFunc("renum_compactions_total", "Completed WAL-fold compactions.",
 		obs.KindCounter, func(emit func(string, float64)) {
 			if st := s.reg.WALStats(); st.Attached {

@@ -99,6 +99,8 @@ func TestPrometheusWALAndCompactionFamilies(t *testing.T) {
 		"renum_wal_fsync_duration_seconds_count 1",
 		"renum_wal_append_bytes_total",
 		"renum_wal_depth 1",
+		"renum_wal_replayed_records 0",
+		"\nrenum_wal_replay_seconds ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("after update, exposition missing %q\n%s", want, text)

@@ -123,7 +123,13 @@ func TestTraceFastLoop(t *testing.T) {
 	if fr.status != 200 {
 		t.Fatalf("fast traced access = %d (%s)", fr.status, fr.body)
 	}
+	// The loop closes a request's bracket — and files its trace — after the
+	// response is on the wire, so the client can be back here first.
 	doc := getTraces(t, s, "?id=fast-42")
+	for deadline := time.Now().Add(2 * time.Second); len(doc.Traces) == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		doc = getTraces(t, s, "?id=fast-42")
+	}
 	if len(doc.Traces) != 1 {
 		t.Fatalf("traces for fast-42 = %d, want 1", len(doc.Traces))
 	}

@@ -56,6 +56,7 @@ type walState struct {
 
 	replayed    int64
 	skipped     int64
+	replayTime  time.Duration // opening the segment, parsing and applying its records
 	compactions int64
 	folded      int64
 
@@ -84,6 +85,7 @@ func (r *Registry) AttachWAL(dir string, policy wal.SyncPolicy) (replayed, skipp
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, 0, err
 	}
+	t0 := time.Now()
 	s := r.snap.Load()
 	lg, recs, err := wal.Open(load.WALPath(dir, s.gen), policy)
 	if err != nil {
@@ -103,6 +105,7 @@ func (r *Registry) AttachWAL(dir string, policy wal.SyncPolicy) (replayed, skipp
 	r.wal.gen = s.gen
 	r.wal.replayed = int64(replayed)
 	r.wal.skipped = int64(skipped)
+	r.wal.replayTime = time.Since(t0)
 	return replayed, skipped, nil
 }
 
@@ -364,15 +367,16 @@ func (r *Registry) Compact(snapshotDir string) (gen uint64, folded int64, err er
 
 // WALStats is the /metrics view of the write-ahead log.
 type WALStats struct {
-	Attached      bool   `json:"attached"`
-	Path          string `json:"path,omitempty"`
-	SegmentGen    uint64 `json:"segment_generation"`
-	Depth         int64  `json:"depth"`
-	Replayed      int64  `json:"replayed"`
-	ReplaySkipped int64  `json:"replay_skipped"`
-	TornTail      bool   `json:"torn_tail_recovered"`
-	Compactions   int64  `json:"compactions"`
-	Folded        int64  `json:"records_folded"`
+	Attached      bool    `json:"attached"`
+	Path          string  `json:"path,omitempty"`
+	SegmentGen    uint64  `json:"segment_generation"`
+	Depth         int64   `json:"depth"`
+	Replayed      int64   `json:"replayed"`
+	ReplaySkipped int64   `json:"replay_skipped"`
+	ReplaySeconds float64 `json:"replay_seconds"`
+	TornTail      bool    `json:"torn_tail_recovered"`
+	Compactions   int64   `json:"compactions"`
+	Folded        int64   `json:"records_folded"`
 
 	// Non-fatal rotation cleanup failures (close/remove of a superseded
 	// segment); the fold itself succeeded.
@@ -387,6 +391,7 @@ func (r *Registry) WALStats() WALStats {
 	st := WALStats{
 		Replayed:          r.wal.replayed,
 		ReplaySkipped:     r.wal.skipped,
+		ReplaySeconds:     r.wal.replayTime.Seconds(),
 		Compactions:       r.wal.compactions,
 		Folded:            r.wal.folded,
 		RotateWarnings:    r.wal.rotateWarns,

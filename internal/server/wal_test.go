@@ -142,8 +142,8 @@ func TestWALReplayRestoresUpdates(t *testing.T) {
 	}
 	// The replayed registry keeps logging: one more update, one more record.
 	do(t, s2, "POST", "/v1/D/update", `{"op":"insert","relation":"r","tuple":["9","1"]}`, 200)
-	if st := reg2.WALStats(); st.Depth != 4 {
-		t.Fatalf("depth after post-replay update = %d, want 4", st.Depth)
+	if st := reg2.WALStats(); st.Depth != 4 || st.Replayed != 3 || st.ReplaySeconds <= 0 {
+		t.Fatalf("after post-replay update: depth %d, replayed %d in %v s; want 4, 3, > 0", st.Depth, st.Replayed, st.ReplaySeconds)
 	}
 }
 

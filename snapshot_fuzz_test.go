@@ -37,6 +37,44 @@ func fuzzSeedSnapshot(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
+// fuzzSeedDynamicSnapshot builds a valid image holding a dynamic entry —
+// a two-atom join whose base tables carry tombstones — so that mutated
+// bytes reach the dynamic base decoder and the bulk loader behind it.
+func fuzzSeedDynamicSnapshot(f *testing.F) []byte {
+	db := NewDatabase()
+	r := db.MustCreate("R", "a", "b")
+	s := db.MustCreate("S", "b", "c")
+	for i := 0; i < 12; i++ {
+		r.MustInsert(Value(i), Value(i%4))
+		s.MustInsert(Value(i%4), db.Intern("w"+string(rune('a'+i))))
+	}
+	q := MustCQ("dq", []string{"a", "b", "c"}, NewAtom("R", V("a"), V("b")), NewAtom("S", V("b"), V("c")))
+	h, err := Open(db, q, WithDynamic())
+	if err != nil {
+		f.Fatal(err)
+	}
+	upd, err := h.Updater()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 12; i += 3 {
+		if _, err := upd.Delete("R", Tuple{Value(i), Value(i % 4)}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := upd.Insert("S", Tuple{9, 9}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := upd.Delete("S", Tuple{9, 9}); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, db, 5, []CatalogEntry{{Name: "dq", Q: q, H: h}}); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzOpenSnapshot drives the snapshot decoder with mutated images:
 // truncated, bit-flipped, version-bumped, or arbitrary bytes. The contract
 // under test is the acceptance criterion of the format: the decoder either
@@ -58,6 +96,12 @@ func FuzzOpenSnapshot(f *testing.F) {
 	flip[len(flip)/2] ^= 0x40
 	f.Add(flip)
 	f.Add([]byte("RNMSNAP1 not really a snapshot"))
+	dyn := fuzzSeedDynamicSnapshot(f)
+	f.Add(dyn)
+	f.Add(dyn[:len(dyn)-40])
+	flip = append([]byte(nil), dyn...)
+	flip[len(flip)*3/4] ^= 0x01
+	f.Add(flip)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cat, err := OpenSnapshotBytes(data)

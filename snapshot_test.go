@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/query"
@@ -586,11 +587,12 @@ func TestSnapshotRejectsErrorFamily(t *testing.T) {
 	}
 }
 
-// TestOpenSnapshotRejectsCraftedCounts pins two decoder hardening cases a
+// TestOpenSnapshotRejectsCraftedCounts pins three decoder hardening cases a
 // blind bit-flip cannot reach (they need checksum-valid files with hostile
-// counts): meta section counts whose sum wraps to the real section count,
-// and a union entry whose index count is astronomically large. Both must
-// come back as typed errors, not a panic or a huge allocation.
+// contents): meta section counts whose sum wraps to the real section count,
+// a union entry whose index count is astronomically large, and a dynamic
+// entry whose base table holds one tuple twice. All must come back as typed
+// errors, not a panic, a huge allocation or a silently deduplicated index.
 func TestOpenSnapshotRejectsCraftedCounts(t *testing.T) {
 	forge := func(build func(w *snapshot.Writer)) []byte {
 		var buf bytes.Buffer
@@ -642,5 +644,42 @@ func TestOpenSnapshotRejectsCraftedCounts(t *testing.T) {
 	})
 	if _, err := OpenSnapshotBytes(hugeUnion); !IsSnapshotInvalid(err) {
 		t.Fatalf("huge union index count: err = %v", err)
+	}
+
+	// A dynamic base table with the same tuple at positions 0 and 2, the
+	// first tombstoned: the live index never exports one, and loading it
+	// would leave Dead positions that disagree with the file.
+	dq := MustCQ("dq", []string{"a", "b"}, NewAtom("R", V("a"), V("b")))
+	dynamicEntry := func(values []int64) []byte {
+		return forge(func(w *snapshot.Writer) {
+			s := w.Section(1)
+			s.U64(0)
+			s.U64(0)
+			s.U64(1)
+			s.Close()
+			writeDict(w)
+			s = w.Section(4)
+			s.Str("dq")
+			query.MarshalQuery(s, dq)
+			s.U64(3) // entryKindDynamic
+			s.U64(1) // one base table
+			s.Str("R")
+			s.U64(2) // arity
+			s.U64(3) // tuples
+			s.I64s(values)
+			s.I64s([]int64{0}) // dead
+			s.Close()
+		})
+	}
+	cat, err := OpenSnapshotBytes(dynamicEntry([]int64{0, 0, 0, 1, 1, 0}))
+	if err != nil {
+		t.Fatalf("distinct tuples: %v", err)
+	}
+	if n := cat.Entries()[0].H.Count(); n != 2 {
+		t.Fatalf("distinct tuples, one dead: Count = %d, want 2", n)
+	}
+	cat.Close()
+	if _, err := OpenSnapshotBytes(dynamicEntry([]int64{0, 0, 0, 1, 0, 0})); !IsSnapshotInvalid(err) || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("duplicate tuple in a dynamic base table: err = %v", err)
 	}
 }
