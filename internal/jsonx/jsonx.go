@@ -13,8 +13,9 @@ const hexDigits = "0123456789abcdef"
 // encoding/json's default (HTML-escaping) table: `"` and `\` get a backslash,
 // \b \f \n \r \t their short escapes, other control bytes `\u00xx`, `<` `>` `&`
 // their `\u00xx` forms, U+2028/U+2029 their `\u202x` forms, and invalid
-// UTF-8 the literal `�` escape.
-func AppendString(dst []byte, s string) []byte {
+// UTF-8 the literal `�` escape. s is a string on the daemon and a cell
+// aliasing a shard's reply on the router.
+func AppendString[T string | []byte](dst []byte, s T) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -44,7 +45,8 @@ func AppendString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
+		var enc [utf8.UTFMax]byte
+		c, size := utf8.DecodeRune(enc[:copy(enc[:], s[i:])])
 		switch {
 		case c == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)

@@ -104,8 +104,9 @@ func appendBool(dst []byte, v bool) []byte {
 
 // Row is one answer as the body builders see it: a dictionary tuple on the
 // daemon, whose cells render through the snapshot's dictionary, or a row of
-// already-rendered strings on the router, where dict is nil.
-type Row interface{ renum.Tuple | []string }
+// already-rendered cells on the router, where dict is nil and each cell
+// aliases the shard reply it arrived in.
+type Row interface{ renum.Tuple | [][]byte }
 
 // appendCellString renders one value as a JSON string: the interned
 // dictionary string when there is one, otherwise Dict.String's stable "#N"
@@ -132,12 +133,12 @@ func appendRow[R Row](dst []byte, dict *renum.Dict, row R) []byte {
 			}
 			dst = appendCellString(dst, dict, v)
 		}
-	case []string:
+	case [][]byte:
 		for i, c := range r {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONString(dst, c)
+			dst = jsonx.AppendString(dst, c)
 		}
 	}
 	return append(dst, ']')
@@ -307,9 +308,9 @@ func appendWireRows[R Row](dst []byte, dict *renum.Dict, rows []R, arity int, fl
 			for _, v := range r {
 				dst = appendWireCell(dst, dict, v)
 			}
-		case []string:
+		case [][]byte:
 			for _, c := range r {
-				dst = wire.AppendCell(dst, c)
+				dst = wire.AppendCellBytes(dst, c)
 			}
 		}
 	}

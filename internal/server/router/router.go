@@ -14,24 +14,50 @@
 // Source that fetches rows from the shards instead of a local index
 // (remote, below). What the router adds is only the row source: random-order
 // cursors and /sample consume a seeded rng exactly like the library
-// backends (one lazy Fisher–Yates over the global count), and shard-to-router
-// hops negotiate the binary wire format (internal/wire) so fan-out bandwidth
-// does not pay JSON costs twice.
+// backends (one lazy Fisher–Yates over the global count).
+//
+// # The hop
+//
+// Everything sent to a shard goes through the client in client.go: a free
+// list of persistent HTTP/1.1 connections per shard, dialled directly
+// (http:// over TCP, https:// over TLS; no proxy), one request in flight per
+// connection. Rows cross by one function, remote.hop: Access, Batch, Sample
+// and random-order draws are GET /batch?js= of local positions and Page is
+// GET /page of a local window, always asking for the binary wire format
+// (internal/wire), so a shard answers every leg from its fast loop; only a
+// /batch too long for the shard's request-line buffer goes as a POST. A
+// fan-out writes every leg's request and then reads the replies in shard
+// order on the calling goroutine. The client's X-Request-Id rides every leg,
+// so /debug/traces on each shard shows its part under the same id.
+//
+// A reply is trusted only after it is checked: the HTTP framing by a reader
+// that is total on hostile bytes (FuzzShardReply), the frame's CRC-32C before
+// any length in it, and then that it holds exactly the rows asked, of the
+// query's arity. The cells handed to the core alias the reply's buffer, which
+// is allocated per reply and never reused, so a cursor draw or a slow client
+// may hold it as long as it likes.
+//
+// A leg is sent a second time in exactly one case: it went out on a pooled
+// connection and that connection failed before a single reply byte arrived —
+// the shard restarted or timed it out while it idled. Every hop is a read, so
+// sending it again is safe; it is redialled once
+// (renum_shard_redials_total) and a failure after that, a timeout, or a
+// connection that dies part-way through a reply is a fault.
 //
 // # Degradation
 //
 // The router degrades honestly rather than silently: /readyz is 503 until
-// every shard has scraped ready, any shard fault during a probe is a typed
-// 502 naming the failing daemon (and flips /readyz until a scrape proves
-// the fleet back), and a mid-batch shard death fails that request without
-// corrupting cursor state — the cursor only advances on success, so the
-// client resumes cleanly once the shard returns.
+// every shard has scraped ready, any shard fault during a probe — transport
+// error, 5xx, or a reply that fails its checks — is a typed 502 naming the
+// failing daemon (and flips /readyz until a scrape proves the fleet back),
+// and a mid-batch shard death fails that request without corrupting cursor
+// state — the cursor only advances on success, so the client resumes cleanly
+// once the shard returns.
 package router
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -42,6 +68,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"repro"
 	"repro/internal/obs"
@@ -62,8 +89,6 @@ type Config struct {
 	ShardsFile string
 	// Refresh is the scrape period for counts and health (0 = 2s).
 	Refresh time.Duration
-	// Client performs shard requests (nil = 10s-timeout default client).
-	Client *http.Client
 	// MaxBatch bounds one /batch or /page request (0 = 1<<16).
 	MaxBatch int64
 	// MaxCursorDraw bounds n of one /enum/next call (0 = 1<<16).
@@ -76,33 +101,23 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// shardMetrics is one shard's instrument set, resolved once per shard.
-type shardMetricsSet struct {
-	reqs    *obs.Counter
-	errs    *obs.Counter
-	lat     *obs.Histogram
-	healthy *obs.Gauge
-	up      atomic.Bool
-}
-
 // Router is the HTTP face of a shard fleet.
 type Router struct {
 	cfg    Config
-	client *http.Client
 	logger *slog.Logger
 
 	table atomic.Pointer[table]
-	core  *server.Core[[]string]
+	core  *server.Core[[][]byte]
 	mux   *http.ServeMux
 
 	obs       *obs.Registry
-	fanouts   *obs.Counter // number of scatter-gather rounds
-	fanoutSum *obs.Counter // total sub-requests across rounds (sum of widths)
+	fanouts   *obs.Counter // row hops
+	fanoutSum *obs.Counter // shard legs across hops (sum of widths)
 	scrapes   *obs.Counter
 	scrapeErr *obs.Counter
 
-	mu     sync.Mutex // guards shards map growth
-	shards map[string]*shardMetricsSet
+	mu     sync.Mutex // guards shards; only scrapes take it
+	shards map[string]*shard
 
 	draining atomic.Bool
 	stop     chan struct{}
@@ -115,10 +130,6 @@ func New(cfg Config) *Router {
 	if cfg.Refresh <= 0 {
 		cfg.Refresh = 2 * time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
@@ -126,19 +137,18 @@ func New(cfg Config) *Router {
 	reg := obs.NewRegistry()
 	r := &Router{
 		cfg:    cfg,
-		client: client,
 		logger: logger,
-		core: server.NewCore[[]string](server.Limits{
+		core: server.NewCore[[][]byte](server.Limits{
 			MaxBatch: cfg.MaxBatch, MaxCursorDraw: cfg.MaxCursorDraw,
 			CursorTTL: cfg.CursorTTL, CursorSweep: cfg.CursorSweep,
 		}),
 		mux:       http.NewServeMux(),
 		obs:       reg,
-		fanouts:   reg.Counter("renum_shard_fanout_total", "Scatter-gather rounds issued by the router.", ""),
-		fanoutSum: reg.Counter("renum_shard_fanout_width_total", "Total shard sub-requests across scatter-gather rounds (divide by renum_shard_fanout_total for mean width).", ""),
+		fanouts:   reg.Counter("renum_shard_fanout_total", "Row hops the router made: one per /access, /batch, /page, /sample or cursor draw.", ""),
+		fanoutSum: reg.Counter("renum_shard_fanout_width_total", "Total shard legs across row hops (divide by renum_shard_fanout_total for mean width).", ""),
 		scrapes:   reg.Counter("renum_shard_scrapes_total", "Routing-table scrape attempts.", ""),
 		scrapeErr: reg.Counter("renum_shard_scrape_errors_total", "Routing-table scrapes that failed.", ""),
-		shards:    map[string]*shardMetricsSet{},
+		shards:    map[string]*shard{},
 		stop:      make(chan struct{}),
 	}
 	reg.GaugeFunc("renum_router_generation", "Max shard generation in the current routing table.", "", func() float64 {
@@ -207,11 +217,16 @@ func (r *Router) Refresh(ctx context.Context) error {
 	}
 	r.table.Store(t)
 	// A full successful scrape is the proof that flips failed shards back
-	// to healthy.
-	for _, base := range t.shards {
-		m := r.shardMetrics(base)
-		m.up.Store(true)
-		m.healthy.Set(1)
+	// to healthy. A shard the fleet file dropped keeps its series but not its
+	// sockets.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, sh := range r.shards {
+		if slices.Contains(t.shards, sh) {
+			sh.setUp(true)
+		} else {
+			sh.closeIdle()
+		}
 	}
 	return nil
 }
@@ -238,46 +253,42 @@ func (r *Router) Ready() bool {
 	if t == nil {
 		return false
 	}
-	for _, base := range t.shards {
-		if !r.shardMetrics(base).up.Load() {
+	for _, sh := range t.shards {
+		if !sh.up.Load() {
 			return false
 		}
 	}
 	return true
 }
 
-// Close stops the scrape loop and cursor janitor.
+// Close stops the scrape loop and cursor janitor and closes the idle shard
+// connections. Call it once the front has drained.
 func (r *Router) Close() {
 	r.draining.Store(true)
 	close(r.stop)
 	r.wg.Wait()
 	r.core.Close()
-}
-
-// shardMetrics resolves (lazily creating) the instrument set for one shard.
-func (r *Router) shardMetrics(base string) *shardMetricsSet {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, ok := r.shards[base]
-	if !ok {
-		labels := obs.Labels("shard", base)
-		m = &shardMetricsSet{
-			reqs:    r.obs.Counter("renum_shard_requests_total", "Requests the router sent to each shard daemon.", labels),
-			errs:    r.obs.Counter("renum_shard_request_errors_total", "Shard requests that failed (transport error or 5xx).", labels),
-			lat:     r.obs.Histogram("renum_shard_request_duration_seconds", "Latency of router-to-shard requests.", labels),
-			healthy: r.obs.Gauge("renum_shard_healthy", "1 when the shard's last interaction succeeded, 0 after a fault (until a scrape proves it back).", labels),
-		}
-		m.up.Store(true)
-		m.healthy.Set(1)
-		r.shards[base] = m
+	for _, sh := range r.shards {
+		sh.closeIdle()
 	}
-	return m
 }
 
-func (r *Router) markUnhealthy(base string) {
-	m := r.shardMetrics(base)
-	m.up.Store(false)
-	m.healthy.Set(0)
+// shard resolves (creating it the first time a scrape names it) the state of
+// the daemon at base.
+func (r *Router) shard(base string) (*shard, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sh, ok := r.shards[base]
+	if !ok {
+		var err error
+		if sh, err = newShard(base, r.obs); err != nil {
+			return nil, err
+		}
+		r.shards[base] = sh
+	}
+	return sh, nil
 }
 
 func (r *Router) route(pattern string, h func(w http.ResponseWriter, req *http.Request) error) {
@@ -309,9 +320,15 @@ func (r *Router) query(h func(w http.ResponseWriter, req *http.Request, t *table
 var errNoTable = server.HTTPErrorf(http.StatusServiceUnavailable, "no routing table yet (shards not scraped ready)")
 
 // op mounts one core op: the daemon's own net/http transport and endpoint
-// core, over this fleet's rows.
+// core, over this fleet's rows. The client's X-Request-Id rides the request's
+// context to every shard leg the op makes — the context of the request that
+// draws, so a cursor draw is traced under its own id, not under that of the
+// enum/start which built the draw function.
 func (r *Router) op(pattern string, op server.Op) {
 	r.route(pattern, r.query(func(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
+		if id := req.Header.Get("X-Request-Id"); id != "" && !strings.ContainsFunc(id, unicode.IsControl) {
+			req = req.WithContext(context.WithValue(req.Context(), requestIDKey{}, id))
+		}
 		return r.core.Serve(w, req, op, &remote{r: r, t: t, rt: rt})
 	}))
 }
@@ -362,12 +379,12 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request, t *table
 
 // ------------------------------------------------------------ remote source
 
-// remote is the router's server.Source: one query of one routing table,
-// its rows fetched from the shard daemons as already-rendered strings.
-// Everything the client sees of them — validation, framing, cursors — is the
-// endpoint core's; remote only locates positions and moves rows. The table
-// is immutable, so the draw functions a cursor keeps stay coherent across
-// scrapes.
+// remote is the router's server.Source: one query of one routing table, its
+// rows fetched from the shard daemons as cells that alias the replies they
+// arrived in. Everything the client sees of them — validation, framing,
+// cursors — is the endpoint core's; remote only locates positions and moves
+// rows. The table is immutable, so the draw functions a cursor keeps stay
+// coherent across scrapes.
 type remote struct {
 	r  *Router
 	t  *table
@@ -386,175 +403,180 @@ func (s *remote) Has(c renum.Capability) bool { return slices.Contains(s.rt.caps
 // not per op.
 func (s *remote) Probe(server.Op) server.ProbeClock { return server.ProbeClock{} }
 
-func (s *remote) Access(ctx context.Context, j int64) ([]string, error) {
-	sh, local := s.rt.locate(j)
-	// The shard answers with its local position; the core frames the body
-	// with the global j the client asked for.
-	var body struct {
-		Answer []string `json:"answer"`
-		J      int64    `json:"j"`
+// leg is one shard's part of a hop: which of the asked positions it answers
+// (at indexes js and out alike), or which local window [lo, lo+n) whose rows
+// land in out from base on.
+type leg struct {
+	shard int
+	at    []int
+	lo    int64
+	n     int
+	base  int
+	c     *conn
+}
+
+// newRows returns n empty rows of the query's arity over one cell block.
+func (s *remote) newRows(n int) [][][]byte {
+	arity := len(s.rt.head)
+	rows, cells := make([][][]byte, n), make([][]byte, n*arity)
+	for i := range rows {
+		rows[i] = cells[i*arity : (i+1)*arity : (i+1)*arity]
 	}
-	err := s.r.getJSON(ctx, s.t.shards[sh], "/v1/"+s.rt.name+"/access?j="+strconv.FormatInt(local, 10), &body)
-	return body.Answer, err
+	return rows
+}
+
+// hop is the one way rows cross to the shards and back. It writes every
+// leg's request — GET /batch?js= of local positions, or GET /page of a local
+// window, always negotiating the wire format, so a shard answers from its
+// fast loop — then reads the replies in shard order on this goroutine: the
+// shards work at the same time and the hop takes as long as the slowest. Each
+// reply is checked (CRC, then exactly the rows asked, of this query's arity)
+// and its cells are stored into out still aliasing the reply's buffer. After
+// a failed leg the connections whose replies were not read are closed, not
+// returned: an unread reply would answer the next request sent there.
+func (s *remote) hop(ctx context.Context, legs []leg, js []int64, out [][][]byte) (err error) {
+	s.r.fanouts.Inc()
+	s.r.fanoutSum.Add(uint64(len(legs)))
+	sent := 0 // legs holding a connection with a reply due on it
+	for err == nil && sent < len(legs) {
+		if err = s.sendLeg(ctx, &legs[sent], js); err == nil {
+			sent++
+		}
+	}
+	for i := range legs[:sent] {
+		if err != nil {
+			legs[i].c.nc.Close()
+		} else {
+			err = s.recvLeg(ctx, &legs[i], out)
+		}
+	}
+	return err
+}
+
+// recvLeg reads one leg's reply, checks it and stores its rows.
+func (s *remote) recvLeg(ctx context.Context, l *leg, out [][][]byte) error {
+	sh := s.t.shards[l.shard]
+	body, err := sh.recv(ctx, l.c)
+	if err != nil {
+		return err
+	}
+	err = parseRows(body, l.n, len(s.rt.head), func(row, col int, val []byte) {
+		if l.at != nil {
+			row = l.at[row]
+		} else {
+			row += l.base
+		}
+		out[row][col] = val
+	})
+	if err != nil {
+		return sh.fail(err)
+	}
+	return nil
+}
+
+// sendLeg writes one leg's request.
+func (s *remote) sendLeg(ctx context.Context, l *leg, js []int64) (err error) {
+	sh, start := s.t.shards[l.shard], s.rt.starts[l.shard]
+	if l.at == nil {
+		if l.c, err = sh.begin(ctx, http.MethodGet, s.rt.pagePath); err != nil {
+			return err
+		}
+		l.c.req = strconv.AppendInt(l.c.req, l.lo, 10)
+		l.c.req = append(l.c.req, "&limit="...)
+		l.c.req = strconv.AppendInt(l.c.req, int64(l.n), 10)
+		return sh.send(ctx, l.c, wire.ContentType, nil)
+	}
+	if l.c, err = sh.begin(ctx, http.MethodGet, s.rt.batchPath); err != nil {
+		return err
+	}
+	list := len(l.c.req)
+	for i, at := range l.at {
+		if i > 0 {
+			l.c.req = append(l.c.req, ',')
+		}
+		l.c.req = strconv.AppendInt(l.c.req, js[at]-start, 10)
+	}
+	var body []byte
+	if len(l.c.req) > maxRequestLine {
+		body = append(append([]byte(`{"js":[`), l.c.req[list:]...), ']', '}')
+		l.c.req = sh.appendLine(l.c.req[:0], http.MethodPost, strings.TrimSuffix(s.rt.batchPath, "?js="))
+	}
+	return sh.send(ctx, l.c, wire.ContentType, body)
+}
+
+func (s *remote) Access(ctx context.Context, j int64) ([][]byte, error) {
+	// A batch of one: the shard answers its local position, the core frames
+	// the body with the global j the client asked for.
+	sh, _ := s.rt.locate(j)
+	js, at, out := [1]int64{j}, [1]int{0}, [1][][]byte{make([][]byte, len(s.rt.head))}
+	legs := [1]leg{{shard: sh, at: at[:], n: 1}}
+	err := s.hop(ctx, legs[:], js[:], out[:])
+	return out[0], err
 }
 
 // Batch resolves arbitrary global positions: validated up front (one bad
-// position fails the whole batch, exactly like the library), split per
-// shard through the prefix-sum table, fanned out concurrently, scattered
-// back into request order.
-func (s *remote) Batch(ctx context.Context, js []int64) ([][]string, error) {
-	r, t, rt := s.r, s.t, s.rt
+// position fails the whole batch, exactly like the library), grouped per
+// shard through the prefix-sum table by a counting sort, and scattered back
+// into request order as the replies are read.
+func (s *remote) Batch(ctx context.Context, js []int64) ([][][]byte, error) {
+	rt, k := s.rt, len(s.t.shards)
 	for _, j := range js {
 		if j < 0 || j >= rt.total {
 			return nil, renum.ErrOutOfBounds
 		}
 	}
-	out := make([][]string, len(js))
+	out := s.newRows(len(js))
 	if len(js) == 0 {
 		return out, nil
 	}
-	perJS := make([][]int64, len(t.shards))
-	perAt := make([][]int, len(t.shards))
+	// One block: each position's shard, the positions grouped by shard, and
+	// where each shard's group begins.
+	block := make([]int, 2*len(js)+k+1)
+	of, at, begin := block[:len(js)], block[len(js):2*len(js)], block[2*len(js):]
 	for i, j := range js {
-		sh, local := rt.locate(j)
-		perJS[sh] = append(perJS[sh], local)
-		perAt[sh] = append(perAt[sh], i)
+		of[i], _ = rt.locate(j)
+		begin[of[i]+1]++
 	}
-	reqs := make([]shardDraw, 0, len(t.shards))
-	for sh, local := range perJS {
-		if len(local) > 0 {
-			reqs = append(reqs, shardDraw{shard: sh, js: local, at: perAt[sh]})
+	legs := make([]leg, 0, k)
+	for sh := 0; sh < k; sh++ {
+		if n := begin[sh+1]; n > 0 {
+			legs = append(legs, leg{shard: sh, at: at[begin[sh] : begin[sh]+n], n: n})
 		}
+		begin[sh+1] += begin[sh]
 	}
-	return out, r.fanOut(ctx, reqs, func(ctx context.Context, _ int, d shardDraw) error {
-		rows, err := r.shardBatch(ctx, t.shards[d.shard], rt.name, d.js)
-		if err != nil {
-			return err
-		}
-		if len(rows) != len(d.js) {
-			return &shardError{shard: t.shards[d.shard], err: fmt.Errorf("batch returned %d rows for %d positions", len(rows), len(d.js))}
-		}
-		for i, row := range rows {
-			out[d.at[i]] = row
-		}
-		return nil
-	})
-}
-
-// shardDraw is one shard's portion of a scatter-gather round.
-type shardDraw struct {
-	shard int
-	js    []int64 // local positions (batch) — nil for page draws
-	at    []int   // request slots (batch)
-	lo, n int64   // local window (page)
-}
-
-// fanOut runs one sub-request per shard portion concurrently and collects
-// the first error. Fan-out width lands in the router metrics.
-func (r *Router) fanOut(ctx context.Context, reqs []shardDraw, do func(context.Context, int, shardDraw) error) error {
-	r.fanouts.Inc()
-	r.fanoutSum.Add(uint64(len(reqs)))
-	if len(reqs) == 1 {
-		return do(ctx, 0, reqs[0])
+	for i, sh := range of {
+		at[begin[sh]] = i
+		begin[sh]++
 	}
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i, d := range reqs {
-		wg.Add(1)
-		go func(i int, d shardDraw) {
-			defer wg.Done()
-			errs[i] = do(ctx, i, d)
-		}(i, d)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// shardBatch posts local positions to one shard's /batch, negotiating the
-// binary wire format for the hop, and returns the parsed rows.
-func (r *Router) shardBatch(ctx context.Context, base, query string, js []int64) ([][]string, error) {
-	body := []byte(`{"js":[`)
-	for i, j := range js {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = strconv.AppendInt(body, j, 10)
-	}
-	body = append(body, ']', '}')
-	data, err := r.fetch(ctx, http.MethodPost, base, "/v1/"+query+"/batch", wire.ContentType, strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	_, rows, err := wire.Parse(data)
-	if err != nil {
-		r.markUnhealthy(base)
-		return nil, &shardError{shard: base, err: fmt.Errorf("wire parse: %v", err)}
-	}
-	return rows, nil
-}
-
-// shardPage fetches one shard's local window [lo, lo+n) via /page (wire hop).
-func (r *Router) shardPage(ctx context.Context, base, query string, lo, n int64) ([][]string, error) {
-	path := fmt.Sprintf("/v1/%s/page?offset=%d&limit=%d", query, lo, n)
-	data, err := r.fetch(ctx, http.MethodGet, base, path, wire.ContentType, nil)
-	if err != nil {
-		return nil, err
-	}
-	_, rows, err := wire.Parse(data)
-	if err != nil {
-		r.markUnhealthy(base)
-		return nil, &shardError{shard: base, err: fmt.Errorf("wire parse: %v", err)}
-	}
-	if int64(len(rows)) != n {
-		return nil, &shardError{shard: base, err: fmt.Errorf("page returned %d rows for window of %d", len(rows), n)}
-	}
-	return rows, nil
+	return out, s.hop(ctx, legs, js, out)
 }
 
 // Page resolves the contiguous global window [offset, offset+k): each
 // shard's intersection with the window is one local page request, and the
 // shard results concatenate in shard order — which IS global order, by the
 // partition contract.
-func (s *remote) Page(ctx context.Context, offset, k int64) ([][]string, error) {
-	r, t, rt := s.r, s.t, s.rt
+func (s *remote) Page(ctx context.Context, offset, k int64) ([][][]byte, error) {
+	out := s.newRows(int(k))
 	if k == 0 {
-		return [][]string{}, nil
+		return out, nil
 	}
-	var reqs []shardDraw
-	for sh := range t.shards {
-		shLo, shHi := rt.starts[sh], rt.starts[sh+1]
-		lo, hi := max(offset, shLo), min(offset+k, shHi)
-		if lo >= hi {
-			continue
+	legs := make([]leg, 0, len(s.t.shards))
+	for sh := range s.t.shards {
+		shLo, shHi := s.rt.starts[sh], s.rt.starts[sh+1]
+		if lo, hi := max(offset, shLo), min(offset+k, shHi); lo < hi {
+			legs = append(legs, leg{shard: sh, lo: lo - shLo, n: int(hi - lo), base: int(lo - offset)})
 		}
-		reqs = append(reqs, shardDraw{shard: sh, lo: lo - shLo, n: hi - lo})
 	}
-	parts := make([][][]string, len(reqs))
-	err := r.fanOut(ctx, reqs, func(ctx context.Context, i int, d shardDraw) error {
-		rows, err := r.shardPage(ctx, t.shards[d.shard], rt.name, d.lo, d.n)
-		if err != nil {
-			return err
-		}
-		parts[i] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]string, 0, k)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
+	return out, s.hop(ctx, legs, nil, out)
 }
 
-func (s *remote) Pager() func(context.Context, int64, int64) ([][]string, error) { return s.Page }
+func (s *remote) Pager() func(context.Context, int64, int64) ([][][]byte, error) { return s.Page }
 
 // Sample: the shards are static slices, so the global sample is distinct —
 // and drawing a lazy Fisher–Yates prefix over the global count consumes the
 // seeded rng exactly like the library's sampler: same seed, same positions,
 // same bytes as the unsharded daemon.
-func (s *remote) Sample(ctx context.Context, k int64, rng *rand.Rand) ([][]string, bool, error) {
+func (s *remote) Sample(ctx context.Context, k int64, rng *rand.Rand) ([][][]byte, bool, error) {
 	rows, err := s.Batch(ctx, shuffle.New(s.rt.total, rng).Draw(nil, k))
 	return rows, false, err
 }
@@ -566,9 +588,9 @@ func (s *remote) Sample(ctx context.Context, k int64, rng *rand.Rand) ([][]strin
 // re-draws nothing and the cursor stays alive, so the positions of a failed
 // draw ARE lost to that cursor — exactly the each-answer-at-most-once
 // reading a fleet can honor.
-func (s *remote) Permute(rng *rand.Rand) (func(context.Context, int64) ([][]string, error), error) {
+func (s *remote) Permute(rng *rand.Rand) (func(context.Context, int64) ([][][]byte, error), error) {
 	shuf := shuffle.New(s.rt.total, rng)
-	return func(ctx context.Context, k int64) ([][]string, error) {
+	return func(ctx context.Context, k int64) ([][][]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -578,53 +600,42 @@ func (s *remote) Permute(rng *rand.Rand) (func(context.Context, int64) ([][]stri
 
 // forwardTuple re-posts a tuple probe to shard daemons in shard order until
 // hit (the shards partition the answer space, so at most one can claim it).
-func (s *remote) forwardTuple(ctx context.Context, path string, tuple []string, hit func(shard int, data []byte) (bool, error)) error {
+func (s *remote) forwardTuple(ctx context.Context, path string, tuple []string, v any, hit func(shard int) bool) error {
 	body, err := json.Marshal(map[string][]string{"tuple": tuple})
 	if err != nil {
 		return err
 	}
-	for sh, base := range s.t.shards {
-		data, err := s.r.fetch(ctx, http.MethodPost, base, "/v1/"+s.rt.name+path, "", strings.NewReader(string(body)))
-		if err != nil {
+	for i, sh := range s.t.shards {
+		if err := sh.doJSON(ctx, http.MethodPost, "/v1/"+s.rt.name+path, body, v); err != nil {
 			return err
 		}
-		found, err := hit(sh, data)
-		if err != nil || found {
-			return err
+		if hit(i) {
+			return nil
 		}
 	}
 	return nil
 }
 
-func (s *remote) Contains(ctx context.Context, cells []string) (contains bool, err error) {
-	err = s.forwardTuple(ctx, "/contains", cells, func(sh int, data []byte) (bool, error) {
-		var cb struct {
-			Contains bool `json:"contains"`
-		}
-		if err := json.Unmarshal(data, &cb); err != nil {
-			return false, &shardError{shard: s.t.shards[sh], err: err}
-		}
-		contains = cb.Contains
-		return cb.Contains, nil
-	})
-	return contains, err
+func (s *remote) Contains(ctx context.Context, cells []string) (bool, error) {
+	var cb struct {
+		Contains bool `json:"contains"`
+	}
+	err := s.forwardTuple(ctx, "/contains", cells, &cb, func(int) bool { return cb.Contains })
+	return cb.Contains, err
 }
 
 func (s *remote) Inverted(ctx context.Context, cells []string) (j int64, found bool, err error) {
-	err = s.forwardTuple(ctx, "/inverted", cells, func(sh int, data []byte) (bool, error) {
-		var ib struct {
-			Found bool  `json:"found"`
-			J     int64 `json:"j"`
-		}
-		if err := json.Unmarshal(data, &ib); err != nil {
-			return false, &shardError{shard: s.t.shards[sh], err: err}
-		}
+	var ib struct {
+		Found bool  `json:"found"`
+		J     int64 `json:"j"`
+	}
+	err = s.forwardTuple(ctx, "/inverted", cells, &ib, func(sh int) bool {
 		if ib.Found {
 			// The shard found it at a local position; the global position
 			// re-bases through the shard's window start.
 			j, found = s.rt.starts[sh]+ib.J, true
 		}
-		return ib.Found, nil
+		return ib.Found
 	})
 	return j, found, err
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,15 +72,66 @@ func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.h.ServeHTTP(w, r)
 }
 
+// fleet is a router over k shard daemons beside the unsharded reference. The
+// shards come in two flavours: "mux" serves each daemon's net/http mux behind
+// httptest (chunked replies, POST and GET alike), "fast" is what ships — the
+// daemon's fast connection loop on a loopback listener, which answers the GET
+// legs itself.
 type fleet struct {
-	ref    http.Handler // single unsharded daemon
-	rt     *Router
-	urls   []string
-	flaky  []*flakyProxy
-	shards []*httptest.Server
+	ref      http.Handler // single unsharded daemon
+	rt       *Router
+	urls     []string
+	handlers []http.Handler // each shard's own mux, bypassing the hop
+	flaky    []*flakyProxy  // mux flavour only
+	fast     []*fastShard   // fast flavour only
 }
 
-func shardHandler(t testing.TB, db *renum.Database, slice, of int) http.Handler {
+var flavours = []string{"mux", "fast"}
+
+// kill takes shard i down: an injected 500 on the mux flavour, a closed
+// listener (and closed connections) on the fast one.
+func (f *fleet) kill(i int) {
+	if f.fast != nil {
+		f.fast[i].stop()
+	} else {
+		f.flaky[i].fail.Store(true)
+	}
+}
+
+// revive brings shard i back, on the same port.
+func (f *fleet) revive(t testing.TB, i int) {
+	if f.fast != nil {
+		f.fast[i].start(t)
+	} else {
+		f.flaky[i].fail.Store(false)
+	}
+}
+
+// fastShard is one daemon served by its fast loop.
+type fastShard struct {
+	s    *server.Server
+	addr string
+	fs   *server.FastServer
+}
+
+func (f *fastShard) start(t testing.TB) {
+	t.Helper()
+	ln, err := net.Listen("tcp", f.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.addr = ln.Addr().String()
+	f.fs = server.NewFastServer(f.s)
+	go f.fs.Serve(ln)
+}
+
+func (f *fastShard) stop() {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	f.fs.Shutdown(ctx)
+}
+
+func shardServer(t testing.TB, db *renum.Database, slice, of int) *server.Server {
 	t.Helper()
 	reg := server.NewRegistry(db, server.CoalesceConfig{}, 0)
 	if of > 0 {
@@ -92,22 +145,37 @@ func shardHandler(t testing.TB, db *renum.Database, slice, of int) http.Handler 
 	}
 	s := server.New(reg, server.Config{})
 	t.Cleanup(s.Close)
-	return s.Handler()
+	return s
 }
 
-func newFleet(t testing.TB, k int) *fleet {
+func shardHandler(t testing.TB, db *renum.Database, slice, of int) http.Handler {
+	return shardServer(t, db, slice, of).Handler()
+}
+
+func newFleet(t testing.TB, k int) *fleet { return newFleetOf(t, k, "mux") }
+
+func newFleetOf(t testing.TB, k int, flavour string) *fleet {
 	t.Helper()
 	db := fixtureDB(t)
 	f := &fleet{ref: shardHandler(t, db, -1, 0)}
 	for i := 0; i < k; i++ {
-		p := &flakyProxy{h: shardHandler(t, db, i, k)}
+		s := shardServer(t, db, i, k)
+		f.handlers = append(f.handlers, s.Handler())
+		if flavour == "fast" {
+			fs := &fastShard{s: s, addr: "127.0.0.1:0"}
+			fs.start(t)
+			t.Cleanup(fs.stop)
+			f.fast = append(f.fast, fs)
+			f.urls = append(f.urls, "http://"+fs.addr)
+			continue
+		}
+		p := &flakyProxy{h: s.Handler()}
 		ts := httptest.NewServer(p)
 		t.Cleanup(ts.Close)
 		f.flaky = append(f.flaky, p)
-		f.shards = append(f.shards, ts)
 		f.urls = append(f.urls, ts.URL)
 	}
-	f.rt = New(Config{Shards: f.urls, Client: &http.Client{Timeout: 10 * time.Second}})
+	f.rt = New(Config{Shards: f.urls})
 	t.Cleanup(f.rt.Close)
 	if err := f.rt.Refresh(context.Background()); err != nil {
 		t.Fatalf("refresh: %v", err)
@@ -167,84 +235,89 @@ func count(t testing.TB, h http.Handler, query string) int64 {
 func TestRouterEquivalence(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			f := newFleet(t, k)
-			n := count(t, f.ref, "Q")
-			if n < 100 {
-				t.Fatalf("fixture too small: %d answers", n)
-			}
-			if got := count(t, f.rt.Handler(), "Q"); got != n {
-				t.Fatalf("router count %d, reference %d", got, n)
-			}
-
-			f.compare(t, "GET", "/v1/Q/count", "", "")
-			f.compare(t, "GET", "/v1/U/count", "", "")
-
-			for _, j := range []int64{0, 1, n / 3, n / 2, n - 1} {
-				f.compare(t, "GET", fmt.Sprintf("/v1/Q/access?j=%d", j), "", "")
-			}
-			f.compare(t, "GET", "/v1/U/access?j=3", "", "")
-
-			// Batches: duplicates, cross-shard scatter, GET and POST, both
-			// formats on the client edge.
-			js := fmt.Sprintf("0,5,%d,%d,3,3,%d", n-1, n/2, n/4)
-			f.compare(t, "GET", "/v1/Q/batch?js="+js, "", "")
-			f.compare(t, "GET", "/v1/Q/batch?js=%201%20,%202%20,,4", "", "")
-			f.compare(t, "POST", "/v1/Q/batch", fmt.Sprintf(`{"js":[%s]}`, js), "")
-			f.compare(t, "GET", "/v1/Q/batch?js="+js, "", wire.ContentType)
-			f.compare(t, "GET", "/v1/U/batch?js=0,9,4", "", "")
-
-			// Negotiation and parameter decoding are the daemon's own: a
-			// weighted media type among others opts in, optional whitespace is
-			// SP/HTAB only (a no-break space is part of the token), and the
-			// first of a repeated parameter wins.
-			f.compare(t, "GET", "/v1/Q/batch?js="+js, "", "text/plain, "+wire.ContentType+";q=0.5")
-			f.compare(t, "GET", "/v1/Q/batch?js="+js, "", "\u00a0"+wire.ContentType)
-			f.compare(t, "GET", "/v1/Q/access?j=1&j=2", "", "")
-			f.compare(t, "GET", "/v1/Q/page?offset=3&offset=0&limit=2&limit=9", "", "")
-
-			// Pages: inside one shard, crossing boundaries, overshooting
-			// tails, past the end, empty.
-			for _, pg := range [][2]int64{{0, 10}, {n/2 - 3, 9}, {n - 4, 100}, {n + 5, 10}, {0, 0}, {0, n}} {
-				url := fmt.Sprintf("/v1/Q/page?offset=%d&limit=%d", pg[0], pg[1])
-				f.compare(t, "GET", url, "", "")
-				f.compare(t, "GET", url, "", wire.ContentType)
-			}
-			f.compare(t, "GET", "/v1/U/page?offset=2&limit=11", "", "")
-
-			// Seeded samples consume the rng exactly like the library's lazy
-			// Fisher–Yates prefix, so same seed = same bytes.
-			f.compare(t, "GET", "/v1/Q/sample?k=7&seed=42", "", "")
-			f.compare(t, "GET", "/v1/Q/sample?k=0&seed=1", "", "")
-			f.compare(t, "GET", fmt.Sprintf("/v1/Q/sample?k=%d&seed=9", n+10), "", "")
-			f.compare(t, "GET", "/v1/U/sample?k=5&seed=13", "", "")
-
-			// Tuple probes: take known answers off the reference, plus misses.
-			raw, _ := exchange(f.ref, "GET", fmt.Sprintf("/v1/Q/access?j=%d", n/2), "", "")
-			var ab struct {
-				Answer []string `json:"answer"`
-			}
-			if err := json.Unmarshal(raw, &ab); err != nil {
-				t.Fatal(err)
-			}
-			hit, _ := json.Marshal(map[string][]string{"tuple": ab.Answer})
-			f.compare(t, "POST", "/v1/Q/contains", string(hit), "")
-			f.compare(t, "POST", "/v1/Q/inverted", string(hit), "")
-			miss := `{"tuple":["nope","nope","nope"]}`
-			f.compare(t, "POST", "/v1/Q/contains", miss, "")
-			f.compare(t, "POST", "/v1/Q/inverted", miss, "")
-
-			// Error vocabulary: out-of-range, bad input, unsupported.
-			f.compare(t, "GET", fmt.Sprintf("/v1/Q/access?j=%d", n), "", "")
-			f.compare(t, "GET", fmt.Sprintf("/v1/Q/batch?js=0,%d", n), "", "")
-			f.compare(t, "POST", "/v1/U/inverted", `{"tuple":["a","b"]}`, "")
-			f.compare(t, "GET", "/v1/Q/enum/next?cursor=bogus", "", "")
-			if _, code := exchange(f.rt.Handler(), "POST", "/v1/Q/update", `{"op":"insert","relation":"r","tuple":["9","9"]}`, ""); code != http.StatusNotImplemented {
-				t.Fatalf("router update status %d, want 501", code)
-			}
-			if _, code := exchange(f.rt.Handler(), "GET", "/v1/Nope/count", "", ""); code != http.StatusNotFound {
-				t.Fatalf("unknown query status %d, want 404", code)
+			for _, flavour := range flavours {
+				t.Run(flavour, func(t *testing.T) { testEquivalence(t, newFleetOf(t, k, flavour)) })
 			}
 		})
+	}
+}
+
+func testEquivalence(t *testing.T, f *fleet) {
+	n := count(t, f.ref, "Q")
+	if n < 100 {
+		t.Fatalf("fixture too small: %d answers", n)
+	}
+	if got := count(t, f.rt.Handler(), "Q"); got != n {
+		t.Fatalf("router count %d, reference %d", got, n)
+	}
+
+	f.compare(t, "GET", "/v1/Q/count", "", "")
+	f.compare(t, "GET", "/v1/U/count", "", "")
+
+	for _, j := range []int64{0, 1, n / 3, n / 2, n - 1} {
+		f.compare(t, "GET", fmt.Sprintf("/v1/Q/access?j=%d", j), "", "")
+	}
+	f.compare(t, "GET", "/v1/U/access?j=3", "", "")
+
+	// Batches: duplicates, cross-shard scatter, GET and POST, both
+	// formats on the client edge.
+	js := fmt.Sprintf("0,5,%d,%d,3,3,%d", n-1, n/2, n/4)
+	f.compare(t, "GET", "/v1/Q/batch?js="+js, "", "")
+	f.compare(t, "GET", "/v1/Q/batch?js=%201%20,%202%20,,4", "", "")
+	f.compare(t, "POST", "/v1/Q/batch", fmt.Sprintf(`{"js":[%s]}`, js), "")
+	f.compare(t, "GET", "/v1/Q/batch?js="+js, "", wire.ContentType)
+	f.compare(t, "GET", "/v1/U/batch?js=0,9,4", "", "")
+
+	// Negotiation and parameter decoding are the daemon's own: a
+	// weighted media type among others opts in, optional whitespace is
+	// SP/HTAB only (a no-break space is part of the token), and the
+	// first of a repeated parameter wins.
+	f.compare(t, "GET", "/v1/Q/batch?js="+js, "", "text/plain, "+wire.ContentType+";q=0.5")
+	f.compare(t, "GET", "/v1/Q/batch?js="+js, "", "\u00a0"+wire.ContentType)
+	f.compare(t, "GET", "/v1/Q/access?j=1&j=2", "", "")
+	f.compare(t, "GET", "/v1/Q/page?offset=3&offset=0&limit=2&limit=9", "", "")
+
+	// Pages: inside one shard, crossing boundaries, overshooting
+	// tails, past the end, empty.
+	for _, pg := range [][2]int64{{0, 10}, {n/2 - 3, 9}, {n - 4, 100}, {n + 5, 10}, {0, 0}, {0, n}} {
+		url := fmt.Sprintf("/v1/Q/page?offset=%d&limit=%d", pg[0], pg[1])
+		f.compare(t, "GET", url, "", "")
+		f.compare(t, "GET", url, "", wire.ContentType)
+	}
+	f.compare(t, "GET", "/v1/U/page?offset=2&limit=11", "", "")
+
+	// Seeded samples consume the rng exactly like the library's lazy
+	// Fisher–Yates prefix, so same seed = same bytes.
+	f.compare(t, "GET", "/v1/Q/sample?k=7&seed=42", "", "")
+	f.compare(t, "GET", "/v1/Q/sample?k=0&seed=1", "", "")
+	f.compare(t, "GET", fmt.Sprintf("/v1/Q/sample?k=%d&seed=9", n+10), "", "")
+	f.compare(t, "GET", "/v1/U/sample?k=5&seed=13", "", "")
+
+	// Tuple probes: take known answers off the reference, plus misses.
+	raw, _ := exchange(f.ref, "GET", fmt.Sprintf("/v1/Q/access?j=%d", n/2), "", "")
+	var ab struct {
+		Answer []string `json:"answer"`
+	}
+	if err := json.Unmarshal(raw, &ab); err != nil {
+		t.Fatal(err)
+	}
+	hit, _ := json.Marshal(map[string][]string{"tuple": ab.Answer})
+	f.compare(t, "POST", "/v1/Q/contains", string(hit), "")
+	f.compare(t, "POST", "/v1/Q/inverted", string(hit), "")
+	miss := `{"tuple":["nope","nope","nope"]}`
+	f.compare(t, "POST", "/v1/Q/contains", miss, "")
+	f.compare(t, "POST", "/v1/Q/inverted", miss, "")
+
+	// Error vocabulary: out-of-range, bad input, unsupported.
+	f.compare(t, "GET", fmt.Sprintf("/v1/Q/access?j=%d", n), "", "")
+	f.compare(t, "GET", fmt.Sprintf("/v1/Q/batch?js=0,%d", n), "", "")
+	f.compare(t, "POST", "/v1/U/inverted", `{"tuple":["a","b"]}`, "")
+	f.compare(t, "GET", "/v1/Q/enum/next?cursor=bogus", "", "")
+	if _, code := exchange(f.rt.Handler(), "POST", "/v1/Q/update", `{"op":"insert","relation":"r","tuple":["9","9"]}`, ""); code != http.StatusNotImplemented {
+		t.Fatalf("router update status %d, want 501", code)
+	}
+	if _, code := exchange(f.rt.Handler(), "GET", "/v1/Nope/count", "", ""); code != http.StatusNotFound {
+		t.Fatalf("unknown query status %d, want 404", code)
 	}
 }
 
@@ -302,7 +375,12 @@ func drainCursors(t *testing.T, f *fleet, startURL string, n int64, accept strin
 }
 
 func TestRouterCursorEquivalence(t *testing.T) {
-	f := newFleet(t, 3)
+	for _, flavour := range flavours {
+		t.Run(flavour, func(t *testing.T) { testCursorEquivalence(t, newFleetOf(t, 3, flavour)) })
+	}
+}
+
+func testCursorEquivalence(t *testing.T, f *fleet) {
 	drainCursors(t, f, "/v1/Q/enum/start", 64, "")
 	drainCursors(t, f, "/v1/Q/enum/start?order=enum", 7, wire.ContentType)
 	drainCursors(t, f, "/v1/Q/enum/start?order=random&seed=5", 64, "")
@@ -322,7 +400,12 @@ func TestRouterCursorEquivalence(t *testing.T) {
 // degradation contract: typed 502 naming the shard, /readyz 503, cursors
 // resuming cleanly after recovery.
 func TestRouterFaultInjection(t *testing.T) {
-	f := newFleet(t, 2)
+	for _, flavour := range flavours {
+		t.Run(flavour, func(t *testing.T) { testFaultInjection(t, newFleetOf(t, 2, flavour)) })
+	}
+}
+
+func testFaultInjection(t *testing.T, f *fleet) {
 	n := count(t, f.rt.Handler(), "Q")
 	if !f.rt.Ready() {
 		t.Fatal("fleet not ready after refresh")
@@ -330,7 +413,7 @@ func TestRouterFaultInjection(t *testing.T) {
 
 	// An enum cursor in flight, parked 5 positions before the shard
 	// boundary so its next draw must span the shard about to die.
-	c0 := count(t, f.flaky[0], "Q")
+	c0 := count(t, f.handlers[0], "Q")
 	if c0 < 10 || n-c0 < 10 {
 		t.Fatalf("degenerate split: %d/%d", c0, n-c0)
 	}
@@ -345,7 +428,7 @@ func TestRouterFaultInjection(t *testing.T) {
 		t.Fatalf("pre-fault draw: %q != %q", got1, want1)
 	}
 
-	f.flaky[1].fail.Store(true)
+	f.kill(1)
 
 	// A batch spanning both shards fails as a 502 that names the daemon.
 	raw, code := exchange(f.rt.Handler(), "GET", fmt.Sprintf("/v1/Q/batch?js=0,%d", n-1), "", "")
@@ -376,7 +459,7 @@ func TestRouterFaultInjection(t *testing.T) {
 
 	// ...and recovery is a scrape away. The retried draw returns exactly the
 	// window the failed draw would have.
-	f.flaky[1].fail.Store(false)
+	f.revive(t, 1)
 	if err := f.rt.Refresh(context.Background()); err != nil {
 		t.Fatalf("recovery refresh: %v", err)
 	}
@@ -497,4 +580,218 @@ func TestRouterHammer(t *testing.T) {
 		t.Fatalf("final refresh: %v", err)
 	}
 	f.compare(t, "GET", "/v1/Q/page?offset=0&limit=50", "", "")
+}
+
+// stubShard is a daemon that scrapes like a healthy shard of one 3-column
+// query Q and answers its row legs with whatever rows says: the shard as
+// adversary (or as a fleet booted wrong).
+type stubShard struct {
+	count int64
+	rows  func(asked int) []byte // the /batch and /page reply body
+}
+
+func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/readyz":
+		fmt.Fprintln(w, `{"generation":1,"ready":true}`)
+	case "/v1":
+		fmt.Fprintln(w, `{"generation":1,"queries":["Q"]}`)
+	case "/v1/Q":
+		fmt.Fprintf(w, `{"name":"Q","kind":"cq","count":%d,"head":["x","y","z"],"query":"Q","capabilities":["enumerate"]}`+"\n", s.count)
+	case "/v1/Q/batch":
+		w.Write(s.rows(strings.Count(r.URL.Query().Get("js"), ",") + 1))
+	case "/v1/Q/page":
+		var n int
+		fmt.Sscan(r.URL.Query().Get("limit"), &n)
+		w.Write(s.rows(n))
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+// TestShardReplyChecked: on every op that moves rows, a reply that is not
+// exactly the rows asked, of the query's arity, in a frame that parses, is
+// the typed 502 naming the shard — never a 200 built from what arrived.
+func TestShardReplyChecked(t *testing.T) {
+	replies := map[string]func(asked int) []byte{
+		"one row short":  func(asked int) []byte { return frame(asked-1, 3, (asked-1)*3) },
+		"one row over":   func(asked int) []byte { return frame(asked+1, 3, (asked+1)*3) },
+		"one cell short": func(asked int) []byte { return frame(asked, 3, asked*3-1) },
+		"wrong arity":    func(asked int) []byte { return frame(asked, 2, asked*2) },
+		"no rows":        func(int) []byte { return frame(0, 3, 0) },
+		"not a frame":    func(int) []byte { return []byte(`{"answers":[]}`) },
+	}
+	for name, rows := range replies {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(&stubShard{count: 10, rows: rows})
+			t.Cleanup(ts.Close)
+			rt := New(Config{Shards: []string{ts.URL}})
+			t.Cleanup(rt.Close)
+			if err := rt.Refresh(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			probes := []string{"/v1/Q/access?j=4", "/v1/Q/batch?js=1,2,3", "/v1/Q/page?offset=2&limit=4", "/v1/Q/sample?k=3&seed=1"}
+			for _, order := range []string{"enum", "random&seed=2"} {
+				probes = append(probes, "/v1/Q/enum/next?n=3&cursor="+startCursor(t, rt.Handler(), "/v1/Q/enum/start?order="+order))
+			}
+			for _, url := range probes {
+				if err := rt.Refresh(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				raw, code := exchange(rt.Handler(), "GET", url, "", "")
+				if code != http.StatusBadGateway || !strings.Contains(string(raw), "shard "+ts.URL) {
+					t.Fatalf("%s: %d %s, want a 502 naming the shard", url, code, raw)
+				}
+				if rt.Ready() {
+					t.Fatalf("%s: router still ready after a bad reply", url)
+				}
+			}
+		})
+	}
+}
+
+// TestRouterScrapeRejectsBadCounts: a shard reporting a negative count, or
+// counts that sum past int64, would wrap the prefix sums — the scrape refuses
+// the table and names the shard whose count tipped it.
+func TestRouterScrapeRejectsBadCounts(t *testing.T) {
+	boot := func(counts ...int64) (*Router, []string) {
+		var urls []string
+		for _, c := range counts {
+			ts := httptest.NewServer(&stubShard{count: c})
+			t.Cleanup(ts.Close)
+			urls = append(urls, ts.URL)
+		}
+		rt := New(Config{Shards: urls})
+		t.Cleanup(rt.Close)
+		return rt, urls
+	}
+	rt, urls := boot(5, -1, 5)
+	if err := rt.Refresh(context.Background()); err == nil || !strings.Contains(err.Error(), "shard "+urls[1]) {
+		t.Fatalf("negative count: err = %v, want one naming %s", err, urls[1])
+	}
+	rt, urls = boot(1<<62, 1<<62-1, 1, 1)
+	err := rt.Refresh(context.Background())
+	if !errors.Is(err, renum.ErrCountOverflow) || !strings.Contains(err.Error(), "shard "+urls[2]) {
+		t.Fatalf("overflowing counts: err = %v, want ErrCountOverflow naming %s", err, urls[2])
+	}
+	if rt.Ready() {
+		t.Fatal("router ready with no table")
+	}
+	rt, _ = boot(1<<62, 1<<62-2, 1) // exactly MaxInt64 still routes
+	if err := rt.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(t, rt.Handler(), "Q"); got != 1<<63-1 {
+		t.Fatalf("count = %d", got)
+	}
+}
+
+// TestRequestIDCrossesTheHop: the client's X-Request-Id rides every shard
+// leg, so one routed request leaves a trace under its id on each shard it
+// touched — and a cursor draw carries the id of the request that draws.
+func TestRequestIDCrossesTheHop(t *testing.T) {
+	for _, flavour := range flavours {
+		t.Run(flavour, func(t *testing.T) {
+			f := newFleetOf(t, 2, flavour)
+			n := count(t, f.ref, "Q")
+			do := func(method, url, id string) []byte {
+				req := httptest.NewRequest(method, url, nil)
+				req.Header.Set("X-Request-Id", id)
+				rec := httptest.NewRecorder()
+				f.rt.Handler().ServeHTTP(rec, req)
+				if rec.Code != 200 {
+					t.Fatalf("%s: %d %s", url, rec.Code, rec.Body)
+				}
+				return rec.Body.Bytes()
+			}
+			// A shard files a trace once the reply is written, so the router may
+			// hold the reply first: wait for the trace.
+			traced := func(shard int, id string, want int) []string {
+				var eps []string
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					raw, _ := exchange(f.handlers[shard], "GET", "/debug/traces?id="+id, "", "")
+					var tb struct {
+						Traces []struct{ ID, Endpoint string }
+					}
+					if err := json.Unmarshal(raw, &tb); err != nil {
+						t.Fatal(err)
+					}
+					eps = eps[:0]
+					for _, tr := range tb.Traces {
+						eps = append(eps, tr.Endpoint)
+					}
+					if len(eps) >= want || time.Now().After(deadline) {
+						return eps
+					}
+				}
+			}
+			do("GET", fmt.Sprintf("/v1/Q/batch?js=0,%d", n-1), "batch-7")
+			var cb struct{ Cursor string }
+			json.Unmarshal(do("POST", "/v1/Q/enum/start?order=random&seed=3", "start-8"), &cb)
+			do("GET", "/v1/Q/enum/next?n=64&cursor="+cb.Cursor, "draw-9")
+			for shard := range f.handlers {
+				if got := traced(shard, "batch-7", 1); len(got) != 1 || got[0] != "batch" {
+					t.Errorf("shard %d traces under batch-7: %v, want one batch", shard, got)
+				}
+				if got := traced(shard, "draw-9", 1); len(got) != 1 || got[0] != "batch" {
+					t.Errorf("shard %d traces under draw-9: %v, want one batch", shard, got)
+				}
+				if got := traced(shard, "start-8", 0); len(got) != 0 {
+					t.Errorf("shard %d traces under start-8: %v, want none", shard, got)
+				}
+			}
+			// An id that could split a header line never reaches a shard.
+			do("GET", "/v1/Q/access?j=0", "evil\r\nX-Injected: 1")
+		})
+	}
+}
+
+// TestLongBatchTakesPOST: a /batch whose local positions would overflow the
+// shard's request-line buffer crosses as a POST, same bytes out.
+func TestLongBatchTakesPOST(t *testing.T) {
+	for _, flavour := range flavours {
+		t.Run(flavour, func(t *testing.T) {
+			f := newFleetOf(t, 2, flavour)
+			n := count(t, f.ref, "Q")
+			rng := rand.New(rand.NewSource(3))
+			js := make([]string, 9000)
+			for i := range js {
+				js[i] = fmt.Sprint(rng.Int63n(n))
+			}
+			f.compare(t, "POST", "/v1/Q/batch", `{"js":[`+strings.Join(js, ",")+`]}`, "")
+		})
+	}
+}
+
+// TestHopAllocs pins what one hop allocates against fast-loop shards (the
+// shards' side of the socket allocates nothing): the reply buffer per leg,
+// the rows and their cell block, and the leg bookkeeping.
+func TestHopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	f := newFleetOf(t, 2, "fast")
+	tb := f.rt.table.Load()
+	src := &remote{r: f.rt, t: tb, rt: tb.queries["Q"]}
+	n, split := src.Count(), tb.queries["Q"].starts[1]
+	ctx := context.Background()
+	js := make([]int64, 64)
+	for i := range js {
+		js[i] = (int64(i) * 7919) % n
+	}
+	pin := func(name string, limit float64, hop func() error) {
+		t.Helper()
+		got := testing.AllocsPerRun(200, func() {
+			if err := hop(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocs per hop", name, got)
+		if got > limit {
+			t.Errorf("%s: %.1f allocs per hop, want at most %.0f", name, got, limit)
+		}
+	}
+	pin("Access", 3, func() error { _, err := src.Access(ctx, n/3); return err })
+	pin("Batch of 64 over two shards", 8, func() error { _, err := src.Batch(ctx, js); return err })
+	pin("Page of 100 across the boundary", 5, func() error { _, err := src.Page(ctx, split-50, 100); return err })
 }

@@ -2,15 +2,14 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
+	"math"
 	"net/http"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
+	"repro"
 	"repro/internal/fenwick"
 )
 
@@ -19,7 +18,7 @@ import (
 // onto per-shard windows. Readers load it atomically; the scrape loop swaps
 // in successors.
 type table struct {
-	shards  []string // base URLs, in fan-out (= global concatenation) order
+	shards  []*shard // in fan-out (= global concatenation) order
 	gen     uint64   // max generation across shards
 	queries map[string]*route
 	names   []string // sorted query names
@@ -40,6 +39,8 @@ type route struct {
 	starts []int64
 	tree   *fenwick.Tree
 	total  int64
+	// The row legs' targets up to their first value, rendered once.
+	batchPath, pagePath string
 }
 
 // locate routes a global position to (shard, local position).
@@ -97,17 +98,22 @@ func (r *Router) loadShards() ([]string, error) {
 // same head — a disagreement means the fleet was booted inconsistently and
 // the router refuses the table rather than serving torn answers.
 func (r *Router) scrape(ctx context.Context) (*table, error) {
-	shards, err := r.loadShards()
+	bases, err := r.loadShards()
 	if err != nil {
 		return nil, err
 	}
-	if len(shards) == 0 {
+	if len(bases) == 0 {
 		return nil, fmt.Errorf("no shards configured")
 	}
-	t := &table{shards: shards, queries: map[string]*route{}}
-	for i, base := range shards {
+	t := &table{shards: make([]*shard, len(bases)), queries: map[string]*route{}}
+	for i, base := range bases {
+		sh, err := r.shard(base)
+		if err != nil {
+			return nil, &shardError{shard: base, err: err}
+		}
+		t.shards[i] = sh
 		var ready shardReady
-		if err := r.getJSON(ctx, base, "/readyz", &ready); err != nil {
+		if err := sh.doJSON(ctx, http.MethodGet, "/readyz", nil, &ready); err != nil {
 			return nil, err
 		}
 		if !ready.Ready {
@@ -117,36 +123,41 @@ func (r *Router) scrape(ctx context.Context) (*table, error) {
 			t.gen = ready.Generation
 		}
 		var list shardList
-		if err := r.getJSON(ctx, base, "/v1", &list); err != nil {
+		if err := sh.doJSON(ctx, http.MethodGet, "/v1", nil, &list); err != nil {
 			return nil, err
 		}
 		if i == 0 {
 			t.names = append([]string{}, list.Queries...)
 			sort.Strings(t.names)
 		} else if len(list.Queries) != len(t.names) {
-			return nil, &shardError{shard: base, err: fmt.Errorf("serves %d queries, shard %s serves %d", len(list.Queries), shards[0], len(t.names))}
+			return nil, &shardError{shard: base, err: fmt.Errorf("serves %d queries, shard %s serves %d", len(list.Queries), bases[0], len(t.names))}
 		}
 		for _, name := range list.Queries {
 			var meta shardMeta
-			if err := r.getJSON(ctx, base, "/v1/"+name, &meta); err != nil {
+			if err := sh.doJSON(ctx, http.MethodGet, "/v1/"+name, nil, &meta); err != nil {
 				return nil, err
 			}
 			rt := t.queries[name]
 			if rt == nil {
 				if i != 0 {
-					return nil, &shardError{shard: base, err: fmt.Errorf("serves query %s unknown to shard %s", name, shards[0])}
+					return nil, &shardError{shard: base, err: fmt.Errorf("serves query %s unknown to shard %s", name, bases[0])}
 				}
 				rt = &route{
-					name:   name,
-					kind:   meta.Kind,
-					text:   meta.Query,
-					head:   meta.Head,
-					caps:   meta.Capabilities,
-					counts: make([]int64, len(shards)),
+					name:      name,
+					kind:      meta.Kind,
+					text:      meta.Query,
+					head:      meta.Head,
+					caps:      meta.Capabilities,
+					counts:    make([]int64, len(bases)),
+					batchPath: "/v1/" + name + "/batch?js=",
+					pagePath:  "/v1/" + name + "/page?offset=",
 				}
 				t.queries[name] = rt
 			} else if strings.Join(meta.Head, ",") != strings.Join(rt.head, ",") {
-				return nil, &shardError{shard: base, err: fmt.Errorf("query %s head %v disagrees with shard %s head %v", name, meta.Head, shards[0], rt.head)}
+				return nil, &shardError{shard: base, err: fmt.Errorf("query %s head %v disagrees with shard %s head %v", name, meta.Head, bases[0], rt.head)}
+			}
+			if meta.Count < 0 {
+				return nil, &shardError{shard: base, err: fmt.Errorf("query %s reports count %d", name, meta.Count)}
 			}
 			rt.counts[i] = meta.Count
 		}
@@ -154,6 +165,11 @@ func (r *Router) scrape(ctx context.Context) (*table, error) {
 	for _, rt := range t.queries {
 		rt.starts = make([]int64, len(rt.counts)+1)
 		for i, c := range rt.counts {
+			// The cross-process twin of the library's overflow check: past
+			// 2⁶³−1 the prefix sums would wrap and locate would route garbage.
+			if c > math.MaxInt64-rt.starts[i] {
+				return nil, &shardError{shard: bases[i], err: fmt.Errorf("query %s: count %d takes the fleet's total past int64: %w", rt.name, c, renum.ErrCountOverflow)}
+			}
 			rt.starts[i+1] = rt.starts[i] + c
 		}
 		rt.tree = fenwick.New(rt.counts)
@@ -177,78 +193,3 @@ func (e *shardError) Unwrap() error { return e.err }
 // HTTPStatus: the shard hop failed — the router is fine, the upstream is
 // not.
 func (e *shardError) HTTPStatus() int { return http.StatusBadGateway }
-
-// ------------------------------------------------------------- shard client
-
-// do performs one HTTP exchange with a shard, instrumented: the per-shard
-// request counter, latency histogram and error counter all tick here, and a
-// failure marks the shard unhealthy (flipping /readyz to 503) until the next
-// successful scrape proves it back.
-func (r *Router) do(req *http.Request, base string) (*http.Response, error) {
-	m := r.shardMetrics(base)
-	m.reqs.Inc()
-	t0 := time.Now()
-	resp, err := r.client.Do(req)
-	m.lat.Record(time.Since(t0))
-	if err != nil {
-		m.errs.Inc()
-		r.markUnhealthy(base)
-		return nil, &shardError{shard: base, err: err}
-	}
-	return resp, nil
-}
-
-// fetch runs one request and returns the response body, mapping non-2xx
-// responses (with their JSON error bodies) to shardError.
-func (r *Router) fetch(ctx context.Context, method, base, path, accept string, body io.Reader) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
-	if err != nil {
-		return nil, err
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := r.do(req, base)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<30))
-	if err != nil {
-		r.shardMetrics(base).errs.Inc()
-		r.markUnhealthy(base)
-		return nil, &shardError{shard: base, err: err}
-	}
-	if resp.StatusCode/100 != 2 {
-		var eb struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(data))
-		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		err := &shardError{shard: base, err: fmt.Errorf("status %d: %s", resp.StatusCode, msg)}
-		// 4xx from a shard is the router's routing bug or a client input the
-		// shard rejected — not a fleet fault; only 5xx flips health.
-		if resp.StatusCode >= 500 {
-			r.shardMetrics(base).errs.Inc()
-			r.markUnhealthy(base)
-		}
-		return nil, err
-	}
-	return data, nil
-}
-
-func (r *Router) getJSON(ctx context.Context, base, path string, v any) error {
-	data, err := r.fetch(ctx, http.MethodGet, base, path, "", nil)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return &shardError{shard: base, err: fmt.Errorf("%s: %v", path, err)}
-	}
-	return nil
-}

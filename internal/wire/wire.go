@@ -100,9 +100,10 @@ func Finish(dst []byte, start int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
 
-// Parse decodes a complete message, verifying the checksum before trusting
-// any length field, and materializes the cells as strings. For an
-// allocation-free walk use ParseFunc.
+// Parse is the convenience form of ParseFunc for tests and tools: it decodes
+// a complete message and materializes every cell as a string, one slice per
+// row. Nothing on a serving path calls it — the router reads rows in place
+// through ParseFunc.
 func Parse(data []byte) (Header, [][]string, error) {
 	var rows [][]string
 	h, err := ParseFunc(data, func(row, col int, val []byte) error {
