@@ -634,8 +634,7 @@ func BenchmarkAccessBatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// One worker: the batch mechanism itself — one grouped chunk,
 			// three allocations — against the loop above. With workers = 0
-			// the chunk count, and so allocs/op, followed nproc, and the
-			// BENCH_probe gate failed on any host unlike the baseline's;
+			// the chunk count, and so allocs/op, followed nproc;
 			// ConcurrentClients below is where parallelism is measured.
 			if _, err := c.Index.AccessBatch(js, 1); err != nil {
 				b.Fatal(err)
@@ -943,45 +942,37 @@ func init() {
 	}
 }
 
-// BenchmarkColdStart measures what a process pays before it can serve its
-// first probe, on the 493k-answer golden star instance (the same one the
-// enumeration-order hash pins):
-//
-//   - FromCSV: the daemon's boot path before persistent snapshots — read
-//     the CSV tables from disk, intern every cell, and run the full
-//     preprocessing (what `renumd -table ... -query ...` pays);
-//   - Preprocess: preprocessing alone, over already-resident relations —
-//     the strict lower bound of any rebuild;
-//   - FromSnapshot: renum.OpenSnapshot on a catalog built once — open,
-//     checksum and validate the sections, wire the handles. No parsing, no
-//     hashing, no reduction, no weight computation.
-//
-// The FromCSV/FromSnapshot ratio is the headline number of the snapshot
-// subsystem (it is what a restart actually saves); CI records it in
-// BENCH_coldstart.json.
-func BenchmarkColdStart(b *testing.B) {
-	cfg := synth.Config{Relations: 3, TuplesPerRelation: 200, KeyDomain: 30, SkewS: 1.3, Seed: 9}
-	db2, q, err := synth.Star(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := Open(db2, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	path := filepath.Join(dir, "coldstart.snap")
-	if err := SaveSnapshot(path, db2, 0, []CatalogEntry{{Name: q.Name, Q: q, H: h}}); err != nil {
-		b.Fatal(err)
-	}
-	count := h.Count()
+// coldStart is the instance a process pays for before it can serve its
+// first probe: the 493k-answer golden star (the one the enumeration-order
+// hash pins), saved once as a snapshot and dumped as the CSV files a daemon
+// would boot from.
+type coldStart struct {
+	db    *Database
+	q     *CQ
+	count int64
+	snap  string   // snapshot catalog holding the one entry
+	csvs  []string // one CSV per relation, header = schema
+}
 
-	// Dump the instance as the CSV files a daemon would boot from.
-	var csvPaths []string
-	for _, name := range db2.Names() {
-		rel, err := db2.Relation(name)
+func newColdStart(tb testing.TB) *coldStart {
+	tb.Helper()
+	db, q, err := synth.Star(synth.Config{Relations: 3, TuplesPerRelation: 200, KeyDomain: 30, SkewS: 1.3, Seed: 9})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := Open(db, q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	cs := &coldStart{db: db, q: q, count: h.Count(), snap: filepath.Join(dir, "coldstart.snap")}
+	if err := SaveSnapshot(cs.snap, db, 0, []CatalogEntry{{Name: q.Name, Q: q, H: h}}); err != nil {
+		tb.Fatal(err)
+	}
+	for _, name := range db.Names() {
+		rel, err := db.Relation(name)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		var sb strings.Builder
 		sb.WriteString(strings.Join(rel.Schema(), ","))
@@ -999,74 +990,91 @@ func BenchmarkColdStart(b *testing.B) {
 		}
 		p := filepath.Join(dir, name+".csv")
 		if err := os.WriteFile(p, []byte(sb.String()), 0o644); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		csvPaths = append(csvPaths, p)
+		cs.csvs = append(cs.csvs, p)
 	}
+	return cs
+}
 
-	// loadCSVs mirrors internal/load's CSV dialect (header = schema, every
-	// cell interned); the benchmark cannot import internal/load — it imports
-	// this package — so the five relevant lines live here.
-	loadCSVs := func() *Database {
-		dbi := NewDatabase()
-		for _, p := range csvPaths {
-			f, err := os.Open(p)
-			if err != nil {
-				b.Fatal(err)
+// bootCSV is the daemon's boot path before persistent snapshots: read the
+// CSV tables from disk, intern every cell, and run the full preprocessing
+// (what `renumd -table ... -query ...` pays). It mirrors internal/load's CSV
+// dialect (header = schema, every cell interned); this package cannot import
+// internal/load — it imports this package — so the relevant lines live here.
+func (cs *coldStart) bootCSV(tb testing.TB) {
+	dbi := NewDatabase()
+	for _, p := range cs.csvs {
+		f, err := os.Open(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rows, err := csv.NewReader(f).ReadAll()
+		f.Close()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rel, err := dbi.Create(strings.TrimSuffix(filepath.Base(p), ".csv"), rows[0]...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, rowCells := range rows[1:] {
+			tup := make(relation.Tuple, len(rowCells))
+			for i, cell := range rowCells {
+				tup[i] = dbi.Intern(cell)
 			}
-			rows, err := csv.NewReader(f).ReadAll()
-			f.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-			rel, err := dbi.Create(strings.TrimSuffix(filepath.Base(p), ".csv"), rows[0]...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, rowCells := range rows[1:] {
-				tup := make(relation.Tuple, len(rowCells))
-				for i, cell := range rowCells {
-					tup[i] = dbi.Intern(cell)
-				}
-				if _, err := rel.Insert(tup); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := rel.Insert(tup); err != nil {
+				tb.Fatal(err)
 			}
 		}
-		return dbi
 	}
+	cs.open(tb, dbi)
+}
 
+// open preprocesses the query over db and checks the answer count.
+func (cs *coldStart) open(tb testing.TB, db *Database) {
+	h, err := Open(db, cs.q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if h.Count() != cs.count {
+		tb.Fatalf("count %d, want %d", h.Count(), cs.count)
+	}
+}
+
+// BenchmarkColdStart measures what a process pays before it can serve its
+// first probe, on newColdStart's instance:
+//
+//   - FromCSV: bootCSV, the CSV boot plus the full preprocessing;
+//   - Preprocess: preprocessing alone, over already-resident relations —
+//     the strict lower bound of any rebuild;
+//   - FromSnapshot: renum.OpenSnapshot on a catalog built once — open,
+//     checksum and validate the sections, wire the handles. No parsing, no
+//     hashing, no reduction, no weight computation.
+//
+// The FromCSV/FromSnapshot ratio is the headline number of the snapshot
+// subsystem (it is what a restart actually saves).
+// TestSnapshotRestoreAllocatesATenthOfCSVBoot pins it in allocations.
+func BenchmarkColdStart(b *testing.B) {
+	cs := newColdStart(b)
 	b.Run("FromCSV", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dbi := loadCSVs()
-			hi, err := Open(dbi, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if hi.Count() != count {
-				b.Fatalf("count %d, want %d", hi.Count(), count)
-			}
+			cs.bootCSV(b)
 		}
 	})
 	b.Run("Preprocess", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hi, err := Open(db2, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if hi.Count() != count {
-				b.Fatalf("count %d, want %d", hi.Count(), count)
-			}
+			cs.open(b, cs.db)
 		}
 	})
 	b.Run("FromSnapshot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cat, err := OpenSnapshot(path)
+			cat, err := OpenSnapshot(cs.snap)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if got := cat.Entries()[0].H.Count(); got != count {
-				b.Fatalf("count %d, want %d", got, count)
+			if got := cat.Entries()[0].H.Count(); got != cs.count {
+				b.Fatalf("count %d, want %d", got, cs.count)
 			}
 			cat.Close()
 		}
@@ -1087,8 +1095,7 @@ func drainFixture(b *testing.B) (*Database, *CQ) {
 // BenchmarkIterAll measures the iterator-native enumeration surface: one op
 // drains the full enumeration (≈493k answers) of a skewed star join.
 // Handle.All resolves its positions in chunks of up to 64 with one batched
-// probe and one backing array each, so it allocates once per 64 answers
-// (the CI bench-smoke artifact tracks the number).
+// probe and one backing array each, so it allocates once per 64 answers.
 func BenchmarkIterAll(b *testing.B) {
 	db2, q := drainFixture(b)
 	h, err := Open(db2, q)

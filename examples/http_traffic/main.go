@@ -4,14 +4,14 @@
 // once, put behind the HTTP API (the same internal/server handler that
 // cmd/renumd serves), and then N client goroutines fire a mixed workload —
 // point accesses, explicit batches, pages, counts and samples — over real
-// sockets. At the end the example fetches /metrics and prints the
-// per-endpoint latency summary.
+// sockets. Every request is timed on the client, into one histogram per
+// endpoint, and the example ends by printing what a client saw: count,
+// errors and latency quantiles per endpoint.
 //
 // Run with: go run ./examples/http_traffic [-clients 8] [-ops 400]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/synth"
 	"repro/internal/wire"
@@ -84,50 +85,60 @@ func main() {
 	fmt.Printf("serving on %s\n", base)
 
 	// --- Mixed traffic ----------------------------------------------------
-	var requests, failures atomic.Int64
+	// Client-side instruments, one set per endpoint, resolved before the
+	// clients start so recording is lock-free.
+	type clientStats struct {
+		lat    obs.Histogram
+		errors obs.Counter
+	}
+	endpoints := []string{"access", "batch", "page", "sample", "count"}
+	stats := make(map[string]*clientStats, len(endpoints))
+	for _, ep := range endpoints {
+		stats[ep] = new(clientStats)
+	}
 	var wireRows, wireBytes atomic.Int64
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: *clients}}
-	get := func(url string) {
-		requests.Add(1)
-		resp, err := client.Get(url)
-		if err != nil {
-			failures.Add(1)
-			return
+	// get times one request, start to last body byte. asWire asks for the
+	// binary wire format (Accept negotiation) and decodes the frame with
+	// the shared client codec, checksum included.
+	get := func(ep, url string, asWire bool) {
+		st := stats[ep]
+		t0 := time.Now()
+		ok := func() bool {
+			req, err := http.NewRequest(http.MethodGet, url, nil)
+			if err != nil {
+				return false
+			}
+			if asWire {
+				req.Header.Set("Accept", wire.ContentType)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				return false
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				return false
+			}
+			if !asWire {
+				return true
+			}
+			if resp.Header.Get("Content-Type") != wire.ContentType {
+				return false
+			}
+			h, err := wire.ParseFunc(body, nil)
+			if err != nil {
+				return false
+			}
+			wireRows.Add(int64(h.Rows))
+			wireBytes.Add(int64(len(body)))
+			return true
+		}()
+		st.lat.Record(time.Since(t0))
+		if !ok {
+			st.errors.Inc()
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			failures.Add(1)
-		}
-	}
-	// getWire asks for the binary wire format (Accept negotiation) and
-	// decodes the frame with the shared client codec, checksum included.
-	getWire := func(url string) {
-		requests.Add(1)
-		req, err := http.NewRequest(http.MethodGet, url, nil)
-		if err != nil {
-			failures.Add(1)
-			return
-		}
-		req.Header.Set("Accept", wire.ContentType)
-		resp, err := client.Do(req)
-		if err != nil {
-			failures.Add(1)
-			return
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != wire.ContentType {
-			failures.Add(1)
-			return
-		}
-		h, err := wire.ParseFunc(body, nil)
-		if err != nil {
-			failures.Add(1)
-			return
-		}
-		wireRows.Add(int64(h.Rows))
-		wireBytes.Add(int64(len(body)))
 	}
 
 	start := time.Now()
@@ -140,59 +151,49 @@ func main() {
 			for i := 0; i < *ops; i++ {
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // point lookups dominate
-					get(fmt.Sprintf("%s/v1/Q/access?j=%d", base, rng.Int63n(n)))
+					get("access", fmt.Sprintf("%s/v1/Q/access?j=%d", base, rng.Int63n(n)), false)
 				case 4, 5:
 					js := make([]string, 16)
 					for k := range js {
 						js[k] = fmt.Sprint(rng.Int63n(n))
 					}
 					url := fmt.Sprintf("%s/v1/Q/batch?js=%s", base, strings.Join(js, ","))
-					if rng.Intn(2) == 0 { // half the batches ride the binary format
-						getWire(url)
-					} else {
-						get(url)
-					}
+					get("batch", url, rng.Intn(2) == 0) // half the batches ride the binary format
 				case 6:
 					url := fmt.Sprintf("%s/v1/Q/page?offset=%d&limit=25", base, rng.Int63n(n))
-					if rng.Intn(2) == 0 {
-						getWire(url)
-					} else {
-						get(url)
-					}
+					get("page", url, rng.Intn(2) == 0)
 				case 7:
-					get(fmt.Sprintf("%s/v1/Q/sample?k=8&seed=%d", base, rng.Int63()))
+					get("sample", fmt.Sprintf("%s/v1/Q/sample?k=8&seed=%d", base, rng.Int63()), false)
 				default:
-					get(base + "/v1/Q/count")
+					get("count", base+"/v1/Q/count", false)
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	var requests, failures uint64
+	for _, st := range stats {
+		requests += st.lat.Count()
+		failures += st.errors.Value()
+	}
 	fmt.Printf("\n%d requests from %d clients in %v (%.0f req/s), %d failures\n",
-		requests.Load(), *clients, elapsed.Round(time.Millisecond),
-		float64(requests.Load())/elapsed.Seconds(), failures.Load())
+		requests, *clients, elapsed.Round(time.Millisecond),
+		float64(requests)/elapsed.Seconds(), failures)
 	if rows := wireRows.Load(); rows > 0 {
 		fmt.Printf("binary wire format: %d rows decoded from %d frame bytes (CRC-checked)\n",
 			rows, wireBytes.Load())
 	}
 
-	// --- Report /metrics --------------------------------------------------
-	resp, err := client.Get(base + "/metrics?format=json")
-	if err != nil {
-		fail(err)
-	}
-	defer resp.Body.Close()
-	var m struct {
-		Endpoints []server.EndpointSummary `json:"endpoints"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		fail(err)
-	}
+	// --- Report what the clients saw --------------------------------------
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	fmt.Printf("\n%-10s %8s %8s %9s %9s %9s %9s\n", "endpoint", "count", "errors", "p50 ms", "p90 ms", "p99 ms", "max ms")
-	for _, ep := range m.Endpoints {
+	for _, ep := range endpoints {
+		st := stats[ep]
+		s := st.lat.Snapshot()
 		fmt.Printf("%-10s %8d %8d %9.3f %9.3f %9.3f %9.3f\n",
-			ep.Endpoint, ep.Count, ep.Errors, ep.MedianMs, ep.P90Ms, ep.P99Ms, ep.MaxMs)
+			ep, s.Count, st.errors.Value(), ms(s.Quantile(0.50)), ms(s.Quantile(0.90)),
+			ms(s.Quantile(0.99)), ms(time.Duration(s.MaxNs)))
 	}
 }
 

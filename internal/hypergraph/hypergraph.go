@@ -9,7 +9,6 @@ package hypergraph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/query"
 )
@@ -29,16 +28,6 @@ func NewEdge(id int, vars []string) Edge {
 		m[v] = true
 	}
 	return Edge{ID: id, Vars: m}
-}
-
-// VarList returns the variables sorted (stable diagnostics).
-func (e Edge) VarList() []string {
-	out := make([]string, 0, len(e.Vars))
-	for v := range e.Vars {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Hypergraph is an ordered list of edges. Order matters: the GYO reduction
@@ -81,16 +70,6 @@ type TreeNode struct {
 type Tree struct {
 	Root  *TreeNode
 	Nodes []*TreeNode // in edge-index order of the source hypergraph
-}
-
-// NodeByEdgeID returns the node built from the given edge, or nil.
-func (t *Tree) NodeByEdgeID(id int) *TreeNode {
-	for _, n := range t.Nodes {
-		if n.EdgeID == id {
-			return n
-		}
-	}
-	return nil
 }
 
 // IsAcyclic reports whether the hypergraph is α-acyclic (GYO reduction

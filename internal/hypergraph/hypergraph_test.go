@@ -99,12 +99,6 @@ func TestJoinTreeValidOnExamples(t *testing.T) {
 	if err := tree.Validate(h); err != nil {
 		t.Fatal(err)
 	}
-	if tree.NodeByEdgeID(5) != nil {
-		t.Fatal("NodeByEdgeID found nonexistent id")
-	}
-	if tree.NodeByEdgeID(0) == nil {
-		t.Fatal("NodeByEdgeID missed id 0")
-	}
 }
 
 func TestFreeConnexClassification(t *testing.T) {
@@ -336,13 +330,5 @@ func TestWithHeadEdgeDoesNotMutate(t *testing.T) {
 	}
 	if h2.Edges[1].ID != -1 || !h2.Edges[1].Vars["x"] {
 		t.Fatal("head edge malformed")
-	}
-}
-
-func TestEdgeVarList(t *testing.T) {
-	e := NewEdge(0, []string{"z", "a", "m"})
-	got := e.VarList()
-	if len(got) != 3 || got[0] != "a" || got[1] != "m" || got[2] != "z" {
-		t.Fatalf("VarList = %v", got)
 	}
 }

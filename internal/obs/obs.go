@@ -13,7 +13,7 @@
 //   - Label sets are pre-registered: callers render labels once at
 //     registration time and hold the instrument pointer. There is no
 //     per-record map lookup, mutex, or label hashing anywhere.
-//   - Histograms are exact-count and mergeable. Buckets are
+//   - Histograms are exact-count. Buckets are
 //     log-linear (HDR-style): 16 linear sub-buckets per power-of-two
 //     octave, so any quantile is recovered with ≤ 1/16 relative
 //     bucket-width error regardless of how long the window has been
@@ -129,35 +129,9 @@ func (h *Histogram) Record(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// Max returns the largest observation (exact, not bucketed).
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// Merge folds other's observations into h. Bucket counts add
-// exactly, so merged quantiles are as accurate as if every
-// observation had been recorded into h directly.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range other.buckets {
-		if n := other.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	om := other.max.Load()
-	for {
-		old := h.max.Load()
-		if om <= old || h.max.CompareAndSwap(old, om) {
-			return
-		}
-	}
-}
-
 // HistSnapshot is a point-in-time copy of a histogram, safe to walk
-// without racing live recorders. Quantile/Mean/StdDev operate on the
-// copy so a single /metrics render sees one consistent view.
+// without racing live recorders, so a single /metrics render sees one
+// consistent view.
 type HistSnapshot struct {
 	Count   uint64
 	SumNs   uint64
@@ -223,39 +197,4 @@ func (s *HistSnapshot) Quantile(q float64) time.Duration {
 		return time.Duration(v)
 	}
 	return time.Duration(s.MaxNs)
-}
-
-// Mean returns the exact mean (true sum over true count).
-func (s *HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNs / s.Count)
-}
-
-// StdDev estimates the standard deviation from bucket midpoints.
-func (s *HistSnapshot) StdDev() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	mean := float64(s.SumNs) / float64(s.Count)
-	var m2 float64 // E[x^2] accumulator from bucket midpoints
-	var total uint64
-	for i := range s.Buckets {
-		n := s.Buckets[i]
-		if n == 0 {
-			continue
-		}
-		total += n
-		mid := (float64(bucketLower(i)) + float64(bucketUpper(i))) / 2
-		m2 += float64(n) * mid * mid
-	}
-	if total == 0 {
-		return 0
-	}
-	v := m2/float64(total) - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return time.Duration(math.Sqrt(v))
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,16 +56,10 @@ func TestServerHammer(t *testing.T) {
 						raw, status = doRaw(s, "POST", "/v1/"+q+"/contains", `{"tuple":["1","2","x"]}`)
 					}
 				case 6:
-					// Alternate formats so the hammer covers both the
-					// Prometheus render and the JSON snapshot path.
-					if i%2 == 0 {
-						praw, pstatus := doRaw(s, "GET", "/metrics", "")
-						if pstatus != 200 {
-							t.Errorf("client %d op %d: /metrics status %d body %s", id, i, pstatus, praw)
-							return
-						}
+					if raw, status = doRaw(s, "GET", "/metrics", ""); status != 200 {
+						t.Errorf("client %d op %d: /metrics status %d body %s", id, i, status, raw)
+						return
 					}
-					raw, status = doRaw(s, "GET", "/metrics?format=json", "")
 				case 7:
 					// Cursor lifecycle: start one, drain a little, maybe close.
 					if cursor == "" {
@@ -135,9 +130,9 @@ func TestServerHammer(t *testing.T) {
 	if m["count"] == nil {
 		t.Fatal("post-hammer count missing")
 	}
-	m = do(t, s, "GET", "/metrics?format=json", "", 200)
-	if m["endpoints"] == nil {
-		t.Fatal("post-hammer metrics missing")
+	text := promText(t, s)
+	if !strings.Contains(text, "\nrenum_http_requests_total{endpoint=\"access\"} ") {
+		t.Fatalf("post-hammer metrics missing the access series\n%s", grepLines(text, "renum_http_requests_total"))
 	}
 }
 

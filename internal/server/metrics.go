@@ -1,21 +1,10 @@
 package server
 
 import (
-	"runtime/metrics"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-)
-
-// allocSamples bounds the per-endpoint allocs/req reservoir. Sampling is
-// 1-in-allocSampleEvery requests (process-wide), so the window covers a long
-// stretch of traffic with negligible overhead.
-const (
-	allocSamples     = 64
-	allocSampleEvery = 64
 )
 
 // endpointMetrics holds one endpoint's instruments. It is resolved once at
@@ -33,14 +22,6 @@ type endpointMetrics struct {
 	errors *obs.Counter
 	bytes  *obs.Counter
 	lat    *obs.Histogram
-
-	// Sampled heap-allocation deltas around whole requests. The delta is a
-	// process-wide counter, so concurrent requests bleed into each other's
-	// samples: the median below is an estimate, not an exact attribution.
-	allocMu   sync.Mutex
-	allocRing [allocSamples]float64
-	allocN    int
-	allocNext int
 }
 
 // observe records one request.
@@ -55,21 +36,9 @@ func (ep *endpointMetrics) observe(d time.Duration, isErr bool, bytes int64) {
 	ep.lat.Record(d)
 }
 
-// observeAllocs records one sampled whole-request allocation delta.
-func (ep *endpointMetrics) observeAllocs(allocs float64) {
-	ep.allocMu.Lock()
-	ep.allocRing[ep.allocNext] = allocs
-	ep.allocNext = (ep.allocNext + 1) % allocSamples
-	if ep.allocN < allocSamples {
-		ep.allocN++
-	}
-	ep.allocMu.Unlock()
-}
-
 // metricsRecorder owns the per-endpoint instruments and their Prometheus
 // registration. The mutex guards creation only; recording is lock-free.
 type metricsRecorder struct {
-	seq   atomic.Uint64
 	start time.Time
 	reg   *obs.Registry
 	mu    sync.Mutex
@@ -99,102 +68,4 @@ func (m *metricsRecorder) endpoint(name string) *endpointMetrics {
 	}
 	m.byEP[name] = ep
 	return ep
-}
-
-// sampleTick reports whether this request should measure an allocation delta
-// (1 in allocSampleEvery, process-wide).
-func (m *metricsRecorder) sampleTick() bool {
-	return m.seq.Add(1)%allocSampleEvery == 0
-}
-
-// heapAllocsSample is pooled so reading the counter does not itself allocate
-// (the read brackets a handler; its own garbage would inflate the delta).
-var heapAllocsSamplePool = sync.Pool{
-	New: func() any {
-		s := make([]metrics.Sample, 1)
-		s[0].Name = "/gc/heap/allocs:objects"
-		return &s
-	},
-}
-
-// heapAllocObjects reads the process-lifetime count of allocated heap
-// objects from runtime/metrics (no stop-the-world, unlike ReadMemStats).
-func heapAllocObjects() uint64 {
-	sp := heapAllocsSamplePool.Get().(*[]metrics.Sample)
-	metrics.Read(*sp)
-	v := (*sp)[0].Value.Uint64()
-	heapAllocsSamplePool.Put(sp)
-	return v
-}
-
-// EndpointSummary is the exported per-endpoint metrics document. Its JSON
-// field names are a compatibility surface (the dashboard examples and
-// renumload -metrics-url decode it); TestMetricsJSONShapeStable pins them.
-type EndpointSummary struct {
-	Endpoint string  `json:"endpoint"`
-	Count    int64   `json:"count"`
-	Errors   int64   `json:"errors"`
-	BytesOut int64   `json:"bytes_out"`
-	Window   int     `json:"latency_window"` // observations behind the quantiles (now: all of them)
-	MeanMs   float64 `json:"mean_ms"`
-	MedianMs float64 `json:"p50_ms"`
-	P90Ms    float64 `json:"p90_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-	MaxMs    float64 `json:"max_ms"`
-	StdDevMs float64 `json:"stddev_ms"`
-	// AllocsPerReqEst is the median of sampled whole-request heap-allocation
-	// deltas. Concurrent requests share the underlying counter, so treat it
-	// as an estimate (exact when the daemon serves one request at a time).
-	AllocsPerReqEst float64 `json:"allocs_per_req_est"`
-	AllocsWindow    int     `json:"allocs_window"`
-}
-
-const maxInt = int(^uint(0) >> 1)
-
-// snapshot summarizes every endpoint seen so far, sorted by endpoint name.
-// Quantiles come from the histogram (≤ 1/16 relative error, full history);
-// mean and max are exact.
-func (m *metricsRecorder) snapshot() (uptime time.Duration, eps []EndpointSummary) {
-	m.mu.Lock()
-	byEP := make([]*endpointMetrics, 0, len(m.byEP))
-	for _, ep := range m.byEP {
-		byEP = append(byEP, ep)
-	}
-	m.mu.Unlock()
-
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	for _, ep := range byEP {
-		s := ep.lat.Snapshot()
-		window := maxInt
-		if s.Count < uint64(maxInt) {
-			window = int(s.Count)
-		}
-		ep.allocMu.Lock()
-		allocEst := 0.0
-		allocN := ep.allocN
-		if allocN > 0 {
-			as := make([]float64, allocN)
-			copy(as, ep.allocRing[:allocN])
-			sort.Float64s(as)
-			allocEst = as[(allocN-1)/2]
-		}
-		ep.allocMu.Unlock()
-		eps = append(eps, EndpointSummary{
-			Endpoint:        ep.name,
-			Count:           int64(ep.count.Value()),
-			Errors:          int64(ep.errors.Value()),
-			BytesOut:        int64(ep.bytes.Value()),
-			Window:          window,
-			MeanMs:          ms(s.Mean()),
-			MedianMs:        ms(s.Quantile(0.50)),
-			P90Ms:           ms(s.Quantile(0.90)),
-			P99Ms:           ms(s.Quantile(0.99)),
-			MaxMs:           ms(time.Duration(s.MaxNs)),
-			StdDevMs:        ms(s.StdDev()),
-			AllocsPerReqEst: allocEst,
-			AllocsWindow:    allocN,
-		})
-	}
-	sort.Slice(eps, func(i, j int) bool { return eps[i].Endpoint < eps[j].Endpoint })
-	return time.Since(m.start), eps
 }

@@ -142,14 +142,31 @@ func (s *Server) registerCollectors() {
 				emit("", float64(st.Compactions))
 			}
 		})
+	s.obs.CollectorFunc("renum_wal_torn_tail_recovered", "1 when the boot truncated a torn WAL tail (a crash mid-append), else 0.",
+		obs.KindGauge, func(emit func(string, float64)) {
+			if st := s.reg.WALStats(); st.Attached {
+				v := 0.0
+				if st.TornTail {
+					v = 1
+				}
+				emit("", v)
+			}
+		})
+	s.obs.CollectorFunc("renum_wal_rotate_warnings_total", "WAL rotations whose superseded segment could not be closed or removed (the fold itself succeeded).",
+		obs.KindCounter, func(emit func(string, float64)) {
+			if st := s.reg.WALStats(); st.Attached {
+				emit("", float64(st.RotateWarnings))
+			}
+		})
 	s.obs.CollectorFunc("renum_traces_dropped_total", "Trace records evicted from the /debug/traces ring.",
 		obs.KindCounter, func(emit func(string, float64)) {
 			emit("", float64(s.traces.dropped()))
 		})
 }
 
-// handlePrometheus renders the text exposition (format version 0.0.4).
-func (s *Server) handlePrometheus(w http.ResponseWriter) error {
+// handleMetrics renders the text exposition (format version 0.0.4); the
+// query string is ignored.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	return s.obs.WritePrometheus(w)
 }

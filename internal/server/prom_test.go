@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -101,6 +100,8 @@ func TestPrometheusWALAndCompactionFamilies(t *testing.T) {
 		"renum_wal_depth 1",
 		"renum_wal_replayed_records 0",
 		"\nrenum_wal_replay_seconds ",
+		"renum_wal_torn_tail_recovered 0",
+		"renum_wal_rotate_warnings_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("after update, exposition missing %q\n%s", want, text)
@@ -154,68 +155,8 @@ func TestPrometheusPlanAndCacheFamilies(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONShapeStable pins the ?format=json document shape: the
-// top-level keys and every EndpointSummary field name are a compatibility
-// surface (examples/http_traffic and renumload -metrics-url decode them).
-func TestMetricsJSONShapeStable(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	do(t, s, "GET", "/v1/Q/count", "", 200)
-
-	m := do(t, s, "GET", "/metrics?format=json", "", 200)
-	for _, key := range []string{"uptime_ms", "generation", "cursors", "endpoints", "wal"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("metrics JSON missing top-level key %q", key)
-		}
-	}
-	if len(m) != 5 {
-		t.Errorf("metrics JSON has %d top-level keys, want 5: %v", len(m), m)
-	}
-
-	eps := m["endpoints"].([]any)
-	if len(eps) == 0 {
-		t.Fatal("no endpoint summaries")
-	}
-	wantFields := []string{
-		"endpoint", "count", "errors", "bytes_out", "latency_window",
-		"mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms", "stddev_ms",
-		"allocs_per_req_est", "allocs_window",
-	}
-	ep := eps[0].(map[string]any)
-	for _, f := range wantFields {
-		if _, ok := ep[f]; !ok {
-			t.Errorf("EndpointSummary missing field %q", f)
-		}
-	}
-	if len(ep) != len(wantFields) {
-		t.Errorf("EndpointSummary has %d fields, want %d: %v", len(ep), len(wantFields), ep)
-	}
-
-	// The same scrape decoded twice is byte-identical modulo uptime: the
-	// document is a deterministic function of the recorded state.
-	raw1, _ := doRaw(s, "GET", "/metrics?format=json", "")
-	var d1, d2 map[string]any
-	if err := json.Unmarshal(raw1, &d1); err != nil {
-		t.Fatal(err)
-	}
-	raw2, _ := doRaw(s, "GET", "/metrics?format=json", "")
-	if err := json.Unmarshal(raw2, &d2); err != nil {
-		t.Fatal(err)
-	}
-	delete(d1, "uptime_ms")
-	delete(d2, "uptime_ms")
-	// The metrics endpoint's own counters move between the scrapes; drop the
-	// endpoints array and compare the rest.
-	delete(d1, "endpoints")
-	delete(d2, "endpoints")
-	b1, _ := json.Marshal(d1)
-	b2, _ := json.Marshal(d2)
-	if string(b1) != string(b2) {
-		t.Errorf("metrics JSON not stable across idle scrapes:\n%s\n%s", b1, b2)
-	}
-}
-
-// TestMetricsScrapeHammer runs concurrent probe recording, both scrape
-// formats, and generation swaps together; meaningful mainly under -race.
+// TestMetricsScrapeHammer runs concurrent probe recording, scrapes and
+// generation swaps together; meaningful mainly under -race.
 func TestMetricsScrapeHammer(t *testing.T) {
 	s, reg := newTestServer(t, Config{})
 	var wg sync.WaitGroup
@@ -229,10 +170,8 @@ func TestMetricsScrapeHammer(t *testing.T) {
 					doRaw(s, "GET", "/v1/Q/access?j=0", "")
 				case 1:
 					doRaw(s, "GET", "/v1/U/count", "")
-				case 2:
-					doRaw(s, "GET", "/metrics", "")
 				default:
-					doRaw(s, "GET", "/metrics?format=json", "")
+					doRaw(s, "GET", "/metrics", "")
 				}
 			}
 		}(c)

@@ -318,16 +318,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 var cwPool = sync.Pool{New: func() any { return &countingWriter{} }}
 
 // bracket is the instrumentation around one request, identical on both
-// transports: the endpoint's counters and latency histogram, the sampled
-// heap-allocation delta behind allocs_per_req_est, the trace record a
-// client-supplied X-Request-Id turns on (and only then — untraced requests
-// never touch the trace pool), and the slow-request verdict.
+// transports: the endpoint's counters and latency histogram, the trace
+// record a client-supplied X-Request-Id turns on (and only then — untraced
+// requests never touch the trace pool), and the slow-request verdict.
 type bracket struct {
-	ep      *endpointMetrics
-	t0      time.Time
-	tr      *traceRec
-	sampled bool
-	allocs0 uint64
+	ep *endpointMetrics
+	t0 time.Time
+	tr *traceRec
 }
 
 func beginRequest[T string | []byte](s *Server, ep *endpointMetrics, reqID T) bracket {
@@ -335,18 +332,12 @@ func beginRequest[T string | []byte](s *Server, ep *endpointMetrics, reqID T) br
 	if len(reqID) > 0 {
 		b.tr = beginTrace(s.traces, reqID, ep.name, b.t0)
 	}
-	if b.sampled = s.metrics.sampleTick(); b.sampled {
-		b.allocs0 = heapAllocObjects()
-	}
 	return b
 }
 
 // end closes the bracket once the response (err's error body included) has
 // been written. slow tells the transport to emit its logSlow line.
 func (s *Server) end(b bracket, err error, wrote int64) (d time.Duration, status int, slow bool) {
-	if b.sampled {
-		b.ep.observeAllocs(float64(heapAllocObjects() - b.allocs0))
-	}
 	d = time.Since(b.t0)
 	b.ep.observe(d, err != nil && !clientGone(err), wrote)
 	status = http.StatusOK
@@ -765,24 +756,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, e *Entry, 
 	enc := getEnc()
 	defer enc.release()
 	return writeNegotiated(w, appendChangedBody(enc.buf, changed, e.Count()), false)
-}
-
-// handleMetrics negotiates the exposition format: Prometheus text by
-// default (what a scraper expects from /metrics), the original JSON
-// document under ?format=json (what the examples and renumload consume).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	if r.URL.Query().Get("format") != "json" {
-		return s.handlePrometheus(w)
-	}
-	uptime, eps := s.metrics.snapshot()
-	_, gen := s.reg.Snapshot()
-	return WriteJSON(w, map[string]any{
-		"uptime_ms":  uptime.Milliseconds(),
-		"generation": gen,
-		"cursors":    s.core.LiveCursors(),
-		"endpoints":  eps,
-		"wal":        s.reg.WALStats(),
-	})
 }
 
 func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) error {

@@ -431,25 +431,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	do(t, s, "GET", "/v1/Q/access?j=0", "", 200)
 	do(t, s, "GET", "/v1/Q/access?j=999999", "", 400)
 
-	m := do(t, s, "GET", "/metrics?format=json", "", 200)
-	eps := m["endpoints"].([]any)
-	byName := map[string]map[string]any{}
-	for _, e := range eps {
-		ep := e.(map[string]any)
-		byName[ep["endpoint"].(string)] = ep
+	text := promText(t, s)
+	for _, want := range []string{
+		"\nrenum_http_requests_total{endpoint=\"count\"} 1\n",
+		"\nrenum_http_requests_total{endpoint=\"access\"} 2\n",
+		"\nrenum_http_request_errors_total{endpoint=\"access\"} 1\n",
+		"\nrenum_http_request_duration_seconds_count{endpoint=\"access\"} 2\n",
+		"\nrenum_generation ",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q\n%s", want, grepLines(text, "renum_http_request"))
+		}
 	}
-	if c := byName["count"]; c == nil || int64(c["count"].(float64)) != 1 {
-		t.Fatalf("count endpoint metrics = %v", byName["count"])
-	}
-	acc := byName["access"]
-	if acc == nil || int64(acc["count"].(float64)) != 2 || int64(acc["errors"].(float64)) != 1 {
-		t.Fatalf("access endpoint metrics = %v", acc)
-	}
-	if acc["p50_ms"] == nil || acc["p99_ms"] == nil {
-		t.Fatalf("missing latency quantiles: %v", acc)
-	}
-	if _, ok := m["generation"]; !ok {
-		t.Fatal("no generation in metrics")
+	// The query string is ignored: /metrics has one format.
+	if raw, status := doRaw(s, "GET", "/metrics?format=xml", ""); status != 200 ||
+		!strings.Contains(string(raw), "# TYPE renum_http_requests_total counter\n") {
+		t.Fatalf("/metrics?format=xml = %d %.80q…, want the text exposition", status, raw)
 	}
 }
 

@@ -55,7 +55,6 @@ type walState struct {
 	gen    uint64 // generation whose snapshot this segment extends
 
 	replayed    int64
-	skipped     int64
 	replayTime  time.Duration // opening the segment, parsing and applying its records
 	compactions int64
 	folded      int64
@@ -64,8 +63,7 @@ type walState struct {
 	// installed, old records folded) but closing or removing the superseded
 	// segment failed. Non-fatal, surfaced via /metrics so disk problems are
 	// not silent.
-	rotateWarns    int64
-	lastRotateWarn string
+	rotateWarns int64
 }
 
 // AttachWAL opens (creating if absent) the WAL segment paired with the
@@ -104,7 +102,6 @@ func (r *Registry) AttachWAL(dir string, policy wal.SyncPolicy) (replayed, skipp
 	r.wal.policy = policy
 	r.wal.gen = s.gen
 	r.wal.replayed = int64(replayed)
-	r.wal.skipped = int64(skipped)
 	r.wal.replayTime = time.Since(t0)
 	return replayed, skipped, nil
 }
@@ -271,21 +268,14 @@ func (r *Registry) rotateLocked(gen uint64) error {
 	old, oldPath := r.wal.log, r.wal.log.Path()
 	r.wal.log, r.wal.gen = newLog, gen
 	if err := old.Close(); err != nil {
-		r.rotateWarnLocked(fmt.Sprintf("close superseded segment %s: %v", oldPath, err))
+		r.wal.rotateWarns++
 	}
 	if oldPath != newLog.Path() {
 		if err := os.Remove(oldPath); err != nil {
-			r.rotateWarnLocked(fmt.Sprintf("remove superseded segment %s: %v", oldPath, err))
+			r.wal.rotateWarns++
 		}
 	}
 	return nil
-}
-
-// rotateWarnLocked records a non-fatal rotation cleanup failure (wal.mu
-// held) for /metrics.
-func (r *Registry) rotateWarnLocked(msg string) {
-	r.wal.rotateWarns++
-	r.wal.lastRotateWarn = msg
 }
 
 // Compact folds the WAL into a new snapshot generation: every updatable
@@ -367,21 +357,18 @@ func (r *Registry) Compact(snapshotDir string) (gen uint64, folded int64, err er
 
 // WALStats is the /metrics view of the write-ahead log.
 type WALStats struct {
-	Attached      bool    `json:"attached"`
-	Path          string  `json:"path,omitempty"`
-	SegmentGen    uint64  `json:"segment_generation"`
-	Depth         int64   `json:"depth"`
-	Replayed      int64   `json:"replayed"`
-	ReplaySkipped int64   `json:"replay_skipped"`
-	ReplaySeconds float64 `json:"replay_seconds"`
-	TornTail      bool    `json:"torn_tail_recovered"`
-	Compactions   int64   `json:"compactions"`
-	Folded        int64   `json:"records_folded"`
+	Attached      bool
+	SegmentGen    uint64
+	Depth         int64
+	Replayed      int64
+	ReplaySeconds float64
+	TornTail      bool
+	Compactions   int64
+	Folded        int64
 
 	// Non-fatal rotation cleanup failures (close/remove of a superseded
 	// segment); the fold itself succeeded.
-	RotateWarnings    int64  `json:"rotate_warnings,omitempty"`
-	LastRotateWarning string `json:"last_rotate_warning,omitempty"`
+	RotateWarnings int64
 }
 
 // WALStats reports the current WAL state for /metrics.
@@ -389,17 +376,14 @@ func (r *Registry) WALStats() WALStats {
 	r.wal.mu.Lock()
 	defer r.wal.mu.Unlock()
 	st := WALStats{
-		Replayed:          r.wal.replayed,
-		ReplaySkipped:     r.wal.skipped,
-		ReplaySeconds:     r.wal.replayTime.Seconds(),
-		Compactions:       r.wal.compactions,
-		Folded:            r.wal.folded,
-		RotateWarnings:    r.wal.rotateWarns,
-		LastRotateWarning: r.wal.lastRotateWarn,
+		Replayed:       r.wal.replayed,
+		ReplaySeconds:  r.wal.replayTime.Seconds(),
+		Compactions:    r.wal.compactions,
+		Folded:         r.wal.folded,
+		RotateWarnings: r.wal.rotateWarns,
 	}
 	if r.wal.log != nil {
 		st.Attached = true
-		st.Path = r.wal.log.Path()
 		st.SegmentGen = r.wal.gen
 		st.Depth = r.wal.log.Depth()
 		st.TornTail = r.wal.log.TornTail() != nil

@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -173,14 +174,16 @@ func TestDeletionSetMatchesReference(t *testing.T) {
 // tableBytes is what the table holds on to: 16 bytes a slot, both arrays.
 func tableBytes(t *table) int { return 16 * (len(t.cur) + len(t.old)) }
 
-// TestTableBoundedWork pins the table's three promises on the two shapes a
+// TestTableBoundedWork pins the table's four promises on the two shapes a
 // Shuffler sees. No operation moves more than migrateStep slots, so no Next
 // pays for a rehash. A sparse draw — a cursor over a huge answer set, where
 // every drawn position stays live — holds at most 64 bytes a live key while
 // a doubling has both arrays resident and at most 40 between doublings
-// (16-byte slots at a load between 7/16 and 7/8). A full drain, where the
-// live keys rise to n/4 and fall back to none, never holds more than 64
-// bytes per key of its peak and ends at the minimum capacity.
+// (16-byte slots at a load between 7/16 and 7/8), and allocates only when
+// it doubles: amortised 0 allocations a draw, asserted as at most 0.01. A
+// full drain, where the live keys rise to n/4 and fall back to none, never
+// holds more than 64 bytes per key of its peak and ends at the minimum
+// capacity.
 func TestTableBoundedWork(t *testing.T) {
 	step := func(s *Shuffler) {
 		before := s.a.moved
@@ -192,6 +195,8 @@ func TestTableBoundedWork(t *testing.T) {
 	}
 
 	sparse := New(1<<62, rand.New(rand.NewSource(1)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for sparse.i < 1<<16 {
 		step(sparse)
 		live, bytes := sparse.a.live, tableBytes(&sparse.a)
@@ -201,6 +206,10 @@ func TestTableBoundedWork(t *testing.T) {
 		if limit := max(40*live, 16*minSlots); sparse.a.old == nil && bytes > limit {
 			t.Fatalf("sparse draw between doublings: %d live keys in %d bytes, limit %d", live, bytes, limit)
 		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / float64(sparse.i); per > 0.01 {
+		t.Fatalf("sparse draw of %d: %.4f allocations a draw, want <= 0.01", sparse.i, per)
 	}
 	if int64(sparse.a.live) < sparse.i*99/100 {
 		t.Fatalf("sparse draw of %d keeps only %d keys live: not the shape this test is about", sparse.i, sparse.a.live)

@@ -9,9 +9,9 @@ import (
 
 // BenchmarkPlanSearch prices the planner itself: one op is a full candidate
 // enumeration + costing run over a paper query (statistics collection
-// included, as Open pays it). The committed BENCH_plan.json tracks these so
-// a planner change that blows up search time — it runs inside every
-// admin-triggered build — is caught in review, not in production boots.
+// included, as Open pays it). A planner change that blows up search time —
+// it runs inside every admin-triggered build — shows here per query, and
+// end to end as paper_tpch's plan.search_ms layer in BENCHMARK.json.
 func BenchmarkPlanSearch(b *testing.B) {
 	d := db(b)
 	for _, q := range tpchq.CQs() {

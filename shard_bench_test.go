@@ -12,7 +12,8 @@ import (
 // instance behind an unsharded index and behind WithShards(4), probed with
 // identical position streams. The delta is the cost of the prefix-sum route
 // (O(log K) fenwick descent) per probe; AccessInto must stay allocation-free
-// through the sharded path — BENCH_shard.json pins both arms at 0 allocs/op.
+// through the sharded path — TestShardedEquivalence pins K=4 at 0
+// allocations.
 func BenchmarkShardRouting(b *testing.B) {
 	db, q, err := synth.Star(synth.Config{
 		Relations: 3, TuplesPerRelation: 20_000, KeyDomain: 4_000, SkewS: 1.1, Seed: 5,

@@ -21,7 +21,8 @@ var shardKs = []int{1, 2, 7}
 // TestShardedEquivalence proves the sharded backend byte-identical to the
 // unsharded one across the whole probe surface: Count, Access, AccessBatch,
 // All, Shuffled, InvertedAccess, Contains and SampleN, for every K in the
-// matrix, on the golden CQ instances.
+// matrix, on the golden CQ instances. The route it adds costs time, never
+// memory: AccessInto through WithShards(4) allocates nothing.
 func TestShardedEquivalence(t *testing.T) {
 	for _, gi := range goldenInstances(t) {
 		if _, ok := gi.q.(*CQ); !ok {
@@ -35,6 +36,20 @@ func TestShardedEquivalence(t *testing.T) {
 				assertHandleEquivalence(t, ref, sh)
 			})
 		}
+		t.Run(gi.name+"/K=4/AccessIntoAllocs", func(t *testing.T) {
+			sh := mustOpen(t, gi.db, gi.q, append(append([]Option{}, gi.opts...), WithShards(4))...)
+			answer := make(Tuple, len(sh.Head()))
+			// One run probes every position: AllocsPerRun rounds its average down.
+			if allocs := testing.AllocsPerRun(10, func() {
+				for j := int64(0); j < sh.Count(); j++ {
+					if err := sh.AccessInto(j, answer); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}); allocs != 0 {
+				t.Fatalf("AccessInto through WithShards(4): %.0f allocations over %d probes, want 0", allocs, sh.Count())
+			}
+		})
 	}
 }
 

@@ -325,6 +325,34 @@ func TestRestoredHandleIsBuiltBackend(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreAllocatesATenthOfCSVBoot pins what a snapshot saves a
+// restart, in a unit that does not depend on the host: on
+// BenchmarkColdStart's instance, OpenSnapshotBytes makes at most a tenth of
+// the heap allocations of the CSV boot plus Open it replaces. A restore
+// that rebuilt anything — reduction, weights, buckets — would not fit.
+func TestSnapshotRestoreAllocatesATenthOfCSVBoot(t *testing.T) {
+	cs := newColdStart(t)
+	img, err := os.ReadFile(cs.snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := testing.AllocsPerRun(3, func() { cs.bootCSV(t) })
+	restore := testing.AllocsPerRun(3, func() {
+		cat, err := OpenSnapshotBytes(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cat.Entries()[0].H.Count(); got != cs.count {
+			t.Fatalf("restored count %d, want %d", got, cs.count)
+		}
+		cat.Close()
+	})
+	t.Logf("CSV boot + Open: %.0f allocations, OpenSnapshotBytes: %.0f", boot, restore)
+	if 10*restore > boot {
+		t.Fatalf("OpenSnapshotBytes makes %.0f allocations, more than a tenth of the CSV boot's %.0f", restore, boot)
+	}
+}
+
 func mustAccess(t *testing.T, h *Handle, j int64) Tuple {
 	t.Helper()
 	tu, err := h.Access(j)
