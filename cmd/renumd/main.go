@@ -63,8 +63,9 @@
 //
 // -shard-slice i/K puts the daemon in shard mode: every entry serves only
 // the i-th of K contiguous slices of its answer space, as local positions
-// 0..count-1 (CQ entries build just 1/K of their index; union and
-// snapshot-restored entries serve a position window over the full one).
+// 0..count-1 — the exact position window [iN/K, (i+1)N/K) of the whole
+// index, whether the entry was built from -table CSVs, restored from
+// -snapshot-dir or rebuilt later, so a fleet may mix boot paths.
 // -router turns the daemon into the stateless scale-out tier instead: it
 // discovers the shard daemons from repeatable -shard URLs (or a -shards-from
 // file, re-read every -shard-refresh), scrapes their counts into a
@@ -261,9 +262,8 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	// entries keep the tree they were built with — that is the snapshot
 	// contract: restored generations probe identically.
 	reg.SetPlanner(planner)
-	// Shard mode: applied before the Register loop so freshly registered CQs
-	// build only their 1/K index slice, after restore so catalog entries get
-	// position windows over their mapped indexes.
+	// Shard mode: restored catalog entries get their position windows here,
+	// and the Register loop below cuts the same windows over what it builds.
 	if sliceOf > 0 {
 		if err := reg.SetShardSlice(sliceIdx, sliceOf); err != nil {
 			fmt.Fprintf(stderr, "renumd: %v\n", err)

@@ -158,9 +158,6 @@ type config struct {
 	dynamic      bool
 	verify       bool
 	workers      int
-	shards       int // WithShards: partition count (0 = unsharded)
-	sliceIdx     int // WithShardSlice: which slice to build
-	sliceOf      int // WithShardSlice: partition count (0 = off)
 	planner      PlannerMode
 	planObserve  func(PlanStats)
 	buildObserve func(stage string, d time.Duration)
@@ -228,9 +225,9 @@ func ParsePlannerMode(s string) (PlannerMode, error) {
 }
 
 // WithPlanner selects the join-tree planning mode (default PlannerCost).
-// Planning applies to static CQ and UCQ backends, including sharded builds
-// (every slice plans on the same full database, so a fleet of shard daemons
-// picks the same tree deterministically). Dynamic handles and snapshot
+// Planning applies to static CQ and UCQ backends; a shard daemon plans the
+// whole query on the full database before SliceView cuts its window, so a
+// fleet picks the same tree deterministically. Dynamic handles and snapshot
 // restores skip planning: updates rebuild incrementally on the original
 // tree, and a restored index already embodies the tree recorded at save
 // time.
@@ -316,9 +313,6 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 	switch q := q.(type) {
 	case *CQ:
 		if cfg.dynamic {
-			if cfg.shards > 0 || cfg.sliceOf > 0 {
-				return openSharded(db, q, cfg, nil) // surfaces the dynamic+sharded error
-			}
 			if cfg.canonical {
 				return nil, fmt.Errorf("renum: WithCanonical with WithDynamic: %w", ErrUnsupported)
 			}
@@ -334,9 +328,6 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 		}
 		pq, pl := planQuery(db, q, &cfg)
 		q = pq.(*CQ)
-		if cfg.shards > 0 || cfg.sliceOf > 0 {
-			return openSharded(db, q, cfg, pl)
-		}
 		c, err := cqenum.PrepareWithOptions(db, q,
 			reduce.Options{CanonicalOrder: cfg.canonical},
 			access.BuildOptions{Workers: cfg.workers, Observe: cfg.buildObserve})
@@ -345,9 +336,6 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 		}
 		return &Handle{b: cqBackend{c: c, plan: pl}, workers: cfg.workers}, nil
 	case *UCQ:
-		if cfg.shards > 0 || cfg.sliceOf > 0 {
-			return nil, fmt.Errorf("renum: WithShards requires a single CQ, got a union: %w", ErrUnsupported)
-		}
 		if cfg.dynamic {
 			return nil, fmt.Errorf("renum: WithDynamic requires a single full CQ, got a union: %w", ErrUnsupported)
 		}

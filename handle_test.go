@@ -149,9 +149,9 @@ func TestOpenKindsAndCapabilities(t *testing.T) {
 // structure mcucq.New builds, each with its own Permute — must be
 // byte-identical through the Handle, including the iterator-native
 // enumerations and, for seeds 1–5, the random orders of Shuffled and of
-// Permute's batched cursor. A WithShards handle and a SliceView answer to
-// the same bare index. (It used to compare the handle with the exported
-// pre-Open types, which were the handle's own backends.)
+// Permute's batched cursor. A SliceView answers to the same bare index.
+// (It used to compare the handle with the exported pre-Open types, which
+// were the handle's own backends.)
 func TestHandleCompatOldVsNew(t *testing.T) {
 	db, q := fixtureDB(t)
 	_, u := fixtureUCQ(t)
@@ -164,8 +164,6 @@ func TestHandleCompatOldVsNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cqBatch := func(js []int64) ([]Tuple, error) { return c.Index.AccessBatch(js, 0) }
-	cqPerm := func(rng *rand.Rand) func() (Tuple, bool) { return c.Permute(rng).Next }
 
 	// The window SliceView(·, 1, 3) serves, read straight off the index; no
 	// bare structure permutes a window, so its reference is Theorem 3.7
@@ -196,8 +194,10 @@ func TestHandleCompatOldVsNew(t *testing.T) {
 	cases := []bare{
 		{
 			name: "cq", count: n, head: c.Index.Head(),
-			acc: c.Index.Access, batch: cqBatch, perm: cqPerm,
-			h: whole,
+			acc:   c.Index.Access,
+			batch: func(js []int64) ([]Tuple, error) { return c.Index.AccessBatch(js, 0) },
+			perm:  func(rng *rand.Rand) func() (Tuple, bool) { return c.Permute(rng).Next },
+			h:     whole,
 		},
 		{
 			name: "ucq", count: m.Count(), head: u.Disjuncts[0].Head,
@@ -205,11 +205,6 @@ func TestHandleCompatOldVsNew(t *testing.T) {
 			batch: func(js []int64) ([]Tuple, error) { return m.AccessBatchContext(context.Background(), js, 0) },
 			perm:  func(rng *rand.Rand) func() (Tuple, bool) { return m.Permute(rng).Next },
 			h:     asParsed(t, db, u),
-		},
-		{
-			name: "sharded", count: n, head: c.Index.Head(),
-			acc: c.Index.Access, batch: cqBatch, perm: cqPerm,
-			h: asParsed(t, db, q, WithShards(3)),
 		},
 		{
 			name: "slice", count: hi - lo, head: c.Index.Head(),
@@ -815,9 +810,8 @@ func TestHandleUpdaterRoundTrip(t *testing.T) {
 
 // TestOpenCountOverflow: a join with more answers than an int64 position can
 // address fails Open with ErrCountOverflow on every static path — the plain
-// index, a union containing it, and a sharded build whose shards each fit
-// (1024 root rows × 2^52) while their sum (2^65) does not — instead of
-// handing out a negative Count.
+// index and a union containing it — instead of handing out a negative
+// Count.
 func TestOpenCountOverflow(t *testing.T) {
 	db := NewDatabase()
 	head := []string{"k"}
@@ -837,9 +831,8 @@ func TestOpenCountOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, open := range map[string]func() (*Handle, error){
-		"cq":      func() (*Handle, error) { return Open(db, q) },
-		"ucq":     func() (*Handle, error) { return Open(db, u) },
-		"sharded": func() (*Handle, error) { return Open(db, q, WithShards(8)) },
+		"cq":  func() (*Handle, error) { return Open(db, q) },
+		"ucq": func() (*Handle, error) { return Open(db, u) },
 	} {
 		if h, err := open(); !errors.Is(err, ErrCountOverflow) {
 			t.Fatalf("%s: handle %v, err %v; want ErrCountOverflow", name, h, err)

@@ -218,15 +218,14 @@ func (r *Registry) SetObserver(o *obs.Observer) {
 }
 
 // SetShardSlice puts the registry in shard-daemon mode: every entry —
-// already published or registered later — serves only slice i of a k-way
-// partition of its answer space, as local positions 0..Count()-1. A router
-// re-bases the slices onto the global order from the daemons' counts.
-//
-// CQ entries registered after the call are built with renum.WithShardSlice
-// (only 1/k of the index is constructed); union entries and entries already
-// restored from a snapshot are wrapped in a renum.SliceView position window
-// over the full handle. Updatable entries are rejected: positions shift
-// under updates, so a static slice of them would drift off its window.
+// already published or registered later, CQ or union, built or restored
+// from a snapshot, and again after every Rebuild — serves only slice i of a
+// k-way partition of its answer space, as local positions 0..Count()-1. A
+// router re-bases the slices onto the global order from the daemons'
+// counts. The slice is always the exact position window renum.SliceView
+// cuts over the whole handle, so a fleet agrees on its boundaries however
+// each shard booted. Updatable entries are rejected: positions shift under
+// updates, so a static slice of them would drift off its window.
 func (r *Registry) SetShardSlice(i, k int) error {
 	if k < 1 || i < 0 || i >= k {
 		return fmt.Errorf("shard slice %d/%d out of range", i, k)
@@ -236,12 +235,9 @@ func (r *Registry) SetShardSlice(i, k int) error {
 	cur := r.snap.Load()
 	entries := make(map[string]*Entry, len(cur.entries))
 	for name, e := range cur.entries {
-		if e.H.Has(renum.CapUpdate) {
-			return fmt.Errorf("shard slice over updatable entry %s: %w", name, renum.ErrUnsupported)
-		}
-		sl, err := renum.SliceView(e.H, i, k)
+		sl, err := shardWindow(name, e.H, i, k)
 		if err != nil {
-			return fmt.Errorf("shard slice over entry %s: %w", name, err)
+			return err
 		}
 		ne := *e
 		ne.H = sl
@@ -251,6 +247,17 @@ func (r *Registry) SetShardSlice(i, k int) error {
 	// Same generation: the served data did not change, only its window.
 	r.snap.Store(&snapshot{db: cur.db, entries: entries, gen: cur.gen})
 	return nil
+}
+
+// shardWindow is the one way an entry's handle becomes a shard's: slice i
+// of k, as renum.SliceView cuts it (SliceView refuses an updatable handle
+// with ErrUnsupported).
+func shardWindow(name string, h *renum.Handle, i, k int) (*renum.Handle, error) {
+	sl, err := renum.SliceView(h, i, k)
+	if err != nil {
+		return nil, fmt.Errorf("shard slice over entry %s: %w", name, err)
+	}
+	return sl, nil
 }
 
 // SetPlanner selects the join-tree planning mode applied to entries built
@@ -411,23 +418,9 @@ func (r *Registry) build(db *renum.Database, q load.Query, dynamic bool) (*Entry
 	}
 	src := q.Src()
 	t0 := time.Now()
-	var h *renum.Handle
-	var err error
-	switch {
-	case r.sliceOf > 0 && dynamic && q.CQ != nil:
-		return nil, fmt.Errorf("shard slice with dynamic query %s: %w", q.Name, renum.ErrUnsupported)
-	case r.sliceOf > 0 && q.CQ != nil:
-		// Shard-daemon mode: build only this slice's 1/k of the index.
-		h, err = renum.Open(db, src, append(opts, renum.WithShardSlice(r.sliceIdx, r.sliceOf))...)
-	case r.sliceOf > 0:
-		// Unions have no build-level slicing; build the full union index and
-		// serve a position window over it.
-		h, err = renum.Open(db, src, opts...)
-		if err == nil {
-			h, err = renum.SliceView(h, r.sliceIdx, r.sliceOf)
-		}
-	default:
-		h, err = renum.Open(db, src, opts...)
+	h, err := renum.Open(db, src, opts...)
+	if err == nil && r.sliceOf > 0 {
+		h, err = shardWindow(q.Name, h, r.sliceIdx, r.sliceOf)
 	}
 	if err != nil {
 		return nil, err

@@ -131,17 +131,38 @@ func (f *fastShard) stop() {
 	f.fs.Shutdown(ctx)
 }
 
-func shardServer(t testing.TB, db *renum.Database, slice, of int) *server.Server {
+// boot is the order a shard daemon takes its slice in.
+type boot int
+
+const (
+	sliceFirst   boot = iota // SetShardSlice, then Register: renumd -table … -shard-slice
+	sliceAfter               // Register, then SetShardSlice: renumd -snapshot-dir … -shard-slice
+	sliceRebuilt             // sliceAfter, then Rebuild: /admin/rebuild on a snapshot-booted shard
+)
+
+func shardServer(t testing.TB, db *renum.Database, slice, of int, b boot) *server.Server {
 	t.Helper()
 	reg := server.NewRegistry(db, server.CoalesceConfig{}, 0)
-	if of > 0 {
-		// Before Register, like renumd -shard-slice: CQs build 1/K indexes.
-		if err := reg.SetShardSlice(slice, of); err != nil {
-			t.Fatal(err)
+	setSlice := func() {
+		if of > 0 {
+			if err := reg.SetShardSlice(slice, of); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	if b == sliceFirst {
+		setSlice()
 	}
 	if _, err := reg.Register(joinQ+" "+unionQ, false); err != nil {
 		t.Fatal(err)
+	}
+	if b != sliceFirst {
+		setSlice()
+	}
+	if b == sliceRebuilt {
+		if err := reg.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := server.New(reg, server.Config{})
 	t.Cleanup(s.Close)
@@ -149,17 +170,23 @@ func shardServer(t testing.TB, db *renum.Database, slice, of int) *server.Server
 }
 
 func shardHandler(t testing.TB, db *renum.Database, slice, of int) http.Handler {
-	return shardServer(t, db, slice, of).Handler()
+	return shardServer(t, db, slice, of, sliceFirst).Handler()
 }
 
 func newFleet(t testing.TB, k int) *fleet { return newFleetOf(t, k, "mux") }
 
+// newFleetOf boots k shards the CSV way (sliceFirst is the zero boot).
 func newFleetOf(t testing.TB, k int, flavour string) *fleet {
+	return newBootedFleet(t, flavour, make([]boot, k))
+}
+
+// newBootedFleet boots shard i of len(boots) in the order boots[i].
+func newBootedFleet(t testing.TB, flavour string, boots []boot) *fleet {
 	t.Helper()
 	db := fixtureDB(t)
 	f := &fleet{ref: shardHandler(t, db, -1, 0)}
-	for i := 0; i < k; i++ {
-		s := shardServer(t, db, i, k)
+	for i, b := range boots {
+		s := shardServer(t, db, i, len(boots), b)
 		f.handlers = append(f.handlers, s.Handler())
 		if flavour == "fast" {
 			fs := &fastShard{s: s, addr: "127.0.0.1:0"}
@@ -233,10 +260,21 @@ func count(t testing.TB, h http.Handler, query string) int64 {
 }
 
 func TestRouterEquivalence(t *testing.T) {
-	for _, k := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		boots []boot
+	}{
+		{"K=1", []boot{sliceFirst}},
+		{"K=2", []boot{sliceFirst, sliceFirst}},
+		{"K=3", []boot{sliceFirst, sliceFirst, sliceFirst}},
+		// A fleet may mix boot paths: every shard holds the same window
+		// whichever way it was booted or rebuilt.
+		{"K=2-mixed", []boot{sliceFirst, sliceAfter}},
+		{"K=2-rebuilt", []boot{sliceRebuilt, sliceAfter}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			for _, flavour := range flavours {
-				t.Run(flavour, func(t *testing.T) { testEquivalence(t, newFleetOf(t, k, flavour)) })
+				t.Run(flavour, func(t *testing.T) { testEquivalence(t, newBootedFleet(t, flavour, tc.boots)) })
 			}
 		})
 	}

@@ -1,36 +1,23 @@
 // Package shard partitions a conjunctive query's answer space into K
-// disjoint pieces served by independent access.Index instances, composed
-// behind one probe surface with the same disjoint-partition counting trick
-// internal/mcucq uses across union disjuncts.
-//
-// # Partitioning scheme
+// disjoint pieces served by independent access.Index instances behind one
+// global position space. It is the in-process partition the benchmark's
+// shard.locate_ns and shard.access_ns rungs time; every served shard is a
+// renum.SliceView position window instead.
 //
 // The enumeration order of access.Index is root-major: the answers extended
 // from root tuple t are contiguous, and root tuples appear in relation
 // order (the root's bucket key is empty, so all of its tuples share bucket
 // 0 and the stable counting sort preserves relation order). Slicing the
 // root relation into K contiguous row windows therefore slices the global
-// answer sequence into K contiguous position windows: concatenating the
-// shards' enumerations in shard order reproduces the unsharded order
-// byte-for-byte. That is the whole determinism argument — no merge, no
-// re-sort, just concatenation.
-//
-// Build runs the reduction ONCE (set semantics are applied once, so no
-// duplicate can resurface from partitioning), then clones the join tree K
-// times with the root relation replaced by a zero-copy column window.
-// Non-root relations are shared across shards; only the per-shard bucket
-// tables are built K times.
-//
-// # Routing
-//
-// Per-shard answer counts form a prefix-sum table (internal/fenwick), so a
-// global position routes to its shard in O(log K); batches split their
-// position vectors per shard and fan out on internal/parallel, scattering
-// results back into request order.
+// answer sequence into K contiguous position windows, and concatenating the
+// shards in shard order reproduces the unsharded order. Build runs the
+// reduction once, then clones the join tree K times with the root relation
+// replaced by a zero-copy column window; per-shard answer counts form a
+// prefix-sum table (internal/fenwick), so a global position routes to its
+// shard in O(log K).
 package shard
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -51,8 +38,6 @@ type Set struct {
 	tree   *fenwick.Tree // per-shard answer counts, in shard order
 	starts []int64       // starts[i]: global position of shard i's first answer
 	count  int64
-	fj     *reduce.FullJoin // the single reduction all shards slice
-	bounds [][2]int         // root-row window [lo, hi) per shard
 }
 
 // Build partitions q's answers over db into k contiguous shards and builds
@@ -61,21 +46,6 @@ type Set struct {
 // its share of the budget). k must be >= 1; k = 1 degenerates to a single
 // index behind the Set surface.
 func Build(db *relation.Database, q *query.CQ, k int, reduceOpts reduce.Options, buildOpts access.BuildOptions) (*Set, error) {
-	return build(db, q, 0, k, true, reduceOpts, buildOpts)
-}
-
-// BuildSlice builds only shard `slice` of the k-way partition, as a
-// single-shard Set over LOCAL positions 0..count-1. It is the shard
-// daemon's constructor: each daemon serves its own window, and the router
-// re-bases local positions onto the global order from the shards' counts.
-func BuildSlice(db *relation.Database, q *query.CQ, slice, k int, reduceOpts reduce.Options, buildOpts access.BuildOptions) (*Set, error) {
-	if slice < 0 || slice >= k {
-		return nil, fmt.Errorf("shard: slice %d out of range [0, %d)", slice, k)
-	}
-	return build(db, q, slice, k, false, reduceOpts, buildOpts)
-}
-
-func build(db *relation.Database, q *query.CQ, slice, k int, all bool, reduceOpts reduce.Options, buildOpts access.BuildOptions) (*Set, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("shard: K must be >= 1, got %d", k)
 	}
@@ -89,22 +59,12 @@ func build(db *relation.Database, q *query.CQ, slice, k int, all bool, reduceOpt
 	if err != nil {
 		return nil, err
 	}
-	lo := 0
-	hi := k
-	if !all {
-		lo, hi = slice, slice+1
-	}
 	n := fj.Root.Rel.Len()
-	bounds := make([][2]int, 0, hi-lo)
-	chunks := make([]*reduce.FullJoin, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		rowLo, rowHi := i*n/k, (i+1)*n/k
-		chunk, err := sliceFullJoin(fj, rowLo, rowHi)
-		if err != nil {
+	chunks := make([]*reduce.FullJoin, k)
+	for i := range chunks {
+		if chunks[i], err = sliceFullJoin(fj, i*n/k, (i+1)*n/k); err != nil {
 			return nil, err
 		}
-		bounds = append(bounds, [2]int{rowLo, rowHi})
-		chunks = append(chunks, chunk)
 	}
 
 	// Shard builds are independent: fan them out, splitting the worker
@@ -113,17 +73,11 @@ func build(db *relation.Database, q *query.CQ, slice, k int, all bool, reduceOpt
 	if workers <= 0 {
 		workers = parallel.Workers()
 	}
-	outer := len(chunks)
-	if outer > workers {
-		outer = workers
-	}
+	outer := min(k, workers)
 	inner := buildOpts
-	inner.Workers = workers / outer
-	if inner.Workers < 1 {
-		inner.Workers = 1
-	}
-	indexes := make([]*access.Index, len(chunks))
-	if err := parallel.ForEach(len(chunks), outer, func(i int) error {
+	inner.Workers = max(workers/outer, 1)
+	indexes := make([]*access.Index, k)
+	if err := parallel.ForEach(k, outer, func(i int) error {
 		idx, err := access.NewWithOptions(chunks[i], inner)
 		if err != nil {
 			return err
@@ -134,9 +88,9 @@ func build(db *relation.Database, q *query.CQ, slice, k int, all bool, reduceOpt
 		return nil, err
 	}
 
-	s := &Set{head: fj.Head, shards: indexes, fj: fj, bounds: bounds}
-	counts := make([]int64, len(indexes))
-	s.starts = make([]int64, len(indexes)+1)
+	s := &Set{head: fj.Head, shards: indexes}
+	counts := make([]int64, k)
+	s.starts = make([]int64, k+1)
 	for i, idx := range indexes {
 		counts[i] = idx.Count()
 		if counts[i] > math.MaxInt64-s.starts[i] {
@@ -193,19 +147,6 @@ func (s *Set) Head() []string { return s.head }
 // Count returns the global answer count in constant time.
 func (s *Set) Count() int64 { return s.count }
 
-// NumShards returns K (1 for a BuildSlice set).
-func (s *Set) NumShards() int { return len(s.shards) }
-
-// ShardCount returns shard i's answer count.
-func (s *Set) ShardCount(i int) int64 { return s.tree.Value(i) }
-
-// Bounds returns shard i's root-row window [lo, hi).
-func (s *Set) Bounds(i int) (lo, hi int) { return s.bounds[i][0], s.bounds[i][1] }
-
-// FullJoin exposes the single reduction backing every shard (plan
-// rendering; nil only for a zero Set).
-func (s *Set) FullJoin() *reduce.FullJoin { return s.fj }
-
 // Locate routes a global position to (shard, local position) in O(log K).
 func (s *Set) Locate(j int64) (shard int, local int64, err error) {
 	if j < 0 || j >= s.count {
@@ -215,119 +156,14 @@ func (s *Set) Locate(j int64) (shard int, local int64, err error) {
 	return shard, j - s.starts[shard], nil
 }
 
-// Access returns the j-th answer of the global enumeration order — the
-// byte-identical order of the unsharded index — or ErrOutOfBounds.
-func (s *Set) Access(j int64) (relation.Tuple, error) {
-	sh, local, err := s.Locate(j)
-	if err != nil {
-		return nil, err
-	}
-	return s.shards[sh].Access(local)
-}
-
-// AccessInto is Access writing into a caller-provided buffer; the routing
-// adds one O(log K) Fenwick walk to the shard probe and no allocation.
+// AccessInto writes the j-th answer of the global enumeration order — the
+// unsharded index's order — into buf, or fails with ErrOutOfBounds; the
+// routing adds one O(log K) Fenwick walk to the shard probe and no
+// allocation.
 func (s *Set) AccessInto(j int64, buf relation.Tuple) error {
 	sh, local, err := s.Locate(j)
 	if err != nil {
 		return err
 	}
 	return s.shards[sh].AccessInto(local, buf)
-}
-
-// AccessBatch is AccessBatchContext with a background context.
-func (s *Set) AccessBatch(js []int64, workers int) ([]relation.Tuple, error) {
-	return s.AccessBatchContext(context.Background(), js, workers)
-}
-
-// AccessBatchContext returns Access(j) for every j in js, in order: the
-// position vector is validated up front (one out-of-range position fails
-// the whole batch, like the unsharded index), split per shard, fanned out
-// across the worker budget, and the shard results scattered back into
-// request order.
-func (s *Set) AccessBatchContext(ctx context.Context, js []int64, workers int) ([]relation.Tuple, error) {
-	for _, j := range js {
-		if j < 0 || j >= s.count {
-			return nil, access.ErrOutOfBounds
-		}
-	}
-	out := make([]relation.Tuple, len(js))
-	if len(js) == 0 {
-		return out, nil
-	}
-	if len(js) < access.BatchSerialThreshold || len(s.shards) == 1 {
-		if len(s.shards) == 1 {
-			return s.shards[0].AccessBatchContext(ctx, js, workers)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for i, j := range js {
-			t, err := s.Access(j)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = t
-		}
-		return out, nil
-	}
-	// Split the position vector per shard, remembering each position's
-	// request slot so shard results land back in request order.
-	perJS := make([][]int64, len(s.shards))
-	perAt := make([][]int, len(s.shards))
-	for i, j := range js {
-		sh := s.tree.FindPrefix(j)
-		perJS[sh] = append(perJS[sh], j-s.starts[sh])
-		perAt[sh] = append(perAt[sh], i)
-	}
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-	active := 0
-	for _, p := range perJS {
-		if len(p) > 0 {
-			active++
-		}
-	}
-	inner := workers / active
-	if inner < 1 {
-		inner = 1
-	}
-	err := parallel.ForEach(len(s.shards), workers, func(sh int) error {
-		if len(perJS[sh]) == 0 {
-			return nil
-		}
-		ts, err := s.shards[sh].AccessBatchContext(ctx, perJS[sh], inner)
-		if err != nil {
-			return err
-		}
-		at := perAt[sh]
-		for i, t := range ts {
-			out[at[i]] = t
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InvertedAccess returns the GLOBAL position of an answer, or ok=false.
-// Shards partition the answer space, so at most one can claim the tuple;
-// a miss at a shard's root is one failed hash probe, keeping the scan O(K)
-// lookups, not O(K) index walks.
-func (s *Set) InvertedAccess(t relation.Tuple) (int64, bool) {
-	for i, idx := range s.shards {
-		if j, ok := idx.InvertedAccess(t); ok {
-			return s.starts[i] + j, true
-		}
-	}
-	return 0, false
-}
-
-// Contains reports whether t is an answer.
-func (s *Set) Contains(t relation.Tuple) bool {
-	_, ok := s.InvertedAccess(t)
-	return ok
 }

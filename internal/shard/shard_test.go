@@ -1,9 +1,8 @@
 package shard
 
 import (
-	"context"
+	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/access"
@@ -41,6 +40,9 @@ func tupleEq(a, b relation.Tuple) bool {
 	return true
 }
 
+// TestSetMatchesUnshardedOrder: for every K, the shards tile the unsharded
+// order — Locate walks them in shard order, each from local position 0 —
+// and every global position answers what the unsharded index answers.
 func TestSetMatchesUnshardedOrder(t *testing.T) {
 	db, q, ref := prepare(t)
 	n := ref.Index.Count()
@@ -56,28 +58,20 @@ func TestSetMatchesUnshardedOrder(t *testing.T) {
 			if got := set.Count(); got != n {
 				t.Fatalf("Count = %d, want %d", got, n)
 			}
-			if set.NumShards() != k {
-				t.Fatalf("NumShards = %d, want %d", set.NumShards(), k)
-			}
-			var sum int64
-			for i := 0; i < k; i++ {
-				sum += set.ShardCount(i)
-			}
-			if sum != n {
-				t.Fatalf("shard counts sum to %d, want %d", sum, n)
-			}
 			buf := make(relation.Tuple, len(set.Head()))
+			prevShard, prevLocal := 0, int64(-1)
 			for j := int64(0); j < n; j++ {
+				sh, local, err := set.Locate(j)
+				if err != nil {
+					t.Fatalf("Locate(%d): %v", j, err)
+				}
+				if sh >= k || !(sh == prevShard && local == prevLocal+1 || sh > prevShard && local == 0) {
+					t.Fatalf("Locate(%d) = (%d, %d) after (%d, %d): shards do not tile the order", j, sh, local, prevShard, prevLocal)
+				}
+				prevShard, prevLocal = sh, local
 				want, err := ref.Index.Access(j)
 				if err != nil {
 					t.Fatalf("reference Access(%d): %v", j, err)
-				}
-				got, err := set.Access(j)
-				if err != nil {
-					t.Fatalf("sharded Access(%d): %v", j, err)
-				}
-				if !tupleEq(got, want) {
-					t.Fatalf("Access(%d) = %v, want %v", j, got, want)
 				}
 				if err := set.AccessInto(j, buf); err != nil {
 					t.Fatalf("AccessInto(%d): %v", j, err)
@@ -85,98 +79,13 @@ func TestSetMatchesUnshardedOrder(t *testing.T) {
 				if !tupleEq(buf, want) {
 					t.Fatalf("AccessInto(%d) = %v, want %v", j, buf, want)
 				}
-				gj, ok := set.InvertedAccess(want)
-				if !ok || gj != j {
-					t.Fatalf("InvertedAccess(%v) = (%d, %v), want (%d, true)", want, gj, ok, j)
+			}
+			for _, j := range []int64{-1, n} {
+				if err := set.AccessInto(j, buf); err != access.ErrOutOfBounds {
+					t.Fatalf("AccessInto(%d) error = %v, want ErrOutOfBounds", j, err)
 				}
 			}
 		})
-	}
-}
-
-func TestSetAccessBatch(t *testing.T) {
-	db, q, ref := prepare(t)
-	n := ref.Index.Count()
-	set, err := Build(db, q, 3, reduce.Options{}, access.BuildOptions{})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	// Large enough to cross access.BatchSerialThreshold, with duplicates.
-	js := make([]int64, 1500)
-	for i := range js {
-		js[i] = rng.Int63n(n)
-	}
-	got, err := set.AccessBatch(js, 4)
-	if err != nil {
-		t.Fatalf("AccessBatch: %v", err)
-	}
-	want, err := ref.Index.AccessBatch(js, 4)
-	if err != nil {
-		t.Fatalf("reference AccessBatch: %v", err)
-	}
-	for i := range js {
-		if !tupleEq(got[i], want[i]) {
-			t.Fatalf("batch slot %d (j=%d): got %v, want %v", i, js[i], got[i], want[i])
-		}
-	}
-	// One out-of-range position fails the whole batch.
-	if _, err := set.AccessBatch([]int64{0, n}, 0); err != access.ErrOutOfBounds {
-		t.Fatalf("out-of-range batch error = %v, want ErrOutOfBounds", err)
-	}
-	if _, err := set.Access(-1); err != access.ErrOutOfBounds {
-		t.Fatalf("Access(-1) error = %v, want ErrOutOfBounds", err)
-	}
-	// Cancelled context surfaces instead of answers.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := set.AccessBatchContext(ctx, js, 0); err == nil {
-		t.Fatal("cancelled batch returned nil error")
-	}
-}
-
-func TestBuildSliceWindows(t *testing.T) {
-	db, q, ref := prepare(t)
-	n := ref.Index.Count()
-	const k = 4
-	full, err := Build(db, q, k, reduce.Options{}, access.BuildOptions{})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	var global int64
-	for i := 0; i < k; i++ {
-		sl, err := BuildSlice(db, q, i, k, reduce.Options{}, access.BuildOptions{})
-		if err != nil {
-			t.Fatalf("BuildSlice(%d): %v", i, err)
-		}
-		if sl.NumShards() != 1 {
-			t.Fatalf("slice %d: NumShards = %d, want 1", i, sl.NumShards())
-		}
-		if sl.Count() != full.ShardCount(i) {
-			t.Fatalf("slice %d: Count = %d, want %d", i, sl.Count(), full.ShardCount(i))
-		}
-		// The slice's local order is the corresponding window of the
-		// global (= unsharded) order.
-		for local := int64(0); local < sl.Count(); local++ {
-			want, err := ref.Index.Access(global)
-			if err != nil {
-				t.Fatalf("reference Access(%d): %v", global, err)
-			}
-			got, err := sl.Access(local)
-			if err != nil {
-				t.Fatalf("slice %d Access(%d): %v", i, local, err)
-			}
-			if !tupleEq(got, want) {
-				t.Fatalf("slice %d local %d: got %v, want %v", i, local, got, want)
-			}
-			global++
-		}
-	}
-	if global != n {
-		t.Fatalf("slices cover %d positions, want %d", global, n)
-	}
-	if _, err := BuildSlice(db, q, 4, 4, reduce.Options{}, access.BuildOptions{}); err == nil {
-		t.Fatal("BuildSlice(4, 4) accepted an out-of-range slice")
 	}
 }
 
@@ -194,14 +103,37 @@ func TestMoreShardsThanRootRows(t *testing.T) {
 	if set.Count() != ref.Index.Count() {
 		t.Fatalf("Count = %d, want %d", set.Count(), ref.Index.Count())
 	}
+	got := make(relation.Tuple, len(set.Head()))
 	for j := int64(0); j < set.Count(); j += 7 {
 		want, _ := ref.Index.Access(j)
-		got, err := set.Access(j)
-		if err != nil {
-			t.Fatalf("Access(%d): %v", j, err)
+		if err := set.AccessInto(j, got); err != nil {
+			t.Fatalf("AccessInto(%d): %v", j, err)
 		}
 		if !tupleEq(got, want) {
-			t.Fatalf("Access(%d) = %v, want %v", j, got, want)
+			t.Fatalf("AccessInto(%d) = %v, want %v", j, got, want)
 		}
+	}
+}
+
+// TestBuildCountOverflow: a star join with 2^65 answers split into 8 shards
+// of 1024 root rows × 2^52 each — every shard fits an int64 position, their
+// sum does not — fails Build with ErrCountOverflow instead of handing out a
+// negative Count.
+func TestBuildCountOverflow(t *testing.T) {
+	db := relation.NewDatabase()
+	head := []string{"k"}
+	var body []query.Atom
+	for i := 0; i < 5; i++ {
+		name, v := fmt.Sprintf("R%d", i), fmt.Sprintf("v%d", i)
+		r := db.MustCreate(name, "k", v)
+		for j := 0; j < 8192; j++ {
+			r.MustInsert(0, relation.Value(j))
+		}
+		head = append(head, v)
+		body = append(body, query.NewAtom(name, query.V("k"), query.V(v)))
+	}
+	q := query.MustCQ("star", head, body...)
+	if set, err := Build(db, q, 8, reduce.Options{}, access.BuildOptions{}); !errors.Is(err, access.ErrCountOverflow) {
+		t.Fatalf("Build K=8: set %v, err %v; want ErrCountOverflow", set, err)
 	}
 }

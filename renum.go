@@ -32,7 +32,7 @@
 //
 // Open is the only way to build an index: it takes a CQ or a UCQ plus
 // functional options (WithCanonical, WithDynamic, WithVerify, WithWorkers,
-// WithShards, …) and returns a *Handle exposing the shared probe surface —
+// …) and returns a *Handle exposing the shared probe surface —
 // Count, Access, AccessInto, AccessBatch, Page, Head — uniformly over every
 // backend. OpenSnapshot and SliceView hand out the same Handle over a
 // restored index and over a window of another handle. Optional facilities
@@ -65,7 +65,7 @@
 //
 // The library is built to serve heavy concurrent read traffic:
 //
-//   - Static handles (KindCQ, KindUCQ, KindSharded, and every SliceView or
+//   - Static handles (KindCQ, KindUCQ, and every SliceView or
 //     snapshot-restored handle over them) are immutable after construction.
 //     Every probe (Count, Access, AccessBatch, Page, InvertedAccess,
 //     Contains, SampleN) only reads the index — there is no lazy memoization

@@ -13,14 +13,18 @@ import (
 // the first answer of a chunk and rank 63 the last of one. Whatever the
 // chunking does at those seams, the answer at each rank must stay uniform
 // over the answer set: a chi-square test per rank, at the 6σ limit
-// exp.Uniformity uses, for a CQ, an mc-UCQ and a sharded CQ.
+// exp.Uniformity uses, for a CQ, an mc-UCQ and a shard (a SliceView window).
 func TestShuffledUniformAtChunkEdges(t *testing.T) {
-	// 96 answers each: the join of 12 R-tuples with 8 S-tuples apiece, and
-	// the union of two 60-tuple relations that share 24.
+	// 96 answers each: the join of 12 R-tuples with 8 S-tuples apiece, the
+	// union of two 60-tuple relations that share 24, and the middle third of
+	// the 288-answer join of 36 W-tuples with S.
 	db := NewDatabase()
-	r, s := db.MustCreate("R", "a", "b"), db.MustCreate("S", "b", "c")
-	for a := 0; a < 12; a++ {
-		r.MustInsert(Value(a), Value(a%4))
+	r, w, s := db.MustCreate("R", "a", "b"), db.MustCreate("W", "a", "b"), db.MustCreate("S", "b", "c")
+	for a := 0; a < 36; a++ {
+		if a < 12 {
+			r.MustInsert(Value(a), Value(a%4))
+		}
+		w.MustInsert(Value(a), Value(a%4))
 	}
 	for b := 0; b < 4; b++ {
 		for c := 0; c < 8; c++ {
@@ -37,6 +41,11 @@ func TestShuffledUniformAtChunkEdges(t *testing.T) {
 		}
 	}
 	join := MustCQ("q", []string{"a", "b", "c"}, NewAtom("R", V("a"), V("b")), NewAtom("S", V("b"), V("c")))
+	wide := MustCQ("w", []string{"a", "b", "c"}, NewAtom("W", V("a"), V("b")), NewAtom("S", V("b"), V("c")))
+	shard, err := SliceView(mustOpen(t, db, wide), 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	union := MustUCQ("u",
 		MustCQ("u1", []string{"x", "y"}, NewAtom("A", V("x"), V("y"))),
 		MustCQ("u2", []string{"x", "y"}, NewAtom("B", V("x"), V("y"))))
@@ -44,9 +53,9 @@ func TestShuffledUniformAtChunkEdges(t *testing.T) {
 	ranks := []int{0, 1, 2, 4, 63, 64}
 	const answers, trials = 96, 4000
 	for name, h := range map[string]*Handle{
-		"cq":      mustOpen(t, db, join),
-		"ucq":     mustOpen(t, db, union),
-		"sharded": mustOpen(t, db, join, WithShards(3)),
+		"cq":    mustOpen(t, db, join),
+		"ucq":   mustOpen(t, db, union),
+		"shard": shard,
 	} {
 		if h.Count() != answers {
 			t.Fatalf("%s: fixture has %d answers, want %d", name, h.Count(), answers)
