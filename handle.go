@@ -188,11 +188,14 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithBuildObserver registers a callback that receives preprocessing-stage
 // timings while Open builds the probe structure. Stages currently emitted:
-// "plan_search" (the cost-based planner's candidate enumeration),
-// "index_build" (the static access structure's weight computation),
-// "dynamic_build" (the update-maintaining index), and "union_build" (the
-// mc-UCQ preparation). fn must be safe for use from the building goroutine;
-// it is never called after Open returns.
+// "plan_search" (the cost-based planner's candidate enumeration); for a
+// static CQ, Proposition 4.2's reduction stage by stage — "instantiate"
+// (the atoms' relations), "semijoin" (both Yannakakis sweeps), "eliminate"
+// (protected GYO elimination) and "member_index" (the surviving relations'
+// membership indexes) — then "index_build" (the static access structure's
+// weight computation); "dynamic_build" (the update-maintaining index); and
+// "union_build" (the mc-UCQ preparation). fn must be safe for use from the
+// building goroutine; it is never called after Open returns.
 func WithBuildObserver(fn func(stage string, d time.Duration)) Option {
 	return func(c *config) { c.buildObserve = fn }
 }
@@ -329,7 +332,7 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 		pq, pl := planQuery(db, q, &cfg)
 		q = pq.(*CQ)
 		c, err := cqenum.PrepareWithOptions(db, q,
-			reduce.Options{CanonicalOrder: cfg.canonical},
+			reduce.Options{CanonicalOrder: cfg.canonical, Observe: cfg.buildObserve},
 			access.BuildOptions{Workers: cfg.workers, Observe: cfg.buildObserve})
 		if err != nil {
 			return nil, err

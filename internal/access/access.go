@@ -22,7 +22,9 @@
 // int32 arrays. A probe therefore never hashes a key and never allocates:
 // Access walks the tree with array indexing and an in-bucket binary search,
 // and inverted access replaces the per-node tuple reconstruction with a
-// single packed-key (or stack-buffered string-key) position lookup.
+// single position lookup in the node relation's membership index. The
+// groupings' key lookup structures are needed only to resolve child buckets
+// during the build, and are released once every node is built.
 //
 // # Batched probes
 //
@@ -241,6 +243,10 @@ func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 		}
 	}
 
+	// Every child bucket is resolved: the key lookups are build-time memory.
+	for _, n := range idx.nodes {
+		n.grouping.ReleaseKeys()
+	}
 	if opts.Observe != nil {
 		opts.Observe("index_build", time.Since(buildStart))
 	}
@@ -654,8 +660,8 @@ func (idx *Index) InvertedAccess(answer relation.Tuple) (int64, bool) {
 
 func (idx *Index) invertedSubtree(n *node, answer relation.Tuple) (int64, bool) {
 	// Locate this node's tuple directly from the answer (no intermediate
-	// tuple: the relation's position index is probed with a packed or
-	// stack-buffered key).
+	// tuple: the relation's membership index is probed with the answer's
+	// values at this node's attributes).
 	pos := n.rel.PositionProjected(answer, n.schemaHeadPos)
 	if pos < 0 {
 		return 0, false

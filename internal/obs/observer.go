@@ -24,8 +24,10 @@ type ProbeOps struct {
 // users and tests can leave it nil for zero overhead.
 type Observer struct {
 	// Build fires after an index build stage for a query. Stages:
-	// "total" (the whole renum.Open), "index_build" (the access
-	// structure's own wave build), "dynamic_build", "union_build".
+	// "total" (the whole renum.Open), the stages renum.WithBuildObserver
+	// lists — "plan_search"; "instantiate", "semijoin", "eliminate" and
+	// "member_index" (a static CQ's reduction); "index_build" (the access
+	// structure's own wave build); "dynamic_build", "union_build".
 	Build func(query, stage string, d time.Duration)
 	// WALAppend fires per record appended (encode+write, no fsync).
 	WALAppend func(bytes int, d time.Duration)

@@ -3,6 +3,7 @@ package reduce
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/hypergraph"
 	"repro/internal/parallel"
@@ -59,6 +60,13 @@ type Options struct {
 	// 1 forces the serial build. Callers that also build the access index
 	// pass the same budget to both.
 	Workers int
+
+	// Observe, when set, receives the time of each stage of BuildFullJoin,
+	// once per call and in this order: "instantiate" (the atoms' relations),
+	// "semijoin" (the atoms' join tree and both Yannakakis sweeps),
+	// "eliminate" (protected GYO elimination, then CanonicalOrder's sort)
+	// and "member_index" (the survivors' membership indexes).
+	Observe func(stage string, d time.Duration)
 }
 
 // indexSerialThreshold is the total tuple count below which the membership
@@ -70,10 +78,19 @@ const indexSerialThreshold = 1 << 15
 // ErrNotFreeConnex (wrapped with context) for queries outside the supported
 // class.
 func BuildFullJoin(db *relation.Database, q *query.CQ, opts Options) (*FullJoin, error) {
+	t0 := time.Now()
+	lap := func(stage string) {
+		if opts.Observe != nil {
+			now := time.Now()
+			opts.Observe(stage, now.Sub(t0))
+			t0 = now
+		}
+	}
 	rels, err := InstantiateAll(db, q)
 	if err != nil {
 		return nil, err
 	}
+	lap("instantiate")
 
 	// Join tree over the original (instantiated) atoms; fails on cyclic.
 	h := hypergraph.FromCQ(q)
@@ -86,6 +103,7 @@ func BuildFullJoin(db *relation.Database, q *query.CQ, opts Options) (*FullJoin,
 			return nil, err
 		}
 	}
+	lap("semijoin")
 
 	// Protected GYO elimination over (schema, relation) items.
 	items := make([]*relation.Relation, len(rels))
@@ -102,6 +120,7 @@ func BuildFullJoin(db *relation.Database, q *query.CQ, opts Options) (*FullJoin,
 			r.SortTuples()
 		}
 	}
+	lap("eliminate")
 
 	// The survivors are final. Each gets its membership index — what
 	// inverted access probes — built exactly once, here: the sweeps above ran
@@ -119,6 +138,7 @@ func BuildFullJoin(db *relation.Database, q *query.CQ, opts Options) (*FullJoin,
 	}); err != nil {
 		return nil, err
 	}
+	lap("member_index")
 
 	// The remainder is a full join over head variables; build its join tree.
 	rh := &hypergraph.Hypergraph{}
@@ -137,12 +157,11 @@ func BuildFullJoin(db *relation.Database, q *query.CQ, opts Options) (*FullJoin,
 	for i, r := range items {
 		nodes[i] = &Node{Rel: r}
 	}
-	for i, tn := range rtree.Nodes {
+	for _, tn := range rtree.Nodes {
 		if tn.Parent != nil {
 			// rtree.Nodes is in edge-index order; EdgeID is the item index.
 			nodes[tn.EdgeID].Parent = nodes[tn.Parent.EdgeID]
 		}
-		_ = i
 	}
 	for _, n := range nodes {
 		if n.Parent != nil {

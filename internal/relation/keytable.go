@@ -1,17 +1,19 @@
 package relation
 
 // KeyTable assigns dense int32 ids, in order of first appearance, to the
-// distinct keys of a fixed width — the growable counterpart of Grouping's
-// key map, for structures whose rows arrive one at a time (the dynamic
-// index's tuple identities and bucket ids). Ids are never removed or
-// renumbered.
+// distinct keys of a fixed width, for structures whose rows arrive one at a
+// time and keep no columns to compare against (the dynamic index's tuple
+// identities and bucket ids). Ids are never removed or renumbered.
 //
-// Keys of ≤ 2 attributes take the packed 64-bit form Grouping and the
-// membership index use; the packing is invertible, so the first key that does
-// not fit migrates the whole table to the canonical string encoding by
-// decoding the keys it holds. Wider keys are strings from the start. Lookups
-// are allocation-free in the packed form and for wide keys of ≤ KeyBufCap/8
-// attributes. A KeyTable is not synchronized.
+// Keys of ≤ 2 attributes take a packed 64-bit form: a key of one attribute
+// is the value itself (uint64(v) is a bijection on int64), and a key of two
+// packs both values into one word when each fits 32 bits — true for every
+// dictionary-encoded value until the dictionary exceeds 4Gi entries. The
+// packing is invertible, so the first key that does not fit migrates the
+// whole table to the canonical string encoding by decoding the keys it
+// holds. Wider keys are strings from the start. Lookups are allocation-free
+// in the packed form and for wide keys of ≤ KeyBufCap/8 attributes. A
+// KeyTable is not synchronized.
 type KeyTable struct {
 	width  int
 	n      int32
@@ -32,6 +34,12 @@ func NewKeyTable(width, sizeHint int) *KeyTable {
 	}
 	return t
 }
+
+// packable32 reports whether v fits the 32-bit half of a packed pair key.
+func packable32(v Value) bool { return v >= 0 && v < 1<<32 }
+
+// packPair packs two 32-bit-packable values into one uint64 key.
+func packPair(a, b Value) uint64 { return uint64(a)<<32 | uint64(b) }
 
 // packProjected packs src's values at proj (len 1 or 2) into a uint64 key.
 func packProjected(src []Value, proj []int) (uint64, bool) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"unsafe"
 )
 
 // Relation is a finite set of tuples over a schema, stored column-major: one
@@ -18,16 +17,24 @@ import (
 // Every constructor and operator keeps the rows distinct, but only the ones
 // that can be handed a duplicate pay for a check. Insert (and with it every
 // NewRelation + Insert load, and Filter) enforces the invariant against the
-// membership index; Project finds its duplicates by grouping; FromColumns
+// membership index; Project finds its duplicates with a key set; FromColumns
 // and AdoptColumns trust their caller; SemijoinWith and SortTuples only
 // drop or permute rows of a set. reduce.Instantiate relies on exactly this:
 // a base relation is a set, so selecting rows and dropping constant or
 // repeated-variable columns cannot produce a duplicate, and no hashing is
 // needed to copy it.
 //
-// The membership index maps a full tuple to its position (packed 64-bit
-// keys for arity ≤ 2, the canonical string key otherwise). It exists in one
-// of two states:
+// The membership index maps a full tuple to its position. Like every hashed
+// key lookup of Relation and Grouping it is a flatTable: one pointer-free
+// array of open-addressed slots with a per-table hash seed, whose ids here
+// are the row positions themselves, so it stores no key — a probe hashes the
+// tuple and compares it against the columns, for every arity and every
+// value, and never encodes a key. (GroupBy uses the same table over its key
+// columns, and so do the key sets of SemijoinWith, Project and
+// DistinctCount, except that a key set over a single column whose values
+// span less than a small multiple of its row count is a bitmap indexed by
+// value. The access index releases a grouping's table once it is built.)
+// The membership index exists in one of two states:
 //
 //   - maintained (lazyOnce == nil): NewRelation creates it empty and Insert
 //     keeps it current;
@@ -58,10 +65,9 @@ type Relation struct {
 	cols   [][]Value
 	n      int
 
-	// Full-tuple membership index: exactly one of pindex/windex is non-nil
-	// once the index exists.
-	pindex map[uint64]int32
-	windex map[string]int32
+	// index is the full-tuple membership index (ids are row positions);
+	// nil while it is deferred.
+	index *flatTable
 
 	// lazyOnce is non-nil while the membership index is deferred (see the
 	// type comment); ensureIndex routes through it. nil means the index
@@ -76,17 +82,12 @@ type Relation struct {
 
 // NewRelation creates an empty relation with the given name and schema.
 func NewRelation(name string, schema Schema) *Relation {
-	r := &Relation{
+	return &Relation{
 		name:   name,
 		schema: schema,
 		cols:   make([][]Value, len(schema)),
+		index:  newFlatTable(0),
 	}
-	if len(schema) <= 2 {
-		r.pindex = make(map[uint64]int32)
-	} else {
-		r.windex = make(map[string]int32)
-	}
-	return r
 }
 
 // FromColumns constructs a relation directly over existing column storage —
@@ -159,34 +160,26 @@ func (r *Relation) BuildIndex() {
 // Indexed reports whether the membership index exists right now (false
 // while it is deferred and unbuilt). Diagnostic: it must not race with the
 // first probe of a deferred relation.
-func (r *Relation) Indexed() bool { return r.pindex != nil || r.windex != nil }
+func (r *Relation) Indexed() bool { return r.index != nil }
 
 // dropIndex discards the membership index after row positions changed and
 // defers its rebuild.
 func (r *Relation) dropIndex() {
-	r.pindex, r.windex = nil, nil
+	r.index = nil
 	r.lazyOnce = new(sync.Once)
 }
 
 // buildIndex builds the membership index from the columns, pre-sized to the
-// row count: packed keys for arities ≤ 2 (falling back to string keys at
-// the first unpackable tuple), string keys otherwise.
+// row count. The rows are a set, so each is placed without looking for an
+// equal one.
 func (r *Relation) buildIndex() {
-	if len(r.schema) > 2 {
-		r.buildWideIndex()
-		return
-	}
-	all := r.allPositions()
-	r.windex = nil
-	r.pindex = make(map[uint64]int32, r.n)
+	t := newFlatTable(r.n)
+	var buf [keyStackCap]Value
+	key := keyScratch(&buf, len(r.cols))
 	for i := 0; i < r.n; i++ {
-		k, ok := r.packAt(i, all)
-		if !ok {
-			r.buildWideIndex()
-			return
-		}
-		r.pindex[k] = int32(i)
+		t.place(gatherRow(key, r.cols, i))
 	}
+	r.index = t
 }
 
 // mustBeMutable guards the in-place mutators: a frozen relation's columns
@@ -226,50 +219,6 @@ func (r *Relation) appendRow(t Tuple) {
 	r.n++
 }
 
-// keyAt returns the canonical string key of row i's values at positions.
-func (r *Relation) keyAt(i int, positions []int) string {
-	b := make([]byte, 0, 8*len(positions))
-	for _, p := range positions {
-		b = appendValue(b, r.cols[p][i])
-	}
-	return string(b)
-}
-
-// packAt packs row i's values at positions (len ≤ 2) into a uint64 key.
-func (r *Relation) packAt(i int, positions []int) (uint64, bool) {
-	switch len(positions) {
-	case 0:
-		return 0, true
-	case 1:
-		return uint64(r.cols[positions[0]][i]), true
-	case 2:
-		a, b := r.cols[positions[0]][i], r.cols[positions[1]][i]
-		if !packable32(a) || !packable32(b) {
-			return 0, false
-		}
-		return packPair(a, b), true
-	}
-	return 0, false
-}
-
-// buildWideIndex builds the membership index with string keys (arity > 2, or
-// the first unpackable tuple on an arity-≤2 relation). The n keys are
-// encoded into one arena that the map's string keys alias — one allocation
-// instead of one string per tuple. The arena is never written again; keys
-// Insert adds later are ordinary strings.
-func (r *Relation) buildWideIndex() {
-	r.pindex = nil
-	r.windex = make(map[string]int32, r.n)
-	width := 8 * len(r.cols)
-	arena := make([]byte, 0, r.n*width)
-	for i := 0; i < r.n; i++ {
-		for a := range r.cols {
-			arena = appendValue(arena, r.cols[a][i])
-		}
-		r.windex[unsafe.String(&arena[i*width], width)] = int32(i)
-	}
-}
-
 // MaxTuples is the hard per-relation size limit: tuple positions are stored
 // as int32 throughout the engine (position indexes, groupings, the access
 // index's flattened bucket tables), so a relation must stay below 2^31-1
@@ -291,23 +240,9 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 	if r.n >= MaxTuples {
 		return false, fmt.Errorf("relation %s: at the %d-tuple limit (positions are int32)", r.name, MaxTuples)
 	}
-	if r.pindex != nil {
-		if k, ok := packVals(t...); ok {
-			if _, dup := r.pindex[k]; dup {
-				return false, nil
-			}
-			r.pindex[k] = int32(r.n)
-			r.appendRow(t)
-			return true, nil
-		}
-		r.buildWideIndex()
-	}
-	var buf [KeyBufCap]byte
-	b := t.AppendKey(KeyScratch(&buf, len(t)))
-	if _, dup := r.windex[string(b)]; dup {
+	if _, added := r.index.insert(t, r.cols, nil); !added {
 		return false, nil
 	}
-	r.windex[string(b)] = int32(r.n)
 	r.appendRow(t)
 	return true, nil
 }
@@ -365,34 +300,18 @@ func (r *Relation) Tuples() []Tuple {
 // Contains reports whether t is in the relation.
 func (r *Relation) Contains(t Tuple) bool { return r.Position(t) >= 0 }
 
-// Position returns the insertion position of t, or -1. Allocation-free for
-// packed indexes and for arities ≤ 32.
+// Position returns the insertion position of t, or -1. Allocation-free.
 func (r *Relation) Position(t Tuple) int {
 	if len(t) != len(r.schema) {
 		return -1
 	}
 	r.ensureIndex()
-	if r.pindex != nil {
-		k, ok := packVals(t...)
-		if !ok {
-			return -1 // every stored tuple is packable; t cannot be present
-		}
-		if p, ok := r.pindex[k]; ok {
-			return int(p)
-		}
-		return -1
-	}
-	var buf [KeyBufCap]byte
-	b := t.AppendKey(KeyScratch(&buf, len(t)))
-	if p, ok := r.windex[string(b)]; ok {
-		return int(p)
-	}
-	return -1
+	return int(r.index.find(t, r.cols, nil))
 }
 
 // PositionProjected returns the insertion position of the tuple whose i-th
 // value is src[proj[i]] — Position(src.Project(proj)) without the
-// intermediate tuple, and allocation-free on the same terms as Position.
+// intermediate tuple, and allocation-free for arities ≤ KeyBufCap/8.
 // len(proj) must equal the relation's arity. This is the constant-time
 // "locate the node tuple inside an answer" step of inverted access
 // (Algorithm 4 line 4).
@@ -401,31 +320,12 @@ func (r *Relation) PositionProjected(src Tuple, proj []int) int {
 		return -1
 	}
 	r.ensureIndex()
-	if r.pindex != nil {
-		var k uint64
-		switch len(proj) {
-		case 0:
-			k = 0
-		case 1:
-			k = uint64(src[proj[0]])
-		default:
-			a, b := src[proj[0]], src[proj[1]]
-			if !packable32(a) || !packable32(b) {
-				return -1
-			}
-			k = packPair(a, b)
-		}
-		if p, ok := r.pindex[k]; ok {
-			return int(p)
-		}
-		return -1
+	var buf [keyStackCap]Value
+	key := keyScratch(&buf, len(proj))
+	for k, p := range proj {
+		key[k] = src[p]
 	}
-	var buf [KeyBufCap]byte
-	b := src.AppendProjectedKey(KeyScratch(&buf, len(proj)), proj)
-	if p, ok := r.windex[string(b)]; ok {
-		return int(p)
-	}
-	return -1
+	return int(r.index.find(key, r.cols, nil))
 }
 
 // Rename returns a view of r with a new name and schema (same tuples). The
@@ -437,10 +337,10 @@ func (r *Relation) Rename(name string, schema Schema) (*Relation, error) {
 	if len(schema) != len(r.schema) {
 		return nil, fmt.Errorf("relation %s: rename to arity %d != %d", r.name, len(schema), len(r.schema))
 	}
-	// The view shares the duplicate index, so a deferred index must exist
-	// before the maps are captured (the view has no lazy hook of its own).
+	// The view shares the membership index, so a deferred index must exist
+	// before it is captured (the view has no lazy hook of its own).
 	r.ensureIndex()
-	return &Relation{name: name, schema: schema, cols: r.cols, n: r.n, pindex: r.pindex, windex: r.windex, frozen: r.frozen}, nil
+	return &Relation{name: name, schema: schema, cols: r.cols, n: r.n, index: r.index, frozen: r.frozen}, nil
 }
 
 // Filter returns a new relation containing the tuples satisfying keep, in the
@@ -463,16 +363,16 @@ func (r *Relation) Filter(name string, keep func(Tuple) bool) *Relation {
 }
 
 // Project returns the projection of r onto attrs (set semantics, first
-// occurrence wins, order preserved). Duplicates are found by grouping r on
-// the projected positions — one packed-key lookup per row, no string key
-// per tuple for ≤ 2 attributes — and the output keeps one row per group;
-// its membership index is deferred like every intermediate's.
+// occurrence wins, order preserved). Duplicates are found by collecting the
+// distinct keys at the projected positions (keySet), and the output keeps
+// the first row of each; its membership index is deferred like every
+// intermediate's.
 func (r *Relation) Project(name string, attrs []string) (*Relation, error) {
 	pos, err := r.schema.Positions(attrs)
 	if err != nil {
 		return nil, err
 	}
-	first := r.GroupBy(pos).First
+	first := r.distinctKeys(pos).first
 	cols := make([][]Value, len(pos))
 	for k, p := range pos {
 		src, col := r.cols[p], make([]Value, len(first))
@@ -488,9 +388,10 @@ func (r *Relation) Project(name string, attrs []string) (*Relation, error) {
 // tuple in s on their shared attributes: r ← r ⋉ s. If the relations share no
 // attributes, r is unchanged when s is non-empty and emptied when s is empty
 // (the join with an empty relation is empty). It returns the number of tuples
-// removed. Linear time in |r| + |s|: only s is grouped on the shared
-// attributes — its key set is all the semijoin probes — every row of r costs
-// one lookup in it, and surviving rows are compacted column by column. When
+// removed. Linear time in |r| + |s|: s's distinct keys on the shared
+// attributes are collected into a keySet (a bitmap over a dense single
+// column, a flatTable otherwise), every row of r costs one membership test
+// in it, and surviving rows are compacted column by column. When
 // rows were removed the membership index is dropped, not rebuilt: positions
 // shift again with every sweep of a reduction, and whoever keeps the result
 // builds the index once (BuildIndex).
@@ -507,10 +408,12 @@ func (r *Relation) SemijoinWith(s *Relation) int {
 	}
 	rPos, _ := r.schema.Positions(shared)
 	sPos, _ := s.schema.Positions(shared)
-	sg := s.GroupBy(sPos)
+	keys := s.distinctKeys(sPos)
+	var buf [keyStackCap]Value
+	scratch := keyScratch(&buf, len(rPos))
 	w := 0
 	for i := 0; i < r.n; i++ {
-		if _, ok := sg.LookupAt(r, i, rPos); !ok {
+		if !keys.hasAt(r.cols, rPos, i, scratch) {
 			continue
 		}
 		if w != i {
@@ -540,35 +443,13 @@ func (r *Relation) clear() {
 	r.dropIndex()
 }
 
-// allPositions returns [0, 1, ..., arity-1].
-func (r *Relation) allPositions() []int {
-	out := make([]int, len(r.cols))
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // Clone returns a deep copy of r: columns and index are fresh. Cloning a
 // snapshot-backed relation yields an ordinary mutable heap relation.
 func (r *Relation) Clone() *Relation {
 	r.ensureIndex()
-	out := NewRelation(r.name, r.schema)
+	out := &Relation{name: r.name, schema: r.schema, cols: make([][]Value, len(r.cols)), n: r.n, index: r.index.clone()}
 	for a := range r.cols {
 		out.cols[a] = append([]Value(nil), r.cols[a]...)
-	}
-	out.n = r.n
-	if r.pindex != nil {
-		out.pindex = make(map[uint64]int32, len(r.pindex))
-		for k, v := range r.pindex {
-			out.pindex[k] = v
-		}
-	} else {
-		out.pindex = nil
-		out.windex = make(map[string]int32, len(r.windex))
-		for k, v := range r.windex {
-			out.windex[k] = v
-		}
 	}
 	return out
 }

@@ -5,9 +5,13 @@
 //
 // Storage is column-major (see Relation): one contiguous []Value per
 // attribute, with dense group IDs (see GroupBy) replacing string-keyed hash
-// maps on every hot path. String keys survive only as the fallback for wide
-// or non-packable tuples, and every string key in the codebase is produced by
-// the single canonical encoder in this file.
+// maps on every hot path. Every key lookup of Relation and Grouping — the
+// membership index, GroupBy, the key sets of SemijoinWith, Project and
+// DistinctCount — goes through one flat open-addressing table (flatTable)
+// that compares a probe against the columns instead of encoding it, or, for
+// a key set over a single column with a dense span, through a bitmap.
+// KeyTable keeps Go maps over packed or string keys, and every string key in
+// the codebase comes from the single canonical encoder in this file.
 //
 // Every relation is a set. Insert enforces that against the full-tuple
 // membership index; FromColumns and AdoptColumns trust their caller; and
@@ -20,8 +24,8 @@
 //
 // The paper's computation model is the DRAM variant of the RAM model with
 // uniform cost measure, which permits constant-time lookup tables of
-// polynomial size. Go hash maps (and, after preprocessing, plain arrays
-// indexed by group ID) play that role here.
+// polynomial size. Flat hash tables and bitmaps (and, after preprocessing,
+// plain arrays indexed by group ID) play that role here.
 package relation
 
 import (
@@ -60,12 +64,12 @@ func (t Tuple) Equal(u Tuple) bool {
 
 // appendValue appends the canonical fixed-width encoding of v (8 bytes,
 // big-endian) to dst. This is THE tuple-key encoder of the codebase: every
-// string-keyed map over tuples — relation indexes, dynamic-index buckets,
-// the naive evaluator's join indexes, the samplers' seen-sets — goes through
-// this function via Key / ProjectKey / AppendKey / AppendProjectedKey.
-// Do not re-implement the encoding elsewhere; distinct tuples of equal arity
-// must keep producing distinct keys, and mixed encoders would silently break
-// cross-package key comparisons.
+// string-keyed map over tuples — KeyTable's wide keys, the naive evaluator's
+// join indexes, the samplers' seen-sets — goes through this function via
+// Key / ProjectKey / AppendKey / AppendProjectedKey. Do not re-implement the
+// encoding elsewhere; distinct tuples of equal arity must keep producing
+// distinct keys, and mixed encoders would silently break cross-package key
+// comparisons.
 func appendValue(dst []byte, v Value) []byte {
 	u := uint64(v)
 	return append(dst,
@@ -113,36 +117,6 @@ func (t Tuple) Project(positions []int) Tuple {
 // tuple.
 func (t Tuple) ProjectKey(positions []int) string {
 	return string(t.AppendProjectedKey(make([]byte, 0, 8*len(positions)), positions))
-}
-
-// Packed 64-bit keys: a tuple key of one attribute is the value itself
-// (uint64(v) is a bijection on int64), and a key of two attributes packs both
-// values into one word when each fits 32 bits — true for every
-// dictionary-encoded value until the dictionary exceeds 4Gi entries. Wider or
-// non-packable keys fall back to the canonical string encoding above.
-
-// packable32 reports whether v fits the 32-bit half of a packed pair key.
-func packable32(v Value) bool { return v >= 0 && v < 1<<32 }
-
-// packPair packs two 32-bit-packable values into one uint64 key.
-func packPair(a, b Value) uint64 { return uint64(a)<<32 | uint64(b) }
-
-// packVals packs up to two values into a uint64 key; ok is false when the
-// values do not fit the packed representation (the caller falls back to the
-// string encoding).
-func packVals(vals ...Value) (uint64, bool) {
-	switch len(vals) {
-	case 0:
-		return 0, true
-	case 1:
-		return uint64(vals[0]), true
-	case 2:
-		if !packable32(vals[0]) || !packable32(vals[1]) {
-			return 0, false
-		}
-		return packPair(vals[0], vals[1]), true
-	}
-	return 0, false
 }
 
 // KeyBufCap is the stack-buffer size used for allocation-free string-key

@@ -271,14 +271,6 @@ func (r *Registry) SetPlanner(mode renum.PlannerMode) {
 	r.planner = mode
 }
 
-// ShardSlice reports the registry's shard-daemon window (k == 0 when the
-// registry serves full answer sets).
-func (r *Registry) ShardSlice() (i, k int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sliceIdx, r.sliceOf
-}
-
 // EntryCount reports how many queries the current snapshot serves
 // (lock-free; used by /readyz).
 func (r *Registry) EntryCount() int {
