@@ -26,22 +26,24 @@ func (idx *Index) AccessLinear(j int64) (relation.Tuple, error) {
 }
 
 func (idx *Index) subtreeAccessLinear(n *node, g uint32, j int64, answer relation.Tuple) {
-	i := int(n.bucketOff[g])
-	for n.start[i]+n.weight[i] <= j {
-		i++
+	i := n.bucketOff[g] + int32(j) // a leaf: every weight is 1
+	if !n.leaf() {
+		// The last slot whose start is ≤ j.
+		for i = n.bucketOff[g]; i+1 < n.bucketOff[g+1] && n.start[i+1] <= j; i++ {
+		}
 	}
 	pos := n.tupleIdx[i]
 	for k, col := range n.outCols {
 		answer[col] = n.outVals[k][pos]
 	}
-	if len(n.children) == 0 {
+	if n.leaf() {
 		return
 	}
 	rem := j - n.start[i]
 	for ci := len(n.children) - 1; ci >= 0; ci-- {
 		c := n.children[ci]
 		cg := uint32(n.childGroup[ci][pos])
-		ct := c.total[cg]
+		ct := c.bucketTotal(cg)
 		ji := rem % ct
 		rem /= ct
 		idx.subtreeAccessLinear(c, cg, ji, answer)

@@ -16,7 +16,7 @@
 //
 // Buckets are addressed by dense integer group IDs, not string keys: each
 // node groups its relation once on the parent-shared attributes
-// (relation.GroupBy), the per-bucket tuple/weight/start sequences live in
+// (relation.GroupBy), the per-bucket tuple and start-index sequences live in
 // contiguous per-node arrays sliced by a bucket offset table, and every
 // parent tuple's child-bucket IDs are resolved once at build time into flat
 // int32 arrays. A probe therefore never hashes a key and never allocates:
@@ -25,6 +25,16 @@
 // single position lookup in the node relation's membership index. The
 // groupings' key lookup structures are needed only to resolve child buckets
 // during the build, and are released once every node is built.
+//
+// The index keeps one aggregate per slot and one per bucket, and only at
+// inner nodes. A weight is the difference of two consecutive start indexes,
+// so the bucket search reads the start array alone: the last slot whose
+// start is ≤ j. A leaf keeps no aggregate at all — every leaf weight is 1,
+// so answer j of a leaf bucket is its j-th slot and the bucket's total is
+// its length. The rejection bounds of the EO and OE baseline samplers (the
+// root's largest weight, each node's largest bucket) are not stored either;
+// BaselineBounds derives them in one pass when internal/sample builds a
+// sampler.
 //
 // # Batched probes
 //
@@ -86,7 +96,7 @@ type Index struct {
 
 // node mirrors one relation of the full-join tree. All per-bucket state is
 // flattened: bucket g of this node owns slots bucketOff[g]..bucketOff[g+1]
-// of tupleIdx/weight/start, with tuples in relation order within a bucket —
+// of tupleIdx/start, with tuples in relation order within a bucket —
 // exactly the order the map-of-slices representation used, so enumeration
 // order is unchanged.
 type node struct {
@@ -106,13 +116,15 @@ type node struct {
 	// grouping assigns each tuple its bucket: dense group IDs on pAttPos.
 	grouping *relation.Grouping
 
-	// Flattened bucket storage (Algorithm 2's w(t) and startIndex(t)).
+	// Flattened bucket storage (Algorithm 2's startIndex(t) and w(B)). A
+	// slot's weight w(t) is not stored: it is its successor's start minus its
+	// own, or total minus its own for a bucket's last slot. A leaf stores
+	// neither array: every leaf weight is 1 (a product over no children), so
+	// startIndex(t) is t's ordinal in its bucket and w(B) the bucket length.
 	bucketOff []int32 // len NumGroups+1; bucket g = slots [off[g], off[g+1])
 	tupleIdx  []int32 // tuple positions, bucket-contiguous
-	weight    []int64 // w(t) per slot
-	start     []int64 // startIndex(t) per slot
-	total     []int64 // w(B) per bucket
-	maxW      []int64 // max weight per bucket (Olken-style sampler)
+	start     []int64 // startIndex(t) per slot; nil at a leaf
+	total     []int64 // w(B) per bucket; nil at a leaf
 
 	// tupleOrd[pos]: ordinal of tuple pos within its bucket, supporting
 	// constant-time inverted access (line 4 of Algorithm 4).
@@ -132,15 +144,36 @@ type node struct {
 	// schemaHeadPos[i]: output column holding the value of schema attribute
 	// i (every attribute of a full-join node is a head variable).
 	schemaHeadPos []int
-
-	// maxBucketLen is the largest bucket cardinality at this node (used by
-	// the wander-join baseline sampler's acceptance probability).
-	maxBucketLen int64
 }
 
 // bucketLen returns the number of tuples in bucket g.
 func (n *node) bucketLen(g uint32) int {
 	return int(n.bucketOff[g+1] - n.bucketOff[g])
+}
+
+func (n *node) leaf() bool { return len(n.children) == 0 }
+
+// bucketTotal returns w(B) of bucket g: the number of partial answers below
+// it.
+func (n *node) bucketTotal(g uint32) int64 {
+	if n.leaf() {
+		return int64(n.bucketLen(g))
+	}
+	return n.total[g]
+}
+
+// slotSpan returns the index range [lo, hi) of slot within bucket g; its
+// weight is hi − lo.
+func (n *node) slotSpan(g uint32, slot int32) (lo, hi int64) {
+	if n.leaf() {
+		lo = int64(slot - n.bucketOff[g])
+		return lo, lo + 1
+	}
+	hi = n.total[g]
+	if slot+1 < n.bucketOff[g+1] {
+		hi = n.start[slot+1]
+	}
+	return n.start[slot], hi
 }
 
 // BuildOptions tunes index construction.
@@ -252,7 +285,7 @@ func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 	}
 
 	if idx.root.grouping.NumGroups() > 0 {
-		idx.count = idx.root.total[0]
+		idx.count = idx.root.bucketTotal(0)
 	}
 	return idx, nil
 }
@@ -315,10 +348,11 @@ func (idx *Index) wireOutputs() error {
 	return nil
 }
 
-// build computes this node's grouping, flattened buckets, weights and prefix
-// sums (the Algorithm 2 loop body). Every child must be built already. It
-// writes only this node's fields and reads only the children's groupings and
-// totals, which is what makes same-height nodes safe to build concurrently.
+// build computes this node's grouping, flattened buckets and, above the
+// leaves, the weights' prefix sums (the Algorithm 2 loop body). Every child
+// must be built already. It writes only this node's fields and reads only
+// the children's groupings and totals, which is what makes same-height
+// nodes safe to build concurrently.
 // It fails with ErrCountOverflow when a weight or a bucket total leaves
 // int64; the probe paths then never see a wrapped value and need no checks.
 func (n *node) build() error {
@@ -353,25 +387,37 @@ func (n *node) build() error {
 		n.bucketOff[g] += n.bucketOff[g-1]
 	}
 	n.tupleIdx = make([]int32, nrows)
-	n.weight = make([]int64, nrows)
-	n.start = make([]int64, nrows)
 	n.tupleOrd = make([]int32, nrows)
-	n.total = make([]int64, ng)
-	n.maxW = make([]int64, ng)
+	if !n.leaf() {
+		n.start = make([]int64, nrows)
+		n.total = make([]int64, ng)
+	}
 	fill := make([]int32, ng)
 	for pos := 0; pos < nrows; pos++ {
 		g := groupOf[pos]
+		slot := n.bucketOff[g] + fill[g]
+		n.tupleIdx[slot] = int32(pos)
+		n.tupleOrd[pos] = fill[g]
+		fill[g]++
+		if n.leaf() {
+			continue
+		}
 		// w(t) = product of the matching child buckets' totals, zero as soon
 		// as one child has no match (or only dangling tuples): a zero factor
 		// wins over an overflow of the factors before it.
 		uw, over := uint64(1), false
 		for ci, c := range n.children {
 			cg := n.childGroup[ci][pos]
-			if cg < 0 || c.total[cg] == 0 {
+			if cg < 0 {
 				uw, over = 0, false
 				break
 			}
-			hi, lo := bits.Mul64(uw, uint64(c.total[cg]))
+			ct := c.bucketTotal(uint32(cg))
+			if ct == 0 {
+				uw, over = 0, false
+				break
+			}
+			hi, lo := bits.Mul64(uw, uint64(ct))
 			over = over || hi != 0 || lo > math.MaxInt64
 			uw = lo
 		}
@@ -379,21 +425,8 @@ func (n *node) build() error {
 		if over || w > math.MaxInt64-n.total[g] {
 			return fmt.Errorf("%w (node %s)", ErrCountOverflow, n.rel.Name())
 		}
-		slot := n.bucketOff[g] + fill[g]
-		n.tupleIdx[slot] = int32(pos)
-		n.tupleOrd[pos] = fill[g]
-		n.weight[slot] = w
 		n.start[slot] = n.total[g]
 		n.total[g] += w
-		if w > n.maxW[g] {
-			n.maxW[g] = w
-		}
-		fill[g]++
-	}
-	for g := uint32(0); int(g) < ng; g++ {
-		if l := int64(n.bucketLen(g)); l > n.maxBucketLen {
-			n.maxBucketLen = l
-		}
 	}
 
 	n.outVals = make([][]relation.Value, len(n.outPos))
@@ -584,24 +617,16 @@ func consecutive(js []int64) bool {
 // node's output columns and recursing into the children. Pure array
 // arithmetic: no hashing, no allocation.
 func (idx *Index) subtreeAccess(n *node, g uint32, j int64, answer relation.Tuple) {
-	// Find t with startIndex(t) ≤ j < startIndex(t) + w(t): binary search on
-	// the non-decreasing sequence start[i]+weight[i] (zero-weight tuples have
-	// empty ranges and are skipped naturally).
-	lo, hi := int(n.bucketOff[g]), int(n.bucketOff[g+1])
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if n.start[mid]+n.weight[mid] > j {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	// Every leaf weight is 1: answer j of a leaf bucket is its j-th slot.
+	i := int(n.bucketOff[g]) + int(j)
+	if !n.leaf() {
+		i = n.searchBucket(g, j)
 	}
-	i := lo
 	pos := n.tupleIdx[i]
 	for k, col := range n.outCols {
 		answer[col] = n.outVals[k][pos]
 	}
-	if len(n.children) == 0 {
+	if n.leaf() {
 		return
 	}
 	// SplitIndex (Algorithm 3 lines 12-13): mixed-radix decomposition, last
@@ -609,23 +634,25 @@ func (idx *Index) subtreeAccess(n *node, g uint32, j int64, answer relation.Tupl
 	rem := j - n.start[i]
 	if len(n.children) <= maxSplitChildren {
 		// Two-pass split: resolve every child's bucket and sub-index first,
-		// prefetching each child bucket's first binary-search lines as its
-		// split is computed. The recursive descent would serialize those
-		// cache misses — child ci's lines are not touched until children
-		// ci+1..m finished — whereas here all of them are in flight before
-		// the first recursion starts.
+		// prefetching the line each child reads first — a leaf's slot, an
+		// inner node's first binary-search midpoint — as its split is
+		// computed. The recursive descent would serialize those cache misses
+		// — child ci's lines are not touched until children ci+1..m
+		// finished — whereas here all of them are in flight before the first
+		// recursion starts.
 		var cgs [maxSplitChildren]uint32
 		var jis [maxSplitChildren]int64
 		for ci := len(n.children) - 1; ci >= 0; ci-- {
 			c := n.children[ci]
 			cg := uint32(n.childGroup[ci][pos])
-			ct := c.total[cg]
-			jis[ci] = rem % ct
+			ct := c.bucketTotal(cg)
+			ji := rem % ct
 			rem /= ct
-			cgs[ci] = cg
-			if mid := int(uint32(c.bucketOff[cg]+c.bucketOff[cg+1]) >> 1); mid < len(c.start) {
+			jis[ci], cgs[ci] = ji, cg
+			if c.leaf() {
+				prefetcht0(unsafe.Pointer(&c.tupleIdx[c.bucketOff[cg]+int32(ji)]))
+			} else if mid := int(uint32(c.bucketOff[cg]+1+c.bucketOff[cg+1]) >> 1); mid < len(c.start) {
 				prefetcht0(unsafe.Pointer(&c.start[mid]))
-				prefetcht0(unsafe.Pointer(&c.weight[mid]))
 			}
 		}
 		for ci := len(n.children) - 1; ci >= 0; ci-- {
@@ -636,11 +663,29 @@ func (idx *Index) subtreeAccess(n *node, g uint32, j int64, answer relation.Tupl
 	for ci := len(n.children) - 1; ci >= 0; ci-- {
 		c := n.children[ci]
 		cg := uint32(n.childGroup[ci][pos])
-		ct := c.total[cg]
+		ct := c.bucketTotal(cg)
 		ji := rem % ct
 		rem /= ct
 		idx.subtreeAccess(c, cg, ji, answer)
 	}
+}
+
+// searchBucket returns the slot of inner node n's bucket g whose index range
+// holds j: the last slot with startIndex ≤ j. The bucket's first slot starts
+// at 0, so only the slots after it are searched. A zero-weight (dangling)
+// slot is never the last such slot: its start equals its successor's, or,
+// for the bucket's last slot, the bucket total, which exceeds j.
+func (n *node) searchBucket(g uint32, j int64) int {
+	lo, hi := int(n.bucketOff[g])+1, int(n.bucketOff[g+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.start[mid] > j {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo - 1
 }
 
 // maxSplitChildren bounds the stack arrays of the two-pass split; a node
@@ -666,6 +711,9 @@ func (idx *Index) invertedSubtree(n *node, answer relation.Tuple) (int64, bool) 
 	if pos < 0 {
 		return 0, false
 	}
+	if n.leaf() {
+		return int64(n.tupleOrd[pos]), true
+	}
 	g := n.grouping.GroupOf[pos]
 	slot := n.bucketOff[g] + n.tupleOrd[pos]
 	// CombineIndex (inverse of SplitIndex): left fold, last child least
@@ -680,14 +728,15 @@ func (idx *Index) invertedSubtree(n *node, answer relation.Tuple) (int64, bool) 
 		if cg < 0 {
 			return 0, false
 		}
-		offset = offset*c.total[cg] + ji
+		offset = offset*c.bucketTotal(uint32(cg)) + ji
 	}
-	if n.weight[slot] == 0 {
+	lo, hi := n.slotSpan(g, slot)
+	if lo == hi {
 		// Dangling tuple (possible when full reduction was skipped): the
 		// combination is not a real answer.
 		return 0, false
 	}
-	return n.start[slot] + offset, true
+	return lo + offset, true
 }
 
 // Contains reports whether answer ∈ Q(D).

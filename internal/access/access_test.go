@@ -75,22 +75,18 @@ func TestExample44(t *testing.T) {
 		t.Fatalf("InvertedAccess = %d,%v, want 13,true", j, ok)
 	}
 
-	// The paper's startIndex table for R1: 0, 6, 8, 14. The root has a single
-	// bucket (group 0), so its slots are the first bucketLen(0) entries of the
-	// flattened start/weight arrays.
+	// The paper's startIndex table for R1: 0, 6, 8, 14, and weights 6, 2, 6,
+	// 2. The root has a single bucket (group 0), so its slots are the first
+	// bucketLen(0) entries of the flattened start array.
 	wantStarts := []int64{0, 6, 8, 14}
 	if idx.root.grouping.NumGroups() != 1 || idx.root.bucketLen(0) != 4 {
 		t.Fatalf("root bucket has %d tuples in %d groups", idx.root.bucketLen(0), idx.root.grouping.NumGroups())
 	}
-	for i, s := range wantStarts {
-		if idx.root.start[i] != s {
-			t.Fatalf("startIndex[%d] = %d, want %d", i, idx.root.start[i], s)
-		}
-	}
 	wantWeights := []int64{6, 2, 6, 2}
-	for i, w := range wantWeights {
-		if idx.root.weight[i] != w {
-			t.Fatalf("weight[%d] = %d, want %d", i, idx.root.weight[i], w)
+	for i := range wantStarts {
+		lo, hi := idx.root.slotSpan(0, int32(i))
+		if lo != wantStarts[i] || hi-lo != wantWeights[i] {
+			t.Fatalf("slot %d: startIndex %d, weight %d; want %d, %d", i, lo, hi-lo, wantStarts[i], wantWeights[i])
 		}
 	}
 }
@@ -332,6 +328,18 @@ func testSamplerUniform(t *testing.T, idx *Index, name string, trial func(*rand.
 	}
 }
 
+// baselineTrials returns idx's four baseline samplers as one-trial draws,
+// the EO and OE trials bound to idx's BaselineBounds.
+func baselineTrials(idx *Index) map[string]func(*rand.Rand) (relation.Tuple, bool) {
+	b := idx.BaselineBounds()
+	return map[string]func(*rand.Rand) (relation.Tuple, bool){
+		"EW": idx.SampleEW,
+		"EO": func(rng *rand.Rand) (relation.Tuple, bool) { return idx.SampleEOTrial(rng, b) },
+		"OE": func(rng *rand.Rand) (relation.Tuple, bool) { return idx.SampleOETrial(rng, b) },
+		"RS": idx.SampleRSTrial,
+	}
+}
+
 func TestSamplersUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db := relation.NewDatabase()
@@ -351,10 +359,9 @@ func TestSamplersUniform(t *testing.T) {
 	if idx.Count() == 0 {
 		t.Skip("degenerate instance")
 	}
-	testSamplerUniform(t, idx, "EW", idx.SampleEW)
-	testSamplerUniform(t, idx, "EO", idx.SampleEOTrial)
-	testSamplerUniform(t, idx, "OE", idx.SampleOETrial)
-	testSamplerUniform(t, idx, "RS", idx.SampleRSTrial)
+	for name, trial := range baselineTrials(idx) {
+		testSamplerUniform(t, idx, name, trial)
+	}
 }
 
 func TestSamplersMatchAnswerSet(t *testing.T) {
@@ -370,9 +377,7 @@ func TestSamplersMatchAnswerSet(t *testing.T) {
 		query.NewAtom("R", query.V("a"), query.V("b")),
 		query.NewAtom("S", query.V("b"), query.V("c")))
 	idx := buildIndex(t, db, q)
-	for name, trial := range map[string]func(*rand.Rand) (relation.Tuple, bool){
-		"EW": idx.SampleEW, "EO": idx.SampleEOTrial, "OE": idx.SampleOETrial, "RS": idx.SampleRSTrial,
-	} {
+	for name, trial := range baselineTrials(idx) {
 		for i := 0; i < 500; i++ {
 			a, ok := trial(rng)
 			if !ok {

@@ -101,6 +101,7 @@ func TestConcurrentMixedProbes(t *testing.T) {
 	if n == 0 {
 		t.Skip("degenerate")
 	}
+	bounds := idx.BaselineBounds()
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -151,8 +152,8 @@ func TestConcurrentMixedProbes(t *testing.T) {
 						return
 					}
 				case 4:
-					idx.SampleEOTrial(local)
-					idx.SampleOETrial(local)
+					idx.SampleEOTrial(local, bounds)
+					idx.SampleOETrial(local, bounds)
 					idx.SampleRSTrial(local)
 				case 5:
 					if idx.Count() != n {

@@ -34,60 +34,21 @@ func (idx *Index) subtreeAccessGroup(n *node, gs []uint32, js []int64, k int, an
 		return
 	}
 
-	// Bucket bounds (their lines were prefetched by the parent's pass). A
-	// bucket of one tuple — the usual child bucket of a key join — needs no
-	// search: every index below its total is in its only tuple, whose start
-	// is 0. (A zero-weight tuple alone in its bucket makes the total 0 and
-	// the bucket unreachable, so the tuple is never a dangling one.)
-	var lo, hi [groupSize]int
-	for p := 0; p < k; p++ {
-		l, h := int(n.bucketOff[gs[p]]), int(n.bucketOff[gs[p]+1])
-		if h-l == 1 {
-			lo[p], hi[p] = l, l
-			prefetcht0(unsafe.Pointer(&n.tupleIdx[l]))
-			continue
-		}
-		lo[p], hi[p] = l, h
-		mid := int(uint(l+h) >> 1)
-		prefetcht0(unsafe.Pointer(&n.start[mid]))
-		prefetcht0(unsafe.Pointer(&n.weight[mid]))
-	}
-
-	// The binary searches of subtreeAccess, one step per probe per round. A
-	// probe that finishes turns js into the index within its tuple's subtree:
-	// start[slot] is in cache, the search's last true test read it.
-	for searching := true; searching; {
-		searching = false
+	var slot [groupSize]int
+	if n.leaf() {
+		// Every leaf weight is 1: no search, and the parent's split already
+		// prefetched the slot.
 		for p := 0; p < k; p++ {
-			l, h := lo[p], hi[p]
-			if l >= h {
-				continue
-			}
-			mid := int(uint(l+h) >> 1)
-			if n.start[mid]+n.weight[mid] > js[p] {
-				h = mid
-			} else {
-				l = mid + 1
-			}
-			lo[p], hi[p] = l, h
-			if l >= h {
-				js[p] -= n.start[l]
-				prefetcht0(unsafe.Pointer(&n.tupleIdx[l]))
-				continue
-			}
-			searching = true
-			if h-l > searchPrefetchSpan {
-				mid = int(uint(l+h) >> 1)
-				prefetcht0(unsafe.Pointer(&n.start[mid]))
-				prefetcht0(unsafe.Pointer(&n.weight[mid]))
-			}
+			slot[p] = int(n.bucketOff[gs[p]]) + int(js[p])
 		}
+	} else {
+		n.searchBucketGroup(gs, js, k, &slot)
 	}
 
 	// Slot → tuple position.
 	var pos [groupSize]int32
 	for p := 0; p < k; p++ {
-		ps := n.tupleIdx[lo[p]]
+		ps := n.tupleIdx[slot[p]]
 		pos[p] = ps
 		for _, col := range n.outVals {
 			prefetcht0(unsafe.Pointer(&col[ps]))
@@ -101,33 +62,90 @@ func (idx *Index) subtreeAccessGroup(n *node, gs []uint32, js []int64, k int, an
 			answers[p][col] = n.outVals[c][pos[p]]
 		}
 	}
-	if len(n.children) == 0 {
+	if n.leaf() {
 		return
 	}
 
 	// SplitIndex for every probe (Algorithm 3 lines 12-13, last child least
 	// significant), in two passes like the single probe's: child buckets
 	// first, so their total and bounds are in flight before the divisions
-	// read them.
+	// read them. A leaf child's total is its bucket length, read from the
+	// bounds; once its sub-index is known, so is its slot.
 	var cgs [maxSplitChildren][groupSize]uint32
 	var jis [maxSplitChildren][groupSize]int64
 	for ci, c := range n.children {
 		for p := 0; p < k; p++ {
 			cg := uint32(n.childGroup[ci][pos[p]])
 			cgs[ci][p] = cg
-			prefetcht0(unsafe.Pointer(&c.total[cg]))
+			if !c.leaf() {
+				prefetcht0(unsafe.Pointer(&c.total[cg]))
+			}
 			prefetcht0(unsafe.Pointer(&c.bucketOff[cg]))
 		}
 	}
 	for p := 0; p < k; p++ {
 		rem := js[p]
 		for ci := len(n.children) - 1; ci >= 0; ci-- {
-			ct := n.children[ci].total[cgs[ci][p]]
-			jis[ci][p] = rem % ct
+			c, cg := n.children[ci], cgs[ci][p]
+			ct := c.bucketTotal(cg)
+			ji := rem % ct
 			rem /= ct
+			jis[ci][p] = ji
+			if c.leaf() {
+				prefetcht0(unsafe.Pointer(&c.tupleIdx[c.bucketOff[cg]+int32(ji)]))
+			}
 		}
 	}
 	for ci, c := range n.children {
 		idx.subtreeAccessGroup(c, cgs[ci][:], jis[ci][:], k, answers)
+	}
+}
+
+// searchBucketGroup is searchBucket for k probes of inner node n in
+// lockstep, one step per probe per round: slot[p] receives the slot of
+// bucket gs[p] whose range holds js[p], and js[p] becomes the index within
+// that slot's range — start[slot] is in cache, the last test that moved lo
+// read it.
+func (n *node) searchBucketGroup(gs []uint32, js []int64, k int, slot *[groupSize]int) {
+	// Bucket bounds (their lines were prefetched by the parent's pass). A
+	// bucket of one tuple — the usual child bucket of a key join — leaves
+	// nothing to search, and its tuple starts at 0.
+	var lo, hi [groupSize]int
+	for p := 0; p < k; p++ {
+		l, h := int(n.bucketOff[gs[p]])+1, int(n.bucketOff[gs[p]+1])
+		lo[p], hi[p] = l, h
+		if l < h {
+			prefetcht0(unsafe.Pointer(&n.start[int(uint(l+h)>>1)]))
+		} else {
+			prefetcht0(unsafe.Pointer(&n.tupleIdx[l-1]))
+		}
+	}
+	for searching := true; searching; {
+		searching = false
+		for p := 0; p < k; p++ {
+			l, h := lo[p], hi[p]
+			if l >= h {
+				continue
+			}
+			mid := int(uint(l+h) >> 1)
+			if n.start[mid] > js[p] {
+				h = mid
+			} else {
+				l = mid + 1
+			}
+			lo[p], hi[p] = l, h
+			if l >= h {
+				js[p] -= n.start[l-1]
+				prefetcht0(unsafe.Pointer(&n.tupleIdx[l-1]))
+				continue
+			}
+			searching = true
+			if h-l > searchPrefetchSpan {
+				prefetcht0(unsafe.Pointer(&n.start[int(uint(l+h)>>1)]))
+			}
+		}
+	}
+	for p := 0; p < k; p++ {
+		slot[p] = lo[p] - 1
 	}
 }

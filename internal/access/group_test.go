@@ -196,9 +196,11 @@ func TestGroupProbeMatchesSingle(t *testing.T) {
 		}
 		dangling := 0
 		for _, n := range idx.nodes {
-			for _, w := range n.weight {
-				if w == 0 {
-					dangling++
+			for g := uint32(0); int(g) < n.grouping.NumGroups(); g++ {
+				for slot := n.bucketOff[g]; slot < n.bucketOff[g+1]; slot++ {
+					if lo, hi := n.slotSpan(g, slot); lo == hi {
+						dangling++
+					}
 				}
 			}
 		}

@@ -1,0 +1,131 @@
+package access
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/relation"
+	"repro/internal/synth"
+)
+
+// The static index keeps one aggregate array per slot and one per bucket,
+// and only at inner nodes (package doc, "Representation"). These tests pin
+// that layout by reflection over node, so an array added back to node —
+// whatever its name — shows up here.
+
+// nodeArrays returns the byte size of every integer array field of n, by
+// field name. Fields of other types — the relation, the children, the
+// output column views — are not index arrays and are skipped.
+func nodeArrays(n *node) map[string]int64 {
+	out := make(map[string]int64)
+	v := reflect.ValueOf(n).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		if f.Kind() != reflect.Slice {
+			continue
+		}
+		switch elem := f.Type().Elem(); {
+		case elem.Kind() == reflect.Slice && isIndexInt(elem.Elem()):
+			var b int64
+			for k := 0; k < f.Len(); k++ {
+				b += int64(f.Index(k).Len()) * int64(elem.Elem().Size())
+			}
+			out[name] = b
+		case isIndexInt(elem):
+			out[name] = int64(f.Len()) * int64(elem.Size())
+		}
+	}
+	return out
+}
+
+// isIndexInt reports whether t is an integer type the index stores (a
+// relation.Value is column data, not index).
+func isIndexInt(t reflect.Type) bool {
+	if t == reflect.TypeOf(relation.Value(0)) {
+		return false
+	}
+	switch t.Kind() {
+	case reflect.Int, reflect.Int32, reflect.Int64, reflect.Uint32, reflect.Uint64:
+		return true
+	}
+	return false
+}
+
+// indexArrayBytes is the index's own array memory: every node's integer
+// arrays plus its grouping's per-tuple and per-bucket arrays.
+func indexArrayBytes(idx *Index) int64 {
+	var b int64
+	for _, n := range idx.nodes {
+		for _, size := range nodeArrays(n) {
+			b += size
+		}
+		b += 4*int64(len(n.grouping.GroupOf)) + 4*int64(len(n.grouping.First))
+	}
+	return b
+}
+
+// layoutIndexes builds the fixed synthetic instance of the byte bound — a
+// star whose center has three leaf children, so leaves hold three quarters
+// of the tuples — and the same index restored from its snapshot.
+func layoutIndexes(t *testing.T) (built, restored *Index) {
+	t.Helper()
+	db, q, err := synth.Star(synth.Config{Relations: 4, TuplesPerRelation: 2000, KeyDomain: 400, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built = buildIndex(t, db, q)
+	restored, f := reopenIndex(t, marshalIndex(t, built))
+	t.Cleanup(func() { f.Close() })
+	return built, restored
+}
+
+func TestIndexLayoutHoldsNoDerivedArray(t *testing.T) {
+	for _, gone := range []string{"weight", "maxW", "maxBucketLen"} {
+		if _, ok := reflect.TypeOf(node{}).FieldByName(gone); ok {
+			t.Errorf("node has a %s field: weights are differences of starts, and the baseline bounds belong to internal/sample", gone)
+		}
+	}
+	built, restored := layoutIndexes(t)
+	for name, idx := range map[string]*Index{"built": built, "restored": restored} {
+		leaves := 0
+		for _, n := range idx.nodes {
+			if !n.leaf() {
+				continue
+			}
+			leaves++
+			// int64 arrays are the aggregates (start indexes, totals,
+			// weights); every leaf weight is 1, so a leaf holds none.
+			v := reflect.ValueOf(n).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Field(i); f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Int64 &&
+					f.Type().Elem() != reflect.TypeOf(relation.Value(0)) && f.Len() > 0 {
+					t.Errorf("%s: leaf %s holds %d entries of %s", name, n.rel.Name(), f.Len(), v.Type().Field(i).Name)
+				}
+			}
+		}
+		if leaves != 3 {
+			t.Fatalf("%s: fixture has %d leaves, want 3", name, leaves)
+		}
+	}
+}
+
+// TestIndexArrayBytesPerTuple bounds the index's array memory on a fixed
+// instance. A leaf slot costs 12 B (tuple index, ordinal, group id) and a
+// leaf bucket 8 B (offset, first tuple); the root's slots add an 8 B start
+// index and a 4 B child bucket per child, 32 B in all. Putting any array
+// back — a weight per slot, a start index per leaf slot, a total or a
+// maximum per leaf bucket — adds at least 1.2 B per tuple here.
+func TestIndexArrayBytesPerTuple(t *testing.T) {
+	const bound = 18.5 // B per tuple; the layout measures 18.25
+	built, restored := layoutIndexes(t)
+	for name, idx := range map[string]*Index{"built": built, "restored": restored} {
+		perTuple := float64(indexArrayBytes(idx)) / float64(idx.Tuples())
+		t.Logf("%s: %.2f B of index arrays per tuple", name, perTuple)
+		if perTuple > bound {
+			for _, n := range idx.nodes {
+				t.Logf("node %s (%d tuples): %v", n.rel.Name(), n.rel.Len(), nodeArrays(n))
+			}
+			t.Fatalf("%s: %.2f B of index arrays per tuple, bound %.2f", name, perTuple, bound)
+		}
+	}
+}

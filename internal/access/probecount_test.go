@@ -1,6 +1,7 @@
 package access
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,43 @@ import (
 	"repro/internal/query"
 	"repro/internal/relation"
 )
+
+// CountByProbing determines the number of answers of a random-access
+// structure using only its access routine, exactly as in the proof of
+// Theorem 3.7: out-of-bound probes drive an exponential search for an upper
+// bound followed by a binary search, so the count is found with
+// O(log |answers|) probes. This library's indexes carry an explicit count;
+// the function documents and tests the paper's argument.
+//
+// probe(j) must return nil for 0 ≤ j < n and ErrOutOfBounds (or any error)
+// for j ≥ n.
+func CountByProbing(probe func(j int64) error) int64 {
+	if probe(0) != nil {
+		return 0
+	}
+	// Exponential search for the first out-of-bound power of two.
+	hi := int64(1)
+	for probe(hi) == nil {
+		if hi > (1 << 61) {
+			// Defensive: a probe that never errors would loop forever.
+			return hi
+		}
+		hi <<= 1
+	}
+	lo := hi / 2 // in bounds
+	// Binary search for the last in-bound index in (lo, hi).
+	for lo+1 < hi {
+		mid := lo + (hi-lo)/2
+		if probe(mid) == nil {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo + 1
+}
+
+var errProbe = errors.New("access: probe out of bounds")
 
 func TestCountByProbingQuick(t *testing.T) {
 	prop := func(nRaw uint32) bool {

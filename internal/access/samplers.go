@@ -24,6 +24,33 @@ import (
 //   - SampleOETrial: P(a) = 1/∏_n maxBucketSize_n           (path rejection)
 //   - SampleRSTrial: P(a) = 1/∏_n |R_n|                     (full rejection)
 
+// Bounds are the rejection bounds of the EO and OE trials: the largest
+// weight of a root tuple and, per node, the largest bucket. Only these
+// baselines read them, so the index does not keep them; BaselineBounds
+// derives them.
+type Bounds struct {
+	rootMaxW     int64
+	maxBucketLen []int64 // by node ordinal
+}
+
+// BaselineBounds derives the EO and OE bounds in one pass over the index's
+// slots: O(tuples), once per sampler.
+func (idx *Index) BaselineBounds() *Bounds {
+	b := &Bounds{maxBucketLen: make([]int64, len(idx.nodes))}
+	for _, n := range idx.nodes {
+		for g := uint32(0); int(g) < n.grouping.NumGroups(); g++ {
+			b.maxBucketLen[n.ord] = max(b.maxBucketLen[n.ord], int64(n.bucketLen(g)))
+		}
+	}
+	if root := idx.root; root.grouping.NumGroups() > 0 {
+		for slot := root.bucketOff[0]; slot < root.bucketOff[1]; slot++ {
+			lo, hi := root.slotSpan(0, slot)
+			b.rootMaxW = max(b.rootMaxW, hi-lo)
+		}
+	}
+	return b
+}
+
 // SampleEW draws a uniform answer using exact weights: equivalent to
 // Access(Uniform(0, Count())) — the EW initialization. Never rejects; ok is
 // false only when the answer set is empty.
@@ -43,18 +70,20 @@ func (idx *Index) SampleEW(rng *rand.Rand) (relation.Tuple, bool) {
 // on acceptance the rest of the answer is completed exactly (a uniform split
 // of t's weight range). P(accept) = count / (|R_root| · maxW_root), so skewed
 // roots reject often. ok=false means the trial rejected; the caller retries.
-func (idx *Index) SampleEOTrial(rng *rand.Rand) (relation.Tuple, bool) {
+// b must be idx's BaselineBounds.
+func (idx *Index) SampleEOTrial(rng *rand.Rand, b *Bounds) (relation.Tuple, bool) {
 	if idx.count == 0 {
 		return nil, false
 	}
 	root := idx.root
-	i := rng.Intn(root.bucketLen(0)) // root bucket 0 starts at slot 0
-	w := root.weight[i]
-	if w == 0 || (w < root.maxW[0] && rng.Int63n(root.maxW[0]) >= w) {
+	// Root bucket 0 starts at slot 0.
+	lo, hi := root.slotSpan(0, int32(rng.Intn(root.bucketLen(0))))
+	w := hi - lo
+	if w == 0 || (w < b.rootMaxW && rng.Int63n(b.rootMaxW) >= w) {
 		return nil, false
 	}
 	// Complete exactly: a uniform index within this tuple's range.
-	j := root.start[i] + rng.Int63n(w)
+	j := lo + rng.Int63n(w)
 	answer := make(relation.Tuple, len(idx.head))
 	idx.subtreeAccess(root, 0, j, answer)
 	return answer, true
@@ -64,14 +93,15 @@ func (idx *Index) SampleEOTrial(rng *rand.Rand) (relation.Tuple, bool) {
 // rejection: pick a uniformly random tuple in every visited bucket walking
 // root to leaves, then accept with probability ∏ |B|/maxBucketSize. The walk
 // probability of an answer is ∏ 1/|B|, so the acceptance factor makes the
-// result exactly uniform. ok=false means rejection.
-func (idx *Index) SampleOETrial(rng *rand.Rand) (relation.Tuple, bool) {
+// result exactly uniform. ok=false means rejection. b must be idx's
+// BaselineBounds.
+func (idx *Index) SampleOETrial(rng *rand.Rand, b *Bounds) (relation.Tuple, bool) {
 	if idx.count == 0 {
 		return nil, false
 	}
 	answer := make(relation.Tuple, len(idx.head))
 	prob := 1.0
-	if !idx.wanderWalk(idx.root, 0, rng, answer, &prob) {
+	if !idx.wanderWalk(idx.root, 0, rng, b, answer, &prob) {
 		return nil, false
 	}
 	// Accept with probability ∏ |B| / ∏ maxBucketSize (tracked as a float64;
@@ -82,17 +112,17 @@ func (idx *Index) SampleOETrial(rng *rand.Rand) (relation.Tuple, bool) {
 	return answer, true
 }
 
-func (idx *Index) wanderWalk(n *node, g uint32, rng *rand.Rand, answer relation.Tuple, prob *float64) bool {
+func (idx *Index) wanderWalk(n *node, g uint32, rng *rand.Rand, b *Bounds, answer relation.Tuple, prob *float64) bool {
 	sz := n.bucketLen(g)
 	if sz == 0 {
 		return false
 	}
-	slot := int(n.bucketOff[g]) + rng.Intn(sz)
-	if n.weight[slot] == 0 {
+	slot := n.bucketOff[g] + int32(rng.Intn(sz))
+	if lo, hi := n.slotSpan(g, slot); lo == hi {
 		// Dangling tuple (only without full reduction): dead end, reject.
 		return false
 	}
-	*prob *= float64(sz) / float64(n.maxBucketLen)
+	*prob *= float64(sz) / float64(b.maxBucketLen[n.ord])
 	pos := n.tupleIdx[slot]
 	for k, col := range n.outCols {
 		answer[col] = n.outVals[k][pos]
@@ -102,7 +132,7 @@ func (idx *Index) wanderWalk(n *node, g uint32, rng *rand.Rand, answer relation.
 		if cg < 0 {
 			return false
 		}
-		if !idx.wanderWalk(c, uint32(cg), rng, answer, prob) {
+		if !idx.wanderWalk(c, uint32(cg), rng, b, answer, prob) {
 			return false
 		}
 	}

@@ -1,11 +1,14 @@
 // Snapshot encoding of the weighted join-tree index. The build-time shape —
 // flat contiguous arrays addressed by integer bucket IDs — serializes as-is:
-// every numeric section (columns, bucket offset tables, weights, prefix
-// sums, child-ID arrays, group IDs) restores as a zero-copy view of the
-// snapshot mapping, so reopening an index is O(validate) instead of
-// O(preprocess). Derived wiring (schemaHeadPos, output assignment, the
-// parent↔child shared-attribute positions) is recomputed through the same
-// helpers the builder uses; only what cannot be recomputed is persisted.
+// every numeric section the index keeps (columns, bucket offset tables,
+// prefix sums and totals, child-ID arrays, group IDs) restores as a
+// zero-copy view of the snapshot mapping, so reopening an index is
+// O(validate) instead of O(preprocess). Format version 1 also carries
+// per-slot weights, per-bucket maximum weights and the leaves' prefix sums
+// and totals, which the index no longer keeps: the writer derives them and
+// the reader validates and drops them. Derived wiring (schemaHeadPos, output
+// assignment, the parent↔child shared-attribute positions) is recomputed
+// through the same helpers the builder uses.
 package access
 
 import (
@@ -39,10 +42,11 @@ func (idx *Index) Marshal(s *snapshot.SectionWriter) {
 		s.I32s(n.bucketOff)
 		s.I32s(n.tupleIdx)
 		s.I32s(n.tupleOrd)
-		s.I64s(n.weight)
-		s.I64s(n.start)
-		s.I64s(n.total)
-		s.I64s(n.maxW)
+		weight, start, total, maxW := n.fileAggregates()
+		s.I64s(weight)
+		s.I64s(start)
+		s.I64s(total)
+		s.I64s(maxW)
 		s.U64(uint64(len(n.childGroup)))
 		for _, cg := range n.childGroup {
 			s.I32s(cg)
@@ -50,13 +54,43 @@ func (idx *Index) Marshal(s *snapshot.SectionWriter) {
 	}
 }
 
+// fileAggregates returns the four aggregate sections of format version 1:
+// w(t) and startIndex(t) per slot, w(B) and the largest w(t) per bucket. The
+// index keeps only start and total, and only at inner nodes; the rest is
+// derived here so the file stays byte for byte what earlier builds wrote.
+func (n *node) fileAggregates() (weight, start, total, maxW []int64) {
+	nrows, ng := n.rel.Len(), n.grouping.NumGroups()
+	weight, maxW = make([]int64, nrows), make([]int64, ng)
+	// An inner node's own arrays may be read-only views of a mapped file:
+	// only a leaf's are built here.
+	start, total = n.start, n.total
+	if n.leaf() {
+		start, total = make([]int64, nrows), make([]int64, ng)
+	}
+	for g := uint32(0); int(g) < ng; g++ {
+		for slot := n.bucketOff[g]; slot < n.bucketOff[g+1]; slot++ {
+			lo, hi := n.slotSpan(g, slot)
+			weight[slot] = hi - lo
+			maxW[g] = max(maxW[g], hi-lo)
+			if n.leaf() {
+				start[slot] = lo
+			}
+		}
+		if n.leaf() {
+			total[g] = n.bucketTotal(g)
+		}
+	}
+	return weight, start, total, maxW
+}
+
 // restoredNode is one node as read back, before tree wiring.
 type restoredNode struct {
-	n         *node
-	parentOrd int64
-	numGroups int
-	childN    int
-	childCG   [][]int32
+	n            *node
+	parentOrd    int64
+	numGroups    int
+	childN       int
+	childCG      [][]int32
+	weight, maxW []int64 // validated, then dropped
 }
 
 // UnmarshalIndex restores an index from a section reader. All structural
@@ -94,10 +128,10 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 		n.bucketOff = r.I32s()
 		n.tupleIdx = r.I32s()
 		n.tupleOrd = r.I32s()
-		n.weight = r.I64s()
+		rn.weight = r.I64s()
 		n.start = r.I64s()
 		n.total = r.I64s()
-		n.maxW = r.I64s()
+		rn.maxW = r.I64s()
 		rn.childN = int(r.U64())
 		if err := r.Err(); err != nil {
 			return nil, err
@@ -118,10 +152,10 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 			return nil, snapshot.Corruptf("index node %d: %d groups over %d tuples", i, ng, nrows)
 		}
 		if len(groupOf) != nrows || len(n.tupleIdx) != nrows || len(n.tupleOrd) != nrows ||
-			len(n.weight) != nrows || len(n.start) != nrows {
+			len(rn.weight) != nrows || len(n.start) != nrows {
 			return nil, snapshot.Corruptf("index node %d: per-tuple array lengths do not match %d tuples", i, nrows)
 		}
-		if len(n.bucketOff) != ng+1 || len(n.total) != ng || len(n.maxW) != ng {
+		if len(n.bucketOff) != ng+1 || len(n.total) != ng || len(rn.maxW) != ng {
 			return nil, snapshot.Corruptf("index node %d: per-bucket array lengths do not match %d groups", i, ng)
 		}
 		if n.bucketOff[0] != 0 || int(n.bucketOff[ng]) != nrows {
@@ -136,11 +170,6 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 		n.grouping, err2 = relation.RestoreGrouping(groupOf, ng, 0)
 		if err2 != nil {
 			return nil, err2
-		}
-		for g := uint32(0); int(g) < ng; g++ {
-			if l := int64(n.bucketLen(g)); l > n.maxBucketLen {
-				n.maxBucketLen = l
-			}
 		}
 	}
 	// Wire the tree: children attach to parents in node order, exactly the
@@ -211,8 +240,16 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 	// indexes out of range — so even a hostile file that defeated the
 	// checksums cannot crash a probe, only answer wrong.
 	for i, n := range idx.nodes {
-		if err := n.validateAggregates(i); err != nil {
+		if err := n.validateAggregates(i, nodes[i].weight, nodes[i].maxW); err != nil {
 			return nil, err
+		}
+	}
+	// Validated, a leaf's aggregates are what leaf arithmetic computes (every
+	// weight 1), and every weight is a difference of starts: the index keeps
+	// only the inner nodes' start and total views.
+	for _, n := range idx.nodes {
+		if n.leaf() {
+			n.start, n.total = nil, nil
 		}
 	}
 
@@ -229,7 +266,7 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 		if idx.root.grouping.NumGroups() != 1 {
 			return nil, snapshot.Corruptf("index: root has %d buckets, want at most 1", idx.root.grouping.NumGroups())
 		}
-		idx.count = idx.root.total[0]
+		idx.count = idx.root.bucketTotal(0)
 		if idx.count < 0 {
 			return nil, snapshot.Corruptf("index: negative answer count %d", idx.count)
 		}
@@ -243,13 +280,13 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 // inverse of the in-bucket tuple layout; and every slot's weight equals the
 // product of its resolved child-bucket totals (zero exactly when a child
 // bucket is missing). Runs after children are wired. O(n) per node.
-func (n *node) validateAggregates(ord int) error {
+func (n *node) validateAggregates(ord int, weight, maxW []int64) error {
 	nrows := n.rel.Len()
 	ng := n.grouping.NumGroups()
 	for g := 0; g < ng; g++ {
 		var running, mx int64
 		for slot := n.bucketOff[g]; slot < n.bucketOff[g+1]; slot++ {
-			w := n.weight[slot]
+			w := weight[slot]
 			if w < 0 {
 				return snapshot.Corruptf("index node %d: negative weight at slot %d", ord, slot)
 			}
@@ -270,8 +307,8 @@ func (n *node) validateAggregates(ord int) error {
 		if n.total[g] != running {
 			return snapshot.Corruptf("index node %d: total[%d] = %d, want %d", ord, g, n.total[g], running)
 		}
-		if n.maxW[g] != mx {
-			return snapshot.Corruptf("index node %d: maxW[%d] = %d, want %d", ord, g, n.maxW[g], mx)
+		if maxW[g] != mx {
+			return snapshot.Corruptf("index node %d: maxW[%d] = %d, want %d", ord, g, maxW[g], mx)
 		}
 	}
 	// tupleOrd must invert the bucket layout: the slot it names holds pos.
@@ -309,8 +346,8 @@ func (n *node) validateAggregates(ord int) error {
 			}
 			prod *= ct
 		}
-		if n.weight[slot] != prod {
-			return snapshot.Corruptf("index node %d: weight[%d] = %d, want child product %d", ord, slot, n.weight[slot], prod)
+		if weight[slot] != prod {
+			return snapshot.Corruptf("index node %d: weight[%d] = %d, want child product %d", ord, slot, weight[slot], prod)
 		}
 	}
 	return nil

@@ -117,7 +117,7 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestIndexSnapshotBatchAndSampler checks the batched and sampling surfaces
-// on a restored index (they exercise maxW/maxBucketLen and the child key
+// on a restored index (they exercise the baseline bounds and the child key
 // positions recomputed at restore).
 func TestIndexSnapshotBatchAndSampler(t *testing.T) {
 	built := buildStarIndex(t)
@@ -144,19 +144,16 @@ func TestIndexSnapshotBatchAndSampler(t *testing.T) {
 		}
 	}
 
-	// The baseline samplers walk weights, maxW, maxBucketLen and the child
-	// key wiring recomputed at restore; same seed must draw identically.
-	type trial func(*Index, *rand.Rand) (relation.Tuple, bool)
-	for name, draw := range map[string]trial{
-		"EW": (*Index).SampleEW,
-		"EO": (*Index).SampleEOTrial,
-		"OE": (*Index).SampleOETrial,
-		"RS": (*Index).SampleRSTrial,
-	} {
+	// The baseline samplers walk the weights, the bounds derived from them
+	// and the child key wiring recomputed at restore; same seed must draw
+	// identically.
+	restoredTrials := baselineTrials(restored)
+	for name, drawBuilt := range baselineTrials(built) {
+		drawRestored := restoredTrials[name]
 		rb, rr := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
 		for i := 0; i < 64; i++ {
-			tb, okb := draw(built, rb)
-			tr, okr := draw(restored, rr)
+			tb, okb := drawBuilt(rb)
+			tr, okr := drawRestored(rr)
 			if okb != okr || (okb && !tb.Equal(tr)) {
 				t.Fatalf("%s sampler draw %d: restored (%v,%v), built (%v,%v)", name, i, tr, okr, tb, okb)
 			}

@@ -55,6 +55,7 @@ type Sampler struct {
 	idx    *access.Index
 	method Method
 	rng    *rand.Rand
+	bounds *access.Bounds // EO and OE only
 
 	seen map[string]bool
 
@@ -70,9 +71,14 @@ type Sampler struct {
 	MaxTrialsPerDraw int64
 }
 
-// New returns a Sampler over the prepared index.
+// New returns a Sampler over the prepared index. EO and OE derive their
+// rejection bounds here, in one pass over the index.
 func New(idx *access.Index, method Method, rng *rand.Rand) *Sampler {
-	return &Sampler{idx: idx, method: method, rng: rng, seen: make(map[string]bool)}
+	s := &Sampler{idx: idx, method: method, rng: rng, seen: make(map[string]bool)}
+	if method == EO || method == OE {
+		s.bounds = idx.BaselineBounds()
+	}
+	return s
 }
 
 // trial draws one with-replacement sample (possibly rejecting).
@@ -81,9 +87,9 @@ func (s *Sampler) trial() (relation.Tuple, bool) {
 	case EW:
 		return s.idx.SampleEW(s.rng)
 	case EO:
-		return s.idx.SampleEOTrial(s.rng)
+		return s.idx.SampleEOTrial(s.rng, s.bounds)
 	case OE:
-		return s.idx.SampleOETrial(s.rng)
+		return s.idx.SampleOETrial(s.rng, s.bounds)
 	case RS:
 		return s.idx.SampleRSTrial(s.rng)
 	default:

@@ -180,7 +180,7 @@ func (c *Catalog) Close() error {
 // OpenSnapshot maps the snapshot at path, validates it (framing, version,
 // per-section checksums, structural invariants) and restores the catalog:
 // cold start is O(open + validate) instead of O(preprocess) — numeric
-// sections (columns, bucket tables, weights, child-ID arrays) are zero-copy
+// sections (columns, bucket tables, prefix sums, child-ID arrays) are zero-copy
 // views of the mapping, string regions are validated and copied, and hash
 // indexes (tuple membership, dictionary reverse lookup) hydrate lazily on
 // first use.

@@ -2,6 +2,7 @@ package renum
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
@@ -102,6 +103,11 @@ func FuzzOpenSnapshot(f *testing.F) {
 	flip = append([]byte(nil), dyn...)
 	flip[len(flip)*3/4] ^= 0x01
 	f.Add(flip)
+	compat, err := os.ReadFile(compatSnapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compat)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cat, err := OpenSnapshotBytes(data)
