@@ -22,7 +22,8 @@
 //
 // The serving port runs a pooled per-connection HTTP/1.1 loop
 // (internal/server/fastloop.go) that answers the hot GET probe endpoints
-// without allocating and hands every other request to the net/http mux.
+// without allocating and hands every other request to the net/http mux —
+// in router mode too: the router is served by the same front as a daemon.
 // -debug-addr exposes net/http/pprof on a separate listener (off unless
 // set), so production profiling never rides the serving address.
 //
@@ -72,7 +73,10 @@
 // prefix-sum routing table, and serves the same probe API with answers
 // byte-identical to a single unsharded daemon — /readyz is 503 until every
 // shard is ready, and a shard fault maps to a typed 502 naming the daemon.
-// Shard order in the -shard list must match the -shard-slice indexes.
+// Shard order in the -shard list must match the -shard-slice indexes. The
+// router serves /metrics (with its renum_shard_* families) and
+// /debug/traces like a daemon, and passes a request's X-Request-Id to every
+// shard leg.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // get -drain-timeout to finish, then the process exits 0.
@@ -157,6 +161,9 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Slow-request and scrape-failure lines go to stderr as JSON so log
+	// shippers pick them up without parsing the human-oriented stdout chatter.
+	logger := slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
 	if *routerMode {
 		if len(tables) > 0 || len(queries) > 0 || *shardSlice != "" || *dynamic {
 			fmt.Fprintln(stderr, "renumd: -router takes no -table/-query/-shard-slice/-dynamic flags")
@@ -166,7 +173,21 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "renumd: -router requires at least one -shard URL or -shards-from")
 			return 2
 		}
-		return runRouter(shards, *shardsFrom, *addr, *shardRefresh, *cursorTTL, *drainTimeout, stdout, stderr)
+		// The scale-out tier: no local indexes, just the routing table over
+		// the shard daemons, behind the same front and drain as a daemon.
+		rt := router.New(router.Config{Shards: shards, ShardsFile: *shardsFrom, Refresh: *shardRefresh, CursorTTL: *cursorTTL, Logger: logger})
+		defer rt.Close()
+		<-rt.Start()
+		if rt.Ready() {
+			fmt.Fprintln(stdout, "renumd: routing table ready")
+		} else {
+			// Not fatal: the scrape loop keeps retrying and /readyz reports
+			// 503 honestly until the fleet comes up — routers boot before
+			// shards in a compose stack.
+			fmt.Fprintln(stdout, "renumd: shards not ready yet; serving 503 until the fleet scrapes ready")
+		}
+		listening := fmt.Sprintf("renumd: router listening on %s (%d shards)", *addr, len(shards))
+		return serve(rt.Server, *addr, listening, *drainTimeout, nil, nil, stdout, stderr)
 	}
 	var sliceIdx, sliceOf int
 	if *shardSlice != "" {
@@ -296,9 +317,6 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 		defer reg.CloseWAL()
 	}
 
-	// Slow-request lines go to stderr as JSON so log shippers pick them up
-	// without parsing the human-oriented stdout chatter.
-	logger := slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
 	srv := server.New(reg, server.Config{
 		CursorTTL:     *cursorTTL,
 		AdminDisabled: *noAdmin,
@@ -330,21 +348,11 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "renumd: pprof on %s\n", dbgLn.Addr())
 	}
 
-	// The loop keeps net/http's shutdown contract: ListenAndServe returns
-	// http.ErrServerClosed after Shutdown, and Shutdown drains in-flight
-	// requests until its context expires.
-	fastSrv := server.NewFastServer(srv)
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
 	// Online compactor: fold the WAL into a fresh snapshot generation on a
 	// timer. Probes never block on it; an empty segment is a no-op.
-	var compactWG sync.WaitGroup
+	var compactor func(context.Context)
 	if *compactEvery > 0 {
-		compactWG.Add(1)
-		go func() {
-			defer compactWG.Done()
+		compactor = func(ctx context.Context) {
 			tick := time.NewTicker(*compactEvery)
 			defer tick.Stop()
 			for {
@@ -362,31 +370,69 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 					}
 				}
 			}
+		}
+	}
+	// After the drain: no requests are in flight, so the saved snapshot is
+	// exactly the state the last client observed. A failed save is a hard
+	// error — exiting 0 would silently drop state the operator asked to keep.
+	var persist func() bool
+	if *persistExit {
+		persist = func() bool {
+			path, gen, skipped, err := reg.SaveSnapshot(*snapshotDir)
+			if err != nil {
+				fmt.Fprintf(stderr, "renumd: persist-on-exit: %v\n", err)
+				return false
+			}
+			fmt.Fprintf(stdout, "renumd: saved %s (generation %d)\n", path, gen)
+			for _, name := range skipped {
+				fmt.Fprintf(stdout, "renumd: skipped %s (no snapshot form)\n", name)
+			}
+			return true
+		}
+	}
+	listening := fmt.Sprintf("renumd: listening on %s (fast loop)", *addr)
+	return serve(srv, *addr, listening, *drainTimeout, compactor, persist, stdout, stderr)
+}
+
+// serve runs srv's fast loop on addr, and background (when set) beside it,
+// until SIGINT or SIGTERM; then it drains. Readiness drops first so
+// orchestrators stop routing new work, background stops before anything
+// more is printed, and in-flight requests get drainTimeout to finish; after
+// a clean drain, after (when set) runs. It returns the exit code.
+func serve(srv *server.Server, addr, listening string, drainTimeout time.Duration, background func(context.Context), after func() bool, stdout, stderr io.Writer) int {
+	// The loop keeps net/http's shutdown contract: ListenAndServe returns
+	// http.ErrServerClosed after Shutdown, and Shutdown drains in-flight
+	// requests until its context expires.
+	fastSrv := server.NewFastServer(srv)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	var bg sync.WaitGroup
+	if background != nil {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			background(ctx)
 		}()
 	}
 
-	fmt.Fprintf(stdout, "renumd: listening on %s (fast loop)\n", *addr)
+	fmt.Fprintln(stdout, listening)
 	errCh := make(chan error, 1)
-	go func() { errCh <- fastSrv.ListenAndServe(*addr) }()
+	go func() { errCh <- fastSrv.ListenAndServe(addr) }()
 
 	select {
 	case err := <-errCh:
-		// Listen failure (port in use, bad addr): nothing to drain. Stop
-		// the compactor before touching stderr from this goroutine.
+		// Listen failure (port in use, bad addr): nothing to drain.
 		stop()
-		compactWG.Wait()
+		bg.Wait()
 		fmt.Fprintf(stderr, "renumd: %v\n", err)
 		return 1
 	case <-ctx.Done():
 	}
 
-	// The compactor stops (and stops printing) before the main goroutine
-	// resumes writing to stdout. Readiness drops first so orchestrators
-	// stop routing new traffic while the drain runs.
 	srv.SetReady(false)
-	compactWG.Wait()
+	bg.Wait()
 	fmt.Fprintln(stdout, "renumd: shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := fastSrv.Shutdown(shutdownCtx); err != nil {
 		fmt.Fprintf(stderr, "renumd: drain: %v\n", err)
@@ -396,78 +442,7 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "renumd: %v\n", err)
 		return 1
 	}
-	if *persistExit {
-		// After the drain: no requests are in flight, so the saved snapshot
-		// is exactly the state the last client observed. A failed save is a
-		// hard error — exiting 0 would silently drop state the operator
-		// asked to keep.
-		path, gen, skipped, err := reg.SaveSnapshot(*snapshotDir)
-		if err != nil {
-			fmt.Fprintf(stderr, "renumd: persist-on-exit: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "renumd: saved %s (generation %d)\n", path, gen)
-		for _, name := range skipped {
-			fmt.Fprintf(stdout, "renumd: skipped %s (no snapshot form)\n", name)
-		}
-	}
-	fmt.Fprintln(stdout, "renumd: bye")
-	return 0
-}
-
-// runRouter serves the scale-out tier: no local indexes, just the routing
-// table over the shard daemons. Same graceful-shutdown contract as the
-// daemon: readiness drops first, in-flight requests get the drain timeout.
-func runRouter(shards []string, shardsFrom, addr string, refresh, cursorTTL, drainTimeout time.Duration, stdout, stderr io.Writer) int {
-	logger := slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	rt := router.New(router.Config{
-		Shards:     shards,
-		ShardsFile: shardsFrom,
-		Refresh:    refresh,
-		CursorTTL:  cursorTTL,
-		Logger:     logger,
-	})
-	defer rt.Close()
-	<-rt.Start()
-	if rt.Ready() {
-		fmt.Fprintln(stdout, "renumd: routing table ready")
-	} else {
-		// Not fatal: the scrape loop keeps retrying and /readyz reports 503
-		// honestly until the fleet comes up — routers boot before shards in
-		// a compose stack.
-		fmt.Fprintln(stdout, "renumd: shards not ready yet; serving 503 until the fleet scrapes ready")
-	}
-
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	fmt.Fprintf(stdout, "renumd: router listening on %s (%d shards)\n", addr, len(shards))
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
-		stop()
-		fmt.Fprintf(stderr, "renumd: %v\n", err)
-		return 1
-	case <-ctx.Done():
-	}
-
-	rt.SetReady(false)
-	fmt.Fprintln(stdout, "renumd: shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintf(stderr, "renumd: drain: %v\n", err)
-		return 1
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(stderr, "renumd: %v\n", err)
+	if after != nil && !after() {
 		return 1
 	}
 	fmt.Fprintln(stdout, "renumd: bye")

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -17,12 +19,11 @@ import (
 // API — parameter names and defaults, limits, validation order and error
 // strings, Accept negotiation, key order and wire framing, cursor TTL and
 // busy semantics — written once. Transports only parse and write: the
-// net/http mux (Core.Serve, also the router's transport) and the fast
-// connection loop each turn a request into a request struct, run Core.do
-// against a Source, and send the bytes it returns. What differs between the
-// daemon and the router is only where rows come from, and that is the
-// Source: the daemon's *local probes an index in this process, the router's
-// source scatters to shard daemons.
+// net/http mux and the fast connection loop each turn a request into a
+// request struct, run Core.do against a Source, and send the bytes it
+// returns. What differs between the daemon and the router is only where rows
+// come from, and that is the Source: the daemon's *local probes an index in
+// this process, the router's source scatters to shard daemons.
 
 // Op names one operation of the probe API.
 type Op uint8
@@ -41,6 +42,8 @@ const (
 	OpEnumClose
 	OpContains
 	OpInverted
+	OpUpdate
+	OpMeta
 	numOps
 )
 
@@ -48,7 +51,7 @@ const (
 // the mux routes and the fast loop index the same table, so /metrics
 // aggregates both transports under one series per endpoint.
 var opNames = [numOps]string{"", "healthz", "readyz", "count", "access", "batch", "page", "sample",
-	"enum_next", "enum_start", "enum_close", "contains", "inverted"}
+	"enum_next", "enum_start", "enum_close", "contains", "inverted", "update", "meta"}
 
 // request is one parsed request: every parameter any op reads, defaults
 // already applied by parseRequest.
@@ -63,7 +66,9 @@ type request struct {
 	cursor   []byte   // enum/next, enum close
 	n        int64    // enum/next
 	order    []byte   // enum/start
-	tuple    []string // contains, inverted
+	tuple    []string // contains, inverted, update
+	insert   bool     // update: insert (else delete)
+	relation string   // update
 	wantWire bool
 }
 
@@ -176,6 +181,11 @@ type Source[R Row] interface {
 	Sample(ctx context.Context, k int64, rng *rand.Rand) (rows []R, withReplacement bool, err error)
 	Contains(ctx context.Context, cells []string) (bool, error)
 	Inverted(ctx context.Context, cells []string) (j int64, found bool, err error)
+	// Update inserts or deletes one base tuple; the core has checked
+	// CapUpdate.
+	Update(ctx context.Context, insert bool, relation string, tuple []string) (changed bool, err error)
+	// Meta is the GET /v1/{query} body.
+	Meta() Meta
 
 	// Pager is Page as a function a cursor can keep.
 	Pager() func(ctx context.Context, offset, k int64) ([]R, error)
@@ -184,35 +194,34 @@ type Source[R Row] interface {
 	Permute(rng *rand.Rand) (func(ctx context.Context, k int64) ([]R, error), error)
 }
 
-// Limits bounds what one request may ask of a Core.
-type Limits struct {
-	// MaxBatch bounds the positions of one /batch, /page or /sample (0 = 1<<16).
-	MaxBatch int64
-	// MaxCursorDraw bounds n of one /enum/next call (0 = 1<<16).
-	MaxCursorDraw int64
-	// CursorTTL evicts idle enumeration sessions (0 = 5 minutes).
-	CursorTTL time.Duration
-	// CursorSweep is the janitor period (0 = TTL/4, min 1s).
-	CursorSweep time.Duration
+// Meta describes one served query, the GET /v1/{query} body. Its fields are
+// declared in sorted key order, the order encoding/json gives a map's keys.
+type Meta struct {
+	Capabilities []renum.Capability `json:"capabilities"`
+	Count        int64              `json:"count"`
+	Head         []string           `json:"head"`
+	Kind         string             `json:"kind"`
+	Name         string             `json:"name"`
+	Query        string             `json:"query"`
 }
+
+const (
+	// maxBatch bounds the positions of one /batch, /page or /sample.
+	maxBatch = 1 << 16
+	// maxCursorDraw bounds n of one /enum/next call.
+	maxCursorDraw = 1 << 16
+)
 
 // Core serves the probe ops over rows of type R and owns the cursor
 // sessions started through it.
 type Core[R Row] struct {
-	maxBatch int64
-	maxDraw  int64
-	cursors  *cursorStore[R]
+	cursors *cursorStore[R]
 }
 
-// NewCore returns a core with its cursor janitor running; Close stops it.
-func NewCore[R Row](l Limits) *Core[R] {
-	if l.MaxBatch <= 0 {
-		l.MaxBatch = 1 << 16
-	}
-	if l.MaxCursorDraw <= 0 {
-		l.MaxCursorDraw = 1 << 16
-	}
-	return &Core[R]{maxBatch: l.MaxBatch, maxDraw: l.MaxCursorDraw, cursors: newCursorStore[R](l.CursorTTL, l.CursorSweep)}
+// NewCore returns a core whose cursors are evicted after cursorTTL idle
+// (0 = 5 minutes), with its cursor janitor running; Close stops it.
+func NewCore[R Row](cursorTTL time.Duration) *Core[R] {
+	return &Core[R]{cursors: newCursorStore[R](cursorTTL, 0)}
 }
 
 // Close stops the cursor janitor.
@@ -234,6 +243,9 @@ func admit[R Row](op Op, src Source[R]) error {
 		return fmt.Errorf("contains: %w (kind %s)", renum.ErrUnsupported, src.Kind())
 	case op == OpInverted && !src.Has(renum.CapInvert):
 		return fmt.Errorf("inverted access: %w (kind %s)", renum.ErrUnsupported, src.Kind())
+	case op == OpUpdate && !src.Has(renum.CapUpdate):
+		// Handle.Updater's words: a router answers like the daemon it fronts.
+		return fmt.Errorf("update: %w (kind %s is a static index; open with WithDynamic)", renum.ErrUnsupported, src.Kind())
 	}
 	return nil
 }
@@ -266,8 +278,8 @@ func (c *Core[R]) do(ctx context.Context, src Source[R], req *request, enc *enc)
 		return appendAccessBody(enc.buf, dict, req.j, row), false, nil
 
 	case OpBatch:
-		if int64(len(req.js)) > c.maxBatch {
-			return nil, false, HTTPErrorf(http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.js), c.maxBatch)
+		if len(req.js) > maxBatch {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.js), maxBatch)
 		}
 		pc := src.Probe(OpBatch)
 		defer pc.Done() // the span covers probe + encode
@@ -281,8 +293,8 @@ func (c *Core[R]) do(ctx context.Context, src Source[R], req *request, enc *enc)
 		return appendAnswersBody(enc.buf, dict, rows), false, nil
 
 	case OpPage:
-		if req.limit > c.maxBatch {
-			return nil, false, HTTPErrorf(http.StatusBadRequest, "limit %d exceeds %d", req.limit, c.maxBatch)
+		if req.limit > maxBatch {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "limit %d exceeds %d", req.limit, maxBatch)
 		}
 		if req.offset < 0 || req.limit < 0 {
 			return nil, false, HTTPErrorf(http.StatusBadRequest, "offset and limit must be non-negative")
@@ -302,8 +314,8 @@ func (c *Core[R]) do(ctx context.Context, src Source[R], req *request, enc *enc)
 		return closeAnswersOffsetBody(appendAnswersRows(enc.buf, dict, rows), req.offset), false, nil
 
 	case OpSample:
-		if req.k < 0 || req.k > c.maxBatch {
-			return nil, false, HTTPErrorf(http.StatusBadRequest, "k=%d out of range [0, %d]", req.k, c.maxBatch)
+		if req.k < 0 || req.k > maxBatch {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "k=%d out of range [0, %d]", req.k, maxBatch)
 		}
 		pc := src.Probe(OpSample)
 		rows, withReplacement, err := src.Sample(ctx, req.k, rngFor(req))
@@ -322,8 +334,8 @@ func (c *Core[R]) do(ctx context.Context, src Source[R], req *request, enc *enc)
 		return appendCursorBody(enc.buf, id, c.cursors.ttl.Milliseconds()), false, nil
 
 	case OpEnumNext:
-		if req.n <= 0 || req.n > c.maxDraw {
-			return nil, false, HTTPErrorf(http.StatusBadRequest, "n=%d out of range [1, %d]", req.n, c.maxDraw)
+		if req.n <= 0 || req.n > maxCursorDraw {
+			return nil, false, HTTPErrorf(http.StatusBadRequest, "n=%d out of range [1, %d]", req.n, maxCursorDraw)
 		}
 		pc := src.Probe(OpEnumNext)
 		rows, done, err := c.cursors.Next(ctx, string(req.cursor), src.Name(), req.n)
@@ -356,6 +368,18 @@ func (c *Core[R]) do(ctx context.Context, src Source[R], req *request, enc *enc)
 		}
 		j, found, err := src.Inverted(ctx, req.tuple)
 		return appendInvertedBody(enc.buf, j, found), false, err
+
+	case OpUpdate:
+		changed, err := src.Update(ctx, req.insert, req.relation, req.tuple)
+		if err != nil {
+			return nil, false, err
+		}
+		return appendChangedBody(enc.buf, changed, src.Count()), false, nil
+
+	case OpMeta:
+		b := bytes.NewBuffer(enc.buf)
+		err := json.NewEncoder(b).Encode(src.Meta())
+		return b.Bytes(), false, err
 	}
 	return nil, false, HTTPErrorf(http.StatusInternalServerError, "unreachable op %d", req.op)
 }
@@ -402,50 +426,41 @@ func (p urlParams) jsParam(dst []int64) ([]int64, error) {
 	return appendJSList(dst, url.Values(p).Get("js"))
 }
 
-type tupleBody struct {
-	Tuple []string `json:"tuple"`
-}
-
 // parseHTTP fills req from an *http.Request: the query string, or the JSON
 // body for the POST forms.
 func parseHTTP(req *request, r *http.Request, enc *enc) error {
 	req.wantWire = wantsWire(r)
-	switch {
-	case req.op == OpBatch && r.Method == http.MethodPost:
-		var body struct {
-			Js []int64 `json:"js"`
+	switch req.op {
+	case OpBatch:
+		if r.Method == http.MethodPost {
+			var body struct {
+				Js []int64 `json:"js"`
+			}
+			err := decodeBody(r, &body)
+			req.js = body.Js
+			return err
 		}
-		err := decodeBody(r, &body)
-		req.js = body.Js
-		return err
-	case req.op == OpContains || req.op == OpInverted:
-		var body tupleBody
+	case OpContains, OpInverted:
+		var body struct {
+			Tuple []string `json:"tuple"`
+		}
 		err := decodeBody(r, &body)
 		req.tuple = body.Tuple
 		return err
+	case OpUpdate:
+		var body struct {
+			Op       string   `json:"op"`
+			Relation string   `json:"relation"`
+			Tuple    []string `json:"tuple"`
+		}
+		if err := decodeBody(r, &body); err != nil {
+			return err
+		}
+		if body.Op != "insert" && body.Op != "delete" {
+			return HTTPErrorf(http.StatusBadRequest, "op must be insert or delete, got %q", body.Op)
+		}
+		req.insert, req.relation, req.tuple = body.Op == "insert", body.Relation, body.Tuple
+		return nil
 	}
 	return parseRequest(req, urlParams(r.URL.Query()), enc)
-}
-
-// Serve is the net/http transport of one op: admit, parse, run the
-// core, write. A returned error is the caller's to render (WriteError).
-func (c *Core[R]) Serve(w http.ResponseWriter, r *http.Request, op Op, src Source[R]) error {
-	enc := getEnc()
-	defer enc.release()
-	return c.serve(w, r, op, src, enc)
-}
-
-func (c *Core[R]) serve(w http.ResponseWriter, r *http.Request, op Op, src Source[R], enc *enc) error {
-	if err := admit(op, src); err != nil {
-		return err
-	}
-	req := request{op: op}
-	if err := parseHTTP(&req, r, enc); err != nil {
-		return err
-	}
-	body, isWire, err := c.do(r.Context(), src, &req, enc)
-	if err != nil {
-		return err
-	}
-	return writeNegotiated(w, body, isWire)
 }

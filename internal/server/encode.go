@@ -16,7 +16,7 @@ import (
 // same alphabetical key order, same escaping table (HTML-escaped by default,
 // like the Encoder), same trailing newline — which the equivalence tests in
 // encode_test.go pin against encoding/json itself. Cold, reflection-shaped
-// endpoints (meta, list, metrics, admin) stay on WriteJSON: their cost is
+// endpoints (meta, list, admin) stay on encoding/json: their cost is
 // irrelevant and their payloads change shape with the registry.
 
 // enc is one request's encoder state: the response buffer plus probe scratch
@@ -30,6 +30,7 @@ type enc struct {
 	js   []int64
 	rows []renum.Tuple // rowsFor's row headers, slicing flat
 	flat []renum.Value
+	src  local // the daemon's Source of this request
 }
 
 // Retention caps: a pathological response (a 64k-position batch) must not pin
@@ -54,6 +55,7 @@ func (e *enc) release() {
 	if cap(e.js) > maxRetainedJS {
 		e.js = nil
 	}
+	e.src = local{} // pin no generation from the pool
 	encPool.Put(e)
 }
 

@@ -256,7 +256,7 @@ func TestResponsesByteIdenticalToOldEncoder(t *testing.T) {
 	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("Q")
 	n := e.Count()
-	render := func(tu renum.Tuple) []string { return s.renderTuple(tu) }
+	render := func(tu renum.Tuple) []string { return renderTuple(reg, tu) }
 	oldEncode := func(v any) []byte {
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(v); err != nil {

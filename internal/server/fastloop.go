@@ -19,11 +19,12 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the daemon's transport: a hand-rolled HTTP/1.1 connection
-// loop that serves the hot GET probe surface (/healthz, /readyz, count,
-// access, batch, page, sample, enum/next) from per-connection pooled state —
-// request parsing, routing, parameter scanning and response framing all run
-// without a single steady-state heap allocation. net/http's generic path
+// This file is the transport of both daemons, renumd and its router: a
+// hand-rolled HTTP/1.1 connection loop that serves the hot GET probe
+// surface (/healthz, /readyz, count, access, batch, page, sample,
+// enum/next) from per-connection pooled state — request parsing, routing,
+// parameter scanning and response framing all run without a single
+// steady-state heap allocation. net/http's generic path
 // costs ~18 allocations per request before a handler runs (request struct,
 // header map, URL parse, per-request context, mux pattern match); at the
 // paper's "millions of users" scale that floor, not the O(log n) probe,
@@ -32,7 +33,8 @@ import (
 // The loop is a transport only: it scans the query string into the core's
 // request struct and writes the bytes Core.do returns (core.go), so what a
 // hot op validates and how it frames its body is decided in one place for
-// this loop, the mux and the router alike.
+// this loop and the mux, whichever daemon's catalog serves the query. It
+// reads requests with the tier's one line and header reader (header.go).
 //
 // Everything else — POST/DELETE endpoints, admin, metadata, unknown paths,
 // and any GET whose path or query string carries a percent-escape, '+' or
@@ -50,14 +52,13 @@ const (
 	fastHeaderTimeout = 5 * time.Second
 	// fastBodyTimeout bounds reading one request body on the fallback path.
 	fastBodyTimeout = 30 * time.Second
-	// fastMaxHeaders caps header count per request (431 beyond).
-	fastMaxHeaders = 128
 	// fastBufSize sizes the per-connection read/write buffers; it also
 	// bounds the request line + any single header line.
 	fastBufSize = 16 << 10
 )
 
-// FastServer serves a Server's API with the pooled connection loop.
+// FastServer serves a Server's API with the pooled connection loop: the hot
+// GETs in the loop, everything else through the Server's mux.
 type FastServer struct {
 	s        *Server
 	eps      [numOps]*endpointMetrics // per-op instruments, resolved once
@@ -93,16 +94,6 @@ func (f *FastServer) ListenAndServe(addr string) error {
 	return f.Serve(ln)
 }
 
-// Addr returns the bound listener address ("" before Serve).
-func (f *FastServer) Addr() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.ln == nil {
-		return ""
-	}
-	return f.ln.Addr().String()
-}
-
 // Serve accepts connections on ln until Shutdown closes it; it then
 // returns http.ErrServerClosed, mirroring net/http so callers can reuse
 // their shutdown plumbing.
@@ -130,6 +121,7 @@ func (f *FastServer) Serve(ln net.Listener) error {
 			bw: bufio.NewWriterSize(c, fastBufSize),
 		}
 		fc.enc.buf = make([]byte, 0, 4096)
+		fc.ctx.Context = f.baseCtx
 		// Register under the mutex: Shutdown flips the flag under the same
 		// mutex, so either this Add happens-before its Wait or we observe
 		// the shutdown here and drop the connection.
@@ -193,13 +185,15 @@ type fastConn struct {
 	c       net.Conn
 	br      *bufio.Reader
 	bw      *bufio.Writer
-	enc     enc     // body builder + probe scratch, connection-owned
-	req     request // the current fast-path request, parsed
-	src     local   // ... and the entry it resolved to
-	head    []byte  // response head scratch
-	target  []byte  // stable copy of the request target
-	query   []byte  // target's raw query string (the params methods scan it)
-	reqID   []byte  // X-Request-Id copy (tracing); empty when untraced
+	enc     enc       // body builder + probe scratch, connection-owned
+	req     request   // the current fast-path request, parsed
+	ctx     tracedCtx // its context: the server's, with its trace
+	head    []byte    // response head scratch
+	target  []byte    // stable copy of the request target
+	query   []byte    // target's raw query string (the params methods scan it)
+	reqID   []byte    // X-Request-Id copy (tracing); empty when untraced
+	hm      headerMeta
+	hdr     http.Header // every field, collected for the fallback only
 	busy    atomic.Bool
 	closing bool
 	wrote   int64 // body bytes of the current request (metrics)
@@ -207,12 +201,12 @@ type fastConn struct {
 
 // headerMeta is what the fast path needs from a header block.
 type headerMeta struct {
-	contentLength int64
-	close         bool
-	sawAccept     bool
-	wantWire      bool
-	chunked       bool
-	expect100     bool
+	Framing
+	sawAccept bool
+	wantWire  bool
+	expect    int  // Expect fields
+	expect100 bool // the first one asks for 100-continue
+	hosts     int
 }
 
 var (
@@ -229,7 +223,7 @@ func (fc *fastConn) serve() {
 		if fc.f.shutting.Load() {
 			return
 		}
-		line, err := fc.readLine()
+		line, err := ReadLine(fc.br)
 		if err != nil {
 			if errors.Is(err, bufio.ErrBufferFull) {
 				fc.closing = true
@@ -246,19 +240,6 @@ func (fc *fastConn) serve() {
 			return
 		}
 	}
-}
-
-// readLine returns the next CRLF- (or LF-) terminated line, stripped.
-func (fc *fastConn) readLine() ([]byte, error) {
-	line, err := fc.br.ReadSlice('\n')
-	if err != nil {
-		return nil, err
-	}
-	n := len(line) - 1
-	if n > 0 && line[n-1] == '\r' {
-		n--
-	}
-	return line[:n], nil
 }
 
 // handleRequest parses one request line and dispatches. It reports whether
@@ -291,17 +272,16 @@ func (fc *fastConn) handleRequest(line []byte) bool {
 		return fc.serveFallback(method, fc.target)
 	}
 	fc.query = query
-	var hm headerMeta
-	if !fc.readHeaders(&hm, nil) {
+	if !fc.readHeaders(nil) {
 		return false
 	}
 	// A GET with a body is legal if pointless; keep framing by draining it.
-	if hm.contentLength > 0 {
-		if hm.contentLength > fastBufSize {
+	if n := fc.hm.Length; n > 0 {
+		if n > fastBufSize {
 			fc.abort(http.StatusRequestEntityTooLarge, "unexpected request body")
 			return false
 		}
-		if _, err := fc.br.Discard(int(hm.contentLength)); err != nil {
+		if _, err := fc.br.Discard(int(n)); err != nil {
 			return false
 		}
 	}
@@ -311,7 +291,7 @@ func (fc *fastConn) handleRequest(line []byte) bool {
 	s := fc.f.s
 	b := beginRequest(s, fc.f.eps[op], fc.reqID)
 	fc.wrote = 0
-	err := fc.serveFast(op, qname, hm.wantWire, b.tr)
+	err := fc.serveFast(op, qname, fc.hm.wantWire, b.tr)
 	if err != nil {
 		if werr := fc.writeResponse(errorStatus(err), "application/json", errorBody(fc.enc.buf[:0], err.Error())); werr != nil {
 			return false
@@ -389,113 +369,99 @@ func fastRoute(path []byte) (Op, []byte) {
 	return opNone, nil
 }
 
-// readHeaders walks one request's header block. The fast path keeps only
-// the scalars in hm and skips everything else without retention; the
-// fallback passes hdr to also collect every field for the http.Request it
-// builds. It reports false when the connection must close (the error
-// response, if one is due, has been written).
-func (fc *fastConn) readHeaders(hm *headerMeta, hdr http.Header) bool {
+// readHeaders reads one request's header block. The fast path keeps only
+// the scalars in fc.hm; the fallback passes hdr to also collect every field
+// for the http.Request it builds. It reports false when the connection must
+// close (the error response, if one is due, has been written).
+func (fc *fastConn) readHeaders(hdr http.Header) bool {
 	fc.c.SetReadDeadline(time.Now().Add(fastHeaderTimeout))
-	hm.contentLength = -1
+	fc.hm, fc.hdr = headerMeta{}, hdr
 	fc.reqID = fc.reqID[:0] // a request without the header must not inherit one
-	for n := 0; ; n++ {
-		if n > fastMaxHeaders {
-			fc.abort(http.StatusRequestHeaderFieldsTooLarge, "too many headers")
-			return false
-		}
-		line, err := fc.readLine()
-		if err != nil {
-			if errors.Is(err, bufio.ErrBufferFull) {
-				fc.abort(http.StatusRequestHeaderFieldsTooLarge, "header line too long")
-			}
-			return false
-		}
-		if len(line) == 0 {
-			break
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 {
-			fc.abort(http.StatusBadRequest, "malformed header")
-			return false
-		}
-		name, val := line[:colon], trimOWS(line[colon+1:])
-		if hasCTL(val) {
-			fc.abort(http.StatusBadRequest, "invalid header value")
-			return false
-		}
-		if hdr != nil {
-			key := textproto.CanonicalMIMEHeaderKey(string(name))
-			hdr[key] = append(hdr[key], string(val))
-		}
-		switch {
-		case asciiEqualFold(name, "content-length"):
-			v, ok := parseInt64Bytes(val)
-			if !ok || v < 0 {
-				fc.abort(http.StatusBadRequest, "bad content-length")
-				return false
-			}
-			hm.contentLength = v
-		case asciiEqualFold(name, "connection"):
-			if tokenListHasFold(val, "close") {
-				hm.close = true
-			}
-		case asciiEqualFold(name, "accept"):
-			// Only the first Accept line counts, as with http.Header.Get.
-			if !hm.sawAccept {
-				hm.sawAccept, hm.wantWire = true, acceptIsWire(val)
-			}
-		case asciiEqualFold(name, "transfer-encoding"):
-			hm.chunked = true
-		case asciiEqualFold(name, "expect"):
-			hm.expect100 = asciiEqualFold(val, "100-continue")
-		case asciiEqualFold(name, "x-request-id"):
-			// Copy out of the bufio window now: later reads slide it.
-			fc.reqID = append(fc.reqID[:0], val...)
-		}
-	}
-	if hm.close {
-		fc.closing = true
-	}
-	if hm.chunked {
-		fc.abort(http.StatusNotImplemented, "chunked request bodies are not supported")
+	err := ReadHeader(fc.br, &fc.hm.Framing, fc.field)
+	fc.hdr = nil
+	if bad, ok := err.(HeaderError); ok {
+		fc.abort(http.StatusBadRequest, string(bad))
 		return false
 	}
-	return true
+	switch err {
+	case nil:
+	case bufio.ErrBufferFull:
+		fc.abort(http.StatusRequestHeaderFieldsTooLarge, "header line too long")
+		return false
+	case ErrTooManyFields:
+		fc.abort(http.StatusRequestHeaderFieldsTooLarge, err.Error())
+		return false
+	default:
+		return false
+	}
+	hm := &fc.hm
+	fc.closing = fc.closing || hm.Close
+	switch {
+	case hm.hosts > 1:
+		fc.abort(http.StatusBadRequest, "too many Host headers")
+	case hm.expect > 0 && !hm.expect100:
+		fc.abort(http.StatusExpectationFailed, "unsupported expectation")
+	case hm.TE > 0:
+		fc.abort(http.StatusNotImplemented, "chunked request bodies are not supported")
+	default:
+		return true
+	}
+	return false
 }
 
-// serveFast runs one fast-path op: resolve the entry, scan the query string
-// into the request struct, hand both to the core, write what it returns. A
-// returned error becomes the JSON error response (same mapping as the mux
-// route wrapper).
+// field takes one header field: the fields the loop reads, and every field
+// when the fallback collects them.
+func (fc *fastConn) field(name, val []byte) {
+	hm := &fc.hm
+	if fc.hdr != nil {
+		key := textproto.CanonicalMIMEHeaderKey(string(name))
+		fc.hdr[key] = append(fc.hdr[key], string(val))
+	}
+	switch {
+	case asciiEqualFold(name, "accept"):
+		// Only the first Accept line counts, as with http.Header.Get.
+		if !hm.sawAccept {
+			hm.sawAccept, hm.wantWire = true, acceptIsWire(val)
+		}
+	case asciiEqualFold(name, "expect"):
+		if hm.expect++; hm.expect == 1 {
+			hm.expect100 = tokenListHasFold(val, "100-continue")
+		}
+	case asciiEqualFold(name, "host"):
+		hm.hosts++
+	case asciiEqualFold(name, "x-request-id"):
+		// Copy out of the bufio window now: later reads slide it.
+		fc.reqID = append(fc.reqID[:0], val...)
+	}
+}
+
+// serveFast runs one fast-path op: hand the query name and the query string
+// to the catalog, which resolves the source and runs the core, and write
+// what it returns. A returned error becomes the JSON error response (same
+// mapping as the mux route wrapper).
 func (fc *fastConn) serveFast(op Op, qname []byte, wantWire bool, tr *traceRec) error {
 	s := fc.f.s
 	switch op {
 	case opHealthz:
 		return fc.writeResponse(http.StatusOK, "application/json", healthzBody)
 	case opReadyz:
-		_, gen := s.reg.Snapshot()
-		status, body := readyzResponse(fc.enc.buf[:0], s.Ready(), gen)
+		ready, gen := s.readiness()
+		status, body := readyzResponse(fc.enc.buf[:0], ready, gen)
 		return fc.writeResponse(status, "application/json", body)
 	}
-	e, db, ok := s.reg.lookupViewBytes(qname)
-	if !ok {
-		return NoQuery(string(qname), s.reg.Names())
-	}
-	if tr != nil {
-		tr.query = e.Name
-	}
-	fc.src = local{view: view{e: e, db: db}, enc: &fc.enc, tr: tr}
 	fc.req = request{op: op, wantWire: wantWire}
 	fc.enc.buf = fc.enc.buf[:0]
-	if err := parseRequest(&fc.req, fc, &fc.enc); err != nil {
-		return err
-	}
-	body, isWire, err := s.core.do(fc.f.baseCtx, &fc.src, &fc.req, &fc.enc)
+	fc.ctx.tr = tr
+	body, isWire, err := s.run(&fc.ctx, qname, &fc.req, fc, &fc.enc, tr)
+	fc.ctx.tr = nil
 	if err != nil {
 		return err
 	}
 	return fc.writeNegotiated(body, isWire)
 }
+
+// parse scans the request's query string.
+func (fc *fastConn) parse(req *request, enc *enc) error { return parseRequest(req, fc, enc) }
 
 func (fc *fastConn) writeNegotiated(body []byte, asWire bool) error {
 	ct := "application/json"
@@ -600,10 +566,10 @@ func (fc *fastConn) abort(status int, msg string) {
 // allocations here buy exact behavioral parity for every non-hot endpoint.
 func (fc *fastConn) serveFallback(method, target []byte) bool {
 	hdr := make(http.Header, 8)
-	var hm headerMeta
-	if !fc.readHeaders(&hm, hdr) {
+	if !fc.readHeaders(hdr) {
 		return false
 	}
+	hm := &fc.hm
 	u, err := url.ParseRequestURI(string(target))
 	if err != nil {
 		fc.abort(http.StatusBadRequest, "bad request target")
@@ -611,7 +577,7 @@ func (fc *fastConn) serveFallback(method, target []byte) bool {
 	}
 	var bodyReader io.Reader = eofReader{}
 	var lr *io.LimitedReader
-	if hm.contentLength > 0 {
+	if hm.Length > 0 {
 		fc.c.SetReadDeadline(time.Now().Add(fastBodyTimeout))
 		if hm.expect100 {
 			if _, err := fc.bw.WriteString("HTTP/1.1 100 Continue\r\n\r\n"); err != nil {
@@ -621,7 +587,7 @@ func (fc *fastConn) serveFallback(method, target []byte) bool {
 				return false
 			}
 		}
-		lr = &io.LimitedReader{R: fc.br, N: hm.contentLength}
+		lr = &io.LimitedReader{R: fc.br, N: hm.Length}
 		bodyReader = lr
 	}
 	req := &http.Request{
@@ -632,7 +598,7 @@ func (fc *fastConn) serveFallback(method, target []byte) bool {
 		ProtoMinor:    1,
 		Header:        hdr,
 		Body:          io.NopCloser(bodyReader),
-		ContentLength: hm.contentLength,
+		ContentLength: hm.Length,
 		Host:          hdr.Get("Host"),
 		RequestURI:    string(target),
 	}
@@ -724,51 +690,6 @@ func (fc *fastConn) writeBuffered(rw *bufferedResponse) bool {
 }
 
 // -------------------------------------------------------- byte-level bits
-
-// hasCTL reports a control byte other than HTAB in a header field value;
-// net/http answers those 400 as well.
-func hasCTL(b []byte) bool {
-	for _, c := range b {
-		if c < ' ' && c != '\t' || c == 0x7f {
-			return true
-		}
-	}
-	return false
-}
-
-// asciiEqualFold compares b to the lowercase ASCII string s, case-folding b.
-func asciiEqualFold(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != s[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// tokenListHasFold reports whether the comma-separated token list contains
-// tok (lowercase).
-func tokenListHasFold(b []byte, tok string) bool {
-	for len(b) > 0 {
-		var part []byte
-		if i := bytes.IndexByte(b, ','); i >= 0 {
-			part, b = b[:i], b[i+1:]
-		} else {
-			part, b = b, nil
-		}
-		if asciiEqualFold(trimOWS(part), tok) {
-			return true
-		}
-	}
-	return false
-}
 
 // parseInt64Bytes parses a decimal int64 with optional sign; ok=false on
 // anything strconv.ParseInt would reject (the caller reproduces the exact

@@ -514,3 +514,44 @@ func TestFastLoopSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestFastLoopRefusesAmbiguousFraming: a header block that frames its body
+// two ways, or continues a field on the next line (obs-fold), is answered
+// 400 and the connection closed — nothing after it is read as a body or a
+// next request. Keeping the last Content-Length instead would swallow the
+// pipelined bytes as a body and answer what is left of them.
+func TestFastLoopRefusesAmbiguousFraming(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	_, addr := startFast(t, s)
+	next := "GET /v1/Q/count HTTP/1.1\r\nHost: test\r\n\r\n"
+	for name, head := range map[string]string{
+		"conflicting Content-Length": "Content-Length: 0\r\nContent-Length: 26\r\n",
+		"obs-fold":                   "X-A: 1\r\n X-B: 2\r\n",
+		"Content-Length obs-fold":    "Content-Length: 0\r\n\t26\r\n",
+		"non-token field name":       "X A: 1\r\n",
+		"signed Content-Length":      "Content-Length: +0\r\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetDeadline(time.Now().Add(5 * time.Second))
+			fmt.Fprintf(c, "GET /v1/Q/count HTTP/1.1\r\nHost: test\r\n%s\r\n%s%s", head, next, next)
+			br := bufio.NewReader(c)
+			if resp := readFastResponse(t, br); resp.status != http.StatusBadRequest || !resp.connClose {
+				t.Fatalf("status %d, close %v (%s); want 400 and close", resp.status, resp.connClose, resp.body)
+			}
+			if _, err := br.ReadByte(); err != io.EOF {
+				t.Fatalf("connection still open after the refusal: %v", err)
+			}
+		})
+	}
+	// Equal Content-Lengths frame one way: net/http serves them, and so does
+	// the loop.
+	resp := fastDo(t, addr, "GET", "/v1/Q/count", "", "")
+	if resp.status != 200 {
+		t.Fatalf("plain count = %d", resp.status)
+	}
+}

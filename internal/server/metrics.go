@@ -39,14 +39,13 @@ func (ep *endpointMetrics) observe(d time.Duration, isErr bool, bytes int64) {
 // metricsRecorder owns the per-endpoint instruments and their Prometheus
 // registration. The mutex guards creation only; recording is lock-free.
 type metricsRecorder struct {
-	start time.Time
-	reg   *obs.Registry
-	mu    sync.Mutex
-	byEP  map[string]*endpointMetrics
+	reg  *obs.Registry
+	mu   sync.Mutex
+	byEP map[string]*endpointMetrics
 }
 
 func newMetricsRecorder(reg *obs.Registry) *metricsRecorder {
-	return &metricsRecorder{start: time.Now(), reg: reg, byEP: make(map[string]*endpointMetrics)}
+	return &metricsRecorder{reg: reg, byEP: make(map[string]*endpointMetrics)}
 }
 
 // endpoint resolves (or creates) the named endpoint's instruments,

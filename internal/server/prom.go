@@ -95,20 +95,21 @@ func newServerObserver(reg *obs.Registry, r *Registry) *obs.Observer {
 	}
 }
 
-// registerCollectors exports the server's scrape-time values.
+// registerCollectors exports the front's scrape-time values.
 func (s *Server) registerCollectors() {
+	start := time.Now()
 	s.obs.CollectorFunc("renum_generation", "Currently served registry generation.",
 		obs.KindGauge, func(emit func(string, float64)) {
-			_, gen := s.reg.Snapshot()
+			_, gen := s.ready()
 			emit("", float64(gen))
 		})
 	s.obs.CollectorFunc("renum_cursors", "Live enumeration cursors.",
 		obs.KindGauge, func(emit func(string, float64)) {
-			emit("", float64(s.core.LiveCursors()))
+			emit("", float64(s.cursors()))
 		})
 	s.obs.CollectorFunc("renum_uptime_seconds", "Seconds since the server started.",
 		obs.KindGauge, func(emit func(string, float64)) {
-			emit("", time.Since(s.metrics.start).Seconds())
+			emit("", time.Since(start).Seconds())
 		})
 	s.obs.CollectorFunc("renum_ready", "Readiness: 1 when serving traffic, 0 during boot or drain.",
 		obs.KindGauge, func(emit func(string, float64)) {
@@ -118,50 +119,44 @@ func (s *Server) registerCollectors() {
 			}
 			emit("", v)
 		})
-	s.obs.CollectorFunc("renum_wal_depth", "Records in the current WAL segment (replayed + appended).",
-		obs.KindGauge, func(emit func(string, float64)) {
-			if st := s.reg.WALStats(); st.Attached {
-				emit("", float64(st.Depth))
-			}
-		})
-	s.obs.CollectorFunc("renum_wal_replayed_records", "Records replayed from the WAL at boot.",
-		obs.KindGauge, func(emit func(string, float64)) {
-			if st := s.reg.WALStats(); st.Attached {
-				emit("", float64(st.Replayed))
-			}
-		})
-	s.obs.CollectorFunc("renum_wal_replay_seconds", "Time the boot spent opening the WAL segment and replaying its records.",
-		obs.KindGauge, func(emit func(string, float64)) {
-			if st := s.reg.WALStats(); st.Attached {
-				emit("", st.ReplaySeconds)
-			}
-		})
-	s.obs.CollectorFunc("renum_compactions_total", "Completed WAL-fold compactions.",
-		obs.KindCounter, func(emit func(string, float64)) {
-			if st := s.reg.WALStats(); st.Attached {
-				emit("", float64(st.Compactions))
-			}
-		})
-	s.obs.CollectorFunc("renum_wal_torn_tail_recovered", "1 when the boot truncated a torn WAL tail (a crash mid-append), else 0.",
-		obs.KindGauge, func(emit func(string, float64)) {
-			if st := s.reg.WALStats(); st.Attached {
-				v := 0.0
-				if st.TornTail {
-					v = 1
-				}
-				emit("", v)
-			}
-		})
-	s.obs.CollectorFunc("renum_wal_rotate_warnings_total", "WAL rotations whose superseded segment could not be closed or removed (the fold itself succeeded).",
-		obs.KindCounter, func(emit func(string, float64)) {
-			if st := s.reg.WALStats(); st.Attached {
-				emit("", float64(st.RotateWarnings))
-			}
-		})
 	s.obs.CollectorFunc("renum_traces_dropped_total", "Trace records evicted from the /debug/traces ring.",
 		obs.KindCounter, func(emit func(string, float64)) {
 			emit("", float64(s.traces.dropped()))
 		})
+}
+
+// registerWALCollectors exports the registry's WAL state, while one is
+// attached.
+func registerWALCollectors(o *obs.Registry, r *Registry) {
+	for _, c := range []struct {
+		name, help string
+		kind       obs.Kind
+		value      func(WALStats) float64
+	}{
+		{"renum_wal_depth", "Records in the current WAL segment (replayed + appended).",
+			obs.KindGauge, func(st WALStats) float64 { return float64(st.Depth) }},
+		{"renum_wal_replayed_records", "Records replayed from the WAL at boot.",
+			obs.KindGauge, func(st WALStats) float64 { return float64(st.Replayed) }},
+		{"renum_wal_replay_seconds", "Time the boot spent opening the WAL segment and replaying its records.",
+			obs.KindGauge, func(st WALStats) float64 { return st.ReplaySeconds }},
+		{"renum_compactions_total", "Completed WAL-fold compactions.",
+			obs.KindCounter, func(st WALStats) float64 { return float64(st.Compactions) }},
+		{"renum_wal_torn_tail_recovered", "1 when the boot truncated a torn WAL tail (a crash mid-append), else 0.",
+			obs.KindGauge, func(st WALStats) float64 {
+				if st.TornTail {
+					return 1
+				}
+				return 0
+			}},
+		{"renum_wal_rotate_warnings_total", "WAL rotations whose superseded segment could not be closed or removed (the fold itself succeeded).",
+			obs.KindCounter, func(st WALStats) float64 { return float64(st.RotateWarnings) }},
+	} {
+		o.CollectorFunc(c.name, c.help, c.kind, func(emit func(string, float64)) {
+			if st := r.WALStats(); st.Attached {
+				emit("", c.value(st))
+			}
+		})
+	}
 }
 
 // handleMetrics renders the text exposition (format version 0.0.4); the

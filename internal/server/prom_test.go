@@ -30,7 +30,7 @@ func promText(t testing.TB, s *Server) string {
 // exposition is lint-clean and carries the families the dashboards rely on:
 // per-endpoint HTTP series and per-query, per-op probe histograms.
 func TestPrometheusExposition(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
+	s, reg := newTestServer(t, Config{})
 	do(t, s, "GET", "/v1/Q/count", "", 200)
 	do(t, s, "GET", "/v1/Q/access?j=0", "", 200)
 	do(t, s, "GET", "/v1/Q/batch?js=0,1", "", 200)
@@ -69,7 +69,7 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	// The rebuild was observed per stage and in total, labeled with the
 	// generation it published.
-	_, gen := s.reg.Snapshot()
+	_, gen := reg.Snapshot()
 	for _, want := range []string{
 		fmt.Sprintf(`renum_build_duration_seconds_count{query="Q",stage="total",generation="%d"} 1`, gen),
 		fmt.Sprintf(`renum_build_duration_seconds_count{query="Q",stage="index_build",generation="%d"} 1`, gen),

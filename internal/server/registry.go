@@ -289,20 +289,11 @@ func (r *Registry) Lookup(name string) (*Entry, bool) {
 	return e, ok
 }
 
-// LookupView resolves an entry together with the database and generation
-// of the SAME snapshot, from one atomic load. Handlers that need both must
-// use this rather than separate Lookup/Snapshot calls — two loads can
-// straddle a concurrent rebuild and pair an old entry with a new
-// generation's dictionary.
-func (r *Registry) LookupView(name string) (e *Entry, db *renum.Database, gen uint64, ok bool) {
-	s := r.snap.Load()
-	e, ok = s.entries[name]
-	return e, s.db, s.gen, ok
-}
-
-// lookupViewBytes is LookupView keyed by raw request bytes: the map access
-// compiles to the no-copy string lookup, so the fast HTTP loop resolves a
-// query name without allocating.
+// lookupViewBytes resolves an entry together with the database of the SAME
+// snapshot, from one atomic load — two loads can straddle a concurrent
+// rebuild and pair an old entry with a new generation's dictionary. It is
+// keyed by raw request bytes: the map access compiles to the no-copy string
+// lookup, so a request resolves a query name without allocating.
 func (r *Registry) lookupViewBytes(name []byte) (e *Entry, db *renum.Database, ok bool) {
 	s := r.snap.Load()
 	e, ok = s.entries[string(name)]

@@ -18,8 +18,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -173,12 +175,10 @@ func (sh *shard) appendLine(dst []byte, method, path string) []byte {
 	return append(append(append(append(dst, method...), ' '), sh.prefix...), path...)
 }
 
-// requestIDKey carries the front request's X-Request-Id to its shard legs.
-type requestIDKey struct{}
-
 // send completes the request begun on c — protocol and Host, Accept when the
-// leg negotiates, the caller's X-Request-Id when ctx carries one, the body's
-// framing — and writes it. A write that fails on a pooled connection is the
+// leg negotiates, the X-Request-Id the front traces ctx's request under (an
+// id that could split a header line stays home), the body's framing — and
+// writes it. A write that fails on a pooled connection is the
 // connection having gone stale: redial sends the same bytes once more.
 func (sh *shard) send(ctx context.Context, c *conn, accept string, body []byte) error {
 	sh.reqs.Inc()
@@ -186,7 +186,7 @@ func (sh *shard) send(ctx context.Context, c *conn, accept string, body []byte) 
 	if accept != "" {
 		b = append(append(append(b, "Accept: "...), accept...), '\r', '\n')
 	}
-	if id, _ := ctx.Value(requestIDKey{}).(string); id != "" {
+	if id := server.RequestID(ctx); len(id) > 0 && !bytes.ContainsFunc(id, unicode.IsControl) {
 		b = append(append(append(b, "X-Request-Id: "...), id...), '\r', '\n')
 	}
 	if body != nil {
@@ -302,32 +302,15 @@ func replyErrorf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errReply, fmt.Sprintf(format, args...))
 }
 
-// readLine returns the next line without its CRLF (or bare LF). A line
-// longer than the reader's buffer is an error, never a bigger buffer.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
-}
-
-// readReply reads one response off br: the status of the final (non-1xx)
-// head and the whole body, framed by Content-Length, by chunks, or by the
-// end of the stream. keep reports that br stands on a message boundary of a
+// readReply reads one response off br with the tier's line and header
+// reader (server.ReadHeader): the status of the final (non-1xx) head and the
+// whole body, framed by Content-Length, by chunks, or by the end of the
+// stream. keep reports that br stands on a message boundary of a
 // connection the shard will keep open. The body grows as bytes arrive, so a
 // reply costs the memory of what was received, not of what a header claims.
 func readReply(br *bufio.Reader) (status int, body []byte, keep bool, err error) {
 	for {
-		length, chunked := int64(-1), false
-		line, err := readLine(br)
+		line, err := server.ReadLine(br)
 		if err != nil {
 			return 0, nil, false, err
 		}
@@ -340,51 +323,24 @@ func readReply(br *bufio.Reader) (status int, body []byte, keep bool, err error)
 		if status, err = strconv.Atoi(string(line[9:12])); err != nil || status < 100 {
 			return 0, nil, false, replyErrorf("status line %q", line)
 		}
-		for n := 0; ; n++ {
-			if line, err = readLine(br); err != nil {
-				return 0, nil, false, err
-			}
-			if len(line) == 0 {
-				break
-			}
-			name, val, ok := bytes.Cut(line, []byte(":"))
-			if !ok || n >= 128 || len(name) == 0 || name[0] == ' ' || name[0] == '\t' {
-				return 0, nil, false, replyErrorf("header line %q", line)
-			}
-			val = bytes.Trim(val, " \t")
-			switch {
-			case bytes.EqualFold(name, []byte("Content-Length")):
-				v, err := strconv.ParseUint(string(val), 10, 63)
-				if err != nil || (length >= 0 && length != int64(v)) {
-					return 0, nil, false, replyErrorf("Content-Length %q", val)
-				}
-				length = int64(v)
-			case bytes.EqualFold(name, []byte("Transfer-Encoding")):
-				if !bytes.EqualFold(val, []byte("chunked")) || chunked {
-					return 0, nil, false, replyErrorf("Transfer-Encoding %q", val)
-				}
-				chunked = true
-			case bytes.EqualFold(name, []byte("Connection")):
-				for len(val) > 0 {
-					var tok []byte
-					tok, val, _ = bytes.Cut(val, []byte(","))
-					if bytes.EqualFold(bytes.Trim(tok, " \t"), []byte("close")) {
-						keep = false
-					}
-				}
-			}
+		var f server.Framing
+		if err := server.ReadHeader(br, &f, nil); err != nil {
+			return 0, nil, false, err
 		}
+		keep = keep && !f.Close
 		switch {
 		case status < 200:
 			continue // interim: no body, the real head follows
-		case chunked && length >= 0:
+		case f.TE > 0 && !f.Chunked:
+			return 0, nil, false, replyErrorf("Transfer-Encoding is not one chunked")
+		case f.Chunked && f.Length >= 0:
 			return 0, nil, false, replyErrorf("both Content-Length and Transfer-Encoding")
 		case status == http.StatusNoContent || status == http.StatusNotModified:
 			return status, nil, keep, nil
-		case chunked:
+		case f.Chunked:
 			body, err = readChunks(br)
-		case length >= 0:
-			body, err = readN(br, nil, length)
+		case f.Length >= 0:
+			body, err = readN(br, nil, f.Length)
 		default: // framed by the end of the stream
 			keep = false
 			if body, err = readN(br, nil, maxReply); err == io.ErrUnexpectedEOF {
@@ -423,7 +379,7 @@ func readN(br *bufio.Reader, body []byte, n int64) ([]byte, error) {
 // until the zero chunk and its trailers.
 func readChunks(br *bufio.Reader) (body []byte, err error) {
 	for {
-		line, err := readLine(br)
+		line, err := server.ReadLine(br)
 		if err != nil {
 			return nil, err
 		}
@@ -433,14 +389,14 @@ func readChunks(br *bufio.Reader) (body []byte, err error) {
 			return nil, replyErrorf("chunk size %q", line)
 		}
 		for n == 0 { // the last chunk: trailers, up to the empty line
-			if line, err = readLine(br); err != nil || len(line) == 0 {
+			if line, err = server.ReadLine(br); err != nil || len(line) == 0 {
 				return body, err
 			}
 		}
 		if body, err = readN(br, body, int64(n)); err != nil {
 			return nil, err
 		}
-		if line, err = readLine(br); err == nil && len(line) != 0 {
+		if line, err = server.ReadLine(br); err == nil && len(line) != 0 {
 			err = replyErrorf("chunk of %d bytes does not end in CRLF", n)
 		}
 		if err != nil {

@@ -7,14 +7,18 @@
 //
 // # Byte-identity
 //
-// The router's probe responses are byte-identical to a single unsharded
-// daemon's because they are the daemon's own code: every probe op runs
-// through internal/server's endpoint core — the same validation, error
-// strings, body builders, Accept negotiation and cursor store — over a
-// Source that fetches rows from the shards instead of a local index
-// (remote, below). What the router adds is only the row source: random-order
-// cursors and /sample consume a seeded rng exactly like the library
-// backends (one lazy Fisher–Yates over the global count).
+// The router's responses are byte-identical to a single unsharded daemon's
+// because they are the daemon's own code: the router is served by
+// internal/server's front — the fast connection loop, the mux behind it, the
+// request bracket, /metrics and /debug/traces — and every probe op runs
+// through its endpoint core — the same validation, error strings, body
+// builders, Accept negotiation and cursor store — over a Source that fetches
+// rows from the shards instead of a local index (remote, below). What the
+// router supplies is only its catalog — how {query} resolves against the
+// routing table, the names, generation and readiness — and its
+// renum_shard_* families. Random-order cursors and /sample consume a seeded
+// rng exactly like the library backends (one lazy Fisher–Yates over the
+// global count).
 //
 // # The hop
 //
@@ -27,13 +31,15 @@
 // (internal/wire), so a shard answers every leg from its fast loop; only a
 // /batch too long for the shard's request-line buffer goes as a POST. A
 // fan-out writes every leg's request and then reads the replies in shard
-// order on the calling goroutine. The client's X-Request-Id rides every leg,
-// so /debug/traces on each shard shows its part under the same id.
+// order on the calling goroutine. The client's X-Request-Id — the id the
+// front traces the request under — rides every leg, so /debug/traces on the
+// router and on each shard shows its part under the same id.
 //
-// A reply is trusted only after it is checked: the HTTP framing by a reader
-// that is total on hostile bytes (FuzzShardReply), the frame's CRC-32C before
-// any length in it, and then that it holds exactly the rows asked, of the
-// query's arity. The cells handed to the core alias the reply's buffer, which
+// A reply is trusted only after it is checked: the HTTP framing by the
+// tier's one line and header reader — the one the fast loop reads requests
+// with, total on hostile bytes (FuzzShardReply) — the frame's CRC-32C
+// before any length in it, and then that it holds exactly the rows asked, of
+// the query's arity. The cells handed to the core alias the reply's buffer, which
 // is allocated per reply and never reused, so a cursor draw or a slow client
 // may hold it as long as it likes.
 //
@@ -58,7 +64,6 @@ package router
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -68,7 +73,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode"
 
 	"repro"
 	"repro/internal/obs"
@@ -89,28 +93,22 @@ type Config struct {
 	ShardsFile string
 	// Refresh is the scrape period for counts and health (0 = 2s).
 	Refresh time.Duration
-	// MaxBatch bounds one /batch or /page request (0 = 1<<16).
-	MaxBatch int64
-	// MaxCursorDraw bounds n of one /enum/next call (0 = 1<<16).
-	MaxCursorDraw int64
 	// CursorTTL evicts idle enumeration sessions (0 = 5 minutes).
 	CursorTTL time.Duration
-	// CursorSweep is the janitor period (0 = TTL/4, min 1s).
-	CursorSweep time.Duration
 	// Logger receives scrape-failure lines. Nil means slog.Default().
 	Logger *slog.Logger
 }
 
-// Router is the HTTP face of a shard fleet.
+// Router is the scale-out tier over a shard fleet. It is served by its
+// front, a server.Server over the routing table (serve it with
+// server.NewFastServer), whose Handler, Ready and SetReady it answers with.
 type Router struct {
+	*server.Server
 	cfg    Config
 	logger *slog.Logger
 
 	table atomic.Pointer[table]
-	core  *server.Core[[][]byte]
-	mux   *http.ServeMux
 
-	obs       *obs.Registry
 	fanouts   *obs.Counter // row hops
 	fanoutSum *obs.Counter // shard legs across hops (sum of widths)
 	scrapes   *obs.Counter
@@ -119,9 +117,8 @@ type Router struct {
 	mu     sync.Mutex // guards shards; only scrapes take it
 	shards map[string]*shard
 
-	draining atomic.Bool
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 // New wires a router. Call Start to begin scraping (the first successful
@@ -134,54 +131,20 @@ func New(cfg Config) *Router {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	reg := obs.NewRegistry()
 	r := &Router{
 		cfg:    cfg,
 		logger: logger,
-		core: server.NewCore[[][]byte](server.Limits{
-			MaxBatch: cfg.MaxBatch, MaxCursorDraw: cfg.MaxCursorDraw,
-			CursorTTL: cfg.CursorTTL, CursorSweep: cfg.CursorSweep,
-		}),
-		mux:       http.NewServeMux(),
-		obs:       reg,
-		fanouts:   reg.Counter("renum_shard_fanout_total", "Row hops the router made: one per /access, /batch, /page, /sample or cursor draw.", ""),
-		fanoutSum: reg.Counter("renum_shard_fanout_width_total", "Total shard legs across row hops (divide by renum_shard_fanout_total for mean width).", ""),
-		scrapes:   reg.Counter("renum_shard_scrapes_total", "Routing-table scrape attempts.", ""),
-		scrapeErr: reg.Counter("renum_shard_scrape_errors_total", "Routing-table scrapes that failed.", ""),
-		shards:    map[string]*shard{},
-		stop:      make(chan struct{}),
+		shards: map[string]*shard{},
+		stop:   make(chan struct{}),
 	}
-	reg.GaugeFunc("renum_router_generation", "Max shard generation in the current routing table.", "", func() float64 {
-		if t := r.table.Load(); t != nil {
-			return float64(t.gen)
-		}
-		return 0
-	})
-	reg.GaugeFunc("renum_router_cursors_live", "Live router-held enumeration cursors.", "", func() float64 {
-		return float64(r.core.LiveCursors())
-	})
-	r.route("GET /healthz", r.handleHealthz)
-	r.route("GET /readyz", r.handleReadyz)
-	r.route("GET /metrics", r.handleMetrics)
-	r.route("GET /v1", r.handleList)
-	r.route("GET /v1/{query}", r.query(r.handleMeta))
-	r.op("GET /v1/{query}/count", server.OpCount)
-	r.op("GET /v1/{query}/access", server.OpAccess)
-	r.op("GET /v1/{query}/batch", server.OpBatch)
-	r.op("POST /v1/{query}/batch", server.OpBatch)
-	r.op("GET /v1/{query}/page", server.OpPage)
-	r.op("GET /v1/{query}/sample", server.OpSample)
-	r.op("POST /v1/{query}/contains", server.OpContains)
-	r.op("POST /v1/{query}/inverted", server.OpInverted)
-	r.route("POST /v1/{query}/update", r.query(r.handleUpdate))
-	r.op("POST /v1/{query}/enum/start", server.OpEnumStart)
-	r.op("GET /v1/{query}/enum/next", server.OpEnumNext)
-	r.op("DELETE /v1/{query}/enum", server.OpEnumClose)
+	r.Server = server.NewFront(server.NewCore[[][]byte](cfg.CursorTTL), catalog{r})
+	reg := r.Metrics()
+	r.fanouts = reg.Counter("renum_shard_fanout_total", "Row hops the router made: one per /access, /batch, /page, /sample or cursor draw.", "")
+	r.fanoutSum = reg.Counter("renum_shard_fanout_width_total", "Total shard legs across row hops (divide by renum_shard_fanout_total for mean width).", "")
+	r.scrapes = reg.Counter("renum_shard_scrapes_total", "Routing-table scrape attempts.", "")
+	r.scrapeErr = reg.Counter("renum_shard_scrape_errors_total", "Routing-table scrapes that failed.", "")
 	return r
 }
-
-// Handler returns the root handler.
-func (r *Router) Handler() http.Handler { return r.mux }
 
 // Start launches the scrape loop. The returned channel closes after the
 // first scrape attempt (success or not), so a booting daemon can wait for
@@ -239,35 +202,12 @@ func (r *Router) refresh() {
 	}
 }
 
-// SetReady flips the drain flag (false = /readyz reports 503 regardless of
-// fleet health; used at the top of a shutdown drain).
-func (r *Router) SetReady(ready bool) { r.draining.Store(!ready) }
-
-// Ready reports the /readyz verdict: not draining, a routing table exists,
-// and every shard in it is healthy.
-func (r *Router) Ready() bool {
-	if r.draining.Load() {
-		return false
-	}
-	t := r.table.Load()
-	if t == nil {
-		return false
-	}
-	for _, sh := range t.shards {
-		if !sh.up.Load() {
-			return false
-		}
-	}
-	return true
-}
-
 // Close stops the scrape loop and cursor janitor and closes the idle shard
 // connections. Call it once the front has drained.
 func (r *Router) Close() {
-	r.draining.Store(true)
 	close(r.stop)
 	r.wg.Wait()
-	r.core.Close()
+	r.Server.Close()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, sh := range r.shards {
@@ -283,7 +223,7 @@ func (r *Router) shard(base string) (*shard, error) {
 	sh, ok := r.shards[base]
 	if !ok {
 		var err error
-		if sh, err = newShard(base, r.obs); err != nil {
+		if sh, err = newShard(base, r.Metrics()); err != nil {
 			return nil, err
 		}
 		r.shards[base] = sh
@@ -291,90 +231,45 @@ func (r *Router) shard(base string) (*shard, error) {
 	return sh, nil
 }
 
-func (r *Router) route(pattern string, h func(w http.ResponseWriter, req *http.Request) error) {
-	r.mux.HandleFunc(pattern, func(w http.ResponseWriter, req *http.Request) {
-		if err := h(w, req); err != nil {
-			server.WriteError(w, err)
-		}
-	})
-}
-
-// query resolves the {query} path element against the current routing
-// table. No table yet (fleet never scraped ready) is a 503: the router
-// knows nothing, which is different from knowing the query does not exist.
-func (r *Router) query(h func(w http.ResponseWriter, req *http.Request, t *table, rt *route) error) func(http.ResponseWriter, *http.Request) error {
-	return func(w http.ResponseWriter, req *http.Request) error {
-		t := r.table.Load()
-		if t == nil {
-			return errNoTable
-		}
-		name := req.PathValue("query")
-		rt, ok := t.queries[name]
-		if !ok {
-			return server.NoQuery(name, t.names)
-		}
-		return h(w, req, t, rt)
-	}
-}
+// catalog is the fleet as the front serves it: the current routing table.
+// No table yet (the fleet never scraped ready) is a 503: the router knows
+// nothing, which is different from knowing a query does not exist.
+type catalog struct{ r *Router }
 
 var errNoTable = server.HTTPErrorf(http.StatusServiceUnavailable, "no routing table yet (shards not scraped ready)")
 
-// op mounts one core op: the daemon's own net/http transport and endpoint
-// core, over this fleet's rows. The client's X-Request-Id rides the request's
-// context to every shard leg the op makes — the context of the request that
-// draws, so a cursor draw is traced under its own id, not under that of the
-// enum/start which built the draw function.
-func (r *Router) op(pattern string, op server.Op) {
-	r.route(pattern, r.query(func(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-		if id := req.Header.Get("X-Request-Id"); id != "" && !strings.ContainsFunc(id, unicode.IsControl) {
-			req = req.WithContext(context.WithValue(req.Context(), requestIDKey{}, id))
-		}
-		return r.core.Serve(w, req, op, &remote{r: r, t: t, rt: rt})
-	}))
-}
-
-// ---------------------------------------------------------------- handlers
-
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) error {
-	return server.WriteHealthz(w)
-}
-
-func (r *Router) handleReadyz(w http.ResponseWriter, req *http.Request) error {
-	var gen uint64
-	if t := r.table.Load(); t != nil {
-		gen = t.gen
-	}
-	return server.WriteReadyz(w, r.Ready(), gen)
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) error {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	return r.obs.WritePrometheus(w)
-}
-
-func (r *Router) handleList(w http.ResponseWriter, req *http.Request) error {
-	t := r.table.Load()
+func (c catalog) Lookup(name []byte) (server.Source[[][]byte], error) {
+	t := c.r.table.Load()
 	if t == nil {
-		return errNoTable
+		return nil, errNoTable
 	}
-	return server.WriteJSON(w, map[string]any{"queries": t.names, "generation": t.gen})
+	rt, ok := t.queries[string(name)]
+	if !ok {
+		return nil, server.NoQuery(string(name), t.names)
+	}
+	return &rt.src, nil
 }
 
-func (r *Router) handleMeta(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	return server.WriteJSON(w, map[string]any{
-		"name":         rt.name,
-		"kind":         rt.kind,
-		"count":        rt.total,
-		"head":         rt.head,
-		"query":        rt.text,
-		"capabilities": rt.caps,
-	})
+func (c catalog) List() ([]string, uint64, error) {
+	t := c.r.table.Load()
+	if t == nil {
+		return nil, 0, errNoTable
+	}
+	return t.names, t.gen, nil
 }
 
-func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request, t *table, rt *route) error {
-	// A sharded fleet is static by construction (shard slices reject
-	// updatable entries); the router mirrors the daemon's vocabulary: 501.
-	return fmt.Errorf("updates through the router: %w (shard slices are static)", renum.ErrUnsupported)
+// Ready: a routing table exists and every shard in it is healthy.
+func (c catalog) Ready() (bool, uint64) {
+	t := c.r.table.Load()
+	if t == nil {
+		return false, 0
+	}
+	for _, sh := range t.shards {
+		if !sh.up.Load() {
+			return false, t.gen
+		}
+	}
+	return true, t.gen
 }
 
 // ------------------------------------------------------------ remote source
@@ -391,13 +286,27 @@ type remote struct {
 	rt *route
 }
 
-func (s *remote) Name() string      { return s.rt.name }
-func (s *remote) Kind() string      { return s.rt.kind }
+func (s *remote) Name() string      { return s.rt.meta.Name }
+func (s *remote) Kind() string      { return s.rt.meta.Kind }
 func (s *remote) Count() int64      { return s.rt.total }
-func (s *remote) Arity() int        { return len(s.rt.head) }
+func (s *remote) Arity() int        { return len(s.rt.meta.Head) }
 func (s *remote) Dict() *renum.Dict { return nil }
 
-func (s *remote) Has(c renum.Capability) bool { return slices.Contains(s.rt.caps, string(c)) }
+func (s *remote) Has(c renum.Capability) bool { return slices.Contains(s.rt.meta.Capabilities, c) }
+
+// Meta is the shards' description of the query, counted over the fleet.
+func (s *remote) Meta() server.Meta {
+	m := s.rt.meta
+	m.Count = s.rt.total
+	return m
+}
+
+// Update: a sharded fleet is static by construction (shard slices reject
+// updatable entries), so no shard reports CapUpdate and the core answers 501
+// before asking.
+func (s *remote) Update(context.Context, bool, string, []string) (bool, error) {
+	return false, renum.ErrUnsupported
+}
 
 // Probe: shard hops are timed per shard (renum_shard_request_duration_seconds),
 // not per op.
@@ -417,7 +326,7 @@ type leg struct {
 
 // newRows returns n empty rows of the query's arity over one cell block.
 func (s *remote) newRows(n int) [][][]byte {
-	arity := len(s.rt.head)
+	arity := len(s.rt.meta.Head)
 	rows, cells := make([][][]byte, n), make([][]byte, n*arity)
 	for i := range rows {
 		rows[i] = cells[i*arity : (i+1)*arity : (i+1)*arity]
@@ -460,7 +369,7 @@ func (s *remote) recvLeg(ctx context.Context, l *leg, out [][][]byte) error {
 	if err != nil {
 		return err
 	}
-	err = parseRows(body, l.n, len(s.rt.head), func(row, col int, val []byte) {
+	err = parseRows(body, l.n, len(s.rt.meta.Head), func(row, col int, val []byte) {
 		if l.at != nil {
 			row = l.at[row]
 		} else {
@@ -508,7 +417,7 @@ func (s *remote) Access(ctx context.Context, j int64) ([][]byte, error) {
 	// A batch of one: the shard answers its local position, the core frames
 	// the body with the global j the client asked for.
 	sh, _ := s.rt.locate(j)
-	js, at, out := [1]int64{j}, [1]int{0}, [1][][]byte{make([][]byte, len(s.rt.head))}
+	js, at, out := [1]int64{j}, [1]int{0}, [1][][]byte{make([][]byte, len(s.rt.meta.Head))}
 	legs := [1]leg{{shard: sh, at: at[:], n: 1}}
 	err := s.hop(ctx, legs[:], js[:], out[:])
 	return out[0], err
@@ -606,7 +515,7 @@ func (s *remote) forwardTuple(ctx context.Context, path string, tuple []string, 
 		return err
 	}
 	for i, sh := range s.t.shards {
-		if err := sh.doJSON(ctx, http.MethodPost, "/v1/"+s.rt.name+path, body, v); err != nil {
+		if err := sh.doJSON(ctx, http.MethodPost, "/v1/"+s.rt.meta.Name+path, body, v); err != nil {
 			return err
 		}
 		if hit(i) {

@@ -1,11 +1,13 @@
 package router
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -76,17 +78,20 @@ func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // shards come in two flavours: "mux" serves each daemon's net/http mux behind
 // httptest (chunked replies, POST and GET alike), "fast" is what ships — the
 // daemon's fast connection loop on a loopback listener, which answers the GET
-// legs itself.
+// legs itself. Both are reached through rt.Handler(). "loop" is the whole of
+// what ships: fast shards, and the router served by its own fast loop on a
+// loopback listener, reached over a socket.
 type fleet struct {
 	ref      http.Handler // single unsharded daemon
 	rt       *Router
+	front    http.Handler // the router as the suite reaches it
 	urls     []string
 	handlers []http.Handler // each shard's own mux, bypassing the hop
 	flaky    []*flakyProxy  // mux flavour only
-	fast     []*fastShard   // fast flavour only
+	fast     []*fastShard   // fast and loop flavours
 }
 
-var flavours = []string{"mux", "fast"}
+var flavours = []string{"mux", "fast", "loop"}
 
 // kill takes shard i down: an injected 500 on the mux flavour, a closed
 // listener (and closed connections) on the fast one.
@@ -188,7 +193,7 @@ func newBootedFleet(t testing.TB, flavour string, boots []boot) *fleet {
 	for i, b := range boots {
 		s := shardServer(t, db, i, len(boots), b)
 		f.handlers = append(f.handlers, s.Handler())
-		if flavour == "fast" {
+		if flavour != "mux" {
 			fs := &fastShard{s: s, addr: "127.0.0.1:0"}
 			fs.start(t)
 			t.Cleanup(fs.stop)
@@ -207,7 +212,72 @@ func newBootedFleet(t testing.TB, flavour string, boots []boot) *fleet {
 	if err := f.rt.Refresh(context.Background()); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
+	f.front = f.rt.Handler()
+	if flavour == "loop" {
+		f.front = loopFront{serveLoop(t, f.rt)}
+	}
 	return f
+}
+
+// serveLoop serves rt with the fast loop on a loopback listener, as renumd
+// -router does, and returns its address.
+func serveLoop(t testing.TB, rt *Router) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := server.NewFastServer(rt.Server)
+	go fs.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		fs.Shutdown(ctx)
+	})
+	return ln.Addr().String()
+}
+
+// loopFront reaches a router's fast loop over a socket: it writes the
+// request as raw bytes — a header value goes out as given — and copies the
+// reply into the response writer.
+type loopFront struct{ addr string }
+
+func (l loopFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	fail := func(err error) {
+		w.WriteHeader(599)
+		fmt.Fprintf(w, "loop front: %v", err)
+	}
+	c, err := net.Dial("tcp", l.addr)
+	if err != nil {
+		fail(err)
+		return
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(30 * time.Second))
+	body, _ := io.ReadAll(r.Body)
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\nHost: router\r\n", r.Method, r.URL.RequestURI())
+	for k, vs := range r.Header {
+		for _, v := range vs {
+			fmt.Fprintf(&b, "%s: %s\r\n", k, v)
+		}
+	}
+	fmt.Fprintf(&b, "Content-Length: %d\r\n\r\n%s", len(body), body)
+	if _, err := c.Write(b.Bytes()); err != nil {
+		fail(err)
+		return
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(c), r)
+	if err != nil {
+		fail(err)
+		return
+	}
+	defer resp.Body.Close()
+	for k, vs := range resp.Header {
+		w.Header()[k] = vs
+	}
+	w.WriteHeader(resp.StatusCode)
+	io.Copy(w, resp.Body)
 }
 
 func exchange(h http.Handler, method, url, body, accept string) ([]byte, int) {
@@ -234,7 +304,7 @@ func exchange(h http.Handler, method, url, body, accept string) ([]byte, int) {
 func (f *fleet) compare(t *testing.T, method, url, body, accept string) []byte {
 	t.Helper()
 	want, wantCode := exchange(f.ref, method, url, body, accept)
-	got, gotCode := exchange(f.rt.Handler(), method, url, body, accept)
+	got, gotCode := exchange(f.front, method, url, body, accept)
 	if gotCode != wantCode {
 		t.Fatalf("%s %s: router status %d (%s), reference %d (%s)", method, url, gotCode, got, wantCode, want)
 	}
@@ -285,7 +355,7 @@ func testEquivalence(t *testing.T, f *fleet) {
 	if n < 100 {
 		t.Fatalf("fixture too small: %d answers", n)
 	}
-	if got := count(t, f.rt.Handler(), "Q"); got != n {
+	if got := count(t, f.front, "Q"); got != n {
 		t.Fatalf("router count %d, reference %d", got, n)
 	}
 
@@ -346,15 +416,17 @@ func testEquivalence(t *testing.T, f *fleet) {
 	f.compare(t, "POST", "/v1/Q/contains", miss, "")
 	f.compare(t, "POST", "/v1/Q/inverted", miss, "")
 
-	// Error vocabulary: out-of-range, bad input, unsupported.
+	// Error vocabulary: out-of-range, bad input, unsupported — /update
+	// included: the router answers it like the daemon.
 	f.compare(t, "GET", fmt.Sprintf("/v1/Q/access?j=%d", n), "", "")
 	f.compare(t, "GET", fmt.Sprintf("/v1/Q/batch?js=0,%d", n), "", "")
 	f.compare(t, "POST", "/v1/U/inverted", `{"tuple":["a","b"]}`, "")
 	f.compare(t, "GET", "/v1/Q/enum/next?cursor=bogus", "", "")
-	if _, code := exchange(f.rt.Handler(), "POST", "/v1/Q/update", `{"op":"insert","relation":"r","tuple":["9","9"]}`, ""); code != http.StatusNotImplemented {
+	f.compare(t, "POST", "/v1/Q/update", `{"op":"insert","relation":"r","tuple":["9","9"]}`, "")
+	if _, code := exchange(f.front, "POST", "/v1/Q/update", `{"op":"insert","relation":"r","tuple":["9","9"]}`, ""); code != http.StatusNotImplemented {
 		t.Fatalf("router update status %d, want 501", code)
 	}
-	if _, code := exchange(f.rt.Handler(), "GET", "/v1/Nope/count", "", ""); code != http.StatusNotFound {
+	if _, code := exchange(f.front, "GET", "/v1/Nope/count", "", ""); code != http.StatusNotFound {
 		t.Fatalf("unknown query status %d, want 404", code)
 	}
 }
@@ -380,12 +452,12 @@ func startCursor(t *testing.T, h http.Handler, url string) string {
 func drainCursors(t *testing.T, f *fleet, startURL string, n int64, accept string) {
 	t.Helper()
 	refID := startCursor(t, f.ref, startURL)
-	rtID := startCursor(t, f.rt.Handler(), startURL)
+	rtID := startCursor(t, f.front, startURL)
 	for step := 0; step < 10000; step++ {
 		url := fmt.Sprintf("/v1/Q/enum/next?cursor=%s&n=%d", refID, n)
 		want, wantCode := exchange(f.ref, "GET", url, "", accept)
 		url = fmt.Sprintf("/v1/Q/enum/next?cursor=%s&n=%d", rtID, n)
-		got, gotCode := exchange(f.rt.Handler(), "GET", url, "", accept)
+		got, gotCode := exchange(f.front, "GET", url, "", accept)
 		if gotCode != wantCode || !bytes.Equal(got, want) {
 			t.Fatalf("%s draw %d: router %d %q, reference %d %q", startURL, step, gotCode, got, wantCode, want)
 		}
@@ -425,11 +497,11 @@ func testCursorEquivalence(t *testing.T, f *fleet) {
 	drainCursors(t, f, "/v1/Q/enum/start?order=random&seed=99", 17, "")
 
 	// Explicit close works and a second close is a 404.
-	id := startCursor(t, f.rt.Handler(), "/v1/Q/enum/start")
-	if raw, code := exchange(f.rt.Handler(), "DELETE", "/v1/Q/enum?cursor="+id, "", ""); code != 200 {
+	id := startCursor(t, f.front, "/v1/Q/enum/start")
+	if raw, code := exchange(f.front, "DELETE", "/v1/Q/enum?cursor="+id, "", ""); code != 200 {
 		t.Fatalf("close: %d (%s)", code, raw)
 	}
-	if _, code := exchange(f.rt.Handler(), "DELETE", "/v1/Q/enum?cursor="+id, "", ""); code != http.StatusNotFound {
+	if _, code := exchange(f.front, "DELETE", "/v1/Q/enum?cursor="+id, "", ""); code != http.StatusNotFound {
 		t.Fatalf("double close: %d, want 404", code)
 	}
 }
@@ -444,7 +516,7 @@ func TestRouterFaultInjection(t *testing.T) {
 }
 
 func testFaultInjection(t *testing.T, f *fleet) {
-	n := count(t, f.rt.Handler(), "Q")
+	n := count(t, f.front, "Q")
 	if !f.rt.Ready() {
 		t.Fatal("fleet not ready after refresh")
 	}
@@ -456,12 +528,12 @@ func testFaultInjection(t *testing.T, f *fleet) {
 		t.Fatalf("degenerate split: %d/%d", c0, n-c0)
 	}
 	refID := startCursor(t, f.ref, "/v1/Q/enum/start")
-	rtID := startCursor(t, f.rt.Handler(), "/v1/Q/enum/start")
+	rtID := startCursor(t, f.front, "/v1/Q/enum/start")
 	draw := func(h http.Handler, id string, k int64) ([]byte, int) {
 		return exchange(h, "GET", fmt.Sprintf("/v1/Q/enum/next?cursor=%s&n=%d", id, k), "", "")
 	}
 	want1, _ := draw(f.ref, refID, c0-5)
-	got1, _ := draw(f.rt.Handler(), rtID, c0-5)
+	got1, _ := draw(f.front, rtID, c0-5)
 	if !bytes.Equal(got1, want1) {
 		t.Fatalf("pre-fault draw: %q != %q", got1, want1)
 	}
@@ -469,7 +541,7 @@ func testFaultInjection(t *testing.T, f *fleet) {
 	f.kill(1)
 
 	// A batch spanning both shards fails as a 502 that names the daemon.
-	raw, code := exchange(f.rt.Handler(), "GET", fmt.Sprintf("/v1/Q/batch?js=0,%d", n-1), "", "")
+	raw, code := exchange(f.front, "GET", fmt.Sprintf("/v1/Q/batch?js=0,%d", n-1), "", "")
 	if code != http.StatusBadGateway {
 		t.Fatalf("batch during fault: status %d (%s), want 502", code, raw)
 	}
@@ -481,17 +553,17 @@ func testFaultInjection(t *testing.T, f *fleet) {
 	if f.rt.Ready() {
 		t.Fatal("router still ready after shard fault")
 	}
-	if raw, code := exchange(f.rt.Handler(), "GET", "/readyz", "", ""); code != http.StatusServiceUnavailable || !strings.Contains(string(raw), `"ready":false`) {
+	if raw, code := exchange(f.front, "GET", "/readyz", "", ""); code != http.StatusServiceUnavailable || !strings.Contains(string(raw), `"ready":false`) {
 		t.Fatalf("readyz during fault: %d (%s), want 503 not-ready", code, raw)
 	}
 
 	// A shard-0-only probe still answers (position 0 lives on shard 0).
-	if raw, code := exchange(f.rt.Handler(), "GET", "/v1/Q/access?j=0", "", ""); code != 200 {
+	if raw, code := exchange(f.front, "GET", "/v1/Q/access?j=0", "", ""); code != 200 {
 		t.Fatalf("healthy-shard access during fault: %d (%s)", code, raw)
 	}
 
 	// A cursor draw that needs the dead shard fails without advancing...
-	if raw, code := draw(f.rt.Handler(), rtID, 10); code != http.StatusBadGateway {
+	if raw, code := draw(f.front, rtID, 10); code != http.StatusBadGateway {
 		t.Fatalf("draw during fault: %d (%s), want 502", code, raw)
 	}
 
@@ -505,7 +577,7 @@ func testFaultInjection(t *testing.T, f *fleet) {
 		t.Fatal("router not ready after recovery")
 	}
 	want2, _ := draw(f.ref, refID, 10)
-	got2, code := draw(f.rt.Handler(), rtID, 10)
+	got2, code := draw(f.front, rtID, 10)
 	if code != 200 || !bytes.Equal(got2, want2) {
 		t.Fatalf("post-recovery draw: %d %q, want %q", code, got2, want2)
 	}
@@ -553,7 +625,7 @@ func TestRouterScrapeRejectsTornFleet(t *testing.T) {
 // concurrency gate for the router's atomic table swap and health flips.
 func TestRouterHammer(t *testing.T) {
 	f := newFleet(t, 3)
-	n := count(t, f.rt.Handler(), "Q")
+	n := count(t, f.front, "Q")
 	stop := make(chan struct{})
 	var wg, churn sync.WaitGroup
 
@@ -600,7 +672,7 @@ func TestRouterHammer(t *testing.T) {
 				case 3:
 					url = fmt.Sprintf("/v1/Q/sample?k=5&seed=%d", rng.Int63())
 				}
-				raw, code := exchange(f.rt.Handler(), "GET", url, "", "")
+				raw, code := exchange(f.front, "GET", url, "", "")
 				// Faults are injected, so 502 is legal; anything else must
 				// be a clean 200.
 				if code != 200 && code != http.StatusBadGateway {
@@ -736,18 +808,23 @@ func TestRequestIDCrossesTheHop(t *testing.T) {
 				req := httptest.NewRequest(method, url, nil)
 				req.Header.Set("X-Request-Id", id)
 				rec := httptest.NewRecorder()
-				f.rt.Handler().ServeHTTP(rec, req)
+				f.front.ServeHTTP(rec, req)
 				if rec.Code != 200 {
 					t.Fatalf("%s: %d %s", url, rec.Code, rec.Body)
 				}
 				return rec.Body.Bytes()
 			}
-			// A shard files a trace once the reply is written, so the router may
-			// hold the reply first: wait for the trace.
+			// A daemon files a trace once the reply is written, so the router
+			// may hold the reply first: wait for the trace. Shard -1 is the
+			// router.
 			traced := func(shard int, id string, want int) []string {
+				h := f.front
+				if shard >= 0 {
+					h = f.handlers[shard]
+				}
 				var eps []string
 				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-					raw, _ := exchange(f.handlers[shard], "GET", "/debug/traces?id="+id, "", "")
+					raw, _ := exchange(h, "GET", "/debug/traces?id="+id, "", "")
 					var tb struct {
 						Traces []struct{ ID, Endpoint string }
 					}
@@ -767,6 +844,11 @@ func TestRequestIDCrossesTheHop(t *testing.T) {
 			var cb struct{ Cursor string }
 			json.Unmarshal(do("POST", "/v1/Q/enum/start?order=random&seed=3", "start-8"), &cb)
 			do("GET", "/v1/Q/enum/next?n=64&cursor="+cb.Cursor, "draw-9")
+			for id, want := range map[string]string{"batch-7": "batch", "start-8": "enum_start", "draw-9": "enum_next"} {
+				if got := traced(-1, id, 1); len(got) != 1 || got[0] != want {
+					t.Errorf("router traces under %s: %v, want one %s", id, got, want)
+				}
+			}
 			for shard := range f.handlers {
 				if got := traced(shard, "batch-7", 1); len(got) != 1 || got[0] != "batch" {
 					t.Errorf("shard %d traces under batch-7: %v, want one batch", shard, got)

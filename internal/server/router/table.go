@@ -11,6 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/fenwick"
+	"repro/internal/server"
 )
 
 // table is one immutable view of the shard fleet: which daemons serve, what
@@ -30,33 +31,22 @@ type table struct {
 // unsharded global order (the library's partition contract), so global
 // position j lives on shard tree.FindPrefix(j) at local j-starts[shard].
 type route struct {
-	name   string
-	kind   string
-	text   string
-	head   []string
-	caps   []string
+	meta   server.Meta // shard 0's, its count aside
 	counts []int64
 	starts []int64
 	tree   *fenwick.Tree
 	total  int64
 	// The row legs' targets up to their first value, rendered once.
 	batchPath, pagePath string
+	// src is the query as a Source over this table, built once so a request
+	// resolves it without allocating.
+	src remote
 }
 
 // locate routes a global position to (shard, local position).
 func (rt *route) locate(j int64) (shard int, local int64) {
 	s := rt.tree.FindPrefix(j)
 	return s, j - rt.starts[s]
-}
-
-// shardMeta is the /v1/{query} response a shard daemon serves.
-type shardMeta struct {
-	Name         string   `json:"name"`
-	Kind         string   `json:"kind"`
-	Count        int64    `json:"count"`
-	Head         []string `json:"head"`
-	Query        string   `json:"query"`
-	Capabilities []string `json:"capabilities"`
 }
 
 type shardList struct {
@@ -133,7 +123,7 @@ func (r *Router) scrape(ctx context.Context) (*table, error) {
 			return nil, &shardError{shard: base, err: fmt.Errorf("serves %d queries, shard %s serves %d", len(list.Queries), bases[0], len(t.names))}
 		}
 		for _, name := range list.Queries {
-			var meta shardMeta
+			var meta server.Meta
 			if err := sh.doJSON(ctx, http.MethodGet, "/v1/"+name, nil, &meta); err != nil {
 				return nil, err
 			}
@@ -142,19 +132,16 @@ func (r *Router) scrape(ctx context.Context) (*table, error) {
 				if i != 0 {
 					return nil, &shardError{shard: base, err: fmt.Errorf("serves query %s unknown to shard %s", name, bases[0])}
 				}
+				meta.Name = name // the name the paths below are built from
 				rt = &route{
-					name:      name,
-					kind:      meta.Kind,
-					text:      meta.Query,
-					head:      meta.Head,
-					caps:      meta.Capabilities,
+					meta:      meta,
 					counts:    make([]int64, len(bases)),
 					batchPath: "/v1/" + name + "/batch?js=",
 					pagePath:  "/v1/" + name + "/page?offset=",
 				}
 				t.queries[name] = rt
-			} else if strings.Join(meta.Head, ",") != strings.Join(rt.head, ",") {
-				return nil, &shardError{shard: base, err: fmt.Errorf("query %s head %v disagrees with shard %s head %v", name, meta.Head, bases[0], rt.head)}
+			} else if strings.Join(meta.Head, ",") != strings.Join(rt.meta.Head, ",") {
+				return nil, &shardError{shard: base, err: fmt.Errorf("query %s head %v disagrees with shard %s head %v", name, meta.Head, bases[0], rt.meta.Head)}
 			}
 			if meta.Count < 0 {
 				return nil, &shardError{shard: base, err: fmt.Errorf("query %s reports count %d", name, meta.Count)}
@@ -168,12 +155,13 @@ func (r *Router) scrape(ctx context.Context) (*table, error) {
 			// The cross-process twin of the library's overflow check: past
 			// 2⁶³−1 the prefix sums would wrap and locate would route garbage.
 			if c > math.MaxInt64-rt.starts[i] {
-				return nil, &shardError{shard: bases[i], err: fmt.Errorf("query %s: count %d takes the fleet's total past int64: %w", rt.name, c, renum.ErrCountOverflow)}
+				return nil, &shardError{shard: bases[i], err: fmt.Errorf("query %s: count %d takes the fleet's total past int64: %w", rt.meta.Name, c, renum.ErrCountOverflow)}
 			}
 			rt.starts[i+1] = rt.starts[i] + c
 		}
 		rt.tree = fenwick.New(rt.counts)
 		rt.total = rt.tree.Total()
+		rt.src = remote{r: r, t: t, rt: rt}
 	}
 	return t, nil
 }

@@ -55,14 +55,17 @@
 //
 // # Layout
 //
-// Every probe op — count, access, batch, page, sample, contains, inverted
-// and the cursor ops — is implemented once, in the endpoint core (core.go):
-// a parsed request and a row Source in, response bytes out. The fast
-// connection loop (fastloop.go) and the net/http mux (this file) are
-// transports that parse and write; the daemon's Source is an Entry probed in
-// this process (local, below), the router's (internal/server/router) fetches
-// rows from shard daemons and runs the same core. Metadata, updates and the
-// admin surface are plain mux handlers.
+// Every probe op — count, access, batch, page, sample, contains, inverted,
+// update and the cursor ops — is implemented once, in the endpoint core
+// (core.go): a parsed request and a row Source in, response bytes out. A
+// Server (this file) is the front both daemons share: the request bracket
+// (per-endpoint instruments, trace ring, slow log), the operational and
+// catalog handlers, the ops mounted on the net/http mux, and the fast
+// connection loop (fastloop.go) in front of that mux. What it serves is a
+// Catalog: renumd's is a Registry whose every {query} is an Entry probed in
+// this process (daemon.go), the router's (internal/server/router) fetches rows
+// from shard daemons. Only the daemon adds routes of its own: the admin
+// surface.
 //
 // # Dispatch
 //
@@ -97,7 +100,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -108,7 +110,6 @@ import (
 
 	"repro"
 	"repro/internal/obs"
-	"repro/internal/wal"
 )
 
 // Config tunes a Server. The probe fan-out is configured on the Registry
@@ -117,12 +118,6 @@ import (
 type Config struct {
 	// CursorTTL evicts idle enumeration sessions (0 = 5 minutes).
 	CursorTTL time.Duration
-	// CursorSweep is the janitor period (0 = TTL/4, min 1s).
-	CursorSweep time.Duration
-	// MaxBatch bounds the positions of one /batch or /page request (0 = 1<<16).
-	MaxBatch int64
-	// MaxCursorDraw bounds n of one /enum/next call (0 = 1<<16).
-	MaxCursorDraw int64
 	// AdminDisabled turns the /admin endpoints off (serve-only daemon).
 	AdminDisabled bool
 	// SnapshotDir is where /admin/save persists catalog snapshots
@@ -138,73 +133,114 @@ type Config struct {
 	TraceBuffer int
 }
 
-// Server is the HTTP face of a Registry.
+// Server is the HTTP front of one daemon — renumd's over a Registry (New),
+// the router's over its shard fleet (NewFront).
 type Server struct {
-	reg     *Registry
-	cfg     Config
-	core    *Core[renum.Tuple]
-	metrics *metricsRecorder
-	obs     *obs.Registry
-	traces  *traceStore
-	logger  *slog.Logger
-	ready   atomic.Bool
-	mux     *http.ServeMux
+	// run resolves {query} and runs one op on it: admit, parse (through p,
+	// once the source is known), then the core.
+	run      func(ctx context.Context, name []byte, req *request, p parser, enc *enc, tr *traceRec) (body []byte, isWire bool, err error)
+	list     func() (names []string, gen uint64, err error)
+	ready    func() (ready bool, gen uint64)
+	cursors  func() int // the core's live cursors
+	stop     func()     // the core's Close
+	metrics  *metricsRecorder
+	obs      *obs.Registry
+	traces   *traceStore
+	logger   *slog.Logger
+	slowLog  time.Duration
+	draining atomic.Bool
+	mux      *http.ServeMux
 }
 
-// New wires a server around reg. Call Close when done to stop the cursor
-// janitor.
-//
-// New also installs the registry's observability hooks: per-query probe
-// histograms, build/WAL/compaction timings and generation counters all land
-// in the server's Prometheus registry (served at /metrics). The server
-// starts ready; operators sequence readiness explicitly with SetReady
-// around WAL replay and drain.
-func New(reg *Registry, cfg Config) *Server {
+// Catalog is what a front serves: how {query} resolves to a Source, which
+// queries there are, and whether they can be served.
+type Catalog[R Row] interface {
+	// Lookup resolves {query}. Its error is the response: a 404 for a name
+	// it does not serve, a 503 while it cannot tell.
+	Lookup(name []byte) (Source[R], error)
+	// List returns the served names, sorted, and their generation.
+	List() (names []string, gen uint64, err error)
+	// Ready reports whether every query can be served, and the generation.
+	Ready() (ready bool, gen uint64)
+}
+
+// NewFront returns a front over cat whose ops run on core, with the default
+// trace ring and no slow log. Close closes core.
+func NewFront[R Row](core *Core[R], cat Catalog[R]) *Server {
+	lookup := func(name []byte, _ *enc, _ *traceRec) (Source[R], error) { return cat.Lookup(name) }
+	return newServer(core, lookup, cat.List, cat.Ready, Config{})
+}
+
+// parser fills a request whose op is set from what its transport parsed.
+type parser interface {
+	parse(req *request, enc *enc) error
+}
+
+// newServer builds a front whose ops run on core over the sources lookup
+// resolves: into the request's scratch for the daemon, ignoring it for a
+// Catalog.
+func newServer[R Row](core *Core[R], lookup func(name []byte, enc *enc, tr *traceRec) (Source[R], error),
+	list func() ([]string, uint64, error), ready func() (bool, uint64), cfg Config) *Server {
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
 	}
-	obsReg := obs.NewRegistry()
+	reg := obs.NewRegistry()
 	s := &Server{
-		reg: reg,
-		cfg: cfg,
-		core: NewCore[renum.Tuple](Limits{
-			MaxBatch: cfg.MaxBatch, MaxCursorDraw: cfg.MaxCursorDraw,
-			CursorTTL: cfg.CursorTTL, CursorSweep: cfg.CursorSweep,
-		}),
-		metrics: newMetricsRecorder(obsReg),
-		obs:     obsReg,
+		run: func(ctx context.Context, name []byte, req *request, p parser, enc *enc, tr *traceRec) ([]byte, bool, error) {
+			src, err := lookup(name, enc, tr)
+			if err == nil {
+				if tr != nil {
+					tr.query = src.Name()
+				}
+				err = admit(req.op, src)
+			}
+			if err == nil {
+				err = p.parse(req, enc)
+			}
+			if err != nil {
+				return nil, false, err
+			}
+			return core.do(ctx, src, req, enc)
+		},
+		list:    list,
+		ready:   ready,
+		cursors: core.LiveCursors,
+		stop:    core.Close,
+		metrics: newMetricsRecorder(reg),
+		obs:     reg,
 		traces:  newTraceStore(cfg.TraceBuffer),
 		logger:  logger,
+		slowLog: cfg.SlowLog,
 		mux:     http.NewServeMux(),
 	}
-	s.ready.Store(true)
 	s.registerCollectors()
-	reg.SetObserver(newServerObserver(obsReg, reg))
-	s.route("GET /healthz", "healthz", s.handleHealthz)
+	s.route("GET /healthz", "healthz", func(w http.ResponseWriter, _ *http.Request) error {
+		return writeNegotiated(w, healthzBody, false)
+	})
 	s.route("GET /readyz", "readyz", s.handleReadyz)
 	s.route("GET /metrics", "metrics", s.handleMetrics)
 	s.route("GET /debug/traces", "debug_traces", s.handleDebugTraces)
 	s.route("GET /v1", "list", s.handleList)
-	s.route("GET /v1/{query}", "meta", s.entry(s.handleMeta))
-	s.op("GET /v1/{query}/count", OpCount)
-	s.op("GET /v1/{query}/access", OpAccess)
-	s.op("GET /v1/{query}/batch", OpBatch)
-	s.op("POST /v1/{query}/batch", OpBatch)
-	s.op("GET /v1/{query}/page", OpPage)
-	s.op("GET /v1/{query}/sample", OpSample)
-	s.op("POST /v1/{query}/contains", OpContains)
-	s.op("POST /v1/{query}/inverted", OpInverted)
-	s.route("POST /v1/{query}/update", "update", s.entry(s.handleUpdate))
-	s.op("POST /v1/{query}/enum/start", OpEnumStart)
-	s.op("GET /v1/{query}/enum/next", OpEnumNext)
-	s.op("DELETE /v1/{query}/enum", OpEnumClose)
-	if !cfg.AdminDisabled {
-		s.route("POST /admin/load", "admin_load", s.handleAdminLoad)
-		s.route("POST /admin/register", "admin_register", s.handleAdminRegister)
-		s.route("POST /admin/rebuild", "admin_rebuild", s.handleAdminRebuild)
-		s.route("POST /admin/save", "admin_save", s.handleAdminSave)
-		s.route("POST /admin/compact", "admin_compact", s.handleAdminCompact)
+	for _, m := range []struct {
+		pattern string
+		op      Op
+	}{
+		{"GET /v1/{query}", OpMeta},
+		{"GET /v1/{query}/count", OpCount},
+		{"GET /v1/{query}/access", OpAccess},
+		{"GET /v1/{query}/batch", OpBatch},
+		{"POST /v1/{query}/batch", OpBatch},
+		{"GET /v1/{query}/page", OpPage},
+		{"GET /v1/{query}/sample", OpSample},
+		{"POST /v1/{query}/contains", OpContains},
+		{"POST /v1/{query}/inverted", OpInverted},
+		{"POST /v1/{query}/update", OpUpdate},
+		{"POST /v1/{query}/enum/start", OpEnumStart},
+		{"GET /v1/{query}/enum/next", OpEnumNext},
+		{"DELETE /v1/{query}/enum", OpEnumClose},
+	} {
+		s.op(m.pattern, m.op)
 	}
 	return s
 }
@@ -212,24 +248,34 @@ func New(reg *Registry, cfg Config) *Server {
 // Handler returns the root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Metrics returns the registry /metrics serves, for families of the
+// daemon's own.
+func (s *Server) Metrics() *obs.Registry { return s.obs }
+
 // SetReady flips the /readyz verdict. The daemon sets it false at the top
 // of a drain so load balancers stop routing new work before the listener
 // goes away, and (already true by default) leaves it true once boot — WAL
 // replay included — has finished.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
+func (s *Server) SetReady(ready bool) { s.draining.Store(!ready) }
 
 // Ready reports the /readyz verdict: the operator has not started a drain
-// AND the registry is serving a published generation with at least one
-// entry (a daemon serving nothing is not ready for traffic).
+// AND the catalog can serve — for renumd, a published generation with at
+// least one entry (a daemon serving nothing is not ready for traffic).
 func (s *Server) Ready() bool {
-	return s.ready.Load() && s.reg.EntryCount() > 0
+	ready, _ := s.readiness()
+	return ready
+}
+
+func (s *Server) readiness() (bool, uint64) {
+	ready, gen := s.ready()
+	return ready && !s.draining.Load(), gen
 }
 
 // Close stops background work (cursor janitor) and marks the server
-// unready. In-flight requests are the http.Server's business.
+// unready. In-flight requests are the transport's business.
 func (s *Server) Close() {
-	s.ready.Store(false)
-	s.core.Close()
+	s.draining.Store(true)
+	s.stop()
 }
 
 // ------------------------------------------------------------------ errors
@@ -244,7 +290,7 @@ func (e *httpError) Error() string { return e.msg }
 
 func (e *httpError) HTTPStatus() int { return e.status }
 
-// HTTPErrorf returns an error that WriteError renders with the given status.
+// HTTPErrorf returns an error that writeError renders with the given status.
 func HTTPErrorf(status int, format string, args ...any) error {
 	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
 }
@@ -291,8 +337,8 @@ func errorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// WriteError renders err as the {"error": msg} response under its status.
-func WriteError(w http.ResponseWriter, err error) {
+// writeError renders err as the {"error": msg} response under its status.
+func writeError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(errorStatus(err))
 	e := getEnc()
@@ -348,7 +394,7 @@ func (s *Server) end(b bracket, err error, wrote int64) (d time.Duration, status
 		b.tr.finish(status, d)
 		s.traces.push(b.tr)
 	}
-	return d, status, s.cfg.SlowLog > 0 && d >= s.cfg.SlowLog
+	return d, status, s.slowLog > 0 && d >= s.slowLog
 }
 
 // logSlow emits one structured line for a request over the SlowLog
@@ -384,7 +430,7 @@ func (s *Server) route(pattern, name string, h func(w http.ResponseWriter, r *ht
 		}
 		err := h(cw, r)
 		if err != nil {
-			WriteError(cw, err)
+			writeError(cw, err)
 		}
 		if d, status, slow := s.end(b, err, cw.n); slow {
 			s.logSlow(name, r.URL.Path, r.PathValue("query"), reqID, d, status)
@@ -394,10 +440,10 @@ func (s *Server) route(pattern, name string, h func(w http.ResponseWriter, r *ht
 	})
 }
 
-// WriteJSON is the reflection-based fallback for cold, registry-shaped
-// endpoints (meta, list, metrics, admin). Hot probe responses go through the
-// pooled builders in encode.go instead.
-func WriteJSON(w http.ResponseWriter, v any) error {
+// writeJSON is the reflection-based fallback for cold, registry-shaped
+// endpoints (list, traces, admin). Hot probe responses go through the pooled
+// builders in encode.go instead.
+func writeJSON(w http.ResponseWriter, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	return json.NewEncoder(w).Encode(v)
 }
@@ -447,235 +493,40 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// ------------------------------------------------------------ local source
-
-// view is everything a handler needs from ONE atomic snapshot load: the
-// entry's generation-mates. Resolving the entry and the dictionary with
-// separate loads is a race — a concurrent /admin rebuild can publish a new
-// generation between them, pairing an old entry with a new database —
-// so a request builds the view once and never goes back to the registry.
-type view struct {
-	e  *Entry
-	db *renum.Database
-}
-
-// lookup resolves {query} against the current snapshot.
-func (s *Server) lookup(r *http.Request) (view, error) {
-	name := r.PathValue("query")
-	e, db, _, ok := s.reg.LookupView(name)
-	if !ok {
-		return view{}, NoQuery(name, s.reg.Names())
-	}
-	if tr := traceFrom(r.Context()); tr != nil {
-		tr.query = e.Name
-	}
-	return view{e: e, db: db}, nil
-}
-
-// entry resolves {query} before a cold handler, which receives the entry
-// and its same-snapshot view.
-func (s *Server) entry(h func(w http.ResponseWriter, r *http.Request, e *Entry, v view) error) func(http.ResponseWriter, *http.Request) error {
-	return func(w http.ResponseWriter, r *http.Request) error {
-		v, err := s.lookup(r)
-		if err != nil {
-			return err
-		}
-		return h(w, r, v.e, v)
-	}
-}
-
-// op mounts one core op on the mux: resolve the entry, then the core's
-// net/http transport over the local source.
+// op mounts one core op on the mux.
 func (s *Server) op(pattern string, op Op) {
 	s.route(pattern, opNames[op], func(w http.ResponseWriter, r *http.Request) error {
-		v, err := s.lookup(r)
+		enc := getEnc()
+		defer enc.release()
+		req := request{op: op}
+		body, isWire, err := s.run(r.Context(), []byte(r.PathValue("query")), &req, httpRequest{r}, enc, traceFrom(r.Context()))
 		if err != nil {
 			return err
 		}
-		enc := getEnc()
-		defer enc.release()
-		return s.core.serve(w, r, op, &local{view: v, enc: enc, tr: traceFrom(r.Context())}, enc)
+		return writeNegotiated(w, body, isWire)
 	})
 }
 
-// local is the daemon's Source: one entry probed in this process. Every
-// probe dispatches through the entry's renum.Handle and discovers optional
-// facilities via capabilities, so a probe the backend cannot serve fails
-// with renum.ErrUnsupported — there is no backend type switch here. enc is
-// the request's pooled scratch and tr its trace (nil when untraced); the
-// cursor draw functions capture neither.
-type local struct {
-	view
-	enc *enc
-	tr  *traceRec
-}
+// httpRequest parses a mux request: its query string, or its JSON body.
+type httpRequest struct{ r *http.Request }
 
-func (l *local) Name() string                { return l.e.Name }
-func (l *local) Kind() string                { return l.e.Kind() }
-func (l *local) Has(c renum.Capability) bool { return l.e.H.Has(c) }
-func (l *local) Count() int64                { return l.e.Count() }
-func (l *local) Arity() int                  { return len(l.e.Head()) }
-func (l *local) Dict() *renum.Dict           { return l.db.Dict() }
-
-// Probe picks the op's per-query histogram (all nil for observer-less
-// registries) and names the span: batch and page interleave probe and encode,
-// so theirs is "build".
-func (l *local) Probe(op Op) ProbeClock {
-	qm := l.e.qm
-	if qm == nil {
-		qm = &obs.ProbeOps{}
-	}
-	switch op {
-	case OpCount:
-		return startProbe(qm.Count, l.tr, "probe")
-	case OpAccess:
-		return startProbe(qm.Access, l.tr, "probe")
-	case OpBatch:
-		return startProbe(qm.Batch, l.tr, "build")
-	case OpPage:
-		return startProbe(qm.Page, l.tr, "build")
-	case OpSample:
-		return startProbe(qm.Sample, l.tr, "probe")
-	case OpEnumNext:
-		return startProbe(qm.Cursor, l.tr, "probe")
-	}
-	return ProbeClock{}
-}
-
-func (l *local) Access(_ context.Context, j int64) (renum.Tuple, error) {
-	// Probe into the pooled scratch row — no []Tuple, no per-request answer
-	// allocation.
-	t := l.enc.rowFor(l.Arity())
-	return t, l.e.H.AccessInto(j, t)
-}
-
-// streamBatchThreshold: a batch or page at or below this many positions is
-// one AccessBatchInto into the pooled scratch rows — the library's own
-// AccessBatch is serial below its chunk threshold anyway, so no parallelism
-// is lost, the probes still descend the index as a group, and the
-// per-request []Tuple materialization is gone. Larger ones keep
-// AccessBatchContext's parallel fan-out.
-const streamBatchThreshold = 256
-
-func (l *local) Batch(ctx context.Context, js []int64) ([]renum.Tuple, error) {
-	// An out-of-range position takes the batch-probe path so the error is
-	// the probe's own.
-	if len(js) > streamBatchThreshold || !jsInRange(js, l.e.Count()) {
-		return l.e.accessBatch(ctx, js)
-	}
-	// One streamed batch is one chunk: honor cancellation at its boundary,
-	// exactly like AccessBatchContext does between chunks.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rows := l.enc.rowsFor(len(js), l.Arity())
-	return rows, l.e.H.AccessBatchInto(js, rows)
-}
-
-// jsInRange reports whether every position can be probed right now.
-func jsInRange(js []int64, n int64) bool {
-	for _, j := range js {
-		if j < 0 || j >= n {
-			return false
-		}
-	}
-	return true
-}
-
-func (l *local) Page(ctx context.Context, offset, k int64) ([]renum.Tuple, error) {
-	if k > streamBatchThreshold {
-		// Large pages keep Handle.Page's parallel fan-out (and its context
-		// propagation between probe chunks).
-		return l.e.H.PageContext(ctx, offset, k)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	js := l.enc.jsFor()
-	for j := offset; j < offset+k; j++ {
-		js = append(js, j)
-	}
-	l.enc.js = js // keep what append grew
-	rows := l.enc.rowsFor(len(js), l.Arity())
-	return rows, l.e.H.AccessBatchInto(js, rows)
-}
-
-func (l *local) Pager() func(context.Context, int64, int64) ([]renum.Tuple, error) {
-	return l.e.H.PageContext
-}
-
-// Sample draws k answers: distinct for cq/ucq, with replacement for dynamic.
-func (l *local) Sample(_ context.Context, k int64, rng *rand.Rand) ([]renum.Tuple, bool, error) {
-	smp, err := l.e.H.Sampler()
-	if err != nil {
-		return nil, false, err
-	}
-	ts, err := smp.SampleN(k, rng)
-	return ts, !smp.Distinct(), err
-}
-
-// Permute's draws are atomic: the permutation consumes its shuffle positions
-// up front, so aborting mid-batch would silently lose those answers for
-// every later request — violating each-answer-exactly-once. Cancellation is
-// honored *between* draws (bounded by MaxCursorDraw per draw), never inside
-// one.
-func (l *local) Permute(rng *rand.Rand) (func(context.Context, int64) ([]renum.Tuple, error), error) {
-	p, err := l.e.H.Permute(rng)
-	if err != nil {
-		return nil, err
-	}
-	return func(ctx context.Context, k int64) ([]renum.Tuple, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return p.NextN(k), nil
-	}, nil
-}
-
-// Contains and Inverted intern nothing: a value absent from the dictionary
-// cannot be part of any answer, so it short-circuits to "not an answer"
-// without growing the dictionary on attacker-chosen input.
-func (l *local) Contains(_ context.Context, cells []string) (bool, error) {
-	t, known := lookupCells(l.db.Dict(), cells)
-	if !known {
-		return false, nil
-	}
-	c, err := l.e.H.Container()
-	if err != nil {
-		return false, err
-	}
-	return c.Contains(t), nil
-}
-
-func (l *local) Inverted(_ context.Context, cells []string) (int64, bool, error) {
-	t, known := lookupCells(l.db.Dict(), cells)
-	if !known {
-		return 0, false, nil
-	}
-	inv, err := l.e.H.Inverter()
-	if err != nil {
-		return 0, false, err
-	}
-	j, found := inv.InvertedAccess(t)
-	return j, found, nil
-}
+func (h httpRequest) parse(req *request, enc *enc) error { return parseHTTP(req, h.r, enc) }
 
 // ---------------------------------------------------------------- handlers
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
-	return WriteHealthz(w)
-}
-
-// WriteHealthz answers a liveness probe.
-func WriteHealthz(w http.ResponseWriter) error { return writeNegotiated(w, healthzBody, false) }
-
 // handleReadyz reports whether the daemon should receive traffic: liveness
-// (healthz) says the process runs; readiness says it serves — a published
-// generation with entries, WAL replay finished (the daemon sequences that
-// before listening), and no drain in progress.
+// (healthz) says the process runs; readiness says it serves — for renumd, a
+// published generation with entries, WAL replay finished (the daemon
+// sequences that before listening), and no drain in progress.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
-	_, gen := s.reg.Snapshot()
-	return WriteReadyz(w, s.Ready(), gen)
+	enc := getEnc()
+	defer enc.release()
+	ready, gen := s.readiness()
+	status, body := readyzResponse(enc.buf, ready, gen)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, err := w.Write(body)
+	return err
 }
 
 // readyzResponse renders a readiness verdict. Unready is 503 so load
@@ -688,144 +539,10 @@ func readyzResponse(dst []byte, ready bool, gen uint64) (status int, body []byte
 	return status, appendReadyzBody(dst, ready, gen)
 }
 
-// WriteReadyz answers a readiness probe.
-func WriteReadyz(w http.ResponseWriter, ready bool, gen uint64) error {
-	enc := getEnc()
-	defer enc.release()
-	status, body := readyzResponse(enc.buf, ready, gen)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, err := w.Write(body)
-	return err
-}
-
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) error {
-	_, gen := s.reg.Snapshot()
-	return WriteJSON(w, map[string]any{"queries": s.reg.Names(), "generation": gen})
-}
-
-func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	return WriteJSON(w, map[string]any{
-		"name":         e.Name,
-		"kind":         e.Kind(),
-		"count":        e.Count(),
-		"head":         e.Head(),
-		"query":        e.Text,
-		"capabilities": e.H.Capabilities(),
-	})
-}
-
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, e *Entry, v view) error {
-	if _, err := e.H.Updater(); err != nil {
-		return err // static index: 501 via ErrUnsupported
-	}
-	var body struct {
-		Op       string   `json:"op"`
-		Relation string   `json:"relation"`
-		Tuple    []string `json:"tuple"`
-	}
-	if err := decodeBody(r, &body); err != nil {
-		return err
-	}
-	var op wal.Op
-	switch body.Op {
-	case "insert":
-		op = wal.OpInsert
-	case "delete":
-		op = wal.OpDelete
-	default:
-		return HTTPErrorf(http.StatusBadRequest, "op must be insert or delete, got %q", body.Op)
-	}
-	// ApplyUpdate validates the target relation and arity before interning,
-	// logging, or applying anything — an insert aimed at a relation the
-	// query never joins must not grow the append-only dictionary (the same
-	// unbounded-memory attack the delete path always defended against).
-	// Under its update mutex it re-resolves the entry and dictionary from
-	// one snapshot load, so a compaction or rebuild publishing between this
-	// handler's view and the apply cannot strand the update in a superseded
-	// handle or split entry and dictionary across generations. When a WAL is
-	// attached, the record is durable before the index changes and this
-	// response is the acknowledgment.
-	changed, err := s.reg.ApplyUpdate(e, v.db, op, body.Relation, body.Tuple)
-	if err != nil {
-		if errors.Is(err, errWALAppend) || renum.IsUnsupported(err) {
-			return err // 500 / 501 via the route error mapper
-		}
-		return HTTPErrorf(http.StatusBadRequest, "%v", err)
-	}
-	enc := getEnc()
-	defer enc.release()
-	return writeNegotiated(w, appendChangedBody(enc.buf, changed, e.Count()), false)
-}
-
-func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) error {
-	var body struct {
-		Name string `json:"name"`
-		CSV  string `json:"csv"`
-	}
-	if err := decodeBody(r, &body); err != nil {
-		return err
-	}
-	if body.Name == "" {
-		return HTTPErrorf(http.StatusBadRequest, "name is required")
-	}
-	if err := s.reg.LoadTable(body.Name, strings.NewReader(body.CSV)); err != nil {
-		return HTTPErrorf(http.StatusBadRequest, "%v", err)
-	}
-	return WriteJSON(w, map[string]any{"loaded": body.Name})
-}
-
-func (s *Server) handleAdminRegister(w http.ResponseWriter, r *http.Request) error {
-	var body struct {
-		Program string `json:"program"`
-		Dynamic bool   `json:"dynamic"`
-	}
-	if err := decodeBody(r, &body); err != nil {
-		return err
-	}
-	names, err := s.reg.Register(body.Program, body.Dynamic)
-	if err != nil {
-		return HTTPErrorf(http.StatusBadRequest, "%v", err)
-	}
-	return WriteJSON(w, map[string]any{"registered": names})
-}
-
-func (s *Server) handleAdminSave(w http.ResponseWriter, r *http.Request) error {
-	if s.cfg.SnapshotDir == "" {
-		return HTTPErrorf(http.StatusBadRequest, "snapshot saving is not configured (start the daemon with -snapshot-dir)")
-	}
-	path, gen, skipped, err := s.reg.SaveSnapshot(s.cfg.SnapshotDir)
+	names, gen, err := s.list()
 	if err != nil {
 		return err
 	}
-	if skipped == nil {
-		skipped = []string{}
-	}
-	return WriteJSON(w, map[string]any{"saved": path, "generation": gen, "skipped": skipped})
-}
-
-// handleAdminCompact folds the WAL into a fresh snapshot generation (see
-// Registry.Compact). It needs both a WAL (-wal-dir) and a snapshot dir.
-func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) error {
-	if s.cfg.SnapshotDir == "" {
-		return HTTPErrorf(http.StatusBadRequest, "snapshot saving is not configured (start the daemon with -snapshot-dir)")
-	}
-	gen, folded, err := s.reg.Compact(s.cfg.SnapshotDir)
-	if err != nil {
-		if errors.Is(err, errNoWAL) {
-			return HTTPErrorf(http.StatusBadRequest, "%v", err)
-		}
-		// Snapshot-write, rotation, or rebuild-aside failures are server
-		// faults, not client mistakes: 500 via the route error mapper.
-		return err
-	}
-	return WriteJSON(w, map[string]any{"generation": gen, "folded": folded})
-}
-
-func (s *Server) handleAdminRebuild(w http.ResponseWriter, r *http.Request) error {
-	if err := s.reg.Rebuild(); err != nil {
-		return HTTPErrorf(http.StatusBadRequest, "%v", err)
-	}
-	_, gen := s.reg.Snapshot()
-	return WriteJSON(w, map[string]any{"rebuilt": true, "generation": gen})
+	return writeJSON(w, map[string]any{"queries": names, "generation": gen})
 }

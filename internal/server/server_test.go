@@ -51,10 +51,10 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *Registry) {
 	return s, reg
 }
 
-// renderTuple maps a tuple through the server's current dictionary (test
+// renderTuple maps a tuple through the registry's current dictionary (test
 // convenience; handlers use their per-request view instead).
-func (s *Server) renderTuple(t renum.Tuple) []string {
-	db, _ := s.reg.Snapshot()
+func renderTuple(reg *Registry, t renum.Tuple) []string {
+	db, _ := reg.Snapshot()
 	out := make([]string, len(t))
 	for i, v := range t {
 		out[i] = db.Dict().String(v)
@@ -135,7 +135,7 @@ func TestAccessMatchesLibrary(t *testing.T) {
 			m := do(t, s, "GET", fmt.Sprintf("/v1/%s/access?j=%d", name, j), "", 200)
 			got := m["answer"].([]any)
 			for i, v := range want {
-				if got[i] != s.renderTuple(renum.Tuple{v})[0] {
+				if got[i] != renderTuple(reg, renum.Tuple{v})[0] {
 					t.Fatalf("%s access(%d) = %v, want %v", name, j, got, want)
 				}
 			}
@@ -209,7 +209,7 @@ func TestContainsAndInverted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := s.renderTuple(want)
+	cells := renderTuple(reg, want)
 	quoted, err := json.Marshal(cells)
 	if err != nil {
 		t.Fatal(err)

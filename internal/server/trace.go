@@ -7,7 +7,8 @@
 // names), pushed into a bounded mutex ring whose evictions recycle back
 // into the pool; steady-state tracing therefore allocates only what the
 // stdlib context plumbing does on the mux path and nothing at all on the
-// fast loop.
+// fast loop. The record also carries the id across the router's hop: every
+// shard leg sends RequestID(ctx).
 package server
 
 import (
@@ -184,6 +185,29 @@ func traceFrom(ctx context.Context) *traceRec {
 	return tr
 }
 
+// tracedCtx carries a request's trace (nil when untraced) on the fast loop,
+// which keeps one per connection: the context costs no allocation.
+type tracedCtx struct {
+	context.Context
+	tr *traceRec
+}
+
+func (c *tracedCtx) Value(key any) any {
+	if key == (traceCtxKey{}) {
+		return c.tr
+	}
+	return c.Context.Value(key)
+}
+
+// RequestID returns the X-Request-Id of the traced request ctx belongs to,
+// truncated like its trace record; nil when the request is untraced.
+func RequestID(ctx context.Context) []byte {
+	if tr := traceFrom(ctx); tr != nil {
+		return tr.id[:tr.idLen]
+	}
+	return nil
+}
+
 // handleDebugTraces serves the ring: ?id= filters by request id, ?n=
 // bounds the result (default all buffered, newest first).
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) error {
@@ -192,7 +216,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	return WriteJSON(w, map[string]any{
+	return writeJSON(w, map[string]any{
 		"traces":  s.traces.snapshot(q.Get("id"), int(n)),
 		"dropped": s.traces.dropped(),
 	})

@@ -260,7 +260,8 @@ func TestUpdateWithStaleViewAfterCompact(t *testing.T) {
 
 	// The in-flight handler's lock-free view, resolved BEFORE the
 	// compaction publishes.
-	stale, staleDB, gen0, ok := reg.LookupView("D")
+	_, gen0 := reg.Snapshot()
+	stale, staleDB, ok := reg.lookupViewBytes([]byte("D"))
 	if !ok {
 		t.Fatal("no entry D")
 	}
