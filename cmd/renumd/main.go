@@ -186,7 +186,12 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 			// shards in a compose stack.
 			fmt.Fprintln(stdout, "renumd: shards not ready yet; serving 503 until the fleet scrapes ready")
 		}
-		listening := fmt.Sprintf("renumd: router listening on %s (%d shards)", *addr, len(shards))
+		// A -shards-from fleet is whatever the file lists at each scrape.
+		fleet := fmt.Sprintf("%d shards", len(shards))
+		if *shardsFrom != "" {
+			fleet = "shards from " + *shardsFrom
+		}
+		listening := fmt.Sprintf("renumd: router listening on %s (%s)", *addr, fleet)
 		return serve(rt.Server, *addr, listening, *drainTimeout, nil, nil, stdout, stderr)
 	}
 	var sliceIdx, sliceOf int

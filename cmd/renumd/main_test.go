@@ -186,3 +186,27 @@ func TestWALFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterListeningLineNamesFleet: the router's listening line reports the
+// fleet it routes — the -shard count, or the -shards-from file it re-reads.
+func TestRouterListeningLineNamesFleet(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "shards.txt")
+	if err := os.WriteFile(file, []byte("http://"+freeAddr(t)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shards-from", file}, "(shards from " + file + ")"},
+		{[]string{"-shard", "http://" + freeAddr(t), "-shard", "http://" + freeAddr(t)}, "(2 shards)"},
+	} {
+		d := startDaemon(t, append([]string{"-router", "-shard-refresh", "1h"}, c.args...)...)
+		if want := "renumd: router listening on " + d.addr + " " + c.want; !strings.Contains(d.out.String(), want) {
+			t.Errorf("router output lacks %q:\n%s", want, d.out.String())
+		}
+		if code := d.stop(t); code != 0 {
+			t.Fatalf("router exit %d: %s", code, d.out.String())
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Package obs is the observability core: lock-free, fixed-footprint
-// instruments (counters, gauges, log-bucketed latency histograms), a
-// small Prometheus-text registry that exposes them, and an Observer
-// hook surface that lets the probe/build/compaction paths emit timing
-// without importing HTTP.
+// instruments (counters, gauges, log-bucketed latency histograms) and a
+// small Prometheus-text registry that exposes them. The serving tier's
+// registry creates its instruments here when it is constructed, so every
+// build it runs — the boot build included — is recorded.
 //
 // Design constraints, in order:
 //

@@ -206,22 +206,3 @@ func TestHistogramEmptyAndEdge(t *testing.T) {
 		t.Fatalf("p100 %v want max int64", q)
 	}
 }
-
-func TestObserverNilSafe(t *testing.T) {
-	var o *Observer
-	o.ObserveBuild("q", "total", time.Second)
-	o.ObserveWALAppend(10, time.Millisecond)
-	o.ObserveWALFsync(time.Millisecond)
-	o.ObserveSnapshotSave(1, time.Millisecond)
-	o.ObserveCompaction(time.Millisecond, 3)
-	o.ObservePublish(2)
-	if o.Ops("q") != nil {
-		t.Fatal("nil observer must resolve nil ops")
-	}
-	// Zero-valued observer too.
-	o = &Observer{}
-	o.ObserveBuild("q", "total", time.Second)
-	if o.Ops("q") != nil {
-		t.Fatal("zero observer must resolve nil ops")
-	}
-}

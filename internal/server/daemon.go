@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -26,11 +25,11 @@ type daemon struct {
 // New wires a server around reg. Call Close when done to stop the cursor
 // janitor.
 //
-// New also installs the registry's observability hooks: per-query probe
-// histograms, build/WAL/compaction timings and generation counters all land
-// in the server's Prometheus registry (served at /metrics). The server
-// starts ready; operators sequence readiness explicitly with SetReady
-// around WAL replay and drain.
+// The server's /metrics serves the registry's own instruments — per-query
+// probe histograms, build (the boot build included), plan-search, WAL,
+// compaction and generation series — beside the front's request families.
+// The server starts ready; operators sequence readiness explicitly with
+// SetReady around WAL replay and drain.
 func New(reg *Registry, cfg Config) *Server {
 	d := &daemon{reg: reg, snapshotDir: cfg.SnapshotDir}
 	list := func() ([]string, uint64, error) {
@@ -41,9 +40,7 @@ func New(reg *Registry, cfg Config) *Server {
 		_, gen := reg.Snapshot()
 		return reg.EntryCount() > 0, gen
 	}
-	s := newServer(NewCore[renum.Tuple](cfg.CursorTTL), d.lookup, list, ready, cfg)
-	reg.SetObserver(newServerObserver(s.obs, reg))
-	registerWALCollectors(s.obs, reg)
+	s := newServer(NewCore[renum.Tuple](cfg.CursorTTL), reg.m.reg, d.lookup, list, ready, cfg)
 	if !cfg.AdminDisabled {
 		s.route("POST /admin/load", "admin_load", d.handleAdminLoad)
 		s.route("POST /admin/register", "admin_register", d.handleAdminRegister)
@@ -97,27 +94,23 @@ func (l *local) Meta() Meta {
 	return Meta{Capabilities: l.e.H.Capabilities(), Count: l.e.Count(), Head: l.e.Head(), Kind: l.e.Kind(), Name: l.e.Name, Query: l.e.Text}
 }
 
-// Probe picks the op's per-query histogram (all nil for observer-less
-// registries) and names the span: batch and page interleave probe and encode,
-// so theirs is "build".
+// Probe picks the op's per-query histogram and names the span: batch and
+// page interleave probe and encode, so theirs is "build".
 func (l *local) Probe(op Op) ProbeClock {
 	qm := l.e.qm
-	if qm == nil {
-		qm = &obs.ProbeOps{}
-	}
 	switch op {
 	case OpCount:
-		return startProbe(qm.Count, l.tr, "probe")
+		return startProbe(qm.count, l.tr, "probe")
 	case OpAccess:
-		return startProbe(qm.Access, l.tr, "probe")
+		return startProbe(qm.access, l.tr, "probe")
 	case OpBatch:
-		return startProbe(qm.Batch, l.tr, "build")
+		return startProbe(qm.batch, l.tr, "build")
 	case OpPage:
-		return startProbe(qm.Page, l.tr, "build")
+		return startProbe(qm.page, l.tr, "build")
 	case OpSample:
-		return startProbe(qm.Sample, l.tr, "probe")
+		return startProbe(qm.sample, l.tr, "probe")
 	case OpEnumNext:
-		return startProbe(qm.Cursor, l.tr, "probe")
+		return startProbe(qm.cursor, l.tr, "probe")
 	}
 	return ProbeClock{}
 }
@@ -141,7 +134,7 @@ func (l *local) Batch(ctx context.Context, js []int64) ([]renum.Tuple, error) {
 	// An out-of-range position takes the batch-probe path so the error is
 	// the probe's own.
 	if len(js) > streamBatchThreshold || !jsInRange(js, l.e.Count()) {
-		return l.e.accessBatch(ctx, js)
+		return l.e.H.AccessBatchContext(ctx, js)
 	}
 	// One streamed batch is one chunk: honor cancellation at its boundary,
 	// exactly like AccessBatchContext does between chunks.

@@ -142,7 +142,7 @@ func TestRebuildKeepsOldSnapshotCoherent(t *testing.T) {
 	s, reg := newTestServer(t, Config{})
 	old, _ := reg.Lookup("Q")
 	oldCount := old.Count()
-	oldFirst, err := old.access(0)
+	oldFirst, err := old.H.Access(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestRebuildKeepsOldSnapshotCoherent(t *testing.T) {
 	if old.Count() != oldCount {
 		t.Fatalf("old snapshot count changed: %d", old.Count())
 	}
-	gotFirst, err := old.access(0)
+	gotFirst, err := old.H.Access(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,85 +13,106 @@ import (
 	"strconv"
 	"time"
 
+	"repro"
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
-// newServerObserver builds the obs.Observer the registry emits into: build,
-// plan-search, WAL, snapshot, compaction and publish timings, plus per-query
-// probe histograms resolved once per entry.
-func newServerObserver(reg *obs.Registry, r *Registry) *obs.Observer {
+// registryMetrics are a Registry's instruments, created with it: build,
+// plan-search, WAL, snapshot, compaction and publish timings. Per-query
+// series (build stages, plan searches, probe histograms) are resolved when
+// an entry is built — the boot build included — never per request.
+type registryMetrics struct {
+	reg *obs.Registry
+
+	snapSave, compact, planDur   *obs.Histogram
+	compactFolded, published     *obs.Counter
+	planCandidates, planImproved *obs.Counter
+	walHooks                     wal.Hooks // fed to every segment the registry opens
+}
+
+func newRegistryMetrics(r *Registry) registryMetrics {
+	reg := obs.NewRegistry()
 	walAppend := reg.Histogram("renum_wal_append_duration_seconds",
 		"WAL record write latency (encode+write, fsync excluded).", "")
 	walAppendBytes := reg.Counter("renum_wal_append_bytes_total",
 		"Bytes appended to the write-ahead log.", "")
-	walFsync := reg.Histogram("renum_wal_fsync_duration_seconds",
-		"WAL fsync latency.", "")
-	snapSave := reg.Histogram("renum_snapshot_save_duration_seconds",
-		"Snapshot generation write latency.", "")
-	compact := reg.Histogram("renum_compaction_duration_seconds",
-		"WAL-fold compaction latency (rebuild aside + snapshot + rotate + publish).", "")
-	compactFolded := reg.Counter("renum_compaction_records_folded_total",
-		"WAL records folded into snapshot generations by compaction.", "")
-	published := reg.Counter("renum_generations_published_total",
-		"Registry generations published (snapshot pointer swaps).", "")
-	planCandidates := reg.Counter("renum_plan_candidates_total",
-		"Candidate join trees costed by the planner across all searches.", "")
-	planImproved := reg.Counter("renum_plan_improved_total",
-		"Planner searches that chose a tree strictly cheaper than the as-parsed one.", "")
-	planDur := reg.Histogram("renum_plan_search_duration_seconds",
-		"Planner search latency (candidate enumeration + costing), at entry build time.", "")
+	m := registryMetrics{
+		reg: reg,
+		snapSave: reg.Histogram("renum_snapshot_save_duration_seconds",
+			"Snapshot generation write latency.", ""),
+		compact: reg.Histogram("renum_compaction_duration_seconds",
+			"WAL-fold compaction latency (rebuild aside + snapshot + rotate + publish).", ""),
+		compactFolded: reg.Counter("renum_compaction_records_folded_total",
+			"WAL records folded into snapshot generations by compaction.", ""),
+		published: reg.Counter("renum_generations_published_total",
+			"Registry generations published (snapshot pointer swaps).", ""),
+		planCandidates: reg.Counter("renum_plan_candidates_total",
+			"Candidate join trees costed by the planner across all searches.", ""),
+		planImproved: reg.Counter("renum_plan_improved_total",
+			"Planner searches that chose a tree strictly cheaper than the as-parsed one.", ""),
+		planDur: reg.Histogram("renum_plan_search_duration_seconds",
+			"Planner search latency (candidate enumeration + costing), at entry build time.", ""),
+		walHooks: wal.Hooks{
+			Append: func(bytes int, d time.Duration) {
+				walAppend.Record(d)
+				walAppendBytes.Add(uint64(bytes))
+			},
+			Sync: reg.Histogram("renum_wal_fsync_duration_seconds", "WAL fsync latency.", "").Record,
+		},
+	}
+	registerWALCollectors(reg, r)
+	return m
+}
 
-	return &obs.Observer{
-		Build: func(query, stage string, d time.Duration) {
-			// Builds are rare (admin register/rebuild), so rendering the
-			// generation label here is off every request path. The label
-			// makes build latency attributable per published generation.
-			gen := strconv.FormatUint(r.snap.Load().gen+1, 10)
-			reg.Histogram("renum_build_duration_seconds",
-				"Index build latency, by query, build stage and the generation the build published.",
-				obs.Labels("query", query, "stage", stage, "generation", gen)).Record(d)
-		},
-		WALAppend: func(bytes int, d time.Duration) {
-			walAppend.Record(d)
-			walAppendBytes.Add(uint64(bytes))
-		},
-		WALFsync:     walFsync.Record,
-		SnapshotSave: func(gen uint64, d time.Duration) { snapSave.Record(d) },
-		Compaction: func(d time.Duration, folded int64) {
-			compact.Record(d)
-			if folded > 0 {
-				compactFolded.Add(uint64(folded))
-			}
-		},
-		Publish: func(gen uint64) { published.Inc() },
-		Plan: func(query string, candidates int, identity bool, chosenCost, identityCost float64, d time.Duration) {
-			// Plan searches are build-time events (admin register/rebuild),
-			// so resolving the per-query series here is off every request
-			// path — same reasoning as the build histogram above.
-			reg.Counter("renum_plan_searches_total",
-				"Planner searches run at entry build time, by query.",
-				obs.Labels("query", query)).Inc()
-			planCandidates.Add(uint64(candidates))
-			if !identity {
-				planImproved.Inc()
-			}
-			planDur.Record(d)
-		},
-		QueryOps: func(query string) *obs.ProbeOps {
-			h := func(op string) *obs.Histogram {
-				return reg.Histogram("renum_probe_duration_seconds",
-					"Probe-section latency, by query and operation (excludes parse/encode).",
-					obs.Labels("query", query, "op", op))
-			}
-			return &obs.ProbeOps{
-				Access: h("access"),
-				Count:  h("count"),
-				Batch:  h("batch"),
-				Page:   h("page"),
-				Sample: h("sample"),
-				Cursor: h("cursor"),
-			}
-		},
+// buildObserver records query's build stages under the generation the build
+// will publish. Builds are rare (boot, admin register/rebuild), so rendering
+// the labels here is off every request path.
+func (m *registryMetrics) buildObserver(query string, gen uint64) func(stage string, d time.Duration) {
+	g := strconv.FormatUint(gen, 10)
+	return func(stage string, d time.Duration) {
+		m.reg.Histogram("renum_build_duration_seconds",
+			"Index build latency, by query, build stage and the generation the build published.",
+			obs.Labels("query", query, "stage", stage, "generation", g)).Record(d)
+	}
+}
+
+// planObserver records query's planner searches (a build-time event, like
+// the build histogram).
+func (m *registryMetrics) planObserver(query string) func(renum.PlanStats) {
+	return func(ps renum.PlanStats) {
+		m.reg.Counter("renum_plan_searches_total",
+			"Planner searches run at entry build time, by query.",
+			obs.Labels("query", query)).Inc()
+		m.planCandidates.Add(uint64(ps.Candidates))
+		if !ps.Identity {
+			m.planImproved.Inc()
+		}
+		m.planDur.Record(ps.Duration)
+	}
+}
+
+// probeOps holds one query's per-operation latency histograms, resolved
+// once per entry; the request path records straight into the pointers.
+type probeOps struct {
+	access, count, batch, page, sample, cursor *obs.Histogram
+}
+
+// probeOps resolves query's probe histograms. Registration is get-or-create,
+// so a rebuilt entry keeps accumulating into its predecessor's series.
+func (m *registryMetrics) probeOps(query string) *probeOps {
+	h := func(op string) *obs.Histogram {
+		return m.reg.Histogram("renum_probe_duration_seconds",
+			"Probe-section latency, by query and operation (excludes parse/encode).",
+			obs.Labels("query", query, "op", op))
+	}
+	return &probeOps{
+		access: h("access"),
+		count:  h("count"),
+		batch:  h("batch"),
+		page:   h("page"),
+		sample: h("sample"),
+		cursor: h("cursor"),
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -38,8 +39,6 @@ func TestPrometheusExposition(t *testing.T) {
 	do(t, s, "GET", "/v1/Q/sample?k=1&seed=1", "", 200)
 	m := do(t, s, "POST", "/v1/Q/enum/start?order=enum", "", 200)
 	do(t, s, "GET", "/v1/Q/enum/next?cursor="+m["cursor"].(string)+"&n=2", "", 200)
-	// The initial Register ran before New installed the observer; a rebuild
-	// is the first observed build and populates the build histograms.
 	do(t, s, "POST", "/admin/rebuild", "", 200)
 
 	text := promText(t, s)
@@ -67,10 +66,11 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// The rebuild was observed per stage and in total, labeled with the
-	// generation it published.
+	// The boot build (generation 1) and the rebuild were each observed per
+	// stage and in total, labeled with the generation they published.
 	_, gen := reg.Snapshot()
 	for _, want := range []string{
+		`renum_build_duration_seconds_count{query="Q",stage="total",generation="1"} 1`,
 		fmt.Sprintf(`renum_build_duration_seconds_count{query="Q",stage="total",generation="%d"} 1`, gen),
 		fmt.Sprintf(`renum_build_duration_seconds_count{query="Q",stage="index_build",generation="%d"} 1`, gen),
 	} {
@@ -128,14 +128,14 @@ func TestPrometheusWALAndCompactionFamilies(t *testing.T) {
 	}
 }
 
-// TestPrometheusPlanAndCacheFamilies: planner searches observed at rebuild
-// time land in the per-query plan families, lint-clean. (The test floor pins
-// the name; the cache families it also covered are gone with the cache.)
+// TestPrometheusPlanAndCacheFamilies: planner searches at boot and at
+// rebuild time land in the per-query plan families, lint-clean. (The test
+// floor pins the name; the cache families it also covered are gone with the
+// cache.)
 func TestPrometheusPlanAndCacheFamilies(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	// The initial Register predates the observer; the rebuild is the first
-	// observed build and runs one planner search per static entry (Q and U —
-	// the dynamic D skips planning).
+	// The boot build and the rebuild each run one planner search per static
+	// entry (Q and U — the dynamic D skips planning).
 	do(t, s, "POST", "/admin/rebuild", "", 200)
 
 	text := promText(t, s)
@@ -143,15 +143,38 @@ func TestPrometheusPlanAndCacheFamilies(t *testing.T) {
 		t.Fatalf("exposition fails lint: %v\nfull text:\n%s", errs, text)
 	}
 	for _, want := range []string{
-		`renum_plan_searches_total{query="Q"} 1`,
-		`renum_plan_searches_total{query="U"} 1`,
+		`renum_plan_searches_total{query="Q"} 2`,
+		`renum_plan_searches_total{query="U"} 2`,
 		"renum_plan_candidates_total ",
 		"renum_plan_improved_total ",
-		"renum_plan_search_duration_seconds_count 2",
+		"renum_plan_search_duration_seconds_count 4",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q\n%s", want, grepLines(text, "renum_plan"))
 		}
+	}
+}
+
+// TestBootBuildsAreObserved: the registry owns its instruments from birth, so
+// the builds a daemon runs before New — its boot — reach /metrics without a
+// rebuild.
+func TestBootBuildsAreObserved(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	text := promText(t, s)
+	if want := `renum_build_duration_seconds_count{query="Q",stage="total",generation="1"} 1`; !strings.Contains(text, want) {
+		t.Errorf("exposition missing %q\n%s", want, grepLines(text, "renum_build_duration_seconds_count"))
+	}
+	published := 0
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, "renum_generations_published_total "); ok {
+			published, _ = strconv.Atoi(v)
+		}
+	}
+	if published < 1 {
+		t.Errorf("renum_generations_published_total = %d, want ≥ 1\n%s", published, grepLines(text, "renum_generations_published"))
+	}
+	if errs := obs.Lint(strings.NewReader(text)); len(errs) > 0 {
+		t.Fatalf("boot exposition fails lint: %v", errs)
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +11,6 @@ import (
 
 	"repro"
 	"repro/internal/load"
-	"repro/internal/obs"
 )
 
 // Entry is one served query: a name and the capability-based handle serving
@@ -35,10 +33,9 @@ type Entry struct {
 	// against the current database without reparsing.
 	src load.Query
 
-	// qm holds the per-operation probe histograms resolved from the
-	// registry's observer at build time. Nil when no observer is set;
-	// local.Probe records through these pointers with no lookup per request.
-	qm *obs.ProbeOps
+	// qm holds the per-operation probe histograms, resolved when the entry
+	// is built; local.Probe records through them with no lookup per request.
+	qm *probeOps
 }
 
 // Kind names the handle's backend family (diagnostics/metadata only).
@@ -49,15 +46,6 @@ func (e *Entry) Count() int64 { return e.H.Count() }
 
 // Head returns the entry's output variable order.
 func (e *Entry) Head() []string { return e.H.Head() }
-
-// access returns the j-th answer as a fresh tuple.
-func (e *Entry) access(j int64) (renum.Tuple, error) { return e.H.Access(j) }
-
-// accessBatch probes every position in js through the handle, honoring the
-// request context between chunks.
-func (e *Entry) accessBatch(ctx context.Context, js []int64) ([]renum.Tuple, error) {
-	return e.H.AccessBatchContext(ctx, js)
-}
 
 // snapshot is one immutable generation of the registry: a database plus the
 // entries compiled against it. Readers grab the current snapshot with one
@@ -84,10 +72,9 @@ type Registry struct {
 	// value means no WAL is attached and updates are applied unlogged.
 	wal walState
 
-	// obs receives build/WAL/compaction/publish timings and resolves
-	// per-query probe histograms. Written under r.mu (SetObserver) and read
-	// under r.mu by the build/compact/publish paths; nil means unobserved.
-	obs *obs.Observer
+	// m is the registry's instruments, created with it; server.New serves
+	// m.reg at /metrics.
+	m registryMetrics
 
 	// sliceIdx/sliceOf configure shard-daemon mode (SetShardSlice): every
 	// entry serves only slice sliceIdx of a sliceOf-way partition of its
@@ -107,8 +94,15 @@ type CoalesceConfig struct{}
 
 // NewRegistry returns a registry serving db with no queries yet.
 func NewRegistry(db *renum.Database, _ CoalesceConfig, workers int) *Registry {
-	r := &Registry{workers: workers}
+	r := newRegistry(workers)
 	r.snap.Store(&snapshot{db: db, entries: map[string]*Entry{}})
+	return r
+}
+
+// newRegistry returns a registry with its instruments but no snapshot.
+func newRegistry(workers int) *Registry {
+	r := &Registry{workers: workers}
+	r.m = newRegistryMetrics(r)
 	return r
 }
 
@@ -123,14 +117,14 @@ func NewRegistry(db *renum.Database, _ CoalesceConfig, workers int) *Registry {
 // cycles recompile them against fresh data exactly like entries registered
 // over HTTP.
 func NewRegistryFromCatalog(cat *renum.Catalog, _ CoalesceConfig, workers int) (*Registry, error) {
-	r := &Registry{workers: workers}
+	r := newRegistry(workers)
 	entries := map[string]*Entry{}
 	for _, ce := range cat.Entries() {
 		src := load.QueryFromSrc(ce.Name, ce.Q)
 		if src.Src() == nil {
 			return nil, fmt.Errorf("catalog entry %s: unsupported query form", ce.Name)
 		}
-		entries[ce.Name] = &Entry{Name: ce.Name, Text: ce.Q.String(), H: ce.H, src: src}
+		entries[ce.Name] = &Entry{Name: ce.Name, Text: ce.Q.String(), H: ce.H, src: src, qm: r.m.probeOps(ce.Name)}
 	}
 	r.snap.Store(&snapshot{db: cat.DB(), entries: entries, gen: cat.Generation()})
 	return r, nil
@@ -170,7 +164,7 @@ func (r *Registry) SaveSnapshot(dir string) (path string, gen uint64, skipped []
 	if err := renum.SaveSnapshot(path, s.db, s.gen, entries); err != nil {
 		return "", 0, skipped, err
 	}
-	r.obs.ObserveSnapshotSave(s.gen, time.Since(t0))
+	r.m.snapSave.Record(time.Since(t0))
 	if r.wal.log != nil {
 		if err := r.rotateLocked(s.gen); err != nil {
 			return "", 0, skipped, err
@@ -186,35 +180,6 @@ func sortedNames(m map[string]*Entry) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SetObserver installs (or replaces) the registry's observability hooks.
-// Entries already published get their per-query probe histograms attached
-// retroactively: the current snapshot is republished at the SAME generation
-// with qm-carrying entry clones, so a server wired after boot-time
-// registration (the daemon's order: register → AttachWAL → New) still
-// observes every query. An attached WAL gets its append/fsync hooks here
-// too, and again on every rotation.
-func (r *Registry) SetObserver(o *obs.Observer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.obs = o
-	cur := r.snap.Load()
-	if len(cur.entries) > 0 {
-		entries := make(map[string]*Entry, len(cur.entries))
-		for name, e := range cur.entries {
-			ne := *e
-			ne.qm = o.Ops(name)
-			entries[name] = &ne
-		}
-		// Same generation: nothing about the served data changed.
-		r.snap.Store(&snapshot{db: cur.db, entries: entries, gen: cur.gen})
-	}
-	r.wal.mu.Lock()
-	if r.wal.log != nil {
-		r.wal.log.SetHooks(r.walHooks())
-	}
-	r.wal.mu.Unlock()
 }
 
 // SetShardSlice puts the registry in shard-daemon mode: every entry —
@@ -387,18 +352,9 @@ func (r *Registry) build(db *renum.Database, q load.Query, dynamic bool) (*Entry
 	if r.planner != "" {
 		opts = append(opts, renum.WithPlanner(r.planner))
 	}
-	if o := r.obs; o != nil && o.Build != nil {
-		name := q.Name
-		opts = append(opts, renum.WithBuildObserver(func(stage string, d time.Duration) {
-			o.ObserveBuild(name, stage, d)
-		}))
-	}
-	if o := r.obs; o != nil && o.Plan != nil {
-		name := q.Name
-		opts = append(opts, renum.WithPlanObserver(func(ps renum.PlanStats) {
-			o.ObservePlan(name, ps.Candidates, ps.Identity, ps.ChosenCost, ps.IdentityCost, ps.Duration)
-		}))
-	}
+	// The build publishes the next generation; its stages are labeled so.
+	observe := r.m.buildObserver(q.Name, r.snap.Load().gen+1)
+	opts = append(opts, renum.WithBuildObserver(observe), renum.WithPlanObserver(r.m.planObserver(q.Name)))
 	src := q.Src()
 	t0 := time.Now()
 	h, err := renum.Open(db, src, opts...)
@@ -408,14 +364,13 @@ func (r *Registry) build(db *renum.Database, q load.Query, dynamic bool) (*Entry
 	if err != nil {
 		return nil, err
 	}
-	r.obs.ObserveBuild(q.Name, "total", time.Since(t0))
-	return &Entry{Name: q.Name, Text: src.String(), H: h, src: q, qm: r.obs.Ops(q.Name)}, nil
+	observe("total", time.Since(t0))
+	return &Entry{Name: q.Name, Text: src.String(), H: h, src: q, qm: r.m.probeOps(q.Name)}, nil
 }
 
 func (r *Registry) publish(db *renum.Database, entries map[string]*Entry) {
-	gen := r.snap.Load().gen + 1
-	r.snap.Store(&snapshot{db: db, entries: entries, gen: gen})
-	r.obs.ObservePublish(gen)
+	r.snap.Store(&snapshot{db: db, entries: entries, gen: r.snap.Load().gen + 1})
+	r.m.published.Inc()
 }
 
 func cloneEntries(m map[string]*Entry) map[string]*Entry {

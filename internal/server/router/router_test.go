@@ -796,6 +796,37 @@ func TestRouterScrapeRejectsBadCounts(t *testing.T) {
 	}
 }
 
+// TestLocateSkipsEmptyShards: a shard whose count is 0 owns no position, so
+// locate never routes to it — first, middle or last — and every position
+// lands on the shard whose window holds it, at the right local offset.
+func TestLocateSkipsEmptyShards(t *testing.T) {
+	counts := []int64{0, 3, 0, 0, 2, 0, 4, 0}
+	var urls []string
+	for _, c := range counts {
+		ts := httptest.NewServer(&stubShard{count: c})
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	r := New(Config{Shards: urls})
+	t.Cleanup(r.Close)
+	if err := r.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rt := r.table.Load().queries["Q"]
+	if rt.total != 9 {
+		t.Fatalf("total = %d, want 9", rt.total)
+	}
+	j := int64(0)
+	for want, c := range counts {
+		for local := int64(0); local < c; local++ {
+			if sh, l := rt.locate(j); sh != want || l != local {
+				t.Fatalf("locate(%d) = (%d, %d), want (%d, %d)", j, sh, l, want, local)
+			}
+			j++
+		}
+	}
+}
+
 // TestRequestIDCrossesTheHop: the client's X-Request-Id rides every shard
 // leg, so one routed request leaves a trace under its id on each shard it
 // touched — and a cursor draw carries the id of the request that draws.

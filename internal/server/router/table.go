@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/fenwick"
 	"repro/internal/server"
 )
 
@@ -29,12 +28,13 @@ type table struct {
 // contiguous global position window [starts[i], starts[i]+counts[i]).
 // Concatenating the shards' local enumerations in shard order reproduces the
 // unsharded global order (the library's partition contract), so global
-// position j lives on shard tree.FindPrefix(j) at local j-starts[shard].
+// position j lives on the first shard whose window ends past j, at local
+// j-starts[shard]. The table is immutable, so a binary search over starts is
+// all the routing it needs.
 type route struct {
 	meta   server.Meta // shard 0's, its count aside
 	counts []int64
-	starts []int64
-	tree   *fenwick.Tree
+	starts []int64 // len(counts)+1 prefix sums; starts[len(counts)] is total
 	total  int64
 	// The row legs' targets up to their first value, rendered once.
 	batchPath, pagePath string
@@ -43,9 +43,11 @@ type route struct {
 	src remote
 }
 
-// locate routes a global position to (shard, local position).
+// locate routes a global position 0 ≤ j < total to (shard, local
+// position): the smallest shard i with starts[i+1] > j, which skips shards
+// whose count is 0.
 func (rt *route) locate(j int64) (shard int, local int64) {
-	s := rt.tree.FindPrefix(j)
+	s := sort.Search(len(rt.counts), func(i int) bool { return rt.starts[i+1] > j })
 	return s, j - rt.starts[s]
 }
 
@@ -159,8 +161,7 @@ func (r *Router) scrape(ctx context.Context) (*table, error) {
 			}
 			rt.starts[i+1] = rt.starts[i] + c
 		}
-		rt.tree = fenwick.New(rt.counts)
-		rt.total = rt.tree.Total()
+		rt.total = rt.starts[len(rt.counts)]
 		rt.src = remote{r: r, t: t, rt: rt}
 	}
 	return t, nil

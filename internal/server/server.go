@@ -164,11 +164,12 @@ type Catalog[R Row] interface {
 	Ready() (ready bool, gen uint64)
 }
 
-// NewFront returns a front over cat whose ops run on core, with the default
-// trace ring and no slow log. Close closes core.
+// NewFront returns a front over cat whose ops run on core, with its own
+// metrics registry, the default trace ring and no slow log. Close closes
+// core.
 func NewFront[R Row](core *Core[R], cat Catalog[R]) *Server {
 	lookup := func(name []byte, _ *enc, _ *traceRec) (Source[R], error) { return cat.Lookup(name) }
-	return newServer(core, lookup, cat.List, cat.Ready, Config{})
+	return newServer(core, obs.NewRegistry(), lookup, cat.List, cat.Ready, Config{})
 }
 
 // parser fills a request whose op is set from what its transport parsed.
@@ -178,14 +179,13 @@ type parser interface {
 
 // newServer builds a front whose ops run on core over the sources lookup
 // resolves: into the request's scratch for the daemon, ignoring it for a
-// Catalog.
-func newServer[R Row](core *Core[R], lookup func(name []byte, enc *enc, tr *traceRec) (Source[R], error),
+// Catalog. /metrics serves reg, which the front adds its own families to.
+func newServer[R Row](core *Core[R], reg *obs.Registry, lookup func(name []byte, enc *enc, tr *traceRec) (Source[R], error),
 	list func() ([]string, uint64, error), ready func() (bool, uint64), cfg Config) *Server {
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
 	}
-	reg := obs.NewRegistry()
 	s := &Server{
 		run: func(ctx context.Context, name []byte, req *request, p parser, enc *enc, tr *traceRec) ([]byte, bool, error) {
 			src, err := lookup(name, enc, tr)

@@ -128,7 +128,7 @@ func TestAccessMatchesLibrary(t *testing.T) {
 	for _, name := range []string{"Q", "U", "D"} {
 		e, _ := reg.Lookup(name)
 		for j := int64(0); j < e.Count(); j++ {
-			want, err := e.access(j)
+			want, err := e.H.Access(j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestSampleDeterministicWithSeed(t *testing.T) {
 func TestContainsAndInverted(t *testing.T) {
 	s, reg := newTestServer(t, Config{})
 	e, _ := reg.Lookup("Q")
-	want, err := e.access(0)
+	want, err := e.H.Access(0)
 	if err != nil {
 		t.Fatal(err)
 	}

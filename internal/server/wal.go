@@ -96,7 +96,7 @@ func (r *Registry) AttachWAL(dir string, policy wal.SyncPolicy) (replayed, skipp
 		}
 		replayed++
 	}
-	lg.SetHooks(r.walHooks())
+	lg.SetHooks(r.m.walHooks)
 	r.wal.log = lg
 	r.wal.dir = dir
 	r.wal.policy = policy
@@ -104,16 +104,6 @@ func (r *Registry) AttachWAL(dir string, policy wal.SyncPolicy) (replayed, skipp
 	r.wal.replayed = int64(replayed)
 	r.wal.replayTime = time.Since(t0)
 	return replayed, skipped, nil
-}
-
-// walHooks renders the registry's observer as wal.Hooks (empty when
-// unobserved, so the log's append path does no timing at all).
-func (r *Registry) walHooks() wal.Hooks {
-	o := r.obs
-	if o == nil {
-		return wal.Hooks{}
-	}
-	return wal.Hooks{Append: o.WALAppend, Sync: o.WALFsync}
 }
 
 // CloseWAL detaches and closes the log (daemon shutdown). Updates applied
@@ -264,7 +254,7 @@ func (r *Registry) rotateLocked(gen uint64) error {
 	if err != nil {
 		return err
 	}
-	newLog.SetHooks(r.walHooks())
+	newLog.SetHooks(r.m.walHooks)
 	old, oldPath := r.wal.log, r.wal.log.Path()
 	r.wal.log, r.wal.gen = newLog, gen
 	if err := old.Close(); err != nil {
@@ -335,7 +325,7 @@ func (r *Registry) Compact(snapshotDir string) (gen uint64, folded int64, err er
 	if err := renum.SaveSnapshot(snapPath, cur.db, newGen, ces); err != nil {
 		return 0, 0, err
 	}
-	r.obs.ObserveSnapshotSave(newGen, time.Since(saveT0))
+	r.m.snapSave.Record(time.Since(saveT0))
 	if err := r.rotateLocked(newGen); err != nil {
 		// The registry keeps serving gen cur.gen and acking updates into
 		// wal-<cur.gen>.log, but boot pairs the NEWEST snapshot with its own
@@ -350,8 +340,9 @@ func (r *Registry) Compact(snapshotDir string) (gen uint64, folded int64, err er
 	r.wal.compactions++
 	r.wal.folded += folded
 	r.snap.Store(&snapshot{db: cur.db, entries: entries, gen: newGen})
-	r.obs.ObserveCompaction(time.Since(t0), folded)
-	r.obs.ObservePublish(newGen)
+	r.m.compact.Record(time.Since(t0))
+	r.m.compactFolded.Add(uint64(folded))
+	r.m.published.Inc()
 	return newGen, folded, nil
 }
 
