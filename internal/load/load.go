@@ -8,11 +8,17 @@
 // A CSV file registers one relation: the file's base name (minus .csv) is
 // the relation name, the header row is the schema, and every cell is
 // dictionary-interned verbatim (numbers included), so constants in queries
-// must be single-quoted: r(x, '42'). Duplicate rows are deduplicated by
-// Relation.Insert; an empty file (no header) is an error. Registering a name
-// that already exists replaces the previous relation (Database.Add
-// semantics) — indexes built against the old relation keep working, which is
-// what the daemon's load-then-rebuild dataset refresh relies on.
+// must be single-quoted: r(x, '42'). Records are whatever encoding/csv's
+// Reader returns with its defaults (RFC 4180 quoting, CRLF or LF rows, every
+// record as wide as the header), streamed one at a time into a byte buffer
+// rather than read whole. Values are numbered in order of first appearance,
+// and a later duplicate row is dropped by Relation.Insert, so the first
+// occurrences keep their order; an empty file (no header) is an error. A
+// load that fails changes nothing: cells are interned and the relation
+// registered only after the whole input has parsed. Registering a name that
+// already exists replaces the previous relation (Database.Add semantics) —
+// indexes built against the old relation keep working, which is what the
+// daemon's load-then-rebuild dataset refresh relies on.
 //
 // # Programs
 //
@@ -29,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/parser"
@@ -62,29 +69,56 @@ func Tables(db *relation.Database, paths []string) error {
 }
 
 // CSV registers one relation from CSV content: the first record is the
-// schema, every later record is a tuple with each cell interned.
+// schema, every later record is a tuple with each cell interned. Records
+// are streamed into one byte buffer; the relation is built, and its cells
+// interned, only once the whole input has parsed, so input that fails to
+// parse interns no value, and a load that fails replaces no relation.
 func CSV(db *relation.Database, name string, r io.Reader) error {
 	rd := csv.NewReader(r)
-	rows, err := rd.ReadAll()
-	if err != nil {
-		return err
-	}
-	if len(rows) < 1 {
+	rd.ReuseRecord = true
+	header, err := rd.Read()
+	if err == io.EOF {
 		return fmt.Errorf("empty file")
 	}
-	rel, err := db.Create(name, rows[0]...)
 	if err != nil {
 		return err
 	}
-	for _, row := range rows[1:] {
-		tup := make(relation.Tuple, len(row))
-		for i, cell := range row {
-			tup[i] = db.Intern(cell)
+	header = slices.Clone(header)
+	// cells holds every cell's bytes back to back; cell i ends at ends[i].
+	var cells []byte
+	var ends []int
+	for {
+		rec, err := rd.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		for _, cell := range rec {
+			cells = append(cells, cell...)
+			ends = append(ends, len(cells))
+		}
+	}
+	schema, err := relation.NewSchema(header...)
+	if err != nil {
+		return err
+	}
+	rel := relation.NewRelation(name, schema)
+	dict := db.Dict()
+	tup := make(relation.Tuple, len(schema))
+	start := 0
+	for row := 0; row < len(ends); row += len(tup) {
+		for k := range tup {
+			end := ends[row+k]
+			tup[k] = dict.InternBytes(cells[start:end])
+			start = end
 		}
 		if _, err := rel.Insert(tup); err != nil {
 			return err
 		}
 	}
+	db.Add(rel)
 	return nil
 }
 

@@ -1,10 +1,13 @@
 package load
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/relation"
 )
 
@@ -115,5 +118,103 @@ func TestOne(t *testing.T) {
 	}
 	if _, err := One(db.Dict(), "Q(x) :- r(x, y). P(x) :- r(x, y)."); err == nil {
 		t.Fatal("two heads: want error")
+	}
+}
+
+// TestCSVLoadSemantics pins what a load produces, cell by cell: a later
+// duplicate row is dropped and the first occurrences keep their order,
+// dictionary values are numbered in order of first appearance across
+// files, quoted cells and CRLF rows are interned as encoding/csv reads
+// them, and a header-only file gives an empty relation.
+func TestCSVLoadSemantics(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	db := relation.NewDatabase()
+	if err := Tables(db, []string{
+		write("p.csv", "a,b\r\n2,1\r\n1,2\r\n2,1\r\n3,\"x,y\"\r\n"),
+		write("q.csv", "c,d\n\"say \"\"hi\"\"\",1\n\"two\r\nlines\",\n2,\"x,y\"\n\"say \"\"hi\"\"\",1\n"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dict := db.Dict()
+	wantDict := []string{"", "2", "1", "3", "x,y", `say "hi"`, "two\nlines"}
+	if dict.Len() != len(wantDict) {
+		t.Fatalf("dictionary holds %d values, want %d", dict.Len(), len(wantDict))
+	}
+	for i, want := range wantDict {
+		if got := dict.String(relation.Value(i)); got != want {
+			t.Fatalf("value %d = %q, want %q", i, got, want)
+		}
+	}
+	for name, want := range map[string][]relation.Tuple{
+		"p": {{1, 2}, {2, 1}, {3, 4}},
+		"q": {{5, 2}, {6, 0}, {1, 4}},
+	} {
+		r, err := db.Relation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Len() != len(want) {
+			t.Fatalf("%s has %d rows, want %d", name, r.Len(), len(want))
+		}
+		for i, tup := range want {
+			if got := r.Tuple(i); !got.Equal(tup) {
+				t.Fatalf("%s row %d = %v, want %v", name, i, got, tup)
+			}
+		}
+	}
+
+	if err := CSV(db, "h", strings.NewReader("a,b\n")); err != nil {
+		t.Fatal(err)
+	}
+	h, err := db.Relation("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Len() != 0 || h.Schema().String() != "(a, b)" {
+		t.Fatalf("header-only file: %d rows, schema %s", h.Len(), h.Schema())
+	}
+}
+
+// csvBuildSnapshot was written by an earlier build's loader from
+// csvBuildTables and csvBuildPrograms, so it pins dictionary ids and row
+// order through the CSV path.
+const csvBuildSnapshot = "testdata/csv_build.snap"
+
+var (
+	csvBuildTables   = []string{"testdata/r.csv", "testdata/s.csv", "testdata/t.csv"}
+	csvBuildPrograms = []string{
+		"Q(x, y, z) :- r(x, y), s(y, z).",
+		"J(b, c, e) :- s(b, c), t(c, e). U(x, y) :- r(x, y). U(x, y) :- s(x, y).",
+	}
+)
+
+// TestCSVBuildSnapshotBytes: Tables, Compile and WriteSnapshot reproduce
+// csvBuildSnapshot byte for byte.
+func TestCSVBuildSnapshotBytes(t *testing.T) {
+	want, err := os.ReadFile(csvBuildSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := renum.NewDatabase()
+	if err := Tables(db, csvBuildTables); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := Compile(db, csvBuildPrograms, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := renum.WriteSnapshot(&got, db, 0, entries); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("WriteSnapshot: %d bytes, %s: %d bytes", got.Len(), csvBuildSnapshot, len(want))
 	}
 }

@@ -1,0 +1,185 @@
+package relation
+
+import (
+	"bytes"
+	"strconv"
+	"sync"
+	"testing"
+)
+
+// dictModel is the Go-map reference FuzzDict holds a Dict to.
+type dictModel struct {
+	ids   map[string]Value
+	order []string
+}
+
+func (m *dictModel) intern(s string) Value {
+	if v, ok := m.ids[s]; ok {
+		return v
+	}
+	v := Value(len(m.order))
+	m.ids[s] = v
+	m.order = append(m.order, s)
+	return v
+}
+
+// check compares every read of d against the model.
+func (m *dictModel) check(t *testing.T, d *Dict) {
+	t.Helper()
+	if d.Len() != len(m.order) {
+		t.Fatalf("Len = %d, want %d", d.Len(), len(m.order))
+	}
+	for i, s := range m.order {
+		v := Value(i)
+		if got := d.String(v); got != s {
+			t.Fatalf("String(%d) = %q, want %q", i, got, s)
+		}
+		if got, ok := d.StringInterned(v); !ok || got != s {
+			t.Fatalf("StringInterned(%d) = %q, %v, want %q", i, got, ok, s)
+		}
+		if got, ok := d.Lookup(s); !ok || got != v {
+			t.Fatalf("Lookup(%q) = %d, %v, want %d", s, got, ok, v)
+		}
+	}
+	for _, v := range []Value{-1, Value(len(m.order)), Value(len(m.order)) + 1} {
+		if got, want := d.String(v), "#"+strconv.FormatInt(int64(v), 10); got != want {
+			t.Fatalf("String(%d) = %q, want %q", v, got, want)
+		}
+		if _, ok := d.StringInterned(v); ok {
+			t.Fatalf("StringInterned(%d) found a string outside the dictionary", v)
+		}
+	}
+}
+
+// FuzzDict holds Intern, InternBytes, Lookup, String and StringInterned to
+// a Go-map model. data is a 0xff-separated list of operations: an
+// operation's first byte picks what it does with the rest, s.
+//
+//	0: Intern(s)    1: InternBytes(s)    2: Lookup(s)
+//	3: intern s+"0" … s+"k" for k = 4·s[0], alternating the two methods
+//	4: restore the dictionary from its value table (NewDictFromStrings)
+func FuzzDict(f *testing.F) {
+	f.Add([]byte("\x00\xff\x01\xff\x02\xff\x00a\xff\x01a\xff\x02a\xff\x02b"))
+	f.Add([]byte("\x00\xfe\x80\xff\x01\xc3\x28\xff\x02\xfe\x80\xff\x01\xfe\x80\xff\x00\xed\xa0\x80"))
+	f.Add([]byte("\x03\xfax\xff\x03\x40x\xff\x00x17\xff\x02x999"))
+	f.Add([]byte("\x00a\xff\x01b\xff\x04\xff\x02a\xff\x00c\xff\x01a\xff\x03\x20y\xff\x04\xff\x02y5"))
+	f.Add([]byte("\x04\xff\x01\xff\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDict()
+		m := &dictModel{ids: map[string]Value{"": 0}, order: []string{""}}
+		for _, op := range bytes.Split(data, []byte{0xff}) {
+			if len(op) == 0 {
+				continue
+			}
+			s := op[1:]
+			switch op[0] % 5 {
+			case 0:
+				if got, want := d.Intern(string(s)), m.intern(string(s)); got != want {
+					t.Fatalf("Intern(%q) = %d, want %d", s, got, want)
+				}
+			case 1:
+				if got, want := d.InternBytes(s), m.intern(string(s)); got != want {
+					t.Fatalf("InternBytes(%q) = %d, want %d", s, got, want)
+				}
+			case 2:
+				want, wantOK := m.ids[string(s)]
+				if got, ok := d.Lookup(string(s)); ok != wantOK || ok && got != want {
+					t.Fatalf("Lookup(%q) = %d, %v, want %d, %v", s, got, ok, want, wantOK)
+				}
+			case 3:
+				if len(s) == 0 {
+					continue
+				}
+				for k := 0; k <= 4*int(s[0]); k++ {
+					b := strconv.AppendInt(append([]byte(nil), s...), int64(k), 10)
+					var got Value
+					if k%2 == 0 {
+						got = d.InternBytes(b)
+					} else {
+						got = d.Intern(string(b))
+					}
+					if want := m.intern(string(b)); got != want {
+						t.Fatalf("intern %q = %d, want %d", b, got, want)
+					}
+				}
+			case 4:
+				r, err := NewDictFromStrings(append([]string(nil), m.order...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d = r
+			}
+		}
+		m.check(t, d)
+	})
+}
+
+// TestDictConcurrent interns, looks up and renders from several goroutines
+// at once, on a fresh dictionary and on a restored one whose table is built
+// by whichever call comes first; every goroutine must see the same Value
+// for a string, and that Value must render back to it.
+func TestDictConcurrent(t *testing.T) {
+	restored, err := NewDictFromStrings([]string{"", "w1", "w2", "w3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Dict{"fresh": NewDict(), "restored": restored} {
+		t.Run(name, func(t *testing.T) {
+			const workers, words = 4, 3000
+			got := make([][]Value, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					vals := make([]Value, words)
+					var buf []byte
+					for i := range vals {
+						k := (i*7 + w*997) % words // each worker its own order
+						buf = strconv.AppendInt(append(buf[:0], 'w'), int64(k), 10)
+						if (i+w)%2 == 0 {
+							vals[k] = d.InternBytes(buf)
+						} else {
+							vals[k] = d.Intern(string(buf))
+						}
+						if v, ok := d.Lookup(string(buf)); !ok || v != vals[k] {
+							t.Errorf("Lookup(%s) = %d, %v, want %d", buf, v, ok, vals[k])
+							return
+						}
+						if s, ok := d.StringInterned(vals[k]); !ok || s != string(buf) {
+							t.Errorf("StringInterned(%d) = %q, want %s", vals[k], s, buf)
+							return
+						}
+						_ = d.String(Value(i))
+					}
+					got[w] = vals
+				}(w)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			for w := 1; w < workers; w++ {
+				for k := range got[w] {
+					if got[w][k] != got[0][k] {
+						t.Fatalf("w%d: worker %d got %d, worker 0 got %d", k, w, got[w][k], got[0][k])
+					}
+				}
+			}
+			if d.Len() != words+1 {
+				t.Fatalf("Len = %d, want %d", d.Len(), words+1)
+			}
+		})
+	}
+}
+
+// TestInternBytesAllocs: InternBytes of a value already in the dictionary
+// does not allocate.
+func TestInternBytesAllocs(t *testing.T) {
+	d := NewDict()
+	b := []byte("cell")
+	d.InternBytes(b)
+	if n := testing.AllocsPerRun(100, func() { d.InternBytes(b) }); n != 0 {
+		t.Fatalf("InternBytes of an interned value: %.0f allocs, want 0", n)
+	}
+}

@@ -15,7 +15,9 @@ import (
 // (rowOf(e) = rows[e], or e itself when rows is nil). A lookup that meets a
 // matching hash compares the probe against those columns, so no key is ever
 // encoded, and the table is one pointer-free []uint64 the garbage collector
-// never scans.
+// never scans. The Dict interns strings through the same slots, growth and
+// id numbering, hashing a string instead of a row and confirming a match
+// against its own value table (see Dict).
 //
 // Slots are open-addressed with linear probing. A slot holds the top 32
 // bits of its key's hash above id+1, and 0 marks it empty, so a probe walks
@@ -104,17 +106,29 @@ func (t *flatTable) probe(key []Value, h uint64, cols [][]Value, rows []int32) (
 // insert returns key's id, adding key as id n when it is absent; added
 // reports which.
 func (t *flatTable) insert(key []Value, cols [][]Value, rows []int32) (id int32, added bool) {
-	if int(t.n+1)*4 > len(t.slots)*3 {
-		t.grow()
-	}
+	t.reserve()
 	h := t.hash(key)
 	id, s := t.probe(key, h, cols, rows)
 	if id >= 0 {
 		return id, false
 	}
+	return t.add(s, h), true
+}
+
+// reserve makes room for one more id, doubling the table before it would be
+// more than three quarters full.
+func (t *flatTable) reserve() {
+	if int(t.n+1)*4 > len(t.slots)*3 {
+		t.grow()
+	}
+}
+
+// add stores the next id, for a key of hash h, in the empty slot s that
+// ended the key's probe sequence, and returns the id.
+func (t *flatTable) add(s int, h uint64) int32 {
 	t.slots[s] = h&hashMask | uint64(t.n+1)
 	t.n++
-	return t.n - 1, true
+	return t.n - 1
 }
 
 // place adds key as the next id without looking for an equal key: for keys

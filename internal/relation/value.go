@@ -9,9 +9,12 @@
 // membership index, GroupBy, the key sets of SemijoinWith, Project and
 // DistinctCount — goes through one flat open-addressing table (flatTable)
 // that compares a probe against the columns instead of encoding it, or, for
-// a key set over a single column with a dense span, through a bitmap.
-// KeyTable keeps Go maps over packed or string keys, and every string key in
-// the codebase comes from the single canonical encoder in this file.
+// a key set over a single column with a dense span, through a bitmap. The
+// string dictionary (Dict) interns through the same table, confirming a
+// hash match against its value table instead of the columns, so interning
+// a CSV cell touches no Go map either. KeyTable keeps Go maps over packed or
+// string keys, and every string key in the codebase comes from the single
+// canonical encoder in this file.
 //
 // Every relation is a set. Insert enforces that against the full-tuple
 // membership index; FromColumns and AdoptColumns trust their caller; and
@@ -30,7 +33,8 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"hash/maphash"
+	"math"
 	"sync"
 )
 
@@ -140,21 +144,32 @@ func KeyScratch(buf *[KeyBufCap]byte, n int) []byte {
 // Dict interns strings as Values. It is safe for concurrent use. Value 0 is
 // reserved for the empty string so that zero values decode cleanly.
 //
+// byValue[v] is the string of Value v; it is all that rendering a value
+// (String, StringInterned) reads. Interning goes the other way through a
+// flatTable whose id e is Value e: a slot holds the top half of the
+// string's hash above e+1, and a hash match is confirmed against
+// byValue[e], so the table stores no strings and the garbage collector
+// never scans it. The hash is seeded per dictionary, because interned
+// strings come from outside (CSV cells over /admin/load, update tuples).
+//
 // A dictionary restored from a snapshot (NewDictFromStrings) defers its
-// reverse map: rendering values to strings needs only the byValue table, so
-// a cold start pays nothing; the byName map is hydrated under the lock on
-// the first Lookup or Intern.
+// table: rendering needs only byValue, so a cold start pays nothing; the
+// table is built under the lock on the first Lookup or Intern.
 type Dict struct {
 	mu      sync.RWMutex
-	byName  map[string]Value // nil until hydrated for restored dictionaries
+	table   *flatTable // nil until built for restored dictionaries
+	seed    maphash.Seed
 	byValue []string
 }
 
+// maxDictLen bounds a dictionary: a table slot holds a value as a 32-bit
+// id+1, and flatTable counts ids in an int32.
+const maxDictLen = math.MaxInt32
+
 // NewDict returns an empty dictionary with "" pre-interned as 0.
 func NewDict() *Dict {
-	d := &Dict{byName: make(map[string]Value)}
-	d.byName[""] = 0
-	d.byValue = append(d.byValue, "")
+	d := &Dict{seed: maphash.MakeSeed(), byValue: []string{""}}
+	d.buildLocked()
 	return d
 }
 
@@ -165,58 +180,96 @@ func NewDictFromStrings(byValue []string) (*Dict, error) {
 	if len(byValue) == 0 || byValue[0] != "" {
 		return nil, fmt.Errorf("relation: dictionary table must start with the reserved empty string")
 	}
-	return &Dict{byValue: byValue}, nil
+	if len(byValue) > maxDictLen {
+		return nil, fmt.Errorf("relation: dictionary of %d values exceeds the limit of %d", len(byValue), maxDictLen)
+	}
+	return &Dict{seed: maphash.MakeSeed(), byValue: byValue}, nil
 }
 
-// hydrateLocked builds the deferred byName map. Caller holds d.mu for write.
-func (d *Dict) hydrateLocked() {
-	if d.byName != nil {
+// buildLocked builds the deferred table. Caller holds d.mu for write, or
+// owns d outright.
+func (d *Dict) buildLocked() {
+	if d.table != nil {
 		return
 	}
-	d.byName = make(map[string]Value, len(d.byValue))
+	t := newFlatTable(len(d.byValue))
 	for i, s := range d.byValue {
-		d.byName[s] = Value(i)
+		t.put(maphash.String(d.seed, s)&hashMask | uint64(i+1))
 	}
+	t.n = int32(len(d.byValue))
+	d.table = t
 }
 
 // Intern returns the Value for s, assigning a fresh one if needed.
 func (d *Dict) Intern(s string) Value {
+	return intern(d, s, maphash.String(d.seed, s))
+}
+
+// InternBytes is Intern for a byte slice. It allocates only when b is new
+// to the dictionary, and never retains b.
+func (d *Dict) InternBytes(b []byte) Value {
+	return intern(d, b, maphash.Bytes(d.seed, b))
+}
+
+// intern returns s's Value, adding s when it is absent; h is s's hash.
+func intern[S string | []byte](d *Dict, s S, h uint64) Value {
 	d.mu.RLock()
-	var v Value
-	var ok bool
-	if d.byName != nil {
-		v, ok = d.byName[s]
+	v := Value(-1)
+	if d.table != nil {
+		v, _ = find(d, s, h)
 	}
 	d.mu.RUnlock()
-	if ok {
+	if v >= 0 {
 		return v
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.hydrateLocked()
-	if v, ok = d.byName[s]; ok {
+	d.buildLocked()
+	d.table.reserve()
+	v, slot := find(d, s, h)
+	if v >= 0 {
 		return v
 	}
-	v = Value(len(d.byValue))
-	d.byName[s] = v
-	d.byValue = append(d.byValue, s)
-	return v
+	if len(d.byValue) >= maxDictLen {
+		panic(fmt.Sprintf("relation: dictionary is full (%d values)", maxDictLen))
+	}
+	d.byValue = append(d.byValue, string(s))
+	return Value(d.table.add(slot, h))
+}
+
+// find returns s's Value, or -1 and the empty slot that ends s's probe
+// sequence. Caller holds d.mu and d.table is built.
+func find[S string | []byte](d *Dict, s S, h uint64) (Value, int) {
+	t := d.table
+	mask := len(t.slots) - 1
+	for i := int(h >> t.shift); ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == 0 {
+			return -1, i
+		}
+		if (e^h)&hashMask == 0 {
+			if v := Value(uint32(e)) - 1; d.byValue[v] == string(s) {
+				return v, i
+			}
+		}
+	}
 }
 
 // Lookup returns the Value for s without interning.
 func (d *Dict) Lookup(s string) (Value, bool) {
+	h := maphash.String(d.seed, s)
 	d.mu.RLock()
-	if d.byName != nil {
-		v, ok := d.byName[s]
+	if d.table != nil {
+		v, _ := find(d, s, h)
 		d.mu.RUnlock()
-		return v, ok
+		return v, v >= 0
 	}
 	d.mu.RUnlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.hydrateLocked()
-	v, ok := d.byName[s]
-	return v, ok
+	d.buildLocked()
+	v, _ := find(d, s, h)
+	return v, v >= 0
 }
 
 // String returns the string for an interned value, or the stable numeric
@@ -254,15 +307,4 @@ func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.byValue)
-}
-
-// SortedStrings returns all interned strings in sorted order (for tests and
-// debug output).
-func (d *Dict) SortedStrings() []string {
-	d.mu.RLock()
-	out := make([]string, len(d.byValue))
-	copy(out, d.byValue)
-	d.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }

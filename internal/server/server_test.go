@@ -417,6 +417,42 @@ func TestAdminFlow(t *testing.T) {
 		`{"program":"C(x, y, z) :- r(x, y), r(y, z), r(z, x)."}`, 400)
 }
 
+// TestAdminLoadFailureChangesNothing: a payload whose new values are
+// followed by a ragged last row, or that holds a bare quote in an unquoted
+// field, is a 400 that neither replaces the relation of that name nor
+// grows the append-only dictionary.
+func TestAdminLoadFailureChangesNothing(t *testing.T) {
+	s, reg := newTestServer(t, Config{})
+	db, gen := reg.Snapshot()
+	before, err := db.Relation("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, dictLen := before.Len(), db.Dict().Len()
+	for _, csv := range []string{
+		`a,b\nnew1,new2\nnew3,new4\nnew5\n`,
+		`a,b\nnew1,new2\nnew3,ne\"w4\n`,
+	} {
+		do(t, s, "POST", "/admin/load", `{"name":"r","csv":"`+csv+`"}`, 400)
+		after, err := db.Relation("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after != before || after.Len() != rows {
+			t.Fatalf("%q: relation r replaced or changed (%d rows, want %d)", csv, after.Len(), rows)
+		}
+		if got := db.Dict().Len(); got != dictLen {
+			t.Fatalf("%q: failed load interned %d new values", csv, got-dictLen)
+		}
+		if _, ok := db.Dict().Lookup("new1"); ok {
+			t.Fatalf("%q: failed load interned new1", csv)
+		}
+	}
+	if _, g := reg.Snapshot(); g != gen {
+		t.Fatalf("generation %d -> %d after failed loads", gen, g)
+	}
+}
+
 func TestAdminDisabled(t *testing.T) {
 	s, _ := newTestServer(t, Config{AdminDisabled: true})
 	_, status := doRaw(s, "POST", "/admin/rebuild", "")
