@@ -650,9 +650,9 @@ func (idx *Index) subtreeAccess(n *node, g uint32, j int64, answer relation.Tupl
 			rem /= ct
 			jis[ci], cgs[ci] = ji, cg
 			if c.leaf() {
-				prefetcht0(unsafe.Pointer(&c.tupleIdx[c.bucketOff[cg]+int32(ji)]))
+				relation.Prefetch(unsafe.Pointer(&c.tupleIdx[c.bucketOff[cg]+int32(ji)]))
 			} else if mid := int(uint32(c.bucketOff[cg]+1+c.bucketOff[cg+1]) >> 1); mid < len(c.start) {
-				prefetcht0(unsafe.Pointer(&c.start[mid]))
+				relation.Prefetch(unsafe.Pointer(&c.start[mid]))
 			}
 		}
 		for ci := len(n.children) - 1; ci >= 0; ci-- {

@@ -51,10 +51,10 @@ func (idx *Index) subtreeAccessGroup(n *node, gs []uint32, js []int64, k int, an
 		ps := n.tupleIdx[slot[p]]
 		pos[p] = ps
 		for _, col := range n.outVals {
-			prefetcht0(unsafe.Pointer(&col[ps]))
+			relation.Prefetch(unsafe.Pointer(&col[ps]))
 		}
 		for _, cg := range n.childGroup {
-			prefetcht0(unsafe.Pointer(&cg[ps]))
+			relation.Prefetch(unsafe.Pointer(&cg[ps]))
 		}
 	}
 	for p := 0; p < k; p++ {
@@ -78,9 +78,9 @@ func (idx *Index) subtreeAccessGroup(n *node, gs []uint32, js []int64, k int, an
 			cg := uint32(n.childGroup[ci][pos[p]])
 			cgs[ci][p] = cg
 			if !c.leaf() {
-				prefetcht0(unsafe.Pointer(&c.total[cg]))
+				relation.Prefetch(unsafe.Pointer(&c.total[cg]))
 			}
-			prefetcht0(unsafe.Pointer(&c.bucketOff[cg]))
+			relation.Prefetch(unsafe.Pointer(&c.bucketOff[cg]))
 		}
 	}
 	for p := 0; p < k; p++ {
@@ -92,7 +92,7 @@ func (idx *Index) subtreeAccessGroup(n *node, gs []uint32, js []int64, k int, an
 			rem /= ct
 			jis[ci][p] = ji
 			if c.leaf() {
-				prefetcht0(unsafe.Pointer(&c.tupleIdx[c.bucketOff[cg]+int32(ji)]))
+				relation.Prefetch(unsafe.Pointer(&c.tupleIdx[c.bucketOff[cg]+int32(ji)]))
 			}
 		}
 	}
@@ -115,9 +115,9 @@ func (n *node) searchBucketGroup(gs []uint32, js []int64, k int, slot *[groupSiz
 		l, h := int(n.bucketOff[gs[p]])+1, int(n.bucketOff[gs[p]+1])
 		lo[p], hi[p] = l, h
 		if l < h {
-			prefetcht0(unsafe.Pointer(&n.start[int(uint(l+h)>>1)]))
+			relation.Prefetch(unsafe.Pointer(&n.start[int(uint(l+h)>>1)]))
 		} else {
-			prefetcht0(unsafe.Pointer(&n.tupleIdx[l-1]))
+			relation.Prefetch(unsafe.Pointer(&n.tupleIdx[l-1]))
 		}
 	}
 	for searching := true; searching; {
@@ -136,12 +136,12 @@ func (n *node) searchBucketGroup(gs []uint32, js []int64, k int, slot *[groupSiz
 			lo[p], hi[p] = l, h
 			if l >= h {
 				js[p] -= n.start[l-1]
-				prefetcht0(unsafe.Pointer(&n.tupleIdx[l-1]))
+				relation.Prefetch(unsafe.Pointer(&n.tupleIdx[l-1]))
 				continue
 			}
 			searching = true
 			if h-l > searchPrefetchSpan {
-				prefetcht0(unsafe.Pointer(&n.start[int(uint(l+h)>>1)]))
+				relation.Prefetch(unsafe.Pointer(&n.start[int(uint(l+h)>>1)]))
 			}
 		}
 	}

@@ -183,3 +183,72 @@ func TestInternBytesAllocs(t *testing.T) {
 		t.Fatalf("InternBytes of an interned value: %.0f allocs, want 0", n)
 	}
 }
+
+// TestDictRenderDuringGrowth reads without locks while one writer interns
+// past several doublings of the value table, on a fresh dictionary and on a
+// restored one. A reader that has seen count n must find every value below
+// n rendering its own string — the newest one above all, whose publication
+// races the writer — and a value at n either "#n" or, once filled, its own
+// string; never another value's string.
+func TestDictRenderDuringGrowth(t *testing.T) {
+	want := func(v Value) string {
+		if v == 0 {
+			return ""
+		}
+		return "s" + strconv.Itoa(int(v))
+	}
+	restored, err := NewDictFromStrings([]string{want(0), want(1), want(2), want(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Dict{"fresh": NewDict(), "restored": restored} {
+		t.Run(name, func(t *testing.T) {
+			const values, readers = 1 << 14, 3
+			stop := make(chan struct{})
+			var wg, ready sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				ready.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					ready.Done()
+					check := func(v Value) bool {
+						s, ok := d.StringInterned(v)
+						if got := d.String(v); !ok || s != want(v) || got != want(v) {
+							t.Errorf("value %d renders %q (StringInterned %q, %v), want %q", v, got, s, ok, want(v))
+							return false
+						}
+						return true
+					}
+					for i := r; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						n := Value(d.Len())
+						if !check(n-1) || !check(Value(i*7919)%n) {
+							return
+						}
+						if got := d.String(n); got != "#"+strconv.Itoa(int(n)) && got != want(n) {
+							t.Errorf("value %d at the count renders %q", n, got)
+							return
+						}
+					}
+				}(r)
+			}
+			ready.Wait()
+			for v := Value(d.Len()); v < values; v++ {
+				if got := d.Intern(want(v)); got != v {
+					t.Errorf("Intern(%q) = %d, want %d", want(v), got, v)
+					break
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if !t.Failed() && d.Len() != values {
+				t.Fatalf("Len = %d, want %d", d.Len(), values)
+			}
+		})
+	}
+}

@@ -12,7 +12,12 @@
 // a key set over a single column with a dense span, through a bitmap. The
 // string dictionary (Dict) interns through the same table, confirming a
 // hash match against its value table instead of the columns, so interning
-// a CSV cell touches no Go map either. KeyTable keeps Go maps over packed or
+// a CSV cell touches no Go map either. Rendering a value reads the
+// dictionary without a lock (two atomic loads, then the string), so a
+// server encoding answers never contends with an interning writer; the Dict
+// type comment has the publication order. Prefetch, the one cache-prefetch
+// primitive of the codebase, lives here too, for the index probes and the
+// answer encoders alike. KeyTable keeps Go maps over packed or
 // string keys, and every string key in the codebase comes from the single
 // canonical encoder in this file.
 //
@@ -36,6 +41,7 @@ import (
 	"hash/maphash"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Value is a single attribute value. All values are 64-bit integers; string
@@ -152,6 +158,17 @@ func KeyScratch(buf *[KeyBufCap]byte, n int) []byte {
 // never scans it. The hash is seeded per dictionary, because interned
 // strings come from outside (CSV cells over /admin/load, update tuples).
 //
+// Reads take no lock. byValue is append-only and written under mu, and two
+// values publish it to the readers: strs, the backing array resliced to its
+// capacity, and n, the count. A new value is published in this order: its
+// string is written into the array, the array is stored in strs if append
+// moved it, and only then is n stored. String, StringInterned and Len load
+// n first and strs second, so a reader that sees count n holds an array
+// whose first n strings are written and never change: a value below n
+// renders its own string, whatever the writer does meanwhile. An array an
+// append has moved away from stays valid for the readers still holding it.
+// The writer side — Intern, Lookup, the table and MarshalDict — keeps mu.
+//
 // A dictionary restored from a snapshot (NewDictFromStrings) defers its
 // table: rendering needs only byValue, so a cold start pays nothing; the
 // table is built under the lock on the first Lookup or Intern.
@@ -160,6 +177,9 @@ type Dict struct {
 	table   *flatTable // nil until built for restored dictionaries
 	seed    maphash.Seed
 	byValue []string
+
+	strs atomic.Pointer[[]string] // byValue[:cap(byValue)], as last moved
+	n    atomic.Int32             // len(byValue), stored last
 }
 
 // maxDictLen bounds a dictionary: a table slot holds a value as a 32-bit
@@ -170,6 +190,7 @@ const maxDictLen = math.MaxInt32
 func NewDict() *Dict {
 	d := &Dict{seed: maphash.MakeSeed(), byValue: []string{""}}
 	d.buildLocked()
+	d.publishLocked(true)
 	return d
 }
 
@@ -183,7 +204,20 @@ func NewDictFromStrings(byValue []string) (*Dict, error) {
 	if len(byValue) > maxDictLen {
 		return nil, fmt.Errorf("relation: dictionary of %d values exceeds the limit of %d", len(byValue), maxDictLen)
 	}
-	return &Dict{seed: maphash.MakeSeed(), byValue: byValue}, nil
+	d := &Dict{seed: maphash.MakeSeed(), byValue: byValue}
+	d.publishLocked(true)
+	return d, nil
+}
+
+// publishLocked makes byValue visible to the lock-free readers: the array
+// first, and only when moved (append reallocated it), then the count. Caller
+// holds d.mu for write, or owns d outright.
+func (d *Dict) publishLocked(moved bool) {
+	if moved {
+		all := d.byValue[:cap(d.byValue)]
+		d.strs.Store(&all)
+	}
+	d.n.Store(int32(len(d.byValue)))
 }
 
 // buildLocked builds the deferred table. Caller holds d.mu for write, or
@@ -233,7 +267,9 @@ func intern[S string | []byte](d *Dict, s S, h uint64) Value {
 	if len(d.byValue) >= maxDictLen {
 		panic(fmt.Sprintf("relation: dictionary is full (%d values)", maxDictLen))
 	}
+	moved := len(d.byValue) == cap(d.byValue)
 	d.byValue = append(d.byValue, string(s))
+	d.publishLocked(moved)
 	return Value(d.table.add(slot, h))
 }
 
@@ -281,10 +317,8 @@ func (d *Dict) Lookup(s string) (Value, bool) {
 // goroutines intern. A value that is out of range at call time always
 // renders "#N", never another slot's string.
 func (d *Dict) String(v Value) string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if v >= 0 && v < Value(len(d.byValue)) {
-		return d.byValue[v]
+	if s, ok := d.StringInterned(v); ok {
+		return s
 	}
 	return fmt.Sprintf("#%d", int64(v))
 }
@@ -292,19 +326,14 @@ func (d *Dict) String(v Value) string {
 // StringInterned returns the interned string for v, or ok=false for a
 // value outside the dictionary. Unlike String it never formats: callers on
 // allocation-free paths render the out-of-dictionary "#N" form themselves
-// (strconv.AppendInt into their own buffer).
+// (strconv.AppendInt into their own buffer). It takes no lock: the count
+// is loaded before the array (see Dict).
 func (d *Dict) StringInterned(v Value) (string, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if v >= 0 && v < Value(len(d.byValue)) {
-		return d.byValue[v], true
+	if n := d.n.Load(); v >= 0 && v < Value(n) {
+		return (*d.strs.Load())[v], true
 	}
 	return "", false
 }
 
 // Len reports the number of interned strings.
-func (d *Dict) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.byValue)
-}
+func (d *Dict) Len() int { return int(d.n.Load()) }

@@ -4,9 +4,11 @@ import (
 	"net/http"
 	"repro"
 	"repro/internal/jsonx"
+	"repro/internal/relation"
 	"repro/internal/wire"
 	"strconv"
 	"sync"
+	"unsafe"
 )
 
 // This file is the hand-rolled encoder tier: every hot probe response is
@@ -18,6 +20,19 @@ import (
 // encode_test.go pin against encoding/json itself. Cold, reflection-shaped
 // endpoints (meta, list, admin) stay on encoding/json: their cost is
 // irrelevant and their payloads change shape with the registry.
+//
+// Answer cells are resolved a block at a time. On a dictionary larger than
+// the cache, rendering one cell costs two dependent misses: the dictionary
+// slot holding the string header, then the string's first byte. The JSON
+// answer bodies (/access, /batch, /page, /sample, /enum/next) and the wire
+// frames therefore share one resolver (cellBlock.fill) that takes up to
+// blockCells cells of whole rows in three passes: load every cell's string
+// header, prefetch every string's first byte, then render — so the misses
+// of a block overlap instead of queueing. A row wider than a block renders
+// cell by cell (appendCellString, appendWireCell), and FuzzAnswerBodies
+// holds the two paths to the same bytes. The dictionary reads take no lock
+// (see relation.Dict). The router's rows arrive rendered ([][]byte) and
+// copy through unchanged.
 
 // enc is one request's encoder state: the response buffer plus probe scratch
 // (a tuple row for AccessInto, a position slice for batch parsing, a block of
@@ -110,40 +125,116 @@ func appendBool(dst []byte, v bool) []byte {
 // aliases the shard reply it arrived in.
 type Row interface{ renum.Tuple | [][]byte }
 
-// appendCellString renders one value as a JSON string: the interned
-// dictionary string when there is one, otherwise Dict.String's stable "#N"
-// form rendered in place — '#' and decimal digits need no JSON escaping, so
-// the formatting allocation Dict.String would pay is avoided entirely.
-func appendCellString(dst []byte, dict *renum.Dict, v renum.Value) []byte {
-	if s, ok := dict.StringInterned(v); ok {
-		return appendJSONString(dst, s)
-	}
-	dst = append(dst, '"', '#')
-	dst = strconv.AppendInt(dst, int64(v), 10)
-	return append(dst, '"')
+// appendOutside appends Dict.String's stable rendering "#N" of a value
+// outside the dictionary, without the formatting allocation Dict.String
+// pays. '#' and decimal digits need no JSON escaping, so both formats
+// render it from here.
+func appendOutside(dst []byte, v renum.Value) []byte {
+	return strconv.AppendInt(append(dst, '#'), int64(v), 10)
 }
 
-// appendRow renders one answer as a JSON array of strings, straight from the
-// row — a value-typed tuple is never materialized as []string.
-func appendRow[R Row](dst []byte, dict *renum.Dict, row R) []byte {
-	dst = append(dst, '[')
-	switch r := any(row).(type) {
-	case renum.Tuple:
-		for i, v := range r {
+// appendJSONCell renders one resolved value as a JSON string: its interned
+// string s when in, otherwise its "#N" form.
+func appendJSONCell(dst []byte, s string, in bool, v renum.Value) []byte {
+	if in {
+		return appendJSONString(dst, s)
+	}
+	return append(appendOutside(append(dst, '"'), v), '"')
+}
+
+// appendCellString renders one value as a JSON string, resolving it on its
+// own: the per-cell path, for rows wider than a block.
+func appendCellString(dst []byte, dict *renum.Dict, v renum.Value) []byte {
+	s, in := dict.StringInterned(v)
+	return appendJSONCell(dst, s, in, v)
+}
+
+// --------------------------------------------------------------- cell blocks
+
+// blockCells is how many dictionary cells the encoders resolve together.
+const blockCells = 64
+
+// cellBlock is one block of answer cells resolved ahead of rendering: str[c]
+// is the interned string of the block's c-th cell, and in[c] reports that it
+// has one (a value outside the dictionary renders as "#N").
+type cellBlock struct {
+	str [blockCells]string
+	in  [blockCells]bool
+}
+
+// fill resolves the cells of rows[i:k], for the largest k whose cells fit in
+// one block, and returns k; k == i when rows[i] alone is wider than a block,
+// and its caller renders it cell by cell. Each cell costs two dependent
+// cache misses — the dictionary slot, then the string's bytes — so fill
+// takes them a pass at a time: pass 1 loads every cell's string header,
+// pass 2 prefetches every string's first byte, and the render that follows
+// finds the lines arriving together instead of missing one after another.
+func (b *cellBlock) fill(dict *renum.Dict, rows []renum.Tuple, i int) int {
+	c, k := 0, i
+	for ; k < len(rows) && c+len(rows[k]) <= blockCells; k++ {
+		for _, v := range rows[k] {
+			b.str[c], b.in[c] = dict.StringInterned(v)
+			c++
+		}
+	}
+	for _, s := range b.str[:c] {
+		if len(s) > 0 {
+			relation.Prefetch(unsafe.Pointer(unsafe.StringData(s)))
+		}
+	}
+	return k
+}
+
+// appendTupleRows renders rows as comma-separated JSON arrays of strings,
+// straight from the values — a tuple is never materialized as []string —
+// resolving their cells a block at a time.
+func appendTupleRows(dst []byte, dict *renum.Dict, rows []renum.Tuple) []byte {
+	var b cellBlock
+	for i := 0; i < len(rows); {
+		k := b.fill(dict, rows, i)
+		wide := k == i
+		if wide {
+			k++
+		}
+		c := 0
+		for ; i < k; i++ {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendCellString(dst, dict, v)
+			dst = append(dst, '[')
+			for j, v := range rows[i] {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				if wide {
+					dst = appendCellString(dst, dict, v)
+					continue
+				}
+				dst = appendJSONCell(dst, b.str[c], b.in[c], v)
+				c++
+			}
+			dst = append(dst, ']')
 		}
+	}
+	return dst
+}
+
+// appendRow renders one answer as a JSON array of strings.
+func appendRow[R Row](dst []byte, dict *renum.Dict, row R) []byte {
+	switch r := any(row).(type) {
+	case renum.Tuple:
+		return appendTupleRows(dst, dict, []renum.Tuple{r})
 	case [][]byte:
+		dst = append(dst, '[')
 		for i, c := range r {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
 			dst = jsonx.AppendString(dst, c)
 		}
+		return append(dst, ']')
 	}
-	return append(dst, ']')
+	return dst
 }
 
 // ---------------------------------------------------------- response bodies
@@ -193,6 +284,9 @@ func appendAnswersRow[R Row](dst []byte, dict *renum.Dict, first bool, t R) []by
 // picks the closer.
 func appendAnswersRows[R Row](dst []byte, dict *renum.Dict, rows []R) []byte {
 	dst = openAnswersBody(dst)
+	if ts, ok := any(rows).([]renum.Tuple); ok {
+		return appendTupleRows(dst, dict, ts)
+	}
 	for i, t := range rows {
 		dst = appendAnswersRow(dst, dict, i == 0, t)
 	}
@@ -281,16 +375,46 @@ func errorBody(dst []byte, msg string) []byte {
 
 // ------------------------------------------------------------- wire bodies
 
-// appendWireCell appends one value as a length-prefixed wire cell, with the
-// same interned-or-"#N" rendering as appendCellString.
-func appendWireCell(dst []byte, dict *renum.Dict, v renum.Value) []byte {
-	if s, ok := dict.StringInterned(v); ok {
+// appendWireValue appends one resolved value as a length-prefixed wire cell,
+// with the same interned-or-"#N" rendering as appendJSONCell.
+func appendWireValue(dst []byte, s string, in bool, v renum.Value) []byte {
+	if in {
 		return wire.AppendCell(dst, s)
 	}
 	var num [24]byte
-	cell := append(num[:0], '#')
-	cell = strconv.AppendInt(cell, int64(v), 10)
-	return wire.AppendCellBytes(dst, cell)
+	return wire.AppendCellBytes(dst, appendOutside(num[:0], v))
+}
+
+// appendWireCell appends one value as a wire cell, resolving it on its own:
+// the per-cell path, for rows wider than a block.
+func appendWireCell(dst []byte, dict *renum.Dict, v renum.Value) []byte {
+	s, in := dict.StringInterned(v)
+	return appendWireValue(dst, s, in, v)
+}
+
+// appendWireTuples appends the cells of rows, resolved a block at a time
+// like appendTupleRows.
+func appendWireTuples(dst []byte, dict *renum.Dict, rows []renum.Tuple) []byte {
+	var b cellBlock
+	for i := 0; i < len(rows); {
+		k := b.fill(dict, rows, i)
+		if k == i {
+			for _, v := range rows[i] {
+				dst = appendWireCell(dst, dict, v)
+			}
+			i++
+			continue
+		}
+		c := 0
+		for _, row := range rows[i:k] {
+			for _, v := range row {
+				dst = appendWireValue(dst, b.str[c], b.in[c], v)
+				c++
+			}
+		}
+		i = k
+	}
+	return dst
 }
 
 // appendWireRows frames rows as one binary wire message (header + cells +
@@ -304,13 +428,11 @@ func appendWireRows[R Row](dst []byte, dict *renum.Dict, rows []R, arity int, fl
 		Rows:  uint64(len(rows)),
 		Aux:   aux,
 	})
-	for _, row := range rows {
-		switch r := any(row).(type) {
-		case renum.Tuple:
-			for _, v := range r {
-				dst = appendWireCell(dst, dict, v)
-			}
-		case [][]byte:
+	switch rs := any(rows).(type) {
+	case []renum.Tuple:
+		dst = appendWireTuples(dst, dict, rs)
+	case [][][]byte:
+		for _, r := range rs {
 			for _, c := range r {
 				dst = wire.AppendCellBytes(dst, c)
 			}
