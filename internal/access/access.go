@@ -364,16 +364,7 @@ func (n *node) build() error {
 	// Resolve every tuple's child buckets once (the only key lookups left).
 	n.childGroup = make([][]int32, len(n.children))
 	for ci, c := range n.children {
-		cg := make([]int32, nrows)
-		keyPos := n.childKeyPos[ci]
-		for pos := 0; pos < nrows; pos++ {
-			if g, ok := c.grouping.LookupAt(n.rel, pos, keyPos); ok {
-				cg[pos] = int32(g)
-			} else {
-				cg[pos] = -1
-			}
-		}
-		n.childGroup[ci] = cg
+		n.childGroup[ci] = c.grouping.LookupRows(n.rel, n.childKeyPos[ci])
 	}
 
 	// Counting sort of tuples into contiguous per-bucket slots (stable, so

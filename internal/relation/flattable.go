@@ -3,15 +3,16 @@ package relation
 import (
 	"math/bits"
 	"math/rand/v2"
+	"unsafe"
 )
 
-// flatTable serves every key lookup of Relation and Grouping that is not
-// direct-addressed (see denseSpan): the membership index, GroupBy's key
-// lookup and the key sets of SemijoinWith, Project and DistinctCount are all
-// instances of it. (KeyTable, whose keys arrive without columns to compare
-// against, keeps its own maps.) It maps a key — a row's values at some
-// columns — to a dense int32 id, and it stores no keys: the key of id e is
-// row rowOf(e) of the key columns the caller passes with every call
+// flatTable serves every hashed key lookup of Relation and Grouping: the
+// membership index, GroupBy's key lookup and the key sets of SemijoinWith,
+// Project and DistinctCount that are not direct-addressed (see denseSpan)
+// are all instances of it. (KeyTable, whose keys arrive without columns to
+// compare against, keeps its own maps.) It maps a key — a row's values at
+// some columns — to a dense int32 id, and it stores no keys: the key of id
+// e is row rowOf(e) of the key columns the caller passes with every call
 // (rowOf(e) = rows[e], or e itself when rows is nil). A lookup that meets a
 // matching hash compares the probe against those columns, so no key is ever
 // encoded, and the table is one pointer-free []uint64 the garbage collector
@@ -28,6 +29,14 @@ import (
 // 0 … n−1 in order of insertion. Every table draws its own hash seed, so
 // keys chosen to collide — CSV cells reach the membership index from
 // /admin/load — collide only under the seed they were chosen for.
+//
+// Keys that sit in columns are hashed a block of blockRows rows at a time
+// (hashBlock): one column at a time over the block, then a prefetch of every
+// row's home slot, so the block's slot misses overlap instead of each row
+// paying for its own before the next starts. Every per-row loop of
+// preprocessing — GroupBy, the key sets, the semijoin probes, the membership
+// index build and Grouping.LookupRows — runs through it; only the single-key
+// calls (Insert, Position, PositionProjected) hash one gathered key (hash).
 type flatTable struct {
 	slots []uint64 // hash&^(1<<32−1) | id+1 per occupied slot; 0 = empty
 	shift uint     // 64 − log2(len(slots)): a hash's top bits pick its home slot
@@ -79,6 +88,41 @@ func (t *flatTable) hash(key []Value) uint64 {
 	return h
 }
 
+// blockRows is the number of rows hashBlock hashes at once: its hashes
+// live in one stack array, and its prefetches are all in flight before the
+// first of the block's probes reads a slot.
+const blockRows = 64
+
+// hashBlock sets hs[j] to the hash of row lo+j of cols, for every j <
+// len(hs) ≤ blockRows — exactly hash's value for the gathered row — folding
+// one column at a time into the block, and then prefetches every row's home
+// slot.
+func (t *flatTable) hashBlock(hs []uint64, cols [][]Value, lo int) {
+	for j := range hs {
+		hs[j] = t.seed
+	}
+	for _, col := range cols {
+		for j, v := range col[lo : lo+len(hs)] {
+			hs[j] = mix64(hs[j] ^ uint64(v))
+		}
+	}
+	for _, h := range hs {
+		Prefetch(unsafe.Pointer(&t.slots[h>>t.shift]))
+	}
+}
+
+// lookupBlock sets ids[j] to the id of the key at row lo+j of kcols, or −1
+// when it is absent, for every j < len(ids) ≤ blockRows: one hashBlock, then
+// one probe per row.
+func (t *flatTable) lookupBlock(ids []int32, kcols [][]Value, lo int, cols [][]Value, rows []int32) {
+	var buf [blockRows]uint64
+	hs := buf[:len(ids)]
+	t.hashBlock(hs, kcols, lo)
+	for j, h := range hs {
+		ids[j], _ = t.probeRow(h, kcols, lo+j, cols, rows)
+	}
+}
+
 // find returns the id whose key equals key, or -1.
 func (t *flatTable) find(key []Value, cols [][]Value, rows []int32) int32 {
 	id, _ := t.probe(key, t.hash(key), cols, rows)
@@ -97,6 +141,24 @@ func (t *flatTable) probe(key []Value, h uint64, cols [][]Value, rows []int32) (
 		if (e^h)&hashMask == 0 {
 			id := int32(uint32(e)) - 1
 			if equalAt(key, cols, rowOf(rows, id)) {
+				return id, s
+			}
+		}
+	}
+}
+
+// probeRow is probe for the key at row i of kcols, of hash h: it compares
+// columns with columns and gathers nothing.
+func (t *flatTable) probeRow(h uint64, kcols [][]Value, i int, cols [][]Value, rows []int32) (int32, int) {
+	mask := len(t.slots) - 1
+	for s := int(h >> t.shift); ; s = (s + 1) & mask {
+		e := t.slots[s]
+		if e == 0 {
+			return -1, s
+		}
+		if (e^h)&hashMask == 0 {
+			id := int32(uint32(e)) - 1
+			if equalRows(kcols, i, cols, rowOf(rows, id)) {
 				return id, s
 			}
 		}
@@ -129,13 +191,6 @@ func (t *flatTable) add(s int, h uint64) int32 {
 	t.slots[s] = h&hashMask | uint64(t.n+1)
 	t.n++
 	return t.n - 1
-}
-
-// place adds key as the next id without looking for an equal key: for keys
-// known to be distinct, such as the rows of a set. The table must have room.
-func (t *flatTable) place(key []Value) {
-	t.put(t.hash(key)&hashMask | uint64(t.n+1))
-	t.n++
 }
 
 // put stores entry e in the first free slot from its home slot on.
@@ -183,20 +238,15 @@ func equalAt(key []Value, cols [][]Value, i int) bool {
 	return true
 }
 
-// gatherRow writes row i of cols into key (len(key) == len(cols)).
-func gatherRow(key []Value, cols [][]Value, i int) []Value {
-	for k, col := range cols {
-		key[k] = col[i]
+// equalRows reports whether row i of a equals row j of b (len(a) ==
+// len(b)).
+func equalRows(a [][]Value, i int, b [][]Value, j int) bool {
+	for k, col := range a {
+		if col[i] != b[k][j] {
+			return false
+		}
 	}
-	return key
-}
-
-// gatherAt writes the values of row i of cols at positions proj into key.
-func gatherAt(key []Value, cols [][]Value, proj []int, i int) []Value {
-	for k, p := range proj {
-		key[k] = cols[p][i]
-	}
-	return key
+	return true
 }
 
 // keyStackCap is the widest key gathered on the stack.
@@ -211,12 +261,20 @@ func keyScratch(buf *[keyStackCap]Value, n int) []Value {
 	return make([]Value, n)
 }
 
-// denseSpanFactor bounds direct addressing: a key set over a single column
-// whose values span less than denseSpanFactor × its row count is a bitmap
-// indexed by value − min instead of a flatTable — at most half a byte per
-// row, one pass for the bounds and no hashing or column compare per probe.
-// GroupBy always hashes: an id per value measured no faster than its table.
-const denseSpanFactor = 4
+// Direct addressing: a key set over a single column whose values span
+// little is a bitmap indexed by value − min instead of a flatTable — one
+// pass for the bounds, then one bit test per probe with no hashing and no
+// column compare. The span is little when it is below denseSpanFactor × the
+// row count (at most half a byte per row), or when the whole bitmap is at
+// most denseMaxBits (128 KiB, cache-sized whatever the row count: a few
+// dozen keys spread over a few hundred values still cost a bit test, not a
+// hash). Only transient key sets use it — the semijoins, DistinctCount and
+// Project. GroupBy always hashes: an id per value measured no faster than
+// its table, and its table is the access index's build-time memory.
+const (
+	denseSpanFactor = 4
+	denseMaxBits    = 1 << 20
+)
 
 // denseSpan returns col's minimum and value span when the span is small
 // enough for direct addressing.
@@ -229,82 +287,99 @@ func denseSpan(col []Value) (lo Value, span int, ok bool) {
 		lo, hi = min(lo, v), max(hi, v)
 	}
 	d := uint64(hi) - uint64(lo) // exact: hi ≥ lo
-	if d >= denseSpanFactor*uint64(len(col)) {
+	if d >= denseSpanFactor*uint64(len(col)) && d >= denseMaxBits {
 		return 0, 0, false
 	}
 	return lo, int(d) + 1, true
 }
 
-// keySet is the set of distinct keys of one relation at some positions,
-// built for membership tests (SemijoinWith), distinct counts and Project.
-// first lists the first row of each distinct key in order of appearance. A
-// single column over a dense span is a bitmap; any other key is hashed.
+// keySet is the direct-addressed set of the values of one column whose span
+// is dense (denseSpan): bit v−lo is set for every value v added. It serves
+// SemijoinWith's membership test and the distinct keys of DistinctCount and
+// Project; any other key set is grouped through a flatTable (groupRows).
 type keySet struct {
-	first []int32
-
-	bits []uint64 // dense: bit v−lo is set for every value v present
+	bits []uint64
 	lo   Value
-
-	table *flatTable // hashed: id e's key is row first[e] of cols
-	cols  [][]Value
 }
 
-// distinctKeys collects the distinct keys of r at positions in one pass.
-func (r *Relation) distinctKeys(positions []int) *keySet {
+// denseKeys returns an empty keySet over col's span, or nil when col's span
+// is not dense.
+func denseKeys(col []Value) *keySet {
+	lo, span, ok := denseSpan(col)
+	if !ok {
+		return nil
+	}
+	return &keySet{bits: make([]uint64, (span+63)/64), lo: lo}
+}
+
+// add adds v, which must lie in the set's span, and reports whether it was
+// absent.
+func (s *keySet) add(v Value) bool {
+	d := uint64(v - s.lo)
+	w, b := &s.bits[d/64], uint64(1)<<(d%64)
+	if *w&b != 0 {
+		return false
+	}
+	*w |= b
+	return true
+}
+
+// has reports whether v is in the set; v may lie anywhere.
+func (s *keySet) has(v Value) bool {
+	d := uint64(v - s.lo)
+	return d < uint64(len(s.bits))*64 && s.bits[d/64]&(1<<(d%64)) != 0
+}
+
+// distinctKeys returns the first row of each distinct key of r at
+// positions, in order of appearance: a keySet over a dense single column, a
+// flatTable otherwise.
+func (r *Relation) distinctKeys(positions []int) []int32 {
 	cols := r.keyCols(positions)
-	s := &keySet{}
 	if len(cols) == 1 {
-		if lo, span, ok := denseSpan(cols[0]); ok {
-			s.bits, s.lo = make([]uint64, (span+63)/64), lo
+		if s := denseKeys(cols[0]); s != nil {
+			var first []int32
 			for i, v := range cols[0] {
-				d := uint64(v - lo)
-				if w, b := &s.bits[d/64], uint64(1)<<(d%64); *w&b == 0 {
-					*w |= b
-					s.first = append(s.first, int32(i))
+				if s.add(v) {
+					first = append(first, int32(i))
 				}
 			}
-			return s
+			return first
 		}
 	}
-	s.table, s.first = groupRows(cols, r.n, nil)
-	s.cols = cols
-	return s
+	_, first := groupRows(cols, r.n, nil)
+	return first
 }
 
 // groupRows gives the distinct keys of rows 0 … n−1 of cols ids in order of
-// appearance, returning the flatTable that holds them and the first row of
-// each; groupOf, when non-nil, receives every row's id.
+// appearance, a block of rows at a time, returning the flatTable that holds
+// them and the first row of each; groupOf, when non-nil, receives every
+// row's id.
 func groupRows(cols [][]Value, n int, groupOf []uint32) (*flatTable, []int32) {
 	t := newFlatTable(0) // grows: the distinct count is unknown up front
 	var first []int32
-	var buf [keyStackCap]Value
-	key := keyScratch(&buf, len(cols))
+	var buf [blockRows]uint64
 	id := int32(0)
-	for i := 0; i < n; i++ {
-		// A run of one value in a single key column — a clustered column —
-		// costs one lookup.
-		if len(cols) != 1 || i == 0 || cols[0][i] != cols[0][i-1] {
-			gatherRow(key, cols, i)
-			var added bool
-			if id, added = t.insert(key, cols, first); added {
-				first = append(first, int32(i))
+	for lo := 0; lo < n; lo += blockRows {
+		hs := buf[:min(blockRows, n-lo)]
+		t.hashBlock(hs, cols, lo)
+		for j, h := range hs {
+			i := lo + j
+			// A run of one value in a single key column — a clustered
+			// column — costs one lookup.
+			if len(cols) != 1 || i == 0 || cols[0][i] != cols[0][i-1] {
+				t.reserve()
+				var s int
+				if id, s = t.probeRow(h, cols, i, cols, first); id < 0 {
+					id = t.add(s, h)
+					first = append(first, int32(i))
+				}
 			}
-		}
-		if groupOf != nil {
-			groupOf[i] = uint32(id)
+			if groupOf != nil {
+				groupOf[i] = uint32(id)
+			}
 		}
 	}
 	return t, first
-}
-
-// hasAt reports whether the key at positions proj of row i of cols is in
-// the set; scratch holds len(proj) values.
-func (s *keySet) hasAt(cols [][]Value, proj []int, i int, scratch []Value) bool {
-	if s.bits != nil {
-		d := uint64(cols[proj[0]][i] - s.lo)
-		return d < uint64(len(s.bits))*64 && s.bits[d/64]&(1<<(d%64)) != 0
-	}
-	return s.table.find(gatherAt(scratch, cols, proj, i), s.cols, s.first) >= 0
 }
 
 // keyCols returns r's columns at positions, in that order.

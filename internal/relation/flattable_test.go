@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -45,14 +46,27 @@ func (m *keyModel) groups(positions []int) (ids map[string]uint32, groupOf []uin
 	return ids, groupOf, first
 }
 
-// fuzzValue decodes one byte into a value. dense keeps every value in
-// [0, 32), so width-1 key sets take the bitmap; otherwise the top three bits
-// pick a class — small, negative, ≥ 2³², sparse, at either end of the int64
-// range — and the low five an offset within it.
-func fuzzValue(b byte, dense bool) Value {
+// Value modes of FuzzKeyTable, picked by data[1].
+const (
+	modeDense  = iota // every value in [0, 32): a bitmap under either span rule
+	modeSparse        // classes far apart: hashed
+	modeMid           // spans between 4 × the row count and 2²⁰: a bitmap only under denseMaxBits
+)
+
+// fuzzValue decodes one byte into a value. modeDense keeps every value in
+// [0, 32), so width-1 key sets take the bitmap. modeMid spreads the bytes
+// 4099 apart around zero, so a column of up to 255 rows spans more than four
+// values per row and less than denseMaxBits unless all its bytes are equal.
+// In modeSparse the top three bits pick a class — small, negative, ≥ 2³²,
+// sparse, at either end of the int64 range — and the low five an offset
+// within it.
+func fuzzValue(b byte, mode int) Value {
 	off := Value(b & 31)
-	if dense {
+	switch mode {
+	case modeDense:
 		return off
+	case modeMid:
+		return Value(b)*4099 - 1<<19
 	}
 	switch b >> 5 {
 	case 0, 1:
@@ -72,12 +86,63 @@ func fuzzValue(b byte, dense bool) Value {
 	}
 }
 
+// keyTableSeed lays out a FuzzKeyTable input with an explicit split: R has
+// rRows rows of the given arity, S sRows rows of shared+1 attributes. Every
+// other row of S repeats the shared values of one of R's rows, so the
+// semijoins keep some rows and drop others at any key width. Bytes come from
+// a fixed linear congruential sequence.
+func keyTableSeed(arity, shared, mode, rRows, sRows int) []byte {
+	flags := byte(4) // explicit split: vals[0] is R's row count
+	switch mode {
+	case modeSparse:
+		flags |= 1
+	case modeMid:
+		flags |= 2
+	}
+	var head byte // decodes to arity and shared, as FuzzKeyTable reads data[0]
+	for int(head%6) != arity || int(head>>4)%(arity+1) != shared {
+		head++
+	}
+	data := []byte{head, flags, byte(rRows)}
+	x := uint32(12345)
+	next := func() byte {
+		x = x*1103515245 + 12345
+		return byte(x >> 16)
+	}
+	var rows [][]byte
+	for i := 0; i < rRows; i++ {
+		row := make([]byte, arity)
+		for a := range row {
+			row[a] = next()
+		}
+		rows = append(rows, row)
+		data = append(data, row...)
+	}
+	for i := 0; i < sRows; i++ {
+		sRow := make([]byte, shared+1)
+		for a := range sRow {
+			sRow[a] = next()
+		}
+		if i%2 == 0 && rRows > 0 {
+			// S holds the shared attributes in reverse order.
+			src := rows[int(next())%rRows]
+			for k := 0; k < shared; k++ {
+				sRow[k] = src[shared-1-k]
+			}
+		}
+		data = append(data, sRow...)
+	}
+	return data
+}
+
 // FuzzKeyTable holds every lookup built on the flat table — the membership
 // index (Position, PositionProjected, Contains, Insert with duplicates and
-// growth), GroupBy and LookupAt, SemijoinWith, DistinctCount and Project —
-// to a Go-map model. data[0] picks R's arity (0–5) and how many attributes S
-// shares with it, data[1] whether values stay in a dense span; the rest are
-// R's rows, then S's.
+// growth), GroupBy and LookupRows, SemijoinWith both ways round,
+// DistinctCount and Project — to a Go-map model. data[0] picks R's arity
+// (0–5) and how many attributes S shares with it. data[1] bit 0 picks
+// modeSparse over modeDense and bit 1 modeMid over both; bit 2 makes the
+// next byte R's row count, where otherwise R and S split the rest in half.
+// The rest are R's rows, then S's.
 func FuzzKeyTable(f *testing.F) {
 	f.Add([]byte{0x12, 0, 1, 2, 1, 2, 3, 4, 1, 2, 5, 5, 3, 4})
 	f.Add([]byte{0x21, 1, 0x60, 0x7f, 0x40, 0x81, 0x60, 0x7f, 0xa3, 0xc1, 0xe2, 0x41})
@@ -94,6 +159,22 @@ func FuzzKeyTable(f *testing.F) {
 		dense[2+i] = byte(i * 7 % 29)
 	}
 	f.Add(dense)
+	// R and S across the 64-row block boundary, in each value mode.
+	for _, n := range []int{63, 64, 65, 129} {
+		for mode := modeDense; mode <= modeMid; mode++ {
+			f.Add(keyTableSeed(2, 1, mode, n, n))
+			f.Add(keyTableSeed(3, 2, mode, n, n+1))
+		}
+	}
+	// |S| ≫ |R| and |R| ≫ |S| at key widths 1–3, and an empty side.
+	for w := 1; w <= 3; w++ {
+		for mode := modeDense; mode <= modeMid; mode++ {
+			f.Add(keyTableSeed(w+1, w, mode, 3, 200))
+			f.Add(keyTableSeed(w+1, w, mode, 200, 3))
+		}
+		f.Add(keyTableSeed(w, w, modeSparse, 0, 70))
+		f.Add(keyTableSeed(w, w, modeSparse, 70, 0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -103,9 +184,19 @@ func FuzzKeyTable(f *testing.F) {
 		if arity > 0 {
 			shared = int(data[0]>>4) % (arity + 1)
 		}
-		isDense := data[1]&1 == 0
+		mode := modeDense
+		switch {
+		case data[1]&2 != 0:
+			mode = modeMid
+		case data[1]&1 != 0:
+			mode = modeSparse
+		}
 		vals := data[2:]
 		half := len(vals) / 2
+		if data[1]&4 != 0 && len(vals) > 0 {
+			half = min(int(vals[0])*max(arity, 1), len(vals)-1)
+			vals = vals[1:]
+		}
 		if arity > 0 {
 			half -= half % arity
 		}
@@ -135,7 +226,7 @@ func FuzzKeyTable(f *testing.F) {
 		}
 		for i := 0; arity > 0 && i+arity <= half; i += arity {
 			for a := range row {
-				row[a] = fuzzValue(vals[i+a], isDense)
+				row[a] = fuzzValue(vals[i+a], mode)
 			}
 			insertRow()
 		}
@@ -153,13 +244,13 @@ func FuzzKeyTable(f *testing.F) {
 		sRow := make(Tuple, len(sAttrs))
 		for i := half; i+len(sRow) <= len(vals); i += len(sRow) {
 			for a := range sRow {
-				sRow[a] = fuzzValue(vals[i+a], isDense)
+				sRow[a] = fuzzValue(vals[i+a], mode)
 			}
 			s.MustInsert(sRow...)
 			// S's shared values, laid back into R's attribute order, probe R.
 			probe := make(Tuple, arity)
 			for a := range probe {
-				probe[a] = fuzzValue(vals[i+a%len(sRow)], isDense)
+				probe[a] = fuzzValue(vals[i+a%len(sRow)], mode)
 			}
 			for k := 0; k < shared; k++ {
 				probe[shared-1-k] = sRow[k]
@@ -199,7 +290,7 @@ func FuzzKeyTable(f *testing.F) {
 			}
 		}
 
-		// GroupBy on the shared attributes (in S's order), LookupAt from S.
+		// GroupBy on the shared attributes (in S's order), LookupRows from S.
 		rPos, _ := r.Schema().Positions(sAttrs[:shared])
 		sPos, _ := s.Schema().Positions(sAttrs[:shared])
 		g := r.GroupBy(rPos)
@@ -210,31 +301,25 @@ func FuzzKeyTable(f *testing.F) {
 		if fmt.Sprint(g.GroupOf) != fmt.Sprint(groupOf) {
 			t.Fatalf("GroupBy(%v).GroupOf = %v, want %v", rPos, g.GroupOf, groupOf)
 		}
-		for i := 0; i < s.Len(); i++ {
+		groups := g.LookupRows(s, sPos)
+		if len(groups) != s.Len() {
+			t.Fatalf("LookupRows gave %d groups for %d rows", len(groups), s.Len())
+		}
+		for i, got := range groups {
 			want, ok := ids[s.Tuple(i).ProjectKey(sPos)]
-			if got, gotOK := g.LookupAt(s, i, sPos); gotOK != ok || (ok && got != want) {
-				t.Fatalf("LookupAt(S row %d) = %d,%v, want %d,%v", i, got, gotOK, want, ok)
+			if !ok {
+				want = ^uint32(0) // −1
+			}
+			if got != int32(want) {
+				t.Fatalf("LookupRows: S row %d in group %d, want %d", i, got, int32(want))
 			}
 		}
 
-		// SemijoinWith: the surviving rows, in order.
-		inS := map[string]bool{}
-		for i := 0; i < s.Len(); i++ {
-			inS[s.Tuple(i).ProjectKey(sPos)] = true
-		}
-		var kept []Tuple
-		for _, row := range m.rows {
-			if (shared == 0 && s.Len() > 0) || (shared > 0 && inS[row.ProjectKey(rPos)]) {
-				kept = append(kept, row)
-			}
-		}
-		semi := r.Clone()
-		if removed := semi.SemijoinWith(s); removed != len(m.rows)-len(kept) {
-			t.Fatalf("SemijoinWith removed %d, want %d", removed, len(m.rows)-len(kept))
-		}
-		if fmt.Sprint(semi.Tuples()) != fmt.Sprint(kept) {
-			t.Fatalf("SemijoinWith kept %v, want %v", semi.Tuples(), kept)
-		}
+		// SemijoinWith both ways round — whichever side is smaller gets
+		// hashed — checked by its removed count and its surviving rows, in
+		// order.
+		checkSemijoin(t, r, rPos, s, sPos)
+		checkSemijoin(t, s, sPos, r, rPos)
 
 		// DistinctCount per column, and Project onto the shared attributes.
 		for a := 0; a < arity; a++ {
@@ -256,12 +341,74 @@ func FuzzKeyTable(f *testing.F) {
 
 		// Released keys: a key of width ≥ 1 misses.
 		g.ReleaseKeys()
-		if shared > 0 && s.Len() > 0 {
-			if _, ok := g.LookupAt(s, 0, sPos); ok {
-				t.Fatal("LookupAt answered after ReleaseKeys")
+		if shared > 0 {
+			for i, got := range g.LookupRows(s, sPos) {
+				if got != -1 {
+					t.Fatalf("LookupRows after ReleaseKeys: S row %d in group %d", i, got)
+				}
 			}
 		}
 	})
+}
+
+// checkSemijoin checks a ⋉ b, on a clone of a, against a Go-map model:
+// the rows of a whose key at aPos is some row's key of b at bPos survive, in
+// order, and SemijoinWith reports how many it removed.
+func checkSemijoin(t *testing.T, a *Relation, aPos []int, b *Relation, bPos []int) {
+	t.Helper()
+	inB := map[string]bool{}
+	for i := 0; i < b.Len(); i++ {
+		inB[b.Tuple(i).ProjectKey(bPos)] = true
+	}
+	all := a.Tuples()
+	var kept []Tuple
+	for _, row := range all {
+		if (len(aPos) == 0 && b.Len() > 0) || (len(aPos) > 0 && inB[row.ProjectKey(aPos)]) {
+			kept = append(kept, row)
+		}
+	}
+	semi := a.Clone()
+	if removed := semi.SemijoinWith(b); removed != len(all)-len(kept) {
+		t.Fatalf("%s ⋉ %s removed %d, want %d", a.Name(), b.Name(), removed, len(all)-len(kept))
+	}
+	if fmt.Sprint(semi.Tuples()) != fmt.Sprint(kept) {
+		t.Fatalf("%s ⋉ %s kept %v, want %v", a.Name(), b.Name(), semi.Tuples(), kept)
+	}
+}
+
+// TestHashBlockMatchesHash: the block kernel's hashes are exactly hash's
+// values of the gathered rows, for every key width, at and around the block
+// size, from any starting row.
+func TestHashBlockMatchesHash(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for width := 1; width <= 5; width++ {
+		for _, n := range []int{0, 1, 63, 64, 65, 200} {
+			cols := make([][]Value, width)
+			for k := range cols {
+				cols[k] = make([]Value, n)
+				for i := range cols[k] {
+					cols[k][i] = Value(rng.Uint64())
+				}
+			}
+			tab := newFlatTable(n)
+			var hs [blockRows]uint64
+			key := make([]Value, width)
+			for _, start := range []int{0, 1} {
+				for lo := start; lo < n; lo += blockRows {
+					block := hs[:min(blockRows, n-lo)]
+					tab.hashBlock(block, cols, lo)
+					for j, h := range block {
+						for k, col := range cols {
+							key[k] = col[lo+j]
+						}
+						if want := tab.hash(key); h != want {
+							t.Fatalf("width %d, n %d: row %d hashes to %#x in a block, %#x alone", width, n, lo+j, h, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // unmix64 inverts mix64: each xor-shift by 32 is its own inverse, and

@@ -17,7 +17,7 @@ type Grouping struct {
 	// representative row for re-deriving the group's key values).
 	First []int32
 
-	// Key lookup for LookupAt, until ReleaseKeys: a flatTable whose ids are
+	// Key lookup for LookupRows, until ReleaseKeys: a flatTable whose ids are
 	// the groups, group g's key being row First[g] of keyCols.
 	table   *flatTable
 	keyCols [][]Value
@@ -47,24 +47,29 @@ func (r *Relation) GroupBy(positions []int) *Grouping {
 	return g
 }
 
-// LookupAt returns the group whose key equals the values at positions proj
-// of row i of r — which need not be the relation the grouping was built on:
-// this is how a join-tree parent resolves its tuples to child bucket IDs.
-// len(proj) must equal the grouping's width. Allocation-free for keys of ≤
-// KeyBufCap/8 attributes. After ReleaseKeys, and on a restored grouping, a
-// key of width ≥ 1 always misses.
-func (g *Grouping) LookupAt(r *Relation, i int, proj []int) (uint32, bool) {
+// LookupRows resolves every row of r to a group: out[i] is the group whose
+// key equals the values at positions proj of row i, or −1 when no group has
+// that key. r need not be the relation the grouping was built on: this is
+// how a join-tree parent resolves its tuples to child bucket IDs, a block of
+// rows at a time (flatTable.lookupBlock). len(proj) must equal the
+// grouping's width. After ReleaseKeys, and on a restored grouping, every row
+// misses when the width is ≥ 1.
+func (g *Grouping) LookupRows(r *Relation, proj []int) []int32 {
+	out := make([]int32, r.n)
 	switch {
-	case g.width == 0:
-		return 0, len(g.First) > 0
-	case g.table != nil:
-		var buf [keyStackCap]Value
-		key := gatherAt(keyScratch(&buf, len(proj)), r.cols, proj, i)
-		if id := g.table.find(key, g.keyCols, g.First); id >= 0 {
-			return uint32(id), true
+	case g.width == 0 && len(g.First) > 0:
+		// Every row's key is the empty one, group 0: out is zero already.
+	case g.width == 0 || g.table == nil:
+		for i := range out {
+			out[i] = -1
+		}
+	default:
+		kcols := r.keyCols(proj)
+		for lo := 0; lo < r.n; lo += blockRows {
+			g.table.lookupBlock(out[lo:min(lo+blockRows, r.n)], kcols, lo, g.keyCols, g.First)
 		}
 	}
-	return 0, false
+	return out
 }
 
 // ReleaseKeys drops the key lookup table, keeping GroupOf and First. The
@@ -78,5 +83,5 @@ func (g *Grouping) ReleaseKeys() {
 // GroupBy([]int{a}).NumGroups() reports, without the per-tuple group IDs:
 // a bitmap when the column's span is dense, a flatTable otherwise.
 func (r *Relation) DistinctCount(a int) int {
-	return len(r.distinctKeys([]int{a}).first)
+	return len(r.distinctKeys([]int{a}))
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -32,8 +33,9 @@ import (
 // value, and never encodes a key. (GroupBy uses the same table over its key
 // columns, and so do the key sets of SemijoinWith, Project and
 // DistinctCount, except that a key set over a single column whose values
-// span less than a small multiple of its row count is a bitmap indexed by
-// value. The access index releases a grouping's table once it is built.)
+// span little — less than a small multiple of its row count, or a
+// cache-sized bitmap — is a bitmap indexed by value (denseSpan). The access
+// index releases a grouping's table once it is built.)
 // The membership index exists in one of two states:
 //
 //   - maintained (lazyOnce == nil): NewRelation creates it empty and Insert
@@ -163,21 +165,29 @@ func (r *Relation) BuildIndex() {
 func (r *Relation) Indexed() bool { return r.index != nil }
 
 // dropIndex discards the membership index after row positions changed and
-// defers its rebuild.
+// defers its rebuild. A deferred index that was never built stays deferred
+// under its unused Once.
 func (r *Relation) dropIndex() {
+	if r.index == nil {
+		return
+	}
 	r.index = nil
 	r.lazyOnce = new(sync.Once)
 }
 
 // buildIndex builds the membership index from the columns, pre-sized to the
-// row count. The rows are a set, so each is placed without looking for an
-// equal one.
+// row count, a block of rows at a time. The rows are a set, so each is put
+// in the first free slot from its home without looking for an equal one.
 func (r *Relation) buildIndex() {
 	t := newFlatTable(r.n)
-	var buf [keyStackCap]Value
-	key := keyScratch(&buf, len(r.cols))
-	for i := 0; i < r.n; i++ {
-		t.place(gatherRow(key, r.cols, i))
+	var buf [blockRows]uint64
+	for lo := 0; lo < r.n; lo += blockRows {
+		hs := buf[:min(blockRows, r.n-lo)]
+		t.hashBlock(hs, r.cols, lo)
+		for _, h := range hs {
+			t.put(h&hashMask | uint64(t.n+1))
+			t.n++
+		}
 	}
 	r.index = t
 }
@@ -364,7 +374,7 @@ func (r *Relation) Filter(name string, keep func(Tuple) bool) *Relation {
 
 // Project returns the projection of r onto attrs (set semantics, first
 // occurrence wins, order preserved). Duplicates are found by collecting the
-// distinct keys at the projected positions (keySet), and the output keeps
+// distinct keys at the projected positions (distinctKeys), and the output keeps
 // the first row of each; its membership index is deferred like every
 // intermediate's.
 func (r *Relation) Project(name string, attrs []string) (*Relation, error) {
@@ -372,7 +382,7 @@ func (r *Relation) Project(name string, attrs []string) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	first := r.distinctKeys(pos).first
+	first := r.distinctKeys(pos)
 	cols := make([][]Value, len(pos))
 	for k, p := range pos {
 		src, col := r.cols[p], make([]Value, len(first))
@@ -388,49 +398,115 @@ func (r *Relation) Project(name string, attrs []string) (*Relation, error) {
 // tuple in s on their shared attributes: r ← r ⋉ s. If the relations share no
 // attributes, r is unchanged when s is non-empty and emptied when s is empty
 // (the join with an empty relation is empty). It returns the number of tuples
-// removed. Linear time in |r| + |s|: s's distinct keys on the shared
-// attributes are collected into a keySet (a bitmap over a dense single
-// column, a flatTable otherwise), every row of r costs one membership test
-// in it, and surviving rows are compacted column by column. When
+// removed. Linear time in |r| + |s|, and it hashes at most the smaller side:
+//
+//   - an empty r returns at once, and an empty s empties r, before anything
+//     is read;
+//   - a single shared column whose values in s span little (denseSpan) is a
+//     bitmap of s's values, and every row of r costs one bit test;
+//   - otherwise, when s is the larger side, r's keys are grouped (groupRows)
+//     and s streams through their table, marking every group it hits; a row
+//     of r survives when its group was hit;
+//   - otherwise s's distinct keys are grouped and every row of r is looked
+//     up in their table.
+//
+// The lookups run a block of rows at a time (flatTable.lookupBlock), and the
+// surviving rows keep their order and are compacted column by column. When
 // rows were removed the membership index is dropped, not rebuilt: positions
 // shift again with every sweep of a reduction, and whoever keeps the result
 // builds the index once (BuildIndex).
 func (r *Relation) SemijoinWith(s *Relation) int {
 	r.mustBeMutable("SemijoinWith")
-	shared := r.schema.Intersect(s.schema)
-	if len(shared) == 0 {
-		if s.Len() > 0 {
-			return 0
-		}
+	switch {
+	case r.n == 0:
+		return 0
+	case s.n == 0:
 		n := r.n
 		r.clear()
 		return n
 	}
+	shared := r.schema.Intersect(s.schema)
+	if len(shared) == 0 {
+		return 0
+	}
 	rPos, _ := r.schema.Positions(shared)
 	sPos, _ := s.schema.Positions(shared)
-	keys := s.distinctKeys(sPos)
-	var buf [keyStackCap]Value
-	scratch := keyScratch(&buf, len(rPos))
-	w := 0
-	for i := 0; i < r.n; i++ {
-		if !keys.hasAt(r.cols, rPos, i, scratch) {
-			continue
+	rCols, sCols := r.keyCols(rPos), s.keyCols(sPos)
+	keep := make([]uint64, (r.n+63)/64)
+	var ids [blockRows]int32
+	var dense *keySet
+	if len(sCols) == 1 {
+		dense = denseKeys(sCols[0])
+	}
+	switch {
+	case dense != nil:
+		for _, v := range sCols[0] {
+			dense.add(v)
 		}
-		if w != i {
-			for a := range r.cols {
-				r.cols[a][w] = r.cols[a][i]
+		for i, v := range rCols[0] {
+			if dense.has(v) {
+				keep[i/64] |= 1 << (i % 64)
 			}
 		}
-		w++
-	}
-	removed := r.n - w
-	if removed > 0 {
-		for a := range r.cols {
-			r.cols[a] = r.cols[a][:w]
+	case s.n > r.n:
+		groupOf := make([]uint32, r.n)
+		t, first := groupRows(rCols, r.n, groupOf)
+		hit, left := make([]bool, len(first)), len(first)
+		for lo := 0; lo < s.n && left > 0; lo += blockRows {
+			block := ids[:min(blockRows, s.n-lo)]
+			t.lookupBlock(block, sCols, lo, rCols, first)
+			for _, g := range block {
+				if g >= 0 && !hit[g] {
+					hit[g] = true
+					left--
+				}
+			}
 		}
-		r.n = w
-		r.dropIndex()
+		for i, g := range groupOf {
+			if hit[g] {
+				keep[i/64] |= 1 << (i % 64)
+			}
+		}
+	default:
+		t, first := groupRows(sCols, s.n, nil)
+		for lo := 0; lo < r.n; lo += blockRows {
+			block := ids[:min(blockRows, r.n-lo)]
+			t.lookupBlock(block, rCols, lo, sCols, first)
+			for j, id := range block {
+				if id >= 0 {
+					i := lo + j
+					keep[i/64] |= 1 << (i % 64)
+				}
+			}
+		}
 	}
+	return r.keepRows(keep)
+}
+
+// keepRows keeps the rows whose bit is set in keep (one bit per row, in
+// order), compacting each column in place, and returns how many rows it
+// removed.
+func (r *Relation) keepRows(keep []uint64) int {
+	kept := 0
+	for _, b := range keep {
+		kept += bits.OnesCount64(b)
+	}
+	removed := r.n - kept
+	if removed == 0 {
+		return 0
+	}
+	for a, col := range r.cols {
+		w := 0
+		for k, b := range keep {
+			for ; b != 0; b &= b - 1 {
+				col[w] = col[k*64+bits.TrailingZeros64(b)]
+				w++
+			}
+		}
+		r.cols[a] = col[:w]
+	}
+	r.n = kept
+	r.dropIndex()
 	return removed
 }
 

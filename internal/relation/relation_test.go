@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -316,6 +317,77 @@ func TestSemijoinIdempotent(t *testing.T) {
 	n := r.Len()
 	if again := r.SemijoinWith(s); again != 0 || r.Len() != n {
 		t.Fatal("semijoin not idempotent")
+	}
+}
+
+// bigKeyRelation adopts n rows (i, 2i) over attributes a, b: a million
+// distinct two-column keys, without a membership index.
+func bigKeyRelation(t *testing.T, n int) *Relation {
+	t.Helper()
+	a, b := make([]Value, n), make([]Value, n)
+	for i := range a {
+		a[i], b[i] = Value(i), Value(2*i)
+	}
+	r, err := AdoptColumns("S", MustSchema("a", "b"), n, [][]Value{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestSemijoinEmptySideAllocs: a semijoin with an empty side reads nothing
+// and allocates nothing — an empty r against a million rows returns at once,
+// and a million rows against an empty s are emptied without building a key
+// set.
+func TestSemijoinEmptySideAllocs(t *testing.T) {
+	const n = 1 << 20
+	big := bigKeyRelation(t, n)
+	empty := NewRelation("E", MustSchema("b", "a", "c"))
+	if allocs := testing.AllocsPerRun(10, func() {
+		if empty.SemijoinWith(big) != 0 {
+			t.Fatal("an empty r lost rows")
+		}
+	}); allocs != 0 {
+		t.Fatalf("empty r ⋉ %d rows: %.0f allocations, want 0", n, allocs)
+	}
+	a, b := big.cols[0], big.cols[1]
+	if allocs := testing.AllocsPerRun(10, func() {
+		big.cols[0], big.cols[1], big.n = a, b, n // refill: the call empties it
+		if removed := big.SemijoinWith(empty); removed != n || big.Len() != 0 {
+			t.Fatalf("%d rows ⋉ an empty s removed %d, left %d", n, removed, big.Len())
+		}
+	}); allocs != 0 {
+		t.Fatalf("%d rows ⋉ an empty s: %.0f allocations, want 0", n, allocs)
+	}
+}
+
+// TestSemijoinHashesSmallerSide: 100 rows of r against a million of s on a
+// two-column key hash r's keys and stream s through them, allocating a few
+// kilobytes; hashing s's million keys would take over 16 MiB.
+func TestSemijoinHashesSmallerSide(t *testing.T) {
+	const n = 1 << 20
+	s := bigKeyRelation(t, n)
+	r := NewRelation("R", MustSchema("c", "b", "a"))
+	var want []Tuple
+	for i := 0; i < 100; i++ {
+		a := Value(i * 9973)
+		b := 2 * a
+		if i%3 == 0 {
+			b++ // no row of s has this key
+		} else {
+			want = append(want, Tuple{Value(i), b, a})
+		}
+		r.MustInsert(Value(i), b, a)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	removed := r.SemijoinWith(s)
+	runtime.ReadMemStats(&after)
+	if removed != 100-len(want) || fmt.Sprint(r.Tuples()) != fmt.Sprint(want) {
+		t.Fatalf("removed %d and kept %d rows, want %d and the %d rows of s's keys in order", removed, r.Len(), 100-len(want), len(want))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("100 rows ⋉ %d rows allocated %d bytes, want < 1 MiB", n, alloc)
 	}
 }
 

@@ -29,7 +29,7 @@ func int64sAsValues(v []int64) []Value {
 
 // RestoreGrouping rebuilds a Grouping from its persisted per-tuple group
 // IDs: First is reconstructed in one scan, the key lookup is not restored
-// (LookupAt reports a miss — it is a build-time facility; probes only read
+// (LookupRows reports a miss — it is a build-time facility; probes only read
 // GroupOf). Every group in [0, numGroups) must be inhabited, as GroupBy
 // guarantees for the groupings it produced.
 func RestoreGrouping(groupOf []uint32, numGroups int, width int) (*Grouping, error) {
