@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		offset    = fs.Int64("offset", 0, "first row of the page (mode page)")
 		workers   = fs.Int("workers", 0, "goroutines for index build and batched probes (0 = all cores)")
 		jsArg     = fs.String("js", "", "comma-separated answer positions (mode batch)")
-		plannerMo = fs.String("planner", "cost", "join-tree planner: cost (pick the cheapest candidate tree) | off (as-parsed order, byte-identical to older builds)")
+		plannerMo = fs.String("planner", "cost", "join-tree planner: cost (a CQ's atoms sorted by row count; a union as parsed) | off (as-parsed order, byte-identical to older builds)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

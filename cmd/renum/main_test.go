@@ -45,9 +45,8 @@ func TestModesGolden(t *testing.T) {
 			"3, 1, w\n1, 2, x\n3, 1, w\n"},
 		{"page", []string{"-query", testQ, "-mode", "page", "-offset", "2", "-k", "3"},
 			"1, 3, z\n2, 3, y\n2, 3, z\n"},
-		// -planner off pins the golden bytes: cost mode prepends the
-		// candidate table, whose search duration is nondeterministic
-		// (checked by TestExplainShowsPlanSection instead).
+		// -planner off pins the as-parsed bytes; the default's plan line
+		// is checked by TestExplainShowsPlanSection.
 		{"explain", []string{"-query", testQ, "-mode", "explain", "-planner", "off"},
 			"full join over 2 node(s), head [x y z]\n" +
 				"  Q#0[r] (x, y)  [4 tuples]\n" +
@@ -79,17 +78,19 @@ func TestModesGolden(t *testing.T) {
 	}
 }
 
-// TestExplainShowsPlanSection: the default (cost) planner prepends its
-// candidate table to the explain output — as-parsed marked, winner starred.
+// TestExplainShowsPlanSection: the default (cost) planner prints the atom
+// order it compiled above the join tree.
 func TestExplainShowsPlanSection(t *testing.T) {
 	stdout, stderr, code := runCLI(t, append(tableArgs(), "-query", testQ, "-mode", "explain")...)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
-	for _, want := range []string{"plan: cq cost", "(as parsed)", "* [", "full join over 2 node(s)"} {
-		if !strings.Contains(stdout, want) {
-			t.Fatalf("explain output missing %q:\n%s", want, stdout)
-		}
+	want := "plan: atoms by row count, order [0 1]\n" +
+		"full join over 2 node(s), head [x y z]\n" +
+		"  Q#0[r] (x, y)  [4 tuples]\n" +
+		"    Q#1[s] (y, z)  [4 tuples]  ⋈ parent on [y]\n"
+	if stdout != want {
+		t.Fatalf("explain output:\n%s\nwant:\n%s", stdout, want)
 	}
 	// An invalid planner mode is a usage error.
 	if _, stderr, code := runCLI(t, append(tableArgs(), "-query", testQ, "-planner", "auto")...); code != 2 || !strings.Contains(stderr, "planner mode") {

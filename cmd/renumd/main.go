@@ -156,7 +156,7 @@ func runFlags(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 		shardsFrom   = fs.String("shards-from", "", "router mode: read the shard URL list from this file (re-read every -shard-refresh)")
 		shardRefresh = fs.Duration("shard-refresh", 2*time.Second, "router mode: period for scraping shard counts and health")
 		shardSlice   = fs.String("shard-slice", "", "serve only slice i of a K-way answer partition, as \"i/K\" (shard daemon mode)")
-		plannerMode  = fs.String("planner", "cost", "join-tree planning for entry builds: cost (search candidate trees, keep the cheapest) or off (serve the as-parsed tree byte-for-byte)")
+		plannerMode  = fs.String("planner", "cost", "join-tree planning for entry builds: cost (sort a CQ's atoms by row count; a union stays as parsed) or off (serve the as-parsed tree byte-for-byte)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

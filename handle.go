@@ -159,7 +159,6 @@ type config struct {
 	verify       bool
 	workers      int
 	planner      PlannerMode
-	planObserve  func(PlanStats)
 	buildObserve func(stage string, d time.Duration)
 }
 
@@ -188,8 +187,7 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithBuildObserver registers a callback that receives preprocessing-stage
 // timings while Open builds the probe structure. Stages currently emitted:
-// "plan_search" (the cost-based planner's candidate enumeration); for a
-// static CQ, Proposition 4.2's reduction stage by stage — "instantiate"
+// for a static CQ, Proposition 4.2's reduction stage by stage — "instantiate"
 // (the atoms' relations), "semijoin" (both Yannakakis sweeps), "eliminate"
 // (protected GYO elimination) and "member_index" (the surviving relations'
 // membership indexes) — then "index_build" (the static access structure's
@@ -200,19 +198,19 @@ func WithBuildObserver(fn func(stage string, d time.Duration)) Option {
 	return func(c *config) { c.buildObserve = fn }
 }
 
-// PlannerMode selects how Open picks the join tree a CQ (or the disjunct
-// order a UCQ) is compiled to.
+// PlannerMode selects how Open orders a CQ's body atoms, and with them the
+// join tree the CQ is compiled to. A union is always compiled as parsed.
 type PlannerMode string
 
 const (
-	// PlannerCost (the default) enumerates the valid join trees, costs each
-	// from per-relation statistics (tuple counts, per-column distinct
-	// counts), and compiles the cheapest. The as-parsed tree is always a
-	// candidate and wins ties, so cost mode never picks a tree its own model
-	// rates worse than today's.
+	// PlannerCost (the default) stably sorts a CQ's body atoms by their
+	// relations' row counts, so the smallest relation comes first and tends
+	// to root the join tree; atoms of equal size keep their as-parsed order.
+	// Every order yields the same answers; only the enumeration order and
+	// the constants differ.
 	PlannerCost PlannerMode = "cost"
-	// PlannerOff compiles the as-parsed query byte-for-byte — the exact
-	// pre-planner behavior, including the enumeration order.
+	// PlannerOff compiles the as-parsed query byte-for-byte, including the
+	// enumeration order.
 	PlannerOff PlannerMode = "off"
 )
 
@@ -228,75 +226,13 @@ func ParsePlannerMode(s string) (PlannerMode, error) {
 }
 
 // WithPlanner selects the join-tree planning mode (default PlannerCost).
-// Planning applies to static CQ and UCQ backends; a shard daemon plans the
-// whole query on the full database before SliceView cuts its window, so a
-// fleet picks the same tree deterministically. Dynamic handles and snapshot
-// restores skip planning: updates rebuild incrementally on the original
-// tree, and a restored index already embodies the tree recorded at save
-// time.
+// Planning applies to static CQs; a shard daemon plans the whole query on
+// the full database before SliceView cuts its window, so a fleet picks the
+// same tree deterministically. Dynamic handles and snapshot restores skip
+// planning: updates rebuild incrementally on the original tree, and a
+// restored index already embodies the tree recorded at save time.
 func WithPlanner(mode PlannerMode) Option {
 	return func(c *config) { c.planner = mode }
-}
-
-// PlanStats summarizes one planning run for observers (the serving tier's
-// renum_plan_* metric family).
-type PlanStats struct {
-	// Candidates is the number of distinct join trees costed.
-	Candidates int
-	// Identity reports whether the as-parsed tree won.
-	Identity bool
-	// ChosenCost and IdentityCost are the model costs of the winner and of
-	// the as-parsed tree (equal when Identity).
-	ChosenCost, IdentityCost float64
-	// Duration is the wall-clock planning time.
-	Duration time.Duration
-}
-
-// WithPlanObserver registers a callback invoked once per planning run with
-// the candidate-set summary. Like WithBuildObserver it fires during Open,
-// never after.
-func WithPlanObserver(fn func(PlanStats)) Option {
-	return func(c *config) { c.planObserve = fn }
-}
-
-// planQuery runs the planner for Open: it returns the (possibly reordered)
-// query to compile plus the plan record for Explain. Planner errors are
-// swallowed — the query is returned unchanged and the real build surfaces
-// the same condition with its usual typed error.
-func planQuery(db *Database, q Query, cfg *config) (Query, *plan.Plan) {
-	if cfg.planner == PlannerOff || cfg.dynamic {
-		return q, nil
-	}
-	t0 := time.Now()
-	var (
-		planned Query
-		p       *plan.Plan
-		err     error
-	)
-	switch q := q.(type) {
-	case *CQ:
-		planned, p, err = plan.ChooseCQ(db, q, plan.ModeCost)
-	case *UCQ:
-		planned, p, err = plan.ChooseUCQ(db, q, plan.ModeCost)
-	default:
-		return q, nil
-	}
-	if err != nil || p == nil {
-		return q, nil
-	}
-	if cfg.buildObserve != nil {
-		cfg.buildObserve("plan_search", time.Since(t0))
-	}
-	if cfg.planObserve != nil {
-		cfg.planObserve(PlanStats{
-			Candidates:   len(p.Candidates),
-			Identity:     p.Identity(),
-			ChosenCost:   p.ChosenCost(),
-			IdentityCost: p.IdentityCost(),
-			Duration:     p.Duration,
-		})
-	}
-	return planned, p
 }
 
 // Open builds the probe structure for q over db and wraps it in a Handle:
@@ -329,8 +265,12 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 			}
 			return &Handle{b: daBackend{idx}, workers: cfg.workers}, nil
 		}
-		pq, pl := planQuery(db, q, &cfg)
-		q = pq.(*CQ)
+		var pl *plan.Plan
+		if cfg.planner != PlannerOff {
+			// A planning error leaves q as parsed; the build below surfaces
+			// the same condition with its usual typed error.
+			q, pl, _ = plan.ChooseCQ(db, q, plan.ModeCost)
+		}
 		c, err := cqenum.PrepareWithOptions(db, q,
 			reduce.Options{CanonicalOrder: cfg.canonical, Observe: cfg.buildObserve},
 			access.BuildOptions{Workers: cfg.workers, Observe: cfg.buildObserve})
@@ -342,30 +282,19 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 		if cfg.dynamic {
 			return nil, fmt.Errorf("renum: WithDynamic requires a single full CQ, got a union: %w", ErrUnsupported)
 		}
-		pq, _ := planQuery(db, q, &cfg)
-		planned := pq.(*UCQ)
-		mcOpts := mcucq.Options{
+		t0 := time.Now()
+		m, err := mcucq.New(db, q, mcucq.Options{
 			Reduce:  reduce.Options{CanonicalOrder: cfg.canonical},
 			Verify:  cfg.verify,
 			Workers: cfg.workers,
-		}
-		t0 := time.Now()
-		m, err := mcucq.New(db, planned, mcOpts)
-		if err != nil && planned != q {
-			// The reordered union can fail mc-compatibility (order alignment
-			// is checked structurally by the real build); fall back to the
-			// as-parsed disjunct order rather than failing a query that
-			// worked before planning existed.
-			planned = q
-			m, err = mcucq.New(db, q, mcOpts)
-		}
+		})
 		if err != nil {
 			return nil, err
 		}
 		if cfg.buildObserve != nil {
 			cfg.buildObserve("union_build", time.Since(t0))
 		}
-		return &Handle{b: newUABackend(m, planned), workers: cfg.workers}, nil
+		return &Handle{b: newUABackend(m, q), workers: cfg.workers}, nil
 	default:
 		// Unreachable while Query stays sealed (q == nil aside).
 		return nil, fmt.Errorf("renum: Open: unsupported query type %T", q)
@@ -772,8 +701,8 @@ func (h *Handle) Permute(rng *rand.Rand) (*Permutation, error) {
 // (c.FullJoin == nil), which is all that separates it from a built one.
 type cqBackend struct {
 	c *cqenum.CQ
-	// plan records the cost-based planner's candidate set when Open compiled
-	// this index in PlannerCost mode (nil for PlannerOff and for restores).
+	// plan records the atom order Open compiled this index in under
+	// PlannerCost (nil for PlannerOff and for restores).
 	plan *plan.Plan
 }
 
@@ -796,9 +725,9 @@ func (b cqBackend) InvertedAccess(t Tuple) (int64, bool) { return b.c.Index.Inve
 
 func (b cqBackend) Contains(t Tuple) bool { return b.c.Index.Contains(t) }
 
-// explain renders the planner's candidate set with costs and the winner
-// (when cost-based planning ran), followed by the reduced full-join tree
-// with node schemas, cardinalities and join attributes.
+// explain renders the planned atom order (when the planner ran), followed
+// by the reduced full-join tree with node schemas, cardinalities and join
+// attributes.
 func (b cqBackend) explain() (string, bool) {
 	if b.c.FullJoin == nil {
 		return "", false
@@ -816,8 +745,8 @@ func (b cqBackend) explain() (string, bool) {
 type uaBackend struct {
 	m    *mcucq.MCUCQ
 	head []string
-	// u is the union as compiled (after disjunct-order planning); snapshots
-	// record it so restore pairs the saved indexes with the right disjuncts.
+	// u is the union as compiled; snapshots record it so restore pairs the
+	// saved indexes with the right disjuncts.
 	u *query.UCQ
 }
 

@@ -881,56 +881,6 @@ func TestOpenRefusesIncompatibleUnion(t *testing.T) {
 	}
 }
 
-// TestOpenFallsBackFromIncompatiblePlan: the planner moves heavy disjuncts
-// forward without knowing about order compatibility. When the order it
-// picks is refused, Open builds the as-parsed one — a fallback that could
-// only fire under WithVerify before the build checked every union.
-func TestOpenFallsBackFromIncompatiblePlan(t *testing.T) {
-	db := NewDatabase()
-	qAB, qC := incompatibleDisjuncts(db)
-	d := db.MustCreate("D", "x", "y", "z")
-	d.MustInsert(4, 0, 7)
-	d.MustInsert(40, 41, 42)
-	qD := MustCQ("qD", []string{"x", "y", "z"}, NewAtom("D", V("x"), V("y"), V("z")))
-	// qAB reads more tuples than qC, so the planner wants it second.
-	parsed := MustUCQ("u", qD, qC, qAB)
-	if _, err := Open(db, MustUCQ("u", qD, qAB, qC), WithPlanner(PlannerOff)); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("the order the planner is expected to pick is not refused: %v", err)
-	}
-
-	var planned PlanStats
-	h := mustOpen(t, db, parsed, WithPlanObserver(func(ps PlanStats) { planned = ps }))
-	if planned.Identity {
-		t.Fatalf("the planner kept the as-parsed order (%+v): nothing to fall back from", planned)
-	}
-	want := mustOpen(t, db, parsed, WithPlanner(PlannerOff))
-	if h.Count() != 7 || want.Count() != 7 {
-		t.Fatalf("counts %d and %d, want 7", h.Count(), want.Count())
-	}
-	for j := int64(0); j < h.Count(); j++ {
-		got, err := h.Access(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w, _ := want.Access(j); !got.Equal(w) {
-			t.Fatalf("Access(%d) = %v, the as-parsed order has %v", j, got, w)
-		}
-	}
-	evaluated, err := EvaluateUCQ(db, parsed)
-	if err != nil || len(evaluated) != 7 {
-		t.Fatalf("EvaluateUCQ: %d answers, %v", len(evaluated), err)
-	}
-	in, err := h.Container()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range evaluated {
-		if !in.Contains(a) {
-			t.Fatalf("answer %v is not in the fallback handle", a)
-		}
-	}
-}
-
 // TestUnionAccessIntoDoesNotAllocate: the union's single probe writes into
 // the caller's row — including the positions Algorithm 7 resolves through an
 // intersection, which used to cost a tuple per level and a scratch row per
@@ -948,5 +898,18 @@ func TestUnionAccessIntoDoesNotAllocate(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("Handle.AccessInto on a UCQ handle: %.0f allocations over %d probes, want 0", allocs, h.Count())
+	}
+}
+
+func TestParsePlannerMode(t *testing.T) {
+	for _, ok := range []PlannerMode{PlannerCost, PlannerOff} {
+		if m, err := ParsePlannerMode(string(ok)); err != nil || m != ok {
+			t.Fatalf("ParsePlannerMode(%q) = %q, %v", ok, m, err)
+		}
+	}
+	for _, bad := range []string{"", "Cost", "on", "auto"} {
+		if _, err := ParsePlannerMode(bad); err == nil {
+			t.Fatalf("ParsePlannerMode(%q) accepted", bad)
+		}
 	}
 }

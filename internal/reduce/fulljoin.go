@@ -174,20 +174,6 @@ func BuildFullJoin(db *relation.Database, q *query.CQ, opts Options) (*FullJoin,
 	return fj, nil
 }
 
-// elimOps receives the data-level effects of the elimination decisions. The
-// decisions themselves — which variables to project away, which atom absorbs
-// which — are purely schema-driven, so runEliminate computes them from
-// schemas alone and calls back for the (expensive) relation work. The
-// planner's cost simulation plugs in a no-op implementation and gets the
-// exact surviving structure without touching any tuples, guaranteed to match
-// what the real reduction will build.
-type elimOps interface {
-	// Project narrows item i to the keep attributes (in schema order).
-	Project(i int, keep []string) error
-	// Absorb replaces item `into` by into ⋉ drop and deletes item `drop`.
-	Absorb(into, drop int) error
-}
-
 // eliminate runs the protected GYO elimination until only head variables
 // remain, returning the surviving relations (in original atom order). The two
 // operations are:
@@ -203,158 +189,73 @@ type elimOps interface {
 // deterministic policy is what aligns the tree shapes of structurally-equal
 // queries (required for mc-UCQ order compatibility, Section 5.2).
 func eliminate(items []*relation.Relation, head map[string]bool) ([]*relation.Relation, error) {
-	schemas := make([]relation.Schema, len(items))
-	for i, r := range items {
-		schemas[i] = r.Schema()
-	}
-	ops := &relElim{items: items}
-	if _, _, err := runEliminate(schemas, head, ops); err != nil {
-		return nil, err
-	}
-	return ops.items, nil
-}
-
-// relElim applies elimination decisions to real relations.
-type relElim struct {
-	items []*relation.Relation
-}
-
-func (e *relElim) Project(i int, keep []string) error {
-	p, err := e.items[i].Project(e.items[i].Name(), keep)
-	if err != nil {
-		return err
-	}
-	e.items[i] = p
-	return nil
-}
-
-func (e *relElim) Absorb(into, drop int) error {
-	e.items[into].SemijoinWith(e.items[drop])
-	e.items = append(e.items[:drop], e.items[drop+1:]...)
-	return nil
-}
-
-// noopElim discards the data effects: runEliminate then reduces to a pure
-// schema simulation.
-type noopElim struct{}
-
-func (noopElim) Project(int, []string) error { return nil }
-func (noopElim) Absorb(int, int) error       { return nil }
-
-// SimulateEliminate replays the protected GYO elimination on atom schemas
-// alone, with no database: it returns the surviving schemas (post-projection)
-// and, aligned with them, the index of the original atom each survivor came
-// from. The decisions are computed by the same driver the real reduction
-// uses, so the surviving structure — and hence the remainder join tree built
-// over it — is exactly what BuildFullJoin would produce for a query with
-// these atom schemas. The error mirrors the non-free-connex failure.
-func SimulateEliminate(schemas [][]string, head map[string]bool) (surviving [][]string, atoms []int, err error) {
-	ss := make([]relation.Schema, len(schemas))
-	for i, s := range schemas {
-		ss[i] = relation.Schema(s)
-	}
-	out, atoms, err := runEliminate(ss, head, noopElim{})
-	if err != nil {
-		return nil, nil, err
-	}
-	surviving = make([][]string, len(out))
-	for i, s := range out {
-		surviving[i] = []string(s)
-	}
-	return surviving, atoms, nil
-}
-
-// runEliminate is the elimination driver: it owns the decision logic over
-// schemas, mirrors every decision into ops, and returns the surviving
-// schemas plus the original item index of each survivor.
-func runEliminate(schemas []relation.Schema, head map[string]bool, ops elimOps) ([]relation.Schema, []int, error) {
-	origin := make([]int, len(schemas))
-	for i := range origin {
-		origin[i] = i
-	}
 	for {
 		changed := false
 
 		// Projection pass.
 		occurrences := make(map[string]int)
-		for _, s := range schemas {
-			for _, v := range s {
+		for _, r := range items {
+			for _, v := range r.Schema() {
 				occurrences[v]++
 			}
 		}
-		for i, s := range schemas {
+		for i, r := range items {
 			var keep []string
-			for _, v := range s {
+			for _, v := range r.Schema() {
 				if head[v] || occurrences[v] > 1 {
 					keep = append(keep, v)
 				}
 			}
-			if len(keep) == len(s) {
+			if len(keep) == r.Arity() {
 				continue
 			}
-			if err := ops.Project(i, keep); err != nil {
-				return nil, nil, err
+			p, err := r.Project(r.Name(), keep)
+			if err != nil {
+				return nil, err
 			}
-			schemas[i] = relation.Schema(keep)
+			items[i] = p
 			changed = true
 		}
 
 		// One absorption (then restart, so occurrence counts stay fresh).
 		absorbed := false
-		drop := func(into, j int) error {
-			if err := ops.Absorb(into, j); err != nil {
-				return err
-			}
-			schemas = append(schemas[:j], schemas[j+1:]...)
-			origin = append(origin[:j], origin[j+1:]...)
-			return nil
+		drop := func(into, j int) {
+			items[into].SemijoinWith(items[j])
+			items = append(items[:j], items[j+1:]...)
+			absorbed = true
 		}
 		// Equal sets: keep the earlier atom.
-		for i := 0; i < len(schemas) && !absorbed; i++ {
-			for j := i + 1; j < len(schemas); j++ {
-				if schemaSubset(schemas[j], schemas[i]) {
-					if err := drop(i, j); err != nil {
-						return nil, nil, err
-					}
-					absorbed = true
+		for i := 0; i < len(items) && !absorbed; i++ {
+			for j := i + 1; j < len(items); j++ {
+				if schemaSubset(items[j].Schema(), items[i].Schema()) {
+					drop(i, j)
 					break
 				}
 			}
 		}
 		// Strict subsets: absorb the subset into its superset.
-		if !absorbed {
-			for i := 0; i < len(schemas) && !absorbed; i++ {
-				for j := 0; j < len(schemas); j++ {
-					if i == j {
-						continue
-					}
-					if schemaSubset(schemas[i], schemas[j]) {
-						if err := drop(j, i); err != nil {
-							return nil, nil, err
-						}
-						absorbed = true
-						break
-					}
+		for i := 0; i < len(items) && !absorbed; i++ {
+			for j := 0; j < len(items); j++ {
+				if i != j && schemaSubset(items[i].Schema(), items[j].Schema()) {
+					drop(j, i)
+					break
 				}
 			}
 		}
-		if absorbed {
-			changed = true
-		}
 
-		if !changed {
+		if !changed && !absorbed {
 			break
 		}
 	}
 
-	for _, s := range schemas {
-		for _, v := range s {
+	for _, r := range items {
+		for _, v := range r.Schema() {
 			if !head[v] {
-				return nil, nil, fmt.Errorf("existential variable %q cannot be eliminated", v)
+				return nil, fmt.Errorf("existential variable %q cannot be eliminated", v)
 			}
 		}
 	}
-	return schemas, origin, nil
+	return items, nil
 }
 
 // schemaSubset reports whether every attribute of a occurs in b.

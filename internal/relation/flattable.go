@@ -7,9 +7,9 @@ import (
 )
 
 // flatTable serves every hashed key lookup of Relation and Grouping: the
-// membership index, GroupBy's key lookup and the key sets of SemijoinWith,
-// Project and DistinctCount that are not direct-addressed (see denseSpan)
-// are all instances of it. (KeyTable, whose keys arrive without columns to
+// membership index, GroupBy's key lookup and the key sets of SemijoinWith
+// and Project that are not direct-addressed (see denseSpan) are all
+// instances of it. (KeyTable, whose keys arrive without columns to
 // compare against, keeps its own maps.) It maps a key — a row's values at
 // some columns — to a dense int32 id, and it stores no keys: the key of id
 // e is row rowOf(e) of the key columns the caller passes with every call
@@ -268,8 +268,7 @@ func keyScratch(buf *[keyStackCap]Value, n int) []Value {
 // row count (at most half a byte per row), or when the whole bitmap is at
 // most denseMaxBits (128 KiB, cache-sized whatever the row count: a few
 // dozen keys spread over a few hundred values still cost a bit test, not a
-// hash). Only transient key sets use it — the semijoins, DistinctCount and
-// Project. GroupBy always hashes: an id per value measured no faster than
+// hash). Only transient key sets use it — the semijoins and Project. GroupBy always hashes: an id per value measured no faster than
 // its table, and its table is the access index's build-time memory.
 const (
 	denseSpanFactor = 4
@@ -295,8 +294,8 @@ func denseSpan(col []Value) (lo Value, span int, ok bool) {
 
 // keySet is the direct-addressed set of the values of one column whose span
 // is dense (denseSpan): bit v−lo is set for every value v added. It serves
-// SemijoinWith's membership test and the distinct keys of DistinctCount and
-// Project; any other key set is grouped through a flatTable (groupRows).
+// SemijoinWith's membership test and the distinct keys of Project; any
+// other key set is grouped through a flatTable (groupRows).
 type keySet struct {
 	bits []uint64
 	lo   Value

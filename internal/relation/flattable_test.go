@@ -137,9 +137,9 @@ func keyTableSeed(arity, shared, mode, rRows, sRows int) []byte {
 
 // FuzzKeyTable holds every lookup built on the flat table — the membership
 // index (Position, PositionProjected, Contains, Insert with duplicates and
-// growth), GroupBy and LookupRows, SemijoinWith both ways round,
-// DistinctCount and Project — to a Go-map model. data[0] picks R's arity
-// (0–5) and how many attributes S shares with it. data[1] bit 0 picks
+// growth), GroupBy and LookupRows, SemijoinWith both ways round, and
+// Project — to a Go-map model. data[0] picks R's arity (0–5) and how many
+// attributes S shares with it. data[1] bit 0 picks
 // modeSparse over modeDense and bit 1 modeMid over both; bit 2 makes the
 // next byte R's row count, where otherwise R and S split the rest in half.
 // The rest are R's rows, then S's.
@@ -321,10 +321,15 @@ func FuzzKeyTable(f *testing.F) {
 		checkSemijoin(t, r, rPos, s, sPos)
 		checkSemijoin(t, s, sPos, r, rPos)
 
-		// DistinctCount per column, and Project onto the shared attributes.
-		for a := 0; a < arity; a++ {
-			if _, _, first := m.groups([]int{a}); r.DistinctCount(a) != len(first) {
-				t.Fatalf("DistinctCount(%d) = %d, want %d", a, r.DistinctCount(a), len(first))
+		// Project onto each single column (a bitmap key set when the span is
+		// dense), and onto the shared attributes.
+		for a, attr := range r.Schema() {
+			p, err := r.Project("P", []string{attr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, first := m.groups([]int{a}); p.Len() != len(first) {
+				t.Fatalf("Project(%s) has %d rows, want %d", attr, p.Len(), len(first))
 			}
 		}
 		p, err := r.Project("P", sAttrs[:shared])
@@ -487,7 +492,7 @@ func TestFlatTableHostileKeys(t *testing.T) {
 			t.Fatalf("key %d lost", i)
 		}
 	}
-	if r.DistinctCount(0) != n || r.GroupBy([]int{0}).NumGroups() != n {
+	if p, _ := r.Project("P", []string{"a"}); p.Len() != n || r.GroupBy([]int{0}).NumGroups() != n {
 		t.Fatal("hostile keys miscounted")
 	}
 }

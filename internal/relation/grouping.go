@@ -78,10 +78,3 @@ func (g *Grouping) LookupRows(r *Relation, proj []int) []int32 {
 func (g *Grouping) ReleaseKeys() {
 	g.table, g.keyCols = nil, nil
 }
-
-// DistinctCount returns the number of distinct values in column a — what
-// GroupBy([]int{a}).NumGroups() reports, without the per-tuple group IDs:
-// a bitmap when the column's span is dense, a flatTable otherwise.
-func (r *Relation) DistinctCount(a int) int {
-	return len(r.distinctKeys([]int{a}))
-}

@@ -540,18 +540,3 @@ func TestProjectOntoNothing(t *testing.T) {
 		r.MustInsert(2)
 	}
 }
-
-func TestDistinctCount(t *testing.T) {
-	r := NewRelation("R", MustSchema("a", "b"))
-	for i := 0; i < 100; i++ {
-		r.MustInsert(Value(i/10), Value(i%7)) // a clustered, b scattered
-	}
-	for col, want := range []int{10, 7} {
-		if got := r.DistinctCount(col); got != want || got != r.GroupBy([]int{col}).NumGroups() {
-			t.Fatalf("DistinctCount(%d) = %d, want %d", col, got, want)
-		}
-	}
-	if NewRelation("E", MustSchema("a")).DistinctCount(0) != 0 {
-		t.Fatal("empty column has distinct values")
-	}
-}

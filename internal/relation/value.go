@@ -6,10 +6,9 @@
 // Storage is column-major (see Relation): one contiguous []Value per
 // attribute, with dense group IDs (see GroupBy) replacing string-keyed hash
 // maps on every hot path. Every key lookup of Relation and Grouping — the
-// membership index, GroupBy, the key sets of SemijoinWith, Project and
-// DistinctCount — goes through one flat open-addressing table (flatTable)
-// that compares a probe against the columns instead of encoding it, or, for
-// a key set over a single column with a dense span, through a bitmap. The
+// membership index, GroupBy, the key sets of SemijoinWith and Project —
+// goes through one flat open-addressing table (flatTable) that compares a
+// probe against the columns instead of encoding it, or, for a key set over a single column with a dense span, through a bitmap. The
 // string dictionary (Dict) interns through the same table, confirming a
 // hash match against its value table instead of the columns, so interning
 // a CSV cell touches no Go map either. Rendering a value reads the

@@ -13,22 +13,20 @@ import (
 	"strconv"
 	"time"
 
-	"repro"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
 // registryMetrics are a Registry's instruments, created with it: build,
-// plan-search, WAL, snapshot, compaction and publish timings. Per-query
-// series (build stages, plan searches, probe histograms) are resolved when
-// an entry is built — the boot build included — never per request.
+// WAL, snapshot, compaction and publish timings. Per-query series (build
+// stages, probe histograms) are resolved when an entry is built — the boot
+// build included — never per request.
 type registryMetrics struct {
 	reg *obs.Registry
 
-	snapSave, compact, planDur   *obs.Histogram
-	compactFolded, published     *obs.Counter
-	planCandidates, planImproved *obs.Counter
-	walHooks                     wal.Hooks // fed to every segment the registry opens
+	snapSave, compact        *obs.Histogram
+	compactFolded, published *obs.Counter
+	walHooks                 wal.Hooks // fed to every segment the registry opens
 }
 
 func newRegistryMetrics(r *Registry) registryMetrics {
@@ -47,12 +45,6 @@ func newRegistryMetrics(r *Registry) registryMetrics {
 			"WAL records folded into snapshot generations by compaction.", ""),
 		published: reg.Counter("renum_generations_published_total",
 			"Registry generations published (snapshot pointer swaps).", ""),
-		planCandidates: reg.Counter("renum_plan_candidates_total",
-			"Candidate join trees costed by the planner across all searches.", ""),
-		planImproved: reg.Counter("renum_plan_improved_total",
-			"Planner searches that chose a tree strictly cheaper than the as-parsed one.", ""),
-		planDur: reg.Histogram("renum_plan_search_duration_seconds",
-			"Planner search latency (candidate enumeration + costing), at entry build time.", ""),
 		walHooks: wal.Hooks{
 			Append: func(bytes int, d time.Duration) {
 				walAppend.Record(d)
@@ -74,21 +66,6 @@ func (m *registryMetrics) buildObserver(query string, gen uint64) func(stage str
 		m.reg.Histogram("renum_build_duration_seconds",
 			"Index build latency, by query, build stage and the generation the build published.",
 			obs.Labels("query", query, "stage", stage, "generation", g)).Record(d)
-	}
-}
-
-// planObserver records query's planner searches (a build-time event, like
-// the build histogram).
-func (m *registryMetrics) planObserver(query string) func(renum.PlanStats) {
-	return func(ps renum.PlanStats) {
-		m.reg.Counter("renum_plan_searches_total",
-			"Planner searches run at entry build time, by query.",
-			obs.Labels("query", query)).Inc()
-		m.planCandidates.Add(uint64(ps.Candidates))
-		if !ps.Identity {
-			m.planImproved.Inc()
-		}
-		m.planDur.Record(ps.Duration)
 	}
 }
 

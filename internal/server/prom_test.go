@@ -128,29 +128,30 @@ func TestPrometheusWALAndCompactionFamilies(t *testing.T) {
 	}
 }
 
-// TestPrometheusPlanAndCacheFamilies: planner searches at boot and at
-// rebuild time land in the per-query plan families, lint-clean. (The test
-// floor pins the name; the cache families it also covered are gone with the
-// cache.)
+// TestPrometheusPlanAndCacheFamilies: the planner is a row-count rule with
+// no search to time, so a boot and a rebuild export no renum_plan_*
+// family; the rebuild's index builds land in the build histogram instead,
+// lint-clean. (The test floor pins the name; the plan-search and cache
+// families it once covered are gone.)
 func TestPrometheusPlanAndCacheFamilies(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	// The boot build and the rebuild each run one planner search per static
-	// entry (Q and U — the dynamic D skips planning).
 	do(t, s, "POST", "/admin/rebuild", "", 200)
 
 	text := promText(t, s)
 	if errs := obs.Lint(strings.NewReader(text)); len(errs) > 0 {
 		t.Fatalf("exposition fails lint: %v\nfull text:\n%s", errs, text)
 	}
-	for _, want := range []string{
-		`renum_plan_searches_total{query="Q"} 2`,
-		`renum_plan_searches_total{query="U"} 2`,
-		"renum_plan_candidates_total ",
-		"renum_plan_improved_total ",
-		"renum_plan_search_duration_seconds_count 4",
+	if strings.Contains(text, "renum_plan_") {
+		t.Errorf("exposition still has a plan family\n%s", grepLines(text, "renum_plan"))
+	}
+	for _, want := range []string{ // generation 1 is the boot, 3 the rebuild
+		`renum_build_duration_seconds_count{query="Q",stage="index_build",generation="1"} 1`,
+		`renum_build_duration_seconds_count{query="U",stage="union_build",generation="1"} 1`,
+		`renum_build_duration_seconds_count{query="Q",stage="index_build",generation="3"} 1`,
+		`renum_build_duration_seconds_count{query="U",stage="union_build",generation="3"} 1`,
 	} {
 		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q\n%s", want, grepLines(text, "renum_plan"))
+			t.Errorf("exposition missing %q\n%s", want, grepLines(text, "renum_build_duration_seconds_count"))
 		}
 	}
 }

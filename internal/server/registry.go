@@ -83,7 +83,7 @@ type Registry struct {
 	sliceOf  int
 
 	// planner selects the join-tree planning mode for entry builds
-	// (SetPlanner). Empty means the library default (cost-based).
+	// (SetPlanner). Empty means the library default (PlannerCost).
 	planner renum.PlannerMode
 }
 
@@ -226,9 +226,9 @@ func shardWindow(name string, h *renum.Handle, i, k int) (*renum.Handle, error) 
 }
 
 // SetPlanner selects the join-tree planning mode applied to entries built
-// after the call (Register, Rebuild): renum.PlannerCost searches candidate
-// join trees and keeps the cheapest, renum.PlannerOff preserves the
-// as-parsed tree byte-for-byte. Entries already published keep the tree
+// after the call (Register, Rebuild): renum.PlannerCost sorts a CQ's body
+// atoms by row count, renum.PlannerOff preserves the as-parsed tree
+// byte-for-byte. Entries already published keep the tree
 // they were built with until their next rebuild.
 func (r *Registry) SetPlanner(mode renum.PlannerMode) {
 	r.mu.Lock()
@@ -354,7 +354,7 @@ func (r *Registry) build(db *renum.Database, q load.Query, dynamic bool) (*Entry
 	}
 	// The build publishes the next generation; its stages are labeled so.
 	observe := r.m.buildObserver(q.Name, r.snap.Load().gen+1)
-	opts = append(opts, renum.WithBuildObserver(observe), renum.WithPlanObserver(r.m.planObserver(q.Name)))
+	opts = append(opts, renum.WithBuildObserver(observe))
 	src := q.Src()
 	t0 := time.Now()
 	h, err := renum.Open(db, src, opts...)

@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -692,28 +693,39 @@ func TestRouterHammer(t *testing.T) {
 	f.compare(t, "GET", "/v1/Q/page?offset=0&limit=50", "", "")
 }
 
-// stubShard is a daemon that scrapes like a healthy shard of one 3-column
-// query Q and answers its row legs with whatever rows says: the shard as
-// adversary (or as a fleet booted wrong).
+// stubShard is a daemon that scrapes like a healthy shard of the queries
+// it lists (Q alone when queries is nil), every one with head (x, y, z when
+// nil) and count, and answers Q's row legs with whatever rows says: the
+// shard as adversary (or as a fleet booted wrong).
 type stubShard struct {
-	count int64
-	rows  func(asked int) []byte // the /batch and /page reply body
+	count   int64
+	rows    func(asked int) []byte // the /batch and /page reply body
+	queries []string
+	head    []string
 }
 
 func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/readyz":
+	queries, head := s.queries, s.head
+	if queries == nil {
+		queries = []string{"Q"}
+	}
+	if head == nil {
+		head = []string{"x", "y", "z"}
+	}
+	switch name := strings.TrimPrefix(r.URL.Path, "/v1/"); {
+	case r.URL.Path == "/readyz":
 		fmt.Fprintln(w, `{"generation":1,"ready":true}`)
-	case "/v1":
-		fmt.Fprintln(w, `{"generation":1,"queries":["Q"]}`)
-	case "/v1/Q":
-		fmt.Fprintf(w, `{"name":"Q","kind":"cq","count":%d,"head":["x","y","z"],"query":"Q","capabilities":["enumerate"]}`+"\n", s.count)
-	case "/v1/Q/batch":
+	case r.URL.Path == "/v1":
+		json.NewEncoder(w).Encode(shardList{Generation: 1, Queries: queries})
+	case r.URL.Path == "/v1/Q/batch":
 		w.Write(s.rows(strings.Count(r.URL.Query().Get("js"), ",") + 1))
-	case "/v1/Q/page":
+	case r.URL.Path == "/v1/Q/page":
 		var n int
 		fmt.Sscan(r.URL.Query().Get("limit"), &n)
 		w.Write(s.rows(n))
+	case name != r.URL.Path && slices.Contains(queries, name):
+		json.NewEncoder(w).Encode(server.Meta{Name: name, Kind: "cq", Count: s.count, Head: head, Query: name,
+			Capabilities: []renum.Capability{renum.CapEnumerate}})
 	default:
 		http.NotFound(w, r)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -86,9 +87,11 @@ func (r *Router) loadShards() ([]string, error) {
 
 // scrape builds a fresh table by interrogating every shard: /readyz must
 // report ready, /v1 lists the queries, /v1/{query} supplies head, kind and
-// this shard's count. All shards must serve the same query set with the
-// same head — a disagreement means the fleet was booted inconsistently and
-// the router refuses the table rather than serving torn answers.
+// this shard's count. Every shard must list each of its queries once, by a
+// name that is one path segment, and all shards must serve the same query
+// set with the same heads — a disagreement means the fleet was booted
+// inconsistently and the router refuses the table rather than serving torn
+// answers.
 func (r *Router) scrape(ctx context.Context) (*table, error) {
 	bases, err := r.loadShards()
 	if err != nil {
@@ -118,11 +121,14 @@ func (r *Router) scrape(ctx context.Context) (*table, error) {
 		if err := sh.doJSON(ctx, http.MethodGet, "/v1", nil, &list); err != nil {
 			return nil, err
 		}
+		names := slices.Sorted(slices.Values(list.Queries))
+		if err := checkNames(names); err != nil {
+			return nil, &shardError{shard: base, err: err}
+		}
 		if i == 0 {
-			t.names = append([]string{}, list.Queries...)
-			sort.Strings(t.names)
-		} else if len(list.Queries) != len(t.names) {
-			return nil, &shardError{shard: base, err: fmt.Errorf("serves %d queries, shard %s serves %d", len(list.Queries), bases[0], len(t.names))}
+			t.names = names
+		} else if !slices.Equal(names, t.names) {
+			return nil, &shardError{shard: base, err: fmt.Errorf("serves queries %q, shard %s serves %q", names, bases[0], t.names)}
 		}
 		for _, name := range list.Queries {
 			var meta server.Meta
@@ -131,9 +137,6 @@ func (r *Router) scrape(ctx context.Context) (*table, error) {
 			}
 			rt := t.queries[name]
 			if rt == nil {
-				if i != 0 {
-					return nil, &shardError{shard: base, err: fmt.Errorf("serves query %s unknown to shard %s", name, bases[0])}
-				}
 				meta.Name = name // the name the paths below are built from
 				rt = &route{
 					meta:      meta,
@@ -142,7 +145,7 @@ func (r *Router) scrape(ctx context.Context) (*table, error) {
 					pagePath:  "/v1/" + name + "/page?offset=",
 				}
 				t.queries[name] = rt
-			} else if strings.Join(meta.Head, ",") != strings.Join(rt.meta.Head, ",") {
+			} else if !slices.Equal(meta.Head, rt.meta.Head) {
 				return nil, &shardError{shard: base, err: fmt.Errorf("query %s head %v disagrees with shard %s head %v", name, meta.Head, bases[0], rt.meta.Head)}
 			}
 			if meta.Count < 0 {
@@ -165,6 +168,24 @@ func (r *Router) scrape(ctx context.Context) (*table, error) {
 		rt.src = remote{r: r, t: t, rt: rt}
 	}
 	return t, nil
+}
+
+// checkNames refuses a shard's sorted query list unless it names each
+// query once and every name is one path segment: the router builds
+// /v1/{name} paths from them, and a name that spans segments, or ends or
+// escapes the path, would route to some other resource.
+func checkNames(sorted []string) error {
+	for k, name := range sorted {
+		if k > 0 && name == sorted[k-1] {
+			return fmt.Errorf("lists query %q twice", name)
+		}
+		if name == "" || name == "." || name == ".." || strings.ContainsFunc(name, func(r rune) bool {
+			return r <= ' ' || r == 0x7f || strings.ContainsRune("/?#%", r)
+		}) {
+			return fmt.Errorf("query name %q is not one path segment", name)
+		}
+	}
+	return nil
 }
 
 // shardError is the typed fault for a shard-hop failure: the router's 502

@@ -1,25 +1,28 @@
 package renum
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/reduce"
 	"repro/internal/relation"
 	"repro/internal/synth"
 	"repro/internal/tpch"
 	"repro/internal/tpchq"
 )
 
-// The planner's whole value proposition is "same answers, cheaper tree", so
-// this file is the suite that earns the word "same": for every tpch, synth
-// and example query, every candidate join tree the planner enumerates must
-// produce the identical Count() and a set-equal answer relation, and the
-// chosen tree must never cost more than the as-parsed one under the
-// planner's own model. The golden-order tests pin off mode byte-for-byte;
-// this suite pins cost mode up to answer-set equality, which is exactly the
-// freedom the paper gives any valid join tree of the same query.
+// The paper lets any valid join tree of a query answer it, and the planner
+// picks the tree by ordering body atoms, so this suite earns the claim
+// "any body order, same answers": for every tpch, synth and example query,
+// every body order (all of them up to five atoms) must produce the
+// identical Count() and answer multiset, and so must the default Open. The
+// golden-order tests pin PlannerOff byte-for-byte; this suite pins the
+// default up to answer-multiset equality.
 
 var (
 	planDBOnce sync.Once
@@ -100,6 +103,68 @@ func permutedUCQ(u *query.UCQ, order []int) *query.UCQ {
 	return &query.UCQ{Name: u.Name, Disjuncts: djs}
 }
 
+// permutations returns every permutation of 0..n-1 in lexicographic order,
+// the identity first.
+func permutations(n int) [][]int {
+	cur := make([]int, n)
+	for i := range cur {
+		cur[i] = i
+	}
+	var out [][]int
+	for {
+		out = append(out, append([]int(nil), cur...))
+		i := n - 2
+		for i >= 0 && cur[i] >= cur[i+1] {
+			i--
+		}
+		if i < 0 {
+			return out
+		}
+		j := n - 1
+		for cur[j] <= cur[i] {
+			j--
+		}
+		cur[i], cur[j] = cur[j], cur[i]
+		slices.Reverse(cur[i+1:])
+	}
+}
+
+func TestPermutationsLexOrder(t *testing.T) {
+	want := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	if got := permutations(3); !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("permutations(3) = %v, want %v", got, want)
+	}
+	if got := permutations(1); len(got) != 1 || !slices.Equal(got[0], []int{0}) {
+		t.Fatalf("permutations(1) = %v", got)
+	}
+}
+
+// maxExactAtoms bounds the body orders tried exhaustively: 5! = 120 builds.
+const maxExactAtoms = 5
+
+// bodyOrders returns the body orders the equivalence suite builds: every
+// permutation up to maxExactAtoms atoms; beyond, each atom moved to the
+// front (the as-parsed order first), so every atom roots a tree once, and
+// the reverse of the as-parsed order.
+func bodyOrders(n int) [][]int {
+	if n <= maxExactAtoms {
+		return permutations(n)
+	}
+	var orders [][]int
+	for root := range n {
+		o := []int{root}
+		for i := range n {
+			if i != root {
+				o = append(o, i)
+			}
+		}
+		orders = append(orders, o)
+	}
+	rev := slices.Clone(orders[0])
+	slices.Reverse(rev)
+	return append(orders, rev)
+}
+
 // planEquivCQInstances gathers every CQ the repo works with: the six paper
 // queries over TPC-H plus the synthetic star/chain/projection shapes the
 // golden file records.
@@ -146,132 +211,117 @@ func planEquivCQInstances(t *testing.T) []struct {
 	return out
 }
 
-// TestPlanCandidateEquivalenceCQ builds EVERY candidate tree the planner
-// enumerates for every CQ instance — not just the winner — and requires each
-// to reproduce the as-parsed build's Count and answer multiset exactly.
+// TestPlanCandidateEquivalenceCQ builds every body order of every CQ
+// instance (bodyOrders: all of them up to five atoms) with the planner off,
+// and requires each to reproduce the as-parsed build's Count and answer
+// multiset exactly; so does the default Open, whatever order the row-count
+// rule picked.
 func TestPlanCandidateEquivalenceCQ(t *testing.T) {
 	for _, inst := range planEquivCQInstances(t) {
-		inst := inst
 		t.Run(inst.q.Name, func(t *testing.T) {
 			ref := mustOpen(t, inst.db, inst.q, WithPlanner(PlannerOff))
 			want := answerMultiset(t, ref)
-
-			_, p, err := plan.ChooseCQ(inst.db, inst.q, plan.ModeCost)
-			if err != nil {
-				t.Fatalf("ChooseCQ: %v", err)
-			}
-			if len(p.Candidates) == 0 {
-				t.Fatal("planner produced no candidates")
-			}
-			for i := range p.Candidates[0].Order {
-				if p.Candidates[0].Order[i] != i {
-					t.Fatalf("candidate 0 is not the identity order: %v", p.Candidates[0].Order)
-				}
-			}
-			if p.ChosenCost() > p.IdentityCost() {
-				t.Fatalf("chosen cost %g exceeds as-parsed cost %g", p.ChosenCost(), p.IdentityCost())
-			}
-			for i, c := range p.Candidates {
-				h := mustOpen(t, inst.db, permutedCQ(inst.q, c.Order), WithPlanner(PlannerOff))
+			for _, order := range bodyOrders(len(inst.q.Body)) {
+				h := mustOpen(t, inst.db, permutedCQ(inst.q, order), WithPlanner(PlannerOff))
 				if h.Count() != ref.Count() {
-					t.Fatalf("candidate %d order %v: Count %d, reference %d", i, c.Order, h.Count(), ref.Count())
+					t.Fatalf("order %v: Count %d, reference %d", order, h.Count(), ref.Count())
 				}
-				assertSameAnswers(t, inst.q.Name, want, answerMultiset(t, h))
+				assertSameAnswers(t, fmt.Sprint(inst.q.Name, order), want, answerMultiset(t, h))
 			}
-
-			// And the default cost-mode Open — whatever it picked — agrees.
-			cost := mustOpen(t, inst.db, inst.q)
-			assertSameAnswers(t, inst.q.Name+"/cost", want, answerMultiset(t, cost))
+			rule := mustOpen(t, inst.db, inst.q)
+			assertSameAnswers(t, inst.q.Name+"/rule", want, answerMultiset(t, rule))
 		})
 	}
 }
 
 // TestPlanCandidateEquivalenceUCQ does the same for union disjunct orders:
-// every candidate order the planner enumerates must serve the identical
-// union, and orders that fail mc-compatibility must be the ones the real
-// build already falls back from (the as-parsed order itself must never
-// fail). Candidates are exercised through Open so the fallback path is the
-// one under test.
+// every order that passes mc-compatibility serves the identical union (the
+// as-parsed order always passes), and the default Open compiles the union
+// as parsed, so it enumerates in PlannerOff's order position for position.
 func TestPlanCandidateEquivalenceUCQ(t *testing.T) {
 	tdb := planTestDB(t)
 	for _, u := range tpchq.UCQs() {
-		u := u
 		t.Run(u.Name, func(t *testing.T) {
 			ref := mustOpen(t, tdb, u, WithPlanner(PlannerOff))
 			want := answerMultiset(t, ref)
-
-			_, p, err := plan.ChooseUCQ(tdb, u, plan.ModeCost)
-			if err != nil {
-				t.Fatalf("ChooseUCQ: %v", err)
-			}
-			if p.ChosenCost() > p.IdentityCost() {
-				t.Fatalf("chosen cost %g exceeds as-parsed cost %g", p.ChosenCost(), p.IdentityCost())
-			}
-			for i, c := range p.Candidates {
-				if c.Order[0] != 0 {
-					t.Fatalf("candidate %d moved disjunct 0 (order %v): the union's head naming would change", i, c.Order)
-				}
-				h, err := Open(tdb, permutedUCQ(u, c.Order), WithPlanner(PlannerOff))
+			for i, order := range permutations(len(u.Disjuncts)) {
+				h, err := Open(tdb, permutedUCQ(u, order), WithPlanner(PlannerOff))
 				if err != nil {
-					// A reordered union may fail mc-compatibility; the planner's
-					// caller falls back to as-parsed, so a failing candidate is
-					// acceptable — but the identity candidate never is.
 					if i == 0 {
 						t.Fatalf("as-parsed order failed to build: %v", err)
+					}
+					if !errors.Is(err, ErrIncompatible) {
+						t.Fatalf("order %v: %v", order, err)
 					}
 					continue
 				}
 				if h.Count() != ref.Count() {
-					t.Fatalf("candidate %d order %v: Count %d, reference %d", i, c.Order, h.Count(), ref.Count())
+					t.Fatalf("order %v: Count %d, reference %d", order, h.Count(), ref.Count())
 				}
-				assertSameAnswers(t, u.Name, want, answerMultiset(t, h))
+				assertSameAnswers(t, fmt.Sprint(u.Name, order), want, answerMultiset(t, h))
 			}
 
-			cost := mustOpen(t, tdb, u)
-			assertSameAnswers(t, u.Name+"/cost", want, answerMultiset(t, cost))
+			rule := mustOpen(t, tdb, u)
+			if rule.Count() != ref.Count() {
+				t.Fatalf("default Count %d, as parsed %d", rule.Count(), ref.Count())
+			}
+			for j := range rule.Count() {
+				got, err := rule.Access(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w, _ := ref.Access(j); !got.Equal(w) {
+					t.Fatalf("Access(%d) = %v, as parsed %v", j, got, w)
+				}
+			}
 		})
 	}
 }
 
-// TestPlannerNeverWorseOnBenchQueries pins the acceptance criterion directly:
-// on every benchmark query (the six paper CQs and the three unions) the
-// planner's chosen cost is at most the as-parsed cost, and ties keep the
-// as-parsed order.
-func TestPlannerNeverWorseOnBenchQueries(t *testing.T) {
-	tdb := planTestDB(t)
-	for _, q := range tpchq.CQs() {
-		_, p, err := plan.ChooseCQ(tdb, q, plan.ModeCost)
-		if err != nil {
-			t.Fatalf("%s: %v", q.Name, err)
-		}
-		if p.ChosenCost() > p.IdentityCost() {
-			t.Errorf("%s: chosen %g > as-parsed %g", q.Name, p.ChosenCost(), p.IdentityCost())
-		}
-		if p.ChosenCost() == p.IdentityCost() && !p.Identity() {
-			t.Errorf("%s: tie broken away from the as-parsed order", q.Name)
+// TestRowCountRuleQ10Tree pins the one benchmark query whose tree the rule
+// improves: Q10 is parsed lineitem-first, and sorted by row count it roots
+// at customer (nation, smaller still, is absorbed into it) with lineitem a
+// leaf, which stores no start index and needs no search. Only row counts
+// decide, so the tree is the same on every host.
+func TestRowCountRuleQ10Tree(t *testing.T) {
+	d, err := tpch.Generate(tpch.Config{ScaleFactor: 0.01, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fj := mustOpen(t, d, tpchq.Q10()).b.(cqBackend).c.FullJoin
+	// A node relation is named after its atom: Q10#<position>[<relation>].
+	over := func(n *reduce.Node, rel string) bool { return strings.HasSuffix(n.Rel.Name(), "["+rel+"]") }
+	if !over(fj.Root, "customer") {
+		t.Fatalf("Q10 roots at %s, want customer\n%s", fj.Root.Rel.Name(), fj.Explain())
+	}
+	for _, n := range fj.Nodes {
+		if over(n, "lineitem") {
+			if len(n.Children) != 0 {
+				t.Fatalf("lineitem has %d children, want a leaf\n%s", len(n.Children), fj.Explain())
+			}
+			return
 		}
 	}
-	for _, u := range tpchq.UCQs() {
-		_, p, err := plan.ChooseUCQ(tdb, u, plan.ModeCost)
-		if err != nil {
-			t.Fatalf("%s: %v", u.Name, err)
-		}
-		if p.ChosenCost() > p.IdentityCost() {
-			t.Errorf("%s: chosen %g > as-parsed %g", u.Name, p.ChosenCost(), p.IdentityCost())
-		}
-	}
+	t.Fatalf("no lineitem node\n%s", fj.Explain())
 }
 
 // FuzzPlanEquivalence generates random star/chain workloads and requires the
-// cost-mode build to agree with the off-mode build on Count and answer
-// multiset — the planner must never be able to change an answer, whatever
-// skew or shape the data takes.
+// default build — the row-count rule — to agree with the PlannerOff build
+// on Count and answer multiset, whatever skew or shape the data takes.
+// Bit 0 of shape copies the first relation into every other one, so every
+// atom ties on row count; bit 1 binds the last atom's last variable to the
+// value in its first row, a constant-filtered atom whose base row count is
+// all the rule sees.
 func FuzzPlanEquivalence(f *testing.F) {
-	f.Add(uint8(0), uint8(3), uint16(40), uint16(12), uint8(0), int64(1))
-	f.Add(uint8(1), uint8(3), uint16(60), uint16(8), uint8(130), int64(42))
-	f.Add(uint8(0), uint8(4), uint16(25), uint16(3), uint8(200), int64(7))
-	f.Add(uint8(1), uint8(2), uint16(1), uint16(1), uint8(0), int64(0))
-	f.Fuzz(func(t *testing.T, kind, relations uint8, tuples, keyDomain uint16, skew100 uint8, seed int64) {
+	f.Add(uint8(0), uint8(3), uint16(40), uint16(12), uint8(0), int64(1), uint8(0))
+	f.Add(uint8(1), uint8(3), uint16(60), uint16(8), uint8(130), int64(42), uint8(0))
+	f.Add(uint8(0), uint8(4), uint16(25), uint16(3), uint8(200), int64(7), uint8(0))
+	f.Add(uint8(1), uint8(2), uint16(1), uint16(1), uint8(0), int64(0), uint8(0))
+	f.Add(uint8(0), uint8(3), uint16(30), uint16(10), uint8(0), int64(3), uint8(1))
+	f.Add(uint8(1), uint8(3), uint16(20), uint16(6), uint8(0), int64(5), uint8(1))
+	f.Add(uint8(0), uint8(3), uint16(50), uint16(9), uint8(150), int64(11), uint8(2))
+	f.Add(uint8(1), uint8(4), uint16(30), uint16(5), uint8(0), int64(13), uint8(3))
+	f.Fuzz(func(t *testing.T, kind, relations uint8, tuples, keyDomain uint16, skew100 uint8, seed int64, shape uint8) {
 		cfg := synth.Config{
 			Relations:         1 + int(relations)%4,
 			TuplesPerRelation: 1 + int(tuples)%64,
@@ -295,28 +345,73 @@ func FuzzPlanEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
+		if shape&1 != 0 {
+			db = tiedCopies(t, db, q)
+		}
+		if shape&2 != 0 {
+			q = bindLastVar(t, db, q)
+		}
 		off, err := Open(db, q, WithPlanner(PlannerOff))
 		if err != nil {
-			t.Fatalf("off-mode build failed on a generated workload: %v", err)
+			t.Fatalf("as-parsed build failed on a generated workload: %v", err)
 		}
 		// Degenerate inputs (tiny key domains) explode the answer count —
-		// a 4-ary join over one key is |R|⁴ answers. The build above already
-		// exercised the planner; cap the full-drain comparison.
+		// a 4-ary join over one key is |R|⁴ answers. Cap the full drain.
 		if off.Count() > 100_000 {
 			t.Skip("answer count too large to drain")
 		}
-		cost, err := Open(db, q, WithPlanner(PlannerCost))
+		rule, err := Open(db, q)
 		if err != nil {
-			t.Fatalf("cost-mode build failed where off mode succeeded: %v", err)
+			t.Fatalf("default build failed where the as-parsed one succeeded: %v", err)
 		}
-		if off.Count() != cost.Count() {
-			t.Fatalf("Count diverged: off %d, cost %d", off.Count(), cost.Count())
+		if off.Count() != rule.Count() {
+			t.Fatalf("Count diverged: as parsed %d, default %d", off.Count(), rule.Count())
 		}
-		assertSameAnswers(t, q.Name, answerMultiset(t, off), answerMultiset(t, cost))
-		if _, p, err := plan.ChooseCQ(db, q, plan.ModeCost); err == nil {
-			if p.ChosenCost() > p.IdentityCost() {
-				t.Fatalf("chosen cost %g exceeds as-parsed cost %g", p.ChosenCost(), p.IdentityCost())
-			}
-		}
+		assertSameAnswers(t, q.Name, answerMultiset(t, off), answerMultiset(t, rule))
 	})
+}
+
+// tiedCopies returns a database in which every atom's relation holds the
+// first atom's rows, so every atom ties on row count.
+func tiedCopies(t *testing.T, db *relation.Database, q *query.CQ) *relation.Database {
+	t.Helper()
+	first, err := db.Relation(q.Body[0].Relation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := relation.NewDatabase()
+	for _, a := range q.Body {
+		base, err := db.Relation(a.Relation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := out.MustCreate(a.Relation, base.Schema()...)
+		for i := range first.Len() {
+			r.MustInsert(first.Tuple(i)...)
+		}
+	}
+	return out
+}
+
+// bindLastVar replaces the last atom's last variable by the constant in its
+// relation's first row and drops that variable from the head.
+func bindLastVar(t *testing.T, db *relation.Database, q *query.CQ) *query.CQ {
+	t.Helper()
+	last := q.Body[len(q.Body)-1]
+	r, err := db.Relation(last.Relation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := len(last.Terms) - 1
+	v := last.Terms[pos].Var
+	terms := slices.Clone(last.Terms)
+	terms[pos] = query.C(r.At(0, pos))
+	body := slices.Clone(q.Body)
+	body[len(body)-1] = query.NewAtom(last.Relation, terms...)
+	head := slices.DeleteFunc(slices.Clone(q.Head), func(h string) bool { return h == v })
+	bound, err := query.NewCQ(q.Name, head, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bound
 }

@@ -51,12 +51,11 @@ type CatalogEntry struct {
 }
 
 // queryCarrier exposes the query a backend was actually compiled from —
-// after cost-based planning, possibly a body- or disjunct-reordering of the
-// caller's query. WriteSnapshot prefers it over the caller-supplied Q, so a
-// snapshot records the *chosen* tree and a restored generation probes (and,
-// after a data reload, recompiles) on exactly that tree. This matters most
-// for unions: the saved indexes are in compiled-disjunct order, and restore
-// must pair them with the same order.
+// after planning, possibly a body reordering of the caller's CQ.
+// WriteSnapshot prefers it over the caller-supplied Q, so a snapshot
+// records the *chosen* tree and a restored generation probes (and, after a
+// data reload, recompiles) on exactly that tree. A union's saved indexes are
+// in its recorded disjunct order, and restore pairs them with that order.
 type queryCarrier interface {
 	compiledQuery() Query
 }
