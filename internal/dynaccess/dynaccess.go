@@ -22,8 +22,8 @@
 //
 // Everything is a flat array addressed by a dense int32. A base relation
 // keeps its rows once, row-major in an append-only value array, with one
-// identity table (relation.KeyTable: packed 64-bit keys for ≤ 2 packable
-// attributes, canonical strings otherwise) from raw tuple to row position;
+// identity table (relation.KeyTable, the flat hash table of package relation
+// over key columns of its own) from raw tuple to row position;
 // deletions are tombstones, so positions are stable and a re-insert revives
 // in place. A join-tree node holds no values of its own — an atom's
 // instantiation is injective on the rows it accepts, so a node row *is* its
@@ -335,9 +335,11 @@ func (idx *Index) load(tables []BaseTable) error {
 		bs.vals = append([]relation.Value(nil), tb.Values...)
 		bs.alive = make([]bool, tb.Rows)
 		bs.ids = relation.NewKeyTable(bs.arity, tb.Rows)
-		for pos := range bs.alive {
+		ids := make([]int32, tb.Rows)
+		bs.ids.InternRows(ids, bs.vals, bs.arity, bs.allPos)
+		for pos, id := range ids {
 			bs.alive[pos] = true
-			if _, added := bs.ids.Intern(bs.row(int32(pos)), bs.allPos); !added {
+			if id != int32(pos) { // the first repeat: every row before it was new
 				return fmt.Errorf("dynaccess: table %q holds tuple %v twice (second at position %d)", tb.Name, bs.row(int32(pos)), pos)
 			}
 		}
@@ -363,19 +365,18 @@ func (n *node) load() {
 	rows := len(n.base.alive)
 	n.rowBucket = make([]int32, rows)
 	n.rowOrd = make([]int32, rows)
-	sizes := make([]int32, len(n.buckets)) // members per bucket
 	for r := range n.rowBucket {
-		raw := n.base.row(int32(r))
-		if !n.matches(raw) {
+		if !n.matches(n.base.row(int32(r))) {
 			n.rowBucket[r] = -1
-			continue
 		}
-		b := n.bucketFor(raw, n.keyPos)
-		if int(b) == len(sizes) {
-			sizes = append(sizes, 0)
+	}
+	n.bucketsFor(n.base, n.rowBucket, n.keyPos)
+	sizes := make([]int32, len(n.buckets)) // members per bucket
+	for r, b := range n.rowBucket {
+		if b >= 0 {
+			n.rowOrd[r] = sizes[b]
+			sizes[b]++
 		}
-		n.rowBucket[r], n.rowOrd[r] = b, sizes[b]
-		sizes[b]++
 	}
 	start := make([]int, len(sizes)+1) // bucket → its first slot in the arenas
 	for b, size := range sizes {
@@ -388,18 +389,15 @@ func (n *node) load() {
 	// reverse lists.
 	for ci, c := range n.children {
 		ids := make([]int32, rows)
+		for r, b := range n.rowBucket {
+			ids[r] = min(b, 0) // −1 skips a row the atom rejects
+		}
+		c.bucketsFor(n.base, ids, n.childKeyPos[ci])
 		joins := make([]int32, len(c.buckets))
-		for r := range ids {
-			if n.rowBucket[r] < 0 {
-				ids[r] = -1
-				continue
+		for _, b := range ids {
+			if b >= 0 {
+				joins[b]++
 			}
-			b := c.bucketFor(n.base.row(int32(r)), n.childKeyPos[ci])
-			if int(b) == len(joins) {
-				joins = append(joins, 0)
-			}
-			ids[r] = b
-			joins[b]++
 		}
 		arena, off := make([]int32, members), 0
 		for b, k := range joins {
@@ -506,6 +504,16 @@ func (n *node) bucketFor(raw []relation.Value, proj []int) int32 {
 		n.buckets = append(n.buckets, bucket{})
 	}
 	return b
+}
+
+// bucketsFor is bucketFor for every row r of src — n's base set, or its
+// parent's — whose ids[r] is not −1, in row order, setting ids[r] to the
+// bucket id: one block-hashed pass for a bulk load.
+func (n *node) bucketsFor(src *baseSet, ids []int32, proj []int) {
+	n.keys.InternRows(ids, src.vals, src.arity, proj)
+	for len(n.buckets) < n.keys.Len() {
+		n.buckets = append(n.buckets, bucket{})
+	}
 }
 
 // weightOf computes the current weight of a row from its child buckets'

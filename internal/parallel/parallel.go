@@ -22,13 +22,12 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Group runs tasks on a bounded number of goroutines and records the first
-// error. After a task fails, Go becomes a no-op for tasks not yet started
-// (cancellation), while already-running tasks finish normally — the same
-// contract as golang.org/x/sync/errgroup with a context.
-//
-// The zero value is unbounded. A Group must not be reused after Wait.
-type Group struct {
+// group runs tasks on at most a fixed number of goroutines and records the
+// first error. After a task fails, Go becomes a no-op for tasks not yet
+// started (cancellation), while already-running tasks finish normally — the
+// same contract as golang.org/x/sync/errgroup with a context. A group must
+// not be reused after Wait.
+type group struct {
 	wg       sync.WaitGroup
 	sem      chan struct{}
 	errOnce  sync.Once
@@ -36,37 +35,27 @@ type Group struct {
 	canceled atomic.Bool
 }
 
-// NewGroup returns a group running at most limit tasks concurrently
+// newGroup returns a group running at most limit tasks concurrently
 // (limit <= 0 means Workers()).
-func NewGroup(limit int) *Group {
-	g := &Group{}
-	g.SetLimit(limit)
-	return g
-}
-
-// SetLimit caps concurrent tasks at n (n <= 0 means Workers()). It must be
-// called before the first Go.
-func (g *Group) SetLimit(n int) {
-	if n <= 0 {
-		n = Workers()
+func newGroup(limit int) *group {
+	if limit <= 0 {
+		limit = Workers()
 	}
-	g.sem = make(chan struct{}, n)
+	return &group{sem: make(chan struct{}, limit)}
 }
 
 // Go schedules fn. If the group is already canceled by a previous failure,
 // fn is dropped. A panic inside fn is captured as an error rather than
 // crashing the process, so a failed build surfaces as a build error.
-func (g *Group) Go(fn func() error) {
+func (g *group) Go(fn func() error) {
 	if g.canceled.Load() {
 		return
 	}
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		if g.sem != nil {
-			g.sem <- struct{}{}
-			defer func() { <-g.sem }()
-		}
+		g.sem <- struct{}{}
+		defer func() { <-g.sem }()
 		if g.canceled.Load() {
 			return
 		}
@@ -81,7 +70,7 @@ func (g *Group) Go(fn func() error) {
 	}()
 }
 
-func (g *Group) fail(err error) {
+func (g *group) fail(err error) {
 	g.errOnce.Do(func() {
 		g.err = err
 		g.canceled.Store(true)
@@ -90,14 +79,10 @@ func (g *Group) fail(err error) {
 
 // Wait blocks until every scheduled task finished and returns the first
 // error, if any.
-func (g *Group) Wait() error {
+func (g *group) Wait() error {
 	g.wg.Wait()
 	return g.err
 }
-
-// Canceled reports whether a task has failed (and the group stopped
-// admitting new tasks).
-func (g *Group) Canceled() bool { return g.canceled.Load() }
 
 // ForEach runs fn(i) for every i in [0, n) on up to workers goroutines
 // (workers <= 0 means Workers()). Iterations are dealt out one index at a
@@ -122,12 +107,12 @@ func ForEach(n, workers int, fn func(i int) error) error {
 		return nil
 	}
 	var next atomic.Int64
-	g := NewGroup(workers)
+	g := newGroup(workers)
 	for w := 0; w < workers; w++ {
 		g.Go(func() error {
 			for {
 				i := next.Add(1) - 1
-				if i >= int64(n) || g.Canceled() {
+				if i >= int64(n) || g.canceled.Load() {
 					return nil
 				}
 				if err := fn(int(i)); err != nil {
@@ -157,7 +142,7 @@ func ForEachChunk(n, workers int, fn func(lo, hi int) error) error {
 	if workers == 1 {
 		return fn(0, n)
 	}
-	g := NewGroup(workers)
+	g := newGroup(workers)
 	size := (n + workers - 1) / workers
 	for lo := 0; lo < n; lo += size {
 		hi := lo + size
@@ -224,7 +209,7 @@ func ForEachChunkCtx(ctx context.Context, n, workers int, fn func(lo, hi int) er
 	// after re-checking the context, so cancellation stops the fleet within
 	// one chunk per worker.
 	var next atomic.Int64
-	g := NewGroup(workers)
+	g := newGroup(workers)
 	for w := 0; w < workers; w++ {
 		g.Go(func() error {
 			for {
@@ -232,7 +217,7 @@ func ForEachChunkCtx(ctx context.Context, n, workers int, fn func(lo, hi int) er
 					return err
 				}
 				lo := int(next.Add(int64(size))) - size
-				if lo >= n || g.Canceled() {
+				if lo >= n || g.canceled.Load() {
 					return nil
 				}
 				hi := lo + size

@@ -64,7 +64,7 @@ func TestForEachPropagatesFirstError(t *testing.T) {
 
 func TestGroupCancelsAfterFailure(t *testing.T) {
 	sentinel := errors.New("boom")
-	g := NewGroup(1) // serialize so scheduling order is deterministic
+	g := newGroup(1) // serialize so scheduling order is deterministic
 	var ran atomic.Int32
 	g.Go(func() error { return sentinel })
 	if err := g.Wait(); !errors.Is(err, sentinel) {
@@ -79,7 +79,7 @@ func TestGroupCancelsAfterFailure(t *testing.T) {
 }
 
 func TestGroupRecoversPanic(t *testing.T) {
-	g := NewGroup(2)
+	g := newGroup(2)
 	g.Go(func() error { panic("kaboom") })
 	err := g.Wait()
 	if err == nil {
@@ -89,7 +89,7 @@ func TestGroupRecoversPanic(t *testing.T) {
 
 func TestGroupLimitIsRespected(t *testing.T) {
 	const limit = 3
-	g := NewGroup(limit)
+	g := newGroup(limit)
 	var cur, peak atomic.Int32
 	for i := 0; i < 50; i++ {
 		g.Go(func() error {

@@ -6,11 +6,10 @@ import (
 	"unsafe"
 )
 
-// flatTable serves every hashed key lookup of Relation and Grouping: the
-// membership index, GroupBy's key lookup and the key sets of SemijoinWith
-// and Project that are not direct-addressed (see denseSpan) are all
-// instances of it. (KeyTable, whose keys arrive without columns to
-// compare against, keeps its own maps.) It maps a key — a row's values at
+// flatTable is the one hash table of this package: the membership index,
+// GroupBy's key lookup, the key sets of SemijoinWith and Project that are
+// not direct-addressed (see denseSpan) and KeyTable, which keeps its keys'
+// columns itself, are all instances of it. It maps a key — a row's values at
 // some columns — to a dense int32 id, and it stores no keys: the key of id
 // e is row rowOf(e) of the key columns the caller passes with every call
 // (rowOf(e) = rows[e], or e itself when rows is nil). A lookup that meets a
@@ -252,13 +251,17 @@ func equalRows(a [][]Value, i int, b [][]Value, j int) bool {
 // keyStackCap is the widest key gathered on the stack.
 const keyStackCap = KeyBufCap / 8
 
-// keyScratch returns room for a key of n values: the caller's stack buffer
-// when it fits, a heap slice otherwise.
-func keyScratch(buf *[keyStackCap]Value, n int) []Value {
-	if n <= keyStackCap {
-		return buf[:n]
+// gatherKey returns src's values at proj, in the caller's stack buffer when
+// they fit, in a heap slice otherwise.
+func gatherKey(buf *[keyStackCap]Value, src []Value, proj []int) []Value {
+	key := buf[:0]
+	if len(proj) > keyStackCap {
+		key = make([]Value, 0, len(proj))
 	}
-	return make([]Value, n)
+	for _, p := range proj {
+		key = append(key, src[p])
+	}
+	return key
 }
 
 // Direct addressing: a key set over a single column whose values span

@@ -331,11 +331,7 @@ func (r *Relation) PositionProjected(src Tuple, proj []int) int {
 	}
 	r.ensureIndex()
 	var buf [keyStackCap]Value
-	key := keyScratch(&buf, len(proj))
-	for k, p := range proj {
-		key[k] = src[p]
-	}
-	return int(r.index.find(key, r.cols, nil))
+	return int(r.index.find(gatherKey(&buf, src, proj), r.cols, nil))
 }
 
 // Rename returns a view of r with a new name and schema (same tuples). The

@@ -5,20 +5,22 @@
 //
 // Storage is column-major (see Relation): one contiguous []Value per
 // attribute, with dense group IDs (see GroupBy) replacing string-keyed hash
-// maps on every hot path. Every key lookup of Relation and Grouping — the
-// membership index, GroupBy, the key sets of SemijoinWith and Project —
+// maps on every hot path. Every key lookup of this package — the
+// membership index, GroupBy, the key sets of SemijoinWith and Project, and
+// KeyTable, the dynamic index's id table, over key columns of its own —
 // goes through one flat open-addressing table (flatTable) that compares a
-// probe against the columns instead of encoding it, or, for a key set over a single column with a dense span, through a bitmap. The
-// string dictionary (Dict) interns through the same table, confirming a
-// hash match against its value table instead of the columns, so interning
-// a CSV cell touches no Go map either. Rendering a value reads the
+// probe against the columns instead of encoding it, or, for a key set over
+// a single column with a dense span, through a bitmap. The string dictionary
+// (Dict) interns through the same table, confirming a hash match against its
+// value table instead of the columns, so interning a CSV cell touches no Go
+// map either. Rendering a value reads the
 // dictionary without a lock (two atomic loads, then the string), so a
 // server encoding answers never contends with an interning writer; the Dict
 // type comment has the publication order. Prefetch, the one cache-prefetch
 // primitive of the codebase, lives here too, for the index probes and the
-// answer encoders alike. KeyTable keeps Go maps over packed or
-// string keys, and every string key in the codebase comes from the single
-// canonical encoder in this file.
+// answer encoders alike. No per-tuple path of the package keeps a Go map,
+// and every string key in the codebase comes from the single canonical
+// encoder in this file.
 //
 // Every relation is a set. Insert enforces that against the full-tuple
 // membership index; FromColumns and AdoptColumns trust their caller; and
@@ -73,12 +75,11 @@ func (t Tuple) Equal(u Tuple) bool {
 
 // appendValue appends the canonical fixed-width encoding of v (8 bytes,
 // big-endian) to dst. This is THE tuple-key encoder of the codebase: every
-// string-keyed map over tuples — KeyTable's wide keys, the naive evaluator's
-// join indexes, the samplers' seen-sets — goes through this function via
-// Key / ProjectKey / AppendKey / AppendProjectedKey. Do not re-implement the
-// encoding elsewhere; distinct tuples of equal arity must keep producing
-// distinct keys, and mixed encoders would silently break cross-package key
-// comparisons.
+// string-keyed map over tuples — the naive evaluator's join indexes, the
+// samplers' seen-sets — goes through this function via Key / ProjectKey /
+// AppendKey. Do not re-implement the encoding elsewhere; distinct tuples of
+// equal arity must keep producing distinct keys, and mixed encoders would
+// silently break cross-package key comparisons.
 func appendValue(dst []byte, v Value) []byte {
 	u := uint64(v)
 	return append(dst,
@@ -92,16 +93,6 @@ func appendValue(dst []byte, v Value) []byte {
 func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
 		dst = appendValue(dst, v)
-	}
-	return dst
-}
-
-// AppendProjectedKey appends the canonical key encoding of t's values at the
-// given positions to dst (Project followed by AppendKey without the
-// intermediate tuple).
-func (t Tuple) AppendProjectedKey(dst []byte, positions []int) []byte {
-	for _, pos := range positions {
-		dst = appendValue(dst, t[pos])
 	}
 	return dst
 }
@@ -125,26 +116,18 @@ func (t Tuple) Project(positions []int) Tuple {
 // ProjectKey is Project followed by Key without allocating the intermediate
 // tuple.
 func (t Tuple) ProjectKey(positions []int) string {
-	return string(t.AppendProjectedKey(make([]byte, 0, 8*len(positions)), positions))
-}
-
-// KeyBufCap is the stack-buffer size used for allocation-free string-key
-// lookups: keys of up to KeyBufCap/8 attributes never touch the heap. The
-// constant is exported so other packages encoding probe keys (dynaccess) can
-// size their stack buffers to match.
-const KeyBufCap = 256
-
-// KeyScratch returns a key-encoding destination for n encoded values: the
-// caller's stack buffer when it fits, a heap slice otherwise. Every
-// stack-or-heap key site — here and in consumer packages (dynaccess) —
-// routes through this helper so the sizing rule lives in one place. It is
-// tiny enough to inline, so the buffer stays on the caller's stack.
-func KeyScratch(buf *[KeyBufCap]byte, n int) []byte {
-	if 8*n <= KeyBufCap {
-		return buf[:0]
+	dst := make([]byte, 0, 8*len(positions))
+	for _, pos := range positions {
+		dst = appendValue(dst, t[pos])
 	}
-	return make([]byte, 0, 8*n)
+	return string(dst)
 }
+
+// KeyBufCap is eight times the widest key gathered on the stack: lookups of
+// keys of up to KeyBufCap/8 attributes (KeyTable, PositionProjected) never
+// touch the heap. The constant is exported so other packages gathering probe
+// keys (dynaccess) can size their stack buffers to match.
+const KeyBufCap = 256
 
 // Dict interns strings as Values. It is safe for concurrent use. Value 0 is
 // reserved for the empty string so that zero values decode cleanly.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"time"
 
 	"repro"
@@ -19,11 +18,12 @@ import (
 // API — parameter names and defaults, limits, validation order and error
 // strings, Accept negotiation, key order and wire framing, cursor TTL and
 // busy semantics — written once. Transports only parse and write: the
-// net/http mux and the fast connection loop each turn a request into a
-// request struct, run Core.do against a Source, and send the bytes it
-// returns. What differs between the daemon and the router is only where rows
-// come from, and that is the Source: the daemon's *local probes an index in
-// this process, the router's source scatters to shard daemons.
+// net/http mux and the fast connection loop each hand a request's raw query
+// string to parseRequest (the mux alone also reads the JSON bodies of the
+// POST forms), run Core.do against a Source, and send the bytes it returns.
+// What differs between the daemon and the router is only where rows come
+// from, and that is the Source: the daemon's *local probes an index in this
+// process, the router's source scatters to shard daemons.
 
 // Op names one operation of the probe API.
 type Op uint8
@@ -72,53 +72,45 @@ type request struct {
 	wantWire bool
 }
 
-// params is a transport's typed view of one query string. The mux decodes
-// through net/url; the fast loop scans raw bytes and hands any query that
-// would need decoding to the mux, so the two can only agree.
-type params interface {
-	intParam(name string, def int64) (int64, error)
-	// rawParam returns the value's bytes; the fast loop's alias its request
-	// buffer, so a request that keeps them converts to string where it uses
-	// them (which, for a cursor id, stays off the heap).
-	rawParam(name string) []byte
-	jsParam(dst []int64) ([]int64, error)
-}
-
-// parseRequest fills req for req.op from the query string. Parameter names,
-// defaults and the order parse errors surface in are decided here and
-// nowhere else.
-func parseRequest(req *request, p params, enc *enc) (err error) {
+// parseRequest fills req for req.op from the raw query string. Parameter
+// names, defaults and the order parse errors surface in are decided here and
+// nowhere else. req's byte fields alias raw or enc's scratch, so what keeps
+// one past the request converts it to a string (which, for a cursor id looked
+// up in a map, stays off the heap).
+func parseRequest(req *request, raw []byte, enc *enc) (err error) {
+	enc.query = enc.query[:0]
+	q := query{raw: raw, scratch: &enc.query}
 	switch req.op {
 	case OpAccess:
-		req.j, err = p.intParam("j", -1)
+		req.j, err = q.int("j", -1)
 	case OpBatch:
-		req.js, err = p.jsParam(enc.jsFor())
+		req.js, err = q.js(enc.jsFor())
 		enc.js = req.js[:0] // keep grown scratch pooled
 	case OpPage:
-		if req.offset, err = p.intParam("offset", 0); err == nil {
-			req.limit, err = p.intParam("limit", 10)
+		if req.offset, err = q.int("offset", 0); err == nil {
+			req.limit, err = q.int("limit", 10)
 		}
 	case OpSample:
-		if req.k, err = p.intParam("k", 1); err == nil {
-			req.seed, err = seedParam(p)
+		if req.k, err = q.int("k", 1); err == nil {
+			req.seed, err = seedParam(q)
 		}
 	case OpEnumNext:
-		req.cursor = p.rawParam("cursor")
-		req.n, err = p.intParam("n", 1)
+		req.cursor = q.get("cursor")
+		req.n, err = q.int("n", 1)
 	case OpEnumStart:
-		if req.order = p.rawParam("order"); string(req.order) == "random" {
-			req.seed, err = seedParam(p)
+		if req.order = q.get("order"); string(req.order) == "random" {
+			req.seed, err = seedParam(q)
 		}
 	case OpEnumClose:
-		req.cursor = p.rawParam("cursor")
+		req.cursor = q.get("cursor")
 	}
 	return err
 }
 
 // seedParam reads ?seed=: deterministic when the client passes one,
 // time-seeded otherwise.
-func seedParam(p params) (int64, error) {
-	return p.intParam("seed", time.Now().UnixNano())
+func seedParam(q query) (int64, error) {
+	return q.int("seed", time.Now().UnixNano())
 }
 
 func rngFor(req *request) *rand.Rand { return rand.New(rand.NewSource(req.seed)) }
@@ -413,19 +405,6 @@ func (c *Core[R]) cursorDraw(src Source[R], req *request) (func(context.Context,
 
 // ------------------------------------------------------ net/http transport
 
-// urlParams is the mux's params: canonical net/url decoding.
-type urlParams url.Values
-
-func (p urlParams) rawParam(name string) []byte { return []byte(url.Values(p).Get(name)) }
-
-func (p urlParams) intParam(name string, def int64) (int64, error) {
-	return queryInt64(url.Values(p), name, def)
-}
-
-func (p urlParams) jsParam(dst []int64) ([]int64, error) {
-	return appendJSList(dst, url.Values(p).Get("js"))
-}
-
 // parseHTTP fills req from an *http.Request: the query string, or the JSON
 // body for the POST forms.
 func parseHTTP(req *request, r *http.Request, enc *enc) error {
@@ -462,5 +441,5 @@ func parseHTTP(req *request, r *http.Request, enc *enc) error {
 		req.insert, req.relation, req.tuple = body.Op == "insert", body.Relation, body.Tuple
 		return nil
 	}
-	return parseRequest(req, urlParams(r.URL.Query()), enc)
+	return parseRequest(req, []byte(r.URL.RawQuery), enc)
 }

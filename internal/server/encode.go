@@ -40,12 +40,13 @@ import (
 // allocates nothing. The fast HTTP loop owns one per connection; the mux
 // transport borrows from the pool per request.
 type enc struct {
-	buf  []byte
-	row  renum.Tuple
-	js   []int64
-	rows []renum.Tuple // rowsFor's row headers, slicing flat
-	flat []renum.Value
-	src  local // the daemon's Source of this request
+	buf   []byte
+	row   renum.Tuple
+	js    []int64
+	query []byte        // the request's decoded query values (parseRequest)
+	rows  []renum.Tuple // rowsFor's row headers, slicing flat
+	flat  []renum.Value
+	src   local // the daemon's Source of this request
 }
 
 // Retention caps: a pathological response (a 64k-position batch) must not pin
@@ -69,6 +70,9 @@ func (e *enc) release() {
 	}
 	if cap(e.js) > maxRetainedJS {
 		e.js = nil
+	}
+	if cap(e.query) > maxRetainedBuf {
+		e.query = nil
 	}
 	e.src = local{} // pin no generation from the pool
 	encPool.Put(e)

@@ -30,19 +30,21 @@ import (
 // paper's "millions of users" scale that floor, not the O(log n) probe,
 // dominates.
 //
-// The loop is a transport only: it scans the query string into the core's
-// request struct and writes the bytes Core.do returns (core.go), so what a
-// hot op validates and how it frames its body is decided in one place for
-// this loop and the mux, whichever daemon's catalog serves the query. It
-// reads requests with the tier's one line and header reader (header.go).
+// The loop is a transport only: it hands the target's query string to the
+// core's one scanner (parseRequest, query.go), which the mux runs on its
+// RawQuery, and writes the bytes Core.do returns (core.go), so the
+// parameters a hot op reads, what it validates and how it frames its body are
+// decided in one place for this loop and the mux, whichever daemon's catalog
+// serves the query. It reads requests with the tier's one line and header
+// reader (header.go).
 //
 // Everything else — POST/DELETE endpoints, admin, metadata, unknown paths,
-// and any GET whose path or query string carries a percent-escape, '+' or
-// ';' (which only net/url decodes canonically) — falls back to the Server's
-// ordinary mux: the loop builds a real http.Request from the parsed bytes
-// and delegates, so those requests keep exactly one behavior (including
-// error bodies and the route instrumentation). TestFastLoopMatchesMux and
-// FuzzFastLoopVsMux pin the loop's bytes against the mux's.
+// and any GET whose path carries a percent-escape or whose target carries a
+// control byte — falls back to the Server's ordinary mux: the loop builds a
+// real http.Request from the parsed bytes and delegates, so those requests
+// keep exactly one behavior (including error bodies and the route
+// instrumentation). TestFastLoopMatchesMux and FuzzFastLoopVsMux pin the
+// loop's bytes against the mux's.
 
 const (
 	// fastIdleTimeout closes a keep-alive connection with no next request.
@@ -190,7 +192,7 @@ type fastConn struct {
 	ctx     tracedCtx // its context: the server's, with its trace
 	head    []byte    // response head scratch
 	target  []byte    // stable copy of the request target
-	query   []byte    // target's raw query string (the params methods scan it)
+	query   []byte    // target's raw query string (parseRequest scans it)
 	reqID   []byte    // X-Request-Id copy (tracing); empty when untraced
 	hm      headerMeta
 	hdr     http.Header // every field, collected for the fallback only
@@ -265,7 +267,7 @@ func (fc *fastConn) handleRequest(line []byte) bool {
 	fc.target = append(fc.target[:0], rawTarget...)
 	path, query, _ := bytes.Cut(fc.target, []byte("?"))
 	op, qname := opNone, []byte(nil)
-	if bytes.Equal(method, bGET) && plainTarget(path, query) {
+	if bytes.Equal(method, bGET) && plainTarget(fc.target, path) {
 		op, qname = fastRoute(path)
 	}
 	if op == opNone {
@@ -303,32 +305,16 @@ func (fc *fastConn) handleRequest(line []byte) bool {
 	return true
 }
 
-// muxQueryByte marks the bytes that send a query string to the mux: control
-// bytes, which net/url rejects, and '%', '+' and ';', which only it decodes
-// canonically. A table keeps the scan at one load per byte — a /batch query
-// runs to hundreds of bytes.
-var muxQueryByte = func() (t [256]bool) {
-	for c := 0; c <= ' '; c++ {
-		t[c] = true
-	}
-	t[0x7f], t['%'], t['+'], t[';'] = true, true, true, true
-	return t
-}()
-
 // plainTarget reports that a request target can be routed and scanned as the
-// raw bytes it is. In a path only the control bytes and '%' matter.
-func plainTarget(path, query []byte) bool {
-	for _, c := range path {
-		if c <= ' ' || c == 0x7f || c == '%' {
+// raw bytes it is: it holds no control byte, which net/url rejects, and its
+// path no percent-escape, which only the mux decodes.
+func plainTarget(target, path []byte) bool {
+	for _, c := range target {
+		if c < ' ' || c == 0x7f {
 			return false
 		}
 	}
-	for _, c := range query {
-		if muxQueryByte[c] {
-			return false
-		}
-	}
-	return true
+	return bytes.IndexByte(path, '%') < 0
 }
 
 // fastRoute maps a path to a fast op. qname is a sub-slice of path.
@@ -461,7 +447,7 @@ func (fc *fastConn) serveFast(op Op, qname []byte, wantWire bool, tr *traceRec) 
 }
 
 // parse scans the request's query string.
-func (fc *fastConn) parse(req *request, enc *enc) error { return parseRequest(req, fc, enc) }
+func (fc *fastConn) parse(req *request, enc *enc) error { return parseRequest(req, fc.query, enc) }
 
 func (fc *fastConn) writeNegotiated(body []byte, asWire bool) error {
 	ct := "application/json"
@@ -727,52 +713,4 @@ func parseInt64Bytes(b []byte) (int64, bool) {
 		return 0, false
 	}
 	return int64(n), true
-}
-
-// rawParam returns key's value from the raw query bytes (first occurrence,
-// like url.Values.Get). No decoding: a query that needs any took the mux.
-func (fc *fastConn) rawParam(key string) []byte {
-	for query := fc.query; len(query) > 0; {
-		var pair []byte
-		pair, query, _ = bytes.Cut(query, []byte("&"))
-		if k, v, _ := bytes.Cut(pair, []byte("=")); string(k) == key {
-			return v
-		}
-	}
-	return nil
-}
-
-// intParam mirrors queryInt64: absent or empty values take the default,
-// and the error text is strconv's own.
-func (fc *fastConn) intParam(name string, def int64) (int64, error) {
-	v := fc.rawParam(name)
-	if len(v) == 0 {
-		return def, nil
-	}
-	n, ok := parseInt64Bytes(v)
-	if !ok {
-		_, err := strconv.ParseInt(string(v), 10, 64)
-		return 0, HTTPErrorf(http.StatusBadRequest, "%s: %v", name, err)
-	}
-	return n, nil
-}
-
-// jsParam is appendJSList over the raw query bytes.
-func (fc *fastConn) jsParam(dst []int64) ([]int64, error) {
-	s := fc.rawParam("js")
-	for len(s) > 0 {
-		var part []byte
-		part, s, _ = bytes.Cut(s, []byte(","))
-		part = bytes.TrimSpace(part)
-		if len(part) == 0 {
-			continue
-		}
-		j, ok := parseInt64Bytes(part)
-		if !ok {
-			_, err := strconv.ParseInt(string(part), 10, 64)
-			return dst, HTTPErrorf(http.StatusBadRequest, "js: %v", err)
-		}
-		dst = append(dst, j)
-	}
-	return dst, nil
 }

@@ -101,8 +101,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -446,42 +444,6 @@ func (s *Server) route(pattern, name string, h func(w http.ResponseWriter, r *ht
 func writeJSON(w http.ResponseWriter, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	return json.NewEncoder(w).Encode(v)
-}
-
-func queryInt64(q url.Values, name string, def int64) (int64, error) {
-	s := q.Get(name)
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, HTTPErrorf(http.StatusBadRequest, "%s: %v", name, err)
-	}
-	return v, nil
-}
-
-// appendJSList parses a comma-separated position list into dst (the pooled
-// scratch), with strings.Split semantics: segments are space-trimmed, empty
-// segments skipped.
-func appendJSList(dst []int64, s string) ([]int64, error) {
-	for s != "" {
-		var part string
-		if i := strings.IndexByte(s, ','); i >= 0 {
-			part, s = s[:i], s[i+1:]
-		} else {
-			part, s = s, ""
-		}
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		j, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return dst, HTTPErrorf(http.StatusBadRequest, "js: %v", err)
-		}
-		dst = append(dst, j)
-	}
-	return dst, nil
 }
 
 func decodeBody(r *http.Request, v any) error {

@@ -211,13 +211,13 @@ func RequestID(ctx context.Context) []byte {
 // handleDebugTraces serves the ring: ?id= filters by request id, ?n=
 // bounds the result (default all buffered, newest first).
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	n, err := queryInt64(q, "n", 0)
+	q := query{raw: []byte(r.URL.RawQuery), scratch: new([]byte)}
+	n, err := q.int("n", 0)
 	if err != nil {
 		return err
 	}
 	return writeJSON(w, map[string]any{
-		"traces":  s.traces.snapshot(q.Get("id"), int(n)),
+		"traces":  s.traces.snapshot(string(q.get("id")), int(n)),
 		"dropped": s.traces.dropped(),
 	})
 }
