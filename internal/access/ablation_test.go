@@ -32,9 +32,8 @@ func (idx *Index) subtreeAccessLinear(n *node, g uint32, j int64, answer relatio
 		for i = n.bucketOff[g]; i+1 < n.bucketOff[g+1] && n.start[i+1] <= j; i++ {
 		}
 	}
-	pos := n.tupleIdx[i]
 	for k, col := range n.outCols {
-		answer[col] = n.outVals[k][pos]
+		answer[col] = n.outVals[k][i]
 	}
 	if n.leaf() {
 		return
@@ -42,7 +41,7 @@ func (idx *Index) subtreeAccessLinear(n *node, g uint32, j int64, answer relatio
 	rem := j - n.start[i]
 	for ci := len(n.children) - 1; ci >= 0; ci-- {
 		c := n.children[ci]
-		cg := uint32(n.childGroup[ci][pos])
+		cg := uint32(n.childGroup[ci][i])
 		ct := c.bucketTotal(cg)
 		ji := rem % ct
 		rem /= ct

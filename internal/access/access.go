@@ -16,15 +16,20 @@
 //
 // Buckets are addressed by dense integer group IDs, not string keys: each
 // node groups its relation once on the parent-shared attributes
-// (relation.GroupBy), the per-bucket tuple and start-index sequences live in
-// contiguous per-node arrays sliced by a bucket offset table, and every
-// parent tuple's child-bucket IDs are resolved once at build time into flat
-// int32 arrays. A probe therefore never hashes a key and never allocates:
-// Access walks the tree with array indexing and an in-bucket binary search,
-// and inverted access replaces the per-node tuple reconstruction with a
-// single position lookup in the node relation's membership index. The
-// groupings' key lookup structures are needed only to resolve child buckets
-// during the build, and are released once every node is built.
+// (relation.GroupBy) and then stably gathers the relation's rows into
+// bucket order (Grouping.SortRows), so bucket g is the contiguous run of
+// rows bucketOff[g] … bucketOff[g+1]−1, in the relation's order within the
+// bucket. A slot is a row: the node's columns, its start indexes and its
+// child-bucket IDs are all read at the slot the bucket search found, with
+// no slot-to-row table in between, and a row's ordinal in its bucket is its
+// position minus its bucket's offset. Every parent tuple's child-bucket IDs
+// are resolved once at build time into flat int32 arrays. A probe therefore
+// never hashes a key and never allocates: Access walks the tree with array
+// indexing and an in-bucket binary search, and inverted access replaces the
+// per-node tuple reconstruction with a single position lookup in the node
+// relation's membership index. The groupings' key lookup structures are
+// needed only to resolve child buckets during the build, and are released
+// once every node is built.
 //
 // The index keeps one aggregate per slot and one per bucket, and only at
 // inner nodes. A weight is the difference of two consecutive start indexes,
@@ -39,7 +44,7 @@
 // # Batched probes
 //
 // A single probe is a chain of dependent loads — bucket bounds, binary
-// search, tuple, columns, each child's bucket — so on an index larger than
+// search, the slot's columns, each child's bucket — so on an index larger than
 // the cache it runs at memory latency. The batched forms (AccessBatch,
 // AccessBatchContext, AccessBatchInto) therefore do not loop over Access:
 // they send groups of probes down the tree in lockstep, prefetching a pass
@@ -95,11 +100,14 @@ type Index struct {
 }
 
 // node mirrors one relation of the full-join tree. All per-bucket state is
-// flattened: bucket g of this node owns slots bucketOff[g]..bucketOff[g+1]
-// of tupleIdx/start, with tuples in relation order within a bucket —
-// exactly the order the map-of-slices representation used, so enumeration
-// order is unchanged.
+// flattened, and a slot is a row of rel: bucket g of this node owns rows
+// bucketOff[g] … bucketOff[g+1]−1 of rel and of every per-slot array, with
+// tuples in their reduced relation's order within a bucket — exactly the
+// order the map-of-slices representation used, so enumeration order is
+// unchanged.
 type node struct {
+	// rel is the node's relation in bucket order (the build's stable
+	// gather of the full join's relation).
 	rel      *relation.Relation
 	children []*node
 	ord      int // position in Index.nodes
@@ -114,6 +122,9 @@ type node struct {
 	childKeyPos [][]int
 
 	// grouping assigns each tuple its bucket: dense group IDs on pAttPos.
+	// Its GroupOf is in slot order, so it is non-decreasing, and it is what
+	// inverted access reads to find a located row's bucket (Algorithm 4
+	// line 4: the row's ordinal in the bucket is pos − bucketOff[g]).
 	grouping *relation.Grouping
 
 	// Flattened bucket storage (Algorithm 2's startIndex(t) and w(B)). A
@@ -122,21 +133,17 @@ type node struct {
 	// neither array: every leaf weight is 1 (a product over no children), so
 	// startIndex(t) is t's ordinal in its bucket and w(B) the bucket length.
 	bucketOff []int32 // len NumGroups+1; bucket g = slots [off[g], off[g+1])
-	tupleIdx  []int32 // tuple positions, bucket-contiguous
 	start     []int64 // startIndex(t) per slot; nil at a leaf
 	total     []int64 // w(B) per bucket; nil at a leaf
 
-	// tupleOrd[pos]: ordinal of tuple pos within its bucket, supporting
-	// constant-time inverted access (line 4 of Algorithm 4).
-	tupleOrd []int32
-
-	// childGroup[ci][pos]: bucket ID in child ci matching tuple pos of this
-	// node, or -1 when the child has no matching bucket. Resolved once at
-	// build time so no probe ever hashes a join key.
+	// childGroup[ci][slot]: bucket ID in child ci matching the tuple at slot
+	// of this node, or -1 when the child has no matching bucket. Resolved
+	// once at build time so no probe ever hashes a join key.
 	childGroup [][]int32
 
 	// Output assembly: this node provides output column outCols[i] from
-	// schema position outPos[i]; outVals[i] is the backing column.
+	// schema position outPos[i]; outVals[i] is the backing column of rel,
+	// indexed by slot.
 	outCols []int
 	outPos  []int
 	outVals [][]relation.Value
@@ -209,6 +216,12 @@ func New(fj *reduce.FullJoin) (*Index, error) {
 // by height and each wave runs on the worker pool, so a node starts only
 // after all its children finished. The resulting index is identical to the
 // serial build's.
+//
+// Every node keeps its relation in bucket order: a stable gather of fj's
+// relation into a new one (the same tuples, so Q(D) and the enumeration
+// order are unchanged), which then replaces the original in fj's node, so
+// that the two do not both stay alive. The original is not written; a
+// relation already in bucket order is kept as it is.
 func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 	idx := &Index{head: fj.Head}
 
@@ -277,8 +290,9 @@ func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 	}
 
 	// Every child bucket is resolved: the key lookups are build-time memory.
-	for _, n := range idx.nodes {
+	for i, n := range idx.nodes {
 		n.grouping.ReleaseKeys()
+		fj.Nodes[i].Rel = n.rel
 	}
 	if opts.Observe != nil {
 		opts.Observe("index_build", time.Since(buildStart))
@@ -348,83 +362,102 @@ func (idx *Index) wireOutputs() error {
 	return nil
 }
 
-// build computes this node's grouping, flattened buckets and, above the
-// leaves, the weights' prefix sums (the Algorithm 2 loop body). Every child
-// must be built already. It writes only this node's fields and reads only
-// the children's groupings and totals, which is what makes same-height
-// nodes safe to build concurrently.
+// build computes this node's grouping, gathers its relation into bucket
+// order, and, above the leaves, computes the weights' prefix sums (the
+// Algorithm 2 loop body). Every child must be built already. It writes only
+// this node's fields and reads only the children's groupings and totals,
+// which is what makes same-height nodes safe to build concurrently.
 // It fails with ErrCountOverflow when a weight or a bucket total leaves
 // int64; the probe paths then never see a wrapped value and need no checks.
 func (n *node) build() error {
-	nrows := n.rel.Len()
 	n.grouping = n.rel.GroupBy(n.pAttPos)
-	groupOf := n.grouping.GroupOf
-	ng := n.grouping.NumGroups()
-
-	// Resolve every tuple's child buckets once (the only key lookups left).
+	// Resolve every tuple's child buckets once (the only key lookups left),
+	// before the gather: in the reduced relation's order, which follows its
+	// base table's, the lookups tend to walk a child's table and key rows in
+	// order, and in bucket order they jump (on paper_tpch's queries
+	// LookupRows took twice as long after the gather as before it).
 	n.childGroup = make([][]int32, len(n.children))
 	for ci, c := range n.children {
 		n.childGroup[ci] = c.grouping.LookupRows(n.rel, n.childKeyPos[ci])
 	}
-
-	// Counting sort of tuples into contiguous per-bucket slots (stable, so
-	// tuples keep relation order within each bucket — the enumeration order
-	// the map-of-slices representation defined).
-	n.bucketOff = make([]int32, ng+1)
-	for _, g := range groupOf {
-		n.bucketOff[g+1]++
+	n.gather()
+	n.wireOutVals()
+	if n.leaf() {
+		return nil
 	}
-	for g := 1; g <= ng; g++ {
-		n.bucketOff[g] += n.bucketOff[g-1]
-	}
-	n.tupleIdx = make([]int32, nrows)
-	n.tupleOrd = make([]int32, nrows)
-	if !n.leaf() {
-		n.start = make([]int64, nrows)
-		n.total = make([]int64, ng)
-	}
-	fill := make([]int32, ng)
-	for pos := 0; pos < nrows; pos++ {
-		g := groupOf[pos]
-		slot := n.bucketOff[g] + fill[g]
-		n.tupleIdx[slot] = int32(pos)
-		n.tupleOrd[pos] = fill[g]
-		fill[g]++
-		if n.leaf() {
-			continue
-		}
-		// w(t) = product of the matching child buckets' totals, zero as soon
-		// as one child has no match (or only dangling tuples): a zero factor
-		// wins over an overflow of the factors before it.
-		uw, over := uint64(1), false
-		for ci, c := range n.children {
-			cg := n.childGroup[ci][pos]
-			if cg < 0 {
-				uw, over = 0, false
-				break
+	ng := n.grouping.NumGroups()
+	n.start = make([]int64, n.rel.Len())
+	n.total = make([]int64, ng)
+	for g := 0; g < ng; g++ {
+		var total int64
+		for slot := n.bucketOff[g]; slot < n.bucketOff[g+1]; slot++ {
+			// w(t) = product of the matching child buckets' totals, zero as
+			// soon as one child has no match (or only dangling tuples): a zero
+			// factor wins over an overflow of the factors before it.
+			uw, over := uint64(1), false
+			for ci, c := range n.children {
+				cg := n.childGroup[ci][slot]
+				if cg < 0 {
+					uw, over = 0, false
+					break
+				}
+				ct := c.bucketTotal(uint32(cg))
+				if ct == 0 {
+					uw, over = 0, false
+					break
+				}
+				hi, lo := bits.Mul64(uw, uint64(ct))
+				over = over || hi != 0 || lo > math.MaxInt64
+				uw = lo
 			}
-			ct := c.bucketTotal(uint32(cg))
-			if ct == 0 {
-				uw, over = 0, false
-				break
+			w := int64(uw)
+			if over || w > math.MaxInt64-total {
+				return fmt.Errorf("%w (node %s)", ErrCountOverflow, n.rel.Name())
 			}
-			hi, lo := bits.Mul64(uw, uint64(ct))
-			over = over || hi != 0 || lo > math.MaxInt64
-			uw = lo
+			n.start[slot] = total
+			total += w
 		}
-		w := int64(uw)
-		if over || w > math.MaxInt64-n.total[g] {
-			return fmt.Errorf("%w (node %s)", ErrCountOverflow, n.rel.Name())
-		}
-		n.start[slot] = n.total[g]
-		n.total[g] += w
+		n.total[g] = total
 	}
+	return nil
+}
 
+// gather replaces n's relation by its stable gather into bucket order
+// (Grouping.SortRows) and moves the child-bucket arrays with its rows, into
+// fresh arrays: a restored node's may view a read-only mapping. It returns
+// the new position of every old row, or nil when the relation was in
+// bucket order already and nothing moved.
+func (n *node) gather() (slotOf []int32) {
+	n.rel, n.bucketOff, slotOf = n.grouping.SortRows(n.rel)
+	if slotOf != nil {
+		for ci, cg := range n.childGroup {
+			moved := make([]int32, len(cg))
+			for pos, g := range cg {
+				moved[slotOf[pos]] = g
+			}
+			n.childGroup[ci] = moved
+		}
+	}
+	return slotOf
+}
+
+// wireOutVals points the output columns at rel's columns.
+func (n *node) wireOutVals() {
 	n.outVals = make([][]relation.Value, len(n.outPos))
 	for k, p := range n.outPos {
 		n.outVals[k] = n.rel.Col(p)
 	}
-	return nil
+}
+
+// prefetchSlot prefetches the cells a probe reads at slot i of n: its
+// output columns and its child-bucket ids.
+func (n *node) prefetchSlot(i int) {
+	for _, col := range n.outVals {
+		relation.Prefetch(unsafe.Pointer(&col[i]))
+	}
+	for _, cg := range n.childGroup {
+		relation.Prefetch(unsafe.Pointer(&cg[i]))
+	}
 }
 
 // buildWaves groups the tree's nodes by height (leaves first): wave k holds
@@ -613,9 +646,8 @@ func (idx *Index) subtreeAccess(n *node, g uint32, j int64, answer relation.Tupl
 	if !n.leaf() {
 		i = n.searchBucket(g, j)
 	}
-	pos := n.tupleIdx[i]
 	for k, col := range n.outCols {
-		answer[col] = n.outVals[k][pos]
+		answer[col] = n.outVals[k][i]
 	}
 	if n.leaf() {
 		return
@@ -625,7 +657,7 @@ func (idx *Index) subtreeAccess(n *node, g uint32, j int64, answer relation.Tupl
 	rem := j - n.start[i]
 	if len(n.children) <= maxSplitChildren {
 		// Two-pass split: resolve every child's bucket and sub-index first,
-		// prefetching the line each child reads first — a leaf's slot, an
+		// prefetching the lines each child reads first — a leaf's cells, an
 		// inner node's first binary-search midpoint — as its split is
 		// computed. The recursive descent would serialize those cache misses
 		// — child ci's lines are not touched until children ci+1..m
@@ -635,13 +667,13 @@ func (idx *Index) subtreeAccess(n *node, g uint32, j int64, answer relation.Tupl
 		var jis [maxSplitChildren]int64
 		for ci := len(n.children) - 1; ci >= 0; ci-- {
 			c := n.children[ci]
-			cg := uint32(n.childGroup[ci][pos])
+			cg := uint32(n.childGroup[ci][i])
 			ct := c.bucketTotal(cg)
 			ji := rem % ct
 			rem /= ct
 			jis[ci], cgs[ci] = ji, cg
 			if c.leaf() {
-				relation.Prefetch(unsafe.Pointer(&c.tupleIdx[c.bucketOff[cg]+int32(ji)]))
+				c.prefetchSlot(int(c.bucketOff[cg]) + int(ji))
 			} else if mid := int(uint32(c.bucketOff[cg]+1+c.bucketOff[cg+1]) >> 1); mid < len(c.start) {
 				relation.Prefetch(unsafe.Pointer(&c.start[mid]))
 			}
@@ -653,7 +685,7 @@ func (idx *Index) subtreeAccess(n *node, g uint32, j int64, answer relation.Tupl
 	}
 	for ci := len(n.children) - 1; ci >= 0; ci-- {
 		c := n.children[ci]
-		cg := uint32(n.childGroup[ci][pos])
+		cg := uint32(n.childGroup[ci][i])
 		ct := c.bucketTotal(cg)
 		ji := rem % ct
 		rem /= ct
@@ -697,16 +729,15 @@ func (idx *Index) InvertedAccess(answer relation.Tuple) (int64, bool) {
 func (idx *Index) invertedSubtree(n *node, answer relation.Tuple) (int64, bool) {
 	// Locate this node's tuple directly from the answer (no intermediate
 	// tuple: the relation's membership index is probed with the answer's
-	// values at this node's attributes).
+	// values at this node's attributes). Its row is its slot.
 	pos := n.rel.PositionProjected(answer, n.schemaHeadPos)
 	if pos < 0 {
 		return 0, false
 	}
-	if n.leaf() {
-		return int64(n.tupleOrd[pos]), true
-	}
 	g := n.grouping.GroupOf[pos]
-	slot := n.bucketOff[g] + n.tupleOrd[pos]
+	if n.leaf() {
+		return int64(pos) - int64(n.bucketOff[g]), true
+	}
 	// CombineIndex (inverse of SplitIndex): left fold, last child least
 	// significant.
 	var offset int64
@@ -721,7 +752,7 @@ func (idx *Index) invertedSubtree(n *node, answer relation.Tuple) (int64, bool) 
 		}
 		offset = offset*c.bucketTotal(uint32(cg)) + ji
 	}
-	lo, hi := n.slotSpan(g, slot)
+	lo, hi := n.slotSpan(g, int32(pos))
 	if lo == hi {
 		// Dangling tuple (possible when full reduction was skipped): the
 		// combination is not a real answer.

@@ -8,7 +8,7 @@ import (
 
 // groupSize is how many probes of a batch descend the join tree together.
 // A single probe is a chain of dependent cache misses — bucket bounds, a
-// binary search, the tuple, its columns, each child's bucket — so it runs
+// binary search, the slot's columns, each child's bucket — so it runs
 // at the latency of memory. A group takes every step for all its probes
 // before the next step of any: the loads of one step are independent, the
 // prefetches of a step are issued a whole pass before the lines are read,
@@ -34,32 +34,20 @@ func (idx *Index) subtreeAccessGroup(n *node, gs []uint32, js []int64, k int, an
 		return
 	}
 
+	// A slot is a row: its cells were prefetched when it was found — by the
+	// parent's split at a leaf, by the search's last step above.
 	var slot [groupSize]int
 	if n.leaf() {
-		// Every leaf weight is 1: no search, and the parent's split already
-		// prefetched the slot.
+		// Every leaf weight is 1: no search.
 		for p := 0; p < k; p++ {
 			slot[p] = int(n.bucketOff[gs[p]]) + int(js[p])
 		}
 	} else {
 		n.searchBucketGroup(gs, js, k, &slot)
 	}
-
-	// Slot → tuple position.
-	var pos [groupSize]int32
-	for p := 0; p < k; p++ {
-		ps := n.tupleIdx[slot[p]]
-		pos[p] = ps
-		for _, col := range n.outVals {
-			relation.Prefetch(unsafe.Pointer(&col[ps]))
-		}
-		for _, cg := range n.childGroup {
-			relation.Prefetch(unsafe.Pointer(&cg[ps]))
-		}
-	}
 	for p := 0; p < k; p++ {
 		for c, col := range n.outCols {
-			answers[p][col] = n.outVals[c][pos[p]]
+			answers[p][col] = n.outVals[c][slot[p]]
 		}
 	}
 	if n.leaf() {
@@ -75,7 +63,7 @@ func (idx *Index) subtreeAccessGroup(n *node, gs []uint32, js []int64, k int, an
 	var jis [maxSplitChildren][groupSize]int64
 	for ci, c := range n.children {
 		for p := 0; p < k; p++ {
-			cg := uint32(n.childGroup[ci][pos[p]])
+			cg := uint32(n.childGroup[ci][slot[p]])
 			cgs[ci][p] = cg
 			if !c.leaf() {
 				relation.Prefetch(unsafe.Pointer(&c.total[cg]))
@@ -92,7 +80,7 @@ func (idx *Index) subtreeAccessGroup(n *node, gs []uint32, js []int64, k int, an
 			rem /= ct
 			jis[ci][p] = ji
 			if c.leaf() {
-				relation.Prefetch(unsafe.Pointer(&c.tupleIdx[c.bucketOff[cg]+int32(ji)]))
+				c.prefetchSlot(int(c.bucketOff[cg]) + int(ji))
 			}
 		}
 	}
@@ -105,7 +93,7 @@ func (idx *Index) subtreeAccessGroup(n *node, gs []uint32, js []int64, k int, an
 // lockstep, one step per probe per round: slot[p] receives the slot of
 // bucket gs[p] whose range holds js[p], and js[p] becomes the index within
 // that slot's range — start[slot] is in cache, the last test that moved lo
-// read it.
+// read it. A probe's slot cells are prefetched as soon as its search ends.
 func (n *node) searchBucketGroup(gs []uint32, js []int64, k int, slot *[groupSize]int) {
 	// Bucket bounds (their lines were prefetched by the parent's pass). A
 	// bucket of one tuple — the usual child bucket of a key join — leaves
@@ -117,7 +105,7 @@ func (n *node) searchBucketGroup(gs []uint32, js []int64, k int, slot *[groupSiz
 		if l < h {
 			relation.Prefetch(unsafe.Pointer(&n.start[int(uint(l+h)>>1)]))
 		} else {
-			relation.Prefetch(unsafe.Pointer(&n.tupleIdx[l-1]))
+			n.prefetchSlot(l - 1)
 		}
 	}
 	for searching := true; searching; {
@@ -136,7 +124,7 @@ func (n *node) searchBucketGroup(gs []uint32, js []int64, k int, slot *[groupSiz
 			lo[p], hi[p] = l, h
 			if l >= h {
 				js[p] -= n.start[l-1]
-				relation.Prefetch(unsafe.Pointer(&n.tupleIdx[l-1]))
+				n.prefetchSlot(l - 1)
 				continue
 			}
 			searching = true

@@ -52,14 +52,14 @@ func isIndexInt(t reflect.Type) bool {
 }
 
 // indexArrayBytes is the index's own array memory: every node's integer
-// arrays plus its grouping's per-tuple and per-bucket arrays.
+// arrays plus its grouping's group ids.
 func indexArrayBytes(idx *Index) int64 {
 	var b int64
 	for _, n := range idx.nodes {
 		for _, size := range nodeArrays(n) {
 			b += size
 		}
-		b += 4*int64(len(n.grouping.GroupOf)) + 4*int64(len(n.grouping.First))
+		b += 4 * int64(len(n.grouping.GroupOf))
 	}
 	return b
 }
@@ -84,6 +84,14 @@ func TestIndexLayoutHoldsNoDerivedArray(t *testing.T) {
 		if _, ok := reflect.TypeOf(node{}).FieldByName(gone); ok {
 			t.Errorf("node has a %s field: weights are differences of starts, and the baseline bounds belong to internal/sample", gone)
 		}
+	}
+	for _, gone := range []string{"tupleIdx", "tupleOrd"} {
+		if _, ok := reflect.TypeOf(node{}).FieldByName(gone); ok {
+			t.Errorf("node has a %s field: a slot is a row of the bucket-ordered relation, and a row's ordinal is its slot minus its bucket's offset", gone)
+		}
+	}
+	if _, ok := reflect.TypeOf(relation.Grouping{}).FieldByName("First"); ok {
+		t.Errorf("relation.Grouping has a First field: a group's first row is its bucket's offset")
 	}
 	built, restored := layoutIndexes(t)
 	for name, idx := range map[string]*Index{"built": built, "restored": restored} {
@@ -110,13 +118,14 @@ func TestIndexLayoutHoldsNoDerivedArray(t *testing.T) {
 }
 
 // TestIndexArrayBytesPerTuple bounds the index's array memory on a fixed
-// instance. A leaf slot costs 12 B (tuple index, ordinal, group id) and a
-// leaf bucket 8 B (offset, first tuple); the root's slots add an 8 B start
-// index and a 4 B child bucket per child, 32 B in all. Putting any array
-// back — a weight per slot, a start index per leaf slot, a total or a
-// maximum per leaf bucket — adds at least 1.2 B per tuple here.
+// instance. A leaf slot costs 4 B (its group id: a slot is a row, so there
+// is no slot → row table and no ordinal) and a leaf bucket 4 B (its
+// offset); the root's slots add an 8 B start index and a 4 B child bucket
+// per child, 24 B in all. Putting any array back — a slot → row table, an
+// ordinal, a weight or a start index per leaf slot, a total, a maximum or a
+// first row per leaf bucket — adds at least 0.15 B per tuple here.
 func TestIndexArrayBytesPerTuple(t *testing.T) {
-	const bound = 18.5 // B per tuple; the layout measures 18.25
+	const bound = 9.75 // B per tuple; the layout measures 9.65
 	built, restored := layoutIndexes(t)
 	for name, idx := range map[string]*Index{"built": built, "restored": restored} {
 		perTuple := float64(indexArrayBytes(idx)) / float64(idx.Tuples())
@@ -127,5 +136,21 @@ func TestIndexArrayBytesPerTuple(t *testing.T) {
 			}
 			t.Fatalf("%s: %.2f B of index arrays per tuple, bound %.2f", name, perTuple, bound)
 		}
+	}
+}
+
+// TestIndexSnapshotBytesPerTuple bounds the index's snapshot on the same
+// instance. A format-version-2 file stores what the index keeps and
+// nothing else: the columns (16 B per tuple here: two attributes of 8 B),
+// the index arrays TestIndexArrayBytesPerTuple prices, and a few hundred
+// bytes of names and framing. Writing back a derived section — a weight
+// per slot, a slot → row table — adds at least 3 B per tuple here.
+func TestIndexSnapshotBytesPerTuple(t *testing.T) {
+	const bound = 25.85 // B per tuple; the file measures 25.72
+	built, _ := layoutIndexes(t)
+	perTuple := float64(len(marshalIndex(t, built))) / float64(built.Tuples())
+	t.Logf("%.2f B of snapshot per tuple", perTuple)
+	if perTuple > bound {
+		t.Fatalf("%.2f B of snapshot per tuple, bound %.2f", perTuple, bound)
 	}
 }

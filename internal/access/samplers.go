@@ -123,12 +123,11 @@ func (idx *Index) wanderWalk(n *node, g uint32, rng *rand.Rand, b *Bounds, answe
 		return false
 	}
 	*prob *= float64(sz) / float64(b.maxBucketLen[n.ord])
-	pos := n.tupleIdx[slot]
 	for k, col := range n.outCols {
-		answer[col] = n.outVals[k][pos]
+		answer[col] = n.outVals[k][slot]
 	}
 	for ci, c := range n.children {
-		cg := n.childGroup[ci][pos]
+		cg := n.childGroup[ci][slot]
 		if cg < 0 {
 			return false
 		}

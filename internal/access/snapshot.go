@@ -1,14 +1,20 @@
 // Snapshot encoding of the weighted join-tree index. The build-time shape —
-// flat contiguous arrays addressed by integer bucket IDs — serializes as-is:
-// every numeric section the index keeps (columns, bucket offset tables,
-// prefix sums and totals, child-ID arrays, group IDs) restores as a
+// flat contiguous arrays addressed by integer bucket IDs, a slot being a row
+// of the node's bucket-ordered relation — serializes as-is: every numeric
+// section the index keeps (columns, group IDs, bucket offset tables, the
+// inner nodes' prefix sums and totals, child-ID arrays) restores as a
 // zero-copy view of the snapshot mapping, so reopening an index is
-// O(validate) instead of O(preprocess). Format version 1 also carries
+// O(validate) instead of O(preprocess). Derived wiring (schemaHeadPos,
+// output assignment, the parent↔child shared-attribute positions) is
+// recomputed through the same helpers the builder uses.
+//
+// Format version 1 stored each relation in its reduced (insertion) order,
+// with a slot → row table (tupleIdx), a row → ordinal table (tupleOrd),
 // per-slot weights, per-bucket maximum weights and the leaves' prefix sums
-// and totals, which the index no longer keeps: the writer derives them and
-// the reader validates and drops them. Derived wiring (schemaHeadPos, output
-// assignment, the parent↔child shared-attribute positions) is recomputed
-// through the same helpers the builder uses.
+// and totals. Its reader validates all of them as before and then gathers
+// the node into slot order with the builder's own routine
+// (Grouping.SortRows): the columns and child-ID arrays are copied out of
+// the mapping, and the rest is dropped.
 package access
 
 import (
@@ -17,8 +23,9 @@ import (
 )
 
 // Marshal appends the index to a section writer: head, then every node in
-// tree order (parent link, backing relation, grouping, flattened buckets,
-// resolved child-bucket arrays).
+// tree order (parent link, bucket-ordered relation, group IDs, bucket
+// offsets, the inner nodes' start indexes and totals, resolved child-bucket
+// arrays).
 func (idx *Index) Marshal(s *snapshot.SectionWriter) {
 	s.U64(uint64(len(idx.head)))
 	for _, h := range idx.head {
@@ -40,13 +47,8 @@ func (idx *Index) Marshal(s *snapshot.SectionWriter) {
 		s.U64(uint64(n.grouping.NumGroups()))
 		s.U32s(n.grouping.GroupOf)
 		s.I32s(n.bucketOff)
-		s.I32s(n.tupleIdx)
-		s.I32s(n.tupleOrd)
-		weight, start, total, maxW := n.fileAggregates()
-		s.I64s(weight)
-		s.I64s(start)
-		s.I64s(total)
-		s.I64s(maxW)
+		s.I64s(n.start)
+		s.I64s(n.total)
 		s.U64(uint64(len(n.childGroup)))
 		for _, cg := range n.childGroup {
 			s.I32s(cg)
@@ -54,52 +56,24 @@ func (idx *Index) Marshal(s *snapshot.SectionWriter) {
 	}
 }
 
-// fileAggregates returns the four aggregate sections of format version 1:
-// w(t) and startIndex(t) per slot, w(B) and the largest w(t) per bucket. The
-// index keeps only start and total, and only at inner nodes; the rest is
-// derived here so the file stays byte for byte what earlier builds wrote.
-func (n *node) fileAggregates() (weight, start, total, maxW []int64) {
-	nrows, ng := n.rel.Len(), n.grouping.NumGroups()
-	weight, maxW = make([]int64, nrows), make([]int64, ng)
-	// An inner node's own arrays may be read-only views of a mapped file:
-	// only a leaf's are built here.
-	start, total = n.start, n.total
-	if n.leaf() {
-		start, total = make([]int64, nrows), make([]int64, ng)
-	}
-	for g := uint32(0); int(g) < ng; g++ {
-		for slot := n.bucketOff[g]; slot < n.bucketOff[g+1]; slot++ {
-			lo, hi := n.slotSpan(g, slot)
-			weight[slot] = hi - lo
-			maxW[g] = max(maxW[g], hi-lo)
-			if n.leaf() {
-				start[slot] = lo
-			}
-		}
-		if n.leaf() {
-			total[g] = n.bucketTotal(g)
-		}
-	}
-	return weight, start, total, maxW
-}
-
 // restoredNode is one node as read back, before tree wiring.
 type restoredNode struct {
-	n            *node
-	parentOrd    int64
-	numGroups    int
-	childN       int
-	childCG      [][]int32
-	weight, maxW []int64 // validated, then dropped
+	n         *node
+	parentOrd int64
+	childN    int
+	childCG   [][]int32
+	// Format version 1 only: validated, then dropped.
+	tupleIdx, tupleOrd []int32
+	weight, maxW       []int64
 }
 
-// UnmarshalIndex restores an index from a section reader. All structural
-// invariants that memory safety of the probe paths depends on — array
-// lengths, monotone bucket offsets, in-range tuple positions and child
-// bucket IDs, tree shape — are validated; a violation is a typed
-// snapshot.ErrCorrupt, never a panic. Weights and prefix sums are trusted
-// as data (the section checksum vouches for them).
+// UnmarshalIndex restores an index from a section reader, of either format
+// version. All structural invariants that memory safety of the probe paths
+// depends on — array lengths, monotone bucket offsets, group IDs that match
+// them, in-range child bucket IDs, tree shape, Algorithm 2's prefix sums —
+// are validated; a violation is a typed snapshot.ErrCorrupt, never a panic.
 func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
+	v1 := r.Version() == 1
 	idx := &Index{}
 	nh := r.U64()
 	if nh > uint64(r.Remaining()/8) {
@@ -123,15 +97,19 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 		}
 		n := &node{rel: rel, ord: i}
 		rn.n = n
-		rn.numGroups = int(r.U64())
+		ng := int(r.U64())
 		groupOf := r.U32s()
 		n.bucketOff = r.I32s()
-		n.tupleIdx = r.I32s()
-		n.tupleOrd = r.I32s()
-		rn.weight = r.I64s()
+		if v1 {
+			rn.tupleIdx = r.I32s()
+			rn.tupleOrd = r.I32s()
+			rn.weight = r.I64s()
+		}
 		n.start = r.I64s()
 		n.total = r.I64s()
-		rn.maxW = r.I64s()
+		if v1 {
+			rn.maxW = r.I64s()
+		}
 		rn.childN = int(r.U64())
 		if err := r.Err(); err != nil {
 			return nil, err
@@ -147,15 +125,14 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 			return nil, err
 		}
 		nrows := rel.Len()
-		ng := rn.numGroups
 		if ng < 0 || ng > nrows {
 			return nil, snapshot.Corruptf("index node %d: %d groups over %d tuples", i, ng, nrows)
 		}
-		if len(groupOf) != nrows || len(n.tupleIdx) != nrows || len(n.tupleOrd) != nrows ||
-			len(rn.weight) != nrows || len(n.start) != nrows {
+		if len(groupOf) != nrows || v1 && (len(rn.tupleIdx) != nrows || len(rn.tupleOrd) != nrows ||
+			len(rn.weight) != nrows || len(n.start) != nrows) {
 			return nil, snapshot.Corruptf("index node %d: per-tuple array lengths do not match %d tuples", i, nrows)
 		}
-		if len(n.bucketOff) != ng+1 || len(n.total) != ng || len(rn.maxW) != ng {
+		if len(n.bucketOff) != ng+1 || v1 && (len(n.total) != ng || len(rn.maxW) != ng) {
 			return nil, snapshot.Corruptf("index node %d: per-bucket array lengths do not match %d groups", i, ng)
 		}
 		if n.bucketOff[0] != 0 || int(n.bucketOff[ng]) != nrows {
@@ -166,10 +143,18 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 				return nil, snapshot.Corruptf("index node %d: bucket offsets not monotone at %d", i, g)
 			}
 		}
-		var err2 error
-		n.grouping, err2 = relation.RestoreGrouping(groupOf, ng, 0)
-		if err2 != nil {
-			return nil, err2
+		if n.grouping, err = relation.RestoreGrouping(groupOf, ng, 0); err != nil {
+			return nil, err
+		}
+		if !v1 {
+			// Slot order: bucket g is exactly the run of rows of group g.
+			for g := 0; g < ng; g++ {
+				for s := n.bucketOff[g]; s < n.bucketOff[g+1]; s++ {
+					if groupOf[s] != uint32(g) {
+						return nil, snapshot.Corruptf("index node %d: slot %d has group %d, its bucket is %d", i, s, groupOf[s], g)
+					}
+				}
+			}
 		}
 	}
 	// Wire the tree: children attach to parents in node order, exactly the
@@ -210,7 +195,7 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 		return nil, snapshot.Corruptf("index: %d of %d nodes reachable from the root", reached, len(idx.nodes))
 	}
 
-	// Per-edge validation + width fixup now that pAttPos is recomputed.
+	// Per-edge validation now that the children are known.
 	for i := range nodes {
 		rn := &nodes[i]
 		n := rn.n
@@ -231,6 +216,14 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 				}
 			}
 		}
+		// Version 2 stores aggregates at inner nodes only.
+		wantStart, wantTotal := nrows, n.grouping.NumGroups()
+		if n.leaf() {
+			wantStart, wantTotal = 0, 0
+		}
+		if !v1 && (len(n.start) != wantStart || len(n.total) != wantTotal) {
+			return nil, snapshot.Corruptf("index node %d: %d start indexes and %d totals, want %d and %d", i, len(n.start), len(n.total), wantStart, wantTotal)
+		}
 	}
 
 	// Semantic validation: re-run Algorithm 2's aggregation as a check.
@@ -238,16 +231,20 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 	// binary search always lands inside its bucket, the mixed-radix
 	// decomposition never divides by zero, and inverted access never
 	// indexes out of range — so even a hostile file that defeated the
-	// checksums cannot crash a probe, only answer wrong.
+	// checksums cannot crash a probe, only answer wrong. A version-1 node
+	// is gathered into slot order first; its per-slot sections stay where
+	// they are, and a leaf's aggregates, once validated, are what leaf
+	// arithmetic computes and are dropped.
 	for i, n := range idx.nodes {
-		if err := n.validateAggregates(i, nodes[i].weight, nodes[i].maxW); err != nil {
+		rn := &nodes[i]
+		if v1 {
+			if err := n.gatherV1(i, rn.tupleIdx, rn.tupleOrd); err != nil {
+				return nil, err
+			}
+		}
+		if err := n.validateAggregates(i, rn.weight, rn.maxW); err != nil {
 			return nil, err
 		}
-	}
-	// Validated, a leaf's aggregates are what leaf arithmetic computes (every
-	// weight 1), and every weight is a difference of starts: the index keeps
-	// only the inner nodes' start and total views.
-	for _, n := range idx.nodes {
 		if n.leaf() {
 			n.start, n.total = nil, nil
 		}
@@ -257,10 +254,7 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 		return nil, snapshot.Corruptf("%v", err)
 	}
 	for _, n := range idx.nodes {
-		n.outVals = make([][]relation.Value, len(n.outPos))
-		for k, p := range n.outPos {
-			n.outVals[k] = n.rel.Col(p)
-		}
+		n.wireOutVals()
 	}
 	if idx.root.grouping.NumGroups() > 0 {
 		if idx.root.grouping.NumGroups() != 1 {
@@ -276,19 +270,41 @@ func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 
 // validateAggregates checks the Algorithm 2 invariants the probe paths'
 // memory safety rests on: per bucket, start is the running prefix sum of
-// non-negative weights with total and maxW matching; tupleOrd is the exact
-// inverse of the in-bucket tuple layout; and every slot's weight equals the
-// product of its resolved child-bucket totals (zero exactly when a child
-// bucket is missing). Runs after children are wired. O(n) per node.
+// the slots' weights, ending at the bucket's total, and every slot's weight
+// is the product of its resolved child-bucket totals (zero exactly when a
+// child bucket is missing). A version-2 leaf stores no aggregate and has
+// nothing to check. A version-1 node passes its stored per-slot weights and
+// per-bucket maxima, which must match. Runs after children are wired, on a
+// node in slot order. O(n) per node.
 func (n *node) validateAggregates(ord int, weight, maxW []int64) error {
-	nrows := n.rel.Len()
-	ng := n.grouping.NumGroups()
-	for g := 0; g < ng; g++ {
+	if n.start == nil && n.total == nil {
+		return nil
+	}
+	for g := 0; g < n.grouping.NumGroups(); g++ {
 		var running, mx int64
 		for slot := n.bucketOff[g]; slot < n.bucketOff[g+1]; slot++ {
-			w := weight[slot]
-			if w < 0 {
-				return snapshot.Corruptf("index node %d: negative weight at slot %d", ord, slot)
+			w := int64(1)
+			for ci, c := range n.children {
+				cg := n.childGroup[ci][slot]
+				if cg < 0 {
+					w = 0
+					break
+				}
+				ct := c.bucketTotal(uint32(cg))
+				if ct < 0 {
+					return snapshot.Corruptf("index node %d: child %d bucket %d has negative total", ord, ci, cg)
+				}
+				if ct == 0 {
+					w = 0
+					break
+				}
+				if w > (1<<62)/ct {
+					return snapshot.Corruptf("index node %d: weight product overflow at slot %d", ord, slot)
+				}
+				w *= ct
+			}
+			if weight != nil && weight[slot] != w {
+				return snapshot.Corruptf("index node %d: weight[%d] = %d, want child product %d", ord, slot, weight[slot], w)
 			}
 			if n.start[slot] != running {
 				return snapshot.Corruptf("index node %d: start[%d] = %d, want prefix sum %d", ord, slot, n.start[slot], running)
@@ -297,57 +313,41 @@ func (n *node) validateAggregates(ord int, weight, maxW []int64) error {
 			if running < 0 {
 				return snapshot.Corruptf("index node %d: weight overflow in bucket %d", ord, g)
 			}
-			if w > mx {
-				mx = w
-			}
-			if ti := n.tupleIdx[slot]; ti < 0 || int(ti) >= nrows {
-				return snapshot.Corruptf("index node %d: tuple index %d out of range", ord, ti)
-			}
+			mx = max(mx, w)
 		}
 		if n.total[g] != running {
 			return snapshot.Corruptf("index node %d: total[%d] = %d, want %d", ord, g, n.total[g], running)
 		}
-		if maxW[g] != mx {
+		if maxW != nil && maxW[g] != mx {
 			return snapshot.Corruptf("index node %d: maxW[%d] = %d, want %d", ord, g, maxW[g], mx)
 		}
 	}
-	// tupleOrd must invert the bucket layout: the slot it names holds pos.
-	groupOf := n.grouping.GroupOf
-	for pos := 0; pos < nrows; pos++ {
-		g := groupOf[pos]
-		ord2 := n.tupleOrd[pos]
-		if ord2 < 0 || int(ord2) >= n.bucketLen(g) {
-			return snapshot.Corruptf("index node %d: tuple ordinal %d outside bucket %d", ord, ord2, g)
-		}
-		if n.tupleIdx[n.bucketOff[g]+ord2] != int32(pos) {
-			return snapshot.Corruptf("index node %d: tuple ordinal of %d does not invert the bucket layout", ord, pos)
+	return nil
+}
+
+// gatherV1 moves a version-1 node into slot order with the builder's
+// gather and checks the file's slot → row and row → ordinal tables against
+// it: the layout must be the one the gather produces — every builder wrote
+// its buckets by a stable counting sort — and each ordinal the row's place
+// in its bucket.
+func (n *node) gatherV1(ord int, tupleIdx, tupleOrd []int32) error {
+	fileOff := n.bucketOff
+	slotOf := n.gather()
+	for g, o := range n.bucketOff {
+		if o != fileOff[g] {
+			return snapshot.Corruptf("index node %d: bucket %d starts at %d, its group at %d", ord, g, fileOff[g], o)
 		}
 	}
-	// Weights must equal the product of resolved child-bucket totals.
-	for slot := 0; slot < nrows; slot++ {
-		pos := n.tupleIdx[slot]
-		prod := int64(1)
-		for ci, c := range n.children {
-			cg := n.childGroup[ci][pos]
-			if cg < 0 {
-				prod = 0
-				break
-			}
-			ct := c.total[cg]
-			if ct < 0 {
-				return snapshot.Corruptf("index node %d: child %d bucket %d has negative total", ord, ci, cg)
-			}
-			if ct == 0 {
-				prod = 0
-				break
-			}
-			if prod > (1<<62)/ct {
-				return snapshot.Corruptf("index node %d: weight product overflow at slot %d", ord, slot)
-			}
-			prod *= ct
+	for pos := range tupleIdx {
+		slot := int32(pos)
+		if slotOf != nil {
+			slot = slotOf[pos]
 		}
-		if weight[slot] != prod {
-			return snapshot.Corruptf("index node %d: weight[%d] = %d, want child product %d", ord, slot, weight[slot], prod)
+		if tupleIdx[slot] != int32(pos) {
+			return snapshot.Corruptf("index node %d: bucket layout is not in tuple order at slot %d", ord, slot)
+		}
+		if g := n.grouping.GroupOf[slot]; tupleOrd[pos] != slot-n.bucketOff[g] {
+			return snapshot.Corruptf("index node %d: tuple ordinal of %d does not invert the bucket layout", ord, pos)
 		}
 	}
 	return nil

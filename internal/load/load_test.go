@@ -184,7 +184,7 @@ func TestCSVLoadSemantics(t *testing.T) {
 
 // csvBuildSnapshot was written by an earlier build's loader from
 // csvBuildTables and csvBuildPrograms, so it pins dictionary ids and row
-// order through the CSV path.
+// order through the CSV path. It is a format-version-1 file.
 const csvBuildSnapshot = "testdata/csv_build.snap"
 
 var (
@@ -196,10 +196,20 @@ var (
 )
 
 // TestCSVBuildSnapshotBytes: Tables, Compile and WriteSnapshot reproduce
-// csvBuildSnapshot byte for byte.
+// csvBuildSnapshot byte for byte, in the format this build writes —
+// csvBuildSnapshot, opened and saved again, is the bytes to match.
 func TestCSVBuildSnapshotBytes(t *testing.T) {
-	want, err := os.ReadFile(csvBuildSnapshot)
+	old, err := os.ReadFile(csvBuildSnapshot)
 	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := renum.OpenSnapshotBytes(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	var want bytes.Buffer
+	if err := renum.WriteSnapshot(&want, cat.DB(), cat.Generation(), cat.Entries()); err != nil {
 		t.Fatal(err)
 	}
 	db := renum.NewDatabase()
@@ -214,7 +224,7 @@ func TestCSVBuildSnapshotBytes(t *testing.T) {
 	if err := renum.WriteSnapshot(&got, db, 0, entries); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("WriteSnapshot: %d bytes, %s: %d bytes", got.Len(), csvBuildSnapshot, len(want))
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteSnapshot: %d bytes, %s saved again: %d bytes", got.Len(), csvBuildSnapshot, want.Len())
 	}
 }

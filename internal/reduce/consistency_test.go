@@ -2,14 +2,13 @@ package reduce
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/hypergraph"
 	"repro/internal/naive"
 	"repro/internal/query"
-	"repro/internal/relation"
+	"repro/internal/synth"
 )
 
 // TestEliminationMatchesDefinition is the key structural consistency check of
@@ -20,83 +19,20 @@ import (
 // would be wrong.
 func TestEliminationMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
-	varNames := []string{"a", "b", "c", "d", "e"}
-	relNames := []string{"R0", "R1", "R2", "R3"}
-
-	// A tiny database covering every relation/arity the generator may emit.
-	makeDB := func(q *query.CQ) *relation.Database {
-		db := relation.NewDatabase()
-		for i, a := range q.Body {
-			name := a.Relation
-			if db.Has(name) {
-				continue
-			}
-			attrs := make([]string, len(a.Terms))
-			for j := range attrs {
-				attrs[j] = fmt.Sprintf("c%d_%d", i, j)
-			}
-			r := db.MustCreate(name, attrs...)
-			for k := 0; k < 10; k++ {
-				tu := make(relation.Tuple, len(attrs))
-				for j := range tu {
-					tu[j] = relation.Value(rng.Intn(4))
-				}
-				if _, err := r.Insert(tu); err != nil {
-					panic(err)
-				}
-			}
-		}
-		return db
-	}
-
 	tested, fcCount := 0, 0
 	for iter := 0; iter < 3000; iter++ {
 		// Random query: 1-4 atoms, arity 1-3, head = random subset of vars.
-		nAtoms := 1 + rng.Intn(4)
-		var body []query.Atom
-		varSet := map[string]bool{}
-		for i := 0; i < nAtoms; i++ {
-			arity := 1 + rng.Intn(3)
-			terms := make([]query.Term, arity)
-			for j := range terms {
-				v := varNames[rng.Intn(len(varNames))]
-				terms[j] = query.V(v)
-				varSet[v] = true
-			}
-			// Distinct relation symbol per atom (self-joins are covered by
-			// relation reuse below in ~20% of cases).
-			name := relNames[i]
-			if rng.Intn(5) == 0 && i > 0 {
-				name = relNames[rng.Intn(i)]
-			}
-			body = append(body, query.Atom{Relation: name, Terms: terms})
-		}
-		var head []string
-		for v := range varSet {
-			if rng.Intn(2) == 0 {
-				head = append(head, v)
-			}
-		}
-		q, err := query.NewCQ("q", head, body)
-		if err != nil {
-			continue // unsafe head etc.
-		}
-		// Atoms of the same relation must have the same arity for the DB.
-		arities := map[string]int{}
-		ok := true
-		for _, a := range q.Body {
-			if ar, seen := arities[a.Relation]; seen && ar != len(a.Terms) {
-				ok = false
-				break
-			}
-			arities[a.Relation] = len(a.Terms)
-		}
-		if !ok {
-			continue
+		q := synth.RandomCQ(rng, "q", false, 0)
+		if q == nil {
+			continue // a relation at two arities
 		}
 		tested++
 
-		db := makeDB(q)
+		// A tiny database covering every relation/arity the query uses.
+		db, err := synth.RandomDB(rng, []*query.CQ{q}, 10, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fj, err := BuildFullJoin(db, q, Options{})
 		def := hypergraph.IsFreeConnex(q)
 		if def != (err == nil) {

@@ -1,30 +1,33 @@
 package relation
 
+import "sync"
+
 // Grouping is the result of Relation.GroupBy: a dense uint32 group ID per
 // tuple, where tuples share a group iff they agree on the key positions.
 // Group IDs are assigned in order of first appearance, so they inherit the
 // relation's insertion-order determinism. A Grouping is immutable once built
-// (ReleaseKeys aside) and safe for concurrent readers.
+// (SortRows and ReleaseKeys aside) and safe for concurrent readers.
 //
 // The access index addresses its buckets by these IDs: what used to be a
 // map[string]*bucket probe per join-tree edge becomes a plain array index.
 type Grouping struct {
-	width int
+	width     int
+	numGroups int
 
 	// GroupOf[i] is the group ID of tuple i.
 	GroupOf []uint32
-	// First[g] is the position of the first tuple of group g (a
-	// representative row for re-deriving the group's key values).
-	First []int32
 
 	// Key lookup for LookupRows, until ReleaseKeys: a flatTable whose ids are
-	// the groups, group g's key being row First[g] of keyCols.
-	table   *flatTable
-	keyCols [][]Value
+	// the groups, group g's key being row first[g] of keyCols, the relation's
+	// columns at positions.
+	table     *flatTable
+	keyCols   [][]Value
+	first     []int32
+	positions []int
 }
 
 // NumGroups returns the number of distinct groups.
-func (g *Grouping) NumGroups() int { return len(g.First) }
+func (g *Grouping) NumGroups() int { return g.numGroups }
 
 // Width returns the number of key positions the grouping was built on.
 func (g *Grouping) Width() int { return g.width }
@@ -35,16 +38,92 @@ func (g *Grouping) Width() int { return g.width }
 // far below the row count — is unknown up front; the table lives only until
 // ReleaseKeys, so its slack is build-time memory.
 func (r *Relation) GroupBy(positions []int) *Grouping {
-	g := &Grouping{width: len(positions), GroupOf: make([]uint32, r.n)}
+	g := &Grouping{width: len(positions), GroupOf: make([]uint32, r.n), positions: positions}
 	if len(positions) == 0 {
 		if r.n > 0 {
-			g.First = []int32{0}
+			g.numGroups = 1
 		}
 		return g
 	}
 	g.keyCols = r.keyCols(positions)
-	g.table, g.First = groupRows(g.keyCols, r.n, g.GroupOf)
+	g.table, g.first = groupRows(g.keyCols, r.n, g.GroupOf)
+	g.numGroups = len(g.first)
 	return g
+}
+
+// SortRows stably gathers r — the relation g was built on — into group
+// order: the rows of group 0 first, then those of group 1, and so on, each
+// group's rows in their order in r. It returns the reordered relation, the
+// group offsets (group k holds rows off[k] … off[k+1]−1 of sorted, len
+// NumGroups+1) and slotOf, the new position of each row of r, for per-row
+// arrays the caller built on r's order; slotOf is nil when r was in group
+// order already, and sorted is then r itself. Otherwise sorted is a new
+// relation of fresh columns, each exactly Len long, and, when r's
+// membership index is built, a copy of it whose row ids are remapped in
+// one pass instead of being rehashed. r is not modified — its columns may
+// alias a read-only mapping, or be shared with another build — and
+// neither is the GroupOf g had: g gets a new one.
+//
+// Afterwards g describes sorted: GroupOf is non-decreasing, and the key
+// lookup reads sorted's columns with row off[k] as group k's key.
+func (g *Grouping) SortRows(r *Relation) (sorted *Relation, off, slotOf []int32) {
+	ng := g.numGroups
+	off = make([]int32, ng+1)
+	inOrder := true
+	for i, k := range g.GroupOf {
+		off[k+1]++
+		inOrder = inOrder && (i == 0 || k >= g.GroupOf[i-1])
+	}
+	for k := 1; k <= ng; k++ {
+		off[k] += off[k-1]
+	}
+	sorted = r
+	if !inOrder {
+		slotOf = make([]int32, r.n)
+		fill := append([]int32(nil), off[:ng]...)
+		for i, k := range g.GroupOf {
+			slotOf[i] = fill[k]
+			fill[k]++
+		}
+		sorted = r.permute(slotOf)
+		g.GroupOf = make([]uint32, r.n)
+		for k := 1; k < ng; k++ {
+			for s := off[k]; s < off[k+1]; s++ {
+				g.GroupOf[s] = uint32(k)
+			}
+		}
+	}
+	if g.table != nil {
+		g.keyCols = sorted.keyCols(g.positions)
+		g.first = off[:ng]
+	}
+	return sorted, off, slotOf
+}
+
+// permute returns a copy of r whose row slotOf[i] is r's row i (slotOf a
+// permutation of 0 … Len−1); see SortRows.
+func (r *Relation) permute(slotOf []int32) *Relation {
+	out := &Relation{name: r.name, schema: r.schema, cols: make([][]Value, len(r.cols)), n: r.n}
+	for a, col := range r.cols {
+		nc := make([]Value, r.n)
+		for i, v := range col {
+			nc[slotOf[i]] = v
+		}
+		out.cols[a] = nc
+	}
+	if r.lazyOnce == nil && r.index != nil {
+		t := *r.index
+		t.slots = make([]uint64, len(r.index.slots))
+		for s, e := range r.index.slots {
+			if e != 0 {
+				t.slots[s] = e&hashMask | uint64(slotOf[uint32(e)-1]+1)
+			}
+		}
+		out.index = &t
+	} else {
+		out.lazyOnce = new(sync.Once)
+	}
+	return out
 }
 
 // LookupRows resolves every row of r to a group: out[i] is the group whose
@@ -57,7 +136,7 @@ func (r *Relation) GroupBy(positions []int) *Grouping {
 func (g *Grouping) LookupRows(r *Relation, proj []int) []int32 {
 	out := make([]int32, r.n)
 	switch {
-	case g.width == 0 && len(g.First) > 0:
+	case g.width == 0 && g.numGroups > 0:
 		// Every row's key is the empty one, group 0: out is zero already.
 	case g.width == 0 || g.table == nil:
 		for i := range out {
@@ -66,15 +145,15 @@ func (g *Grouping) LookupRows(r *Relation, proj []int) []int32 {
 	default:
 		kcols := r.keyCols(proj)
 		for lo := 0; lo < r.n; lo += blockRows {
-			g.table.lookupBlock(out[lo:min(lo+blockRows, r.n)], kcols, lo, g.keyCols, g.First)
+			g.table.lookupBlock(out[lo:min(lo+blockRows, r.n)], kcols, lo, g.keyCols, g.first)
 		}
 	}
 	return out
 }
 
-// ReleaseKeys drops the key lookup table, keeping GroupOf and First. The
-// access index calls it once every node is built: its probes read only the
-// group ids, so the table is build-time memory.
+// ReleaseKeys drops the key lookup, keeping GroupOf. The access index calls
+// it once every node is built: its probes read only the group ids, so the
+// table is build-time memory.
 func (g *Grouping) ReleaseKeys() {
-	g.table, g.keyCols = nil, nil
+	g.table, g.keyCols, g.first, g.positions = nil, nil, nil, nil
 }

@@ -540,3 +540,68 @@ func TestProjectOntoNothing(t *testing.T) {
 		r.MustInsert(2)
 	}
 }
+
+// TestSortRowsIsStableGather: SortRows moves every group's rows together in
+// group order and keeps their order within a group; it leaves its input
+// relation as it was (a frozen one's columns alias a read-only mapping); the
+// reordered relation's membership index (remapped, when the input's was
+// built; deferred otherwise) and the grouping's key lookup answer for the
+// new positions; and a relation in group order does not move.
+func TestSortRowsIsStableGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 60; iter++ {
+		r := NewRelation("R", MustSchema("a", "b"))
+		for i := 0; i < 1+rng.Intn(300); i++ {
+			r.Insert(Tuple{Value(rng.Intn(7)), Value(rng.Intn(40))})
+		}
+		switch iter % 3 {
+		case 1:
+			r = r.Filter("R", func(Tuple) bool { return true })
+			r.dropIndex() // a deferred index must stay deferred
+		case 2:
+			fr, err := FromColumns("R", r.Schema(), [][]Value{r.Col(0), r.Col(1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r = fr
+		}
+		before := r.Tuples()
+		g := r.GroupBy([]int{0})
+		oldGroupOf := append([]uint32(nil), g.GroupOf...)
+		sorted, off, slotOf := g.SortRows(r)
+
+		var want []Tuple
+		for k := 0; k < g.NumGroups(); k++ {
+			if int(off[k]) != len(want) {
+				t.Fatalf("group %d starts at %d, want %d", k, off[k], len(want))
+			}
+			for i, gi := range oldGroupOf {
+				if gi == uint32(k) {
+					want = append(want, before[i])
+					if slotOf != nil && int(slotOf[i]) != len(want)-1 {
+						t.Fatalf("slotOf[%d] = %d, want %d", i, slotOf[i], len(want)-1)
+					}
+				}
+			}
+		}
+		if got := sorted.Tuples(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("sorted rows %v, want %v", got, want)
+		}
+		if fmt.Sprint(r.Tuples()) != fmt.Sprint(before) {
+			t.Fatal("SortRows modified its input relation")
+		}
+		for s, tu := range want {
+			if p := sorted.Position(tu); p != s {
+				t.Fatalf("sorted.Position(%v) = %d, want %d", tu, p, s)
+			}
+		}
+		for s, k := range g.LookupRows(sorted, []int{0}) {
+			if k != int32(g.GroupOf[s]) || s > 0 && g.GroupOf[s] < g.GroupOf[s-1] {
+				t.Fatalf("after SortRows: row %d in group %d, LookupRows %d", s, g.GroupOf[s], k)
+			}
+		}
+		if again, _, moved := g.SortRows(sorted); again != sorted || moved != nil {
+			t.Fatal("SortRows of a relation in group order moved rows")
+		}
+	}
+}

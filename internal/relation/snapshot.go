@@ -28,32 +28,29 @@ func int64sAsValues(v []int64) []Value {
 }
 
 // RestoreGrouping rebuilds a Grouping from its persisted per-tuple group
-// IDs: First is reconstructed in one scan, the key lookup is not restored
-// (LookupRows reports a miss — it is a build-time facility; probes only read
-// GroupOf). Every group in [0, numGroups) must be inhabited, as GroupBy
-// guarantees for the groupings it produced.
+// IDs. The key lookup is not restored (LookupRows reports a miss — it is a
+// build-time facility; probes only read GroupOf). Every group in
+// [0, numGroups) must be inhabited, as GroupBy guarantees for the groupings
+// it produced.
 func RestoreGrouping(groupOf []uint32, numGroups int, width int) (*Grouping, error) {
 	if numGroups < 0 || numGroups > len(groupOf) {
 		return nil, snapshot.Corruptf("grouping: %d groups over %d tuples", numGroups, len(groupOf))
 	}
-	first := make([]int32, numGroups)
-	for i := range first {
-		first[i] = -1
-	}
+	seen := make([]bool, numGroups)
+	left := numGroups
 	for i, g := range groupOf {
 		if g >= uint32(numGroups) {
 			return nil, snapshot.Corruptf("grouping: tuple %d has group %d of %d", i, g, numGroups)
 		}
-		if first[g] < 0 {
-			first[g] = int32(i)
+		if !seen[g] {
+			seen[g] = true
+			left--
 		}
 	}
-	for g, f := range first {
-		if f < 0 {
-			return nil, snapshot.Corruptf("grouping: group %d is empty", g)
-		}
+	if left > 0 {
+		return nil, snapshot.Corruptf("grouping: %d of %d groups are empty", left, numGroups)
 	}
-	return &Grouping{width: width, GroupOf: groupOf, First: first}, nil
+	return &Grouping{width: width, numGroups: numGroups, GroupOf: groupOf}, nil
 }
 
 // MarshalDict appends the dictionary's value table.

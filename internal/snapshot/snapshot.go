@@ -52,9 +52,14 @@ import (
 const (
 	magic        = "RNMSNAP1"
 	trailerMagic = "RNMSNAPE"
-	// Version is the on-disk format version. Bump it on any layout change;
-	// readers reject other versions with ErrVersion (no silent migration).
-	Version uint32 = 1
+	// Version is the on-disk format version this build writes. Bump it on
+	// any layout change. Readers accept MinVersion through Version — the
+	// domain decoders ask Reader.Version which layout they are reading — and
+	// reject every other version with ErrVersion, so an older build refuses
+	// a newer file instead of misreading it.
+	Version uint32 = 2
+	// MinVersion is the oldest format version this build still reads.
+	MinVersion uint32 = 1
 	// endianMark reads back as itself only on a host with the writer's byte
 	// order; the mirrored value means "other endianness", a typed error.
 	endianMark uint32 = 0x0A0B0C0D
@@ -72,7 +77,7 @@ var (
 	ErrInvalid = errors.New("snapshot: invalid or corrupt snapshot")
 	// ErrBadMagic: the file does not start with the snapshot magic.
 	ErrBadMagic = fmt.Errorf("%w: bad magic", ErrInvalid)
-	// ErrVersion: the format version is not the one this build reads.
+	// ErrVersion: the format version is not one this build reads.
 	ErrVersion = fmt.Errorf("%w: unsupported format version", ErrInvalid)
 	// ErrEndian: the file was written on a host of the other byte order.
 	ErrEndian = fmt.Errorf("%w: foreign byte order", ErrInvalid)
@@ -227,10 +232,11 @@ func (s *SectionWriter) Close() {
 type Section struct {
 	Tag     uint32
 	payload []byte
+	version uint32
 }
 
 // Reader returns a cursor over the section's payload.
-func (s *Section) Reader() *Reader { return &Reader{b: s.payload} }
+func (s *Section) Reader() *Reader { return &Reader{b: s.payload, version: s.version} }
 
 // File is an open, frame-validated snapshot: the backing buffer (mmap or
 // aligned heap copy) plus its section table. Close releases the mapping;
@@ -299,13 +305,14 @@ func open(data []byte, closer func() error) (*File, error) {
 	if string(data[:8]) != magic {
 		return nil, ErrBadMagic
 	}
-	if v := binary.NativeEndian.Uint32(data[8:]); v != Version {
+	version := binary.NativeEndian.Uint32(data[8:])
+	if version < MinVersion || version > Version {
 		// Distinguish the mirrored endian marker from a genuine future
 		// version: check endianness first so the error names the real cause.
 		if em := binary.NativeEndian.Uint32(data[12:]); em != endianMark {
 			return nil, ErrEndian
 		}
-		return nil, fmt.Errorf("%w: got %d, this build reads %d", ErrVersion, v, Version)
+		return nil, fmt.Errorf("%w: got %d, this build reads %d to %d", ErrVersion, version, MinVersion, Version)
 	}
 	if em := binary.NativeEndian.Uint32(data[12:]); em != endianMark {
 		return nil, ErrEndian
@@ -337,7 +344,7 @@ func open(data []byte, closer func() error) (*File, error) {
 		if uint64(crc32.Checksum(payload, crcTable)) != crc {
 			return nil, fmt.Errorf("%w: section %d (tag %d)", ErrChecksum, len(f.sections), tag)
 		}
-		f.sections = append(f.sections, Section{Tag: tag, payload: payload})
+		f.sections = append(f.sections, Section{Tag: tag, payload: payload, version: version})
 		pos += plen
 		pos += (8 - pos%8) % 8
 	}
@@ -352,13 +359,17 @@ func open(data []byte, closer func() error) (*File, error) {
 // values and Err reports the failure. Alignment is an invariant, not a
 // check: all primitives consume multiples of 8 bytes.
 type Reader struct {
-	b   []byte
-	off int
-	err error
+	b       []byte
+	off     int
+	err     error
+	version uint32
 }
 
 // Err returns the sticky decode error, if any.
 func (r *Reader) Err() error { return r.err }
+
+// Version returns the format version of the file the payload belongs to.
+func (r *Reader) Version() uint32 { return r.version }
 
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {

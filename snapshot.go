@@ -21,9 +21,10 @@ import (
 // decoder never panics on hostile input (pinned by FuzzOpenSnapshot).
 var ErrSnapshotInvalid = snapshot.ErrInvalid
 
-// SnapshotVersion is the on-disk format version this build writes and the
-// only one it reads. See the README's versioning policy: the format changes
-// by bumping this number, never by silently reinterpreting old files.
+// SnapshotVersion is the on-disk format version this build writes. It also
+// reads version 1, the layout before bucket-ordered nodes, and refuses every
+// other version. See the README's versioning policy: the format changes by
+// bumping this number, never by silently reinterpreting old files.
 const SnapshotVersion = snapshot.Version
 
 // Catalog section tags.

@@ -2,18 +2,28 @@ package renum
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/snapshot"
 )
 
 // compatSnapshot is a format-version-1 catalog written from compatFixture's
 // inputs by an earlier build, one whose index kept every aggregate the file
 // carries (per-slot weights, per-bucket maximum weights, the leaves' prefix
-// sums and totals). The current index derives those sections when it writes.
+// sums and totals) and each node's relation in its reduced order, with a
+// slot → row table and a row → ordinal table. The current reader still
+// opens it, and gathers every node into slot order as it does.
 const compatSnapshot = "testdata/v1_cq_ucq.snap"
+
+// compatSnapshotV2 is the same catalog in format version 2, the layout
+// WriteSnapshot writes: bucket-ordered relations, and aggregates at inner
+// nodes only. It was written once from compatFixture.
+const compatSnapshotV2 = "testdata/v2_cq_ucq.snap"
 
 // compatFixture builds the catalog compatSnapshot holds: a four-atom CQ
 // whose join tree has a root, an inner node and two leaves, and a
@@ -58,11 +68,11 @@ func compatFixture(t testing.TB) (*Database, []CatalogEntry) {
 }
 
 // TestSnapshotBytesMatchEarlierBuild: WriteSnapshot reproduces
-// compatSnapshot byte for byte from the same inputs, and the restored
-// catalog answers Access and InvertedAccess exactly as the handles Open
-// built.
+// compatSnapshotV2 byte for byte from the same inputs, and the catalog
+// restored from compatSnapshot, the version-1 file, answers Access and
+// InvertedAccess exactly as the handles Open built.
 func TestSnapshotBytesMatchEarlierBuild(t *testing.T) {
-	want, err := os.ReadFile(compatSnapshot)
+	want, err := os.ReadFile(compatSnapshotV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +86,14 @@ func TestSnapshotBytesMatchEarlierBuild(t *testing.T) {
 		for at < min(got.Len(), len(want)) && got.Bytes()[at] == want[at] {
 			at++
 		}
-		t.Fatalf("WriteSnapshot: %d bytes, %s: %d bytes; first difference at byte %d", got.Len(), compatSnapshot, len(want), at)
+		t.Fatalf("WriteSnapshot: %d bytes, %s: %d bytes; first difference at byte %d", got.Len(), compatSnapshotV2, len(want), at)
 	}
 
-	cat, err := OpenSnapshotBytes(want)
+	v1, err := os.ReadFile(compatSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := OpenSnapshotBytes(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +132,77 @@ func TestSnapshotBytesMatchEarlierBuild(t *testing.T) {
 					t.Fatalf("%s index %d: restored InvertedAccess(Access(%d)) = %d, %v", e.Name, k, j, got, ok)
 				}
 			}
+		}
+	}
+}
+
+// TestSnapshotV1RestoresAsV2: the version-1 and version-2 files of one
+// catalog restore to identical Access sequences on every index, and the
+// version-1 catalog, saved again, is the version-2 file byte for byte — the
+// gather at open moves it into exactly the layout a fresh build writes.
+func TestSnapshotV1RestoresAsV2(t *testing.T) {
+	v1, err := os.ReadFile(compatSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(compatSnapshotV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, err := OpenSnapshotBytes(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	c2, err := OpenSnapshotBytes(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	e1, e2 := c1.Entries(), c2.Entries()
+	if len(e1) != 2 || len(e2) != len(e1) {
+		t.Fatalf("entries: v1 %d, v2 %d", len(e1), len(e2))
+	}
+	for i := range e1 {
+		x1, x2 := entryIndexes(e1[i].H), entryIndexes(e2[i].H)
+		if len(x1) == 0 || len(x2) != len(x1) {
+			t.Fatalf("%s: v1 %d indexes, v2 %d", e1[i].Name, len(x1), len(x2))
+		}
+		for k := range x1 {
+			if x1[k].Count() == 0 || x2[k].Count() != x1[k].Count() {
+				t.Fatalf("%s index %d: count v1 %d, v2 %d", e1[i].Name, k, x1[k].Count(), x2[k].Count())
+			}
+			for j := int64(0); j < x1[k].Count(); j++ {
+				a, err1 := x1[k].Access(j)
+				b, err2 := x2[k].Access(j)
+				if err1 != nil || err2 != nil || !a.Equal(b) {
+					t.Fatalf("%s index %d: Access(%d): v1 %v (%v), v2 %v (%v)", e1[i].Name, k, j, a, err1, b, err2)
+				}
+			}
+		}
+	}
+	var again bytes.Buffer
+	if err := WriteSnapshot(&again, c1.DB(), c1.Generation(), e1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), v2) {
+		t.Fatalf("v1 catalog saved again: %d bytes, %s: %d bytes", again.Len(), compatSnapshotV2, len(v2))
+	}
+}
+
+// TestSnapshotRefusesLaterVersion: a header naming a format version after
+// the one this build writes is refused with the typed version error, as an
+// older build refuses version 2.
+func TestSnapshotRefusesLaterVersion(t *testing.T) {
+	v2, err := os.ReadFile(compatSnapshotV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint32{0, SnapshotVersion + 1} {
+		b := append([]byte(nil), v2...)
+		binary.NativeEndian.PutUint32(b[8:], v)
+		if _, err := OpenSnapshotBytes(b); !IsSnapshotInvalid(err) || !errors.Is(err, snapshot.ErrVersion) {
+			t.Fatalf("version %d: %v, want ErrVersion", v, err)
 		}
 	}
 }

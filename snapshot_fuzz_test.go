@@ -103,11 +103,13 @@ func FuzzOpenSnapshot(f *testing.F) {
 	flip = append([]byte(nil), dyn...)
 	flip[len(flip)*3/4] ^= 0x01
 	f.Add(flip)
-	compat, err := os.ReadFile(compatSnapshot)
-	if err != nil {
-		f.Fatal(err)
+	for _, path := range []string{compatSnapshot, compatSnapshotV2} {
+		compat, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(compat)
 	}
-	f.Add(compat)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cat, err := OpenSnapshotBytes(data)
