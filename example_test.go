@@ -153,7 +153,7 @@ func ExampleHandle_Capabilities() {
 		renum.MustCQ("q1", []string{"x"}, renum.NewAtom("R", renum.V("x"))),
 		renum.MustCQ("q2", []string{"x"}, renum.NewAtom("S", renum.V("x"))))
 
-	h, err := renum.Open(db, u, renum.WithVerify())
+	h, err := renum.Open(db, u)
 	if err != nil {
 		panic(err)
 	}

@@ -66,9 +66,9 @@ func main() {
 	u := renum.MustUCQ("search", qHot, qLocal)
 
 	// One Open serves the union: the mc-UCQ backend gives the exact result
-	// count right after preprocessing (WithVerify checks order
-	// compatibility explicitly).
-	h, err := renum.Open(db, u, renum.WithVerify())
+	// count right after preprocessing (Open refuses a union whose
+	// enumeration orders are not compatible with ErrIncompatible).
+	h, err := renum.Open(db, u)
 	if err != nil {
 		panic(err)
 	}

@@ -91,7 +91,7 @@ func goldenIndexes(t *testing.T) map[string]goldenAccessor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := mcucq.New(db4, u, mcucq.Options{Verify: true})
+	m, err := mcucq.New(db4, u, mcucq.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func goldenInstances(t *testing.T) []goldenInstance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = append(out, goldenInstance{name: u.Name, db: db4, q: u, opts: []Option{WithVerify(), WithPlanner(PlannerOff)}})
+	out = append(out, goldenInstance{name: u.Name, db: db4, q: u, opts: []Option{WithPlanner(PlannerOff)}})
 
 	return out
 }

@@ -156,7 +156,6 @@ func explain(b backend) (string, bool) {
 type config struct {
 	canonical    bool
 	dynamic      bool
-	verify       bool
 	workers      int
 	planner      PlannerMode
 	buildObserve func(stage string, d time.Duration)
@@ -175,10 +174,6 @@ func WithCanonical() Option { return func(c *config) { c.canonical = true } }
 // static one. It requires a single projection-free CQ: unions fail with
 // ErrUnsupported, non-full CQs with ErrNotFull.
 func WithDynamic() Option { return func(c *config) { c.dynamic = true } }
-
-// WithVerify checks mc-UCQ order compatibility explicitly after preparing a
-// union (costs an enumeration of every intersection). It is a no-op for CQs.
-func WithVerify() Option { return func(c *config) { c.verify = true } }
 
 // WithWorkers caps the goroutines used both for index construction and as
 // the default fan-out of the handle's batched probes (AccessBatch, Page).
@@ -285,7 +280,6 @@ func Open(db *Database, q Query, opts ...Option) (*Handle, error) {
 		t0 := time.Now()
 		m, err := mcucq.New(db, q, mcucq.Options{
 			Reduce:  reduce.Options{CanonicalOrder: cfg.canonical},
-			Verify:  cfg.verify,
 			Workers: cfg.workers,
 		})
 		if err != nil {

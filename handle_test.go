@@ -160,7 +160,7 @@ func TestHandleCompatOldVsNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := mcucq.New(db, u, mcucq.Options{Verify: true})
+	m, err := mcucq.New(db, u, mcucq.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestUnionAccessParityWithCQPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ua := asParsed(t, db, u, WithVerify())
+	ua := asParsed(t, db, u)
 	n := ra.Count()
 	if ua.Count() != n {
 		t.Fatalf("union of Q with itself counts %d, CQ counts %d", ua.Count(), n)
@@ -860,15 +860,14 @@ func incompatibleDisjuncts(db *Database) (qAB, qC *CQ) {
 }
 
 // TestOpenRefusesIncompatibleUnion: a union whose enumeration orders are
-// not compatible fails Open with ErrIncompatible whether or not WithVerify
-// is set. Without it Open used to build the structure and serve answers
-// that are not a bijection onto the union.
+// not compatible fails Open with ErrIncompatible, whatever the options.
+// Open used to build the structure and serve answers that are not a
+// bijection onto the union.
 func TestOpenRefusesIncompatibleUnion(t *testing.T) {
 	db := NewDatabase()
 	qAB, qC := incompatibleDisjuncts(db)
 	for name, opts := range map[string][]Option{
 		"default": nil,
-		"verify":  {WithVerify()},
 		"serial":  {WithWorkers(1), WithPlanner(PlannerOff)},
 	} {
 		if h, err := Open(db, MustUCQ("u", qAB, qC), opts...); !errors.Is(err, ErrIncompatible) {

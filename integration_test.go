@@ -122,7 +122,7 @@ func TestQuickUnionEnumeration(t *testing.T) {
 			return false
 		}
 		// mc-UCQ must agree on the count when it applies (R and S aligned).
-		ua, err := Open(db, u, WithVerify(), WithPlanner(PlannerOff))
+		ua, err := Open(db, u, WithPlanner(PlannerOff))
 		if err != nil {
 			return false
 		}

@@ -9,17 +9,17 @@ import (
 	"repro/internal/relation"
 )
 
-// wideFixture is a two-atom join whose tuple identities are as wide as a
-// stack-encoded key gets — KeyBufCap/8 attributes — over a join key one
-// attribute narrower.
-func wideFixture(t testing.TB) *Index {
+// stackKeyFixture is a two-atom join whose tuple identities are as wide as
+// a key the flat table gathers on the stack — KeyBufCap/8 attributes — over
+// a join key one attribute narrower.
+func stackKeyFixture(t testing.TB) *Index {
 	const width = relation.KeyBufCap / 8
 	vars := make([]string, width)
 	for i := range vars {
 		vars[i] = fmt.Sprintf("x%d", i)
 	}
 	head := append(append([]string{}, vars...), "y")
-	q := query.MustCQ("wide", head,
+	q := query.MustCQ("stackkey", head,
 		query.NewAtom("R", v(vars...)...),
 		query.NewAtom("S", v(append(vars[1:len(vars):len(vars)], "y")...)...))
 	tables := []BaseTable{{Name: "R", Arity: width}, {Name: "S", Arity: width}}
@@ -38,12 +38,14 @@ func wideFixture(t testing.TB) *Index {
 		t.Fatal(err)
 	}
 	if idx.Count() == 0 {
-		t.Fatal("wide fixture has no answers")
+		t.Fatal("stack-key fixture has no answers")
 	}
 	return idx
 }
 
-func packedFixture(t testing.TB) *Index {
+// narrowKeyFixture is chainQ over 64 tuples a relation: keys of one and two
+// small values.
+func narrowKeyFixture(t testing.TB) *Index {
 	idx, err := New(freshDB(), chainQ())
 	if err != nil {
 		t.Fatal(err)
@@ -56,11 +58,12 @@ func packedFixture(t testing.TB) *Index {
 }
 
 // TestHotPathsAllocateNothing pins ROADMAP 2b at this layer: the probes,
-// the delete and the reviving insert never touch the heap, on packed keys
-// and on string keys up to the stack buffer's width; a sample of k answers
-// is two allocations (the flat buffer and the row headers), whatever k.
+// the delete and the reviving insert never touch the heap, on keys of one
+// and two attributes and on keys up to the stack buffer's width; a sample
+// of k answers is two allocations (the flat buffer and the row headers),
+// whatever k.
 func TestHotPathsAllocateNothing(t *testing.T) {
-	for name, fixture := range map[string]func(testing.TB) *Index{"packed": packedFixture, "wide": wideFixture} {
+	for name, fixture := range map[string]func(testing.TB) *Index{"narrow-key": narrowKeyFixture, "stack-key": stackKeyFixture} {
 		t.Run(name, func(t *testing.T) {
 			idx := fixture(t)
 			answer := make(relation.Tuple, len(idx.Head()))

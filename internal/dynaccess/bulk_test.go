@@ -44,17 +44,16 @@ func replay(t *testing.T, q *query.CQ, tables []BaseTable) *Index {
 	return idx
 }
 
-// The two values a packed pair key cannot hold: one too large, one negative.
-var unpackable = []relation.Value{1<<32 + 3, -2}
+// Two values far outside every case's domain: one above 2³², one negative.
+var outOfDomain = []relation.Value{1<<32 + 3, -2}
 
 type bulkCase struct {
 	name   string
 	q      *query.CQ
 	arity  map[string]int
 	domain int
-	// wildTables puts unpackable values into the loaded tables (the loader
-	// migrates mid-load); wildStream puts them into the updates after it
-	// (the migration happens under a live index).
+	// wildTables puts outOfDomain values into the loaded tables; wildStream
+	// puts them into the updates after the load, under a live index.
 	wildTables, wildStream bool
 }
 
@@ -84,8 +83,8 @@ func bulkCases() []bulkCase {
 		{name: "three-attribute-key", domain: 3, arity: map[string]int{"R": 4, "S": 4},
 			q: query.MustCQ("q", []string{"a", "b", "c", "d", "e"},
 				query.NewAtom("R", v("a", "b", "c", "d")...), query.NewAtom("S", v("b", "c", "d", "e")...))},
-		// Identity tables of arity 2 and a bucket key of two attributes, all
-		// packed until an unpackable value shows up.
+		// Identity tables of arity 2 and a bucket key of two attributes, keyed
+		// by small values until an outOfDomain one shows up.
 		{name: "migrate-under-live-index", domain: 3, arity: map[string]int{"R": 2, "S": 3, "U": 3}, wildStream: true,
 			q: query.MustCQ("q", []string{"a", "b", "c", "d"},
 				query.NewAtom("R", v("a", "b")...), query.NewAtom("S", v("a", "b", "c")...), query.NewAtom("U", v("b", "c", "d")...))},
@@ -100,7 +99,7 @@ func (c bulkCase) tuple(rng *rand.Rand, rel string, wild bool) relation.Tuple {
 	for i := range t {
 		t[i] = relation.Value(rng.Intn(c.domain))
 		if wild && rng.Intn(6) == 0 {
-			t[i] = unpackable[rng.Intn(len(unpackable))]
+			t[i] = outOfDomain[rng.Intn(len(outOfDomain))]
 		}
 	}
 	return t

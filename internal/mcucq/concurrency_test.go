@@ -49,11 +49,11 @@ func unionFixture(t *testing.T) (*relation.Database, *query.UCQ) {
 // serial preparation.
 func TestParallelPrepareMatchesSerial(t *testing.T) {
 	db, u := unionFixture(t)
-	serial, err := New(db, u, Options{Workers: 1, Verify: true})
+	serial, err := New(db, u, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := New(db, u, Options{Workers: 8, Verify: true})
+	par, err := New(db, u, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

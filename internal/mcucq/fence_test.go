@@ -2,9 +2,11 @@ package mcucq
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -130,10 +132,10 @@ func incompatibleFixture(cOrder ...int) (db *relation.Database, q1, q2 *query.CQ
 	return db, q1, q2
 }
 
-// TestIncompatibleUnionRefused: the fence build sees the rank of every
-// element it samples, so New refuses a union whose orders are not compatible
-// without being asked to verify — it used to build it and serve wrong
-// answers. The same disjuncts the other way round are compatible.
+// TestIncompatibleUnionRefused: the fence build ranks every element of T,
+// so New refuses a union whose orders are not compatible — it used to build
+// it and serve wrong answers. The same disjuncts the other way round are
+// compatible.
 func TestIncompatibleUnionRefused(t *testing.T) {
 	db, q1, q2 := incompatibleFixture(5, 4, 3, 2, 1, 0)
 	for _, workers := range []int{1, 4} {
@@ -147,37 +149,74 @@ func TestIncompatibleUnionRefused(t *testing.T) {
 			}
 		}
 	}
-	m, err := New(db, query.MustUCQ("u", q2, q1), Options{Verify: true})
+	m, err := New(db, query.MustUCQ("u", q2, q1), Options{})
 	if err != nil {
 		t.Fatalf("the compatible order: %v", err)
 	}
 	if m.Count() != 6 {
 		t.Fatalf("Count = %d, want 6", m.Count())
 	}
+	// Restore assembles through the same fence build: the compatible
+	// union's indexes, handed back as the union the other way round, are
+	// refused as New refuses it.
+	idx := m.Indexes() // q2, q1, q2∩q1
+	for _, workers := range []int{1, 4} {
+		_, err := Restore(query.MustUCQ("u", q1, q2), []*access.Index{idx[1], idx[0], idx[2]}, workers)
+		if !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), "element 1 ") {
+			t.Fatalf("workers %d: Restore of the incompatible order = %v, want ErrIncompatible at element 1", workers, err)
+		}
+	}
 }
 
-// TestVerifyWalksWhatFencesSkip: at a stride above 1 the fences sample, and
-// an element out of order between two of them is Options.Verify's to find.
-func TestVerifyWalksWhatFencesSkip(t *testing.T) {
-	db, q1, q2 := incompatibleFixture(0, 1, 2, 4, 3, 5) // elements 3 and 4 swapped
-	m, err := New(db, query.MustUCQ("u", q2, q1), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rank q2∩q1 in q1 instead of q2: the set New would refuse for q1 ∪ q2.
-	ts := &m.levels[0].ts[0]
-	ts.a, ts.fence = m.Indexes()[1], nil
-	if err := ts.buildFence(1, 1); !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), "element 4") {
-		t.Fatalf("stride 1 over the swapped pair = %v, want ErrIncompatible at element 4", err)
-	}
-	if err := m.VerifyCompatibility(); err != nil {
-		t.Fatalf("a stride-1 set is not walked again, got %v", err)
-	}
-	ts.fence = nil
-	if err := ts.buildFence(5, 1); err != nil {
-		t.Fatalf("fences at elements 0 and 5 rise: %v", err)
-	}
-	if err := m.VerifyCompatibility(); !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), "element 4") {
-		t.Fatalf("VerifyCompatibility at stride 5 = %v, want ErrIncompatible at element 4", err)
+// TestFenceBuildChecksEveryElement: the fence build ranks every element of
+// T, not only the fenced ones, so an element out of order between two fences
+// is refused at build. Each chunk of the parallel walk compares its first
+// element with the one before it, so a regression across a chunk boundary
+// is found too, and the smallest failing element is the one named whatever
+// the worker count. The fences of a set in order do not depend on it either.
+func TestFenceBuildChecksEveryElement(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		swaps []int // element s changes places with s+1
+		want  string
+	}{
+		{6, []int{3}, "element 4 "},
+		{1000, []int{499, 800}, "element 500 "}, // 4 workers split T at 250, 500, 750
+	} {
+		order := make([]int, tc.n)
+		for i := range order {
+			order[i] = i
+		}
+		for _, s := range tc.swaps {
+			order[s], order[s+1] = order[s+1], order[s]
+		}
+		db, q1, q2 := incompatibleFixture(order...)
+		m, err := New(db, query.MustUCQ("u", q2, q1), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := &m.levels[0].ts[0]
+		var fences [][]int64
+		for _, w := range []int{1, 4} {
+			ts.fence = nil
+			if err := ts.buildFence(7, w); err != nil {
+				t.Fatalf("n %d workers %d: the compatible order: %v", tc.n, w, err)
+			}
+			fences = append(fences, ts.fence)
+		}
+		if !slices.Equal(fences[0], fences[1]) {
+			t.Fatalf("n %d: fences at 1 worker %v, at 4 %v", tc.n, fences[0], fences[1])
+		}
+		// Rank q2∩q1 in q1 instead of q2: the set New would refuse for q1 ∪ q2.
+		ts.a = m.Indexes()[1]
+		for _, stride := range []int64{1, 5} {
+			for _, w := range []int{1, 4} {
+				ts.fence = nil
+				if err := ts.buildFence(stride, w); !errors.Is(err, ErrIncompatible) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("n %d stride %d workers %d over the swapped pairs = %v, want ErrIncompatible at %q",
+						tc.n, stride, w, err, tc.want)
+				}
+			}
+		}
 	}
 }

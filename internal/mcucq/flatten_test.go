@@ -140,14 +140,14 @@ func TestFlattenedDispatchMatchesRecursive(t *testing.T) {
 		build func(seed int64) (*MCUCQ, error)
 	}{
 		{"two-way", func(seed int64) (*MCUCQ, error) {
-			return New(alignedDB(seed, 60), alignedUCQ2(), Options{Verify: true})
+			return New(alignedDB(seed, 60), alignedUCQ2(), Options{})
 		}},
 		{"three-way", func(seed int64) (*MCUCQ, error) {
-			return New(alignedDB(seed+50, 50), alignedUCQ3(), Options{Verify: true})
+			return New(alignedDB(seed+50, 50), alignedUCQ3(), Options{})
 		}},
 		{"four-way", func(seed int64) (*MCUCQ, error) {
 			db, u := fourWayFixture()
-			return New(db, u, Options{Verify: true, Workers: int(seed) + 1})
+			return New(db, u, Options{Workers: int(seed) + 1})
 		}},
 	}
 	for _, tc := range cases {

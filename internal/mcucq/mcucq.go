@@ -24,15 +24,22 @@
 // paper's search inside one stride window only: ⌈log₂ s⌉ probe steps, none
 // at all when s = 1, which is every intersection with |T| ≤ tuples(T).
 // Fences are derived data: a snapshot does not store them and Restore
-// recomputes them, probing each fenced element once.
+// recomputes them in the same walk that checks compatibility (below).
 //
-// Compatibility is not an extra input: the construction inherits it from the
-// deterministic, order-preserving pipeline (relation filters, instantiation,
-// reduction and GYO are all order-preserving and structural), exactly as in
-// the authors' implementation. It is checked all the same: the fence build
-// sees the rank of every element it samples and refuses the union with
-// ErrIncompatible when one is missing from A or out of order — every element
-// at stride 1. Options.Verify adds the full walk for larger strides.
+// # Compatibility
+//
+// Theorem 5.5 holds only when every intersection T enumerates as a
+// subsequence of its first disjunct A. The construction does not guarantee
+// it: a union whose disjuncts root their join trees differently — twin
+// relations beside a disconnected atom, or an intersection that joins a
+// relation with itself — can build an intersection out of A's order, and
+// FuzzQuerySpace has found such unions.
+// So the fence build checks it, totally, at build and at Restore alike: it
+// ranks every element of T once (the fence keeps every stride-th rank) and
+// refuses the union with ErrIncompatible at the first element missing from A
+// or out of order. That costs |T| inverted accesses per intersection, which
+// exceeds linear preprocessing only for a fence of stride above 1, where T
+// has more answers than its index has tuples.
 //
 // # Concurrency contract
 //
@@ -40,10 +47,9 @@
 // on a worker pool (Options.Workers) — they are mutually independent — and
 // assembles the levels serially, each fence filled on the same worker
 // budget, so the structure is identical to a serial build. A prepared MCUCQ
-// is immutable: Count, Access, AccessInto, Test and VerifyCompatibility are
-// safe from any number of goroutines. Permutation cursors are
-// single-consumer; use Permutation.NextN to fan one consumer's probes across
-// cores.
+// is immutable: Count, Access, AccessInto and Test are safe from any number
+// of goroutines. Permutation cursors are single-consumer; use
+// Permutation.NextN to fan one consumer's probes across cores.
 package mcucq
 
 import (
@@ -53,6 +59,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/access"
 	"repro/internal/cqenum"
@@ -63,9 +70,8 @@ import (
 	"repro/internal/shuffle"
 )
 
-// ErrIncompatible is returned by New, Restore and VerifyCompatibility when
-// some intersection's enumeration order is not a subsequence of its first
-// disjunct's order.
+// ErrIncompatible is returned by New and Restore when some intersection's
+// enumeration order is not a subsequence of its first disjunct's order.
 var ErrIncompatible = errors.New("mcucq: enumeration orders are not compatible")
 
 // disjunct is what the level walk asks of a disjunct's index. Production
@@ -239,10 +245,15 @@ func fenceStride(n, budget int64) int64 {
 	return n / budget
 }
 
-// buildFence fills t's rank fence at the given stride, probing on up to
-// `workers` goroutines, and checks every fenced element with checkRank.
-// Production passes fenceStride(|T|, tuples(T)), which keeps the fence no
-// longer than the index it summarises.
+// buildFence fills t's rank fence at the given stride and is the union's one
+// compatibility check, at build and at restore alike: it ranks every element
+// of T in A once, on up to `workers` goroutines, keeps fence[i] =
+// rank_A(T[i·stride]), and refuses with checkRank's ErrIncompatible at the
+// first element missing from A or out of order. Each chunk of T also ranks
+// the element before it, for its first comparison, and the smallest failing
+// position wins, so the element an error names does not depend on the worker
+// count. Production passes fenceStride(|T|, tuples(T)), which keeps the fence
+// no longer than the index it summarises.
 func (t *interSet) buildFence(stride int64, workers int) error {
 	n := t.t.Count()
 	if n == 0 {
@@ -250,39 +261,47 @@ func (t *interSet) buildFence(stride int64, workers int) error {
 	}
 	t.stride = stride
 	t.fence = make([]int64, (n-1)/stride+1)
-	if len(t.fence) < access.BatchSerialThreshold {
+	if n < access.BatchSerialThreshold {
 		workers = 1
 	}
 	arity := len(t.t.Head())
-	if err := parallel.ForEachChunk(len(t.fence), workers, func(lo, hi int) error {
+	var (
+		mu    sync.Mutex
+		first = n // the smallest failing position so far
+		bad   error
+	)
+	if err := parallel.ForEachChunk(int(n), workers, func(lo, hi int) error {
 		scratch := make(relation.Tuple, arity)
-		for i := lo; i < hi; i++ {
-			t.fence[i] = t.rankOf(int64(i)*stride, scratch)
+		prev := int64(-1)
+		if lo > 0 {
+			prev = t.rankOf(int64(lo-1), scratch)
+		}
+		for r := int64(lo); r < int64(hi); r++ {
+			rank := t.rankOf(r, scratch)
+			if err := t.checkRank(r, rank, prev); err != nil {
+				mu.Lock()
+				if r < first {
+					first, bad = r, err
+				}
+				mu.Unlock()
+				return nil
+			}
+			if r%stride == 0 {
+				t.fence[r/stride] = rank
+			}
+			prev = rank
 		}
 		return nil
 	}); err != nil {
 		return err // a worker panicked
 	}
-	// The check runs serially over the finished fence so that the element
-	// an error names does not depend on the worker count.
-	prev := int64(-1)
-	for i, rank := range t.fence {
-		if err := t.checkRank(int64(i)*stride, rank, prev); err != nil {
-			return err
-		}
-		prev = rank
-	}
-	return nil
+	return bad
 }
 
 // Options tunes New.
 type Options struct {
 	// Reduce is passed through to every CQ preparation.
 	Reduce reduce.Options
-	// Verify runs VerifyCompatibility after construction: the full walk of
-	// every intersection whose fence has a stride above 1 (a stride-1 fence
-	// already checked every element).
-	Verify bool
 	// UseLargest selects the appendix formulation of Compute-k (ablation).
 	UseLargest bool
 	// Workers caps the goroutines preparing disjunct and intersection
@@ -319,8 +338,8 @@ func (m *MCUCQ) NumDisjuncts() int { return len(m.firsts) }
 // New prepares every disjunct and every required intersection CQ (all in
 // linear time each, mutually independent and hence run on a worker pool) and
 // assembles the levels with their rank fences. It fails if any disjunct or
-// intersection is not free-connex, and with ErrIncompatible if a fence finds
-// an intersection out of its first disjunct's order.
+// intersection is not free-connex, and with ErrIncompatible if the fence
+// build finds an intersection out of its first disjunct's order.
 func New(db *relation.Database, u *query.UCQ, opts Options) (*MCUCQ, error) {
 	m := len(u.Disjuncts)
 
@@ -360,17 +379,8 @@ func New(db *relation.Database, u *query.UCQ, opts Options) (*MCUCQ, error) {
 		return nil, err
 	}
 
-	// Phase 3: the levels and their fences.
-	out, err := assemble(u, indexes, opts.UseLargest, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Verify {
-		if err := out.VerifyCompatibility(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	// Phase 3: the levels and their fences, which check compatibility.
+	return assemble(u, indexes, opts.UseLargest, opts.Workers)
 }
 
 // members returns the disjuncts of T_{ℓ,I}: ℓ itself, then the members of
@@ -397,13 +407,13 @@ func intersectionName(u *query.UCQ, idx []int) string {
 }
 
 // assemble builds the levels — U_{m-1} = S_{m-1}; U_ℓ = S_ℓ ∪ U_{ℓ+1} — over
-// indexes in the job order of Indexes(), and fills every intersection's rank
-// fence on up to `workers` goroutines. The level layout and the
-// inclusion–exclusion signs are a pure function of the disjunct count, the
-// counts re-derive from the indexes' counts and the fences from probing
-// them, so a snapshot needs to hold nothing but the indexes. Shared by New
-// and Restore so the assembled structure cannot drift between the build and
-// the snapshot-restore path.
+// indexes in the job order of Indexes(), and fills (and checks) every
+// intersection's rank fence on up to `workers` goroutines. The level layout
+// and the inclusion–exclusion signs are a pure function of the disjunct
+// count, the counts re-derive from the indexes' counts and the fences from
+// probing them, so a snapshot needs to hold nothing but the indexes. Shared
+// by New and Restore so the assembled structure, and the compatibility check
+// with it, cannot drift between the build and the snapshot-restore path.
 func assemble(u *query.UCQ, indexes []*access.Index, useLargest bool, workers int) (*MCUCQ, error) {
 	n := len(u.Disjuncts)
 	if n == 0 {
@@ -461,10 +471,10 @@ func RestoredIndexCount(m int) int {
 // Restore reassembles the Theorem 5.5 structure from indexes restored out
 // of a snapshot, in the job order Indexes() reported at save time. Nothing
 // else is persisted: assemble re-derives the layout, the counts and the rank
-// fences — the last by probing every fenced element once, on up to `workers`
-// goroutines (0 means parallel.Workers()), which is the part of a union
-// entry's restore that is not O(open + validate). Indexes that do not belong
-// together fail it with ErrIncompatible.
+// fences — the last by ranking every element of every intersection once, on
+// up to `workers` goroutines (0 means parallel.Workers()), which is the part
+// of a union entry's restore that is not O(open + validate). Indexes that do
+// not belong together fail that walk with ErrIncompatible, as they fail New.
 func Restore(u *query.UCQ, indexes []*access.Index, workers int) (*MCUCQ, error) {
 	m := len(u.Disjuncts)
 	if want := RestoredIndexCount(m); len(indexes) != want {
@@ -564,32 +574,6 @@ func (m *MCUCQ) testFrom(l int, t relation.Tuple) bool {
 		}
 	}
 	return false
-}
-
-// VerifyCompatibility checks, for every level ℓ and every intersection set
-// T_{ℓ,I}, that T's enumeration order is a subsequence of S_ℓ's order (every
-// element of T is in S_ℓ with strictly increasing ranks). A set whose fence
-// has stride 1 passed exactly this check when it was built; every other set
-// costs a full enumeration here.
-func (m *MCUCQ) VerifyCompatibility() error {
-	for l := range m.levels {
-		for ti := range m.levels[l].ts {
-			t := &m.levels[l].ts[ti]
-			if t.stride == 1 {
-				continue
-			}
-			scratch := make(relation.Tuple, len(t.t.Head()))
-			prev := int64(-1)
-			for r := int64(0); r < t.t.Count(); r++ {
-				rank := t.rankOf(r, scratch)
-				if err := t.checkRank(r, rank, prev); err != nil {
-					return m.at(err, l, ti)
-				}
-				prev = rank
-			}
-		}
-	}
-	return nil
 }
 
 // Permutation enumerates the union's answers in uniformly random order, one

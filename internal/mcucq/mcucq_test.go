@@ -58,7 +58,7 @@ func TestMCUCQMatchesOracle2(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		db := alignedDB(seed, 60)
 		u := alignedUCQ2()
-		m, err := New(db, u, Options{Verify: true})
+		m, err := New(db, u, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestMCUCQMatchesOracle3(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		db := alignedDB(seed+50, 50)
 		u := alignedUCQ3()
-		m, err := New(db, u, Options{Verify: true})
+		m, err := New(db, u, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestMCUCQDisjointUnion(t *testing.T) {
 		query.NewAtom("L", query.V("o"), query.V("s")),
 		query.NewAtom("NB", query.V("s"), query.V("m")))
 	u := query.MustUCQ("u", q1, q2)
-	m, err := New(db, u, Options{Verify: true})
+	m, err := New(db, u, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestMCUCQIdenticalDisjuncts(t *testing.T) {
 		query.NewAtom("L", query.V("o"), query.V("s")),
 		query.NewAtom("N1", query.V("s"), query.V("m")))
 	u := query.MustUCQ("u", q1, q2)
-	m, err := New(db, u, Options{Verify: true})
+	m, err := New(db, u, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestMCUCQPermutationUniform(t *testing.T) {
 	db.Add(nat.Filter("N0", func(t relation.Tuple) bool { return t[1] == 0 }))
 	db.Add(nat.Filter("N1", func(t relation.Tuple) bool { return t[1] <= 1 }))
 	u := alignedUCQ2()
-	m, err := New(db, u, Options{Verify: true})
+	m, err := New(db, u, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func fourWayFixture() (*relation.Database, *query.UCQ) {
 // inclusion–exclusion signs must all line up.
 func TestMCUCQFourWayUnion(t *testing.T) {
 	db, u := fourWayFixture()
-	m, err := New(db, u, Options{Verify: true})
+	m, err := New(db, u, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestMCUCQEmptyDisjuncts(t *testing.T) {
 		query.MustUCQ("emptySecond", q2, q1),
 		query.MustUCQ("bothEmpty", q1, q1),
 	} {
-		m, err := New(db, u, Options{Verify: true})
+		m, err := New(db, u, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", u.Name, err)
 		}

@@ -417,6 +417,37 @@ func TestAdminFlow(t *testing.T) {
 		`{"program":"C(x, y, z) :- r(x, y), r(y, z), r(z, x)."}`, 400)
 }
 
+// TestAdminRegisterRefusesIncompatibleUnion: a union whose intersection
+// does not enumerate in its first disjunct's order — twin relations beside a
+// disconnected atom, found by FuzzQuerySpace — is a 400 that names the
+// reason, and nothing is published. A check of the rank fences' sampled
+// elements alone let it register and then fail Access(0) inside [0, Count).
+func TestAdminRegisterRefusesIncompatibleUnion(t *testing.T) {
+	s, reg := newTestServer(t, Config{})
+	for name, csv := range map[string]string{
+		"R0":   `e\n2\n0\n`,
+		"R0_1": `e\n1\n2\n0\n`,
+		"R1":   `c\n2\n1\n0\n`,
+		"R2":   `b,c\n2,2\n2,1\n1,0\n1,1\n0,1\n0,0\n`,
+		"R2_1": `b,c\n1,2\n1,0\n2,1\n0,1\n2,0\n0,0\n1,1\n`,
+	} {
+		do(t, s, "POST", "/admin/load", `{"name":"`+name+`","csv":"`+csv+`"}`, 200)
+	}
+	_, before := reg.Snapshot()
+	raw, status := doRaw(s, "POST", "/admin/register",
+		`{"program":"Twin(b, e) :- R0(e), R1(c), R2(b, c). Twin(b, e) :- R0_1(e), R1(c), R2_1(b, c)."}`)
+	if status != 400 || !strings.Contains(string(raw), "not compatible") {
+		t.Fatalf("register = %d %s, want 400 naming \"not compatible\"", status, raw)
+	}
+	if _, after := reg.Snapshot(); after != before {
+		t.Fatalf("generation %d -> %d after a refused register", before, after)
+	}
+	if _, ok := reg.Lookup("Twin"); ok {
+		t.Fatal("the refused union is served")
+	}
+	do(t, s, "GET", "/v1/Twin/count", "", 404)
+}
+
 // TestAdminLoadFailureChangesNothing: a payload whose new values are
 // followed by a ragged last row, or that holds a bare quote in an unquoted
 // field, is a 400 that neither replaces the relation of that name nor

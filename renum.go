@@ -31,7 +31,7 @@
 // # One constructor, capability discovery
 //
 // Open is the only way to build an index: it takes a CQ or a UCQ plus
-// functional options (WithCanonical, WithDynamic, WithVerify, WithWorkers,
+// functional options (WithCanonical, WithDynamic, WithWorkers, WithPlanner,
 // …) and returns a *Handle exposing the shared probe surface —
 // Count, Access, AccessInto, AccessBatch, Page, Head — uniformly over every
 // backend. OpenSnapshot and SliceView hand out the same Handle over a

@@ -142,7 +142,7 @@ func TestPublicUnion(t *testing.T) {
 	}
 	_ = ro.Rejections()
 
-	ua := asParsed(t, db, u, WithVerify())
+	ua := asParsed(t, db, u)
 	in := mustContainer(t, ua)
 	if ua.Count() != int64(len(want)) {
 		t.Fatalf("union handle Count = %d, want %d", ua.Count(), len(want))

@@ -364,7 +364,7 @@ func mustAccess(t *testing.T, h *Handle, j int64) Tuple {
 
 func TestSnapshotRoundTripUCQ(t *testing.T) {
 	db, _, u := snapFixture(t)
-	built := mustOpen(t, db, u, WithVerify())
+	built := mustOpen(t, db, u)
 	path := saveToTemp(t, db, 1, []CatalogEntry{{Name: "U", Q: u, H: built}})
 
 	cat, err := OpenSnapshot(path)
