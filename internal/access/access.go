@@ -221,7 +221,9 @@ func New(fj *reduce.FullJoin) (*Index, error) {
 // relation into a new one (the same tuples, so Q(D) and the enumeration
 // order are unchanged), which then replaces the original in fj's node, so
 // that the two do not both stay alive. The original is not written; a
-// relation already in bucket order is kept as it is.
+// relation already in bucket order is kept as it is, and when no semijoin
+// shrank an unfiltered atom's relation, that may be the database's own
+// arrays (relation.Relation.Lend): the index then reads the base columns.
 func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 	idx := &Index{head: fj.Head}
 

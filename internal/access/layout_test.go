@@ -2,8 +2,10 @@ package access
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/synth"
 )
@@ -135,6 +137,61 @@ func TestIndexArrayBytesPerTuple(t *testing.T) {
 				t.Logf("node %s (%d tuples): %v", n.rel.Name(), n.rel.Len(), nodeArrays(n))
 			}
 			t.Fatalf("%s: %.2f B of index arrays per tuple, bound %.2f", name, perTuple, bound)
+		}
+	}
+}
+
+// TestNodeBorrowsBaseColumns pins where a node's columns live. R and S
+// join on every row and both are in bucket order, so no semijoin shrinks
+// either atom and no gather reorders it: each node must read its base
+// relation's own arrays (relation.Relation.Lend), not a copy. Over frozen
+// bases — columns that alias a snapshot mapping, which the index must
+// outlive — every node must hold a copy instead.
+func TestNodeBorrowsBaseColumns(t *testing.T) {
+	db := relation.NewDatabase()
+	r := db.MustCreate("R", "a", "b")
+	s := db.MustCreate("S", "b", "c")
+	for i := range relation.Value(8) {
+		r.MustInsert(i, i/2)
+		s.MustInsert(i/2, i)
+	}
+	q := query.MustCQ("Q", []string{"a", "b", "c"},
+		query.NewAtom("R", query.V("a"), query.V("b")),
+		query.NewAtom("S", query.V("b"), query.V("c")))
+
+	frozen := relation.NewDatabase()
+	for _, base := range []*relation.Relation{r, s} {
+		cols := make([][]relation.Value, base.Arity())
+		for a := range cols {
+			cols[a] = append([]relation.Value(nil), base.Col(a)...)
+		}
+		f, err := relation.FromColumns(base.Name(), base.Schema(), cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frozen.Add(f)
+	}
+
+	for _, c := range []struct {
+		db     *relation.Database
+		shared bool
+	}{{db, true}, {frozen, false}} {
+		idx := buildIndex(t, c.db, q)
+		for _, n := range idx.nodes {
+			// Instantiate names a node's relation Q#<atom>[<base>].
+			rel := n.rel.Name()[strings.LastIndex(n.rel.Name(), "[")+1 : len(n.rel.Name())-1]
+			base, err := c.db.Relation(rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.rel.Len() != base.Len() {
+				t.Fatalf("node %s holds %d of %s's %d rows: the fixture must not shrink", n.rel.Name(), n.rel.Len(), rel, base.Len())
+			}
+			for a := range base.Arity() {
+				if got := &n.rel.Col(a)[0] == &base.Col(a)[0]; got != c.shared {
+					t.Errorf("node %s column %d shares %s's array: %t, want %t (frozen base: %t)", n.rel.Name(), a, rel, got, c.shared, !c.shared)
+				}
+			}
 		}
 	}
 }

@@ -84,11 +84,12 @@ func bulkCases() []bulkCase {
 			q: query.MustCQ("q", []string{"a", "b", "c", "d", "e"},
 				query.NewAtom("R", v("a", "b", "c", "d")...), query.NewAtom("S", v("b", "c", "d", "e")...))},
 		// Identity tables of arity 2 and a bucket key of two attributes, keyed
-		// by small values until an outOfDomain one shows up.
-		{name: "migrate-under-live-index", domain: 3, arity: map[string]int{"R": 2, "S": 3, "U": 3}, wildStream: true,
+		// by small values until an outOfDomain one shows up: in the updates
+		// under a live index, then also in the loaded tables.
+		{name: "out-of-domain-updates", domain: 3, arity: map[string]int{"R": 2, "S": 3, "U": 3}, wildStream: true,
 			q: query.MustCQ("q", []string{"a", "b", "c", "d"},
 				query.NewAtom("R", v("a", "b")...), query.NewAtom("S", v("a", "b", "c")...), query.NewAtom("U", v("b", "c", "d")...))},
-		{name: "migrate-during-load", domain: 3, arity: map[string]int{"R": 2, "S": 3, "U": 3}, wildTables: true, wildStream: true,
+		{name: "out-of-domain-load", domain: 3, arity: map[string]int{"R": 2, "S": 3, "U": 3}, wildTables: true, wildStream: true,
 			q: query.MustCQ("q", []string{"a", "b", "c", "d"},
 				query.NewAtom("R", v("a", "b")...), query.NewAtom("S", v("a", "b", "c")...), query.NewAtom("U", v("b", "c", "d")...))},
 	}

@@ -35,6 +35,13 @@ import (
 // relation is a set (relation.Relation's invariant): the output cannot hold
 // a duplicate, and its membership index stays deferred until the reduction
 // has decided which relations survive.
+//
+// Nothing is copied when nothing is selected: an atom whose terms are
+// distinct variables borrows the base's columns (relation.Relation.Lend),
+// and the first semijoin that removes one of its rows gathers the kept rows
+// into arrays of its own. The database is never written. A selection
+// gathers fresh columns of exactly the kept size, and a snapshot-backed
+// base is always copied, so that no index points into its mapping.
 func Instantiate(db *relation.Database, q *query.CQ, atomIdx int) (*relation.Relation, error) {
 	a := q.Body[atomIdx]
 	base, err := db.Relation(a.Relation)
@@ -72,15 +79,15 @@ func Instantiate(db *relation.Database, q *query.CQ, atomIdx int) (*relation.Rel
 		}
 	}
 
-	n := base.Len()
-	cols := make([][]relation.Value, len(src))
 	name := fmt.Sprintf("%s#%d[%s]", q.Name, atomIdx, a.Relation)
 	if len(consts) == 0 && len(eqs) == 0 {
-		for k, col := range src {
-			cols[k] = append(make([]relation.Value, 0, n), col...)
-		}
-		return relation.AdoptColumns(name, schema, n, cols)
+		// Every term is a distinct variable: the atom is the base relation
+		// under the atom's schema, and it reads the base's columns until a
+		// semijoin shrinks it.
+		return base.Lend(name, schema)
 	}
+	n := base.Len()
+	cols := make([][]relation.Value, len(src))
 	// A selection keeps a fraction of the rows that is unknown up front, so
 	// the kept row numbers are collected first and each output column is
 	// then allocated at its exact size and gathered in one pass.

@@ -20,10 +20,12 @@ import (
 // NewRelation + Insert load, and Filter) enforces the invariant against the
 // membership index; Project finds its duplicates with a key set; FromColumns
 // and AdoptColumns trust their caller; SemijoinWith and SortTuples only
-// drop or permute rows of a set. reduce.Instantiate relies on exactly this:
-// a base relation is a set, so selecting rows and dropping constant or
-// repeated-variable columns cannot produce a duplicate, and no hashing is
-// needed to copy it.
+// drop or permute rows of a set; Lend keeps every row and column of one.
+// reduce.Instantiate relies on exactly this: a base relation is a set, so
+// selecting rows and dropping constant or repeated-variable columns cannot
+// produce a duplicate, and no hashing is needed to gather them — and an
+// atom that selects nothing copies nothing, it borrows the base's columns
+// (Lend) until a semijoin shrinks it.
 //
 // The membership index maps a full tuple to its position. Like every hashed
 // key lookup of Relation and Grouping it is a flatTable: one pointer-free
@@ -40,11 +42,11 @@ import (
 //
 //   - maintained (lazyOnce == nil): NewRelation creates it empty and Insert
 //     keeps it current;
-//   - deferred (lazyOnce != nil): FromColumns, AdoptColumns, SemijoinWith and
-//     SortTuples leave the relation without one — positions changed or were
-//     never hashed — and it is built, pre-sized to Len, by the first of
-//     BuildIndex or a call that needs it (Position, Contains,
-//     PositionProjected, Insert, Rename, Clone).
+//   - deferred (lazyOnce != nil): FromColumns, AdoptColumns, Lend,
+//     SemijoinWith and SortTuples leave the relation without one —
+//     positions changed or were never hashed — and it is built, pre-sized
+//     to Len, by the first of BuildIndex or a call that needs it (Position,
+//     Contains, PositionProjected, Insert, Rename, Clone).
 //
 // Preprocessing never leaves that build to a probe: the semijoin sweeps run
 // on deferred relations, and reduce.BuildFullJoin calls BuildIndex once on
@@ -61,6 +63,13 @@ import (
 // via Col, which exposes them directly — from any number of goroutines. A
 // deferred membership index is materialized under a sync.Once, so
 // concurrent first probes are safe too.
+//
+// A base relation lends its columns to every index opened over it (Lend):
+// a node relation that no semijoin shrank, and that is in bucket order,
+// reads the base's own arrays for the index's lifetime. After an Open,
+// Insert into the base stays legal — a lent column is clipped to the length
+// it had, and an append writes only past it — but the in-place mutators
+// (SemijoinWith) on the base are not: they would rewrite rows an index reads.
 type Relation struct {
 	name   string
 	schema Schema
@@ -80,6 +89,11 @@ type Relation struct {
 	// mapping: mutating it would fault on the mapped pages, so mutators
 	// refuse up front with a typed panic/error instead.
 	frozen bool
+
+	// borrowed marks a relation whose columns may be another relation's
+	// (see Lend): keepRows gathers it into fresh arrays instead of
+	// compacting it in place.
+	borrowed bool
 }
 
 // NewRelation creates an empty relation with the given name and schema.
@@ -135,6 +149,32 @@ func AdoptColumns(name string, schema Schema, n int, cols [][]Value) (*Relation,
 		return nil, fmt.Errorf("relation %s: %d rows of arity 0 cannot be distinct", name, n)
 	}
 	return &Relation{name: name, schema: schema, cols: cols, n: n, lazyOnce: new(sync.Once)}, nil
+}
+
+// Lend returns a relation named name over schema (of r's arity) holding r's
+// tuples, for an operator pipeline that may go on to shrink it: its columns
+// are r's own, clipped to Len so that an append reallocates instead of
+// writing into r's spare capacity, and marked borrowed, so that keepRows
+// gathers the kept rows into fresh arrays and never writes r. A frozen r's columns
+// alias a snapshot mapping that a handle must outlive, so they are copied
+// instead. The membership index is deferred, as AdoptColumns defers it.
+func (r *Relation) Lend(name string, schema Schema) (*Relation, error) {
+	if len(schema) != len(r.schema) {
+		return nil, fmt.Errorf("relation %s: lend as arity %d != %d", r.name, len(schema), len(r.schema))
+	}
+	cols := make([][]Value, len(r.cols))
+	for a, col := range r.cols {
+		cols[a] = col[:r.n:r.n]
+		if r.frozen {
+			cols[a] = append(make([]Value, 0, r.n), col...)
+		}
+	}
+	out, err := AdoptColumns(name, schema, r.n, cols)
+	if err != nil {
+		return nil, err
+	}
+	out.borrowed = !r.frozen
+	return out, nil
 }
 
 // ensureIndex materializes a deferred membership index. Safe under
@@ -346,7 +386,7 @@ func (r *Relation) Rename(name string, schema Schema) (*Relation, error) {
 	// The view shares the membership index, so a deferred index must exist
 	// before it is captured (the view has no lazy hook of its own).
 	r.ensureIndex()
-	return &Relation{name: name, schema: schema, cols: r.cols, n: r.n, index: r.index, frozen: r.frozen}, nil
+	return &Relation{name: name, schema: schema, cols: r.cols, n: r.n, index: r.index, frozen: r.frozen, borrowed: r.borrowed}, nil
 }
 
 // Filter returns a new relation containing the tuples satisfying keep, in the
@@ -480,8 +520,9 @@ func (r *Relation) SemijoinWith(s *Relation) int {
 }
 
 // keepRows keeps the rows whose bit is set in keep (one bit per row, in
-// order), compacting each column in place, and returns how many rows it
-// removed.
+// order) and returns how many rows it removed. Each column is compacted in
+// place, or, when it is borrowed (Lend), gathered into a fresh array of
+// exactly the kept size, which the relation then owns.
 func (r *Relation) keepRows(keep []uint64) int {
 	kept := 0
 	for _, b := range keep {
@@ -492,16 +533,21 @@ func (r *Relation) keepRows(keep []uint64) int {
 		return 0
 	}
 	for a, col := range r.cols {
+		dst := col
+		if r.borrowed {
+			dst = make([]Value, kept)
+		}
 		w := 0
 		for k, b := range keep {
 			for ; b != 0; b &= b - 1 {
-				col[w] = col[k*64+bits.TrailingZeros64(b)]
+				dst[w] = col[k*64+bits.TrailingZeros64(b)]
 				w++
 			}
 		}
-		r.cols[a] = col[:w]
+		r.cols[a] = dst[:w]
 	}
 	r.n = kept
+	r.borrowed = false
 	r.dropIndex()
 	return removed
 }

@@ -404,6 +404,60 @@ func TestRelationClone(t *testing.T) {
 	}
 }
 
+// TestLendCopiesOnWrite: a lent relation reads its lender's arrays until it
+// must write. A semijoin that removes rows gathers the kept ones into fresh
+// arrays of exactly their count, an Insert appends past the lender's rows
+// into an array of its own, and the lender's columns — spare capacity
+// included — never change. A frozen lender's columns are copied up front.
+func TestLendCopiesOnWrite(t *testing.T) {
+	base := NewRelation("R", MustSchema("a", "b"))
+	for i := range Value(5) {
+		base.MustInsert(i, i%2)
+	}
+	if cap(base.Col(0)) == base.Len() {
+		t.Fatalf("fixture: no spare capacity (len %d)", base.Len())
+	}
+	want := base.Tuples()
+	shared := func(r *Relation) bool { return &r.Col(0)[0] == &base.Col(0)[0] }
+
+	grown, err := base.Lend("G", MustSchema("x", "y"))
+	if err != nil || !shared(grown) || grown.Len() != 5 {
+		t.Fatalf("Lend: %v, shares %t, %d rows", err, err == nil && shared(grown), grown.Len())
+	}
+	grown.MustInsert(9, 9)
+	shrunk, _ := base.Lend("S", MustSchema("x", "y"))
+	odd := NewRelation("O", MustSchema("y"))
+	odd.MustInsert(1)
+	if removed := shrunk.SemijoinWith(odd); removed != 3 {
+		t.Fatalf("semijoin removed %d rows, want 3", removed)
+	}
+	if shared(shrunk) || cap(shrunk.Col(0)) != 2 || cap(shrunk.Col(1)) != 2 {
+		t.Fatalf("shrunk columns: shared %t, caps %d and %d, want fresh arrays of 2", shared(shrunk), cap(shrunk.Col(0)), cap(shrunk.Col(1)))
+	}
+	spare := base.Col(0)[:cap(base.Col(0))]
+	for i := range want {
+		if !base.Tuple(i).Equal(want[i]) {
+			t.Fatalf("lender's row %d is %v, was %v", i, base.Tuple(i), want[i])
+		}
+	}
+	for i := base.Len(); i < len(spare); i++ {
+		if spare[i] != 0 {
+			t.Fatalf("an append to a lent relation wrote %d into the lender's spare capacity at %d", spare[i], i)
+		}
+	}
+	if grown.Len() != 6 || !grown.Contains(Tuple{9, 9}) || !shrunk.Contains(Tuple{1, 1}) || shrunk.Contains(Tuple{0, 0}) {
+		t.Fatalf("lent relations hold the wrong rows: %v, %v", grown.Tuples(), shrunk.Tuples())
+	}
+
+	frozen, err := FromColumns("F", base.Schema(), [][]Value{base.Col(0), base.Col(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if copied, _ := frozen.Lend("C", MustSchema("x", "y")); &copied.Col(0)[0] == &frozen.Col(0)[0] {
+		t.Fatal("a frozen relation lent its snapshot-backed columns")
+	}
+}
+
 func TestRelationSortTuples(t *testing.T) {
 	r := NewRelation("R", MustSchema("a", "b"))
 	r.MustInsert(2, 1)

@@ -47,7 +47,8 @@ const queryspaceJoinBudget = 20000
 // skip it; see checkUCQSpace), and Shuffled and Algorithm 5 each emit it
 // exactly once. A full acyclic CQ also goes through the dynamic index
 // (WithDynamic) before and after a random batch of updates; see
-// checkDynamicSpace.
+// checkDynamicSpace. No build path writes the database: every Open, and the
+// whole run, leaves every base column as it was (openReadOnly).
 func FuzzQuerySpace(f *testing.F) {
 	for i, src := range queryspaceSeeds {
 		f.Add(src, int64(i), uint8(40), uint8(4))
@@ -81,6 +82,7 @@ func FuzzQuerySpace(f *testing.F) {
 		if err != nil {
 			return // a relation at two arities
 		}
+		before := baseColumns(db)
 		if len(qs) == 1 {
 			checkCQSpace(t, db, qs[0])
 			if qs[0].IsFull() && IsAcyclic(qs[0]) {
@@ -89,6 +91,7 @@ func FuzzQuerySpace(f *testing.F) {
 		} else {
 			checkUCQSpace(t, db, MustUCQ("U", qs...))
 		}
+		sameBaseColumns(t, "the whole run", db, before)
 	})
 }
 
@@ -132,7 +135,7 @@ func queryspaceQueries(src string, rng *rand.Rand, dom int) []*CQ {
 }
 
 func checkCQSpace(t *testing.T, db *Database, q *CQ) {
-	h, err := Open(db, q, WithPlanner(PlannerOff))
+	h, err := openReadOnly(t, db, q, WithPlanner(PlannerOff))
 	switch {
 	case !IsAcyclic(q):
 		if !errors.Is(err, ErrCyclic) {
@@ -163,7 +166,11 @@ func checkCQSpace(t *testing.T, db *Database, q *CQ) {
 		{"workers 4", true, []Option{WithPlanner(PlannerOff), WithWorkers(4)}},
 	} {
 		name := fmt.Sprintf("%v %s", q, p.name)
-		seq := checkSpace(t, name, mustOpen(t, db, q, p.opts...), want)
+		hp, err := openReadOnly(t, db, q, p.opts...)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", name, err)
+		}
+		seq := checkSpace(t, name, hp, want)
 		if p.sameTree {
 			sameSequence(t, name, seq, ref)
 		}
@@ -180,7 +187,7 @@ func checkCQSpace(t *testing.T, db *Database, q *CQ) {
 // dynamic index keeps no order, so only the answer sets are compared; an
 // update that leaves the copy as it was must report no change.
 func checkDynamicSpace(t *testing.T, db *Database, q *CQ, rng *rand.Rand, rows, dom int) {
-	h, err := Open(db, q, WithDynamic())
+	h, err := openReadOnly(t, db, q, WithDynamic())
 	if err != nil {
 		t.Fatalf("%v: Open WithDynamic: %v", q, err)
 	}
@@ -269,7 +276,7 @@ func checkDynamicSpace(t *testing.T, db *Database, q *CQ, rng *rand.Rand, rows, 
 // opened to answer wrong. testdata/fuzz/FuzzQuerySpace pins two such unions
 // that a check of the fenced elements alone let through.
 func checkUCQSpace(t *testing.T, db *Database, u *UCQ) {
-	h, err := Open(db, u)
+	h, err := openReadOnly(t, db, u)
 	if errors.Is(err, ErrCyclic) || errors.Is(err, ErrNotFreeConnex) || errors.Is(err, ErrIncompatible) {
 		return
 	}
@@ -283,7 +290,11 @@ func checkUCQSpace(t *testing.T, db *Database, u *UCQ) {
 	ref := checkSpace(t, fmt.Sprint(u), h, want)
 	for _, w := range []int{0, 1, 4} {
 		name := fmt.Sprintf("%v workers %d", u, w)
-		sameSequence(t, name, checkSpace(t, name, mustOpen(t, db, u, WithWorkers(w)), want), ref)
+		hw, err := openReadOnly(t, db, u, WithWorkers(w))
+		if err != nil {
+			t.Fatalf("%s: Open: %v", name, err)
+		}
+		sameSequence(t, name, checkSpace(t, name, hw, want), ref)
 	}
 	name := fmt.Sprintf("%v snapshot", u)
 	sameSequence(t, name, checkSpace(t, name, reopened(t, db, u, h), want), ref)

@@ -167,7 +167,9 @@ func (c *Catalog) Entries() []CatalogEntry {
 }
 
 // Close unmaps the snapshot. Every handle, relation and dictionary restored
-// from this catalog becomes invalid. Idempotent.
+// from this catalog becomes invalid. A handle Opened over DB() stays valid
+// after Close: Open copies a snapshot-backed base's columns instead of
+// borrowing them, so its index holds nothing of the mapping. Idempotent.
 func (c *Catalog) Close() error {
 	if c.f == nil {
 		return nil

@@ -609,6 +609,35 @@ func TestSnapshotFrozenRelations(t *testing.T) {
 	assertProbeEqual(t, fresh, cat.Entries()[0].H)
 }
 
+// TestHandleOverCatalogDBOutlivesClose pins Catalog.Close's promise to a
+// handle Opened over DB(): Open copies a snapshot-backed base's columns
+// rather than borrowing them, so the handle keeps answering after the
+// mapping is gone. R is over the size that OpenSnapshot maps rather than
+// reads, and the query's one atom is a root in bucket order that no
+// semijoin shrinks — the node that would keep a borrowed base's arrays.
+func TestHandleOverCatalogDBOutlivesClose(t *testing.T) {
+	db := NewDatabase()
+	r := db.MustCreate("R", "a", "b")
+	for i := range Value(80_000) {
+		r.MustInsert(i, i%100)
+	}
+	path := filepath.Join(t.TempDir(), "big.snap")
+	if err := SaveSnapshot(path, db, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() <= 1<<20 {
+		t.Fatalf("fixture: the snapshot must be over 1 MiB to be mapped: %v, %v", st, err)
+	}
+	cat, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustCQ("q", []string{"a", "b"}, NewAtom("R", V("a"), V("b")))
+	h := mustOpen(t, cat.DB(), q)
+	cat.Close()
+	assertProbeEqual(t, mustOpen(t, db, q), h)
+}
+
 func TestSnapshotRejectsErrorFamily(t *testing.T) {
 	if !errors.Is(ErrSnapshotInvalid, ErrSnapshotInvalid) {
 		t.Fatal("sanity")
