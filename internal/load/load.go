@@ -9,10 +9,17 @@
 // the relation name, the header row is the schema, and every cell is
 // dictionary-interned verbatim (numbers included), so constants in queries
 // must be single-quoted: r(x, '42'). Records are whatever encoding/csv's
-// Reader returns with its defaults (RFC 4180 quoting, CRLF or LF rows, every
-// record as wide as the header), streamed one at a time into a byte buffer
-// rather than read whole. Values are numbered in order of first appearance,
-// and a later duplicate row is dropped by Relation.Insert, so the first
+// Reader returns with its defaults (RFC 4180 quoting, CRLF or LF rows, blank
+// lines skipped, every record as wide as the header). The input is read
+// whole, once, and is the one copy of it the load holds: input with no '"'
+// and no '\r' but in "\r\n" — bare fields split on ',' and line ends,
+// which is what encoding/csv makes of it too — is split in place, each
+// cell's bytes moved down over the separators before it, and a record of
+// the wrong width fails with encoding/csv's own *csv.ParseError; any other
+// input is read by encoding/csv itself into a buffer of cells. Cells are
+// interned in file order a block at a time (Dict.InternCells), so values
+// are numbered in order of first appearance, and a later duplicate row is
+// dropped in one grouping pass (relation.DistinctColumns), so the first
 // occurrences keep their order; an empty file (no header) is an error. A
 // load that fails changes nothing: cells are interned and the relation
 // registered only after the whole input has parsed. Registering a name that
@@ -30,9 +37,12 @@
 package load
 
 import (
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -69,57 +79,170 @@ func Tables(db *relation.Database, paths []string) error {
 }
 
 // CSV registers one relation from CSV content: the first record is the
-// schema, every later record is a tuple with each cell interned. Records
-// are streamed into one byte buffer; the relation is built, and its cells
-// interned, only once the whole input has parsed, so input that fails to
-// parse interns no value, and a load that fails replaces no relation.
+// schema, every later record is a tuple with each cell interned. The input
+// is read whole and its records split in place (cells); the relation is
+// built, and its cells interned, only once the whole input has parsed, so
+// input that fails to parse interns no value, and a load that fails
+// replaces no relation.
 func CSV(db *relation.Database, name string, r io.Reader) error {
-	rd := csv.NewReader(r)
-	rd.ReuseRecord = true
-	header, err := rd.Read()
-	if err == io.EOF {
-		return fmt.Errorf("empty file")
-	}
+	data, err := readAll(r)
 	if err != nil {
 		return err
 	}
-	header = slices.Clone(header)
-	// cells holds every cell's bytes back to back; cell i ends at ends[i].
-	var cells []byte
-	var ends []int
-	for {
-		rec, err := rd.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		for _, cell := range rec {
-			cells = append(cells, cell...)
-			ends = append(ends, len(cells))
-		}
+	header, buf, offs, err := cells(data)
+	if err != nil {
+		return err
 	}
 	schema, err := relation.NewSchema(header...)
 	if err != nil {
 		return err
 	}
-	rel := relation.NewRelation(name, schema)
+	arity := len(schema)
+	rows := (len(offs) - 1) / arity
+	if rows > relation.MaxTuples {
+		return fmt.Errorf("relation %s: %d rows exceeds the %d-tuple limit", name, rows, relation.MaxTuples)
+	}
+	cols := make([][]relation.Value, arity)
+	for a := range cols {
+		cols[a] = make([]relation.Value, rows)
+	}
+	// Cells are interned in file order, a block at a time, and each block
+	// is scattered into the columns.
+	var vals [64]relation.Value
 	dict := db.Dict()
-	tup := make(relation.Tuple, len(schema))
-	start := 0
-	for row := 0; row < len(ends); row += len(tup) {
-		for k := range tup {
-			end := ends[row+k]
-			tup[k] = dict.InternBytes(cells[start:end])
-			start = end
+	row, a := 0, 0
+	for lo := 0; lo < len(offs)-1; lo += len(vals) {
+		block := vals[:min(len(vals), len(offs)-1-lo)]
+		dict.InternCells(buf, offs[lo:lo+len(block)+1], block)
+		for _, v := range block {
+			cols[a][row] = v
+			if a++; a == arity {
+				a, row = 0, row+1
+			}
 		}
-		if _, err := rel.Insert(tup); err != nil {
-			return err
-		}
+	}
+	rel, err := relation.DistinctColumns(name, schema, rows, cols)
+	if err != nil {
+		return err
 	}
 	db.Add(rel)
 	return nil
+}
+
+// readAll reads r whole, in one allocation when r is a regular file.
+func readAll(r io.Reader) ([]byte, error) {
+	var b bytes.Buffer
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			b.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
+}
+
+// cells splits CSV input into its header and its later records' cells:
+// body cell i is buf[offs[i]:offs[i+1]], in file order, and every record
+// is as wide as the header. Input with no '"' and no '\r' other than
+// before '\n' is split in place (scan), so buf is data; anything else is
+// read by encoding/csv into a fresh buffer.
+func cells(data []byte) (header []string, buf []byte, offs []int, err error) {
+	if plain(data) {
+		return scan(data)
+	}
+	rd := csv.NewReader(bytes.NewReader(data))
+	rd.ReuseRecord = true
+	header, err = rd.Read()
+	if err == io.EOF {
+		return nil, nil, nil, errEmpty
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	header = slices.Clone(header)
+	offs = []int{0}
+	for {
+		rec, err := rd.Read()
+		if err == io.EOF {
+			return header, buf, offs, nil
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for _, cell := range rec {
+			buf = append(buf, cell...)
+			offs = append(offs, len(buf))
+		}
+	}
+}
+
+var errEmpty = errors.New("empty file")
+
+// plain reports whether encoding/csv would read data as bare fields split
+// on ',' and '\n': it holds no '"', and every '\r' ends a "\r\n".
+func plain(data []byte) bool {
+	if bytes.IndexByte(data, '"') >= 0 {
+		return false
+	}
+	for i := 0; ; {
+		j := bytes.IndexByte(data[i:], '\r')
+		if j < 0 {
+			return true
+		}
+		i += j + 1
+		if i == len(data) || data[i] != '\n' {
+			return false
+		}
+	}
+}
+
+// scan is cells for plain input, in one pass and in place: a cell's bytes
+// are moved down over the separators before it, so buf is data's own
+// memory. It keeps encoding/csv's reading of such input: a "\r\n" ends a
+// line as '\n' does, a line with nothing on it is skipped, the first
+// record is the header, and a record of another width is the
+// *csv.ParseError encoding/csv returns, numbered by line.
+func scan(data []byte) (header []string, buf []byte, offs []int, err error) {
+	offs = make([]int, 1, bytes.Count(data, []byte{','})+bytes.Count(data, []byte{'\n'})+2)
+	width := 0 // cells of the header
+	w := 0     // data[:w] holds the cells so far
+	for line, rest := 1, data; len(rest) > 0; line++ {
+		l := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			l, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		if n := len(l); n > 0 && l[n-1] == '\r' {
+			l = l[:n-1]
+		}
+		if len(l) == 0 {
+			continue
+		}
+		fields := 1
+		for i := bytes.IndexByte(l, ','); i >= 0; i = bytes.IndexByte(l, ',') {
+			w += copy(data[w:], l[:i])
+			offs = append(offs, w)
+			l = l[i+1:]
+			fields++
+		}
+		w += copy(data[w:], l)
+		offs = append(offs, w)
+		switch {
+		case width == 0:
+			width = fields
+		case fields != width:
+			return nil, nil, nil, &csv.ParseError{StartLine: line, Line: line, Column: 1, Err: csv.ErrFieldCount}
+		}
+	}
+	if width == 0 {
+		return nil, nil, nil, errEmpty
+	}
+	header = make([]string, width)
+	for k := range header {
+		header[k] = string(data[offs[k]:offs[k+1]])
+	}
+	return header, data, offs[width:], nil
 }
 
 // Query is one named query of a program: exactly one of CQ or UCQ is set.

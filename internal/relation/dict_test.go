@@ -58,12 +58,17 @@ func (m *dictModel) check(t *testing.T, d *Dict) {
 //	0: Intern(s)    1: InternBytes(s)    2: Lookup(s)
 //	3: intern s+"0" … s+"k" for k = 4·s[0], alternating the two methods
 //	4: restore the dictionary from its value table (NewDictFromStrings)
+//	5: InternCells of the ','-separated cells of s, then of s[0] more
+//	   cells drawn from them with a suffix (blocks of 64 cells and more,
+//	   values repeated inside a batch)
 func FuzzDict(f *testing.F) {
 	f.Add([]byte("\x00\xff\x01\xff\x02\xff\x00a\xff\x01a\xff\x02a\xff\x02b"))
 	f.Add([]byte("\x00\xfe\x80\xff\x01\xc3\x28\xff\x02\xfe\x80\xff\x01\xfe\x80\xff\x00\xed\xa0\x80"))
 	f.Add([]byte("\x03\xfax\xff\x03\x40x\xff\x00x17\xff\x02x999"))
 	f.Add([]byte("\x00a\xff\x01b\xff\x04\xff\x02a\xff\x00c\xff\x01a\xff\x03\x20y\xff\x04\xff\x02y5"))
 	f.Add([]byte("\x04\xff\x01\xff\x00"))
+	f.Add([]byte("\x05a,b,,a\xff\x02b\xff\x00c\xff\x05c,d"))
+	f.Add([]byte("\x00x3\xff\x05\x80x,y\xff\x04\xff\x05\xc8x,z\xff\x01y70"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDict()
 		m := &dictModel{ids: map[string]Value{"": 0}, order: []string{""}}
@@ -72,7 +77,7 @@ func FuzzDict(f *testing.F) {
 				continue
 			}
 			s := op[1:]
-			switch op[0] % 5 {
+			switch op[0] % 6 {
 			case 0:
 				if got, want := d.Intern(string(s)), m.intern(string(s)); got != want {
 					t.Fatalf("Intern(%q) = %d, want %d", s, got, want)
@@ -108,6 +113,26 @@ func FuzzDict(f *testing.F) {
 					t.Fatal(err)
 				}
 				d = r
+			case 5:
+				cells := bytes.Split(s, []byte(","))
+				if len(s) > 0 {
+					for k := range int(s[0]) {
+						cell := append([]byte(nil), cells[k%len(cells)]...)
+						cells = append(cells, strconv.AppendInt(cell, int64(k%70), 10))
+					}
+				}
+				buf, offs := bytes.Join(cells, nil), []int{0}
+				for _, c := range cells {
+					offs = append(offs, offs[len(offs)-1]+len(c))
+				}
+				got := make([]Value, len(cells))
+				d.InternCells(buf, offs, got)
+				clear(buf) // InternCells keeps no part of buf
+				for i, c := range cells {
+					if want := m.intern(string(c)); got[i] != want {
+						t.Fatalf("InternCells: cell %d (%q) = %d, want %d", i, c, got[i], want)
+					}
+				}
 			}
 		}
 		m.check(t, d)
@@ -168,6 +193,92 @@ func TestDictConcurrent(t *testing.T) {
 			}
 			if d.Len() != words+1 {
 				t.Fatalf("Len = %d, want %d", d.Len(), words+1)
+			}
+		})
+	}
+}
+
+// TestInternCellsAllocs: InternCells of a batch the dictionary holds
+// already does not allocate — the load path's counterpart of
+// TestInternBytesAllocs, over several blocks.
+func TestInternCellsAllocs(t *testing.T) {
+	d := NewDict()
+	var buf []byte
+	offs := []int{0}
+	for i := range 3*blockRows + 5 {
+		buf = strconv.AppendInt(append(buf, 'c'), int64(i%150), 10)
+		offs = append(offs, len(buf))
+	}
+	out := make([]Value, len(offs)-1)
+	d.InternCells(buf, offs, out)
+	if n := testing.AllocsPerRun(100, func() { d.InternCells(buf, offs, out) }); n != 0 {
+		t.Fatalf("InternCells of interned values: %.0f allocs, want 0", n)
+	}
+}
+
+// TestDictInternCellsConcurrent runs a batch intern beside goroutines
+// that Intern, Lookup and render (StringInterned) the same words, on a
+// fresh dictionary and on a restored one whose table is built by whichever
+// call comes first: every caller must see one Value per word, rendering
+// back to it, and the batch's Values must be the per-word ones.
+func TestDictInternCellsConcurrent(t *testing.T) {
+	restored, err := NewDictFromStrings([]string{"", "w1", "w2", "w3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Dict{"fresh": NewDict(), "restored": restored} {
+		t.Run(name, func(t *testing.T) {
+			const words, workers = 4000, 3
+			word := func(k int) []byte { return strconv.AppendInt([]byte{'w'}, int64(k), 10) }
+			var buf []byte
+			offs := []int{0}
+			for i := range 2 * words {
+				buf = append(buf, word((i*13)%words)...)
+				offs = append(offs, len(buf))
+			}
+			batch := make([]Value, len(offs)-1)
+			got := make([][]Value, workers)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d.InternCells(buf, offs, batch)
+			}()
+			for w := range workers {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					vals := make([]Value, words)
+					for i := range vals {
+						k := (i*7 + w*997) % words
+						s := string(word(k))
+						if w == 0 {
+							vals[k] = d.Intern(s)
+						} else if v, ok := d.Lookup(s); ok {
+							vals[k] = v
+						} else {
+							vals[k] = d.Intern(s)
+						}
+						if got, ok := d.StringInterned(vals[k]); !ok || got != s {
+							t.Errorf("StringInterned(%d) = %q, want %s", vals[k], got, s)
+							return
+						}
+						_ = d.String(Value(i))
+					}
+					got[w] = vals
+				}(w)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			for i, v := range batch {
+				k := (i * 13) % words
+				for w := range workers {
+					if got[w][k] != v {
+						t.Fatalf("w%d: batch cell %d got %d, worker %d got %d", k, i, v, w, got[w][k])
+					}
+				}
 			}
 		})
 	}

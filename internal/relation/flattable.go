@@ -348,17 +348,17 @@ func (r *Relation) distinctKeys(positions []int) []int32 {
 			return first
 		}
 	}
-	_, first := groupRows(cols, r.n, nil)
+	_, first := groupRows(cols, r.n, nil, 0)
 	return first
 }
 
 // groupRows gives the distinct keys of rows 0 … n−1 of cols ids in order of
 // appearance, a block of rows at a time, returning the flatTable that holds
 // them and the first row of each; groupOf, when non-nil, receives every
-// row's id.
-func groupRows(cols [][]Value, n int, groupOf []uint32) (*flatTable, []int32) {
-	t := newFlatTable(0) // grows: the distinct count is unknown up front
-	var first []int32
+// row's id. The table and first start sized for hint ids and grow past it.
+func groupRows(cols [][]Value, n int, groupOf []uint32, hint int) (*flatTable, []int32) {
+	t := newFlatTable(hint)
+	first := make([]int32, 0, hint)
 	var buf [blockRows]uint64
 	id := int32(0)
 	for lo := 0; lo < n; lo += blockRows {

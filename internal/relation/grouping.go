@@ -46,7 +46,7 @@ func (r *Relation) GroupBy(positions []int) *Grouping {
 		return g
 	}
 	g.keyCols = r.keyCols(positions)
-	g.table, g.first = groupRows(g.keyCols, r.n, g.GroupOf)
+	g.table, g.first = groupRows(g.keyCols, r.n, g.GroupOf, 0)
 	g.numGroups = len(g.first)
 	return g
 }

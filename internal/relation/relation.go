@@ -18,7 +18,9 @@ import (
 // Every constructor and operator keeps the rows distinct, but only the ones
 // that can be handed a duplicate pay for a check. Insert (and with it every
 // NewRelation + Insert load, and Filter) enforces the invariant against the
-// membership index; Project finds its duplicates with a key set; FromColumns
+// membership index; DistinctColumns, the CSV load's constructor, drops
+// later duplicates in one grouping pass whose table becomes that index;
+// Project finds its duplicates with a key set; FromColumns
 // and AdoptColumns trust their caller; SemijoinWith and SortTuples only
 // drop or permute rows of a set; Lend keeps every row and column of one.
 // reduce.Instantiate relies on exactly this: a base relation is a set, so
@@ -40,8 +42,8 @@ import (
 // it is built.)
 // The membership index exists in one of two states:
 //
-//   - maintained (lazyOnce == nil): NewRelation creates it empty and Insert
-//     keeps it current;
+//   - maintained (lazyOnce == nil): NewRelation creates it empty,
+//     DistinctColumns full, and Insert keeps it current;
 //   - deferred (lazyOnce != nil): FromColumns, AdoptColumns, Lend,
 //     SemijoinWith and SortTuples leave the relation without one —
 //     positions changed or were never hashed — and it is built, pre-sized
@@ -134,21 +136,55 @@ func FromColumns(name string, schema Schema, cols [][]Value) (*Relation, error) 
 // hashed a second time. n is explicit because a relation of arity 0 has no
 // column to carry it (it holds the empty tuple or nothing: n ≤ 1).
 func AdoptColumns(name string, schema Schema, n int, cols [][]Value) (*Relation, error) {
-	if len(cols) != len(schema) {
-		return nil, fmt.Errorf("relation %s: %d columns for schema arity %d", name, len(cols), len(schema))
-	}
-	for a, col := range cols {
-		if len(col) != n {
-			return nil, fmt.Errorf("relation %s: column %d has %d rows, want %d", name, a, len(col), n)
-		}
-	}
-	if n > MaxTuples {
-		return nil, fmt.Errorf("relation %s: %d tuples exceeds the %d-tuple limit", name, n, MaxTuples)
+	if err := checkColumns(name, schema, n, cols); err != nil {
+		return nil, err
 	}
 	if len(cols) == 0 && n > 1 {
 		return nil, fmt.Errorf("relation %s: %d rows of arity 0 cannot be distinct", name, n)
 	}
 	return &Relation{name: name, schema: schema, cols: cols, n: n, lazyOnce: new(sync.Once)}, nil
+}
+
+// checkColumns reports whether cols are n rows over schema, within
+// MaxTuples.
+func checkColumns(name string, schema Schema, n int, cols [][]Value) error {
+	if len(cols) != len(schema) {
+		return fmt.Errorf("relation %s: %d columns for schema arity %d", name, len(cols), len(schema))
+	}
+	for a, col := range cols {
+		if len(col) != n {
+			return fmt.Errorf("relation %s: column %d has %d rows, want %d", name, a, len(col), n)
+		}
+	}
+	if n > MaxTuples {
+		return fmt.Errorf("relation %s: %d tuples exceeds the %d-tuple limit", name, n, MaxTuples)
+	}
+	return nil
+}
+
+// DistinctColumns wraps n rows of freshly built heap columns (adopted, not
+// copied) in the relation that NewRelation and an Insert of every row in
+// order would build: the first occurrence of each row, in order, with the
+// membership index maintained. The rows are grouped in one pass, a block at
+// a time (groupRows), and the grouping's table becomes the membership
+// index — its ids are the first occurrences' positions — so no row is
+// hashed twice; when rows repeat, the first occurrences are gathered into
+// fresh columns. This is how a CSV load enters the database.
+func DistinctColumns(name string, schema Schema, n int, cols [][]Value) (*Relation, error) {
+	if err := checkColumns(name, schema, n, cols); err != nil {
+		return nil, err
+	}
+	t, first := groupRows(cols, n, nil, n)
+	if len(first) < n {
+		for a, col := range cols {
+			kept := make([]Value, len(first))
+			for g, i := range first {
+				kept[g] = col[i]
+			}
+			cols[a] = kept
+		}
+	}
+	return &Relation{name: name, schema: schema, cols: cols, n: len(first), index: t}, nil
 }
 
 // Lend returns a relation named name over schema (of r's arity) holding r's
@@ -486,7 +522,7 @@ func (r *Relation) SemijoinWith(s *Relation) int {
 		}
 	case s.n > r.n:
 		groupOf := make([]uint32, r.n)
-		t, first := groupRows(rCols, r.n, groupOf)
+		t, first := groupRows(rCols, r.n, groupOf, 0)
 		hit, left := make([]bool, len(first)), len(first)
 		for lo := 0; lo < s.n && left > 0; lo += blockRows {
 			block := ids[:min(blockRows, s.n-lo)]
@@ -504,7 +540,7 @@ func (r *Relation) SemijoinWith(s *Relation) int {
 			}
 		}
 	default:
-		t, first := groupRows(sCols, s.n, nil)
+		t, first := groupRows(sCols, s.n, nil, 0)
 		for lo := 0; lo < r.n; lo += blockRows {
 			block := ids[:min(blockRows, r.n-lo)]
 			t.lookupBlock(block, rCols, lo, sCols, first)

@@ -43,6 +43,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Value is a single attribute value. All values are 64-bit integers; string
@@ -149,7 +150,19 @@ const KeyBufCap = 256
 // whose first n strings are written and never change: a value below n
 // renders its own string, whatever the writer does meanwhile. An array an
 // append has moved away from stays valid for the readers still holding it.
-// The writer side — Intern, Lookup, the table and MarshalDict — keeps mu.
+// The writer side — Intern, InternCells, Lookup, the table and MarshalDict
+// — keeps mu.
+//
+// InternCells interns a batch of cells — a CSV load's — a block of
+// blockRows at a time: it hashes the block without the lock, then takes the
+// write lock once, prefetches the block's home slots, interns the block in
+// order and publishes once, so a load never holds the lock for longer than
+// a block and update handlers that intern meanwhile interleave with it. Its
+// new strings are carved from arena chunks (arena): a chunk is appended to
+// and never written again below its length, so a string over it stays
+// valid and unchanged, and a block of new values costs no allocation per
+// value. Intern keeps the string it is given, and InternBytes allocates
+// one per new value.
 //
 // A dictionary restored from a snapshot (NewDictFromStrings) defers its
 // table: rendering needs only byValue, so a cold start pays nothing; the
@@ -159,6 +172,7 @@ type Dict struct {
 	table   *flatTable // nil until built for restored dictionaries
 	seed    maphash.Seed
 	byValue []string
+	arena   []byte // the chunk InternCells carves from; written only past len
 
 	strs atomic.Pointer[[]string] // byValue[:cap(byValue)], as last moved
 	n    atomic.Int32             // len(byValue), stored last
@@ -253,6 +267,78 @@ func intern[S string | []byte](d *Dict, s S, h uint64) Value {
 	d.byValue = append(d.byValue, string(s))
 	d.publishLocked(moved)
 	return Value(d.table.add(slot, h))
+}
+
+// InternCells sets out[i] to the Value of cell i, buf[offs[i]:offs[i+1]],
+// for every i < len(out); len(offs) must be len(out)+1. The Values are the
+// ones Intern would return for the cells one at a time, in order. It takes
+// the write lock once per block of blockRows cells (see Dict), and it
+// allocates only arena chunks and the growth of the value table and the
+// hash table: cells the dictionary holds already cost nothing. buf is not
+// retained.
+func (d *Dict) InternCells(buf []byte, offs []int, out []Value) {
+	var hs [blockRows]uint64
+	for lo := 0; lo < len(out); lo += blockRows {
+		block := out[lo:min(lo+blockRows, len(out))]
+		bo := offs[lo : lo+len(block)+1]
+		for j := range block {
+			hs[j] = maphash.Bytes(d.seed, buf[bo[j]:bo[j+1]])
+		}
+		d.internBlock(buf, bo, hs[:len(block)], block)
+	}
+}
+
+// internBlock interns the cells of one InternCells block, of hashes hs,
+// under one write lock, and publishes once.
+func (d *Dict) internBlock(buf []byte, offs []int, hs []uint64, out []Value) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.buildLocked()
+	t := d.table
+	for _, h := range hs {
+		Prefetch(unsafe.Pointer(&t.slots[h>>t.shift]))
+	}
+	moved := false
+	for j, h := range hs {
+		cell := buf[offs[j]:offs[j+1]]
+		t.reserve()
+		v, slot := find(d, cell, h)
+		if v < 0 {
+			if len(d.byValue) >= maxDictLen {
+				panic(fmt.Sprintf("relation: dictionary is full (%d values)", maxDictLen))
+			}
+			moved = moved || len(d.byValue) == cap(d.byValue)
+			d.byValue = append(d.byValue, d.carveLocked(cell))
+			v = Value(t.add(slot, h))
+		}
+		out[j] = v
+	}
+	d.publishLocked(moved)
+}
+
+// Arena chunks double from arenaMinChunk up to arenaChunk, so a small
+// dictionary takes a small arena and a large one a chunk per arenaChunk
+// bytes of strings. A cell longer than arenaChunk/16 gets an allocation of
+// its own, so a chunk's unused tail stays small.
+const (
+	arenaMinChunk = 256
+	arenaChunk    = 64 << 10
+)
+
+// carveLocked returns b as a string over the arena, starting a chunk when
+// the current one is full. Caller holds d.mu for write.
+func (d *Dict) carveLocked(b []byte) string {
+	switch {
+	case len(b) == 0:
+		return ""
+	case len(b) > arenaChunk/16:
+		return string(b)
+	case cap(d.arena)-len(d.arena) < len(b):
+		d.arena = make([]byte, 0, min(arenaChunk, max(2*cap(d.arena), arenaMinChunk, len(b))))
+	}
+	i := len(d.arena)
+	d.arena = append(d.arena, b...)
+	return unsafe.String(&d.arena[i], len(b))
 }
 
 // find returns s's Value, or -1 and the empty slot that ends s's probe

@@ -273,7 +273,7 @@ func checkDynamicSpace(t *testing.T, db *Database, q *CQ, rng *rand.Rand, rows, 
 // checkUCQSpace opens u as renumd does, with no options: the fence build
 // ranks every element of every intersection, so a union whose orders are not
 // compatible is refused with ErrIncompatible (and skipped here) rather than
-// opened to answer wrong. testdata/fuzz/FuzzQuerySpace pins two such unions
+// opened to answer wrong. testdata/fuzz/FuzzQuerySpace pins three such unions
 // that a check of the fenced elements alone let through.
 func checkUCQSpace(t *testing.T, db *Database, u *UCQ) {
 	h, err := openReadOnly(t, db, u)
