@@ -223,7 +223,8 @@ func New(fj *reduce.FullJoin) (*Index, error) {
 // that the two do not both stay alive. The original is not written; a
 // relation already in bucket order is kept as it is, and when no semijoin
 // shrank an unfiltered atom's relation, that may be the database's own
-// arrays (relation.Relation.Lend): the index then reads the base columns.
+// arrays (relation.Relation.Lend): the index then reads the base columns
+// and the base's membership index.
 func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 	idx := &Index{head: fj.Head}
 

@@ -196,6 +196,79 @@ func TestNodeBorrowsBaseColumns(t *testing.T) {
 	}
 }
 
+// TestNodeSharesBaseIndex pins where a node's membership index lives. R
+// and S are TestNodeBorrowsBaseColumns' pair, and T holds twice the c
+// values S has, so a semijoin shrinks its atom. A node that reads its base's
+// columns — unshrunk, in bucket order — must read the base's membership
+// index too (relation.Relation.Lend), so no row of it was hashed; the
+// shrunk node must own a fresh one. Over frozen bases no node shares a
+// table.
+func TestNodeSharesBaseIndex(t *testing.T) {
+	db := relation.NewDatabase()
+	r := db.MustCreate("R", "a", "b")
+	s := db.MustCreate("S", "b", "c")
+	tt := db.MustCreate("T", "c", "d")
+	for i := range relation.Value(8) {
+		r.MustInsert(i, i/2)
+		s.MustInsert(i/2, i)
+	}
+	for i := range relation.Value(16) {
+		tt.MustInsert(i, i)
+	}
+	q := query.MustCQ("Q", []string{"a", "b", "c", "d"},
+		query.NewAtom("R", query.V("a"), query.V("b")),
+		query.NewAtom("S", query.V("b"), query.V("c")),
+		query.NewAtom("T", query.V("c"), query.V("d")))
+
+	frozen := relation.NewDatabase()
+	for _, base := range []*relation.Relation{r, s, tt} {
+		cols := make([][]relation.Value, base.Arity())
+		for a := range cols {
+			cols[a] = append([]relation.Value(nil), base.Col(a)...)
+		}
+		f, err := relation.FromColumns(base.Name(), base.Schema(), cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.BuildIndex() // built, so that sharing it would show
+		frozen.Add(f)
+	}
+
+	for _, c := range []struct {
+		db     *relation.Database
+		frozen bool
+	}{{db, false}, {frozen, true}} {
+		shared, shrunk := 0, 0
+		for _, n := range buildIndex(t, c.db, q).nodes {
+			rel := n.rel.Name()[strings.LastIndex(n.rel.Name(), "[")+1 : len(n.rel.Name())-1]
+			base, err := c.db.Relation(rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			borrowed := &n.rel.Col(0)[0] == &base.Col(0)[0]
+			if got := n.rel.SharesIndexWith(base); got != borrowed {
+				t.Errorf("node %s shares %s's membership index: %t, reads its columns: %t (frozen base: %t)", n.rel.Name(), rel, got, borrowed, c.frozen)
+			}
+			if !n.rel.Indexed() {
+				t.Errorf("node %s has no membership index", n.rel.Name())
+			}
+			if borrowed {
+				shared++
+			}
+			if n.rel.Len() < base.Len() {
+				shrunk++
+			}
+		}
+		wantShared := 2 // R's and S's
+		if c.frozen {
+			wantShared = 0
+		}
+		if shared != wantShared || shrunk != 1 {
+			t.Fatalf("frozen %t: %d nodes share their base's index and %d shrank, want %d and 1", c.frozen, shared, shrunk, wantShared)
+		}
+	}
+}
+
 // TestIndexSnapshotBytesPerTuple bounds the index's snapshot on the same
 // instance. A format-version-2 file stores what the index keeps and
 // nothing else: the columns (16 B per tuple here: two attributes of 8 B),

@@ -156,10 +156,11 @@ func sameDatabase(t *testing.T, got, want *relation.Database) {
 }
 
 // TestCSVLoadAllocs: a 10 000-row load of 20 000 distinct cells allocates
-// for the input, the columns, the arena chunks and the doublings of the
-// dictionary's and the index's tables — O(chunks + log cells), not O(cells).
-// Measured at 83 allocations on amd64 with Go 1.24; the pin is 100, under
-// one per hundred rows.
+// for the input (once: the reader reports its length), the columns, the
+// arena chunks and the doublings of the dictionary's and the index's tables
+// — O(chunks + log cells), not O(cells); publishing a grown value table
+// allocates nothing. Measured at 58 allocations on amd64 with Go 1.24; the
+// pin is 70.
 func TestCSVLoadAllocs(t *testing.T) {
 	const rows = 10000
 	var sb strings.Builder
@@ -177,7 +178,7 @@ func TestCSVLoadAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%d-row load: %.0f allocations", rows, n)
-	if n > 100 {
-		t.Fatalf("%d-row load: %.0f allocations, want at most 100", rows, n)
+	if n > 70 {
+		t.Fatalf("%d-row load: %.0f allocations, want at most 70", rows, n)
 	}
 }

@@ -129,10 +129,14 @@ func CSV(db *relation.Database, name string, r io.Reader) error {
 	return nil
 }
 
-// readAll reads r whole, in one allocation when r is a regular file.
+// readAll reads r whole, in one allocation when r is a regular file or
+// reports the bytes it holds (Len, as strings.Reader and bytes.Reader do).
 func readAll(r io.Reader) ([]byte, error) {
 	var b bytes.Buffer
-	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+	switch f := r.(type) {
+	case interface{ Len() int }:
+		b.Grow(f.Len() + bytes.MinRead)
+	case interface{ Stat() (fs.FileInfo, error) }:
 		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
 			b.Grow(int(fi.Size()) + bytes.MinRead)
 		}

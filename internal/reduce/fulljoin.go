@@ -123,8 +123,10 @@ func BuildFullJoin(db *relation.Database, q *query.CQ, opts Options) (*FullJoin,
 	lap("eliminate")
 
 	// The survivors are final. Each gets its membership index — what
-	// inverted access probes — built exactly once, here: the sweeps above ran
-	// on unindexed relations, and no probe is left to build it lazily.
+	// inverted access probes — built at most once, here: the sweeps above
+	// built none, and no probe is left to build it lazily. A node that no
+	// semijoin shrank still shares its base's index (Lend) and has nothing
+	// to build.
 	workers, total := opts.Workers, 0
 	for _, r := range items {
 		total += r.Len()

@@ -36,12 +36,14 @@ import (
 // a duplicate, and its membership index stays deferred until the reduction
 // has decided which relations survive.
 //
-// Nothing is copied when nothing is selected: an atom whose terms are
-// distinct variables borrows the base's columns (relation.Relation.Lend),
-// and the first semijoin that removes one of its rows gathers the kept rows
-// into arrays of its own. The database is never written. A selection
-// gathers fresh columns of exactly the kept size, and a snapshot-backed
-// base is always copied, so that no index points into its mapping.
+// Nothing is copied or hashed when nothing is selected: an atom whose terms
+// are distinct variables borrows the base's columns and shares its
+// maintained membership index (relation.Relation.Lend), and the first
+// semijoin that removes one of its rows gathers the kept rows into arrays
+// of its own and lets the shared index go. The database is never written.
+// A selection gathers fresh columns of exactly the kept size, and a
+// snapshot-backed base is always copied, so that no index points into its
+// mapping.
 func Instantiate(db *relation.Database, q *query.CQ, atomIdx int) (*relation.Relation, error) {
 	a := q.Body[atomIdx]
 	base, err := db.Relation(a.Relation)

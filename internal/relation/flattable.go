@@ -3,6 +3,7 @@ package relation
 import (
 	"math/bits"
 	"math/rand/v2"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -36,11 +37,20 @@ import (
 // preprocessing — GroupBy, the key sets, the semijoin probes, the membership
 // index build and Grouping.LookupRows — runs through it; only the single-key
 // calls (Insert, Position, PositionProjected) hash one gathered key (hash).
+//
+// A membership index may be shared: Lend hands a base relation's table to
+// every relation that borrows the base's columns, and lent marks it. Such a
+// table is read-only from then on — Relation.Insert, the one writer of a
+// membership index, copies it first, on the base and on a borrower alike —
+// so the mark lives on the table, where every relation holding it sees it.
+// It is atomic because parallel Opens lend one base at once, and because of
+// it a flatTable is never copied by value (see clone).
 type flatTable struct {
 	slots []uint64 // hash&^(1<<32−1) | id+1 per occupied slot; 0 = empty
 	shift uint     // 64 − log2(len(slots)): a hash's top bits pick its home slot
 	n     int32    // ids held: 0 … n−1
 	seed  uint64
+	lent  atomic.Bool // shared by Lend: copy before writing
 }
 
 // flatMinSlots is the capacity of an empty table.
@@ -213,11 +223,9 @@ func (t *flatTable) grow() {
 	}
 }
 
-// clone returns an independent copy.
+// clone returns an independent copy, not lent.
 func (t *flatTable) clone() *flatTable {
-	c := *t
-	c.slots = append([]uint64(nil), t.slots...)
-	return &c
+	return &flatTable{slots: append([]uint64(nil), t.slots...), shift: t.shift, n: t.n, seed: t.seed}
 }
 
 func rowOf(rows []int32, id int32) int {

@@ -111,15 +111,14 @@ func (r *Relation) permute(slotOf []int32) *Relation {
 		}
 		out.cols[a] = nc
 	}
-	if r.lazyOnce == nil && r.index != nil {
-		t := *r.index
-		t.slots = make([]uint64, len(r.index.slots))
-		for s, e := range r.index.slots {
+	if src := r.index; r.lazyOnce == nil && src != nil {
+		t := &flatTable{slots: make([]uint64, len(src.slots)), shift: src.shift, n: src.n, seed: src.seed}
+		for s, e := range src.slots {
 			if e != 0 {
 				t.slots[s] = e&hashMask | uint64(slotOf[uint32(e)-1]+1)
 			}
 		}
-		out.index = &t
+		out.index = t
 	} else {
 		out.lazyOnce = new(sync.Once)
 	}

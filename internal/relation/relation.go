@@ -40,21 +40,27 @@ import (
 // multiple of its row count, or a cache-sized bitmap — is a bitmap indexed
 // by value (denseSpan). The access index releases a grouping's table once
 // it is built.)
-// The membership index exists in one of two states:
+// The membership index exists in one of three states:
 //
 //   - maintained (lazyOnce == nil): NewRelation creates it empty,
 //     DistinctColumns full, and Insert keeps it current;
-//   - deferred (lazyOnce != nil): FromColumns, AdoptColumns, Lend,
-//     SemijoinWith and SortTuples leave the relation without one —
-//     positions changed or were never hashed — and it is built, pre-sized
-//     to Len, by the first of BuildIndex or a call that needs it (Position,
-//     Contains, PositionProjected, Insert, Rename, Clone).
+//   - shared (lazyOnce == nil, the table marked lent): Lend hands a
+//     maintained index to the borrowing relation with the columns, so the
+//     base and every borrower read one table, which Insert on either side
+//     copies before it writes;
+//   - deferred (lazyOnce != nil): FromColumns, AdoptColumns, a frozen
+//     base's Lend, SemijoinWith that removes a row and SortTuples leave the
+//     relation without one — positions changed or were never hashed — and
+//     it is built, pre-sized to Len, by the first of BuildIndex or a call
+//     that needs it (Position, Contains, PositionProjected, Insert, Clone).
 //
 // Preprocessing never leaves that build to a probe: the semijoin sweeps run
-// on deferred relations, and reduce.BuildFullJoin calls BuildIndex once on
-// every node relation that survives the reduction. Only snapshot-restored
-// relations (FromColumns) keep the build lazy on purpose, so a cold start
-// that never tests membership never hashes a tuple.
+// on unindexed or shared relations, and reduce.BuildFullJoin calls
+// BuildIndex once on every node relation that survives the reduction — a
+// no-op on a node that still shares its base's index, which is what every
+// atom that selects nothing and that no semijoin shrank does. Only
+// snapshot-restored relations (FromColumns) keep the build lazy on purpose,
+// so a cold start that never tests membership never hashes a tuple.
 //
 // # Concurrency
 //
@@ -66,12 +72,14 @@ import (
 // deferred membership index is materialized under a sync.Once, so
 // concurrent first probes are safe too.
 //
-// A base relation lends its columns to every index opened over it (Lend):
-// a node relation that no semijoin shrank, and that is in bucket order,
-// reads the base's own arrays for the index's lifetime. After an Open,
-// Insert into the base stays legal — a lent column is clipped to the length
-// it had, and an append writes only past it — but the in-place mutators
-// (SemijoinWith) on the base are not: they would rewrite rows an index reads.
+// A base relation lends its columns and its membership index to every index
+// opened over it (Lend): a node relation that no semijoin shrank, and that
+// is in bucket order, reads the base's own arrays and table for the index's
+// lifetime. After an Open, Insert into the base stays legal — a lent column
+// is clipped to the length it had, and an append writes only past it, and a
+// lent table is copied before Insert writes it, on the base or on a
+// borrower — but the in-place mutators (SemijoinWith) on the base are not:
+// they would rewrite rows an index reads.
 type Relation struct {
 	name   string
 	schema Schema
@@ -191,9 +199,13 @@ func DistinctColumns(name string, schema Schema, n int, cols [][]Value) (*Relati
 // tuples, for an operator pipeline that may go on to shrink it: its columns
 // are r's own, clipped to Len so that an append reallocates instead of
 // writing into r's spare capacity, and marked borrowed, so that keepRows
-// gathers the kept rows into fresh arrays and never writes r. A frozen r's columns
-// alias a snapshot mapping that a handle must outlive, so they are copied
-// instead. The membership index is deferred, as AdoptColumns defers it.
+// gathers the kept rows into fresh arrays and never writes r. When r's
+// membership index is maintained, the borrower shares it too — the same
+// rows in the same order — and the table is marked lent, so that Insert on
+// either relation copies it before writing; keepRows drops it (never
+// writing it) when a semijoin removes a row. A frozen r's columns alias a
+// snapshot mapping that a handle must outlive, so they are copied instead,
+// and the membership index is deferred, as AdoptColumns defers it.
 func (r *Relation) Lend(name string, schema Schema) (*Relation, error) {
 	if len(schema) != len(r.schema) {
 		return nil, fmt.Errorf("relation %s: lend as arity %d != %d", r.name, len(schema), len(r.schema))
@@ -209,7 +221,13 @@ func (r *Relation) Lend(name string, schema Schema) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.borrowed = !r.frozen
+	if !r.frozen {
+		out.borrowed = true
+		if r.lazyOnce == nil {
+			r.index.lent.Store(true)
+			out.index, out.lazyOnce = r.index, nil
+		}
+	}
 	return out, nil
 }
 
@@ -240,9 +258,14 @@ func (r *Relation) BuildIndex() {
 // first probe of a deferred relation.
 func (r *Relation) Indexed() bool { return r.index != nil }
 
+// SharesIndexWith reports whether r and s hold one membership index table —
+// a base and a relation it lent its index to (Lend), until either copies
+// it. Diagnostic, with Indexed's caveat.
+func (r *Relation) SharesIndexWith(s *Relation) bool { return r.index != nil && r.index == s.index }
+
 // dropIndex discards the membership index after row positions changed and
-// defers its rebuild. A deferred index that was never built stays deferred
-// under its unused Once.
+// defers its rebuild; a shared table is let go, never written. A deferred
+// index that was never built stays deferred under its unused Once.
 func (r *Relation) dropIndex() {
 	if r.index == nil {
 		return
@@ -314,7 +337,9 @@ const MaxTuples = 1<<31 - 1
 // Insert adds a tuple. It returns an error on arity mismatch (or on a
 // relation at MaxTuples) and reports whether the tuple was newly added
 // (false means it was already present — set semantics). The tuple's values
-// are copied; callers may reuse t.
+// are copied; callers may reuse t. A shared membership index (Lend) is
+// copied before the first write, so the relations it was shared with keep
+// the table they read.
 func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != len(r.schema) {
 		return false, fmt.Errorf("relation %s: tuple arity %d != schema arity %d", r.name, len(t), len(r.schema))
@@ -325,6 +350,9 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 	r.ensureIndex()
 	if r.n >= MaxTuples {
 		return false, fmt.Errorf("relation %s: at the %d-tuple limit (positions are int32)", r.name, MaxTuples)
+	}
+	if r.index.lent.Load() {
+		r.index = r.index.clone()
 	}
 	if _, added := r.index.insert(t, r.cols, nil); !added {
 		return false, nil
@@ -408,21 +436,6 @@ func (r *Relation) PositionProjected(src Tuple, proj []int) int {
 	r.ensureIndex()
 	var buf [keyStackCap]Value
 	return int(r.index.find(gatherKey(&buf, src, proj), r.cols, nil))
-}
-
-// Rename returns a view of r with a new name and schema (same tuples). The
-// new schema must have the same arity. Columns and index are shared, not
-// copied: this is how a query atom R(x, y) binds relation attributes to
-// query variables. Mutating either relation afterwards corrupts the other;
-// renamed views are read-only by convention.
-func (r *Relation) Rename(name string, schema Schema) (*Relation, error) {
-	if len(schema) != len(r.schema) {
-		return nil, fmt.Errorf("relation %s: rename to arity %d != %d", r.name, len(schema), len(r.schema))
-	}
-	// The view shares the membership index, so a deferred index must exist
-	// before it is captured (the view has no lazy hook of its own).
-	r.ensureIndex()
-	return &Relation{name: name, schema: schema, cols: r.cols, n: r.n, index: r.index, frozen: r.frozen, borrowed: r.borrowed}, nil
 }
 
 // Filter returns a new relation containing the tuples satisfying keep, in the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -213,17 +214,19 @@ func TestRelationInsertionOrderPreserved(t *testing.T) {
 	}
 }
 
-func TestRelationRename(t *testing.T) {
+// TestRelationLend: a lent relation is the lender's tuples under a new name
+// and schema of the same arity.
+func TestRelationLend(t *testing.T) {
 	r := NewRelation("R", MustSchema("a", "b"))
 	r.MustInsert(1, 2)
-	v, err := r.Rename("S", MustSchema("x", "y"))
+	v, err := r.Lend("S", MustSchema("x", "y"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Name() != "S" || !v.Schema().Equal(MustSchema("x", "y")) || v.Len() != 1 {
-		t.Fatal("rename view wrong")
+	if v.Name() != "S" || !v.Schema().Equal(MustSchema("x", "y")) || v.Len() != 1 || !v.Contains(Tuple{1, 2}) {
+		t.Fatal("lent relation wrong")
 	}
-	if _, err := r.Rename("S", MustSchema("x")); err == nil {
+	if _, err := r.Lend("S", MustSchema("x")); err == nil {
 		t.Fatal("arity change accepted")
 	}
 }
@@ -455,6 +458,69 @@ func TestLendCopiesOnWrite(t *testing.T) {
 	}
 	if copied, _ := frozen.Lend("C", MustSchema("x", "y")); &copied.Col(0)[0] == &frozen.Col(0)[0] {
 		t.Fatal("a frozen relation lent its snapshot-backed columns")
+	}
+}
+
+// TestLendSharesIndex: a maintained membership index is lent with the
+// columns, and the table is never written once lent. An Insert into a
+// borrower or into the lender copies it first, and the other side keeps
+// reading the table it had; a semijoin that shrinks a borrower lets the
+// table go and builds its own. A frozen lender lends no index.
+func TestLendSharesIndex(t *testing.T) {
+	base := NewRelation("R", MustSchema("a", "b"))
+	for i := range Value(40) {
+		base.MustInsert(i, i%3)
+	}
+	table := base.index
+	slots, n := slices.Clone(table.slots), table.n
+	untouched := func(when string) {
+		t.Helper()
+		if table.n != n || !slices.Equal(table.slots, slots) {
+			t.Fatalf("%s: the lent table was written (%d ids, %d before)", when, table.n, n)
+		}
+	}
+
+	a, _ := base.Lend("A", MustSchema("x", "y"))
+	b, _ := base.Lend("B", MustSchema("x", "y"))
+	if !a.SharesIndexWith(base) || !b.SharesIndexWith(base) || !table.lent.Load() {
+		t.Fatal("Lend did not share the base's maintained index")
+	}
+	if a.BuildIndex(); !a.SharesIndexWith(base) {
+		t.Fatal("BuildIndex replaced a shared index")
+	}
+	if added, _ := a.Insert(Tuple{100, 0}); !added || a.SharesIndexWith(base) || !a.Contains(Tuple{100, 0}) {
+		t.Fatalf("Insert into a borrower: added %t, still shares %t", added, a.SharesIndexWith(base))
+	}
+	untouched("after an Insert into a borrower")
+	if added, _ := base.Insert(Tuple{3, 0}); added {
+		t.Fatal("a duplicate was inserted into the lender")
+	}
+	if added, _ := base.Insert(Tuple{200, 0}); !added || base.SharesIndexWith(b) || !base.Contains(Tuple{200, 0}) {
+		t.Fatalf("Insert into the lender: added %t, still shares %t", added, base.SharesIndexWith(b))
+	}
+	untouched("after an Insert into the lender")
+	if b.Contains(Tuple{200, 0}) || b.Contains(Tuple{100, 0}) || b.Position(Tuple{39, 0}) != 39 || b.Len() != 40 {
+		t.Fatal("a borrower sees another relation's Insert")
+	}
+
+	c, _ := base.Lend("C", MustSchema("x", "y"))
+	zero := NewRelation("Z", MustSchema("y"))
+	zero.MustInsert(0)
+	if c.SemijoinWith(zero); c.Indexed() || c.SharesIndexWith(base) {
+		t.Fatal("a shrunk borrower kept the lent index")
+	}
+	if c.BuildIndex(); !c.Contains(Tuple{3, 0}) || c.Contains(Tuple{1, 1}) || c.SharesIndexWith(base) {
+		t.Fatal("a shrunk borrower's own index is wrong")
+	}
+	untouched("after a semijoin shrank a borrower")
+
+	frozen, err := FromColumns("F", base.Schema(), [][]Value{base.Col(0), base.Col(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen.BuildIndex()
+	if f, _ := frozen.Lend("G", MustSchema("x", "y")); f.Indexed() {
+		t.Fatal("a frozen relation lent an index")
 	}
 }
 

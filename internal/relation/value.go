@@ -28,8 +28,9 @@
 // SortTuples, the select-and-copy of reduce.Instantiate) neither check nor
 // maintain the index — it is deferred, and whoever keeps the result builds
 // it once (BuildIndex; reduce.BuildFullJoin does so for every surviving node
-// relation, so no probe ever builds one). The Relation type comment has the
-// details.
+// relation, so no probe ever builds one) — and Lend shares the base's own
+// index with a relation that keeps every row. The Relation type comment has
+// the details.
 //
 // The paper's computation model is the DRAM variant of the RAM model with
 // uniform cost measure, which permits constant-time lookup tables of
@@ -142,12 +143,12 @@ const KeyBufCap = 256
 // strings come from outside (CSV cells over /admin/load, update tuples).
 //
 // Reads take no lock. byValue is append-only and written under mu, and two
-// values publish it to the readers: strs, the backing array resliced to its
-// capacity, and n, the count. A new value is published in this order: its
-// string is written into the array, the array is stored in strs if append
-// moved it, and only then is n stored. String, StringInterned and Len load
-// n first and strs second, so a reader that sees count n holds an array
-// whose first n strings are written and never change: a value below n
+// values publish it to the readers: strs, the first element of its backing
+// array, and n, the count. A new value is published in this order: its
+// string is written into the array, the array is stored in strs, and only
+// then is n stored. String, StringInterned and Len load n first and strs
+// second, so a reader that sees count n holds an array of at least n
+// strings whose first n are written and never change: a value below n
 // renders its own string, whatever the writer does meanwhile. An array an
 // append has moved away from stays valid for the readers still holding it.
 // The writer side — Intern, InternCells, Lookup, the table and MarshalDict
@@ -174,8 +175,8 @@ type Dict struct {
 	byValue []string
 	arena   []byte // the chunk InternCells carves from; written only past len
 
-	strs atomic.Pointer[[]string] // byValue[:cap(byValue)], as last moved
-	n    atomic.Int32             // len(byValue), stored last
+	strs atomic.Pointer[string] // &byValue[0], as last published
+	n    atomic.Int32           // len(byValue), stored last
 }
 
 // maxDictLen bounds a dictionary: a table slot holds a value as a 32-bit
@@ -186,7 +187,7 @@ const maxDictLen = math.MaxInt32
 func NewDict() *Dict {
 	d := &Dict{seed: maphash.MakeSeed(), byValue: []string{""}}
 	d.buildLocked()
-	d.publishLocked(true)
+	d.publishLocked()
 	return d
 }
 
@@ -201,18 +202,16 @@ func NewDictFromStrings(byValue []string) (*Dict, error) {
 		return nil, fmt.Errorf("relation: dictionary of %d values exceeds the limit of %d", len(byValue), maxDictLen)
 	}
 	d := &Dict{seed: maphash.MakeSeed(), byValue: byValue}
-	d.publishLocked(true)
+	d.publishLocked()
 	return d, nil
 }
 
 // publishLocked makes byValue visible to the lock-free readers: the array
-// first, and only when moved (append reallocated it), then the count. Caller
-// holds d.mu for write, or owns d outright.
-func (d *Dict) publishLocked(moved bool) {
-	if moved {
-		all := d.byValue[:cap(d.byValue)]
-		d.strs.Store(&all)
-	}
+// first, then the count. It stores the array's first element, not a slice
+// header, so a growth of byValue allocates nothing here. Caller holds d.mu
+// for write, or owns d outright.
+func (d *Dict) publishLocked() {
+	d.strs.Store(unsafe.SliceData(d.byValue))
 	d.n.Store(int32(len(d.byValue)))
 }
 
@@ -263,9 +262,8 @@ func intern[S string | []byte](d *Dict, s S, h uint64) Value {
 	if len(d.byValue) >= maxDictLen {
 		panic(fmt.Sprintf("relation: dictionary is full (%d values)", maxDictLen))
 	}
-	moved := len(d.byValue) == cap(d.byValue)
 	d.byValue = append(d.byValue, string(s))
-	d.publishLocked(moved)
+	d.publishLocked()
 	return Value(d.table.add(slot, h))
 }
 
@@ -298,7 +296,6 @@ func (d *Dict) internBlock(buf []byte, offs []int, hs []uint64, out []Value) {
 	for _, h := range hs {
 		Prefetch(unsafe.Pointer(&t.slots[h>>t.shift]))
 	}
-	moved := false
 	for j, h := range hs {
 		cell := buf[offs[j]:offs[j+1]]
 		t.reserve()
@@ -307,13 +304,12 @@ func (d *Dict) internBlock(buf []byte, offs []int, hs []uint64, out []Value) {
 			if len(d.byValue) >= maxDictLen {
 				panic(fmt.Sprintf("relation: dictionary is full (%d values)", maxDictLen))
 			}
-			moved = moved || len(d.byValue) == cap(d.byValue)
 			d.byValue = append(d.byValue, d.carveLocked(cell))
 			v = Value(t.add(slot, h))
 		}
 		out[j] = v
 	}
-	d.publishLocked(moved)
+	d.publishLocked()
 }
 
 // Arena chunks double from arenaMinChunk up to arenaChunk, so a small
@@ -398,7 +394,8 @@ func (d *Dict) String(v Value) string {
 // is loaded before the array (see Dict).
 func (d *Dict) StringInterned(v Value) (string, bool) {
 	if n := d.n.Load(); v >= 0 && v < Value(n) {
-		return (*d.strs.Load())[v], true
+		// v < n ≤ the length of the array strs points into (see Dict).
+		return *(*string)(unsafe.Add(unsafe.Pointer(d.strs.Load()), uintptr(v)*unsafe.Sizeof(""))), true
 	}
 	return "", false
 }

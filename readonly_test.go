@@ -3,6 +3,7 @@ package renum
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -162,5 +163,117 @@ func TestOpenNeverWritesTheDatabase(t *testing.T) {
 				t.Fatalf("%s: InvertedAccess(%v) = %d, %t after an Insert into R, want %d", o.name, want, k, ok, j)
 			}
 		}
+	}
+}
+
+// TestInsertIntoLentBase inserts into a base relation while other
+// goroutines probe handles opened over it. Every unfiltered atom's node
+// shares its base's membership index (relation.Relation.Lend), and the
+// Insert copies that table before writing it: a handle keeps answering
+// from the table it was built with, so InvertedAccess and Contains give
+// every answer they gave before, and no handle finds an answer that an
+// inserted tuple would add. Under the race detector an Insert that wrote
+// the shared table in place shows as a race; without it, as a handle that
+// finds an inserted tuple or indexes past its columns. The inserts are
+// many enough to grow R's table more than once.
+func TestInsertIntoLentBase(t *testing.T) {
+	const n, added = 2_000, 6_000
+	db := NewDatabase()
+	r := db.MustCreate("R", "a", "b")
+	s := db.MustCreate("S", "b", "c")
+	for i := range Value(n) {
+		r.MustInsert(i, i)
+		s.MustInsert(i, i)
+	}
+	join := MustCQ("Q", []string{"a", "b", "c"}, NewAtom("R", V("a"), V("b")), NewAtom("S", V("b"), V("c")))
+	self := MustCQ("Q", []string{"a", "b", "c"}, NewAtom("R", V("a"), V("b")), NewAtom("R", V("b"), V("c")))
+	type opened struct {
+		name string
+		inv  Inverter
+		con  Container
+		seq  []Tuple
+	}
+	var handles []opened
+	for _, c := range []struct {
+		name string
+		q    *CQ
+		w    int
+	}{{"join", join, 1}, {"join, workers 4", join, 4}, {"self-join", self, 1}} {
+		h, err := Open(db, c.q, WithWorkers(c.w))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		inv, err := h.Inverter()
+		if err != nil {
+			t.Fatal(err)
+		}
+		con, err := h.Container()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := make([]Tuple, h.Count())
+		for j := range seq {
+			if seq[j], err = h.Access(int64(j)); err != nil {
+				t.Fatalf("%s: Access(%d): %v", c.name, j, err)
+			}
+		}
+		handles = append(handles, opened{c.name, inv, con, seq})
+	}
+
+	// Inserted row k is (n+k, k mod n): it joins S's row (k mod n, k mod n)
+	// and, for the self-join, R's row (k mod n, k mod n).
+	inserted := func(k int) Tuple { return Tuple{Value(n + k), Value(k % n), Value(k % n)} }
+	var wg sync.WaitGroup
+	errs := make(chan error, len(handles)+1)
+	done := make(chan struct{})
+	for _, o := range handles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Probe while the inserts run, then once more after the last.
+			for last := false; !last; {
+				select {
+				case <-done:
+					last = true
+				default:
+				}
+				for j, want := range o.seq {
+					if k, ok := o.inv.InvertedAccess(want); !ok || k != int64(j) {
+						errs <- fmt.Errorf("%s: InvertedAccess(%v) = %d, %t during inserts, want %d", o.name, want, k, ok, j)
+						return
+					}
+					if !o.con.Contains(want) {
+						errs <- fmt.Errorf("%s: Contains(%v) false during inserts", o.name, want)
+						return
+					}
+					extra := inserted(j % added)
+					if o.con.Contains(extra) {
+						errs <- fmt.Errorf("%s: Contains(%v) true for an inserted tuple", o.name, extra)
+						return
+					}
+					if _, ok := o.inv.InvertedAccess(extra); ok {
+						errs <- fmt.Errorf("%s: InvertedAccess found the inserted tuple %v", o.name, extra)
+						return
+					}
+				}
+			}
+		}()
+	}
+	go func() {
+		defer close(done)
+		for k := range added {
+			if ok, err := r.Insert(inserted(k)[:2]); err != nil || !ok {
+				errs <- fmt.Errorf("Insert(%v) into R: added %t, %v", inserted(k)[:2], ok, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if r.Len() != n+added {
+		t.Fatalf("R holds %d rows, want %d", r.Len(), n+added)
 	}
 }
