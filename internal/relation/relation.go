@@ -35,11 +35,12 @@ import (
 // are the row positions themselves, so it stores no key — a probe hashes the
 // tuple and compares it against the columns, for every arity and every
 // value, and never encodes a key. (GroupBy uses the same table over its key
-// columns, and so do the key sets of SemijoinWith and Project, except that a
-// key set over a single column whose values span little — less than a small
-// multiple of its row count, or a cache-sized bitmap — is a bitmap indexed
-// by value (denseSpan). The access index releases a grouping's table once
-// it is built.)
+// columns, and so do the key sets of SemijoinWith and Project, except over a
+// single column whose values span little (denseSpan): a key set spanning
+// less than a small multiple of its row count, or a cache-sized bitmap, is a
+// bitmap indexed by value, and a grouping spanning at most that multiple is
+// an array of group ids indexed by value. The access index releases a
+// grouping's key lookup once it is built.)
 // The membership index exists in one of three states:
 //
 //   - maintained (lazyOnce == nil): NewRelation creates it empty,

@@ -666,13 +666,19 @@ func TestProjectOntoNothing(t *testing.T) {
 // relation as it was (a frozen one's columns alias a read-only mapping); the
 // reordered relation's membership index (remapped, when the input's was
 // built; deferred otherwise) and the grouping's key lookup answer for the
-// new positions; and a relation in group order does not move.
+// new positions; and a relation in group order does not move. The key
+// values are 0 … 6, which GroupBy direct-addresses, and the same times 2^40,
+// which it hashes.
 func TestSortRowsIsStableGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 60; iter++ {
+	for iter := 0; iter < 120; iter++ {
+		scale := Value(1)
+		if iter >= 60 {
+			scale = 1 << 40
+		}
 		r := NewRelation("R", MustSchema("a", "b"))
 		for i := 0; i < 1+rng.Intn(300); i++ {
-			r.Insert(Tuple{Value(rng.Intn(7)), Value(rng.Intn(40))})
+			r.Insert(Tuple{Value(rng.Intn(7)) * scale, Value(rng.Intn(40))})
 		}
 		switch iter % 3 {
 		case 1:

@@ -9,8 +9,9 @@
 // membership index, GroupBy, the key sets of SemijoinWith and Project, and
 // KeyTable, the dynamic index's id table, over key columns of its own —
 // goes through one flat open-addressing table (flatTable) that compares a
-// probe against the columns instead of encoding it, or, for a key set over
-// a single column with a dense span, through a bitmap. The string dictionary
+// probe against the columns instead of encoding it, or, over a single
+// column with a dense span, through a bitmap (a key set) or an array of
+// group ids indexed by value (GroupBy). The string dictionary
 // (Dict) interns through the same table, confirming a hash match against its
 // value table instead of the columns, so interning a CSV cell touches no Go
 // map either. Rendering a value reads the
