@@ -2,6 +2,7 @@ package renum
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -21,7 +22,10 @@ import (
 // from the pre-columnar (map-of-string-keyed-buckets) implementation: for
 // each seeded query it holds "# query <name> count <n>" followed by every
 // answer of Access(0..n-1) as comma-separated values, plus one hash-only
-// entry "# hash <name> count <n> sha256 <hex>" for a larger instance.
+// entry "# hash <name> count <n> sha256 <hex>" for a larger instance. The
+// instance ooo3 (outOfOrderChain) was recorded later, from the
+// first-appearance bucket numbering of the direct-addressed grouping, with
+// its snapshot's SHA-256 as "# hash ooo3.snap bytes <n> sha256 <hex>".
 //
 // The enumeration order of the index is a public, load-bearing contract —
 // mc-UCQ compatibility (Section 5.2) and inverted access both depend on it —
@@ -97,7 +101,39 @@ func goldenIndexes(t *testing.T) map[string]goldenAccessor {
 	}
 	out[u.Name] = m
 
+	db5, q5 := outOfOrderChain(t)
+	out[q5.Name] = build(db5, q5, reduce.Options{})
+
 	return out
+}
+
+// outOfOrderChain is the chain R(a,b), S(b,c), T(c,d) whose join keys first
+// appear out of value order in every child (S's b: 3, 8, 0, 5, …; T's c: 7,
+// 18, 29, …) and span few enough values to be grouped by direct addressing.
+// Bucket ids are numbered by first appearance, so its bucket layout differs
+// from a numbering in value order; the enumeration order does not (a bucket
+// holds the same rows whatever its id), so the golden file pins the layout
+// through the instance's snapshot bytes (TestGoldenSnapshotHash).
+func outOfOrderChain(t *testing.T) (*relation.Database, *query.CQ) {
+	t.Helper()
+	db := relation.NewDatabase()
+	r := db.MustCreate("R", "a", "b")
+	for i := 0; i < 40; i++ {
+		r.MustInsert(relation.Value(i), relation.Value(i*7%13))
+	}
+	s := db.MustCreate("S", "b", "c")
+	for i := 0; i < 60; i++ {
+		s.MustInsert(relation.Value((i*5+3)%13), relation.Value(i))
+	}
+	u := db.MustCreate("T", "c", "d")
+	for i := 0; i < 51; i++ {
+		u.MustInsert(relation.Value((i*11+7)%60), relation.Value(i%5))
+	}
+	q := query.MustCQ("ooo3", []string{"a", "b", "c", "d"},
+		query.NewAtom("R", query.V("a"), query.V("b")),
+		query.NewAtom("S", query.V("b"), query.V("c")),
+		query.NewAtom("T", query.V("c"), query.V("d")))
+	return db, q
 }
 
 func formatAnswer(buf []byte, tu relation.Tuple) []byte {
@@ -250,6 +286,53 @@ func TestGoldenEnumerationHash(t *testing.T) {
 	}
 }
 
+// TestGoldenSnapshotHash checks every recorded "# hash <name>.snap" entry:
+// the golden instance <name>, opened through the public API and written as
+// a snapshot, must hash to the recording. A snapshot holds each node's
+// group ids and bucket offsets, so this pins how buckets are numbered,
+// which the enumeration order alone does not.
+func TestGoldenSnapshotHash(t *testing.T) {
+	f, err := os.Open(goldenOrderFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	instances := make(map[string]goldenInstance)
+	for _, gi := range goldenInstances(t) {
+		instances[gi.name] = gi
+	}
+	checked := 0
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 7 || fields[1] != "hash" || !strings.HasSuffix(fields[2], ".snap") {
+			continue
+		}
+		name := strings.TrimSuffix(fields[2], ".snap")
+		gi, ok := instances[name]
+		if !ok {
+			t.Fatalf("snapshot hash of %q, which is not a golden instance", name)
+		}
+		var buf bytes.Buffer
+		h := mustOpen(t, gi.db, gi.q, gi.opts...)
+		if err := WriteSnapshot(&buf, gi.db, 0, []CatalogEntry{{Name: gi.name, Q: gi.q, H: h}}); err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%d sha256 %x", buf.Len(), sha256.Sum256(buf.Bytes()))
+		if want := fields[4] + " sha256 " + fields[6]; got != want {
+			t.Fatalf("%s: snapshot of %s bytes, golden %s bytes (bucket layout changed)", name, got, want)
+		}
+		checked++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no snapshot hash entry in golden file")
+	}
+}
+
 // goldenInstance is one recorded query instance rebuilt through the public
 // API: enough to Open it — and to save/reopen it as a snapshot.
 type goldenInstance struct {
@@ -305,6 +388,9 @@ func goldenInstances(t *testing.T) []goldenInstance {
 		t.Fatal(err)
 	}
 	out = append(out, goldenInstance{name: u.Name, db: db4, q: u, opts: []Option{WithPlanner(PlannerOff)}})
+
+	db5, q5 := outOfOrderChain(t)
+	out = append(out, goldenInstance{name: q5.Name, db: db5, q: q5, opts: []Option{WithPlanner(PlannerOff)}})
 
 	return out
 }
