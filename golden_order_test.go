@@ -321,7 +321,7 @@ func TestGoldenSnapshotHash(t *testing.T) {
 		}
 		got := fmt.Sprintf("%d sha256 %x", buf.Len(), sha256.Sum256(buf.Bytes()))
 		if want := fields[4] + " sha256 " + fields[6]; got != want {
-			t.Fatalf("%s: snapshot of %s bytes, golden %s bytes (bucket layout changed)", name, got, want)
+			t.Fatalf("%s: snapshot bytes, sha256 = %s, golden %s (bucket layout changed)", name, got, want)
 		}
 		checked++
 	}
