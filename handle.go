@@ -183,12 +183,13 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // WithBuildObserver registers a callback that receives preprocessing-stage
 // timings while Open builds the probe structure. Stages currently emitted:
 // for a static CQ, Proposition 4.2's reduction stage by stage — "instantiate"
-// (the atoms' relations), "semijoin" (both Yannakakis sweeps), "eliminate"
-// (protected GYO elimination) and "member_index" (the surviving relations'
-// membership indexes) — then "index_build" (the static access structure's
-// weight computation); "dynamic_build" (the update-maintaining index); and
-// "union_build" (the mc-UCQ preparation). fn must be safe for use from the
-// building goroutine; it is never called after Open returns.
+// (the atoms' relations), "semijoin" (both Yannakakis sweeps) and
+// "eliminate" (protected GYO elimination) — then the static access
+// structure's "member_index" (its node relations' membership indexes) and
+// "index_build" (its weight computation); "dynamic_build" (the
+// update-maintaining index); and "union_build" (the mc-UCQ preparation). fn
+// must be safe for use from the building goroutine; it is never called
+// after Open returns.
 func WithBuildObserver(fn func(stage string, d time.Duration)) Option {
 	return func(c *config) { c.buildObserve = fn }
 }

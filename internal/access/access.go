@@ -57,9 +57,11 @@
 //
 // An Index is immutable once New (or NewWithOptions) returns: every probe —
 // Access, AccessInto, the AccessBatch forms, InvertedAccess, Contains, Count,
-// the baseline samplers — only reads the structure, never memoizes, and is safe
-// to call from any number of goroutines concurrently with no external
-// locking. The column arrays of the underlying relations are likewise
+// the baseline samplers — only reads the structure, and is safe to call from
+// any number of goroutines concurrently with no external locking. The one
+// exception is a restored index (UnmarshalIndex): its first InvertedAccess
+// builds the node relations' membership indexes, once, under a sync.Once
+// that concurrent first calls wait on. The column arrays of the underlying relations are likewise
 // immutable after build. Construction itself may run the per-node bucket
 // builds of independent join-tree subtrees on a worker pool (see
 // BuildOptions); the parallel build produces a structure byte-for-byte
@@ -74,6 +76,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -97,6 +100,12 @@ type Index struct {
 	root  *node
 	nodes []*node
 	count int64
+
+	// members builds every node relation's membership index, which inverted
+	// access probes. NewWithOptions runs it before the bucket gather; a
+	// restored index (UnmarshalIndex) leaves it to the first InvertedAccess,
+	// so a cold start that never inverts never hashes a tuple.
+	members sync.Once
 }
 
 // node mirrors one relation of the full-join tree. All per-bucket state is
@@ -194,9 +203,10 @@ type BuildOptions struct {
 	// serially, where goroutine overhead would dominate. 0 means
 	// DefaultSerialThreshold.
 	SerialThreshold int
-	// Observe, when set, receives build-stage timings. The only stage
-	// emitted here is "index_build" (the full weight computation);
-	// callers layer their own stages on top.
+	// Observe, when set, receives build-stage timings, once each and in
+	// this order: "member_index" (the node relations' membership indexes)
+	// and "index_build" (the full weight computation); callers layer their
+	// own stages on top.
 	Observe func(stage string, d time.Duration)
 }
 
@@ -225,6 +235,11 @@ func New(fj *reduce.FullJoin) (*Index, error) {
 // shrank an unfiltered atom's relation, that may be the database's own
 // arrays (relation.Relation.Lend): the index then reads the base columns
 // and the base's membership index.
+//
+// Every node relation leaves with its membership index, built before the
+// gather, one task per node on the same worker pool and serial threshold,
+// so that the gather remaps it instead of rehashing the gathered rows; a
+// node that no semijoin shrank shares its base's index and builds nothing.
 func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 	idx := &Index{head: fj.Head}
 
@@ -250,9 +265,6 @@ func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 		return nil, err
 	}
 
-	// Algorithm 2: leaf-to-root weight computation. Each node's buckets
-	// depend only on its children's finished groupings, so nodes of equal
-	// height are independent and can build concurrently.
 	workers := opts.Workers
 	if workers == 0 {
 		workers = parallel.Workers()
@@ -261,15 +273,18 @@ func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 	if threshold == 0 {
 		threshold = DefaultSerialThreshold
 	}
-	total := 0
-	for _, n := range idx.nodes {
-		total += n.rel.Len()
-	}
-	var buildStart time.Time
+	// The membership indexes first, so that the gather remaps them.
+	stageStart := time.Now()
+	idx.members.Do(func() { idx.indexMembers(workers, threshold) })
 	if opts.Observe != nil {
-		buildStart = time.Now()
+		opts.Observe("member_index", time.Since(stageStart))
+		stageStart = time.Now()
 	}
-	if workers <= 1 || len(idx.nodes) < 2 || total < threshold {
+
+	// Algorithm 2: leaf-to-root weight computation. Each node's buckets
+	// depend only on its children's finished groupings, so nodes of equal
+	// height are independent and can build concurrently.
+	if workers <= 1 || len(idx.nodes) < 2 || idx.Tuples() < int64(threshold) {
 		var build func(n *node) error
 		build = func(n *node) error {
 			for _, c := range n.children {
@@ -298,13 +313,38 @@ func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 		fj.Nodes[i].Rel = n.rel
 	}
 	if opts.Observe != nil {
-		opts.Observe("index_build", time.Since(buildStart))
+		opts.Observe("index_build", time.Since(stageStart))
 	}
 
 	if idx.root.grouping.NumGroups() > 0 {
 		idx.count = idx.root.bucketTotal(0)
 	}
 	return idx, nil
+}
+
+// indexMembers builds every node relation's absent membership index, one
+// task per node on up to workers goroutines (0: parallel.Workers()),
+// serially below threshold tuples in all. Run only through idx.members.
+func (idx *Index) indexMembers(workers, threshold int) {
+	if idx.Tuples() < int64(threshold) {
+		workers = 1
+	}
+	_ = parallel.ForEach(len(idx.nodes), workers, func(i int) error {
+		idx.nodes[i].rel.BuildIndex()
+		return nil
+	})
+}
+
+// MembersIndexed reports whether every node relation's membership index is
+// present. Diagnostic: it must not race with the first InvertedAccess of a
+// restored index.
+func (idx *Index) MembersIndexed() bool {
+	for _, n := range idx.nodes {
+		if !n.rel.Indexed() {
+			return false
+		}
+	}
+	return true
 }
 
 // linkChild wires one parent→child edge: the shared attributes (in child
@@ -721,11 +761,14 @@ const maxSplitChildren = 8
 
 // InvertedAccess returns the index j with Access(j) == answer, or ok=false if
 // answer is not in Q(D) (Algorithm 4). Constant time in data complexity and
-// allocation-free (asserted by testing.AllocsPerRun).
+// allocation-free (asserted by testing.AllocsPerRun). On a restored index
+// the first call builds the node relations' membership indexes, and
+// concurrent first calls wait for that one build.
 func (idx *Index) InvertedAccess(answer relation.Tuple) (int64, bool) {
 	if len(answer) != len(idx.head) {
 		return 0, false
 	}
+	idx.members.Do(func() { idx.indexMembers(0, DefaultSerialThreshold) })
 	return idx.invertedSubtree(idx.root, answer)
 }
 

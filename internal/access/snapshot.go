@@ -72,6 +72,8 @@ type restoredNode struct {
 // depends on — array lengths, monotone bucket offsets, group IDs that match
 // them, in-range child bucket IDs, tree shape, Algorithm 2's prefix sums —
 // are validated; a violation is a typed snapshot.ErrCorrupt, never a panic.
+// No tuple is hashed: the node relations' membership indexes are built by
+// the first InvertedAccess.
 func UnmarshalIndex(r *snapshot.Reader) (*Index, error) {
 	v1 := r.Version() == 1
 	idx := &Index{}

@@ -47,9 +47,6 @@ func Prepare(db *relation.Database, q *query.CQ, opts reduce.Options) (*CQ, erro
 // parallelism (worker count and serial threshold) — the hook the experiment
 // harness and CLIs use to pin the builder's fan-out.
 func PrepareWithOptions(db *relation.Database, q *query.CQ, opts reduce.Options, build access.BuildOptions) (*CQ, error) {
-	if opts.Workers == 0 {
-		opts.Workers = build.Workers // one worker budget for the whole preparation
-	}
 	fj, err := reduce.BuildFullJoin(db, q, opts)
 	if err != nil {
 		return nil, err

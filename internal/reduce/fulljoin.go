@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/hypergraph"
-	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -55,24 +54,14 @@ type Options struct {
 	// sorted order-preserving subsets stay order-preserving.
 	CanonicalOrder bool
 
-	// Workers caps the goroutines building the surviving node relations'
-	// membership indexes (one task per node). 0 means parallel.Workers();
-	// 1 forces the serial build. Callers that also build the access index
-	// pass the same budget to both.
-	Workers int
-
 	// Observe, when set, receives the time of each stage of BuildFullJoin,
 	// once per call and in this order: "instantiate" (the atoms' relations),
-	// "semijoin" (the atoms' join tree and both Yannakakis sweeps),
-	// "eliminate" (protected GYO elimination, then CanonicalOrder's sort)
-	// and "member_index" (the survivors' membership indexes).
+	// "semijoin" (the atoms' join tree and both Yannakakis sweeps) and
+	// "eliminate" (protected GYO elimination, then CanonicalOrder's sort).
+	// The survivors' membership indexes are the access index's to build
+	// (its "member_index" stage).
 	Observe func(stage string, d time.Duration)
 }
-
-// indexSerialThreshold is the total tuple count below which the membership
-// indexes are built serially (it mirrors access.DefaultSerialThreshold:
-// under it goroutine hand-off costs more than the hashing).
-const indexSerialThreshold = 1 << 15
 
 // BuildFullJoin implements Proposition 4.2. It returns ErrCyclic or
 // ErrNotFreeConnex (wrapped with context) for queries outside the supported
@@ -121,26 +110,6 @@ func BuildFullJoin(db *relation.Database, q *query.CQ, opts Options) (*FullJoin,
 		}
 	}
 	lap("eliminate")
-
-	// The survivors are final. Each gets its membership index — what
-	// inverted access probes — built at most once, here: the sweeps above
-	// built none, and no probe is left to build it lazily. A node that no
-	// semijoin shrank still shares its base's index (Lend) and has nothing
-	// to build.
-	workers, total := opts.Workers, 0
-	for _, r := range items {
-		total += r.Len()
-	}
-	if total < indexSerialThreshold {
-		workers = 1
-	}
-	if err := parallel.ForEach(len(items), workers, func(i int) error {
-		items[i].BuildIndex()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	lap("member_index")
 
 	// The remainder is a full join over head variables; build its join tree.
 	rh := &hypergraph.Hypergraph{}

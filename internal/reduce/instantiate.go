@@ -33,8 +33,8 @@ import (
 // pinned — to a constant, or to the column of the same variable's first
 // occurrence — so it is injective on the selected rows, and the base
 // relation is a set (relation.Relation's invariant): the output cannot hold
-// a duplicate, and its membership index stays deferred until the reduction
-// has decided which relations survive.
+// a duplicate, and it has no membership index: the access index builds one
+// for each relation that survives the reduction.
 //
 // Nothing is copied or hashed when nothing is selected: an atom whose terms
 // are distinct variables borrows the base's columns and shares its

@@ -267,6 +267,7 @@ func FuzzKeyTable(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		adopted.BuildIndex()
 		proj := make([]int, arity) // src holds the tuple back to front, after one pad value
 		for a := range proj {
 			proj[a] = arity - a

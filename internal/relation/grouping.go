@@ -1,7 +1,5 @@
 package relation
 
-import "sync"
-
 // Grouping is the result of Relation.GroupBy: a dense uint32 group ID per
 // tuple, where tuples share a group iff they agree on the key positions.
 // Group IDs are assigned in order of first appearance, so they inherit the
@@ -108,7 +106,7 @@ func denseGroups(col []Value, lo Value, span int, groupOf []uint32) (ids, first 
 // arrays the caller built on r's order; slotOf is nil when r was in group
 // order already, and sorted is then r itself. Otherwise sorted is a new
 // relation of fresh columns, each exactly Len long, and, when r's
-// membership index is built, a copy of it whose row ids are remapped in
+// membership index is present, a copy of it whose row ids are remapped in
 // one pass instead of being rehashed. r is not modified — its columns may
 // alias a read-only mapping, or be shared with another build — and
 // neither is the GroupOf g had: g gets a new one.
@@ -163,7 +161,7 @@ func (r *Relation) permute(slotOf []int32) *Relation {
 		}
 		out.cols[a] = nc
 	}
-	if src := r.index; r.lazyOnce == nil && src != nil {
+	if src := r.index; src != nil {
 		t := &flatTable{slots: make([]uint64, len(src.slots)), shift: src.shift, n: src.n, seed: src.seed}
 		for s, e := range src.slots {
 			if e != 0 {
@@ -171,8 +169,6 @@ func (r *Relation) permute(slotOf []int32) *Relation {
 			}
 		}
 		out.index = t
-	} else {
-		out.lazyOnce = new(sync.Once)
 	}
 	return out
 }

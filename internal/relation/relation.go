@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 )
 
 // Relation is a finite set of tuples over a schema, stored column-major: one
@@ -41,27 +40,26 @@ import (
 // bitmap indexed by value, and a grouping spanning at most that multiple is
 // an array of group ids indexed by value. The access index releases a
 // grouping's key lookup once it is built.)
-// The membership index exists in one of three states:
+// The membership index is present or absent:
 //
-//   - maintained (lazyOnce == nil): NewRelation creates it empty,
-//     DistinctColumns full, and Insert keeps it current;
-//   - shared (lazyOnce == nil, the table marked lent): Lend hands a
-//     maintained index to the borrowing relation with the columns, so the
-//     base and every borrower read one table, which Insert on either side
-//     copies before it writes;
-//   - deferred (lazyOnce != nil): FromColumns, AdoptColumns, a frozen
-//     base's Lend, SemijoinWith that removes a row and SortTuples leave the
-//     relation without one — positions changed or were never hashed — and
-//     it is built, pre-sized to Len, by the first of BuildIndex or a call
-//     that needs it (Position, Contains, PositionProjected, Insert, Clone).
+//   - present: NewRelation creates it empty, DistinctColumns full,
+//     BuildIndex from the columns, and Insert keeps it current. Lend hands
+//     a present index to the borrowing relation with the columns, so the
+//     base and every borrower read one table (marked lent), which Insert
+//     on either side copies before it writes;
+//   - absent: FromColumns, AdoptColumns, a frozen base's Lend, Project,
+//     SemijoinWith that removes a row and SortTuples leave the relation
+//     without one — positions changed or were never hashed. BuildIndex
+//     builds it, pre-sized to Len; Insert builds it before its first
+//     check, and Clone builds one into its copy. Position, Contains and
+//     PositionProjected read it unchecked, so they panic on an absent
+//     index: a probe never builds one.
 //
-// Preprocessing never leaves that build to a probe: the semijoin sweeps run
-// on unindexed or shared relations, and reduce.BuildFullJoin calls
-// BuildIndex once on every node relation that survives the reduction — a
-// no-op on a node that still shares its base's index, which is what every
-// atom that selects nothing and that no semijoin shrank does. Only
-// snapshot-restored relations (FromColumns) keep the build lazy on purpose,
-// so a cold start that never tests membership never hashes a tuple.
+// The semijoin sweeps run on unindexed or shared relations, and the access
+// index (internal/access) builds the membership index of every node
+// relation it probes, once: when it is built, before its bucket gather, or
+// for a snapshot-restored index, on its first inverted access, so a cold
+// start that never tests membership never hashes a tuple.
 //
 // # Concurrency
 //
@@ -69,9 +67,10 @@ import (
 // build-then-share: mutations (Insert, SemijoinWith, SortTuples, BuildIndex)
 // happen during preprocessing on one goroutine; after an index is built over
 // the relation, the column arrays are immutable and may be read — including
-// via Col, which exposes them directly — from any number of goroutines. A
-// deferred membership index is materialized under a sync.Once, so
-// concurrent first probes are safe too.
+// via Col, which exposes them directly — from any number of goroutines.
+// Whoever shares a relation whose membership index is absent decides when
+// it is built, and orders that build before every probe (the access index
+// does so under a sync.Once).
 //
 // A base relation lends its columns and its membership index to every index
 // opened over it (Lend): a node relation that no semijoin shrank, and that
@@ -88,13 +87,8 @@ type Relation struct {
 	n      int
 
 	// index is the full-tuple membership index (ids are row positions);
-	// nil while it is deferred.
+	// nil while it is absent.
 	index *flatTable
-
-	// lazyOnce is non-nil while the membership index is deferred (see the
-	// type comment); ensureIndex routes through it. nil means the index
-	// exists and Insert maintains it.
-	lazyOnce *sync.Once
 
 	// frozen marks a relation whose columns alias a read-only snapshot
 	// mapping: mutating it would fault on the mapped pages, so mutators
@@ -120,10 +114,10 @@ func NewRelation(name string, schema Schema) *Relation {
 // FromColumns constructs a relation directly over existing column storage —
 // the restore half of the snapshot seam. The columns are adopted, not
 // copied (they typically alias a read-only file mapping), the relation is
-// marked immutable, and the membership index is deferred to first use
-// (Position / Contains / inverted access), so opening a snapshot costs no
-// per-tuple hashing. Rows are trusted to be duplicate-free: they were
-// written by a relation that enforced set semantics.
+// marked immutable, and it has no membership index, so opening a snapshot
+// costs no per-tuple hashing: call BuildIndex before the first Position or
+// Contains. Rows are trusted to be duplicate-free: they were written by a
+// relation that enforced set semantics.
 func FromColumns(name string, schema Schema, cols [][]Value) (*Relation, error) {
 	n := 0
 	if len(cols) > 0 {
@@ -139,8 +133,8 @@ func FromColumns(name string, schema Schema, cols [][]Value) (*Relation, error) 
 
 // AdoptColumns is the mutable counterpart of FromColumns: it wraps n rows of
 // freshly built heap columns (adopted, not copied) in a relation that the
-// in-place operators may go on to shrink, with the membership index
-// deferred. The caller guarantees the rows are distinct — this is how a
+// in-place operators may go on to shrink, with no membership index (see
+// BuildIndex). The caller guarantees the rows are distinct — this is how a
 // selection or projection of a set enters the reduction without being
 // hashed a second time. n is explicit because a relation of arity 0 has no
 // column to carry it (it holds the empty tuple or nothing: n ≤ 1).
@@ -151,7 +145,7 @@ func AdoptColumns(name string, schema Schema, n int, cols [][]Value) (*Relation,
 	if len(cols) == 0 && n > 1 {
 		return nil, fmt.Errorf("relation %s: %d rows of arity 0 cannot be distinct", name, n)
 	}
-	return &Relation{name: name, schema: schema, cols: cols, n: n, lazyOnce: new(sync.Once)}, nil
+	return &Relation{name: name, schema: schema, cols: cols, n: n}, nil
 }
 
 // checkColumns reports whether cols are n rows over schema, within
@@ -201,12 +195,12 @@ func DistinctColumns(name string, schema Schema, n int, cols [][]Value) (*Relati
 // are r's own, clipped to Len so that an append reallocates instead of
 // writing into r's spare capacity, and marked borrowed, so that keepRows
 // gathers the kept rows into fresh arrays and never writes r. When r's
-// membership index is maintained, the borrower shares it too — the same
-// rows in the same order — and the table is marked lent, so that Insert on
+// membership index is present, the borrower shares it too — the same rows
+// in the same order — and the table is marked lent, so that Insert on
 // either relation copies it before writing; keepRows drops it (never
 // writing it) when a semijoin removes a row. A frozen r's columns alias a
 // snapshot mapping that a handle must outlive, so they are copied instead,
-// and the membership index is deferred, as AdoptColumns defers it.
+// and the borrower has no membership index, as AdoptColumns has none.
 func (r *Relation) Lend(name string, schema Schema) (*Relation, error) {
 	if len(schema) != len(r.schema) {
 		return nil, fmt.Errorf("relation %s: lend as arity %d != %d", r.name, len(schema), len(r.schema))
@@ -224,39 +218,26 @@ func (r *Relation) Lend(name string, schema Schema) (*Relation, error) {
 	}
 	if !r.frozen {
 		out.borrowed = true
-		if r.lazyOnce == nil {
+		if r.index != nil {
 			r.index.lent.Store(true)
-			out.index, out.lazyOnce = r.index, nil
+			out.index = r.index
 		}
 	}
 	return out, nil
 }
 
-// ensureIndex materializes a deferred membership index. Safe under
-// concurrent probes (sync.Once); a no-op while the index is maintained.
-func (r *Relation) ensureIndex() {
-	if o := r.lazyOnce; o != nil {
-		o.Do(r.buildIndex)
-	}
-}
-
-// BuildIndex materializes a deferred membership index now, on the calling
-// goroutine, so that no later probe pays for it; a no-op when the index
-// exists. Like every mutator it must not run concurrently with other use of
-// the relation.
+// BuildIndex builds an absent membership index now, on the calling
+// goroutine; a no-op when the index is present. Like every mutator it must
+// not run concurrently with other use of the relation — a frozen relation
+// included: whoever shares it orders this call before its probes.
 func (r *Relation) BuildIndex() {
-	r.ensureIndex()
-	// A frozen relation may already be shared with concurrent probes, so
-	// its Once stays in place for them; anything else goes back to the
-	// maintained state and probes skip the Once altogether.
-	if !r.frozen {
-		r.lazyOnce = nil
+	if r.index == nil {
+		r.index = indexRows(r.cols, r.n)
 	}
 }
 
-// Indexed reports whether the membership index exists right now (false
-// while it is deferred and unbuilt). Diagnostic: it must not race with the
-// first probe of a deferred relation.
+// Indexed reports whether the membership index is present. Diagnostic: it
+// must not race with BuildIndex.
 func (r *Relation) Indexed() bool { return r.index != nil }
 
 // SharesIndexWith reports whether r and s hold one membership index table —
@@ -264,32 +245,22 @@ func (r *Relation) Indexed() bool { return r.index != nil }
 // it. Diagnostic, with Indexed's caveat.
 func (r *Relation) SharesIndexWith(s *Relation) bool { return r.index != nil && r.index == s.index }
 
-// dropIndex discards the membership index after row positions changed and
-// defers its rebuild; a shared table is let go, never written. A deferred
-// index that was never built stays deferred under its unused Once.
-func (r *Relation) dropIndex() {
-	if r.index == nil {
-		return
-	}
-	r.index = nil
-	r.lazyOnce = new(sync.Once)
-}
-
-// buildIndex builds the membership index from the columns, pre-sized to the
-// row count, a block of rows at a time. The rows are a set, so each is put
-// in the first free slot from its home without looking for an equal one.
-func (r *Relation) buildIndex() {
-	t := newFlatTable(r.n)
+// indexRows builds the membership index of n rows of cols, pre-sized to
+// the row count, a block of rows at a time. The rows are a set, so each is
+// put in the first free slot from its home without looking for an equal
+// one.
+func indexRows(cols [][]Value, n int) *flatTable {
+	t := newFlatTable(n)
 	var buf [blockRows]uint64
-	for lo := 0; lo < r.n; lo += blockRows {
-		hs := buf[:min(blockRows, r.n-lo)]
-		t.hashBlock(hs, r.cols, lo)
+	for lo := 0; lo < n; lo += blockRows {
+		hs := buf[:min(blockRows, n-lo)]
+		t.hashBlock(hs, cols, lo)
 		for _, h := range hs {
 			t.put(h&hashMask | uint64(t.n+1))
 			t.n++
 		}
 	}
-	r.index = t
+	return t
 }
 
 // mustBeMutable guards the in-place mutators: a frozen relation's columns
@@ -338,9 +309,9 @@ const MaxTuples = 1<<31 - 1
 // Insert adds a tuple. It returns an error on arity mismatch (or on a
 // relation at MaxTuples) and reports whether the tuple was newly added
 // (false means it was already present — set semantics). The tuple's values
-// are copied; callers may reuse t. A shared membership index (Lend) is
-// copied before the first write, so the relations it was shared with keep
-// the table they read.
+// are copied; callers may reuse t. An absent membership index is built
+// first, and a shared one (Lend) is copied before the first write, so the
+// relations it was shared with keep the table they read.
 func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != len(r.schema) {
 		return false, fmt.Errorf("relation %s: tuple arity %d != schema arity %d", r.name, len(t), len(r.schema))
@@ -348,7 +319,7 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 	if r.frozen {
 		return false, fmt.Errorf("relation %s: insert into a snapshot-backed (immutable) relation", r.name)
 	}
-	r.ensureIndex()
+	r.BuildIndex()
 	if r.n >= MaxTuples {
 		return false, fmt.Errorf("relation %s: at the %d-tuple limit (positions are int32)", r.name, MaxTuples)
 	}
@@ -412,15 +383,16 @@ func (r *Relation) Tuples() []Tuple {
 	return out
 }
 
-// Contains reports whether t is in the relation.
+// Contains reports whether t is in the relation. Like Position it panics
+// when the membership index is absent.
 func (r *Relation) Contains(t Tuple) bool { return r.Position(t) >= 0 }
 
-// Position returns the insertion position of t, or -1. Allocation-free.
+// Position returns the insertion position of t, or -1. Allocation-free. It
+// panics when the membership index is absent (BuildIndex).
 func (r *Relation) Position(t Tuple) int {
 	if len(t) != len(r.schema) {
 		return -1
 	}
-	r.ensureIndex()
 	return int(r.index.find(t, r.cols, nil))
 }
 
@@ -429,12 +401,12 @@ func (r *Relation) Position(t Tuple) int {
 // intermediate tuple, and allocation-free for arities ≤ KeyBufCap/8.
 // len(proj) must equal the relation's arity. This is the constant-time
 // "locate the node tuple inside an answer" step of inverted access
-// (Algorithm 4 line 4).
+// (Algorithm 4 line 4). Like Position it panics when the membership index
+// is absent.
 func (r *Relation) PositionProjected(src Tuple, proj []int) int {
 	if len(proj) != len(r.schema) {
 		return -1
 	}
-	r.ensureIndex()
 	var buf [keyStackCap]Value
 	return int(r.index.find(gatherKey(&buf, src, proj), r.cols, nil))
 }
@@ -461,8 +433,8 @@ func (r *Relation) Filter(name string, keep func(Tuple) bool) *Relation {
 // Project returns the projection of r onto attrs (set semantics, first
 // occurrence wins, order preserved). Duplicates are found by collecting the
 // distinct keys at the projected positions (distinctKeys), and the output keeps
-// the first row of each; its membership index is deferred like every
-// intermediate's.
+// the first row of each; like every intermediate it has no membership
+// index.
 func (r *Relation) Project(name string, attrs []string) (*Relation, error) {
 	pos, err := r.schema.Positions(attrs)
 	if err != nil {
@@ -598,7 +570,7 @@ func (r *Relation) keepRows(keep []uint64) int {
 	}
 	r.n = kept
 	r.borrowed = false
-	r.dropIndex()
+	r.index = nil // positions changed; a shared table is let go unwritten
 	return removed
 }
 
@@ -608,22 +580,28 @@ func (r *Relation) clear() {
 		r.cols[a] = nil
 	}
 	r.n = 0
-	r.dropIndex()
+	r.index = nil
 }
 
-// Clone returns a deep copy of r: columns and index are fresh. Cloning a
-// snapshot-backed relation yields an ordinary mutable heap relation.
+// Clone returns a deep copy of r: columns and index are fresh — r's index
+// copied, or, when r has none, one built into the copy, so r is not
+// written. Cloning a snapshot-backed relation yields an ordinary mutable
+// heap relation.
 func (r *Relation) Clone() *Relation {
-	r.ensureIndex()
-	out := &Relation{name: r.name, schema: r.schema, cols: make([][]Value, len(r.cols)), n: r.n, index: r.index.clone()}
+	out := &Relation{name: r.name, schema: r.schema, cols: make([][]Value, len(r.cols)), n: r.n}
 	for a := range r.cols {
 		out.cols[a] = append([]Value(nil), r.cols[a]...)
+	}
+	if r.index != nil {
+		out.index = r.index.clone()
+	} else {
+		out.BuildIndex()
 	}
 	return out
 }
 
 // SortTuples sorts the tuples lexicographically; the membership index is
-// dropped (positions changed) and deferred. Used by the canonical-order mode
+// dropped (positions changed). Used by the canonical-order mode
 // and by tests that need content-determined order; the enumeration
 // algorithms never require sorted input.
 func (r *Relation) SortTuples() {
@@ -648,7 +626,7 @@ func (r *Relation) SortTuples() {
 		}
 		r.cols[a] = nc
 	}
-	r.dropIndex()
+	r.index = nil
 }
 
 func (r *Relation) String() string {

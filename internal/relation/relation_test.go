@@ -283,6 +283,7 @@ func TestSemijoin(t *testing.T) {
 	if removed != 1 || r.Len() != 2 {
 		t.Fatalf("semijoin removed %d, len %d", removed, r.Len())
 	}
+	r.BuildIndex()
 	if !r.Contains(Tuple{1, 10}) || !r.Contains(Tuple{3, 30}) || r.Contains(Tuple{2, 20}) {
 		t.Fatal("semijoin kept wrong tuples")
 	}
@@ -448,6 +449,7 @@ func TestLendCopiesOnWrite(t *testing.T) {
 			t.Fatalf("an append to a lent relation wrote %d into the lender's spare capacity at %d", spare[i], i)
 		}
 	}
+	shrunk.BuildIndex()
 	if grown.Len() != 6 || !grown.Contains(Tuple{9, 9}) || !shrunk.Contains(Tuple{1, 1}) || shrunk.Contains(Tuple{0, 0}) {
 		t.Fatalf("lent relations hold the wrong rows: %v, %v", grown.Tuples(), shrunk.Tuples())
 	}
@@ -530,6 +532,7 @@ func TestRelationSortTuples(t *testing.T) {
 	r.MustInsert(1, 9)
 	r.MustInsert(1, 3)
 	r.SortTuples()
+	r.BuildIndex()
 	want := []Tuple{{1, 3}, {1, 9}, {2, 1}}
 	for i, w := range want {
 		if !r.Tuple(i).Equal(w) {
@@ -574,11 +577,32 @@ func TestDatabaseBasics(t *testing.T) {
 	}
 }
 
-// TestMembershipIndexLifecycle pins when the membership index exists: Insert
-// maintains it; AdoptColumns, SemijoinWith and SortTuples defer it until
-// BuildIndex or the first call that needs it; FromColumns (snapshot restore)
-// keeps it lazy on purpose, so opening a snapshot hashes nothing.
+// TestMembershipIndexLifecycle pins when the membership index is present:
+// NewRelation + Insert maintain it; AdoptColumns, FromColumns (snapshot
+// restore, so that opening a snapshot hashes nothing), a semijoin that
+// removes a row and SortTuples leave it absent; BuildIndex, Insert and Clone
+// build an absent one — Clone into its copy only — and a probe of an absent
+// index panics instead of building it.
 func TestMembershipIndexLifecycle(t *testing.T) {
+	panics := func(what string, probe func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s on an absent membership index did not panic", what)
+			}
+		}()
+		probe()
+	}
+	absent := func(r *Relation, when string) {
+		t.Helper()
+		if r.Indexed() {
+			t.Fatalf("%s: membership index present", when)
+		}
+		panics(when+": Position", func() { r.Position(Tuple{1, 10}) })
+		panics(when+": Contains", func() { r.Contains(Tuple{1, 10}) })
+		panics(when+": PositionProjected", func() { r.PositionProjected(Tuple{10, 1}, []int{1, 0}) })
+	}
+
 	r := NewRelation("R", MustSchema("a", "b"))
 	r.MustInsert(1, 10)
 	r.MustInsert(2, 20)
@@ -589,9 +613,8 @@ func TestMembershipIndexLifecycle(t *testing.T) {
 	s := NewRelation("S", MustSchema("b"))
 	s.MustInsert(10)
 	s.MustInsert(30)
-	if r.SemijoinWith(s); r.Indexed() {
-		t.Fatal("SemijoinWith rebuilt the index of an intermediate")
-	}
+	r.SemijoinWith(s)
+	absent(r, "after a semijoin that removed a row")
 	r.BuildIndex()
 	if !r.Indexed() || r.Position(Tuple{3, 30}) != 1 || r.Contains(Tuple{2, 20}) {
 		t.Fatal("BuildIndex after a semijoin produced a wrong index")
@@ -599,11 +622,13 @@ func TestMembershipIndexLifecycle(t *testing.T) {
 	if added, err := r.Insert(Tuple{3, 30}); err != nil || added {
 		t.Fatalf("Insert after BuildIndex lost set semantics: added=%v err=%v", added, err)
 	}
-	if r.SortTuples(); r.Indexed() {
-		t.Fatal("SortTuples rebuilt the index")
+	r.SortTuples()
+	absent(r, "after SortTuples")
+	if added, err := r.Insert(Tuple{1, 10}); err != nil || added || !r.Indexed() {
+		t.Fatalf("Insert after SortTuples: added=%v err=%v indexed=%v, want the index built and the duplicate refused", added, err, r.Indexed())
 	}
-	if r.Position(Tuple{1, 10}) != 0 || !r.Indexed() {
-		t.Fatal("first Position after SortTuples must build the deferred index")
+	if r.Position(Tuple{1, 10}) != 0 || r.Position(Tuple{3, 30}) != 1 {
+		t.Fatal("the index Insert built after SortTuples is wrong")
 	}
 
 	cols := [][]Value{{7, 8, 9}, {1, 1 << 40, -1}, {0, 0, 0}}
@@ -621,13 +646,25 @@ func TestMembershipIndexLifecycle(t *testing.T) {
 		if c.Indexed() {
 			t.Fatalf("frozen=%v: index built at construction", frozen)
 		}
-		if c.Position(Tuple{8, 1 << 40, 0}) != 1 || !c.Indexed() {
-			t.Fatalf("frozen=%v: first Position must build the deferred index", frozen)
+		panics("Position", func() { c.Position(Tuple{8, 1 << 40, 0}) })
+		clone := c.Clone()
+		if c.Indexed() || !clone.Indexed() || clone.Position(Tuple{8, 1 << 40, 0}) != 1 {
+			t.Fatalf("frozen=%v: Clone must build its copy's index and leave the receiver's absent", frozen)
 		}
-		c.BuildIndex() // a no-op now, and legal on a frozen relation
+		c.BuildIndex() // legal on a frozen relation too
+		if !c.Indexed() || c.Position(Tuple{8, 1 << 40, 0}) != 1 || c.Contains(Tuple{8, 1, 0}) {
+			t.Fatalf("frozen=%v: BuildIndex produced a wrong index", frozen)
+		}
 		if _, err := c.Insert(Tuple{1, 2, 3}); (err != nil) != frozen {
 			t.Fatalf("frozen=%v: Insert error = %v", frozen, err)
 		}
+	}
+	adopted, err := AdoptColumns("D", MustSchema("x"), 2, [][]Value{{4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added, err := adopted.Insert(Tuple{5}); err != nil || added || !adopted.Indexed() {
+		t.Fatalf("Insert into an adopted relation: added=%v err=%v indexed=%v", added, err, adopted.Indexed())
 	}
 }
 
@@ -642,8 +679,11 @@ func TestAdoptColumnsValidation(t *testing.T) {
 		t.Fatal("two rows of arity 0 accepted")
 	}
 	unit, err := AdoptColumns("C", Schema{}, 1, nil)
-	if err != nil || unit.Len() != 1 || !unit.Contains(Tuple{}) {
-		t.Fatalf("arity-0 relation holding the empty tuple: %v, %v", unit, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unit.BuildIndex(); unit.Len() != 1 || !unit.Contains(Tuple{}) {
+		t.Fatalf("arity-0 relation holding the empty tuple: %v", unit)
 	}
 }
 
@@ -653,8 +693,11 @@ func TestProjectOntoNothing(t *testing.T) {
 	r := NewRelation("R", MustSchema("a"))
 	for want := 0; want <= 1; want++ {
 		p, err := r.Project("P", nil)
-		if err != nil || p.Len() != want || p.Contains(Tuple{}) != (want == 1) {
-			t.Fatalf("projection of %d rows onto nothing: %v, %v", r.Len(), p, err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.BuildIndex(); p.Len() != want || p.Contains(Tuple{}) != (want == 1) {
+			t.Fatalf("projection of %d rows onto nothing: %v", r.Len(), p)
 		}
 		r.MustInsert(1)
 		r.MustInsert(2)
@@ -664,8 +707,9 @@ func TestProjectOntoNothing(t *testing.T) {
 // TestSortRowsIsStableGather: SortRows moves every group's rows together in
 // group order and keeps their order within a group; it leaves its input
 // relation as it was (a frozen one's columns alias a read-only mapping); the
-// reordered relation's membership index (remapped, when the input's was
-// built; deferred otherwise) and the grouping's key lookup answer for the
+// reordered relation's membership index (remapped, when the input's is
+// present; absent otherwise, and then built) and the grouping's key lookup
+// answer for the
 // new positions; and a relation in group order does not move. The key
 // values are 0 … 6, which GroupBy direct-addresses, and the same times 2^40,
 // which it hashes.
@@ -683,7 +727,7 @@ func TestSortRowsIsStableGather(t *testing.T) {
 		switch iter % 3 {
 		case 1:
 			r = r.Filter("R", func(Tuple) bool { return true })
-			r.dropIndex() // a deferred index must stay deferred
+			r.index = nil // an absent index must stay absent
 		case 2:
 			fr, err := FromColumns("R", r.Schema(), [][]Value{r.Col(0), r.Col(1)})
 			if err != nil {
@@ -716,6 +760,10 @@ func TestSortRowsIsStableGather(t *testing.T) {
 		if fmt.Sprint(r.Tuples()) != fmt.Sprint(before) {
 			t.Fatal("SortRows modified its input relation")
 		}
+		if sorted.Indexed() != (iter%3 == 0) {
+			t.Fatalf("sorted relation indexed %t, its input %t", sorted.Indexed(), iter%3 == 0)
+		}
+		sorted.BuildIndex()
 		for s, tu := range want {
 			if p := sorted.Position(tu); p != s {
 				t.Fatalf("sorted.Position(%v) = %d, want %d", tu, p, s)

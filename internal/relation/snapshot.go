@@ -87,8 +87,9 @@ func UnmarshalDict(r *snapshot.Reader) (*Dict, error) {
 }
 
 // MarshalRelation appends the relation: name, schema, and one raw column per
-// attribute. The duplicate index is not persisted — restored relations
-// rebuild it lazily on first membership probe.
+// attribute. The membership index is not persisted: a restored relation
+// has none until BuildIndex (the access index calls it for its nodes on
+// the first inverted access).
 func MarshalRelation(s *snapshot.SectionWriter, r *Relation) {
 	s.Str(r.name)
 	s.U64(uint64(len(r.schema)))
@@ -102,7 +103,7 @@ func MarshalRelation(s *snapshot.SectionWriter, r *Relation) {
 }
 
 // UnmarshalRelation restores a relation whose columns view the snapshot
-// region in place (immutable, deferred duplicate index).
+// region in place (immutable, with no membership index; see FromColumns).
 func UnmarshalRelation(r *snapshot.Reader) (*Relation, error) {
 	name := r.Str()
 	arity := r.U64()

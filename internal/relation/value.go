@@ -27,10 +27,10 @@
 // membership index; FromColumns and AdoptColumns trust their caller; and
 // the operators that only drop or permute rows of a set (SemijoinWith,
 // SortTuples, the select-and-copy of reduce.Instantiate) neither check nor
-// maintain the index — it is deferred, and whoever keeps the result builds
-// it once (BuildIndex; reduce.BuildFullJoin does so for every surviving node
-// relation, so no probe ever builds one) — and Lend shares the base's own
-// index with a relation that keeps every row. The Relation type comment has
+// maintain the index — it is absent, and whoever keeps the result builds
+// it once (BuildIndex; the access index does so for every node relation it
+// probes, and a probe of an absent index panics) — and Lend shares the
+// base's own index with a relation that keeps every row. The Relation type comment has
 // the details.
 //
 // The paper's computation model is the DRAM variant of the RAM model with

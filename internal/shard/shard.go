@@ -49,15 +49,20 @@ func Build(db *relation.Database, q *query.CQ, k int, reduceOpts reduce.Options,
 	if k < 1 {
 		return nil, fmt.Errorf("shard: K must be >= 1, got %d", k)
 	}
-	if reduceOpts.Workers == 0 {
-		reduceOpts.Workers = buildOpts.Workers
-	}
 	// One reduction for every shard: the full reduce applies set semantics
 	// exactly once, so the contiguous root windows below partition the
 	// already-deduplicated answer space.
 	fj, err := reduce.BuildFullJoin(db, q, reduceOpts)
 	if err != nil {
 		return nil, err
+	}
+	// The shards share every non-root relation, and each shard's build
+	// indexes its nodes' relations: index the shared ones once, here, so
+	// that the concurrent builds below only read them.
+	for _, fn := range fj.Nodes {
+		if fn != fj.Root {
+			fn.Rel.BuildIndex()
+		}
 	}
 	n := fj.Root.Rel.Len()
 	chunks := make([]*reduce.FullJoin, k)
@@ -106,8 +111,9 @@ func Build(db *relation.Database, q *query.CQ, k int, reduceOpts reduce.Options,
 
 // sliceFullJoin clones fj's node tree with the root relation replaced by
 // the zero-copy column window [lo, hi). Non-root relations are shared: the
-// access builder only reads them (GroupBy returns fresh groupings), so
-// concurrent shard builds over the same children are race-free.
+// access builder only reads them (GroupBy returns fresh groupings, and Build
+// indexes them before any shard build starts), so concurrent shard builds
+// over the same children are race-free.
 func sliceFullJoin(fj *reduce.FullJoin, lo, hi int) (*reduce.FullJoin, error) {
 	root := fj.Root.Rel
 	cols := make([][]relation.Value, root.Arity())

@@ -68,9 +68,10 @@
 //   - Static handles (KindCQ, KindUCQ, and every SliceView or
 //     snapshot-restored handle over them) are immutable after construction.
 //     Every probe (Count, Access, AccessBatch, Page, InvertedAccess,
-//     Contains, SampleN) only reads the index — there is no lazy memoization
-//     on the probe path — so one handle may be shared by any number of
-//     goroutines with no locking. This is enforced by `-race` hammer tests
+//     Contains, SampleN) only reads the index — the one lazy step is a
+//     snapshot-restored index building its membership indexes on its first
+//     inverted access, under a sync.Once — so one handle may be shared by
+//     any number of goroutines with no locking. This is enforced by `-race` hammer tests
 //     in internal/access, internal/mcucq and at the package root.
 //   - A KindDynamic handle mutates under Insert/Delete and is internally
 //     synchronized with a readers–writer lock: concurrent readers

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/access"
@@ -216,4 +218,116 @@ func entryIndexes(h *Handle) []*access.Index {
 		return b.m.Indexes()
 	}
 	return nil
+}
+
+// TestConcurrentFirstProbesAfterRestore: a restored CQ hashes nothing until
+// its first inverted access, which builds every node relation's membership
+// index once while concurrent first probes wait. Eight goroutines race their
+// first InvertedAccess or Contains — on the restored CQ, on a SliceView of
+// it and on the restored union — against Access on the same handles; every
+// answer must be the built handles', and afterwards every node relation of
+// every index a probe inverted — the CQ's and the union's disjuncts' — is
+// indexed. (The union's intersection index is only accessed, never
+// inverted, so it keeps hashing nothing.)
+func TestConcurrentFirstProbesAfterRestore(t *testing.T) {
+	db, entries := compatFixture(t)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, db, 1, entries); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := OpenSnapshotBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	restored := cat.Entries()
+	for _, idx := range entryIndexes(restored[0].H) {
+		if idx.MembersIndexed() {
+			t.Fatal("restoring the CQ built a membership index")
+		}
+	}
+	slice, err := SliceView(restored[0].H, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := func(h *Handle) []Tuple {
+		out := make([]Tuple, h.Count())
+		for j := range out {
+			out[j] = mustAccess(t, h, int64(j))
+		}
+		return out
+	}
+	cq, union := answers(entries[0].H), answers(entries[1].H)
+	half := len(cq) / 2 // SliceView's window 1 of 2 starts at ⌊n/2⌋
+	targets := []struct {
+		name      string
+		h         *Handle
+		want      []Tuple // the handle's answers, in order
+		outside   []Tuple // answers of the CQ the handle must not contain
+		canInvert bool
+	}{
+		{"q", restored[0].H, cq, nil, true},
+		{"q slice 1/2", slice, cq[half:], cq[:half], true},
+		{"U", restored[1].H, union, nil, false},
+	}
+
+	const goroutines = 8
+	start := make(chan struct{})
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			buf := make(Tuple, 5)
+			for k := range targets {
+				tg := targets[(k+g)%len(targets)]
+				inv, _ := tg.h.Inverter()
+				con, err := tg.h.Container()
+				if err != nil {
+					errs <- err
+					return
+				}
+				row := buf[:len(tg.h.Head())]
+				for j, want := range tg.want {
+					if g%2 == 0 && inv != nil {
+						if got, ok := inv.InvertedAccess(want); !ok || got != int64(j) {
+							errs <- fmt.Errorf("%s: InvertedAccess(%v) = %d, %t, want %d", tg.name, want, got, ok, j)
+							return
+						}
+					} else if !con.Contains(want) {
+						errs <- fmt.Errorf("%s: Contains(%v) = false", tg.name, want)
+						return
+					}
+					if err := tg.h.AccessInto(int64(j), row); err != nil || !row.Equal(want) {
+						errs <- fmt.Errorf("%s: Access(%d) = %v, %v, want %v", tg.name, j, row, err, want)
+						return
+					}
+				}
+				for _, out := range tg.outside {
+					if con.Contains(out) {
+						errs <- fmt.Errorf("%s: contains %v, an answer outside its window", tg.name, out)
+						return
+					}
+				}
+				if inv == nil && tg.canInvert {
+					errs <- fmt.Errorf("%s: no inverted access", tg.name)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	inverted := append(entryIndexes(restored[0].H), entryIndexes(restored[1].H)[:restored[1].H.b.(uaBackend).m.NumDisjuncts()]...)
+	for i, idx := range inverted {
+		if !idx.MembersIndexed() {
+			t.Errorf("index %d has a node relation without its membership index", i)
+		}
+	}
 }
