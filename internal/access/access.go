@@ -61,10 +61,10 @@
 // any number of goroutines concurrently with no external locking. The one
 // exception is a restored index (UnmarshalIndex): its first InvertedAccess
 // builds the node relations' membership indexes, once, under a sync.Once
-// that concurrent first calls wait on. The column arrays of the underlying relations are likewise
-// immutable after build. Construction itself may run the per-node bucket
-// builds of independent join-tree subtrees on a worker pool (see
-// BuildOptions); the parallel build produces a structure byte-for-byte
+// that concurrent first calls wait on. The column arrays of the underlying
+// relations are likewise immutable after build. Construction itself may run
+// the per-node bucket builds of independent join-tree subtrees on a worker
+// pool (see BuildOptions); the parallel build produces a structure byte-for-byte
 // identical to the serial one, because each node's buckets are a
 // deterministic function of its own relation and its children's finished
 // groupings.

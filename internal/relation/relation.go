@@ -227,13 +227,27 @@ func (r *Relation) Lend(name string, schema Schema) (*Relation, error) {
 }
 
 // BuildIndex builds an absent membership index now, on the calling
-// goroutine; a no-op when the index is present. Like every mutator it must
-// not run concurrently with other use of the relation — a frozen relation
-// included: whoever shares it orders this call before its probes.
+// goroutine, pre-sized to the row count, a block of rows at a time; a no-op
+// when the index is present. The rows are a set, so each is put in the
+// first free slot from its home without looking for an equal one. Like
+// every mutator it must not run concurrently with other use of the
+// relation — a frozen relation included: whoever shares it orders this call
+// before its probes.
 func (r *Relation) BuildIndex() {
-	if r.index == nil {
-		r.index = indexRows(r.cols, r.n)
+	if r.index != nil {
+		return
 	}
+	t := newFlatTable(r.n)
+	var buf [blockRows]uint64
+	for lo := 0; lo < r.n; lo += blockRows {
+		hs := buf[:min(blockRows, r.n-lo)]
+		t.hashBlock(hs, r.cols, lo)
+		for _, h := range hs {
+			t.put(h&hashMask | uint64(t.n+1))
+			t.n++
+		}
+	}
+	r.index = t
 }
 
 // Indexed reports whether the membership index is present. Diagnostic: it
@@ -244,24 +258,6 @@ func (r *Relation) Indexed() bool { return r.index != nil }
 // a base and a relation it lent its index to (Lend), until either copies
 // it. Diagnostic, with Indexed's caveat.
 func (r *Relation) SharesIndexWith(s *Relation) bool { return r.index != nil && r.index == s.index }
-
-// indexRows builds the membership index of n rows of cols, pre-sized to
-// the row count, a block of rows at a time. The rows are a set, so each is
-// put in the first free slot from its home without looking for an equal
-// one.
-func indexRows(cols [][]Value, n int) *flatTable {
-	t := newFlatTable(n)
-	var buf [blockRows]uint64
-	for lo := 0; lo < n; lo += blockRows {
-		hs := buf[:min(blockRows, n-lo)]
-		t.hashBlock(hs, cols, lo)
-		for _, h := range hs {
-			t.put(h&hashMask | uint64(t.n+1))
-			t.n++
-		}
-	}
-	return t
-}
 
 // mustBeMutable guards the in-place mutators: a frozen relation's columns
 // alias a read-only snapshot mapping, and writing them would fault.
