@@ -463,37 +463,8 @@ func BenchmarkAblationKarpLuby(b *testing.B) {
 	})
 }
 
-// Ablation 4: the appendix Largest formulation vs the production Compute-k
-// of the mc-UCQ. The "DirectRank" arm is the rank-fence search — at TPC-H's
-// stride 1 an array search and no probe — and "ViaLargest" the paper's
-// literal probe-driven binary search, which consults no fence; so the gap
-// is the fences' saving plus the appendix's extra inverted access, not the
-// one-search-vs-two comparison it was before the fences. One op = one union
-// Access.
-func BenchmarkAblationLargest(b *testing.B) {
-	d := db(b)
-	u := tpchq.UnionQ7()
-	for _, mode := range []struct {
-		name       string
-		useLargest bool
-	}{{"DirectRank", false}, {"ViaLargest", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			m, err := mcucq.New(d, u, mcucq.Options{UseLargest: mode.useLargest})
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := m.Count()
-			rng := rand.New(rand.NewSource(3))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Access(rng.Int63n(n)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// Ablation 4 (the fenced Compute-k vs the appendix's Largest formulation) is
+// BenchmarkAblationLargest in internal/mcucq, beside the Largest oracle.
 
 // Ablation 5: Yannakakis full reduction on vs off (weights absorb dangling
 // tuples either way; the reduction trades preprocessing work for smaller

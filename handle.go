@@ -686,7 +686,8 @@ func (h *Handle) Permute(rng *rand.Rand) (*Permutation, error) {
 	if !h.Has(CapEnumerate) {
 		return nil, fmt.Errorf("permute: %w (kind %s)", ErrUnsupported, h.Kind())
 	}
-	return &Permutation{b: h.b, shuf: shuffle.New(h.Count(), rng), workers: h.workers}, nil
+	at := func(j int64) (Tuple, error) { return probe(h.b, j) }
+	return &Permutation{p: shuffle.NewPermutation(h.Count(), rng, at, h.b.accessBatchContext), workers: h.workers}, nil
 }
 
 // ---------------------------------------------------------------- backends

@@ -64,10 +64,9 @@
 // that concurrent first calls wait on. The column arrays of the underlying
 // relations are likewise immutable after build. Construction itself may run
 // the per-node bucket builds of independent join-tree subtrees on a worker
-// pool (see BuildOptions); the parallel build produces a structure byte-for-byte
-// identical to the serial one, because each node's buckets are a
-// deterministic function of its own relation and its children's finished
-// groupings.
+// pool (see BuildOptions); the structure is byte-for-byte the same at every
+// worker count, because each node's buckets are a deterministic function of
+// its own relation and its children's finished groupings.
 package access
 
 import (
@@ -195,8 +194,8 @@ func (n *node) slotSpan(g uint32, slot int32) (lo, hi int64) {
 // BuildOptions tunes index construction.
 type BuildOptions struct {
 	// Workers is the maximum number of goroutines building join-tree nodes
-	// concurrently. 0 means parallel.Workers() (GOMAXPROCS); 1 forces the
-	// serial build.
+	// concurrently. 0 means parallel.Workers() (GOMAXPROCS); 1 builds on
+	// the calling goroutine.
 	Workers int
 	// SerialThreshold is the minimum total tuple count (over all nodes)
 	// before the parallel build kicks in; smaller inputs always build
@@ -222,10 +221,11 @@ func New(fj *reduce.FullJoin) (*Index, error) {
 }
 
 // NewWithOptions is New with explicit control over build parallelism.
-// Independent join-tree subtrees are built concurrently: nodes are grouped
-// by height and each wave runs on the worker pool, so a node starts only
-// after all its children finished. The resulting index is identical to the
-// serial build's.
+// Algorithm 2 runs in one schedule: nodes are grouped by height, leaves
+// first, and each wave runs on up to opts.Workers goroutines, so a node
+// starts only after all its children finished. At one worker, below
+// opts.SerialThreshold tuples, or for a wave of one node, the wave runs on
+// the calling goroutine. The index does not depend on the worker count.
 //
 // Every node keeps its relation in bucket order: a stable gather of fj's
 // relation into a new one (the same tuples, so Q(D) and the enumeration
@@ -265,17 +265,10 @@ func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 		return nil, err
 	}
 
-	workers := opts.Workers
-	if workers == 0 {
-		workers = parallel.Workers()
-	}
-	threshold := opts.SerialThreshold
-	if threshold == 0 {
-		threshold = DefaultSerialThreshold
-	}
+	workers := idx.buildWorkers(opts.Workers, opts.SerialThreshold)
 	// The membership indexes first, so that the gather remaps them.
 	stageStart := time.Now()
-	idx.members.Do(func() { idx.indexMembers(workers, threshold) })
+	idx.members.Do(func() { idx.indexMembers(workers) })
 	if opts.Observe != nil {
 		opts.Observe("member_index", time.Since(stageStart))
 		stageStart = time.Now()
@@ -283,27 +276,12 @@ func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 
 	// Algorithm 2: leaf-to-root weight computation. Each node's buckets
 	// depend only on its children's finished groupings, so nodes of equal
-	// height are independent and can build concurrently.
-	if workers <= 1 || len(idx.nodes) < 2 || idx.Tuples() < int64(threshold) {
-		var build func(n *node) error
-		build = func(n *node) error {
-			for _, c := range n.children {
-				if err := build(c); err != nil {
-					return err
-				}
-			}
-			return n.build()
-		}
-		if err := build(idx.root); err != nil {
+	// height are independent and build concurrently, one wave at a time.
+	for _, wave := range buildWaves(idx.root) {
+		if err := parallel.ForEach(len(wave), workers, func(i int) error {
+			return wave[i].build()
+		}); err != nil {
 			return nil, err
-		}
-	} else {
-		for _, wave := range buildWaves(idx.root) {
-			if err := parallel.ForEach(len(wave), workers, func(i int) error {
-				return wave[i].build()
-			}); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -322,13 +300,23 @@ func NewWithOptions(fj *reduce.FullJoin, opts BuildOptions) (*Index, error) {
 	return idx, nil
 }
 
-// indexMembers builds every node relation's absent membership index, one
-// task per node on up to workers goroutines (0: parallel.Workers()),
-// serially below threshold tuples in all. Run only through idx.members.
-func (idx *Index) indexMembers(workers, threshold int) {
-	if idx.Tuples() < int64(threshold) {
-		workers = 1
+// buildWorkers returns the worker count of a build stage: workers (0:
+// parallel.Workers()), or 1 when the index holds fewer than threshold tuples
+// (0: DefaultSerialThreshold), where goroutine overhead would dominate.
+func (idx *Index) buildWorkers(workers, threshold int) int {
+	if threshold == 0 {
+		threshold = DefaultSerialThreshold
 	}
+	if idx.Tuples() < int64(threshold) {
+		return 1
+	}
+	return workers
+}
+
+// indexMembers builds every node relation's absent membership index, one
+// task per node on up to workers goroutines (0: parallel.Workers()). Run
+// only through idx.members.
+func (idx *Index) indexMembers(workers int) {
 	_ = parallel.ForEach(len(idx.nodes), workers, func(i int) error {
 		idx.nodes[i].rel.BuildIndex()
 		return nil
@@ -768,7 +756,7 @@ func (idx *Index) InvertedAccess(answer relation.Tuple) (int64, bool) {
 	if len(answer) != len(idx.head) {
 		return 0, false
 	}
-	idx.members.Do(func() { idx.indexMembers(0, DefaultSerialThreshold) })
+	idx.members.Do(func() { idx.indexMembers(idx.buildWorkers(0, 0)) })
 	return idx.invertedSubtree(idx.root, answer)
 }
 

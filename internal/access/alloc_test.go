@@ -122,10 +122,11 @@ func TestAccessSingleAllocation(t *testing.T) {
 }
 
 // TestFirstProbeBuildsNothing: no work is deferred from the build to the
-// first probe — every node relation reaches the index with its membership
-// index already built (reduce.BuildFullJoin does it), so the very first
-// InvertedAccess on a fresh index allocates nothing. AllocsPerRun would hide
-// a lazy build behind its warm-up call; one counted call does not.
+// first probe — every node relation leaves NewWithOptions with its
+// membership index built (the member_index stage, before the gather), so
+// the very first InvertedAccess on a fresh index allocates nothing.
+// AllocsPerRun would hide a lazy build behind its warm-up call; one counted
+// call does not.
 func TestFirstProbeBuildsNothing(t *testing.T) {
 	for name, idx := range allocIndexes(t) {
 		for _, n := range idx.nodes {

@@ -3,8 +3,9 @@
 //   - Prepare: linear preprocessing — Proposition 4.2 reduction followed by
 //     the Algorithm 2 index build (deterministic enumeration, Fact 3.5, is
 //     Index.Access(0), Access(1), … on the result);
-//   - RandomPermutation: REnum(CQ) — Theorem 3.7's Fisher–Yates shuffle over
-//     random access, giving a uniformly random order with O(log) delay;
+//   - Permute: REnum(CQ) — Theorem 3.7's permutation (shuffle.Permutation)
+//     over the index's random access, a uniformly random order with O(log)
+//     delay;
 //   - DeletableSet: the Lemma 5.3 wrapper exposing Count / Sample / Locate /
 //     DeleteAt over a CQ's answer set, consumed by Algorithm 5 (REnum(UCQ)).
 //
@@ -13,13 +14,12 @@
 // A prepared CQ is immutable: Count, Index probes and FullJoin inspection
 // are safe from any number of goroutines. The stateful cursors handed out by
 // Permute and NewDeletableSet are each single-consumer — share
-// the CQ, not the cursor. RandomPermutation.NextN amortizes cursor state
+// the CQ, not the cursor. RandomPermutation.NextN draws its positions
 // serially and fans the index probes out across goroutines, so one consumer
 // still saturates multiple cores.
 package cqenum
 
 import (
-	"context"
 	"math/rand"
 
 	"repro/internal/access"
@@ -70,63 +70,13 @@ func Restore(q *query.CQ, idx *access.Index) *CQ {
 func (c *CQ) Count() int64 { return c.Index.Count() }
 
 // RandomPermutation enumerates the answers exactly once each, in a uniformly
-// random order (REnum(CQ)): a lazy Fisher–Yates shuffle of the answer indexes
-// drives the random-access routine.
-type RandomPermutation struct {
-	idx  *access.Index
-	shuf *shuffle.Shuffler
-}
+// random order (REnum(CQ)): Theorem 3.7's permutation over the index's
+// random access, with O(log |D|) delay.
+type RandomPermutation = shuffle.Permutation[relation.Tuple]
 
 // Permute starts a fresh random permutation of the answers.
 func (c *CQ) Permute(rng *rand.Rand) *RandomPermutation {
-	return &RandomPermutation{idx: c.Index, shuf: shuffle.New(c.Index.Count(), rng)}
-}
-
-// Next returns the next answer of the random permutation; ok is false once
-// all answers have been emitted. Each call costs O(log |D|).
-func (p *RandomPermutation) Next() (relation.Tuple, bool) {
-	j, ok := p.shuf.Next()
-	if !ok {
-		return nil, false
-	}
-	t, err := p.idx.Access(j)
-	if err != nil {
-		// Unreachable: the shuffler only emits indexes below Count().
-		return nil, false
-	}
-	return t, true
-}
-
-// Remaining returns how many answers have not been emitted yet.
-func (p *RandomPermutation) Remaining() int64 { return p.shuf.Remaining() }
-
-// NextN returns the next k answers of the permutation (fewer if the
-// permutation ends first). The k random positions are drawn serially from
-// the shuffler — identical draws, in the same order, as k calls to Next —
-// and the k index probes then run concurrently on up to `workers`
-// goroutines (workers <= 0 means parallel.Workers()). The emitted sequence
-// is therefore byte-identical to the serial one for the same rng.
-func (p *RandomPermutation) NextN(k int64, workers int) []relation.Tuple {
-	out, _ := p.NextNContext(context.Background(), k, workers)
-	return out
-}
-
-// NextNContext is NextN honoring cancellation between probe chunks. The k
-// random positions are still drawn serially up front (so the rng consumption
-// is identical to NextN's); if ctx is cancelled while the batched probes
-// run, the call returns ctx.Err() and the drawn positions are consumed but
-// their answers discarded — the permutation cursor stays valid, it simply
-// skips the cancelled batch, which is the right semantics for an abandoned
-// network request.
-func (p *RandomPermutation) NextNContext(ctx context.Context, k int64, workers int) ([]relation.Tuple, error) {
-	if k < 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// k may be a "drain everything" value: Draw sizes by what is left.
-	return p.idx.AccessBatchContext(ctx, p.shuf.Draw(nil, k), workers)
+	return shuffle.NewPermutation(c.Index.Count(), rng, c.Index.Access, c.Index.AccessBatchContext)
 }
 
 // DeletableSet implements Lemma 5.3: given counting, random access and

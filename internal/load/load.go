@@ -53,26 +53,18 @@ import (
 	"repro/internal/relation"
 )
 
-// CSVFile registers the file at path as a relation named after the file
-// (base name minus .csv).
-func CSVFile(db *relation.Database, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	name := strings.TrimSuffix(filepath.Base(path), ".csv")
-	if err := CSV(db, name, f); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
-}
-
-// Tables registers every path in order. It stops at the first error.
+// Tables registers every path in order, each as a relation named after its
+// file (base name minus .csv). It stops at the first error.
 func Tables(db *relation.Database, paths []string) error {
 	for _, path := range paths {
-		if err := CSVFile(db, path); err != nil {
+		f, err := os.Open(path)
+		if err != nil {
 			return err
+		}
+		err = CSV(db, strings.TrimSuffix(filepath.Base(path), ".csv"), f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return nil

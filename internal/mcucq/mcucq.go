@@ -8,7 +8,8 @@
 //     Lemma A.2) in O(2^m log |D|) whenever no intersection has more answers
 //     than its index has tuples, and never worse than the paper's
 //     O(2^m log² |D|), and
-//   - a uniformly random permutation with that delay via Theorem 3.7.
+//   - a uniformly random permutation with that delay: Theorem 3.7's
+//     shuffle.Permutation over Access, the cursor every backend shares.
 //
 // # Rank fences
 //
@@ -25,6 +26,8 @@
 // at all when s = 1, which is every intersection with |T| ≤ tuples(T).
 // Fences are derived data: a snapshot does not store them and Restore
 // recomputes them in the same walk that checks compatibility (below).
+// The fenced search is Compute-k's one formulation; the appendix's
+// Largest-then-InvAcc form is kept only as a test oracle.
 //
 // # Compatibility
 //
@@ -48,8 +51,8 @@
 // assembles the levels serially, each fence filled on the same worker
 // budget, so the structure is identical to a serial build. A prepared MCUCQ
 // is immutable: Count, Access, AccessInto and Test are safe from any number
-// of goroutines. Permutation cursors are single-consumer; use
-// Permutation.NextN to fan one consumer's probes across cores.
+// of goroutines. Permutation cursors are single-consumer; NextN fans one
+// consumer's probes across cores.
 package mcucq
 
 import (
@@ -91,11 +94,6 @@ type level struct {
 	ts    []interSet // T_{ℓ,I} for every non-empty I ⊆ [ℓ+1, m), mask order
 	inter int64      // |A ∩ B| via inclusion–exclusion
 	count int64      // |A ∪ B|
-
-	// useLargest switches Compute-k to the two-step Largest-then-InvAcc
-	// formulation of the paper's appendix (for the ablation benchmark); the
-	// default searches the rank fences.
-	useLargest bool
 }
 
 // interSet is one intersection set T = T_{ℓ,I} with its inclusion–exclusion
@@ -116,12 +114,7 @@ type interSet struct {
 func (lv *level) computeK(j int64) int64 {
 	var k int64
 	for i := range lv.ts {
-		t := &lv.ts[i]
-		if lv.useLargest {
-			k += t.sign * t.countUpToViaLargest(j)
-		} else {
-			k += t.sign * t.countUpTo(j)
-		}
+		k += lv.ts[i].sign * lv.ts[i].countUpTo(j)
 	}
 	return k
 }
@@ -205,36 +198,6 @@ func (t *interSet) checkRank(r, rank, prev int64) error {
 	return nil
 }
 
-// countUpToViaLargest is the literal Theorem 5.5 formulation: binary-search
-// the largest element c of T that precedes position j in A's order, then
-// return T.InvAcc(c) + 1. It consults no fence.
-func (t *interSet) countUpToViaLargest(j int64) int64 {
-	var largest relation.Tuple
-	lo, hi := int64(0), t.t.Count()-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		c, err := t.t.Access(mid)
-		if err != nil {
-			break
-		}
-		rank, ok := t.a.InvertedAccess(c)
-		if !ok || rank > j {
-			hi = mid - 1
-		} else {
-			largest = c
-			lo = mid + 1
-		}
-	}
-	if largest == nil {
-		return 0
-	}
-	r, ok := t.t.InvertedAccess(largest)
-	if !ok {
-		return 0
-	}
-	return r + 1
-}
-
 // fenceStride returns the smallest stride at which a fence over n > 0
 // elements has at most max(budget, 1) entries.
 func fenceStride(n, budget int64) int64 {
@@ -302,8 +265,6 @@ func (t *interSet) buildFence(stride int64, workers int) error {
 type Options struct {
 	// Reduce is passed through to every CQ preparation.
 	Reduce reduce.Options
-	// UseLargest selects the appendix formulation of Compute-k (ablation).
-	UseLargest bool
 	// Workers caps the goroutines preparing disjunct and intersection
 	// indexes and filling the fences. 0 means parallel.Workers(); 1 forces
 	// a serial build.
@@ -380,7 +341,7 @@ func New(db *relation.Database, u *query.UCQ, opts Options) (*MCUCQ, error) {
 	}
 
 	// Phase 3: the levels and their fences, which check compatibility.
-	return assemble(u, indexes, opts.UseLargest, opts.Workers)
+	return assemble(u, indexes, opts.Workers)
 }
 
 // members returns the disjuncts of T_{ℓ,I}: ℓ itself, then the members of
@@ -414,7 +375,7 @@ func intersectionName(u *query.UCQ, idx []int) string {
 // probing them, so a snapshot needs to hold nothing but the indexes. Shared
 // by New and Restore so the assembled structure, and the compatibility check
 // with it, cannot drift between the build and the snapshot-restore path.
-func assemble(u *query.UCQ, indexes []*access.Index, useLargest bool, workers int) (*MCUCQ, error) {
+func assemble(u *query.UCQ, indexes []*access.Index, workers int) (*MCUCQ, error) {
 	n := len(u.Disjuncts)
 	if n == 0 {
 		return nil, errors.New("mcucq: empty union")
@@ -426,7 +387,7 @@ func assemble(u *query.UCQ, indexes []*access.Index, useLargest bool, workers in
 	pos := n
 	for l := range m.levels {
 		lv := &m.levels[l]
-		lv.nA, lv.useLargest = indexes[l].Count(), useLargest
+		lv.nA = indexes[l].Count()
 		for mask := 1; mask < 1<<(n-1-l); mask++ {
 			// |I| = popcount(mask) members beyond ℓ; sign (-1)^{|I|+1}.
 			sign := int64(-1)
@@ -480,7 +441,7 @@ func Restore(u *query.UCQ, indexes []*access.Index, workers int) (*MCUCQ, error)
 	if want := RestoredIndexCount(m); len(indexes) != want {
 		return nil, fmt.Errorf("mcucq: restore of %d-disjunct union needs %d indexes, got %d", m, want, len(indexes))
 	}
-	return assemble(u, indexes, false, workers)
+	return assemble(u, indexes, workers)
 }
 
 // Count returns |Q(D)| for the union, available right after preprocessing.
@@ -576,58 +537,11 @@ func (m *MCUCQ) testFrom(l int, t relation.Tuple) bool {
 	return false
 }
 
-// Permutation enumerates the union's answers in uniformly random order, one
-// Access per answer (REnum(mcUCQ)).
-type Permutation struct {
-	m    *MCUCQ
-	shuf *shuffle.Shuffler
-}
+// Permutation enumerates the union's answers in uniformly random order
+// (REnum(mcUCQ)): Theorem 3.7's permutation over the union's Access.
+type Permutation = shuffle.Permutation[relation.Tuple]
 
 // Permute starts a fresh uniformly random permutation.
 func (m *MCUCQ) Permute(rng *rand.Rand) *Permutation {
-	return &Permutation{m: m, shuf: shuffle.New(m.count, rng)}
-}
-
-// Next returns the next answer; ok is false after all answers were emitted.
-func (p *Permutation) Next() (relation.Tuple, bool) {
-	j, ok := p.shuf.Next()
-	if !ok {
-		return nil, false
-	}
-	t, err := p.m.Access(j)
-	if err != nil {
-		return nil, false
-	}
-	return t, true
-}
-
-// Remaining returns the number of answers not yet emitted.
-func (p *Permutation) Remaining() int64 { return p.shuf.Remaining() }
-
-// NextN returns the next k answers of the permutation (fewer at the end).
-// Random positions are drawn serially from the shuffler — the same draws as
-// k calls to Next — and the union Access probes fan out over up to `workers`
-// goroutines (workers <= 0 means parallel.Workers()), which amortizes the
-// per-probe cost across cores.
-func (p *Permutation) NextN(k int64, workers int) []relation.Tuple {
-	out, _ := p.NextNContext(context.Background(), k, workers)
-	return out
-}
-
-// NextNContext is NextN honoring cancellation between probe chunks. The
-// positions are drawn serially up front (identical rng consumption to
-// NextN); cancellation mid-probe returns ctx.Err() with the drawn positions
-// consumed and their answers discarded — the permutation stays valid and
-// simply skips the cancelled batch.
-func (p *Permutation) NextNContext(ctx context.Context, k int64, workers int) ([]relation.Tuple, error) {
-	if k < 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// k may be a "drain everything" value: Draw sizes by what is left. The
-	// shuffler never emits an index at or above Count(), so the batch fails
-	// only through cancellation.
-	return p.m.AccessBatchContext(ctx, p.shuf.Draw(nil, k), workers)
+	return shuffle.NewPermutation(m.count, rng, m.Access, m.AccessBatchContext)
 }

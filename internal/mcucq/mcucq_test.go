@@ -122,25 +122,72 @@ func TestMCUCQMatchesOracle3(t *testing.T) {
 	}
 }
 
+// countUpToViaLargest is the literal Theorem 5.5 formulation of Compute-k's
+// term for one intersection: binary-search the largest element c of T that
+// precedes position j in A's order, then return T.InvAcc(c) + 1. It
+// consults no fence, and is the oracle countUpTo is held to.
+func countUpToViaLargest(t *interSet, j int64) int64 {
+	var largest relation.Tuple
+	lo, hi := int64(0), t.t.Count()-1
+	for lo <= hi {
+		mid := (lo + hi) / 2
+		c, err := t.t.Access(mid)
+		if err != nil {
+			break
+		}
+		rank, ok := t.a.InvertedAccess(c)
+		if !ok || rank > j {
+			hi = mid - 1
+		} else {
+			largest = c
+			lo = mid + 1
+		}
+	}
+	if largest == nil {
+		return 0
+	}
+	r, ok := t.t.InvertedAccess(largest)
+	if !ok {
+		return 0
+	}
+	return r + 1
+}
+
+// TestMCUCQUseLargestAgrees holds the fenced Compute-k to the appendix's
+// Largest formulation: countUpTo(j) equals the oracle for every level,
+// every intersection set and every j < |A|.
 func TestMCUCQUseLargestAgrees(t *testing.T) {
-	db := alignedDB(7, 60)
-	u := alignedUCQ3()
-	direct, err := New(db, u, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	largest, err := New(db, u, Options{UseLargest: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Count() != largest.Count() {
-		t.Fatal("counts differ")
-	}
-	for j := int64(0); j < direct.Count(); j++ {
-		a, err1 := direct.Access(j)
-		b, err2 := largest.Access(j)
-		if err1 != nil || err2 != nil || !a.Equal(b) {
-			t.Fatalf("formulations disagree at %d: %v vs %v", j, a, b)
+	four, u4 := fourWayFixture()
+	for _, tc := range []struct {
+		name string
+		db   *relation.Database
+		u    *query.UCQ
+	}{
+		{"three-way", alignedDB(7, 60), alignedUCQ3()},
+		{"four-way", four, u4},
+	} {
+		m, err := New(tc.db, tc.u, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		positive := 0
+		for l := range m.levels {
+			lv := &m.levels[l]
+			for ti := range lv.ts {
+				ts := &lv.ts[ti]
+				for j := int64(0); j < lv.nA; j++ {
+					got, want := ts.countUpTo(j), countUpToViaLargest(ts, j)
+					if got != want {
+						t.Fatalf("%s: level %d T#%d j=%d: countUpTo = %d, Largest oracle %d", tc.name, l, ti, j, got, want)
+					}
+					if got > 0 {
+						positive++
+					}
+				}
+			}
+		}
+		if positive == 0 {
+			t.Fatalf("%s: every count was 0: the fixture tests nothing", tc.name)
 		}
 	}
 }

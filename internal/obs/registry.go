@@ -2,7 +2,6 @@ package obs
 
 import (
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -295,16 +294,4 @@ func writeSample(b *strings.Builder, name, labels, value string) {
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// SortedFamilies returns family names in sorted order (test helper).
-func (r *Registry) SortedFamilies() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		out = append(out, f.name)
-	}
-	sort.Strings(out)
-	return out
 }

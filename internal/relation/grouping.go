@@ -31,9 +31,6 @@ type Grouping struct {
 // NumGroups returns the number of distinct groups.
 func (g *Grouping) NumGroups() int { return g.numGroups }
 
-// Width returns the number of key positions the grouping was built on.
-func (g *Grouping) Width() int { return g.width }
-
 // GroupBy scans the relation once and assigns a dense group ID to every
 // tuple. Zero positions puts every tuple in group 0. A single key column
 // whose values span at most denseSpanFactor × its row count is grouped by

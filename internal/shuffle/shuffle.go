@@ -4,17 +4,21 @@
 //   - Shuffler: Algorithm 1 — a lazy Fisher–Yates shuffle emitting a uniform
 //     permutation of 0..n-1 with O(1) preprocessing and O(1) delay, using a
 //     lookup table to simulate the uninitialized array;
+//   - Permutation: Theorem 3.7 — a Shuffler driving random access, which
+//     enumerates any answer set with a count and random access in uniformly
+//     random order; the CQ, mc-UCQ and Handle cursors are all this type;
 //   - DeletionSet: the Section 5.1 structure — the same lazy array plus a
 //     reverse index b, supporting Sample / Delete / Count over the index set
 //     {0..n-1}, as required by Algorithm 5 (REnum(UCQ)) via Lemma 5.3.
 //
-// Both keep their lazy arrays in the flat open-addressed table of table.go,
-// which grows and shrinks a bounded number of slots per operation: no call
-// stops to rehash, and a structure holds memory for the positions still
-// live in it, not for every position it ever touched.
+// Shuffler and DeletionSet keep their lazy arrays in the flat open-addressed
+// table of table.go, which grows and shrinks a bounded number of slots per
+// operation: no call stops to rehash, and a structure holds memory for the
+// positions still live in it, not for every position it ever touched.
 package shuffle
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 )
@@ -69,6 +73,63 @@ func (s *Shuffler) Draw(dst []int64, k int64) []int64 {
 		dst = append(dst, j)
 	}
 	return dst
+}
+
+// Permutation yields the answers at positions 0..n-1 exactly once each, in
+// uniformly random order (Theorem 3.7): a Shuffler hands out the positions
+// and random access resolves them. It is a single-consumer cursor.
+type Permutation[T any] struct {
+	shuf  *Shuffler
+	at    func(j int64) (T, error)
+	batch func(ctx context.Context, js []int64, workers int) ([]T, error)
+}
+
+// NewPermutation starts a random permutation of n answers. at answers one
+// position and batch answers many, in order, on up to workers goroutines;
+// both are only asked for positions below n.
+func NewPermutation[T any](n int64, rng *rand.Rand, at func(j int64) (T, error), batch func(ctx context.Context, js []int64, workers int) ([]T, error)) *Permutation[T] {
+	return &Permutation[T]{shuf: New(n, rng), at: at, batch: batch}
+}
+
+// Next returns the next answer of the permutation; ok is false once every
+// answer was emitted. This is the paper's loop as written: one draw, one
+// probe, one answer.
+func (p *Permutation[T]) Next() (T, bool) {
+	j, ok := p.shuf.Next()
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	t, err := p.at(j)
+	return t, err == nil
+}
+
+// Remaining returns how many answers have not been emitted yet.
+func (p *Permutation[T]) Remaining() int64 { return p.shuf.Remaining() }
+
+// NextN returns the next k answers of the permutation: fewer at the end,
+// none once it is exhausted or for k < 0. The positions are the draws of k
+// Next calls, and their probes are one batch on up to workers goroutines,
+// so the sequence does not depend on the worker count.
+func (p *Permutation[T]) NextN(k int64, workers int) []T {
+	out, _ := p.NextNContext(context.Background(), k, workers)
+	return out
+}
+
+// NextNContext is NextN honoring cancellation between probe chunks. The k
+// positions are drawn up front, so a batch cancelled while its probes run
+// returns ctx.Err() with its draws consumed and its answers discarded: the
+// cursor stays valid and skips them, which is what an abandoned network
+// request draining a shared permutation needs.
+func (p *Permutation[T]) NextNContext(ctx context.Context, k int64, workers int) ([]T, error) {
+	if k < 0 {
+		return nil, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// k may be a "drain everything" value: Draw sizes by what is left.
+	return p.batch(ctx, p.shuf.Draw(nil, k), workers)
 }
 
 // DeletionSet maintains the set {0..n-1} minus deletions, supporting uniform

@@ -79,16 +79,16 @@
 //     handle is safe under mixed traffic.
 //   - The stateful cursors (the All and Shuffled iterators, Permutation,
 //     RandomOrderUnion) are single-consumer: share the handle, not the
-//     cursor. Permutation.NextN lets a single consumer fan its probes across
-//     cores.
+//     cursor. Permutation.NextN draws its positions serially and fans their
+//     probes across cores, so a single consumer still uses them all.
 //
-// Index construction parallelizes automatically: independent join-tree
-// subtrees build on a worker pool once the input exceeds
-// access.DefaultSerialThreshold tuples (small inputs build serially —
-// goroutine overhead would dominate), and UCQ preparation builds its
-// disjunct and intersection indexes concurrently. Parallel and serial
-// builds produce identical structures, so the enumeration order never
-// depends on the worker count.
+// Index construction parallelizes automatically: the join tree builds leaf
+// to root in waves of equal height, each wave on a worker pool once the
+// input exceeds access.DefaultSerialThreshold tuples (below it, or at one
+// worker, the same waves run on the calling goroutine — goroutine overhead
+// would dominate), and UCQ preparation builds its disjunct and intersection
+// indexes concurrently. The structure is the same at every worker count, so
+// the enumeration order never depends on it.
 //
 // The batched APIs (AccessBatch, Page, Sampler.SampleN, Permutation.NextN)
 // amortize per-probe overhead and fan out across the handle's worker budget
@@ -239,25 +239,23 @@ func pagePositions(offset, limit, n int64) ([]int64, error) {
 }
 
 // Permutation yields each answer exactly once, in uniformly random order:
-// Theorem 3.7's lazy Fisher–Yates shuffle over a handle's Count and Access.
-// Handle.Permute is the only place one is built. It is a single-consumer
-// cursor: drive it from one goroutine (the handle may be shared freely).
+// Theorem 3.7's lazy Fisher–Yates shuffle over a handle's Count and Access
+// (shuffle.Permutation, the one cursor the internal packages share), with
+// the handle's worker budget for NextN. Handle.Permute is the only place one
+// is built; a zero Permutation is empty. It is a single-consumer cursor:
+// drive it from one goroutine (the handle may be shared freely).
 type Permutation struct {
-	b       backend
-	shuf    *shuffle.Shuffler
+	p       *shuffle.Permutation[Tuple]
 	workers int
 }
 
 // Next returns the next answer of the permutation; ok is false at the end.
 // This is the paper's loop as written: one draw, one probe, one answer.
 func (p *Permutation) Next() (Tuple, bool) {
-	j, ok := p.shuf.Next()
-	if !ok {
+	if p.p == nil {
 		return nil, false
 	}
-	// The shuffler only emits positions below Count(): the probe cannot fail.
-	t, err := probe(p.b, j)
-	return t, err == nil
+	return p.p.Next()
 }
 
 // NextN returns the next k answers of the permutation (fewer at the end,
@@ -277,18 +275,11 @@ func (p *Permutation) NextN(k int64) []Tuple {
 // stays valid and simply skips them, which is the right behavior for an
 // abandoned network request draining a shared permutation.
 func (p *Permutation) NextNContext(ctx context.Context, k int64) ([]Tuple, error) {
-	if k < 0 {
-		return nil, nil
-	}
 	ctx = orBackground(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if p.p == nil {
+		return nil, ctx.Err() // a zero Permutation drains empty
 	}
-	if p.shuf == nil {
-		return nil, nil // a zero Permutation drains empty
-	}
-	// k may be a "drain everything" value: Draw sizes by what is left.
-	return p.b.accessBatchContext(ctx, p.shuf.Draw(nil, k), p.workers)
+	return p.p.NextNContext(ctx, k, p.workers)
 }
 
 // RandomOrderUnion is REnum(UCQ) (Algorithm 5): a single-use random-order

@@ -1,6 +1,8 @@
 package renum
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -90,6 +92,27 @@ func TestPublicEnumeratorAndPermutation(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("permuted %d", n)
+	}
+}
+
+// TestZeroPermutationIsEmpty: a zero Permutation is an empty permutation
+// through every method — Next as well as the NextN forms, which still report
+// a cancelled context.
+func TestZeroPermutationIsEmpty(t *testing.T) {
+	var p Permutation
+	if a, ok := p.Next(); ok || a != nil {
+		t.Fatalf("zero Permutation: Next = %v, %v", a, ok)
+	}
+	if ts := p.NextN(3); len(ts) != 0 {
+		t.Fatalf("zero Permutation: NextN(3) = %v", ts)
+	}
+	if ts := p.NextN(-1); ts != nil {
+		t.Fatalf("zero Permutation: NextN(-1) = %v", ts)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ts, err := p.NextNContext(ctx, 3); !errors.Is(err, context.Canceled) || ts != nil {
+		t.Fatalf("zero Permutation: cancelled NextNContext = %v, %v", ts, err)
 	}
 }
 
